@@ -683,7 +683,11 @@ def telemetry_overhead_section(
         ).run(records)
         if on is None or result.wall_s < on.wall_s:
             on = result
-    overhead = on.wall_s / off.wall_s - 1.0 if off.wall_s > 0 else 0.0
+    # From the rounded fields, so a reader of the payload recomputes
+    # exactly this fraction.
+    wall_off_s = round(off.wall_s, 6)
+    wall_on_s = round(on.wall_s, 6)
+    overhead = wall_on_s / wall_off_s - 1.0 if wall_off_s > 0 else 0.0
     samples = on.telemetry_samples()
     dropped = sum(
         int(stats.get("heartbeats_dropped", 0) or 0)
@@ -697,8 +701,8 @@ def telemetry_overhead_section(
         "records": n,
         "workers": workers,
         "interval_s": DEFAULT_HEARTBEAT_INTERVAL,
-        "wall_off_s": round(off.wall_s, 6),
-        "wall_on_s": round(on.wall_s, 6),
+        "wall_off_s": wall_off_s,
+        "wall_on_s": wall_on_s,
         "overhead_fraction": round(overhead, 4),
         "target": TELEMETRY_OVERHEAD_TARGET,
         "meets_target": overhead <= TELEMETRY_OVERHEAD_TARGET,
@@ -763,15 +767,19 @@ def trace_overhead_section(
         ).run(records)
         if on is None or result.wall_s < on.wall_s:
             on = result
-    overhead = on.wall_s / off.wall_s - 1.0 if off.wall_s > 0 else 0.0
+    # From the rounded fields, so a reader of the payload recomputes
+    # exactly this fraction.
+    wall_off_s = round(off.wall_s, 6)
+    wall_on_s = round(on.wall_s, 6)
+    overhead = wall_on_s / wall_off_s - 1.0 if wall_off_s > 0 else 0.0
     header = on.trace_header or {}
     return {
         "corpus": corpus,
         "records": n,
         "workers": workers,
         "sample": DEFAULT_TRACE_SAMPLE,
-        "wall_off_s": round(off.wall_s, 6),
-        "wall_on_s": round(on.wall_s, 6),
+        "wall_off_s": wall_off_s,
+        "wall_on_s": wall_on_s,
         "overhead_fraction": round(overhead, 4),
         "target": TRACE_OVERHEAD_TARGET,
         "meets_target": overhead <= TRACE_OVERHEAD_TARGET,
@@ -847,13 +855,17 @@ def archive_overhead_section(
             stored = archive.fingerprint(run_id)
             roundtrip = stored == result.fingerprint()
             observables = len(stored["exact"]) + len(stored["banded"])
-    overhead = write_s / result.wall_s if result.wall_s > 0 else 0.0
+    # From the rounded fields, so a reader of the payload recomputes
+    # exactly this fraction.
+    wall_run_s = round(result.wall_s, 6)
+    archive_write_s = round(write_s, 6)
+    overhead = archive_write_s / wall_run_s if wall_run_s > 0 else 0.0
     return {
         "corpus": corpus,
         "records": n,
         "workers": workers,
-        "wall_run_s": round(result.wall_s, 6),
-        "archive_write_s": round(write_s, 6),
+        "wall_run_s": wall_run_s,
+        "archive_write_s": archive_write_s,
         "overhead_fraction": round(overhead, 4),
         "target": ARCHIVE_OVERHEAD_TARGET,
         "meets_target": overhead <= ARCHIVE_OVERHEAD_TARGET,

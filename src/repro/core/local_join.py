@@ -14,28 +14,43 @@ semantics one bit. The structural choices, all benchmarked in
 **Columnar postings.** A token's posting list is not a list of
 ``(Record, position)`` tuples but parallel columns — ``array('q')``
 rid/size/position, ``array('d')`` timestamp, and a Record-reference
-list — plus a rid → :class:`Record` side table that owns record
-lifetimes. The scan loop reads primitive slots; attribute access on a
-Record happens only once a candidate survives every filter.
+list that owns record lifetimes. The scan loop reads primitive slots;
+attribute access on a Record happens only once a candidate survives
+every filter.
 
-**Size-sorted columns, sorted lazily.** In lazy-expiry mode the
-columns are kept sorted by partner size so a probe can apply the
-length filter *wholesale*: two binary searches bound the qualifying
-slice and postings outside ``[lo, hi]`` are never touched. They are
-still **accounted** as scanned — ``posting_scan`` counts the logical
-work of the reference algorithm, which walks the full list; the meter
-is the cost-model currency, the fast path merely does less physical
-work per logical operation. The sort itself is **deferred**: inserts
-append (C-speed, like the reference engine) and mark the column dirty;
-the first probe that touches a dirty column restores order — a stable
-full sort after a long insert streak, or bisect-inserting a short
-appended tail (the steady interleaved probe/insert case, where the
-cost matches the old incremental sorted insert). Either repair yields
-the exact arrangement incremental ``bisect_right`` inserts would have
-produced, so observable behaviour is unchanged while pure insert
-phases stop paying per-insert memmove + bisect cost. Eager mode keeps
-append order instead, because its expiration heap addresses postings
-by stable slot.
+**Three column layouts, one scan loop.** What order a column is kept in
+follows from when its postings can die; the window and the expiry mode
+fix it at construction (DESIGN §9.2):
+
+* *Unbounded window — size-sorted.* A probe applies the length filter
+  *wholesale*: two binary searches bound the qualifying slice and
+  postings outside ``[lo, hi]`` are never touched. They are still
+  **accounted** as scanned — ``posting_scan`` counts the logical work
+  of the reference algorithm, which walks the full list; the meter is
+  the cost-model currency, the fast path merely does less physical work
+  per logical operation. The sort itself is **deferred**: inserts
+  append (C-speed, like the reference engine) and mark the column
+  dirty; the first probe that touches a dirty column restores order — a
+  stable full sort after a long insert streak, or bisect-inserting a
+  short appended tail (the steady interleaved probe/insert case).
+  Either repair yields the exact arrangement incremental
+  ``bisect_right`` inserts would have produced.
+* *Bounded window, lazy expiry — time-ordered.* Inserts append unless
+  the record arrives late, in which case it is bisect-inserted at its
+  timestamp. ``now - ts`` never grows with ``ts`` (IEEE subtraction is
+  monotone), so the postings that fail the window predicate at a probe
+  are a *prefix*: the probe walks the front to the first live posting,
+  charges the dead prefix in bulk, truncates it with one ``del`` per
+  column, and scans the live suffix with no per-posting liveness check
+  (measured by the ``tweet_window`` workload of ``benchmarks/e2e``).
+* *Bounded window, eager expiry — slot-stable.* Columns stay in append
+  order because the expiration heap addresses postings by absolute
+  slot; consumed fronts advance a cursor and out-of-order expiries
+  leave tombstones.
+
+Every layout feeds the same ``zip`` loops (length filter per posting
+where the slice was not bisected); only an eager column holding
+consumed or tombstoned slots is walked by index instead.
 
 **Aggregate metering.** The scan accumulates plain local integers and
 flushes them once per probe through
@@ -59,11 +74,12 @@ prefix holds a single token skip duplicate-candidate tracking entirely
 (a partner cannot be scanned twice through one token).
 
 Window expiration supports two modes. ``"lazy"`` (default, the
-original semantics): dead postings are dropped when a scan touches
-them. ``"eager"``: inserts also push ``(timestamp, token, slot)`` onto
-a min-heap, and every probe/insert first drains all postings outside
-the window — long-lived bounded windows never re-scan dead postings.
-Both modes are differentially fuzzed against the reference engine.
+original semantics): dead postings are dropped when a probe touches
+their list. ``"eager"``: inserts also push ``(timestamp, token, slot)``
+onto a min-heap, and every probe/insert first drains all postings
+outside the window — long-lived bounded windows never re-scan dead
+postings. Both modes are differentially fuzzed against the reference
+engine.
 
 Two details specific to this reproduction:
 
@@ -121,20 +137,19 @@ class _Postings:
     """One token's posting list as parallel columns.
 
     Four primitive columns (``array``) plus a Record-reference list,
-    index-aligned. In lazy mode the columns are sorted by ``sizes`` so
-    probes can bisect the length-qualifying slice; the sort is applied
-    lazily (see :meth:`ensure_sorted`). In eager mode they are
-    append-ordered because heap entries address postings by stable
-    slot.
+    index-aligned. The engine keeps them in one of three orders (see
+    the module docstring): sorted by ``sizes`` under an unbounded
+    window, sorted by ``timestamps`` under a bounded window with lazy
+    expiry, append order under eager expiry.
 
-    ``sorted_len`` is the length of the leading slice known to be
-    size-sorted; inserts append past it, and the first probe that
-    bisects the column repairs order (only the unbounded-window lazy
-    fast path ever relies on sortedness, so bounded/eager columns can
-    stay append-ordered forever).
+    ``sorted_len`` serves the size-sorted layout only: the length of
+    the leading slice known to be size-sorted. Inserts append past it,
+    and the first probe that bisects the column repairs order (see
+    :meth:`ensure_sorted`). The ``timestamps`` column is empty there —
+    nothing expires.
 
-    ``start``/``base``/``dead`` exist for eager expiry only (all zero
-    in lazy mode). Heap entries carry *absolute* slots — the running
+    ``start``/``base``/``dead`` serve eager expiry only (all zero
+    otherwise). Heap entries carry *absolute* slots — the running
     append index ``base + len(rids)`` — so that trimming consumed
     front entries (``base += start``) never invalidates live slots.
     Entries expired out of order leave a rid ``-1`` tombstone, counted
@@ -165,7 +180,7 @@ class _Postings:
         return len(self.rids) - self.start - self.dead
 
     def ensure_sorted(self) -> None:
-        """Restore size order after appends (lazy-mode probes only).
+        """Restore size order after appends (unbounded windows only).
 
         Both repair strategies are *stable* — equal sizes keep append
         order — so the resulting arrangement is identical to what
@@ -177,55 +192,31 @@ class _Postings:
         head = self.sorted_len
         if head == n:
             return
-        # The timestamps column may be absent (unbounded windows skip
-        # it — only this sorted fast path ever runs there anyway).
-        with_ts = bool(self.timestamps)
+        # No timestamps column to carry along: it is empty under an
+        # unbounded window, the only place size order is used.
         if head and n - head <= self.TAIL_INSERT_LIMIT:
             # Short tail after a sorted head: bisect-insert each
             # appended posting (the steady interleaved case).
-            rids, positions = self.rids, self.positions
-            timestamps, recs = self.timestamps, self.recs
+            rids, positions, recs = self.rids, self.positions, self.recs
             tail = [
-                (rids[k], sizes[k], positions[k],
-                 timestamps[k] if with_ts else 0.0, recs[k])
+                (rids[k], sizes[k], positions[k], recs[k])
                 for k in range(head, n)
             ]
             del rids[head:], sizes[head:], positions[head:], recs[head:]
-            if with_ts:
-                del timestamps[head:]
-            for rid, size, position, timestamp, rec in tail:
+            for rid, size, position, rec in tail:
                 k = bisect_right(sizes, size)
                 rids.insert(k, rid)
                 sizes.insert(k, size)
                 positions.insert(k, position)
-                if with_ts:
-                    timestamps.insert(k, timestamp)
                 recs.insert(k, rec)
         else:
             order = sorted(range(n), key=sizes.__getitem__)
-            names = (
-                ("rids", "sizes", "positions", "timestamps")
-                if with_ts else ("rids", "sizes", "positions")
-            )
-            for name in names:
+            for name in ("rids", "sizes", "positions"):
                 old = getattr(self, name)
-                setattr(self, name, array(old.typecode, map(old.__getitem__, order)))
+                setattr(self, name, array("q", map(old.__getitem__, order)))
             recs = self.recs
             self.recs = [recs[k] for k in order]
         self.sorted_len = len(self.rids)
-
-    def compact(self, dead_ks: List[int]) -> None:
-        """Drop the (sorted) indices ``dead_ks`` from every column."""
-        dead = set(dead_ks)
-        keep = [k for k in range(len(self.rids)) if k not in dead]
-        for name in ("rids", "sizes", "positions", "timestamps"):
-            old = getattr(self, name)
-            setattr(self, name, array(old.typecode, (old[k] for k in keep)))
-        recs = self.recs
-        self.recs = [recs[k] for k in keep]
-        # Only the bounded-lazy general path compacts, and it never
-        # relies on size order; conservatively forget it.
-        self.sorted_len = 0
 
     def trim(self) -> None:
         """Physically release the consumed front (eager mode)."""
@@ -279,25 +270,12 @@ class StreamingSetJoin:
         self.pair_filter = pair_filter
         self.expiry = expiry
         self._eager = expiry == "eager" and self.window.bounded
-        #: Lazy mode keeps columns size-sorted for bisect pruning; eager
-        #: mode needs stable slots for its heap and stays append-ordered.
-        self._bisect = not self._eager
-        #: Per-posting liveness checks happen only when postings can die
-        #: lazily: never for an unbounded window, never in eager mode
-        #: (the heap drain removes everything dead before each scan).
-        self._check_alive = self.window.bounded and not self._eager
-        #: Record lifetimes (refcounts) only matter when postings can
-        #: expire; with an unbounded window the side table is write-once.
-        self._track_refs = self.window.bounded
-        #: The timestamps column is read only when postings can expire
-        #: (lazy liveness checks; eager compact/trim bookkeeping) — an
-        #: unbounded window never needs it, so inserts skip the append.
-        self._track_ts = self.window.bounded
+        #: Lazy expiry over a bounded window — the one case where a scan
+        #: can meet dead postings (an unbounded window never expires,
+        #: the eager heap drains before each scan): columns are
+        #: time-ordered so that the dead ones are a prefix.
+        self._time_ordered = self.window.bounded and not self._eager
         self._index: Dict[int, _Postings] = {}
-        #: rid → Record side table plus per-record live-posting counts;
-        #: a Record is released when its last posting expires.
-        self._records: Dict[int, Record] = {}
-        self._refcount: Dict[int, int] = {}
         self._heap: List[Tuple[float, int, int]] = []  # (ts, token, abs slot)
         self._live_postings = 0
 
@@ -320,16 +298,16 @@ class StreamingSetJoin:
         timestamp = record.timestamp
         index = self._index
         eager = self._eager
-        track_ts = self._track_ts
         inserted = 0
-        # Always append; lazy-mode probes repair size order on first
-        # touch (``ensure_sorted``), so pure insert streaks never pay
-        # incremental sorted-insert cost. The timestamps column is
-        # maintained only for bounded windows — nothing ever reads it
-        # when postings cannot expire. The two loops differ only in the
-        # eager heap push (hot path: this is the engine's per-posting
-        # cost floor).
-        if eager or track_ts:
+        # Unbounded columns always append; probes repair size order on
+        # first touch (``ensure_sorted``), so pure insert streaks never
+        # pay incremental sorted-insert cost, and the timestamps column
+        # is skipped — nothing reads it when postings cannot expire.
+        # Bounded columns carry timestamps: eager ones append (the heap
+        # addresses stable slots); lazy ones stay time-ordered, which is
+        # an append too unless the record arrives late (hot path: this
+        # is the engine's per-posting cost floor).
+        if eager or self._time_ordered:
             for position in range(width):
                 token = tokens[position]
                 if token_filter is not None and not token_filter(token):
@@ -337,16 +315,28 @@ class StreamingSetJoin:
                 cols = index.get(token)
                 if cols is None:
                     cols = index[token] = _Postings()
+                timestamps = cols.timestamps
+                inserted += 1
                 if eager:
                     heappush(
                         self._heap, (timestamp, token, cols.base + len(cols.rids))
                     )
+                elif timestamps and timestamp < timestamps[-1]:
+                    # Late arrival: take the slot after every posting
+                    # not newer than this one, so the column stays
+                    # sorted by timestamp (ties in arrival order).
+                    k = bisect_right(timestamps, timestamp)
+                    cols.rids.insert(k, rid)
+                    cols.sizes.insert(k, size)
+                    cols.positions.insert(k, position)
+                    timestamps.insert(k, timestamp)
+                    cols.recs.insert(k, record)
+                    continue
                 cols.rids.append(rid)
                 cols.sizes.append(size)
                 cols.positions.append(position)
-                cols.timestamps.append(timestamp)
+                timestamps.append(timestamp)
                 cols.recs.append(record)
-                inserted += 1
         else:
             for position in range(width):
                 token = tokens[position]
@@ -360,13 +350,6 @@ class StreamingSetJoin:
                 cols.positions.append(position)
                 cols.recs.append(record)
                 inserted += 1
-        if inserted and self._track_refs:
-            # The rid → Record side table exists for expiring windows
-            # (a Record is released when its last posting dies); with
-            # an unbounded window ``recs`` already pins every Record
-            # and nothing ever reads the table, so skip the writes.
-            self._records[rid] = record
-            self._refcount[rid] = self._refcount.get(rid, 0) + inserted
         self._live_postings += inserted
         meter.charge("posting_insert", inserted)
         meter.event("postings_inserted", inserted)
@@ -391,16 +374,17 @@ class StreamingSetJoin:
         token_filter = self.token_filter
         filtered_mode = token_filter is not None
         pair_filter = self.pair_filter
-        check_alive = self._check_alive
+        time_ordered = self._time_ordered
+        size_sorted = not (eager or time_ordered)
+        seconds = self.window.seconds
         index = self._index
-        bisected = self._bisect
         # A single-token probe prefix cannot scan the same partner
         # twice, so duplicate-candidate tracking is skipped wholesale;
         # the ``seen`` set exists only when something can use it (the
-        # general path runs only for bounded windows: lazy-bounded
-        # liveness checks or eager dirty columns).
+        # tombstone path at the bottom always does, and runs only in
+        # eager mode).
         dedup = width > 1
-        if dedup or filtered_mode or check_alive or eager:
+        if dedup or filtered_mode or eager:
             seen: set = set()
             seen_add = seen.add
         results: List[MatchResult] = []
@@ -421,7 +405,7 @@ class StreamingSetJoin:
             cols = index.get(token)
             if cols is None:
                 continue
-            if bisected and not check_alive and cols.sorted_len != len(cols.rids):
+            if size_sorted and cols.sorted_len != len(cols.rids):
                 cols.ensure_sorted()
             rids = cols.rids
             sizes = cols.sizes
@@ -429,15 +413,42 @@ class StreamingSetJoin:
             recs = cols.recs
             n = len(rids)
 
-            if not check_alive and not cols.dead and not cols.start:
-                # Fast path (unbounded window or eager with a clean
-                # column): every slot is live — no liveness call, no
-                # alive-list rebuild, scan count in one add. With
-                # size-sorted columns (lazy mode) the length filter is
-                # two bisects bounding the qualifying slice; the
-                # pruned slots still count as scanned (see module doc).
+            if not cols.dead and not cols.start:
+                # Fast path: every slot left to scan is live — no
+                # per-posting liveness check, scan count in one add.
+                # Only an eager column with consumed or tombstoned
+                # slots falls through to the loop at the bottom.
                 n_scan += n
-                if bisected:
+                lenfilter = True
+                if time_ordered:
+                    # Time-ordered column: ``now - ts`` never grows
+                    # with ``ts`` (IEEE subtraction is monotone), so
+                    # the postings dead at ``now`` are a prefix; walk
+                    # it, charge it in bulk, truncate the front.
+                    timestamps = cols.timestamps
+                    kd = 0
+                    while kd < n and now - timestamps[kd] > seconds:
+                        # Health signal: how long past its window the
+                        # dead posting lingered before this scan
+                        # collected it, in units of the window length.
+                        meter.signal(
+                            "window_expiration_lag_fraction",
+                            (now - timestamps[kd] - seconds) / seconds,
+                        )
+                        kd += 1
+                    if kd:
+                        n_expire += kd
+                        self._live_postings -= kd
+                        if kd == n:
+                            del index[token]
+                            continue
+                        del rids[:kd], sizes[:kd], positions[:kd]
+                        del timestamps[:kd], recs[:kd]
+                elif size_sorted:
+                    # Size-sorted column (unbounded window): the length
+                    # filter is two bisects bounding the qualifying
+                    # slice; the pruned slots still count as scanned
+                    # (see module doc).
                     klo = bisect_left(sizes, lo)
                     khi = bisect_right(sizes, hi, klo)
                     if klo >= khi:
@@ -449,8 +460,6 @@ class StreamingSetJoin:
                         if dedup or filtered_mode:
                             rids = rids[klo:khi]
                     lenfilter = False
-                else:
-                    lenfilter = True
                 i1 = i + 1
                 rem_r = lr - i1
                 if filtered_mode:
@@ -627,30 +636,13 @@ class StreamingSetJoin:
                             )))
                 continue
 
-            # General path: lazy liveness checks (bounded window) and/or
-            # eager tombstone skips. Same filter pipeline as above.
-            seconds = self.window.seconds
-            timestamps = cols.timestamps
-            dead_ks: Optional[List[int]] = None
+            # Eager column with consumed or tombstoned slots: skip them
+            # by index. Same filter pipeline as above.
             for k in range(cols.start, n):
                 rid = rids[k]
-                if rid < 0:  # eager tombstone: already expired, unmetered
+                if rid < 0:  # tombstone: already expired, unmetered
                     continue
                 n_scan += 1
-                if check_alive and now - timestamps[k] > seconds:
-                    n_expire += 1
-                    if dead_ks is None:
-                        dead_ks = []
-                    dead_ks.append(k)
-                    self._release(rid)
-                    # Health signal: how long past its window the dead
-                    # posting lingered before this scan collected it,
-                    # in units of the window length.
-                    meter.signal(
-                        "window_expiration_lag_fraction",
-                        (now - timestamps[k] - seconds) / seconds,
-                    )
-                    continue
                 ls = sizes[k]
                 if ls < lo or ls > hi:
                     continue
@@ -686,12 +678,6 @@ class StreamingSetJoin:
                         similarity_from_overlap(lr, ls, overlap),
                         overlap,
                     )))
-            if dead_ks is not None:
-                self._live_postings -= len(dead_ks)
-                if len(dead_ks) == n:
-                    del index[token]
-                else:
-                    cols.compact(dead_ks)
 
         charges: Dict[str, float] = {}
         if n_lookup:
@@ -773,16 +759,6 @@ class StreamingSetJoin:
             return [self.probe(record) for record in records]
 
     # -- expiration internals --------------------------------------------------
-    def _release(self, rid: int) -> None:
-        """Drop one posting's claim on its record's side-table entry."""
-        refcount = self._refcount
-        left = refcount[rid] - 1
-        if left:
-            refcount[rid] = left
-        else:
-            del refcount[rid]
-            del self._records[rid]
-
     def _expire_upto(self, now: float) -> None:
         """Eagerly remove every posting dead at time ``now``.
 
@@ -804,7 +780,6 @@ class StreamingSetJoin:
             cols = index[token]
             k = slot - cols.base
             rids = cols.rids
-            self._release(rids[k])
             cols.recs[k] = None
             if k == cols.start:
                 start = cols.start + 1

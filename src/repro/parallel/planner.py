@@ -17,9 +17,10 @@ bit-equality across worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
+from repro.parallel.codec import INDEX, PROBE
 from repro.partition.length_partition import LengthPartition
 from repro.records import Record
 from repro.routing.base import Router, RoutingDecision
@@ -35,6 +36,11 @@ class ShardPlan:
     router: Router
     partition: Optional[LengthPartition]
     func: SimilarityFunction = field(repr=False)
+    #: ``tasks`` results by record size, filled only for routers whose
+    #: decision depends on nothing else (``Router.routes_by_size``).
+    _tasks_by_size: Dict[int, List[Tuple[int, int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def num_shards(self) -> int:
@@ -48,9 +54,18 @@ class ShardPlan:
     def tasks(self, record: Record) -> List[Tuple[int, int]]:
         """``(shard, op)`` pairs for one record, in the dispatcher's
         order (ascending shard; op combines probe/index bits exactly
-        like the ``"p"/"i"/"b"`` message kinds)."""
-        from repro.parallel.codec import INDEX, PROBE
+        like the ``"p"/"i"/"b"`` message kinds). Callers only iterate
+        the list: records of one size share it when the router routes
+        by size alone."""
+        if not self.router.routes_by_size:
+            return self._tasks_of(record)
+        size = len(record.tokens)
+        tasks = self._tasks_by_size.get(size)
+        if tasks is None:
+            tasks = self._tasks_by_size[size] = self._tasks_of(record)
+        return tasks
 
+    def _tasks_of(self, record: Record) -> List[Tuple[int, int]]:
         decision = self.router.route(record)
         index_set = set(decision.index_tasks)
         probe_set = set(decision.probe_tasks)

@@ -34,6 +34,10 @@ class Router:
     #: Short scheme label used in reports ("length", "prefix", …).
     name: str = "abstract"
 
+    #: Whether ``route`` is a pure function of ``len(record.tokens)``;
+    #: the shard planner then routes once per distinct size.
+    routes_by_size: bool = False
+
     def __init__(self, num_workers: int):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")

@@ -30,6 +30,7 @@ class LengthRouter(Router):
     """Route records by length over a :class:`LengthPartition`."""
 
     name = "length"
+    routes_by_size = True
 
     def __init__(self, partition: LengthPartition, func: SimilarityFunction):
         super().__init__(partition.num_workers)

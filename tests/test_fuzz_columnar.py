@@ -9,17 +9,20 @@ by ``repro diff``), and the same live-posting count. These tests drive
 both engines over randomized streams — out-of-order timestamps, empty
 records, heavy duplicates, bounded and unbounded windows, both expiry
 modes, and the prefix-scheme token/pair filters — and assert equality
-on all four observables after every probe.
+on every observable (signal peaks included) after every record.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
 from repro.core.reference import ReferenceStreamingSetJoin
+from repro.core.two_stream import cross_source_filter
 from repro.records import Record
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import get_similarity
@@ -41,19 +44,20 @@ def run_engine(engine_cls, records, func_name, threshold, window_seconds,
         pair_filter=pair_filter,
         expiry=expiry,
     )
-    per_probe = []
+    steps = []
     for record in records:
         matches = engine.probe_and_insert(record)
-        per_probe.append(sorted(
-            (m.partner.rid, round(m.similarity, 12), m.overlap)
-            for m in matches
-        ))
-    return {
-        "matches": per_probe,
-        "operations": dict(meter.operations),
-        "events": dict(meter.events),
-        "live_postings": engine.live_postings,
-    }
+        steps.append({
+            "matches": sorted(
+                (m.partner.rid, round(m.similarity, 12), m.overlap)
+                for m in matches
+            ),
+            "operations": dict(meter.operations),
+            "events": dict(meter.events),
+            "signals": dict(meter.signals),
+            "live_postings": engine.live_postings,
+        })
+    return steps
 
 
 def assert_identical(records, func_name, threshold, window_seconds, expiry,
@@ -65,16 +69,14 @@ def assert_identical(records, func_name, threshold, window_seconds, expiry,
     )
     context = (f"{func_name} θ={threshold} window={window_seconds} "
                f"expiry={expiry}")
-    for i, (got, want) in enumerate(
-        zip(columnar["matches"], reference["matches"])
-    ):
-        assert got == want, (
-            f"{context}: probe {i} (rid {records[i].rid}) matches differ:\n"
-            f"  columnar:  {got}\n  reference: {want}"
-        )
-    assert columnar["operations"] == reference["operations"], context
-    assert columnar["events"] == reference["events"], context
-    assert columnar["live_postings"] == reference["live_postings"], context
+    for i, (got, want) in enumerate(zip(columnar, reference)):
+        for observable in want:
+            assert got[observable] == want[observable], (
+                f"{context}: after record {i} (rid {records[i].rid}) "
+                f"{observable} differ:\n"
+                f"  columnar:  {got[observable]}\n"
+                f"  reference: {want[observable]}"
+            )
 
 
 def fuzz_stream(seed, n=350, universe=60, max_len=8, jitter_rate=0.3):
@@ -136,3 +138,75 @@ def test_overlap_function_differential():
     for window_seconds in (6.0, math.inf):
         for expiry in ("lazy", "eager"):
             assert_identical(records, "overlap", 3, window_seconds, expiry)
+
+
+# -- lazy expiry over a bounded window: the time-ordered columns ------------
+
+def test_window_boundary_differential():
+    """``now - ts == seconds`` is alive; one ulp later the posting dies —
+    in both engines, on the same record."""
+    seconds = 2.5
+    records = [
+        Record(0, (1, 2, 3), timestamp=0.0),
+        Record(1, (1, 2, 3), timestamp=seconds),
+        Record(2, (1, 2, 3), timestamp=math.nextafter(seconds, math.inf)),
+    ]
+    assert_identical(records, "jaccard", 0.6, seconds, "lazy")
+
+
+def test_equal_timestamps_differential():
+    """Bursts sharing one timestamp expire together or not at all."""
+    rng = random.Random(11)
+    records = [
+        Record(rid, tuple(sorted(rng.sample(range(12), rng.randint(1, 5)))),
+               timestamp=float(rid // 5))
+        for rid in range(200)
+    ]
+    assert_identical(records, "jaccard", 0.6, 3.0, "lazy")
+
+
+def test_late_record_differential():
+    """A record older than its list's tail is filed at its time position;
+    later probes expire the postings before it, then it, then the rest."""
+    times = [0.0, 1.0, 2.0, 3.0, 0.5, 2.0, 3.9, 4.2, 4.6, 5.5, 9.0]
+    records = [
+        Record(rid, (1, 2, 3 + rid % 2), timestamp=ts)
+        for rid, ts in enumerate(times)
+    ]
+    assert_identical(records, "jaccard", 0.5, 3.0, "lazy")
+
+
+@pytest.mark.parametrize("seed", [200, 201])
+def test_windowed_prefix_filters_with_jitter(seed):
+    """Window + prefix-scheme token/pair filters on out-of-order input."""
+    records = fuzz_stream(seed, n=250, universe=50)
+    assert_identical(
+        records, "jaccard", 0.5, 4.0, "lazy",
+        token_filter=lambda token: token_owner(token, 3) == 1,
+        pair_filter=lambda r, s: (r.rid + s.rid) % 2 == 0,
+    )
+
+
+def test_windowed_cross_source_filter():
+    """Window + the two-stream join's cross-source pair filter."""
+    records = [
+        Record(r.rid, r.tokens, r.timestamp, source="LR"[r.rid % 2])
+        for r in fuzz_stream(300, n=250, universe=40)
+    ]
+    assert_identical(
+        records, "jaccard", 0.6, 4.0, "lazy", pair_filter=cross_source_filter
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    window_seconds=st.floats(0.25, 12.0),
+    jitter_rate=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+    threshold=st.sampled_from([0.5, 0.6, 0.8]),
+)
+def test_property_lazy_window_matches_reference(
+    seed, window_seconds, jitter_rate, threshold
+):
+    records = fuzz_stream(seed, n=120, universe=30, jitter_rate=jitter_rate)
+    assert_identical(records, "jaccard", threshold, window_seconds, "lazy")

@@ -1,5 +1,6 @@
 """The single-node streaming join engine against the brute-force oracle."""
 
+import math
 import random
 
 import pytest
@@ -144,6 +145,74 @@ class TestEngineMechanics:
         engine = StreamingSetJoin(Jaccard(0.5))
         engine.insert(Record(0, (1,), 0.0))
         assert engine.probe(Record(1, (), 1.0)) == []
+
+
+class TestTimeOrderedColumns:
+    """Lazy expiry over a bounded window: columns sorted by timestamp,
+    dead postings dropped as a prefix."""
+
+    def engine(self, seconds):
+        """θ = 0.9: records of up to 9 tokens post only their first."""
+        meter = WorkMeter()
+        return StreamingSetJoin(
+            Jaccard(0.9), window=SlidingWindow(seconds), meter=meter
+        ), meter
+
+    def test_boundary_is_alive_next_float_expires(self):
+        seconds = 2.5
+        engine, meter = self.engine(seconds)
+        engine.insert(Record(0, (1, 2, 3), timestamp=0.0))
+        found = engine.probe(Record(1, (1, 2, 3), timestamp=seconds))
+        assert [m.partner.rid for m in found] == [0]
+        assert meter.operation("posting_expire") == 0
+        assert engine.live_postings == 1
+        later = math.nextafter(seconds, math.inf)
+        assert engine.probe(Record(2, (1, 2, 3), timestamp=later)) == []
+        assert meter.operation("posting_expire") == 1
+        assert engine.live_postings == 0
+
+    def test_late_record_lands_at_its_time_position(self):
+        engine, _ = self.engine(10.0)
+        for rid, ts in enumerate([0.0, 1.0, 3.0, 3.0, 2.0, 3.0, 0.5]):
+            engine.insert(Record(rid, (7, 8 + rid), timestamp=ts))
+        cols = engine._index[7]
+        assert list(cols.timestamps) == [0.0, 0.5, 1.0, 2.0, 3.0, 3.0, 3.0]
+        # equal timestamps keep arrival order; every column moved together
+        assert list(cols.rids) == [0, 6, 1, 4, 2, 3, 5]
+        assert [r.rid for r in cols.recs] == list(cols.rids)
+        assert list(cols.sizes) == [2] * 7
+        assert list(cols.positions) == [0] * 7
+
+    def test_dead_prefix_is_dropped_and_live_suffix_scanned(self):
+        engine, meter = self.engine(2.0)
+        for rid, ts in enumerate([0.0, 1.0, 0.5, 3.0, 2.5]):
+            engine.insert(Record(rid, (7, 8), timestamp=ts))
+        found = engine.probe(Record(9, (7, 8), timestamp=4.0))
+        assert sorted(m.partner.rid for m in found) == [3, 4]
+        # the list is charged whole, its three dead postings expire
+        assert meter.operation("posting_scan") == 5
+        assert meter.operation("posting_expire") == 3
+        assert list(engine._index[7].rids) == [4, 3]
+        assert engine.live_postings == 2
+        assert meter.signals["window_expiration_lag_fraction"] == (4.0 - 0.0 - 2.0) / 2.0
+
+    def test_fully_dead_list_removes_the_token(self):
+        engine, meter = self.engine(1.0)
+        for rid in range(4):
+            engine.insert(Record(rid, (7, 8), timestamp=rid * 0.1))
+        engine.insert(Record(4, (8, 9), timestamp=0.0))
+        assert engine.probe(Record(9, (7, 9), timestamp=50.0)) == []
+        # only the list the probe touched is collected
+        assert 7 not in engine._index and 8 in engine._index
+        assert meter.operation("posting_expire") == 4
+        assert engine.live_postings == 1
+
+    def test_late_probe_expires_nothing(self):
+        engine, meter = self.engine(1.0)
+        engine.insert(Record(0, (7, 8), timestamp=100.0))
+        found = engine.probe(Record(1, (7, 8), timestamp=5.0))
+        assert [m.partner.rid for m in found] == [0]
+        assert meter.operation("posting_expire") == 0
 
 
 class TestExpiryModes:

@@ -116,6 +116,30 @@ class TestShardPlanner:
         assert tasks[4 % 3] & INDEX  # home shard indexes
         assert all(op & PROBE for op in tasks.values())  # all probe
 
+    @pytest.mark.parametrize("config", [
+        JoinConfig(num_workers=4),
+        JoinConfig(distribution="broadcast", num_workers=3),
+        JoinConfig(distribution="prefix", num_workers=5),
+        JoinConfig(mode="approx", num_workers=4),
+    ], ids=["length", "broadcast", "prefix", "band"])
+    def test_tasks_equal_the_per_record_routing(self, config):
+        """Whatever ``tasks`` memoises, every record gets exactly the
+        shard/op list its own routing decision spells out."""
+        records = make_records(60) + [Record(rid=60, tokens=())]
+        plan = plan_shards(config, [r.tokens for r in records])
+        for record in records + records:  # second pass: all memo hits
+            decision = plan.router.route(record)
+            want = sorted(
+                (shard,
+                 (PROBE if shard in decision.probe_tasks else 0)
+                 | (INDEX if shard in decision.index_tasks else 0))
+                for shard in {*decision.index_tasks, *decision.probe_tasks}
+            )
+            assert plan.tasks(record) == want, record
+        by_size = plan.router.routes_by_size
+        assert by_size == (plan.router.name == "length")
+        assert bool(plan._tasks_by_size) == by_size
+
     def test_shards_of_worker_partition_all_shards(self):
         config = JoinConfig(distribution="prefix", num_workers=7)
         plan = plan_shards(config, [(1,)])
