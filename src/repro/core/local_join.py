@@ -28,13 +28,12 @@ fix it at construction (DESIGN §9.2):
   **accounted** as scanned — ``posting_scan`` counts the logical work
   of the reference algorithm, which walks the full list; the meter is
   the cost-model currency, the fast path merely does less physical work
-  per logical operation. The sort itself is **deferred**: inserts
-  append (C-speed, like the reference engine) and mark the column
-  dirty; the first probe that touches a dirty column restores order — a
-  stable full sort after a long insert streak, or bisect-inserting a
-  short appended tail (the steady interleaved probe/insert case).
-  Either repair yields the exact arrangement incremental
-  ``bisect_right`` inserts would have produced.
+  per logical operation. Inserts keep the order: a record appends
+  unless a larger one is already posted under the token, in which case
+  it is ``bisect_right``-inserted after every posting not larger than
+  it, so equal sizes stay in arrival order and a probe scans exactly
+  the arrangement it always has (measured by the ``enron_long``
+  workload of ``benchmarks/e2e``).
 * *Bounded window, lazy expiry — time-ordered.* Inserts append unless
   the record arrives late, in which case it is bisect-inserted at its
   timestamp. ``now - ts`` never grows with ``ts`` (IEEE subtraction is
@@ -142,10 +141,7 @@ class _Postings:
     window, sorted by ``timestamps`` under a bounded window with lazy
     expiry, append order under eager expiry.
 
-    ``sorted_len`` serves the size-sorted layout only: the length of
-    the leading slice known to be size-sorted. Inserts append past it,
-    and the first probe that bisects the column repairs order (see
-    :meth:`ensure_sorted`). The ``timestamps`` column is empty there —
+    The ``timestamps`` column is empty in the size-sorted layout —
     nothing expires.
 
     ``start``/``base``/``dead`` serve eager expiry only (all zero
@@ -158,12 +154,8 @@ class _Postings:
 
     __slots__ = (
         "rids", "sizes", "positions", "timestamps", "recs",
-        "start", "base", "dead", "sorted_len",
+        "start", "base", "dead",
     )
-
-    #: Appended tails at most this long are bisect-inserted in place;
-    #: longer tails trigger a full stable sort (cheaper per element).
-    TAIL_INSERT_LIMIT = 16
 
     def __init__(self) -> None:
         self.rids = array("q")
@@ -174,49 +166,9 @@ class _Postings:
         self.start = 0
         self.base = 0
         self.dead = 0
-        self.sorted_len = 0
 
     def live_count(self) -> int:
         return len(self.rids) - self.start - self.dead
-
-    def ensure_sorted(self) -> None:
-        """Restore size order after appends (unbounded windows only).
-
-        Both repair strategies are *stable* — equal sizes keep append
-        order — so the resulting arrangement is identical to what
-        incremental ``bisect_right`` inserts would have built, and
-        therefore to what the pre-deferral engine scanned.
-        """
-        sizes = self.sizes
-        n = len(sizes)
-        head = self.sorted_len
-        if head == n:
-            return
-        # No timestamps column to carry along: it is empty under an
-        # unbounded window, the only place size order is used.
-        if head and n - head <= self.TAIL_INSERT_LIMIT:
-            # Short tail after a sorted head: bisect-insert each
-            # appended posting (the steady interleaved case).
-            rids, positions, recs = self.rids, self.positions, self.recs
-            tail = [
-                (rids[k], sizes[k], positions[k], recs[k])
-                for k in range(head, n)
-            ]
-            del rids[head:], sizes[head:], positions[head:], recs[head:]
-            for rid, size, position, rec in tail:
-                k = bisect_right(sizes, size)
-                rids.insert(k, rid)
-                sizes.insert(k, size)
-                positions.insert(k, position)
-                recs.insert(k, rec)
-        else:
-            order = sorted(range(n), key=sizes.__getitem__)
-            for name in ("rids", "sizes", "positions"):
-                old = getattr(self, name)
-                setattr(self, name, array("q", map(old.__getitem__, order)))
-            recs = self.recs
-            self.recs = [recs[k] for k in order]
-        self.sorted_len = len(self.rids)
 
     def trim(self) -> None:
         """Physically release the consumed front (eager mode)."""
@@ -299,14 +251,14 @@ class StreamingSetJoin:
         index = self._index
         eager = self._eager
         inserted = 0
-        # Unbounded columns always append; probes repair size order on
-        # first touch (``ensure_sorted``), so pure insert streaks never
-        # pay incremental sorted-insert cost, and the timestamps column
-        # is skipped — nothing reads it when postings cannot expire.
-        # Bounded columns carry timestamps: eager ones append (the heap
-        # addresses stable slots); lazy ones stay time-ordered, which is
-        # an append too unless the record arrives late (hot path: this
-        # is the engine's per-posting cost floor).
+        # Every column is kept in its layout's order here; probes rely
+        # on it. Bounded columns carry timestamps: eager ones append
+        # (the heap addresses stable slots); lazy ones stay
+        # time-ordered, which is an append too unless the record arrives
+        # late. Unbounded columns stay size-sorted — an append unless a
+        # larger record is already posted — and skip the timestamps
+        # column: nothing reads it when postings cannot expire (hot
+        # path: this is the engine's per-posting cost floor).
         if eager or self._time_ordered:
             for position in range(width):
                 token = tokens[position]
@@ -345,11 +297,21 @@ class StreamingSetJoin:
                 cols = index.get(token)
                 if cols is None:
                     cols = index[token] = _Postings()
+                sizes = cols.sizes
+                inserted += 1
+                if sizes and size < sizes[-1]:
+                    # Take the slot after every posting not larger than
+                    # this one (equal sizes stay in arrival order).
+                    k = bisect_right(sizes, size)
+                    cols.rids.insert(k, rid)
+                    sizes.insert(k, size)
+                    cols.positions.insert(k, position)
+                    cols.recs.insert(k, record)
+                    continue
                 cols.rids.append(rid)
-                cols.sizes.append(size)
+                sizes.append(size)
                 cols.positions.append(position)
                 cols.recs.append(record)
-                inserted += 1
         self._live_postings += inserted
         meter.charge("posting_insert", inserted)
         meter.event("postings_inserted", inserted)
@@ -405,8 +367,6 @@ class StreamingSetJoin:
             cols = index.get(token)
             if cols is None:
                 continue
-            if size_sorted and cols.sorted_len != len(cols.rids):
-                cols.ensure_sorted()
             rids = cols.rids
             sizes = cols.sizes
             positions = cols.positions

@@ -267,22 +267,29 @@ def decode_record_batch(data) -> List[Tuple[int, Record]]:
         raise CodecError(f"unsupported record-batch version {version}")
     offset = _HEADER.size
 
-    def column(typecode: str, count: int) -> array:
+    def take(nbytes: int):
+        """The next ``nbytes`` of the buffer, or a pointed error."""
         nonlocal offset
-        col = array(typecode)
-        end = offset + col.itemsize * count
+        end = offset + nbytes
         if end > len(data):
             raise CodecError(
-                f"record batch truncated: column at {offset} needs {end} bytes, "
+                f"record batch truncated: section at {offset} needs {end} bytes, "
                 f"have {len(data)}"
             )
-        col.frombytes(data[offset:end])
+        chunk = data[offset:end]
         offset = end
+        return chunk
+
+    def column(typecode: str, count: int) -> array:
+        col = array(typecode)
+        col.frombytes(take(col.itemsize * count))
         return col
 
     ops = column("B", n_records)
     rids = column("q", n_records)
     sizes = column("i", n_records)
+    if sizes and min(sizes) < 0:
+        raise CodecError("record batch inconsistent: negative record size")
     if flags & FLAG_TIMESTAMPS:
         stamps = column("d", n_records)
     else:
@@ -291,19 +298,31 @@ def decode_record_batch(data) -> List[Tuple[int, Record]]:
 
     sources: Sequence[str]
     if flags & FLAG_SOURCES:
-        (n_sources,) = _U16.unpack_from(data, offset)
-        offset += _U16.size
+        (n_sources,) = _U16.unpack(take(_U16.size))
         table = []
         for _ in range(n_sources):
-            (blob_len,) = _U16.unpack_from(data, offset)
-            offset += _U16.size
-            # bytes() tolerates memoryview input (it has no .decode).
-            table.append(bytes(data[offset : offset + blob_len]).decode("utf-8"))
-            offset += blob_len
+            (blob_len,) = _U16.unpack(take(_U16.size))
+            try:
+                # bytes() tolerates memoryview input (it has no .decode).
+                table.append(bytes(take(blob_len)).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CodecError(
+                    f"record batch inconsistent: source name is not UTF-8 ({exc})"
+                ) from None
         index = column("h", n_records)
+        if index and not 0 <= min(index) <= max(index) < n_sources:
+            raise CodecError(
+                f"record batch inconsistent: source slot outside the "
+                f"{n_sources}-entry table"
+            )
         sources = [table[slot] for slot in index]
     else:
         sources = [""] * n_records
+    if offset != len(data):
+        raise CodecError(
+            f"record batch inconsistent: {len(data) - offset} bytes after "
+            f"the last section"
+        )
 
     items: List[Tuple[int, Record]] = []
     cursor = 0

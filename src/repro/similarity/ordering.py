@@ -77,7 +77,12 @@ class TokenDictionary:
         :func:`repro.similarity.tokenizers.multiset` upstream if bag
         semantics are needed.
         """
-        ids = {self.id_of(token) for token in tokens}
+        if not isinstance(tokens, (list, tuple)):
+            tokens = tuple(tokens)  # the fallback below reads them again
+        try:
+            ids = set(map(self._id_of.__getitem__, tokens))
+        except KeyError:  # a token never seen before: assign ids one by one
+            ids = {self.id_of(token) for token in tokens}
         return tuple(sorted(ids))
 
     def decode(self, record: Iterable[int]) -> List[Hashable]:
@@ -108,10 +113,15 @@ class TokenDictionary:
     def from_corpus(cls, corpus: Iterable[Iterable[Hashable]]) -> "TokenDictionary":
         """Build a frequency-ranked dictionary from raw token records."""
         dictionary = cls()
-        materialized = [list(record) for record in corpus]
-        for record in materialized:
-            dictionary.observe(record)
-            for token in record:
-                dictionary.id_of(token)
+        frequency = dictionary._frequency
+        for record in corpus:
+            # Duplicate-free and in record order, so the counter's keys
+            # end up in first-encounter order — the order ids are
+            # assigned in — without a per-token Python call.
+            frequency.update(dict.fromkeys(record).keys())
+        dictionary._token_of = list(frequency)
+        dictionary._id_of = {
+            token: new_id for new_id, token in enumerate(frequency)
+        }
         dictionary.rank_by_frequency()
         return dictionary

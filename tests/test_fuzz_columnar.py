@@ -9,7 +9,9 @@ by ``repro diff``), and the same live-posting count. These tests drive
 both engines over randomized streams — out-of-order timestamps, empty
 records, heavy duplicates, bounded and unbounded windows, both expiry
 modes, and the prefix-scheme token/pair filters — and assert equality
-on every observable (signal peaks included) after every record.
+on every observable (signal peaks included) after every record. For the
+size-sorted layout the same holds under three insert/probe schedules,
+and the order matches are emitted in is pinned as well.
 """
 
 import math
@@ -31,9 +33,16 @@ from repro.streams.window import SlidingWindow
 ENGINES = (StreamingSetJoin, ReferenceStreamingSetJoin)
 
 
-def run_engine(engine_cls, records, func_name, threshold, window_seconds,
+def probe_then_insert(records):
+    """The streaming schedule: every record probes, then is indexed."""
+    for record in records:
+        yield "probe", record
+        yield "insert", record
+
+
+def run_engine(engine_cls, ops, func_name, threshold, window_seconds,
                expiry, token_filter=None, pair_filter=None):
-    """Probe-and-insert every record; return all observables."""
+    """Apply ``(op, record)`` steps; return all observables per step."""
     func = get_similarity(func_name, threshold)
     meter = WorkMeter()
     engine = engine_cls(
@@ -45,13 +54,14 @@ def run_engine(engine_cls, records, func_name, threshold, window_seconds,
         expiry=expiry,
     )
     steps = []
-    for record in records:
-        matches = engine.probe_and_insert(record)
+    for op, record in ops:
+        matches = getattr(engine, op)(record) or []
         steps.append({
             "matches": sorted(
                 (m.partner.rid, round(m.similarity, 12), m.overlap)
                 for m in matches
             ),
+            "emitted": [m.partner for m in matches],
             "operations": dict(meter.operations),
             "events": dict(meter.events),
             "signals": dict(meter.signals),
@@ -61,9 +71,11 @@ def run_engine(engine_cls, records, func_name, threshold, window_seconds,
 
 
 def assert_identical(records, func_name, threshold, window_seconds, expiry,
-                     token_filter=None, pair_filter=None):
+                     token_filter=None, pair_filter=None,
+                     schedule=probe_then_insert):
+    ops = list(schedule(records))
     columnar, reference = (
-        run_engine(engine_cls, records, func_name, threshold,
+        run_engine(engine_cls, ops, func_name, threshold,
                    window_seconds, expiry, token_filter, pair_filter)
         for engine_cls in ENGINES
     )
@@ -71,12 +83,15 @@ def assert_identical(records, func_name, threshold, window_seconds, expiry,
                f"expiry={expiry}")
     for i, (got, want) in enumerate(zip(columnar, reference)):
         for observable in want:
+            if observable == "emitted":
+                continue  # emission order is layout-specific
             assert got[observable] == want[observable], (
-                f"{context}: after record {i} (rid {records[i].rid}) "
-                f"{observable} differ:\n"
+                f"{context}: after step {i} ({ops[i][0]} rid "
+                f"{ops[i][1].rid}) {observable} differ:\n"
                 f"  columnar:  {got[observable]}\n"
                 f"  reference: {want[observable]}"
             )
+    return ops, columnar, reference
 
 
 def fuzz_stream(seed, n=350, universe=60, max_len=8, jitter_rate=0.3):
@@ -138,6 +153,80 @@ def test_overlap_function_differential():
     for window_seconds in (6.0, math.inf):
         for expiry in ("lazy", "eager"):
             assert_identical(records, "overlap", 3, window_seconds, expiry)
+
+
+# -- unbounded window: the size-sorted columns --------------------------------
+
+def insert_all_then_probe_all(records):
+    """Bulk load, then query (every probe also meets its own record)."""
+    for record in records:
+        yield "insert", record
+    for record in records:
+        yield "probe", record
+
+
+def alternating_streaks(records):
+    """Streaks of 1…40 inserts, each followed by probes of the same
+    records — columns grow by many out-of-order postings between scans."""
+    rng = random.Random(len(records))
+    at = 0
+    while at < len(records):
+        streak = records[at:at + rng.randint(1, 40)]
+        at += len(streak)
+        for record in streak:
+            yield "insert", record
+        for record in streak:
+            yield "probe", record
+
+
+SIZE_SORTED_MODES = {
+    "unfiltered": {},
+    "token-filtered": {
+        "token_filter": lambda token: token_owner(token, 3) != 1,
+    },
+    "pair-filtered": {
+        "token_filter": lambda token: token_owner(token, 3) != 1,
+        "pair_filter": lambda r, s: (r.rid + s.rid) % 3 != 0,
+    },
+    "eager-unbounded": {"expiry": "eager"},
+}
+
+
+@pytest.mark.parametrize("seed", [400, 401])
+@pytest.mark.parametrize("mode", SIZE_SORTED_MODES)
+@pytest.mark.parametrize(
+    "schedule",
+    [probe_then_insert, insert_all_then_probe_all, alternating_streaks],
+)
+def test_size_sorted_schedules(schedule, mode, seed):
+    """However inserts and probes interleave, every observable equals the
+    reference's after every step, and matches are emitted in scan order:
+    by probe-prefix token, then partner size, then arrival."""
+    options = dict(SIZE_SORTED_MODES[mode])
+    expiry = options.pop("expiry", "lazy")
+    owned = options.get("token_filter", lambda token: True)
+    records = fuzz_stream(seed, n=300, universe=25, max_len=10)
+    ops, columnar, reference = assert_identical(
+        records, "jaccard", 0.5, math.inf, expiry, schedule=schedule, **options
+    )
+
+    def scan_key(record, partner):
+        # A pair is verified where it is first met: at its smallest
+        # shared (owned) token, which lies in both prefixes if any does.
+        first = min(t for t in set(record.tokens) & set(partner.tokens)
+                    if owned(t))
+        return record.tokens.index(first), len(partner.tokens)
+
+    emitted = 0
+    for (op, record), got, want in zip(ops, columnar, reference):
+        # The reference scans each list in arrival order, so a stable
+        # sort of its emissions by (token, size) is the columnar order.
+        expected = sorted(
+            want["emitted"], key=lambda partner: scan_key(record, partner)
+        )
+        assert got["emitted"] == expected, f"{op} rid {record.rid}"
+        emitted += len(expected)
+    assert emitted > 100  # the order check saw real match lists
 
 
 # -- lazy expiry over a bounded window: the time-ordered columns ------------

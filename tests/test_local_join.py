@@ -147,6 +147,79 @@ class TestEngineMechanics:
         assert engine.probe(Record(1, (), 1.0)) == []
 
 
+class TestSizeSortedColumns:
+    """Unbounded window: every column is in size order after every
+    insert, equal sizes in arrival order, all four columns aligned."""
+
+    @staticmethod
+    def check_columns(engine, arrivals):
+        """``arrivals`` maps token -> rids in the order they were posted.
+        A stable sort of that by record size is what incremental
+        ``bisect_right`` inserts build."""
+        size_of = {}
+        for token, cols in engine._index.items():
+            sizes = list(cols.sizes)
+            assert sizes == sorted(sizes), f"token {token}: {sizes}"
+            assert not cols.timestamps
+            for rid, size, position, rec in zip(
+                cols.rids, sizes, cols.positions, cols.recs
+            ):
+                assert rec.rid == rid and len(rec.tokens) == size
+                assert rec.tokens[position] == token
+                size_of[rid] = size
+            assert list(cols.rids) == sorted(
+                arrivals[token], key=size_of.__getitem__
+            ), f"token {token}"
+
+    def drive(self, engine, records, probe_every=0):
+        arrivals = {}
+        width = engine.func.index_prefix_length
+        for n, record in enumerate(records, 1):
+            engine.insert(record)
+            for token in record.tokens[:width(len(record.tokens))]:
+                if engine.token_filter is None or engine.token_filter(token):
+                    arrivals.setdefault(token, []).append(record.rid)
+            self.check_columns(engine, arrivals)
+            if probe_every and n % probe_every == 0:
+                engine.probe(record)
+        assert engine.live_postings == sum(map(len, arrivals.values()))
+
+    def test_smaller_record_lands_before_larger_ones(self):
+        engine = StreamingSetJoin(Jaccard(0.9))  # posts first token only
+        for rid, size in enumerate([3, 5, 5, 2, 5, 3, 9, 1]):
+            engine.insert(Record(rid, tuple(range(7, 7 + size)), timestamp=rid))
+        cols = engine._index[7]
+        assert list(cols.sizes) == [1, 2, 3, 3, 5, 5, 5, 9]
+        # equal sizes keep arrival order; every column moved together
+        assert list(cols.rids) == [7, 3, 0, 5, 1, 2, 4, 6]
+        assert [r.rid for r in cols.recs] == list(cols.rids)
+        assert list(cols.positions) == [0] * 8
+
+    @pytest.mark.parametrize("probe_every", [0, 1, 7])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sorted_after_every_insert(self, seed, probe_every):
+        rng = random.Random(seed)
+        records = make_records(random_corpus(rng, 200, universe=15, max_len=12))
+        self.drive(StreamingSetJoin(Jaccard(0.6)), records, probe_every)
+
+    def test_sorted_under_token_filter_and_eager_flag(self):
+        rng = random.Random(3)
+        records = make_records(random_corpus(rng, 200, universe=15, max_len=12))
+        engine = StreamingSetJoin(
+            Jaccard(0.6), token_filter=lambda t: t % 3 != 0, expiry="eager"
+        )
+        self.drive(engine, records, probe_every=5)
+
+    @given(sizes=st.lists(st.integers(1, 30), min_size=0, max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_property_random_size_sequences(self, sizes):
+        records = [
+            Record(rid, tuple(range(size)), timestamp=float(rid))
+            for rid, size in enumerate(sizes)
+        ]
+        self.drive(StreamingSetJoin(Jaccard(0.7)), records)
+
+
 class TestTimeOrderedColumns:
     """Lazy expiry over a bounded window: columns sorted by timestamp,
     dead postings dropped as a prefix."""

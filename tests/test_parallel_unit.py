@@ -2,6 +2,7 @@
 merger, the engine batch APIs and the config/CLI validation."""
 
 import math
+from array import array
 
 import pytest
 
@@ -21,7 +22,13 @@ from repro.parallel import (
     plan_shards,
     run_serial,
 )
-from repro.parallel.codec import CodecError
+from repro.parallel.codec import (
+    CodecError,
+    decode_span_frame,
+    decode_trace_frame,
+    encode_span_frame,
+    encode_trace_frame,
+)
 from repro.records import Record
 from repro.similarity.functions import get_similarity
 
@@ -95,6 +102,89 @@ class TestMatchCodec:
         blob = encode_match_batch([(0.5, 1, 0, 2, 0.9)])
         with pytest.raises(CodecError, match="match batch"):
             decode_match_batch(blob + b"\x00")
+
+
+class TestTruncationContract:
+    """A frame cut anywhere — or padded — is a ``CodecError``, never a
+    ``struct.error``/``IndexError`` and never a silently short decode."""
+
+    FRAMES = {
+        "record": (
+            decode_record_batch,
+            encode_record_batch([(BOTH, r) for r in make_records(4)]),
+        ),
+        "record+sources": (
+            decode_record_batch,
+            encode_record_batch(
+                [(BOTH, r) for r in make_records(4, sources=True)]
+            ),
+        ),
+        "match": (
+            decode_match_batch,
+            encode_match_batch([(0.5, 10, 3, 4, 0.8), (0.75, 11, 10, 5, 1.0)]),
+        ),
+        "span": (
+            decode_span_frame,
+            encode_span_frame(
+                array("B", [1, 2]), array("i", [0, 3]), array("i", [7, 8]),
+                array("d", [0.1, 0.2]), array("d", [0.3, 0.4]),
+            ),
+        ),
+        "trace": (
+            decode_trace_frame,
+            encode_trace_frame(
+                array("B", [1, 2]), array("q", [5, 6]), array("i", [0, 3]),
+                array("d", [0.1, 0.2]), array("d", [0.3, 0.4]),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_every_prefix_raises_codec_error(self, kind):
+        decode, frame = self.FRAMES[kind]
+        decode(frame)  # the whole frame parses
+        for cut in range(len(frame)):
+            with pytest.raises(CodecError):
+                decode(frame[:cut])
+            with pytest.raises(CodecError):
+                decode(memoryview(frame)[:cut])
+
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_trailing_bytes_raise_codec_error(self, kind):
+        decode, frame = self.FRAMES[kind]
+        with pytest.raises(CodecError, match="inconsistent"):
+            decode(frame + b"\x00")
+
+    def test_source_slot_outside_table_raises(self):
+        _decode, frame = self.FRAMES["record+sources"]
+        corrupt = bytearray(frame)
+        corrupt[-2:] = array("h", [99]).tobytes()  # last record's slot
+        with pytest.raises(CodecError, match="source slot"):
+            decode_record_batch(bytes(corrupt))
+        corrupt[-2:] = array("h", [-1]).tobytes()
+        with pytest.raises(CodecError, match="source slot"):
+            decode_record_batch(bytes(corrupt))
+
+    def test_corrupted_source_name_raises(self):
+        _decode, frame = self.FRAMES["record+sources"]
+        corrupt = bytearray(frame)
+        # Layout from the end: 4 int16 slots, then the 2-entry table's
+        # last (u16 length, 1-byte name) — the name is the 9th byte back.
+        assert corrupt[-9:-8] in (b"L", b"R")
+        corrupt[-9] = 0xFF  # a lone 0xFF is not UTF-8
+        with pytest.raises(CodecError, match="UTF-8"):
+            decode_record_batch(bytes(corrupt))
+
+    def test_negative_size_raises_even_when_sizes_still_sum(self):
+        _decode, frame = self.FRAMES["record"]
+        n = 4
+        at = 12 + n + 8 * n  # header, ops, rids
+        sizes = array("i", bytes(frame[at : at + 4 * n]))
+        sizes[1] += sizes[0] + 1
+        sizes[0] = -1
+        corrupt = frame[:at] + sizes.tobytes() + frame[at + 4 * n :]
+        with pytest.raises(CodecError, match="negative record size"):
+            decode_record_batch(corrupt)
 
 
 class TestShardPlanner:
