@@ -179,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "shards")
     join.add_argument("--shards", type=int, default=None,
                       help="logical shard count in --parallel mode "
-                           "(default: 8, the simulated cluster's default "
-                           "parallelism; observables depend on shards, "
-                           "never on --workers)")
+                           "(default: --workers, one engine per process; "
+                           "observables depend on shards and never on "
+                           "--workers, so pin --shards to compare "
+                           "fingerprints across worker counts)")
     join.add_argument("--transport", default=None,
                       choices=["auto", "pipe", "shm"],
                       help="batch transport in --parallel mode: 'pipe' "
@@ -667,8 +668,8 @@ def _cmd_join(args) -> int:
             similarity=args.similarity,
             threshold=args.threshold,
             num_workers=(
-                (args.shards if args.shards is not None else 8)
-                if args.parallel
+                args.shards
+                if args.parallel and args.shards is not None
                 else args.workers
             ),
             distribution=args.distribution,

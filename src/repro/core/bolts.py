@@ -25,7 +25,7 @@ from repro.core.metering import WorkMeter
 from repro.core.two_stream import cross_source_filter
 from repro.records import Record
 from repro.routing.band_router import band_owner
-from repro.routing.base import Router
+from repro.routing.base import Router, fanout_fraction
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import SimilarityFunction
 from repro.sketch.engine import SketchStreamingSetJoin
@@ -84,7 +84,10 @@ class DispatcherBolt(Bolt):
         ctx.trace_note(router=self.router.name, fanout=fanout)
         # Health signal: what share of the join tasks this record
         # reaches — the replication blow-up detector's input.
-        ctx.signal("routing_fanout_fraction", fanout / self.router.num_workers)
+        ctx.signal(
+            "routing_fanout_fraction",
+            fanout_fraction(fanout, self.router.num_workers),
+        )
         for task in sorted(index_set | probe_set):
             if task in index_set and task in probe_set:
                 kind = BOTH

@@ -14,7 +14,8 @@ progress):
   registry);
 * **routing fanout / replication blow-up** — records fan out to most
   of the join tasks, so communication dominates (fed per record by the
-  dispatcher via ``ctx.signal``);
+  dispatcher via ``ctx.signal``; a one-task plan feeds zero, see
+  :func:`repro.routing.base.fanout_fraction`);
 * **window expiration lag** — lazily-expired postings linger far past
   their window before a scan collects them, inflating index scans (fed
   by the join engines via ``WorkMeter.signal``);

@@ -36,8 +36,9 @@ class ShardPlan:
     router: Router
     partition: Optional[LengthPartition]
     func: SimilarityFunction = field(repr=False)
-    #: ``tasks`` results by record size, filled only for routers whose
-    #: decision depends on nothing else (``Router.routes_by_size``).
+    #: ``tasks`` results by record size, filled only when the decision
+    #: depends on nothing else: ``Router.routes_by_size``, or any
+    #: router over a single shard.
     _tasks_by_size: Dict[int, List[Tuple[int, int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -56,8 +57,10 @@ class ShardPlan:
         order (ascending shard; op combines probe/index bits exactly
         like the ``"p"/"i"/"b"`` message kinds). Callers only iterate
         the list: records of one size share it when the router routes
-        by size alone."""
-        if not self.router.routes_by_size:
+        by size alone, which every router does over one shard (its
+        targets are all shard 0)."""
+        router = self.router
+        if not (router.routes_by_size or router.num_workers == 1):
             return self._tasks_of(record)
         size = len(record.tokens)
         tasks = self._tasks_by_size.get(size)

@@ -117,6 +117,7 @@ from repro.parallel.worker import (
     worker_main,
 )
 from repro.records import Record
+from repro.routing.base import fanout_fraction
 
 _U32 = struct.Struct("<I")
 
@@ -525,7 +526,7 @@ class ParallelJoinRunner:
         if not stride:
             for record in records:
                 tasks = plan.tasks(record)
-                fraction = len(tasks) / shards
+                fraction = fanout_fraction(len(tasks), shards)
                 fanout_total += fraction
                 if fraction > fanout_peak:
                     fanout_peak = fraction
@@ -552,7 +553,7 @@ class ParallelJoinRunner:
             if traced:
                 t_rec = monotonic()
             tasks = plan.tasks(record)
-            fraction = len(tasks) / shards
+            fraction = fanout_fraction(len(tasks), shards)
             fanout_total += fraction
             if fraction > fanout_peak:
                 fanout_peak = fraction
@@ -1262,7 +1263,7 @@ def run_serial(
     fanout_peak = 0.0
     for record in records:
         tasks = plan.tasks(record)
-        fraction = len(tasks) / shards
+        fraction = fanout_fraction(len(tasks), shards)
         fanout_total += fraction
         if fraction > fanout_peak:
             fanout_peak = fraction

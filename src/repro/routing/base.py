@@ -28,6 +28,15 @@ class RoutingDecision:
         return len(set(self.index_tasks) | set(self.probe_tasks))
 
 
+def fanout_fraction(targets: int, num_tasks: int) -> float:
+    """Share of the join tasks one record reaches: the
+    ``routing_fanout_fraction`` health signal every dispatcher feeds
+    the replication blow-up detector. Zero on a one-task plan, where
+    reaching the only task replicates nothing and 1/1 would read as a
+    broadcast."""
+    return targets / num_tasks if num_tasks > 1 else 0.0
+
+
 class Router:
     """Maps records to routing decisions for ``num_workers`` join tasks."""
 

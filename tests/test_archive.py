@@ -386,10 +386,12 @@ class TestHistoryCli:
         self, corpus_file, env_db, capsys
     ):
         assert main(["join", str(corpus_file), "--parallel", "--workers", "2",
+                     "--shards", "8",
                      "--threshold", "0.7", "--trace-sample", "4"]) == 0
         out = capsys.readouterr().out
         assert f"archive: run 1 -> {env_db}" in out
         # the archived fingerprint is bit-identical to the live one
+        # (the library default is JoinConfig's 8 shards)
         from repro.datasets.loader import load_token_file
 
         stream, _ = load_token_file(str(corpus_file))

@@ -106,15 +106,62 @@ class TestJoinParallel:
     def test_parallel_fingerprint_stable_across_workers(
         self, corpus_file, tmp_path, capsys
     ):
+        """Observables are a function of the shard count, and shards
+        default to workers: the proof pins ``--shards``."""
         fps = []
         for workers in ("1", "3"):
             path = tmp_path / f"fp{workers}.json"
             assert main(["join", str(corpus_file), "--parallel",
-                         "--workers", workers, "--threshold", "0.7",
+                         "--workers", workers, "--shards", "8",
+                         "--threshold", "0.7",
                          "--fingerprint-out", str(path)]) == 0
             fps.append(json.loads(path.read_text()))
         assert fps[0] == fps[1]
         capsys.readouterr()
+
+    def test_diff_refuses_fingerprints_at_different_default_shards(
+        self, corpus_file, tmp_path, capsys
+    ):
+        paths = []
+        for workers in ("1", "3"):
+            paths.append(str(tmp_path / f"fp{workers}.json"))
+            assert main(["join", str(corpus_file), "--parallel",
+                         "--workers", workers, "--threshold", "0.7",
+                         "--fingerprint-out", paths[-1]]) == 0
+        capsys.readouterr()
+        assert main(["diff", *paths]) == 1
+        assert ("run label 'shards' differs: these runs are not comparable"
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_shards_default_to_workers(self, corpus_file, capsys, workers):
+        def shards(extra):
+            assert main(["join", str(corpus_file), "--parallel", "--workers",
+                         str(workers), "--threshold", "0.7"] + extra) == 0
+            header, _rule, row = capsys.readouterr().out.splitlines()[:3]
+            return int(dict(zip(header.split(), row.split()))["shards"])
+        assert shards([]) == workers
+        assert shards(["--shards", "2"]) == 2
+
+    def test_one_worker_length_run_reports_no_routing_fanout(
+        self, corpus_file, tmp_path, capsys
+    ):
+        """A record sent to the only task is not replicated; a 4-shard
+        broadcast still is."""
+        def detectors(extra):
+            health = tmp_path / "health.jsonl"
+            assert main(["join", str(corpus_file), "--parallel",
+                         "--threshold", "0.7",
+                         "--health-out", str(health)] + extra) == 0
+            capsys.readouterr()
+            rows = [json.loads(line) for line in health.read_text().splitlines()]
+            return [(row["detector"], row["severity"])
+                    for row in rows if row["kind"] == "event"]
+        assert not [d for d in detectors(["--workers", "1"])
+                    if d[0] == "routing_fanout"]
+        assert ("routing_fanout", "critical") in detectors(
+            ["--workers", "2", "--shards", "4",
+             "--distribution", "broadcast"])
 
     def test_parallel_health_out(self, corpus_file, tmp_path, capsys):
         health = tmp_path / "health.jsonl"
@@ -124,6 +171,47 @@ class TestJoinParallel:
         assert health.exists()
         out = capsys.readouterr().out
         assert "health:" in out
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--window", "0.05"],
+        ["--distribution", "prefix"],
+    ], ids=["unbounded", "windowed", "prefix"])
+    def test_default_shard_pairs_equal_the_single_engine(
+        self, tmp_path, capsys, flags
+    ):
+        """Shards follow ``--workers`` by default; the pair set does not."""
+        from repro.core.local_join import StreamingSetJoin
+        from repro.datasets.loader import load_token_file
+        from repro.similarity.functions import get_similarity
+        from repro.streams.window import SlidingWindow
+
+        corpus = tmp_path / "tweets.txt"
+        assert main(["generate", str(corpus), "--corpus", "TWEET",
+                     "--records", "300", "--seed", "5",
+                     "--duplicate-rate", "0.3"]) == 0
+        capsys.readouterr()
+        window = float(flags[1]) if flags[:1] == ["--window"] else float("inf")
+        stream, _dictionary = load_token_file(str(corpus))
+        engine = StreamingSetJoin(
+            get_similarity("jaccard", 0.6), window=SlidingWindow(window)
+        )
+        single = set()
+        for record in stream:
+            single.update(
+                (m.partner.rid, record.rid) for m in engine.probe(record)
+            )
+            engine.insert(record)
+        assert single
+        for workers in ("1", "2", "3"):
+            assert main(["join", str(corpus), "--parallel", "--workers",
+                         workers, "--threshold", "0.6", "--pairs"] + flags) == 0
+            lines = [line.split("\t")
+                     for line in capsys.readouterr().out.splitlines()]
+            pairs = [(int(line[1]), int(line[2]))
+                     for line in lines if len(line) == 3]
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == single, workers
 
     def test_rejects_bad_workers(self, corpus_file, capsys):
         assert main(["join", str(corpus_file), "--workers", "0"]) == 2

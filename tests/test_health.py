@@ -329,6 +329,16 @@ class TestIntegration:
         assert "routing_fanout" in detectors
         assert observer.health.worst_severity() == "critical"
 
+    @pytest.mark.parametrize("method", ["LEN", "PRE", "BRD"])
+    def test_one_worker_run_raises_no_fanout_event(self, method):
+        """A record sent to the only join task is not replicated."""
+        config = standard_configs(num_workers=1, include=[method])[method]
+        observer = RunObserver.create(health=True)
+        DistributedStreamJoin(config).run(
+            synthetic_aol(200, seed=5), observer=observer)
+        detectors = {e.detector for e in observer.health.events}
+        assert "routing_fanout" not in detectors
+
     def test_small_window_flags_expiration_lag(self):
         config = standard_configs(
             num_workers=4, window_seconds=0.5, include=["LEN"])["LEN"]

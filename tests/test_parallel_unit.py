@@ -5,6 +5,8 @@ import math
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import MAX_BATCH_SIZE, JoinConfig
 from repro.core.local_join import StreamingSetJoin
@@ -230,6 +232,43 @@ class TestShardPlanner:
         assert by_size == (plan.router.name == "length")
         assert bool(plan._tasks_by_size) == by_size
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sample=st.lists(
+            st.frozensets(st.integers(0, 50), min_size=1, max_size=6),
+            max_size=6,
+        ),
+        stream=st.lists(
+            st.tuples(st.integers(0, 10**6),
+                      st.frozensets(st.integers(0, 200), max_size=30)),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_one_shard_plan_memo_equals_per_record_routing(
+        self, sample, stream
+    ):
+        """Over one shard every router's targets are shard 0, so
+        ``tasks`` answers from the by-size memo; the answer must be the
+        unmemoised one for empty records and for sizes the planning
+        sample never saw."""
+        corpus = [tuple(sorted(tokens)) for tokens in sample]
+        records = [Record(rid=rid, tokens=tuple(sorted(tokens)))
+                   for rid, tokens in stream]
+        for config in (
+            JoinConfig(num_workers=1),
+            JoinConfig(distribution="broadcast", num_workers=1),
+            JoinConfig(distribution="prefix", num_workers=1),
+            JoinConfig(mode="approx", num_workers=1),
+        ):
+            plan = plan_shards(config, corpus)
+            assert plan.num_shards == 1
+            for record in records + records:
+                assert plan.tasks(record) == plan._tasks_of(record), (
+                    plan.router.name, record)
+            assert set(plan._tasks_by_size) == {
+                len(record.tokens) for record in records
+            }
+
     def test_shards_of_worker_partition_all_shards(self):
         config = JoinConfig(distribution="prefix", num_workers=7)
         plan = plan_shards(config, [(1,)])
@@ -385,6 +424,21 @@ class TestObsBridges:
         monitor = self.run_result().health()
         detectors = {event.detector for event in monitor.events}
         assert "routing_fanout" in detectors
+
+    @pytest.mark.parametrize("distribution", ["length", "prefix", "broadcast"])
+    def test_one_shard_plan_raises_no_fanout_event(self, distribution):
+        """Reaching the only task is not replication: 1/1 must not read
+        as "routing degenerates to broadcast" on either emitter."""
+        config = JoinConfig(
+            threshold=0.5, distribution=distribution, num_workers=1
+        )
+        inline = ParallelJoinRunner(config, workers=1, executor="inline")
+        for result in (inline.run(make_records(40)),
+                       run_serial(config, make_records(40))):
+            assert result.num_shards == 1
+            assert result.signals["routing_fanout_fraction"] == 0.0
+            detectors = {event.detector for event in result.health().events}
+            assert "routing_fanout" not in detectors
 
     def test_serial_result_has_same_bridges(self):
         config = JoinConfig(threshold=0.5)
