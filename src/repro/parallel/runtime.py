@@ -29,6 +29,18 @@ Three executors:
   differential tests use to cover worker-count grids cheaply.
 * :func:`run_serial` — no batching, no codec, direct per-record
   engine calls: the ground truth the other two must reproduce.
+
+One batch path under both executors: one feed loop
+(:meth:`ParallelJoinRunner._feed`) hands every full batch to one sender
+(:meth:`_Sender.ship` — batch sequence, per-batch instrument
+selection, encode/write stamps, driver counters), which delivers it to
+one receiver (:meth:`ShardWorker.receive`). Only the wire format
+differs, behind three record links: :class:`_PipeLink` (a codec frame
+on the worker's pipe), :class:`_ShmLink` (ring claim + descriptor, the
+pipe frame as per-batch fallback) and :class:`_LoopbackLink` (the
+inline executor's in-process hand-over; no write phase). Placement and
+the run's recorders live on a per-run :class:`_Run`; the runner holds
+configuration only.
 """
 
 from __future__ import annotations
@@ -83,12 +95,10 @@ from repro.parallel.codec import (
     MatchRow,
     decode_heartbeat,
     decode_match_batch,
-    decode_record_batch,
     decode_shm_descriptor,
     decode_span_frame,
     decode_trace_frame,
     encode_heartbeat,
-    encode_record_batch,
     encode_shm_descriptor,
     encode_span_frame,
     encode_trace_frame,
@@ -109,6 +119,7 @@ from repro.parallel.shm import (
     RingBuffer,
     ShmRing,
     shm_supported,
+    wait_for_credit,
 )
 from repro.parallel.worker import (
     ShardWorker,
@@ -128,12 +139,10 @@ _PIPE_WRITE = PHASE_ID["pipe_write"]
 _SHM_WRITE = PHASE_ID["shm_write"]
 _DRAIN = PHASE_ID["drain"]
 _MERGE = PHASE_ID["merge"]
-_DECODE = PHASE_ID["decode"]
 
 _EV_FEED = EVENT_ID["feed"]
 _EV_ENCODE = EVENT_ID["encode"]
 _EV_PIPE_WRITE = EVENT_ID["pipe_write"]
-_EV_DECODE = EVENT_ID["decode"]
 
 EXECUTORS = ("process", "inline")
 #: Batch transports: ``pipe`` ships whole frames through the result
@@ -312,6 +321,233 @@ class ParallelJoinResult:
         return latency_digest(self.trace_rows)
 
 
+@dataclass
+class _Run:
+    """What one :meth:`ParallelJoinRunner.run` call owns besides its
+    inputs, passed to the executor, the feed and the merge — the runner
+    holds configuration only, so its runs cannot see each other."""
+
+    #: Monotonic clock value at run start (base for every rebase).
+    started: float
+    spans: Optional[SpanRecorder]
+    tracer: Optional[TraceRecorder]
+    telemetry: Optional[TelemetryRecorder] = None
+    #: The planner's placement, decided once per run: ``assignment[w]``
+    #: lists worker ``w``'s shards, ``worker_of[shard]`` is its inverse.
+    assignment: List[List[int]] = field(default_factory=list)
+    worker_of: Dict[int, int] = field(default_factory=dict)
+    #: worker id → decoded span / trace columns, filled while draining.
+    span_cols: Dict[int, tuple] = field(default_factory=dict)
+    trace_cols: Dict[int, tuple] = field(default_factory=dict)
+    #: Driver-observed routing fanout, set by the feed.
+    fanout: Optional[Dict[str, float]] = None
+
+
+class _PipeLink:
+    """Record link of the pipe transport: one whole codec frame per
+    batch on the hosting worker's pipe. A link hides the wire format
+    and nothing else: ``encode`` turns a batch into whatever ``write``
+    puts on the wire, ``write`` returns the bytes moved, ``write_phase``
+    is the write window's span phase (``None``: nothing to stamp).
+    ``send(worker, frame)`` is the executor's pipe write, which owns
+    the dead-worker handling."""
+
+    write_phase = _PIPE_WRITE
+
+    def __init__(self, num_shards: int, send):
+        self.send = send
+        #: One tag+shard prefix per shard and one scratch buffer for the
+        #: whole feed: the pipe path allocates nothing per batch beyond
+        #: the codec's own column slices.
+        self.prefixes = [
+            bytes([TAG_BATCH]) + _U32.pack(shard) for shard in range(num_shards)
+        ]
+        self.encoder = BatchEncoder()
+
+    def encode(self, worker: int, shard: int, items):
+        return self.encoder.encode(self.prefixes[shard], items)
+
+    def write(self, worker: int, shard: int, frame) -> int:
+        self.send(worker, frame)
+        return len(frame)
+
+    def stats(self, write_s: float) -> Dict[str, float]:
+        """This link's share of a driver telemetry row."""
+        return {"pipe_write_s": write_s}
+
+
+class _ShmLink(_PipeLink):
+    """Record link of the shm transport: the column slices go straight
+    into the hosting worker's batch ring and only a 21-byte descriptor
+    travels on the pipe; a batch the ring can never hold takes the
+    inherited pipe frame. ``alive(worker)`` is the executor's liveness
+    check for the credit wait."""
+
+    write_phase = _SHM_WRITE
+
+    def __init__(self, num_shards, send, rings: Sequence[RingBuffer], alive):
+        super().__init__(num_shards, send)
+        self.rings = rings
+        self.alive = alive
+        #: Frames published per worker — the descriptor's generation,
+        #: which the worker checks against its own count.
+        self.generations = [0] * len(rings)
+
+    def encode(self, worker: int, shard: int, items):
+        return record_batch_parts(items)
+
+    def write(self, worker: int, shard: int, parts) -> int:
+        ring = self.rings[worker]
+        total = sum(len(part) for part in parts)
+        # Credit wait: the worker releases every frame right after
+        # decoding it and sends nothing before EOF, so the wait is
+        # bounded — unless the worker died, which the periodic liveness
+        # check turns into a pointed error instead of a hang.
+        claim = wait_for_credit(
+            ring, total, liveness=lambda: self.alive(worker), liveness_every=64
+        )
+        if claim is None:
+            # A batch too large for the ring (or un-claimable at this
+            # wrap offset): per-frame pipe-codec fallback.
+            frame = b"".join((self.prefixes[shard], *parts))
+            return super().write(worker, shard, frame)
+        offset, advance = claim
+        ring.write(offset, parts)
+        ring.publish(advance)
+        descriptor = encode_shm_descriptor(
+            TAG_SHM_FRAME, shard, offset, total, advance,
+            self.generations[worker],
+        )
+        self.generations[worker] += 1
+        self.send(worker, descriptor)
+        return len(descriptor) + total
+
+    def stats(self, write_s: float) -> Dict[str, float]:
+        occupancy = max(ring.occupancy() for ring in self.rings)
+        return {"shm_write_s": write_s, "ring_occupancy": occupancy}
+
+
+class _LoopbackLink:
+    """Record link of the inline executor, which is both ends of the
+    wire. ``encode`` round-trips the batch through the codec, so inline
+    runs exercise the exact wire bytes and records arrive
+    re-materialized; ``write`` is the hosting worker's
+    :meth:`ShardWorker.receive` — no write window to stamp. ``rings``
+    (shm only) are plain ``bytearray``-backed: the identical
+    claim/publish/release protocol with no real segments, each frame
+    published then immediately consumed (credits always clear), which
+    lets the differential grid cover ring wraparound deterministically
+    on any platform."""
+
+    write_phase = None
+
+    def __init__(self, pool, rings, delivered):
+        self.pool = pool
+        self.rings = rings
+        self.delivered = delivered
+
+    def encode(self, worker: int, shard: int, items):
+        parts = record_batch_parts(items)
+        if self.rings is not None:
+            ring = self.rings[worker]
+            total = sum(len(part) for part in parts)
+            claim = ring.try_claim(total)
+            if claim is not None:
+                offset, advance = claim
+                ring.write(offset, parts)
+                ring.publish(advance)
+                return ring.view(offset, total), ring, advance
+        # Pipe transport, or an un-claimable (~ring-sized) frame taking
+        # the pipe-codec fallback, same as the process executor.
+        return b"".join(parts), None, 0
+
+    def write(self, worker: int, shard: int, frame) -> int:
+        payload, ring, advance = frame
+        host = self.pool[worker]
+        host.bytes_in += len(payload)
+        host.receive(shard, payload, ring, advance)
+        self.delivered(host)
+        return len(payload)
+
+
+class _Sender:
+    """The one batch sender: :meth:`ship` owns a batch from buffer to
+    wire — placement lookup, per-shard batch sequence, the span-sample /
+    traced / telemetry decision, encode and write stamps, the driver's
+    feed counters. ``pump`` (the executor's heartbeat drain) switches
+    on driver telemetry rows; the inline executor passes none — its
+    workers heartbeat straight into the recorder."""
+
+    def __init__(self, link, run: _Run, pump=None):
+        self.link = link
+        self.worker_of = run.worker_of
+        self.spans = run.spans
+        self.tracer = run.tracer
+        self.telemetry = run.telemetry if pump is not None else None
+        self.pump = pump
+        #: Per-shard batch sequence (the deterministic sampling key for
+        #: the driver's encode/write spans — it mirrors the worker-side
+        #: counter by construction: both sides see each shard's batches
+        #: in the same order).
+        self.batch_seq = [0] * len(run.worker_of)
+        #: Cumulative feed totals, in driver telemetry row vocabulary.
+        self.totals = {
+            "records_routed": 0, "batches_sent": 0, "bytes_out": 0,
+            "encode_s": 0.0,
+        }
+        self.write_s = 0.0
+        self.feed_t0 = self.last_tick = time.monotonic()
+
+    def ship(self, shard: int, items, traced: Sequence[int]) -> None:
+        """Encode and write one batch; ``traced`` lists its traced rids
+        (pre-accumulated by the feed loop — no per-batch rescan here).
+        Three clock reads per batch, whatever is switched on."""
+        seq = self.batch_seq[shard]
+        self.batch_seq[shard] = seq + 1
+        link = self.link
+        worker = self.worker_of[shard]
+        t0 = time.monotonic()
+        frame = link.encode(worker, shard, items)
+        t1 = time.monotonic()
+        sent = link.write(worker, shard, frame)
+        t2 = time.monotonic()
+        write_phase = link.write_phase
+        spans = self.spans
+        if spans is not None and spans.keep(seq):
+            spans.record(_ENCODE, t0, t1, shard, seq)
+            if write_phase is not None:
+                spans.record(write_phase, t1, t2, shard, seq)
+        if traced:
+            # Every traced record in the batch inherits the batch's
+            # encode and write windows. The trace event vocabulary is
+            # transport-neutral: pipe_write is "the transport publish
+            # window" — under shm the ring copy + descriptor send.
+            record = self.tracer.record
+            for rid in traced:
+                record(_EV_ENCODE, rid, t0, t1, shard)
+                if write_phase is not None:
+                    record(_EV_PIPE_WRITE, rid, t1, t2, shard)
+        if self.telemetry is not None:
+            totals = self.totals
+            totals["records_routed"] += len(items)
+            totals["batches_sent"] += 1
+            totals["bytes_out"] += sent
+            totals["encode_s"] += t1 - t0
+            self.write_s += t2 - t1
+            if t2 - self.last_tick >= self.telemetry.interval:
+                self.tick(t2)
+
+    def tick(self, now: float) -> None:
+        """One driver telemetry row: the cumulative feed totals."""
+        self.last_tick = now
+        self.pump()
+        self.telemetry.driver_tick({
+            **self.totals,
+            "feed_s": now - self.feed_t0,
+            **self.link.stats(self.write_s),
+        })
+
+
 def _corpus_of(stream, records: Sequence[Record]) -> Sequence[Tuple[int, ...]]:
     corpus = getattr(stream, "corpus", None)
     if corpus is not None:
@@ -458,27 +694,25 @@ class ParallelJoinRunner:
         """Route ``stream`` (a RecordStream or record iterable) through
         the workers; block until merged."""
         started = time.monotonic()
-        self._run_started = started
-        self._driver_spans = (
-            SpanRecorder(sample=self.spans_sample) if self.spans else None
+        run = _Run(
+            started=started,
+            spans=SpanRecorder(sample=self.spans_sample) if self.spans else None,
+            tracer=TraceRecorder(sample=self.trace_sample) if self.trace else None,
         )
-        #: worker id → decoded span columns, filled while draining.
-        self._worker_span_cols: Dict[int, tuple] = {}
-        self._driver_trace = (
-            TraceRecorder(sample=self.trace_sample) if self.trace else None
-        )
-        #: worker id → decoded trace columns, filled while draining.
-        self._worker_trace_cols: Dict[int, tuple] = {}
         records = list(stream)
         plan = plan_shards(
             self.config, _corpus_of(stream, records), self.num_shards
         )
         shards = plan.num_shards
         workers = max(1, min(self.workers, shards))
-        assignment = [plan.shards_of_worker(w, workers) for w in range(workers)]
-
-        self._telemetry = (
-            TelemetryRecorder(
+        run.assignment = [
+            plan.shards_of_worker(w, workers) for w in range(workers)
+        ]
+        run.worker_of = {
+            shard: w for w, hosted in enumerate(run.assignment) for shard in hosted
+        }
+        if self.telemetry:
+            run.telemetry = TelemetryRecorder(
                 workers=workers,
                 shards=shards,
                 executor=self.executor,
@@ -487,69 +721,37 @@ class ParallelJoinRunner:
                 out_path=self.telemetry_out,
                 transport=self.transport,
             )
-            if self.telemetry
-            else None
+        execute = (
+            self._run_process if self.executor == "process" else self._run_inline
         )
+        chunks, summaries = execute(run, plan, records)
+        return self._merge(run, plan, records, chunks, summaries)
 
-        if self.executor == "process":
-            chunks, summaries = self._run_process(
-                plan, records, workers, assignment
-            )
-        else:
-            chunks, summaries = self._run_inline(
-                plan, records, workers, assignment
-            )
-
-        return self._merge(plan, records, workers, chunks, summaries, started)
-
-    def _feed(self, plan: ShardPlan, records, send) -> Dict[str, float]:
-        """Route records into per-shard batches; ``send(shard, items,
-        traced_rids)`` ships one full batch. Returns the driver's
-        fanout stats.
-
-        The tracing stride is hoisted out of the loop entirely: the
-        untraced run takes a loop with no per-record stride arithmetic
-        at all, and the traced run accumulates each batch's traced rids
-        *here*, alongside the buffer appends, so the senders stamp
-        encode/write events without rescanning every batch for traced
-        records (the rid set is a pure function of the stride either
-        way — the worker still re-derives it independently)."""
+    def _feed(self, run: _Run, plan: ShardPlan, records, sender: _Sender) -> None:
+        """Route records into per-shard batches and ship each full one;
+        leaves the driver's fanout stats on ``run``. Untraced,
+        ``stride`` is 0 and a record pays a few truthiness tests and no
+        stride arithmetic; traced, each batch's traced rids accumulate
+        *here*, alongside the buffer appends, so the sender stamps
+        encode/write events without rescanning every batch (the rid set
+        is a pure function of the stride either way — the worker still
+        re-derives it independently)."""
         shards = plan.num_shards
         batch_size = self.batch_size
-        tracer = self._driver_trace
+        ship = sender.ship
+        tracer = run.tracer
         stride = tracer.sample if tracer is not None else 0
         monotonic = time.monotonic
         buffers: List[List[Tuple[int, Record]]] = [[] for _ in range(shards)]
+        marks: List[List[int]] = [[] for _ in range(shards)]
         fanout_total = 0.0
         fanout_peak = 0.0
-        count = 0
-        if not stride:
-            for record in records:
-                tasks = plan.tasks(record)
-                fraction = fanout_fraction(len(tasks), shards)
-                fanout_total += fraction
-                if fraction > fanout_peak:
-                    fanout_peak = fraction
-                count += 1
-                for shard, op in tasks:
-                    buffer = buffers[shard]
-                    buffer.append((op, record))
-                    if len(buffer) >= batch_size:
-                        send(shard, buffer, None)
-                        buffer.clear()
-            for shard, buffer in enumerate(buffers):
-                if buffer:
-                    send(shard, buffer, None)
-                    buffer.clear()
-            return {
-                "total": fanout_total, "count": count, "peak": fanout_peak
-            }
-        traced_rids: List[List[int]] = [[] for _ in range(shards)]
+        t_feed = monotonic()
         for record in records:
             # The feed event covers the record's routing and buffer
             # appends — including any batch flush it triggers, which is
             # latency the record genuinely experiences at the driver.
-            traced = not record.rid % stride
+            traced = stride and not record.rid % stride
             if traced:
                 t_rec = monotonic()
             tasks = plan.tasks(record)
@@ -557,34 +759,32 @@ class ParallelJoinRunner:
             fanout_total += fraction
             if fraction > fanout_peak:
                 fanout_peak = fraction
-            count += 1
             for shard, op in tasks:
                 buffer = buffers[shard]
                 buffer.append((op, record))
                 if traced:
-                    traced_rids[shard].append(record.rid)
+                    marks[shard].append(record.rid)
                 if len(buffer) >= batch_size:
-                    send(shard, buffer, traced_rids[shard])
+                    ship(shard, buffer, marks[shard])
                     buffer.clear()
-                    traced_rids[shard] = []
+                    marks[shard].clear()
             if traced:
                 tracer.record(_EV_FEED, record.rid, t_rec, monotonic())
         for shard, buffer in enumerate(buffers):
             if buffer:
-                send(shard, buffer, traced_rids[shard])
-                buffer.clear()
-                traced_rids[shard] = []
-        return {"total": fanout_total, "count": count, "peak": fanout_peak}
+                ship(shard, buffer, marks[shard])
+        if run.spans is not None:
+            run.spans.record(_FEED, t_feed, monotonic())
+        run.fanout = {
+            "total": fanout_total, "count": len(records), "peak": fanout_peak
+        }
 
-    def _run_process(self, plan, records, workers, assignment):
+    def _run_process(self, run: _Run, plan, records):
         import multiprocessing as mp
 
-        spans = self._driver_spans
-        spans_sample = self.spans_sample if spans is not None else 0
-        tracer = self._driver_trace
-        trace_sample = self.trace_sample if tracer is not None else 0
-        telemetry = self._telemetry
-        interval = self.heartbeat_interval
+        spans = run.spans
+        telemetry = run.telemetry
+        workers = len(run.assignment)
         monotonic = time.monotonic
         ctx = mp.get_context(self.start_method)
         use_shm = self.transport == "shm"
@@ -619,10 +819,12 @@ class ParallelJoinRunner:
                 proc = ctx.Process(
                     target=worker_main,
                     args=(
-                        child, w, self.config, assignment[w],
-                        plan.num_shards, spans_sample,
-                        hb_send, interval if telemetry is not None else 0.0,
-                        trace_sample,
+                        child, w, self.config, run.assignment[w],
+                        plan.num_shards,
+                        self.spans_sample if spans is not None else 0,
+                        hb_send,
+                        self.heartbeat_interval if telemetry is not None else 0.0,
+                        self.trace_sample if run.tracer is not None else 0,
                         self.transport,
                         channels[w][0].name if use_shm else None,
                         channels[w][1].name if use_shm else None,
@@ -637,7 +839,7 @@ class ParallelJoinRunner:
                 procs.append(proc)
             hb_active = list(hb_conns)
             if spans is not None:
-                spans.record(_SETUP, self._run_started, monotonic())
+                spans.record(_SETUP, run.started, monotonic())
 
             def pump() -> None:
                 """Drain every buffered heartbeat frame (non-blocking).
@@ -654,47 +856,6 @@ class ParallelJoinRunner:
                         if msg and msg[0] == TAG_HEARTBEAT:
                             telemetry.on_heartbeat(decode_heartbeat(msg))
 
-            #: Per-shard batch sequence (the deterministic sampling key
-            #: for the driver's encode/write spans — it mirrors the
-            #: worker-side counter by construction: both sides see
-            #: each shard's batches in the same order).
-            batch_seq: Dict[int, int] = {}
-            track = telemetry is not None
-            stride = tracer.sample if tracer is not None else 0
-            tstate = {
-                "records": 0, "batches": 0, "bytes": 0,
-                "encode_s": 0.0, "write_s": 0.0,
-                "feed_t0": 0.0, "next": monotonic() + interval,
-            }
-            #: One tag+shard prefix and one scratch buffer for the whole
-            #: feed: the pipe path allocates nothing per batch beyond
-            #: the codec's own column slices.
-            prefixes = [
-                bytes([TAG_BATCH]) + _U32.pack(shard)
-                for shard in range(plan.num_shards)
-            ]
-            encoder = BatchEncoder()
-            #: Per-worker generation counters: frames the driver
-            #: published (in) and mirror frames it consumed (out).
-            generations = [0] * workers
-            drain_generations = [0] * workers
-
-            def driver_stats(feed_s: float) -> dict:
-                stats = {
-                    "records_routed": tstate["records"],
-                    "batches_sent": tstate["batches"],
-                    "bytes_out": tstate["bytes"],
-                    "feed_s": feed_s,
-                    "encode_s": tstate["encode_s"],
-                    "pipe_write_s": 0.0 if use_shm else tstate["write_s"],
-                }
-                if use_shm:
-                    stats["shm_write_s"] = tstate["write_s"]
-                    stats["ring_occupancy"] = max(
-                        pair[0].ring.occupancy() for pair in channels
-                    )
-                return stats
-
             def worker_died(w: int) -> ParallelWorkerError:
                 """Surface a worker's death during the feed: prefer its
                 own TAG_ERROR traceback if one is buffered."""
@@ -710,155 +871,40 @@ class ParallelJoinRunner:
                     f"worker {w} died mid-feed (pipe closed before EOF)"
                 )
 
-            def wait_claim(w: int, ring: RingBuffer, length: int):
-                """Credit wait: sleep-poll the consumer's tail counter.
-                The worker releases every frame right after decoding it
-                and sends nothing before EOF, so the wait is bounded —
-                unless the worker died, which the periodic liveness
-                check turns into a pointed error instead of a hang."""
-                claim = ring.try_claim(length)
-                polls = 0
-                while claim is None:
-                    if track:
-                        pump()
-                    time.sleep(0.0002)
-                    polls += 1
-                    if polls % 64 == 0:
-                        if conns[w].poll(0) or not procs[w].is_alive():
-                            raise worker_died(w)
-                    claim = ring.try_claim(length)
-                return claim
-
-            def send_pipe(shard: int, items, traced) -> None:
-                if spans is None and not track and tracer is None:
-                    conns[shard % workers].send_bytes(
-                        encoder.encode(prefixes[shard], items)
-                    )
-                    return
-                seq = batch_seq.get(shard, 0)
-                batch_seq[shard] = seq + 1
-                keep = spans is not None and spans.keep(seq)
-                # Traced rids come pre-accumulated from the feed loop —
-                # no per-batch rescan here.
-                traced_rids = traced if traced else None
-                if not keep and not track and not traced_rids:
-                    conns[shard % workers].send_bytes(
-                        encoder.encode(prefixes[shard], items)
-                    )
-                    return
-                t0 = monotonic()
-                frame = encoder.encode(prefixes[shard], items)
-                t1 = monotonic()
-                conns[shard % workers].send_bytes(frame)
-                t2 = monotonic()
-                if keep:
-                    spans.record(_ENCODE, t0, t1, shard, seq)
-                    spans.record(_PIPE_WRITE, t1, t2, shard, seq)
-                if traced_rids:
-                    # Every traced record in the batch inherits the
-                    # batch's encode and pipe-write windows.
-                    for rid in traced_rids:
-                        tracer.record(_EV_ENCODE, rid, t0, t1, shard)
-                        tracer.record(_EV_PIPE_WRITE, rid, t1, t2, shard)
-                if track:
-                    tstate["encode_s"] += t1 - t0
-                    tstate["write_s"] += t2 - t1
-                    tstate["batches"] += 1
-                    tstate["records"] += len(items)
-                    tstate["bytes"] += len(frame)
-                    if t2 >= tstate["next"]:
-                        tstate["next"] = t2 + interval
-                        pump()
-                        telemetry.driver_tick(
-                            driver_stats(t2 - tstate["feed_t0"])
-                        )
-
-            def send_shm(shard: int, items, traced) -> None:
-                w = shard % workers
-                seq = batch_seq.get(shard, 0)
-                batch_seq[shard] = seq + 1
-                keep = spans is not None and spans.keep(seq)
-                traced_rids = traced if traced else None
-                timed = keep or track or bool(traced_rids)
-                if timed:
-                    t0 = monotonic()
-                parts = record_batch_parts(items)
-                total = sum(len(part) for part in parts)
-                if timed:
-                    t1 = monotonic()
-                ring = channels[w][0].ring
-                claim = ring.try_claim(total)
-                if claim is None and not ring.claimable(total):
-                    # A batch too large for the ring (or un-claimable at
-                    # this wrap offset): per-frame pipe-codec fallback.
-                    frame = bytearray(prefixes[shard])
-                    for part in parts:
-                        frame += part
-                    sent = len(frame)
-                    try:
-                        conns[w].send_bytes(frame)
-                    except OSError:
-                        raise worker_died(w) from None
-                else:
-                    if claim is None:
-                        claim = wait_claim(w, ring, total)
-                    offset, advance = claim
-                    ring.write(offset, parts)
-                    ring.publish(advance)
-                    descriptor = encode_shm_descriptor(
-                        TAG_SHM_FRAME, shard, offset, total, advance,
-                        generations[w],
-                    )
-                    generations[w] += 1
-                    sent = len(descriptor) + total
-                    try:
-                        conns[w].send_bytes(descriptor)
-                    except OSError:
-                        raise worker_died(w) from None
-                if timed:
-                    t2 = monotonic()
-                if keep:
-                    spans.record(_ENCODE, t0, t1, shard, seq)
-                    spans.record(_SHM_WRITE, t1, t2, shard, seq)
-                if traced_rids:
-                    # The trace event vocabulary is transport-neutral:
-                    # pipe_write is "the transport publish window",
-                    # here the ring copy + descriptor send.
-                    for rid in traced_rids:
-                        tracer.record(_EV_ENCODE, rid, t0, t1, shard)
-                        tracer.record(_EV_PIPE_WRITE, rid, t1, t2, shard)
-                if track:
-                    tstate["encode_s"] += t1 - t0
-                    tstate["write_s"] += t2 - t1
-                    tstate["batches"] += 1
-                    tstate["records"] += len(items)
-                    tstate["bytes"] += sent
-                    if t2 >= tstate["next"]:
-                        tstate["next"] = t2 + interval
-                        pump()
-                        telemetry.driver_tick(
-                            driver_stats(t2 - tstate["feed_t0"])
-                        )
-
-            send = send_shm if use_shm else send_pipe
-            t_feed = monotonic()
-            tstate["feed_t0"] = t_feed
-            self._fanout = self._feed(plan, records, send)
-            if spans is not None:
-                spans.record(_FEED, t_feed, monotonic())
-            if track:
-                # Closing driver row: cumulative feed totals, so every
-                # telemetry artefact carries at least one driver tick.
-                t_now = monotonic()
-                pump()
-                telemetry.driver_tick(driver_stats(t_now - t_feed))
-
-            t_drain = monotonic()
-            for w, conn in enumerate(conns):
+            def send(w: int, frame) -> None:
+                """Every driver → worker pipe write, on either
+                transport: a closed pipe is a dead worker."""
                 try:
-                    conn.send_bytes(bytes([TAG_EOF]))
+                    conns[w].send_bytes(frame)
                 except OSError:
                     raise worker_died(w) from None
+
+            def alive(w: int) -> None:
+                """Liveness check of the ring credit wait (which also
+                keeps live samples flowing while the driver is blocked
+                on credits)."""
+                if telemetry is not None:
+                    pump()
+                if conns[w].poll(0) or not procs[w].is_alive():
+                    raise worker_died(w)
+
+            if use_shm:
+                rings = [pair[0].ring for pair in channels]
+                link = _ShmLink(plan.num_shards, send, rings, alive)
+            else:
+                link = _PipeLink(plan.num_shards, send)
+            sender = _Sender(link, run, pump)
+            #: Mirror-ring frames consumed per worker (generation check).
+            drain_generations = [0] * workers
+            self._feed(run, plan, records, sender)
+            if telemetry is not None:
+                # Closing driver row: cumulative feed totals, so every
+                # telemetry artefact carries at least one driver tick.
+                sender.tick(monotonic())
+
+            t_drain = monotonic()
+            for w in range(workers):
+                send(w, bytes([TAG_EOF]))
 
             chunks: List[List[MatchRow]] = []
             summaries = []
@@ -866,7 +912,7 @@ class ParallelJoinRunner:
                 rows: List[MatchRow] = []
                 while True:
                     try:
-                        if track:
+                        if telemetry is not None:
                             # Keep ingesting live samples while blocked
                             # on a straggler's results.
                             while not conn.poll(0.05):
@@ -900,9 +946,9 @@ class ParallelJoinRunner:
                         )
                         ring.release(advance)
                     elif tag == TAG_SPANS:
-                        self._worker_span_cols[w] = decode_span_frame(msg[1:])
+                        run.span_cols[w] = decode_span_frame(msg[1:])
                     elif tag == TAG_TRACE:
-                        self._worker_trace_cols[w] = decode_trace_frame(msg[1:])
+                        run.trace_cols[w] = decode_trace_frame(msg[1:])
                     elif tag == TAG_DONE:
                         summaries.append(pickle.loads(msg[1:]))
                         break
@@ -915,7 +961,7 @@ class ParallelJoinRunner:
                 chunks.append(rows)
             for proc in procs:
                 proc.join()
-            if track:
+            if telemetry is not None:
                 # Workers closed their heartbeat ends on exit; drain
                 # whatever is still buffered (the flagged final
                 # samples) through to EOF.
@@ -940,25 +986,25 @@ class ParallelJoinRunner:
                 _unlink_rings(channels)
                 atexit.unregister(_unlink_rings)
 
-    def _run_inline(self, plan, records, workers, assignment):
-        spans = self._driver_spans
-        spans_sample = self.spans_sample if spans is not None else 0
-        tracer = self._driver_trace
-        trace_sample = self.trace_sample if tracer is not None else 0
-        telemetry = self._telemetry
+    def _run_inline(self, run: _Run, plan, records):
+        spans = run.spans
+        tracer = run.tracer
+        telemetry = run.telemetry
         interval = self.heartbeat_interval
+        workers = len(run.assignment)
         monotonic = time.monotonic
         born = monotonic()
         pool = [
             ShardWorker(
-                self.config, assignment[w], plan.num_shards,
-                spans_sample=spans_sample, worker=w,
-                trace_sample=trace_sample,
+                self.config, run.assignment[w], plan.num_shards,
+                spans_sample=self.spans_sample if spans is not None else 0,
+                worker=w,
+                trace_sample=self.trace_sample if tracer is not None else 0,
             )
             for w in range(workers)
         ]
         if spans is not None:
-            spans.record(_SETUP, self._run_started, monotonic())
+            spans.record(_SETUP, run.started, monotonic())
 
         #: Inline heartbeat state: per-worker sample sequence and next
         #: due time. Samples round-trip through the wire codec so the
@@ -967,8 +1013,11 @@ class ParallelJoinRunner:
         hb_seq = [0] * workers
         hb_next = [born + interval] * workers
 
-        def emit_heartbeat(worker: ShardWorker, final: bool = False) -> None:
+        def heartbeat(worker: ShardWorker, final: bool = False) -> None:
+            """One sample when due (always, for the flagged final one)."""
             now = monotonic()
+            if telemetry is None or not (final or now >= hb_next[worker.worker]):
+                return
             frame = encode_heartbeat(
                 worker.worker,
                 hb_seq[worker.worker],
@@ -982,123 +1031,43 @@ class ParallelJoinRunner:
             hb_next[worker.worker] = now + interval
             telemetry.on_heartbeat(decode_heartbeat(frame))
 
-        batch_seq: Dict[int, int] = {}
-        use_shm = self.transport == "shm"
-        #: Inline rings are plain ``bytearray``-backed — the identical
-        #: claim/publish/release protocol with no real segments, which
-        #: is what lets the differential grid cover ring wraparound
-        #: deterministically on any platform, processes or not.
         rings = (
             [RingBuffer.local(self.ring_bytes) for _ in range(workers)]
-            if use_shm
+            if self.transport == "shm"
             else None
         )
-
-        def materialize(worker: ShardWorker, items):
-            """Produce the decode buffer for one batch: a pipe-codec
-            bytes object, or a zero-copy ring view (published then
-            immediately consumed — the inline executor is both ends of
-            the ring, so wraparound happens and credits always clear).
-            Returns ``(payload, advance, ring)``; a non-zero advance
-            must be released after decode."""
-            if not use_shm:
-                return encode_record_batch(items), 0, None
-            ring = rings[worker.worker]
-            parts = record_batch_parts(items)
-            total = sum(len(part) for part in parts)
-            claim = ring.try_claim(total)
-            if claim is None:
-                # Un-claimable (frame ~ring-sized): pipe-codec fallback,
-                # same as the process executor.
-                return b"".join(parts), 0, None
-            offset, advance = claim
-            ring.write(offset, parts)
-            ring.publish(advance)
-            return ring.view(offset, total), advance, ring
-
-        def send(shard: int, items, traced) -> None:
-            # Round-trip through the codec so inline runs exercise the
-            # exact wire path (and records arrive re-materialized, as
-            # they would from a pipe or a ring). Traced rids arrive
-            # pre-accumulated from the feed loop.
-            worker = pool[shard % workers]
-            traced_rids = traced if traced else None
-            keep = False
-            if spans is not None:
-                seq = batch_seq.get(shard, 0)
-                batch_seq[shard] = seq + 1
-                keep = spans.keep(seq)
-            if keep or traced_rids:
-                t0 = monotonic()
-                payload, advance, ring = materialize(worker, items)
-                t1 = monotonic()
-                if keep:
-                    spans.record(_ENCODE, t0, t1, shard, seq)
-                if traced_rids:
-                    for rid in traced_rids:
-                        tracer.record(_EV_ENCODE, rid, t0, t1, shard)
-            else:
-                payload, advance, ring = materialize(worker, items)
-            worker.bytes_in += len(payload)
-            span_decode = worker.will_sample(shard)
-            if span_decode or traced_rids:
-                wseq = worker._batch_seq.get(shard, 0)
-                t0 = monotonic()
-                decoded = decode_record_batch(payload)
-                t1 = monotonic()
-                if span_decode:
-                    worker.spans.record(_DECODE, t0, t1, shard, wseq)
-                if traced_rids:
-                    # Stamped into the *worker's* recorder, mirroring
-                    # worker_main (no pipe-write event inline — there
-                    # is no pipe).
-                    wtracer = worker.tracer
-                    for rid in traced_rids:
-                        wtracer.record(_EV_DECODE, rid, t0, t1, shard)
-            else:
-                decoded = decode_record_batch(payload)
-            if advance:
-                ring.release(advance)
-            worker.process_batch(shard, decoded)
-            if telemetry is not None and monotonic() >= hb_next[worker.worker]:
-                emit_heartbeat(worker)
-
-        t_feed = monotonic()
-        self._fanout = self._feed(plan, records, send)
-        if spans is not None:
-            spans.record(_FEED, t_feed, monotonic())
+        link = _LoopbackLink(pool, rings, heartbeat)
+        self._feed(run, plan, records, _Sender(link, run))
         for worker in pool:
             worker.lifetime_s = monotonic() - born
-        if telemetry is not None:
+        for worker in pool:
             # The flagged final sample per worker, mirroring the
             # process executor's EOF heartbeat.
-            for worker in pool:
-                emit_heartbeat(worker, final=True)
+            heartbeat(worker, final=True)
         summaries = [worker.finish() for worker in pool]
         if telemetry is not None:
             for w, summary in enumerate(summaries):
                 summary["heartbeats"] = hb_seq[w]
                 summary["heartbeats_dropped"] = 0
-        if spans is not None:
-            # Round-trip worker spans through the wire frame too, for
-            # the same inline-covers-the-codec reason as above.
-            for w, worker in enumerate(pool):
-                self._worker_span_cols[w] = decode_span_frame(
+        # Round-trip worker spans and trace columns through their wire
+        # frames too, for the same inline-covers-the-codec reason.
+        for w, worker in enumerate(pool):
+            if spans is not None:
+                run.span_cols[w] = decode_span_frame(
                     encode_span_frame(*worker.spans.columns())
                 )
-        if tracer is not None:
-            # Same round-trip for the trace columns: the inline
-            # differential grid covers the TAG_TRACE frame format.
-            for w, worker in enumerate(pool):
-                self._worker_trace_cols[w] = decode_trace_frame(
+            if tracer is not None:
+                run.trace_cols[w] = decode_trace_frame(
                     encode_trace_frame(*worker.tracer.columns())
                 )
         return [worker.matches for worker in pool], summaries
 
     def _merge(
-        self, plan, records, workers, chunks, summaries, started
+        self, run: _Run, plan, records, chunks, summaries
     ) -> ParallelJoinResult:
-        spans = getattr(self, "_driver_spans", None)
+        started = run.started
+        spans = run.spans
+        workers = len(run.assignment)
         t_merge = time.monotonic()
         shard_meters: Dict[int, dict] = {}
         worker_stats = []
@@ -1107,7 +1076,7 @@ class ParallelJoinRunner:
             worker_stats.append(
                 {
                     "worker": w,
-                    "shards": plan.shards_of_worker(w, workers),
+                    "shards": run.assignment[w],
                     "records": summary["records"],
                     "batches": summary["batches"],
                     "busy_s": summary["busy_s"],
@@ -1124,7 +1093,7 @@ class ParallelJoinRunner:
             )
         operations, events, signals = merge_meters(shard_meters)
         matches = merge_matches(chunks)
-        fanout = getattr(self, "_fanout", {"total": 0.0, "count": 0, "peak": 0.0})
+        fanout = run.fanout
         if fanout["count"]:
             peak = fanout["peak"]
             if (
@@ -1136,18 +1105,26 @@ class ParallelJoinRunner:
             spans.record(_MERGE, t_merge, time.monotonic())
         wall_s = time.monotonic() - started
 
+        #: The run-shape fields both artefact headers carry, in order.
+        shape = {
+            "wall_s": round(wall_s, 9),
+            "executor": self.executor,
+            "transport": self.transport,
+            "workers": workers,
+            "shards": plan.num_shards,
+            "batch_size": self.batch_size,
+        }
         telemetry_doc = None
-        recorder = getattr(self, "_telemetry", None)
-        if recorder is not None:
-            recorder.finalize(wall_s, len(records), len(matches))
-            telemetry_doc = recorder.document()
+        if run.telemetry is not None:
+            run.telemetry.finalize(wall_s, len(records), len(matches))
+            telemetry_doc = run.telemetry.document()
 
         span_header = span_rows = None
         if spans is not None:
             span_rows = spans.rows(base=started, worker=DRIVER)
             overhead_workers: Dict[str, dict] = {}
             for w, summary in enumerate(summaries):
-                cols = self._worker_span_cols.get(w)
+                cols = run.span_cols.get(w)
                 if cols is not None:
                     span_rows.extend(spans_to_rows(*cols, base=started, worker=w))
                 count = summary.get("span_count", 0)
@@ -1161,12 +1138,7 @@ class ParallelJoinRunner:
             span_header = {
                 "kind": "header",
                 "schema": SPANS_SCHEMA_VERSION,
-                "wall_s": round(wall_s, 9),
-                "executor": self.executor,
-                "transport": self.transport,
-                "workers": workers,
-                "shards": plan.num_shards,
-                "batch_size": self.batch_size,
+                **shape,
                 "batches": sum(s["batches"] for s in summaries),
                 "sample": self.spans_sample,
                 "overhead": {
@@ -1180,7 +1152,7 @@ class ParallelJoinRunner:
             }
 
         trace_header = trace_rows = None
-        tracer = getattr(self, "_driver_trace", None)
+        tracer = run.tracer
         if tracer is not None:
             # Driver and worker stamps share one comparable monotonic
             # clock (workers are forked/spawned from this process on
@@ -1188,7 +1160,7 @@ class ParallelJoinRunner:
             # the whole clock alignment story — see DESIGN §13.
             trace_rows = tracer.rows(base=started, worker=DRIVER)
             for w in range(workers):
-                cols = self._worker_trace_cols.get(w)
+                cols = run.trace_cols.get(w)
                 if cols is not None:
                     trace_rows.extend(
                         trace_to_rows(*cols, base=started, worker=w)
@@ -1201,12 +1173,7 @@ class ParallelJoinRunner:
                 "kind": "header",
                 "artefact": RECTRACE_ARTEFACT,
                 "schema": RECTRACE_SCHEMA_VERSION,
-                "wall_s": round(wall_s, 9),
-                "executor": self.executor,
-                "transport": self.transport,
-                "workers": workers,
-                "shards": plan.num_shards,
-                "batch_size": self.batch_size,
+                **shape,
                 "records": len(records),
                 "sample": self.trace_sample,
                 "traced": len(traced),

@@ -50,20 +50,25 @@ blocking the worker on the monitoring plane. A final flagged
 heartbeat is always emitted at EOF, so every finished run carries at
 least one sample per worker at any interval.
 
-Observability: when the driver enables spans (``spans_sample >= 1``),
-the worker times pipe reads (blocked-read wait), batch decode, and —
-for every sampled batch — the probe calls, insert calls and the one
-meter flush, into a :class:`~repro.obs.spans.SpanRecorder` shipped
-back as a ``TAG_SPANS`` frame. With record tracing on
-(``trace_sample >= 1``), the worker independently re-derives the
-traced rid set (``rid % trace_sample == 0`` — no trace context is ever
-sent on the wire) and stamps per-record decode/probe/insert/match-emit
-events into a :class:`~repro.obs.rectrace.TraceRecorder`, shipped
-post-EOF as one ``TAG_TRACE`` frame. Independent of spans, every
-worker always tracks cheap per-run telemetry (blocked/busy seconds,
-bytes in/out, peak RSS) reported in the ``TAG_DONE`` summary; the
-timed and untimed batch paths issue the identical engine and meter
-calls, so instrumentation can never change an observable.
+One batch path: every record batch, whatever carried it, enters
+through :meth:`ShardWorker.receive` (decode → stamp → release the ring
+credit → :meth:`ShardWorker.process_batch`), called by
+:func:`worker_main` and by the runtime's inline executor alike, and
+every record runs through one probe → emit → insert body. Instruments
+are selected per *batch*, never by a second copy of that body: a batch
+whose per-shard sequence number falls in the span sample
+(``spans_sample >= 1``) times every record (per-phase totals must be
+exact), any other batch times only its traced rids (``rid %
+trace_sample == 0``, re-derived from the stride — no trace context is
+ever sent on the wire), and everything not selected — the whole batch
+when both are off — runs through the one un-timed loop. Engine and
+meter calls are the same calls in the same order either way, so
+instrumentation can never change an observable. Spans (blocked-read
+wait, decode, probe, insert, meter flush) and trace events
+(decode/probe/insert/match-emit) ship back post-EOF as one
+``TAG_SPANS`` / ``TAG_TRACE`` frame each; independent of both, every
+worker tracks cheap per-run telemetry (blocked/busy seconds, bytes
+in/out, peak RSS) reported in the ``TAG_DONE`` summary.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ from repro.parallel.codec import (
     encode_trace_frame,
     match_batch_parts,
 )
-from repro.parallel.shm import attach_ring
+from repro.parallel.shm import RingBuffer, attach_ring
 from repro.records import Record
 from repro.routing.band_router import band_owner
 from repro.routing.prefix_router import token_owner
@@ -207,6 +212,26 @@ def build_shard_engine(
     )
 
 
+def _run_untimed(engine, event, rows: List[MatchRow], items) -> None:
+    """The un-instrumented record body: one tight loop, no timing and
+    no instrument test per record. ``event`` is the shard meter's
+    bound ``event`` method, ``rows`` the worker's match list."""
+    probe = engine.probe
+    insert = engine.insert
+    for op, record in items:
+        if op & PROBE:
+            matches = probe(record)
+            event("results", len(matches))
+            if matches:
+                ts, rid = record.timestamp, record.rid
+                for m in matches:
+                    rows.append(
+                        (ts, rid, m.partner.rid, m.overlap, m.similarity)
+                    )
+        if op & INDEX:
+            insert(record)
+
+
 class ShardWorker:
     """Executes batches against the shards hosted by one worker.
 
@@ -294,200 +319,109 @@ class ShardWorker:
             "phase_s": phase_s,
         }
 
-    def will_sample(self, shard: int) -> bool:
-        """Whether the *next* batch of ``shard`` lands in the sample."""
-        return self.spans is not None and self.spans.keep(
-            self._batch_seq.get(shard, 0)
-        )
+    def receive(
+        self, shard: int, payload, ring: Optional[RingBuffer] = None,
+        advance: int = 0,
+    ) -> None:
+        """The one receiver: decode ``payload`` (pipe bytes or a ring
+        view), stamp the decode span / per-rid decode events, hand
+        ``advance`` ring bytes back to the sender's credit, and process
+        the batch. Traced rids are re-derived from the stride: every
+        traced record in the batch inherits the batch's decode window."""
+        seq = self._batch_seq.get(shard, 0)
+        t0 = time.monotonic()
+        items = decode_record_batch(payload)
+        t1 = time.monotonic()
+        spans = self.spans
+        if spans is not None and spans.keep(seq):
+            spans.record(_DECODE, t0, t1, shard, seq)
+        tracer = self.tracer
+        if tracer is not None:
+            stride = tracer.sample
+            for _op, record in items:
+                if not record.rid % stride:
+                    tracer.record(_EV_DECODE, record.rid, t0, t1, shard)
+        if advance:
+            # Decode fully copied the columns out of the ring; hand the
+            # bytes back to the driver's credit before the (potentially
+            # long) batch processing.
+            ring.release(advance)
+        self.process_batch(shard, items)
 
     def process_batch(
         self, shard: int, items: Sequence[Tuple[int, Record]]
     ) -> None:
-        if self.spans is not None or self.tracer is not None:
-            seq = self._batch_seq.get(shard, 0)
-            self._batch_seq[shard] = seq + 1
-            record_spans = self.spans is not None and self.spans.keep(seq)
-            tracer = self.tracer
-            # One inlined rid-stride scan per batch (vs tracer.selected
-            # per record) finds the traced positions up front; the
-            # instrumented path reuses them instead of re-deriving the
-            # stride check record by record.
-            stride = tracer.sample if tracer is not None else 0
-            positions = (
-                [i for i, item in enumerate(items) if not item[1].rid % stride]
-                if stride
-                else None
-            )
-            if record_spans or positions:
-                self._process_batch_instrumented(
-                    shard, items, seq, record_spans, positions
-                )
-                return
-        start = time.monotonic()
+        """Probe → emit → insert every record of one batch, under one
+        meter flush (charge_many/event_many exactness contract: totals
+        stay bit-identical to per-record metering).
+
+        ``timed`` is the batch's instrument selection (see the module
+        docstring): selected records take the timed step, the stretches
+        between them — the whole batch when nothing is selected — take
+        :func:`_run_untimed`. Emitted spans tile the batch window in
+        canonical phase order (probe, insert, flush) — per-phase totals
+        are exact, positions within the batch approximate (the phases
+        interleave per record)."""
+        seq = self._batch_seq.get(shard, 0)
+        self._batch_seq[shard] = seq + 1
+        spans = self.spans
+        tracer = self.tracer
+        stride = tracer.sample if tracer is not None else 0
+        keep = spans is not None and spans.keep(seq)
+        if keep:
+            timed = range(len(items))
+        elif stride:
+            timed = [i for i, item in enumerate(items) if not item[1].rid % stride]
+        else:
+            timed = ()
+        monotonic = time.monotonic
         engine = self.engines[shard]
-        meter = self.meters[shard]
+        event = self.meters[shard].event
         rows = self.matches
-        # One meter flush per batch (charge_many/event_many exactness
-        # contract): totals stay bit-identical to per-record metering.
+        probe_s = insert_s = 0.0
+        had_probe = had_insert = False
+        cursor = 0
+        start = monotonic()
         with engine.batched():
-            for op, record in items:
+            for pos in timed:
+                if cursor < pos:
+                    _run_untimed(engine, event, rows, items[cursor:pos])
+                cursor = pos + 1
+                op, record = items[pos]
+                traced = stride and not record.rid % stride
                 if op & PROBE:
+                    had_probe = True
+                    t0 = monotonic()
                     matches = engine.probe(record)
-                    meter.event("results", len(matches))
+                    t1 = monotonic()
+                    probe_s += t1 - t0
+                    if traced:
+                        tracer.record(_EV_PROBE, record.rid, t0, t1, shard)
+                    event("results", len(matches))
                     if matches:
                         ts, rid = record.timestamp, record.rid
+                        if traced:
+                            t0 = monotonic()
                         for m in matches:
                             rows.append(
                                 (ts, rid, m.partner.rid, m.overlap, m.similarity)
                             )
-                if op & INDEX:
-                    engine.insert(record)
-        end = time.monotonic()
-        self.records += len(items)
-        self.batches += 1
-        self.busy_s += end - start
-        self.intervals.append((start, end))
-
-    def _process_batch_instrumented(
-        self,
-        shard: int,
-        items: Sequence[Tuple[int, Record]],
-        seq: int,
-        record_spans: bool,
-        traced_positions: Optional[List[int]] = None,
-    ) -> None:
-        """The sampled path — spans, tracing, or both: identical
-        engine/meter calls in identical order, plus per-record timing
-        for every record when spans sampled this batch (the per-phase
-        totals must be exact) and for traced records always (their
-        probe/insert/match-emit windows become trace events). Emitted
-        spans tile the batch window in canonical phase order (probe,
-        insert, flush) — per-phase totals are exact, positions within
-        the batch approximate (the two phases interleave per record)."""
-        monotonic = time.monotonic
-        tracer = self.tracer
-        start = monotonic()
-        engine = self.engines[shard]
-        meter = self.meters[shard]
-        rows = self.matches
-        probe_s = insert_s = 0.0
-        had_probe = had_insert = False
-        batched = engine.batched()
-        batched.__enter__()
-        try:
-            if not record_spans:
-                # Tracing only: every record between two traced
-                # positions runs through the exact fast-path body — no
-                # per-record stride arithmetic, no timing branches.
-                # Only the (typically 1-in-``sample``) traced records
-                # pay the stamp cost. Call order against the engine and
-                # meter is identical to the fast path, so observables
-                # stay bit-for-bit.
-                probe = engine.probe
-                insert = engine.insert
-                event = meter.event
-                cursor = 0
-                for pos in traced_positions:
-                    for op, record in items[cursor:pos]:
-                        if op & PROBE:
-                            matches = probe(record)
-                            event("results", len(matches))
-                            if matches:
-                                ts, rid = record.timestamp, record.rid
-                                for m in matches:
-                                    rows.append(
-                                        (ts, rid, m.partner.rid,
-                                         m.overlap, m.similarity)
-                                    )
-                        if op & INDEX:
-                            insert(record)
-                    cursor = pos + 1
-                    op, record = items[pos]
-                    if op & PROBE:
-                        t0 = monotonic()
-                        matches = probe(record)
-                        t1 = monotonic()
-                        tracer.record(_EV_PROBE, record.rid, t0, t1, shard)
-                        event("results", len(matches))
-                        if matches:
-                            ts, rid = record.timestamp, record.rid
-                            t0 = monotonic()
-                            for m in matches:
-                                rows.append(
-                                    (ts, rid, m.partner.rid,
-                                     m.overlap, m.similarity)
-                                )
+                        if traced:
                             tracer.record(
                                 _EV_MATCH_EMIT, rid, t0, monotonic(), shard
                             )
-                    if op & INDEX:
-                        t0 = monotonic()
-                        insert(record)
-                        t1 = monotonic()
+                if op & INDEX:
+                    had_insert = True
+                    t0 = monotonic()
+                    engine.insert(record)
+                    t1 = monotonic()
+                    insert_s += t1 - t0
+                    if traced:
                         tracer.record(_EV_INSERT, record.rid, t0, t1, shard)
-                for op, record in items[cursor:]:
-                    if op & PROBE:
-                        matches = probe(record)
-                        event("results", len(matches))
-                        if matches:
-                            ts, rid = record.timestamp, record.rid
-                            for m in matches:
-                                rows.append(
-                                    (ts, rid, m.partner.rid,
-                                     m.overlap, m.similarity)
-                                )
-                    if op & INDEX:
-                        insert(record)
-            else:
-                traced_set = (
-                    frozenset(traced_positions) if traced_positions else ()
-                )
-                for pos, (op, record) in enumerate(items):
-                    traced = pos in traced_set
-                    if op & PROBE:
-                        had_probe = True
-                        t0 = monotonic()
-                        matches = engine.probe(record)
-                        t1 = monotonic()
-                        probe_s += t1 - t0
-                        if traced:
-                            tracer.record(_EV_PROBE, record.rid, t0, t1, shard)
-                        meter.event("results", len(matches))
-                        if matches:
-                            ts, rid = record.timestamp, record.rid
-                            if traced:
-                                t0 = monotonic()
-                                for m in matches:
-                                    rows.append(
-                                        (ts, rid, m.partner.rid,
-                                         m.overlap, m.similarity)
-                                    )
-                                tracer.record(
-                                    _EV_MATCH_EMIT, rid, t0, monotonic(), shard
-                                )
-                            else:
-                                for m in matches:
-                                    rows.append(
-                                        (ts, rid, m.partner.rid,
-                                         m.overlap, m.similarity)
-                                    )
-                    if op & INDEX:
-                        had_insert = True
-                        t0 = monotonic()
-                        engine.insert(record)
-                        t1 = monotonic()
-                        insert_s += t1 - t0
-                        if traced:
-                            tracer.record(_EV_INSERT, record.rid, t0, t1, shard)
-        except BaseException:
-            batched.__exit__(*sys.exc_info())
-            raise
-        flush_start = monotonic()
-        batched.__exit__(None, None, None)
+            _run_untimed(engine, event, rows, items[cursor:] if cursor else items)
+            flush_start = monotonic()
         end = monotonic()
-
-        if record_spans:
-            spans = self.spans
+        if keep:
             cursor = start
             if had_probe:
                 spans.record(_PROBE_PHASE, cursor, cursor + probe_s, shard, seq)
@@ -495,7 +429,6 @@ class ShardWorker:
             if had_insert:
                 spans.record(_INSERT_PHASE, cursor, cursor + insert_s, shard, seq)
             spans.record(_METER_FLUSH, flush_start, end, shard, seq)
-
         self.records += len(items)
         self.batches += 1
         self.busy_s += end - start
@@ -677,17 +610,14 @@ def worker_main(
     frame whenever a sample falls due — including while blocked waiting
     for the driver, which is exactly when live visibility matters.
 
-    ``trace_sample >= 1`` switches on per-record tracing: the worker
-    re-derives the traced rid set from the stride alone (no trace
-    context arrives on the wire), stamps decode/probe/insert/match-emit
-    events, and ships them back post-EOF as one ``TAG_TRACE`` frame.
-
-    ``transport="shm"`` switches on the zero-copy path: ``shm_in`` /
-    ``shm_out`` name the driver-owned batch and mirror rings, mapped
-    once here (see :func:`repro.parallel.shm.attach_ring` for the
-    tracker discipline) then read/written for the whole run. The
-    blocked-wait span phase becomes ``shm_read`` so phase totals stay
-    comparable across transports.
+    ``spans_sample`` / ``trace_sample`` are the :class:`ShardWorker`
+    strides (0 = off). ``transport="shm"`` switches on the zero-copy
+    path: ``shm_in`` / ``shm_out`` name the driver-owned batch and
+    mirror rings, mapped once here (see
+    :func:`repro.parallel.shm.attach_ring` for the tracker discipline)
+    then read/written for the whole run. The blocked-wait span phase
+    becomes ``shm_read`` so phase totals stay comparable across
+    transports.
     """
     born = time.monotonic()
     emitter = None
@@ -752,32 +682,7 @@ def worker_main(
                     expect_generation += 1
                     payload = ring_in.view(offset, length)
                     worker.bytes_in += length
-                span_decode = spans is not None and worker.will_sample(shard)
-                if span_decode or tracer is not None:
-                    seq = worker._batch_seq.get(shard, 0)
-                    t0 = time.monotonic()
-                    items = decode_record_batch(payload)
-                    t1 = time.monotonic()
-                    if span_decode:
-                        spans.record(_DECODE, t0, t1, shard, seq)
-                    if tracer is not None:
-                        # Traced rids are re-derived from the stride:
-                        # every traced record in the batch inherits the
-                        # batch's decode window.
-                        stride = tracer.sample
-                        for _op, record in items:
-                            if not record.rid % stride:
-                                tracer.record(
-                                    _EV_DECODE, record.rid, t0, t1, shard
-                                )
-                else:
-                    items = decode_record_batch(payload)
-                if advance:
-                    # Decode fully copied the columns out of the ring;
-                    # hand the bytes back to the driver's credit before
-                    # the (potentially long) batch processing.
-                    ring_in.release(advance)
-                worker.process_batch(shard, items)
+                worker.receive(shard, payload, ring_in, advance)
                 if emitter is not None:
                     emitter.maybe_emit(worker)
             elif tag == TAG_EOF:

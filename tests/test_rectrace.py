@@ -34,7 +34,7 @@ from repro.obs.rectrace import (
     write_rectrace_jsonl,
 )
 from repro.obs.registry import ObsRegistry
-from repro.parallel import ParallelJoinRunner, run_serial
+from repro.parallel import ParallelJoinRunner, run_serial, shm_supported
 from repro.parallel.codec import (
     TRACE_MAGIC,
     TRACE_VERSION,
@@ -48,6 +48,7 @@ from tests.test_parallel_differential import (
     fuzz_records,
     try_process_run,
 )
+from tests.test_spans import structure
 
 
 def _columns(rows):
@@ -254,6 +255,57 @@ class TestTracingDifferential:
         assert result.span_header is not None
         assert result.telemetry is not None
         assert rectrace_smoke(result.rectrace_document()) == []
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    @pytest.mark.parametrize("trace_sample", [1, 4])
+    @pytest.mark.parametrize("spans_sample", [1, 3])
+    def test_sampled_spans_with_tracing_grid(
+        self, spans_sample, trace_sample, transport
+    ):
+        """Span-sampled *and* traced batches next to batches that are
+        only traced and (3-record batches, stride 4) batches that are
+        neither: observables equal serial, and span structure and each
+        rid's trace events are the same on both executors at 1 and 2
+        workers — except that only a process run has a write phase."""
+        if transport == "shm" and not shm_supported()[0]:
+            pytest.skip("shared memory unsupported on this host")
+        config = JoinConfig(threshold=0.6, num_workers=4)
+        records = fuzz_records(seed=24, n=260)
+        serial = run_serial(config, records)
+        seen = {}
+        for executor in ("inline", "process"):
+            for workers in (1, 2):
+                label = (
+                    f"{executor} w={workers} spans/{spans_sample} "
+                    f"trace/{trace_sample} {transport}"
+                )
+                runner = ParallelJoinRunner(
+                    config, workers=workers, executor=executor, batch_size=3,
+                    spans=True, spans_sample=spans_sample,
+                    trace=True, trace_sample=trace_sample,
+                    transport=transport, ring_bytes=4096,
+                )
+                result = try_process_run(runner, records)
+                assert_equal_observables(serial, result, label)
+                signature = _trace_signature(result.rectrace_document())
+                for rid, events in signature.items():
+                    writes = [shard for e, shard in events if e == "pipe_write"]
+                    encodes = [shard for e, shard in events if e == "encode"]
+                    assert writes == (encodes if executor == "process" else []), (
+                        label, rid
+                    )
+                seen[label] = (
+                    structure(result),
+                    {
+                        rid: [e for e in events if e[0] != "pipe_write"]
+                        for rid, events in signature.items()
+                    },
+                )
+        spans, events = next(iter(seen.values()))
+        assert set(events) == {r for r in range(260) if r % trace_sample == 0}
+        assert spans and all(batch % spans_sample == 0 for _, _, batch in spans)
+        for label, got in seen.items():
+            assert got == (spans, events), label
 
     def test_invalid_trace_sample_rejected(self):
         with pytest.raises(ValueError, match="trace_sample"):

@@ -335,6 +335,36 @@ class TestLiveSpans:
             assert stats["bytes_in"] > 0
             assert stats["bytes_out"] > 0
 
+    def test_reused_runner_describes_only_its_own_run(self, records):
+        """Run state lives on the run, not the runner: a second run on
+        a different stream returns documents equal in shape to a fresh
+        runner's on that stream."""
+        def shape(result):
+            spans = result.spans_document()
+            trace = result.rectrace_document()
+            keep = ("workers", "shards", "batches", "sample", "records",
+                    "traced", "events")
+            return (
+                structure(result), len(spans), len(trace),
+                {k: spans[0][k] for k in keep if k in spans[0]},
+                {k: trace[0][k] for k in keep if k in trace[0]},
+                sorted((r["rid"], r["event"], r["shard"]) for r in trace[1:]),
+            )
+
+        def runner():
+            return ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, executor="inline",
+                batch_size=32, spans=True, trace=True, trace_sample=4,
+            )
+
+        other = fuzz_records(seed=8, n=90)
+        reused = runner()
+        first = shape(reused.run(records))
+        second = shape(reused.run(other))
+        assert first == shape(runner().run(records))
+        assert second == shape(runner().run(other))
+        assert first != second
+
     def test_write_spans_round_trips(self, records, tmp_path):
         result = self.run(records, workers=2)
         path = tmp_path / "spans.jsonl"
