@@ -1090,6 +1090,7 @@ def _trace_rectrace(args) -> int:
           f"({header['events']} events), executor={header['executor']} "
           f"workers={header['workers']} shards={header['shards']} "
           f"sample={header['sample']} wall={header['wall_s']:.4f}s")
+    print(_overhead_line(header))
     stage_rows = [
         {
             "stage": stage,
@@ -1284,6 +1285,21 @@ def write_chrome_spans(path: str, rows) -> int:
     return write_chrome(path, spans_to_chrome(rows))
 
 
+def _overhead_line(header) -> str:
+    """The event log's self-reported cost, from a spans or rectrace
+    header's ``overhead`` block (rectrace files written before the
+    block existed, and zero-wall runs, read ``n/a``)."""
+    overhead = header.get("overhead")
+    if not overhead or not header["wall_s"]:
+        return "recorder overhead: n/a"
+    overhead_s = overhead.get("driver", {}).get("estimated_s", 0.0) + sum(
+        entry.get("estimated_s", 0.0)
+        for entry in overhead.get("workers", {}).values()
+    )
+    return (f"recorder overhead: ~{overhead_s * 1e3:.3f}ms total "
+            f"({overhead_s / header['wall_s']:.2%} of wall)")
+
+
 def _cmd_spans(args) -> int:
     """``repro spans``: analyze (or smoke-gate) a wall-clock spans file."""
     from repro.obs.spans import (
@@ -1345,19 +1361,11 @@ def _cmd_spans(args) -> int:
         return 0
 
     header, span_rows = split_rows(rows)
-    overhead = header.get("overhead", {})
-    driver_overhead = overhead.get("driver", {})
-    worker_overheads = overhead.get("workers", {}).values()
-    overhead_s = driver_overhead.get("estimated_s", 0.0) + sum(
-        entry.get("estimated_s", 0.0) for entry in worker_overheads
-    )
     print(f"{args.input}: {len(span_rows)} spans, "
           f"executor={header['executor']} workers={header['workers']} "
           f"shards={header['shards']} sample={header['sample']} "
           f"wall={header['wall_s']:.4f}s")
-    print(f"recorder overhead: ~{overhead_s * 1e3:.3f}ms total "
-          f"({overhead_s / header['wall_s']:.2%} of wall)"
-          if header["wall_s"] else "recorder overhead: n/a")
+    print(_overhead_line(header))
 
     wall = totals["wall_s"]
     driver_rows = [

@@ -22,20 +22,27 @@ experiment number is recomputable from its exports:
 * :mod:`repro.obs.attribution` — decomposition of the throughput gap
   between two methods into per-cost-category contributions (the
   ``repro explain`` command);
-* :mod:`repro.obs.spans` — wall-clock span recording for the
-  multiprocessing runtime (``repro.parallel``): a budgeted-overhead
-  recorder, the ``--spans-out`` JSONL artefact, per-phase totals and
-  the critical-path / waterfall analysis behind ``repro spans``;
+* :mod:`repro.obs.eventlog` — the one recorder of the multiprocessing
+  runtime (``repro.parallel``): a budgeted-overhead columnar event log
+  per actor that holds wall-clock spans (batch-scoped rows) and
+  record-trace events (record-scoped rows) alike, two deterministic
+  sampling strides, and the split into the two artefacts below;
+* :mod:`repro.obs.artefact` — the one JSONL artefact path: writer,
+  loader, header/body splitter and field-type checker behind every
+  family's ``write`` / ``load`` / ``validate``;
+* :mod:`repro.obs.spans` — the wall-clock span vocabulary and the
+  ``--spans-out`` JSONL artefact: schema, per-phase totals and the
+  critical-path / waterfall analysis behind ``repro spans``;
 * :mod:`repro.obs.timeseries` — live in-flight telemetry: the
   driver-side aggregation of worker heartbeat frames into rolling
   per-worker series, online health feeding, the ``--telemetry-out``
   JSONL artefact and the analysis/rendering behind ``repro top`` and
   ``repro telemetry``;
 * :mod:`repro.obs.rectrace` — distributed per-record tracing for the
-  parallel runtime: deterministic rid-stride sampling, driver/worker
-  event stamping across the process boundary, the ``--trace-out``
-  JSONL artefact, per-stage latency digests and the ``repro trace``
-  smoke gate;
+  parallel runtime: the event vocabulary driver and workers stamp
+  across the process boundary, the ``--trace-out`` JSONL artefact and
+  its schema, per-stage latency digests and the ``repro trace`` smoke
+  gate;
 * :mod:`repro.obs.chrome` — Chrome trace-event export of span and
   record-trace artefacts (Perfetto-loadable timelines behind the
   ``--chrome`` flags);
@@ -50,6 +57,7 @@ from repro.obs.chrome import (
     write_chrome,
 )
 
+from repro.obs.artefact import write_jsonl
 from repro.obs.attribution import attribute_gap, busy_decomposition
 from repro.obs.baseline import (
     compare_fingerprints,
@@ -57,6 +65,7 @@ from repro.obs.baseline import (
     load_fingerprint,
     write_fingerprint,
 )
+from repro.obs.eventlog import EventLog
 from repro.obs.exporters import (
     load_metrics_json,
     metrics_to_json,
@@ -76,7 +85,6 @@ from repro.obs.rectrace import (
     EVENT_SCHEMA,
     TRACE_EVENTS,
     TRACE_STAGES,
-    TraceRecorder,
     latency_digest,
     latency_metrics,
     load_rectrace_jsonl,
@@ -84,20 +92,17 @@ from repro.obs.rectrace import (
     rectrace_smoke,
     slowest_records,
     validate_rectrace_lines,
-    write_rectrace_jsonl,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, ObsRegistry
 from repro.obs.spans import (
     PHASES,
     SPAN_SCHEMA,
-    SpanRecorder,
     critical_path,
     load_spans_jsonl,
     phase_totals,
     smoke_check,
     validate_span_lines,
     waterfall,
-    write_spans_jsonl,
 )
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.timeseries import (
@@ -123,6 +128,7 @@ __all__ = [
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_TRACE_SAMPLE",
     "EVENT_SCHEMA",
+    "EventLog",
     "Gauge",
     "HealthEvent",
     "HealthMonitor",
@@ -133,11 +139,9 @@ __all__ = [
     "RunObserver",
     "SAMPLE_SCHEMA",
     "SPAN_SCHEMA",
-    "SpanRecorder",
     "TelemetryRecorder",
     "TelemetryView",
     "TimelineRecorder",
-    "TraceRecorder",
     "TraceSampler",
     "TupleTracer",
     "TRACE_EVENTS",
@@ -177,7 +181,6 @@ __all__ = [
     "waterfall",
     "write_chrome",
     "write_fingerprint",
+    "write_jsonl",
     "write_metrics",
-    "write_rectrace_jsonl",
-    "write_spans_jsonl",
 ]

@@ -43,11 +43,10 @@ on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.artefact import load_jsonl_objects
+from repro.obs.artefact import check_fields, load_jsonl_objects, write_jsonl
 
 HEALTH_SCHEMA_VERSION = 1
 
@@ -437,16 +436,12 @@ class HealthMonitor:
     # -- artefacts -----------------------------------------------------------
     def write_jsonl(self, path: str) -> int:
         """Dump header + events, one JSON object per line; return #lines."""
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {
-                "kind": "header",
-                "schema": HEALTH_SCHEMA_VERSION,
-                "thresholds": self.thresholds.as_dict(),
-            }
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for event in self.events:
-                handle.write(json.dumps(event.as_dict(), sort_keys=True) + "\n")
-        return 1 + len(self.events)
+        header = {
+            "kind": "header",
+            "schema": HEALTH_SCHEMA_VERSION,
+            "thresholds": self.thresholds.as_dict(),
+        }
+        return write_jsonl(path, header, (e.as_dict() for e in self.events))
 
 
 def load_health_jsonl(path: str) -> List[Dict[str, object]]:
@@ -468,21 +463,9 @@ def validate_health_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
         if row.get("kind") != "event":
             errors.append(f"line {index + 1}: kind is not 'event'")
             continue
-        for key, expected in HEALTH_SCHEMA.items():
-            if key not in row:
-                errors.append(f"event {index}: missing field {key!r}")
-                continue
-            value = row[key]
-            if expected is float:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(f"event {index}: field {key!r} not numeric")
-            elif expected is int:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    errors.append(f"event {index}: field {key!r} not an int")
-            elif not isinstance(value, expected):
-                errors.append(
-                    f"event {index}: field {key!r} not {expected.__name__}"
-                )
+        errors.extend(
+            f"event {index}: {error}" for error in check_fields(row, HEALTH_SCHEMA)
+        )
         if row.get("severity") not in SEVERITIES:
             errors.append(
                 f"event {index}: unknown severity {row.get('severity')!r}"

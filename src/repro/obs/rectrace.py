@@ -19,11 +19,11 @@ Design constraints, mirroring the span pipeline:
   ``encode``/``pipe_write``/``decode`` per shard-batch carrying the
   record; one ``probe``/``insert`` per PROBE/INDEX op; one
   ``match_emit`` per probe that found matches).
-* **O(1) recording.** :class:`TraceRecorder` is the
-  :class:`~repro.obs.spans.SpanRecorder` idiom over five preallocated
-  typed-array columns (event u8, rid i64, shard i32, start/end f64) —
-  no allocation, no dict, no object per event — shipped post-EOF as
-  one struct-packed ``TAG_TRACE`` frame.
+* **O(1) recording.** A trace event is a record-scoped row of the
+  actor's :class:`~repro.obs.eventlog.EventLog` — the same five
+  preallocated typed-array columns the spans use (stage u8, shard i32,
+  key i64 = rid, start/end f64): no allocation, no dict, no object per
+  event — shipped post-EOF inside the one ``TAG_EVENTS`` frame.
 * **One clock.** All stamps are ``time.monotonic()`` (CLOCK_MONOTONIC
   system-wide on POSIX, comparable across forked processes); the
   driver rebases everything to the run start, exactly like spans.
@@ -45,12 +45,9 @@ quantiles, no new percentile code.
 
 from __future__ import annotations
 
-import json
-import time
-from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.obs.artefact import load_jsonl_objects
+from repro.obs.artefact import check_fields, load_jsonl_objects, split_document
 from repro.storm.metrics import LatencySampler
 
 RECTRACE_SCHEMA_VERSION = 1
@@ -60,9 +57,10 @@ RECTRACE_SCHEMA_VERSION = 1
 #: file.
 RECTRACE_ARTEFACT = "rectrace"
 
-#: Event names in wire-id order (the u8 event column of the trace
-#: frame and the ``event`` field of every JSONL event line). The first
-#: three are stamped by the driver, the rest by workers.
+#: Event names in wire-id order (the low bits of the stage byte of a
+#: record-scoped row of the event frame and the ``event`` field of
+#: every JSONL event line). The first three are stamped by the driver,
+#: the rest by workers.
 TRACE_EVENTS = (
     "feed",
     "encode",
@@ -101,154 +99,8 @@ EVENT_SCHEMA: Dict[str, type] = {
     "end": float,
 }
 
-#: Calibration burst length for the startup overhead measurement.
-_CALIBRATION_CALLS = 512
-
-
-class TraceRecorder:
-    """Append-only per-record event recorder over preallocated
-    typed-array columns (the :class:`~repro.obs.spans.SpanRecorder`
-    idiom: ``record`` is five slot stores plus an index bump).
-
-    ``sample`` is the deterministic rid stride: :meth:`selected`
-    answers purely from ``rid % sample``, so every actor — driver,
-    process workers, the inline executor — independently derives the
-    identical traced set with zero coordination.
-    """
-
-    __slots__ = (
-        "sample",
-        "capacity",
-        "record_cost_s",
-        "_n",
-        "_events",
-        "_rids",
-        "_shards",
-        "_starts",
-        "_ends",
-    )
-
-    def __init__(self, sample: int = DEFAULT_TRACE_SAMPLE,
-                 capacity: int = 1024, measure: bool = True):
-        if sample < 1:
-            raise ValueError(f"sample must be >= 1, got {sample}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sample = sample
-        self.capacity = capacity
-        self._n = 0
-        self._events = array("B", bytes(capacity))
-        self._rids = array("q", bytes(8 * capacity))
-        self._shards = array("i", bytes(4 * capacity))
-        self._starts = array("d", bytes(8 * capacity))
-        self._ends = array("d", bytes(8 * capacity))
-        #: Mean seconds one :meth:`record` call costs on this host,
-        #: measured at startup (0.0 when ``measure=False``).
-        self.record_cost_s = measure_record_cost() if measure else 0.0
-
-    def selected(self, rid: int) -> bool:
-        """Whether ``rid`` is in the traced set — a pure function of
-        the rid, identical on every actor at the same stride."""
-        return rid % self.sample == 0
-
-    def record(
-        self, event: int, rid: int, start: float, end: float, shard: int = -1
-    ) -> None:
-        """Append one event (``event`` is an :data:`EVENT_ID` value)."""
-        n = self._n
-        if n >= self.capacity:
-            self._grow()
-        self._events[n] = event
-        self._rids[n] = rid
-        self._shards[n] = shard
-        self._starts[n] = start
-        self._ends[n] = end
-        self._n = n + 1
-
-    def _grow(self) -> None:
-        extra = self.capacity
-        self._events.extend(bytes(extra))
-        self._rids.extend(array("q", bytes(8 * extra)))
-        self._shards.extend(array("i", bytes(4 * extra)))
-        self._starts.extend(array("d", bytes(8 * extra)))
-        self._ends.extend(array("d", bytes(8 * extra)))
-        self.capacity += extra
-
-    def __len__(self) -> int:
-        return self._n
-
-    def columns(self) -> Tuple[array, array, array, array, array]:
-        """The populated column slices (for the wire frame encoder)."""
-        n = self._n
-        return (
-            self._events[:n],
-            self._rids[:n],
-            self._shards[:n],
-            self._starts[:n],
-            self._ends[:n],
-        )
-
-    def rows(self, base: float = 0.0, worker: int = DRIVER) -> List[Dict[str, object]]:
-        """Recorded events as JSONL-shaped dicts, rebased to ``base``."""
-        return trace_to_rows(*self.columns(), base=base, worker=worker)
-
-    def estimated_overhead_s(self) -> float:
-        return self._n * self.record_cost_s
-
-
-def measure_record_cost(calls: int = _CALIBRATION_CALLS) -> float:
-    """Mean seconds per :meth:`TraceRecorder.record` call, measured on
-    a scratch recorder (same rationale as the span recorder's startup
-    calibration: the header reports ``count x mean cost`` so a reader
-    can subtract the instrument from the measurement)."""
-    scratch = TraceRecorder(sample=1, capacity=calls, measure=False)
-    t0 = time.perf_counter()
-    for i in range(calls):
-        scratch.record(0, i, 0.0, 0.0, i)
-    elapsed = time.perf_counter() - t0
-    return elapsed / calls if calls else 0.0
-
-
-def trace_to_rows(
-    events: Sequence[int],
-    rids: Sequence[int],
-    shards: Sequence[int],
-    starts: Sequence[float],
-    ends: Sequence[float],
-    base: float = 0.0,
-    worker: int = DRIVER,
-) -> List[Dict[str, object]]:
-    """Column arrays (recorder or decoded wire frame) → event dicts."""
-    rows: List[Dict[str, object]] = []
-    for event, rid, shard, start, end in zip(events, rids, shards, starts, ends):
-        rows.append(
-            {
-                "kind": "event",
-                "event": TRACE_EVENTS[event],
-                "rid": rid,
-                "worker": worker,
-                "shard": shard,
-                "start": round(start - base, 9),
-                "end": round(end - base, 9),
-            }
-        )
-    return rows
-
 
 # -- the JSONL artefact ------------------------------------------------------
-
-def write_rectrace_jsonl(
-    path: str, header: Dict[str, object], rows: Iterable[Dict[str, object]]
-) -> int:
-    """Header line + one event object per line; returns #lines."""
-    count = 1
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-            count += 1
-    return count
-
 
 def load_rectrace_jsonl(path: str) -> List[Dict[str, object]]:
     """All lines of a rectrace dump as dicts (pointed errors)."""
@@ -281,21 +133,9 @@ def validate_rectrace_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
         if row.get("kind") != "event":
             errors.append(f"line {index + 2}: kind is not 'event'")
             continue
-        for key, expected in EVENT_SCHEMA.items():
-            if key not in row:
-                errors.append(f"event {index}: missing field {key!r}")
-                continue
-            value = row[key]
-            if expected is float:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(f"event {index}: field {key!r} not numeric")
-            elif expected is int:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    errors.append(f"event {index}: field {key!r} not an int")
-            elif not isinstance(value, expected):
-                errors.append(
-                    f"event {index}: field {key!r} not {expected.__name__}"
-                )
+        errors.extend(
+            f"event {index}: {error}" for error in check_fields(row, EVENT_SCHEMA)
+        )
         event = row.get("event")
         if isinstance(event, str) and event not in EVENT_ID:
             errors.append(f"event {index}: unknown event {event!r}")
@@ -324,9 +164,7 @@ def split_rectrace(
     rows: Sequence[Dict[str, object]],
 ) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """(header, event rows) of a loaded dump; raises without a header."""
-    if not rows or rows[0].get("kind") != "header":
-        raise ValueError("rectrace dump has no header line")
-    return rows[0], [row for row in rows[1:] if row.get("kind") == "event"]
+    return split_document(rows, "rectrace", "event")
 
 
 def is_rectrace_document(rows: Sequence[Dict[str, object]]) -> bool:

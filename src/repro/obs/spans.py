@@ -4,21 +4,23 @@ The obs stack so far explains *logical* cost — metered operations over
 the simulated clock. The multiprocessing runtime (``repro.parallel``)
 spends real seconds in places the meters cannot see: encoding batches,
 blocking on pipes, decoding, probing, flushing meters, merging. This
-module is the wall-clock counterpart of :mod:`repro.obs.tracing`: a
-low-overhead span recorder that driver and workers thread through
-their hot paths, a canonical JSONL artefact (``--spans-out``), and the
-analysis behind ``python -m repro spans`` — per-worker phase
-breakdowns, a per-window critical path, and an ASCII waterfall reusing
+module is the wall-clock counterpart of :mod:`repro.obs.tracing`: the
+span vocabulary (the batch-scoped rows of the per-actor
+:class:`~repro.obs.eventlog.EventLog` that driver and workers thread
+through their hot paths), the canonical JSONL artefact
+(``--spans-out``) and its schema, and the analysis behind ``python -m
+repro spans`` — per-worker phase breakdowns, a per-window critical
+path, and an ASCII waterfall reusing
 :class:`~repro.obs.timeline.TimelineRecorder`.
 
 Design constraints, in order:
 
 * **Overhead must be budgeted, not assumed.** Recording a span is five
   array-slot stores into preallocated typed arrays — no allocation, no
-  dict, no object per span. The recorder measures its own per-record
-  cost at startup (a short calibration burst) and the file header
-  reports ``count x mean cost``, so a reader can subtract the
-  instrument from the measurement.
+  dict, no object per span. The log measures its own per-record cost
+  at startup (a short calibration burst) and the file header reports
+  ``count x mean cost``, so a reader can subtract the instrument from
+  the measurement.
 * **Determinism where it can exist.** Durations are wall time and vary
   run to run, but span *structure* — how many spans of which phase hit
   which shard — is a pure function of the shard plan and batch size,
@@ -62,18 +64,15 @@ versa).
 
 from __future__ import annotations
 
-import json
-import time
-from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.artefact import load_jsonl_objects
+from repro.obs.artefact import check_fields, load_jsonl_objects, split_document
 from repro.obs.timeline import TimelineRecorder
 
 SPANS_SCHEMA_VERSION = 1
 
-#: Phase names in wire-id order (the u8 phase column of the span frame
-#: and the ``phase`` field of every JSONL span line).
+#: Phase names in wire-id order (the stage byte of a batch-scoped row of
+#: the event frame and the ``phase`` field of every JSONL span line).
 PHASES = (
     "setup",
     "feed",
@@ -114,163 +113,8 @@ SPAN_SCHEMA: Dict[str, type] = {
     "end": float,
 }
 
-#: Calibration burst length for the startup overhead measurement.
-_CALIBRATION_CALLS = 512
-
-
-class SpanRecorder:
-    """Append-only recorder over preallocated typed-array columns.
-
-    ``record`` is five slot stores plus an index bump — O(1), no
-    allocation until the preallocated capacity doubles. ``sample``
-    is the batch-index downsampling stride surfaced as
-    ``--spans-sample``: callers consult :meth:`keep` with a
-    deterministic batch index and skip recording (and, ideally, the
-    timing around it) for the batches sampled out.
-    """
-
-    __slots__ = (
-        "sample",
-        "capacity",
-        "record_cost_s",
-        "_n",
-        "_phases",
-        "_shards",
-        "_batches",
-        "_starts",
-        "_ends",
-    )
-
-    def __init__(self, capacity: int = 1024, sample: int = 1, measure: bool = True):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if sample < 1:
-            raise ValueError(f"sample must be >= 1, got {sample}")
-        self.sample = sample
-        self.capacity = capacity
-        self._n = 0
-        self._phases = array("B", bytes(capacity))
-        self._shards = array("i", bytes(4 * capacity))
-        self._batches = array("i", bytes(4 * capacity))
-        self._starts = array("d", bytes(8 * capacity))
-        self._ends = array("d", bytes(8 * capacity))
-        #: Mean seconds one :meth:`record` call costs on this host,
-        #: measured at startup (0.0 when ``measure=False`` — the
-        #: calibration scratch recorder uses that to avoid recursion).
-        self.record_cost_s = measure_record_cost() if measure else 0.0
-
-    def record(
-        self, phase: int, start: float, end: float, shard: int = -1, batch: int = -1
-    ) -> None:
-        """Append one span (``phase`` is a :data:`PHASE_ID` value)."""
-        n = self._n
-        if n >= self.capacity:
-            self._grow()
-        self._phases[n] = phase
-        self._shards[n] = shard
-        self._batches[n] = batch
-        self._starts[n] = start
-        self._ends[n] = end
-        self._n = n + 1
-
-    def _grow(self) -> None:
-        extra = self.capacity
-        self._phases.extend(bytes(extra))
-        self._shards.extend(array("i", bytes(4 * extra)))
-        self._batches.extend(array("i", bytes(4 * extra)))
-        self._starts.extend(array("d", bytes(8 * extra)))
-        self._ends.extend(array("d", bytes(8 * extra)))
-        self.capacity += extra
-
-    def keep(self, batch_index: int) -> bool:
-        """Deterministic downsampling decision: every Nth batch index."""
-        return batch_index % self.sample == 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def columns(self) -> Tuple[array, array, array, array, array]:
-        """The populated column slices (for the wire frame encoder)."""
-        n = self._n
-        return (
-            self._phases[:n],
-            self._shards[:n],
-            self._batches[:n],
-            self._starts[:n],
-            self._ends[:n],
-        )
-
-    def rows(self, base: float = 0.0, worker: int = DRIVER) -> List[Dict[str, object]]:
-        """Recorded spans as JSONL-shaped dicts, rebased to ``base``."""
-        return spans_to_rows(*self.columns(), base=base, worker=worker)
-
-    def estimated_overhead_s(self) -> float:
-        return self._n * self.record_cost_s
-
-    def phase_seconds(self) -> List[float]:
-        """Summed duration per phase id (indexed like :data:`PHASES`).
-
-        One linear pass over the populated columns — cheap enough for a
-        heartbeat emitter to call once per sampling interval."""
-        totals = [0.0] * len(PHASES)
-        for i in range(self._n):
-            totals[self._phases[i]] += self._ends[i] - self._starts[i]
-        return totals
-
-
-def measure_record_cost(calls: int = _CALIBRATION_CALLS) -> float:
-    """Mean seconds per :meth:`SpanRecorder.record` call, measured on a
-    scratch recorder. The burst is short (default 512 calls, well under
-    a millisecond) so paying it once per recorder at startup is
-    negligible next to what it lets the header report."""
-    scratch = SpanRecorder(capacity=calls, sample=1, measure=False)
-    t0 = time.perf_counter()
-    for i in range(calls):
-        scratch.record(0, 0.0, 0.0, i, i)
-    elapsed = time.perf_counter() - t0
-    return elapsed / calls if calls else 0.0
-
-
-def spans_to_rows(
-    phases: Sequence[int],
-    shards: Sequence[int],
-    batches: Sequence[int],
-    starts: Sequence[float],
-    ends: Sequence[float],
-    base: float = 0.0,
-    worker: int = DRIVER,
-) -> List[Dict[str, object]]:
-    """Column arrays (recorder or decoded wire frame) → span dicts."""
-    rows: List[Dict[str, object]] = []
-    for phase, shard, batch, start, end in zip(phases, shards, batches, starts, ends):
-        rows.append(
-            {
-                "kind": "span",
-                "phase": PHASES[phase],
-                "worker": worker,
-                "shard": shard,
-                "batch": batch,
-                "start": round(start - base, 9),
-                "end": round(end - base, 9),
-            }
-        )
-    return rows
-
 
 # -- the JSONL artefact ------------------------------------------------------
-
-def write_spans_jsonl(
-    path: str, header: Dict[str, object], rows: Iterable[Dict[str, object]]
-) -> int:
-    """Header line + one span object per line; returns #lines."""
-    count = 1
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-            count += 1
-    return count
-
 
 def load_spans_jsonl(path: str) -> List[Dict[str, object]]:
     """All lines of a span dump as dicts (pointed errors on corruption)."""
@@ -296,19 +140,9 @@ def validate_span_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
         if row.get("kind") != "span":
             errors.append(f"line {index + 2}: kind is not 'span'")
             continue
-        for key, expected in SPAN_SCHEMA.items():
-            if key not in row:
-                errors.append(f"span {index}: missing field {key!r}")
-                continue
-            value = row[key]
-            if expected is float:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(f"span {index}: field {key!r} not numeric")
-            elif expected is int:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    errors.append(f"span {index}: field {key!r} not an int")
-            elif not isinstance(value, expected):
-                errors.append(f"span {index}: field {key!r} not {expected.__name__}")
+        errors.extend(
+            f"span {index}: {error}" for error in check_fields(row, SPAN_SCHEMA)
+        )
         phase = row.get("phase")
         if isinstance(phase, str) and phase not in PHASE_ID:
             errors.append(f"span {index}: unknown phase {phase!r}")
@@ -326,9 +160,7 @@ def split_rows(
     rows: Sequence[Dict[str, object]],
 ) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """(header, span rows) of a loaded dump; raises on a missing header."""
-    if not rows or rows[0].get("kind") != "header":
-        raise ValueError("spans dump has no header line")
-    return rows[0], [row for row in rows[1:] if row.get("kind") == "span"]
+    return split_document(rows, "spans", "span")
 
 
 # -- analysis ---------------------------------------------------------------

@@ -36,7 +36,7 @@ import json
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.artefact import load_jsonl_objects
+from repro.obs.artefact import check_fields, load_jsonl_objects, split_document
 from repro.obs.health import HealthMonitor, HealthThresholds
 
 TELEMETRY_SCHEMA_VERSION = 1
@@ -327,21 +327,9 @@ def validate_telemetry_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
         if kind != "sample":
             errors.append(f"line {index + 2}: unknown kind {kind!r}")
             continue
-        for key, expected in SAMPLE_SCHEMA.items():
-            if key not in row:
-                errors.append(f"sample {index}: missing field {key!r}")
-                continue
-            value = row[key]
-            if expected is float:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    errors.append(f"sample {index}: field {key!r} not numeric")
-            elif expected is int:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    errors.append(f"sample {index}: field {key!r} not an int")
-            elif not isinstance(value, expected):
-                errors.append(
-                    f"sample {index}: field {key!r} not {expected.__name__}"
-                )
+        errors.extend(
+            f"sample {index}: {error}" for error in check_fields(row, SAMPLE_SCHEMA)
+        )
         worker = row.get("worker")
         previous = last_by_worker.get(worker)
         if previous is not None:
@@ -371,9 +359,7 @@ def validate_telemetry_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
 
 def split_telemetry(rows: Sequence[Dict[str, object]]):
     """(header, body rows) of a loaded dump; raises without a header."""
-    if not rows or rows[0].get("kind") != "header":
-        raise ValueError("telemetry dump has no header line")
-    return rows[0], list(rows[1:])
+    return split_document(rows, "telemetry")
 
 
 def telemetry_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:

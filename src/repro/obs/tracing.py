@@ -19,11 +19,10 @@ CI rely on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.artefact import load_jsonl_objects
+from repro.obs.artefact import check_fields, load_jsonl_objects, write_jsonl
 from repro.records import Record
 
 #: Required fields of a span line and their types.
@@ -168,31 +167,14 @@ class TupleTracer:
     # -- output -------------------------------------------------------------
     def write_jsonl(self, path: str) -> int:
         """Dump header + spans, one JSON object per line; return #lines."""
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {"kind": "header", "schema": 1, **self.sampler.describe()}
-            header.update(self.header)
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for span in self.spans:
-                handle.write(json.dumps(span.as_dict(), sort_keys=True) + "\n")
-        return 1 + len(self.spans)
+        header = {"kind": "header", "schema": 1, **self.sampler.describe()}
+        header.update(self.header)
+        return write_jsonl(path, header, (s.as_dict() for s in self.spans))
 
 
 def validate_span(row: Dict[str, object]) -> List[str]:
     """Schema errors of one span line (empty list = valid)."""
-    errors: List[str] = []
-    for key, expected in TRACE_SCHEMA.items():
-        if key not in row:
-            errors.append(f"missing field {key!r}")
-            continue
-        value = row[key]
-        if expected is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                errors.append(f"field {key!r} not numeric: {value!r}")
-        elif expected is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                errors.append(f"field {key!r} not an int: {value!r}")
-        elif not isinstance(value, expected):
-            errors.append(f"field {key!r} not {expected.__name__}: {value!r}")
+    errors = check_fields(row, TRACE_SCHEMA)
     if not errors:
         if row["enter"] > row["start"] or row["start"] > row["end"]:
             errors.append(

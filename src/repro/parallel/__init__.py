@@ -17,16 +17,14 @@ from repro.parallel.codec import (
     PROBE,
     BatchEncoder,
     MatchRow,
+    decode_event_frame,
     decode_heartbeat,
     decode_match_batch,
     decode_record_batch,
-    decode_span_frame,
-    decode_trace_frame,
+    encode_event_frame,
     encode_heartbeat,
     encode_match_batch,
     encode_record_batch,
-    encode_span_frame,
-    encode_trace_frame,
 )
 from repro.parallel.merge import (
     merge_matches,
@@ -62,16 +60,14 @@ __all__ = [
     "ShmRing",
     "TRANSPORTS",
     "build_shard_engine",
+    "decode_event_frame",
     "decode_heartbeat",
     "decode_match_batch",
     "decode_record_batch",
-    "decode_span_frame",
-    "decode_trace_frame",
+    "encode_event_frame",
     "encode_heartbeat",
     "encode_match_batch",
     "encode_record_batch",
-    "encode_span_frame",
-    "encode_trace_frame",
     "merge_matches",
     "merge_meters",
     "parallel_fingerprint",

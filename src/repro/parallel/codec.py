@@ -29,21 +29,17 @@ Match batches travel the other way with the same idea: five parallel
 columns ``(timestamps, rid_a, rid_b, overlap, similarity)``, one row
 per reported pair, already in the runtime's canonical result order.
 
-Span frames (``TAG_SPANS``) ship a worker's wall-clock span buffer
-back after EOF with the identical columnar trick: a ``<HBBI`` header
-(magic ``0x5350`` "SP", version, flags, n_spans) followed by five flat
-columns — phase ``u8``, shard ``i32``, batch ``i32``, start ``f64``,
-end ``f64`` — exactly the :class:`~repro.obs.spans.SpanRecorder`
-storage layout, so encoding is five ``tobytes()`` calls on the live
-recorder arrays and decoding never materialises per-span objects.
-
-Record-trace frames (``TAG_TRACE``) ship a worker's per-record trace
-events back after EOF, mirroring the span frame exactly: a ``<HBBI``
-header (magic ``0x5443`` "TC", version, flags, n_events) followed by
-five flat columns — event ``u8``, rid ``i64``, shard ``i32``, start
-``f64``, end ``f64`` — the
-:class:`~repro.obs.rectrace.TraceRecorder` storage layout, 29 bytes
-per traced event.
+The event frame (``TAG_EVENTS``) — the one post-EOF instrument frame
+— ships a worker's event log back after EOF with the identical
+columnar trick: a ``<HBBI`` header (magic ``0x4556`` "EV", version,
+flags = 0, n_rows) followed by five flat columns — stage ``u8``, shard
+``i32``, key ``i64``, start ``f64``, end ``f64``, 29 bytes per row —
+exactly the :class:`~repro.obs.eventlog.EventLog` storage layout, so
+encoding is five ``tobytes()`` calls on the live log arrays and
+decoding never materialises per-row objects. Spans and record-trace
+events travel in the same columns: the top bit of the stage byte says
+whether ``key`` is a batch sequence or a rid, and the driver splits
+them into the two JSONL artefacts.
 
 Shared-memory descriptors (``TAG_SHM_FRAME`` / ``TAG_SHM_MATCHES``)
 are the control plane of the zero-copy transport
@@ -90,9 +86,8 @@ TAG_EOF = 0x02          # driver → worker: end of stream (empty)
 TAG_SHM_FRAME = 0x03    # driver → worker: shm ring frame descriptor
 TAG_MATCHES = 0x11      # worker → driver: match batch, repeated
 TAG_DONE = 0x12         # worker → driver: pickled summary dict
-TAG_SPANS = 0x13        # worker → driver: span frame, iff spans on
+TAG_EVENTS = 0x13       # worker → driver: event-log frame, iff spans or tracing
 TAG_HEARTBEAT = 0x14    # worker → driver (heartbeat pipe): live counters
-TAG_TRACE = 0x15        # worker → driver: record-trace frame, iff tracing
 TAG_SHM_MATCHES = 0x16  # worker → driver: mirror-ring match descriptor
 TAG_ERROR = 0x7F        # worker → driver: pickled traceback string
 
@@ -412,126 +407,62 @@ def decode_match_batch(data) -> List[MatchRow]:
     return list(zip(stamps, rid_a, rid_b, overlap, similarity))
 
 
-SPAN_MAGIC = 0x5350  # "SP"
-SPAN_VERSION = 1
+EVENT_MAGIC = 0x4556  # "EV"
+EVENT_VERSION = 1
 
-_SPAN_HEADER = struct.Struct("<HBBI")
+_EVENT_HEADER = struct.Struct("<HBBI")
 
-#: Bytes per span row across the five columns (u8 + i32 + i32 + f64 + f64).
-_SPAN_ROW_BYTES = 1 + 4 + 4 + 8 + 8
+#: Bytes per row across the five columns (u8 + i32 + i64 + f64 + f64).
+_EVENT_ROW_BYTES = 1 + 4 + 8 + 8 + 8
 
-SpanColumns = Tuple[array, array, array, array, array]
+EventColumns = Tuple[array, array, array, array, array]
 
 
-def encode_span_frame(
-    phases: array, shards: array, batches: array, starts: array, ends: array
+def encode_event_frame(
+    stages: array, shards: array, keys: array, starts: array, ends: array
 ) -> bytes:
-    """Pack span recorder columns (``SpanRecorder.columns()``) into one
+    """Pack event-log columns (``EventLog.columns()``) into one
     contiguous buffer."""
     return b"".join(
         (
-            _SPAN_HEADER.pack(SPAN_MAGIC, SPAN_VERSION, 0, len(phases)),
-            phases.tobytes(),
+            _EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, 0, len(stages)),
+            stages.tobytes(),
             shards.tobytes(),
-            batches.tobytes(),
+            keys.tobytes(),
             starts.tobytes(),
             ends.tobytes(),
         )
     )
 
 
-def decode_span_frame(data: bytes) -> SpanColumns:
-    """Inverse of :func:`encode_span_frame` (pointed errors)."""
-    if len(data) < _SPAN_HEADER.size:
-        raise CodecError(f"span frame truncated: {len(data)} bytes")
-    magic, version, _flags, n = _SPAN_HEADER.unpack_from(data)
-    if magic != SPAN_MAGIC:
-        raise CodecError(f"bad span-frame magic 0x{magic:04x}")
-    if version != SPAN_VERSION:
-        raise CodecError(f"unsupported span-frame version {version}")
-    expected = _SPAN_HEADER.size + n * _SPAN_ROW_BYTES
+def decode_event_frame(data: bytes) -> EventColumns:
+    """Inverse of :func:`encode_event_frame` (pointed errors)."""
+    if len(data) < _EVENT_HEADER.size:
+        raise CodecError(f"event frame truncated: {len(data)} bytes")
+    magic, version, flags, n = _EVENT_HEADER.unpack_from(data)
+    if magic != EVENT_MAGIC:
+        raise CodecError(f"bad event-frame magic 0x{magic:04x}")
+    if version != EVENT_VERSION:
+        raise CodecError(f"unsupported event-frame version {version}")
+    if flags:
+        raise CodecError(f"unsupported event-frame flags 0x{flags:02x}")
+    expected = _EVENT_HEADER.size + n * _EVENT_ROW_BYTES
     if len(data) != expected:
         raise CodecError(
-            f"span frame inconsistent: {n} spans need {expected} bytes, "
+            f"event frame inconsistent: {n} rows need {expected} bytes, "
             f"have {len(data)}"
         )
-    offset = _SPAN_HEADER.size
+    offset = _EVENT_HEADER.size
 
-    def column(typecode: str, itemsize: int) -> array:
+    def column(typecode: str) -> array:
         nonlocal offset
         col = array(typecode)
-        col.frombytes(data[offset : offset + itemsize * n])
-        offset += itemsize * n
+        end = offset + col.itemsize * n
+        col.frombytes(data[offset:end])
+        offset = end
         return col
 
-    return (
-        column("B", 1),
-        column("i", 4),
-        column("i", 4),
-        column("d", 8),
-        column("d", 8),
-    )
-
-
-TRACE_MAGIC = 0x5443  # "TC"
-TRACE_VERSION = 1
-
-_TRACE_HEADER = struct.Struct("<HBBI")
-
-#: Bytes per trace-event row (u8 event + i64 rid + i32 shard + 2 f64).
-_TRACE_ROW_BYTES = 1 + 8 + 4 + 8 + 8
-
-TraceColumns = Tuple[array, array, array, array, array]
-
-
-def encode_trace_frame(
-    events: array, rids: array, shards: array, starts: array, ends: array
-) -> bytes:
-    """Pack trace recorder columns (``TraceRecorder.columns()``) into
-    one contiguous buffer."""
-    return b"".join(
-        (
-            _TRACE_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 0, len(events)),
-            events.tobytes(),
-            rids.tobytes(),
-            shards.tobytes(),
-            starts.tobytes(),
-            ends.tobytes(),
-        )
-    )
-
-
-def decode_trace_frame(data: bytes) -> TraceColumns:
-    """Inverse of :func:`encode_trace_frame` (pointed errors)."""
-    if len(data) < _TRACE_HEADER.size:
-        raise CodecError(f"trace frame truncated: {len(data)} bytes")
-    magic, version, _flags, n = _TRACE_HEADER.unpack_from(data)
-    if magic != TRACE_MAGIC:
-        raise CodecError(f"bad trace-frame magic 0x{magic:04x}")
-    if version != TRACE_VERSION:
-        raise CodecError(f"unsupported trace-frame version {version}")
-    expected = _TRACE_HEADER.size + n * _TRACE_ROW_BYTES
-    if len(data) != expected:
-        raise CodecError(
-            f"trace frame inconsistent: {n} events need {expected} bytes, "
-            f"have {len(data)}"
-        )
-    offset = _TRACE_HEADER.size
-
-    def column(typecode: str, itemsize: int) -> array:
-        nonlocal offset
-        col = array(typecode)
-        col.frombytes(data[offset : offset + itemsize * n])
-        offset += itemsize * n
-        return col
-
-    return (
-        column("B", 1),
-        column("q", 8),
-        column("i", 4),
-        column("d", 8),
-        column("d", 8),
-    )
+    return column("B"), column("i"), column("q"), column("d"), column("d")
 
 
 HEARTBEAT_MAGIC = 0x4842  # "HB"

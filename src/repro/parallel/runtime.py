@@ -38,9 +38,14 @@ one receiver (:meth:`ShardWorker.receive`). Only the wire format
 differs, behind three record links: :class:`_PipeLink` (a codec frame
 on the worker's pipe), :class:`_ShmLink` (ring claim + descriptor, the
 pipe frame as per-batch fallback) and :class:`_LoopbackLink` (the
-inline executor's in-process hand-over; no write phase). Placement and
-the run's recorders live on a per-run :class:`_Run`; the runner holds
-configuration only.
+inline executor's in-process hand-over; no write phase). Every stamp
+along the way — spans and record-trace events alike — lands in one
+:class:`~repro.obs.eventlog.EventLog` per actor (the driver's on the
+per-run :class:`_Run`, each worker's shipped back post-EOF as one
+``TAG_EVENTS`` frame), and one merge helper
+(:meth:`ParallelJoinRunner._artefacts`) splits them into the two JSONL
+artefacts. Placement and the run's log live on :class:`_Run`; the
+runner holds configuration only.
 """
 
 from __future__ import annotations
@@ -55,25 +60,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
+from repro.obs.artefact import write_jsonl
+from repro.obs.eventlog import RECORD_SCOPE, EventLog, log_rows
 from repro.obs.rectrace import (
     DEFAULT_TRACE_SAMPLE,
     EVENT_ID,
     RECTRACE_ARTEFACT,
     RECTRACE_SCHEMA_VERSION,
-    TraceRecorder,
     latency_digest,
     latency_metrics,
-    trace_to_rows,
-    write_rectrace_jsonl,
 )
-from repro.obs.spans import (
-    DRIVER,
-    PHASE_ID,
-    SPANS_SCHEMA_VERSION,
-    SpanRecorder,
-    spans_to_rows,
-    write_spans_jsonl,
-)
+from repro.obs.spans import DRIVER, PHASE_ID, SPANS_SCHEMA_VERSION
 from repro.obs.timeseries import (
     DEFAULT_HEARTBEAT_INTERVAL,
     TelemetryRecorder,
@@ -85,23 +82,19 @@ from repro.parallel.codec import (
     TAG_DONE,
     TAG_EOF,
     TAG_ERROR,
+    TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
     TAG_SHM_FRAME,
     TAG_SHM_MATCHES,
-    TAG_SPANS,
-    TAG_TRACE,
     BatchEncoder,
     MatchRow,
+    decode_event_frame,
     decode_heartbeat,
     decode_match_batch,
     decode_shm_descriptor,
-    decode_span_frame,
-    decode_trace_frame,
-    encode_heartbeat,
+    encode_event_frame,
     encode_shm_descriptor,
-    encode_span_frame,
-    encode_trace_frame,
     record_batch_parts,
 )
 from repro.parallel.merge import (
@@ -122,6 +115,7 @@ from repro.parallel.shm import (
     wait_for_credit,
 )
 from repro.parallel.worker import (
+    HeartbeatEmitter,
     ShardWorker,
     build_shard_engine,
     peak_rss_bytes,
@@ -140,9 +134,9 @@ _SHM_WRITE = PHASE_ID["shm_write"]
 _DRAIN = PHASE_ID["drain"]
 _MERGE = PHASE_ID["merge"]
 
-_EV_FEED = EVENT_ID["feed"]
-_EV_ENCODE = EVENT_ID["encode"]
-_EV_PIPE_WRITE = EVENT_ID["pipe_write"]
+_EV_FEED = RECORD_SCOPE | EVENT_ID["feed"]
+_EV_ENCODE = RECORD_SCOPE | EVENT_ID["encode"]
+_EV_PIPE_WRITE = RECORD_SCOPE | EVENT_ID["pipe_write"]
 
 EXECUTORS = ("process", "inline")
 #: Batch transports: ``pipe`` ships whole frames through the result
@@ -269,7 +263,7 @@ class ParallelJoinResult:
     def write_spans(self, path: str) -> int:
         """Dump the spans artefact to ``path``; returns #lines."""
         document = self.spans_document()
-        return write_spans_jsonl(path, document[0], document[1:])
+        return write_jsonl(path, document[0], document[1:])
 
     def phase_totals(self) -> Dict[str, object]:
         """Per-actor seconds by phase (see :func:`repro.obs.spans.phase_totals`)."""
@@ -308,7 +302,7 @@ class ParallelJoinResult:
     def write_rectrace(self, path: str) -> int:
         """Dump the record-trace artefact to ``path``; returns #lines."""
         document = self.rectrace_document()
-        return write_rectrace_jsonl(path, document[0], document[1:])
+        return write_jsonl(path, document[0], document[1:])
 
     def latency_digest(self) -> Dict[str, Dict[str, float]]:
         """Per-stage p50/p95/p99 latency digest of the traced records
@@ -329,18 +323,33 @@ class _Run:
 
     #: Monotonic clock value at run start (base for every rebase).
     started: float
-    spans: Optional[SpanRecorder]
-    tracer: Optional[TraceRecorder]
+    #: The run's effective sampling strides, as every worker gets them
+    #: (0: that instrument is off).
+    spans_sample: int
+    trace_sample: int
     telemetry: Optional[TelemetryRecorder] = None
     #: The planner's placement, decided once per run: ``assignment[w]``
     #: lists worker ``w``'s shards, ``worker_of[shard]`` is its inverse.
     assignment: List[List[int]] = field(default_factory=list)
     worker_of: Dict[int, int] = field(default_factory=dict)
-    #: worker id → decoded span / trace columns, filled while draining.
-    span_cols: Dict[int, tuple] = field(default_factory=dict)
-    trace_cols: Dict[int, tuple] = field(default_factory=dict)
+    #: worker id → its decoded event-log columns, filled while draining.
+    columns: Dict[int, tuple] = field(default_factory=dict)
     #: Driver-observed routing fanout, set by the feed.
     fanout: Optional[Dict[str, float]] = None
+    #: The driver's event log, built from the strides (``None``: neither
+    #: spans nor tracing — nothing is calibrated or allocated).
+    log: Optional[EventLog] = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.spans_sample or self.trace_sample:
+            self.log = EventLog(self.spans_sample, self.trace_sample)
+
+    def window(self, phase: int, start: float) -> None:
+        """Close one of the driver's top-level windows (setup, feed,
+        drain, merge) now — recorded whenever spans are on, whatever
+        the batch sampling stride."""
+        if self.spans_sample:
+            self.log.record(phase, start, time.monotonic())
 
 
 class _PipeLink:
@@ -441,10 +450,12 @@ class _LoopbackLink:
 
     write_phase = None
 
-    def __init__(self, pool, rings, delivered):
+    def __init__(self, pool, rings, emitters):
         self.pool = pool
         self.rings = rings
-        self.delivered = delivered
+        #: One heartbeat emitter per hosted worker (``None``: telemetry
+        #: off), polled after every batch like ``worker_main`` does.
+        self.emitters = emitters
 
     def encode(self, worker: int, shard: int, items):
         parts = record_batch_parts(items)
@@ -466,7 +477,8 @@ class _LoopbackLink:
         host = self.pool[worker]
         host.bytes_in += len(payload)
         host.receive(shard, payload, ring, advance)
-        self.delivered(host)
+        if self.emitters is not None:
+            self.emitters[worker].maybe_emit(host)
         return len(payload)
 
 
@@ -481,8 +493,7 @@ class _Sender:
     def __init__(self, link, run: _Run, pump=None):
         self.link = link
         self.worker_of = run.worker_of
-        self.spans = run.spans
-        self.tracer = run.tracer
+        self.log = run.log
         self.telemetry = run.telemetry if pump is not None else None
         self.pump = pump
         #: Per-shard batch sequence (the deterministic sampling key for
@@ -511,22 +522,18 @@ class _Sender:
         t1 = time.monotonic()
         sent = link.write(worker, shard, frame)
         t2 = time.monotonic()
-        write_phase = link.write_phase
-        spans = self.spans
-        if spans is not None and spans.keep(seq):
-            spans.record(_ENCODE, t0, t1, shard, seq)
-            if write_phase is not None:
-                spans.record(write_phase, t1, t2, shard, seq)
-        if traced:
-            # Every traced record in the batch inherits the batch's
-            # encode and write windows. The trace event vocabulary is
-            # transport-neutral: pipe_write is "the transport publish
-            # window" — under shm the ring copy + descriptor send.
-            record = self.tracer.record
-            for rid in traced:
-                record(_EV_ENCODE, rid, t0, t1, shard)
-                if write_phase is not None:
-                    record(_EV_PIPE_WRITE, rid, t1, t2, shard)
+        log = self.log
+        if log is not None:
+            # One stamp per window: the batch's span and, for every
+            # traced record in it, an event over the same window. The
+            # trace event vocabulary is transport-neutral: pipe_write
+            # is "the transport publish window" — under shm the ring
+            # copy + descriptor send.
+            log.window(_ENCODE, _EV_ENCODE, t0, t1, shard, seq, traced)
+            if link.write_phase is not None:
+                log.window(
+                    link.write_phase, _EV_PIPE_WRITE, t1, t2, shard, seq, traced
+                )
         if self.telemetry is not None:
             totals = self.totals
             totals["records_routed"] += len(items)
@@ -696,8 +703,8 @@ class ParallelJoinRunner:
         started = time.monotonic()
         run = _Run(
             started=started,
-            spans=SpanRecorder(sample=self.spans_sample) if self.spans else None,
-            tracer=TraceRecorder(sample=self.trace_sample) if self.trace else None,
+            spans_sample=self.spans_sample if self.spans else 0,
+            trace_sample=self.trace_sample if self.trace else 0,
         )
         records = list(stream)
         plan = plan_shards(
@@ -739,8 +746,8 @@ class ParallelJoinRunner:
         shards = plan.num_shards
         batch_size = self.batch_size
         ship = sender.ship
-        tracer = run.tracer
-        stride = tracer.sample if tracer is not None else 0
+        log = run.log
+        stride = run.trace_sample
         monotonic = time.monotonic
         buffers: List[List[Tuple[int, Record]]] = [[] for _ in range(shards)]
         marks: List[List[int]] = [[] for _ in range(shards)]
@@ -769,12 +776,11 @@ class ParallelJoinRunner:
                     buffer.clear()
                     marks[shard].clear()
             if traced:
-                tracer.record(_EV_FEED, record.rid, t_rec, monotonic())
+                log.record(_EV_FEED, t_rec, monotonic(), -1, record.rid)
         for shard, buffer in enumerate(buffers):
             if buffer:
                 ship(shard, buffer, marks[shard])
-        if run.spans is not None:
-            run.spans.record(_FEED, t_feed, monotonic())
+        run.window(_FEED, t_feed)
         run.fanout = {
             "total": fanout_total, "count": len(records), "peak": fanout_peak
         }
@@ -782,7 +788,6 @@ class ParallelJoinRunner:
     def _run_process(self, run: _Run, plan, records):
         import multiprocessing as mp
 
-        spans = run.spans
         telemetry = run.telemetry
         workers = len(run.assignment)
         monotonic = time.monotonic
@@ -821,10 +826,10 @@ class ParallelJoinRunner:
                     args=(
                         child, w, self.config, run.assignment[w],
                         plan.num_shards,
-                        self.spans_sample if spans is not None else 0,
+                        run.spans_sample,
                         hb_send,
                         self.heartbeat_interval if telemetry is not None else 0.0,
-                        self.trace_sample if run.tracer is not None else 0,
+                        run.trace_sample,
                         self.transport,
                         channels[w][0].name if use_shm else None,
                         channels[w][1].name if use_shm else None,
@@ -838,8 +843,7 @@ class ParallelJoinRunner:
                 conns.append(parent)
                 procs.append(proc)
             hb_active = list(hb_conns)
-            if spans is not None:
-                spans.record(_SETUP, run.started, monotonic())
+            run.window(_SETUP, run.started)
 
             def pump() -> None:
                 """Drain every buffered heartbeat frame (non-blocking).
@@ -945,10 +949,8 @@ class ParallelJoinRunner:
                             decode_match_batch(ring.view(offset, length))
                         )
                         ring.release(advance)
-                    elif tag == TAG_SPANS:
-                        run.span_cols[w] = decode_span_frame(msg[1:])
-                    elif tag == TAG_TRACE:
-                        run.trace_cols[w] = decode_trace_frame(msg[1:])
+                    elif tag == TAG_EVENTS:
+                        run.columns[w] = decode_event_frame(msg[1:])
                     elif tag == TAG_DONE:
                         summaries.append(pickle.loads(msg[1:]))
                         break
@@ -966,8 +968,7 @@ class ParallelJoinRunner:
                 # whatever is still buffered (the flagged final
                 # samples) through to EOF.
                 pump()
-            if spans is not None:
-                spans.record(_DRAIN, t_drain, monotonic())
+            run.window(_DRAIN, t_drain)
             return chunks, summaries
         finally:
             for conn in conns:
@@ -987,86 +988,139 @@ class ParallelJoinRunner:
                 atexit.unregister(_unlink_rings)
 
     def _run_inline(self, run: _Run, plan, records):
-        spans = run.spans
-        tracer = run.tracer
         telemetry = run.telemetry
-        interval = self.heartbeat_interval
         workers = len(run.assignment)
         monotonic = time.monotonic
         born = monotonic()
         pool = [
             ShardWorker(
                 self.config, run.assignment[w], plan.num_shards,
-                spans_sample=self.spans_sample if spans is not None else 0,
-                worker=w,
-                trace_sample=self.trace_sample if tracer is not None else 0,
+                spans_sample=run.spans_sample, worker=w,
+                trace_sample=run.trace_sample,
             )
             for w in range(workers)
         ]
-        if spans is not None:
-            spans.record(_SETUP, run.started, monotonic())
+        run.window(_SETUP, run.started)
 
-        #: Inline heartbeat state: per-worker sample sequence and next
-        #: due time. Samples round-trip through the wire codec so the
-        #: inline differential grid covers the heartbeat frame format
-        #: exactly like it covers the record/span codecs.
-        hb_seq = [0] * workers
-        hb_next = [born + interval] * workers
-
-        def heartbeat(worker: ShardWorker, final: bool = False) -> None:
-            """One sample when due (always, for the flagged final one)."""
-            now = monotonic()
-            if telemetry is None or not (final or now >= hb_next[worker.worker]):
-                return
-            frame = encode_heartbeat(
-                worker.worker,
-                hb_seq[worker.worker],
-                now - born,
-                now,
-                worker.telemetry_snapshot(),
-                dropped=0,
-                final=final,
-            )
-            hb_seq[worker.worker] += 1
-            hb_next[worker.worker] = now + interval
+        def loopback(frame: bytes) -> bool:
+            """The inline heartbeat sink: samples round-trip through
+            the wire codec so the inline differential grid covers the
+            heartbeat frame format exactly like it covers the record
+            and event-log codecs — and nothing is ever dropped."""
             telemetry.on_heartbeat(decode_heartbeat(frame))
+            return True
 
+        emitters = (
+            [
+                HeartbeatEmitter(loopback, w, self.heartbeat_interval)
+                for w in range(workers)
+            ]
+            if telemetry is not None
+            else None
+        )
         rings = (
             [RingBuffer.local(self.ring_bytes) for _ in range(workers)]
             if self.transport == "shm"
             else None
         )
-        link = _LoopbackLink(pool, rings, heartbeat)
+        link = _LoopbackLink(pool, rings, emitters)
         self._feed(run, plan, records, _Sender(link, run))
         for worker in pool:
             worker.lifetime_s = monotonic() - born
-        for worker in pool:
-            # The flagged final sample per worker, mirroring the
-            # process executor's EOF heartbeat.
-            heartbeat(worker, final=True)
+        if emitters is not None:
+            for worker, emitter in zip(pool, emitters):
+                # The flagged final sample per worker, mirroring the
+                # process executor's EOF heartbeat.
+                emitter.emit(worker.telemetry_snapshot(), final=True)
         summaries = [worker.finish() for worker in pool]
-        if telemetry is not None:
-            for w, summary in enumerate(summaries):
-                summary["heartbeats"] = hb_seq[w]
-                summary["heartbeats_dropped"] = 0
-        # Round-trip worker spans and trace columns through their wire
-        # frames too, for the same inline-covers-the-codec reason.
-        for w, worker in enumerate(pool):
-            if spans is not None:
-                run.span_cols[w] = decode_span_frame(
-                    encode_span_frame(*worker.spans.columns())
-                )
-            if tracer is not None:
-                run.trace_cols[w] = decode_trace_frame(
-                    encode_trace_frame(*worker.tracer.columns())
+        if emitters is not None:
+            for summary, emitter in zip(summaries, emitters):
+                summary["heartbeats"] = emitter.seq
+                summary["heartbeats_dropped"] = emitter.dropped
+        if run.log is not None:
+            # Round-trip the workers' event logs through the wire frame
+            # too, for the same inline-covers-the-codec reason.
+            for w, worker in enumerate(pool):
+                run.columns[w] = decode_event_frame(
+                    encode_event_frame(*worker.log.columns())
                 )
         return [worker.matches for worker in pool], summaries
+
+    def _artefacts(self, run: _Run, summaries, shape, records: int):
+        """The one merge helper: every actor's event log → ``(span
+        header, span rows, trace header, trace rows)``, each pair
+        ``None`` unless that artefact was asked for.
+
+        Driver and worker stamps share one comparable monotonic clock
+        (workers are forked/spawned from this process on the same
+        host), so rebasing every column to run start is the whole clock
+        alignment story — see DESIGN §13. Both headers carry the log's
+        self-measured cost as ``overhead``: per actor, its rows in that
+        artefact x its calibrated per-stamp cost."""
+        log = run.log
+        if log is None:
+            return None, None, None, None
+        span_rows, trace_rows = log_rows(log.columns(), run.started, DRIVER)
+        driver_counts = len(span_rows), len(trace_rows)
+        for w, columns in sorted(run.columns.items()):
+            spans, events = log_rows(columns, run.started, w)
+            span_rows.extend(spans)
+            trace_rows.extend(events)
+
+        def entry(count: int, cost: float) -> Dict[str, object]:
+            return {
+                "count": count,
+                "record_cost_s": round(cost, 12),
+                "estimated_s": round(count * cost, 9),
+            }
+
+        def overhead(view: int, count_key: str) -> Dict[str, object]:
+            return {
+                "driver": entry(driver_counts[view], log.record_cost_s),
+                "workers": {
+                    str(w): entry(
+                        summary.get(count_key, 0), summary.get("record_cost_s", 0.0)
+                    )
+                    for w, summary in enumerate(summaries)
+                },
+            }
+
+        span_header = trace_header = None
+        if run.spans_sample:
+            span_rows.sort(key=lambda r: (r["start"], r["end"], r["worker"]))
+            span_header = {
+                "kind": "header",
+                "schema": SPANS_SCHEMA_VERSION,
+                **shape,
+                "batches": sum(s["batches"] for s in summaries),
+                "sample": run.spans_sample,
+                "overhead": overhead(0, "span_count"),
+            }
+        if run.trace_sample:
+            trace_rows.sort(
+                key=lambda r: (r["rid"], r["start"], r["end"], r["worker"])
+            )
+            trace_header = {
+                "kind": "header",
+                "artefact": RECTRACE_ARTEFACT,
+                "schema": RECTRACE_SCHEMA_VERSION,
+                **shape,
+                "records": records,
+                "sample": run.trace_sample,
+                "traced": len({row["rid"] for row in trace_rows}),
+                "events": len(trace_rows),
+                "stages": latency_digest(trace_rows),
+                "overhead": overhead(1, "trace_count"),
+            }
+        return (
+            span_header, span_rows if run.spans_sample else None,
+            trace_header, trace_rows if run.trace_sample else None,
+        )
 
     def _merge(
         self, run: _Run, plan, records, chunks, summaries
     ) -> ParallelJoinResult:
         started = run.started
-        spans = run.spans
         workers = len(run.assignment)
         t_merge = time.monotonic()
         shard_meters: Dict[int, dict] = {}
@@ -1101,8 +1155,7 @@ class ParallelJoinRunner:
                 or peak > signals["routing_fanout_fraction"]
             ):
                 signals["routing_fanout_fraction"] = peak
-        if spans is not None:
-            spans.record(_MERGE, t_merge, time.monotonic())
+        run.window(_MERGE, t_merge)
         wall_s = time.monotonic() - started
 
         #: The run-shape fields both artefact headers carry, in order.
@@ -1118,68 +1171,9 @@ class ParallelJoinRunner:
         if run.telemetry is not None:
             run.telemetry.finalize(wall_s, len(records), len(matches))
             telemetry_doc = run.telemetry.document()
-
-        span_header = span_rows = None
-        if spans is not None:
-            span_rows = spans.rows(base=started, worker=DRIVER)
-            overhead_workers: Dict[str, dict] = {}
-            for w, summary in enumerate(summaries):
-                cols = run.span_cols.get(w)
-                if cols is not None:
-                    span_rows.extend(spans_to_rows(*cols, base=started, worker=w))
-                count = summary.get("span_count", 0)
-                cost = summary.get("span_record_cost_s", 0.0)
-                overhead_workers[str(w)] = {
-                    "count": count,
-                    "record_cost_s": round(cost, 12),
-                    "estimated_s": round(count * cost, 9),
-                }
-            span_rows.sort(key=lambda r: (r["start"], r["end"], r["worker"]))
-            span_header = {
-                "kind": "header",
-                "schema": SPANS_SCHEMA_VERSION,
-                **shape,
-                "batches": sum(s["batches"] for s in summaries),
-                "sample": self.spans_sample,
-                "overhead": {
-                    "driver": {
-                        "count": len(spans),
-                        "record_cost_s": round(spans.record_cost_s, 12),
-                        "estimated_s": round(spans.estimated_overhead_s(), 9),
-                    },
-                    "workers": overhead_workers,
-                },
-            }
-
-        trace_header = trace_rows = None
-        tracer = run.tracer
-        if tracer is not None:
-            # Driver and worker stamps share one comparable monotonic
-            # clock (workers are forked/spawned from this process on
-            # the same host), so rebasing every column to run start is
-            # the whole clock alignment story — see DESIGN §13.
-            trace_rows = tracer.rows(base=started, worker=DRIVER)
-            for w in range(workers):
-                cols = run.trace_cols.get(w)
-                if cols is not None:
-                    trace_rows.extend(
-                        trace_to_rows(*cols, base=started, worker=w)
-                    )
-            trace_rows.sort(
-                key=lambda r: (r["rid"], r["start"], r["end"], r["worker"])
-            )
-            traced = {row["rid"] for row in trace_rows}
-            trace_header = {
-                "kind": "header",
-                "artefact": RECTRACE_ARTEFACT,
-                "schema": RECTRACE_SCHEMA_VERSION,
-                **shape,
-                "records": len(records),
-                "sample": self.trace_sample,
-                "traced": len(traced),
-                "events": len(trace_rows),
-                "stages": latency_digest(trace_rows),
-            }
+        span_header, span_rows, trace_header, trace_rows = self._artefacts(
+            run, summaries, shape, len(records)
+        )
         return ParallelJoinResult(
             config=self.config,
             num_shards=plan.num_shards,

@@ -17,8 +17,8 @@ one ``send_bytes`` frame, first byte = tag, tags defined in
                       TAG_EOF        (empty)
     worker → driver   TAG_MATCHES      match batch (codec), repeated
                       TAG_SHM_MATCHES  mirror-ring descriptor (shm)
-                      TAG_SPANS        span frame (codec), iff spans on
-                      TAG_TRACE        record-trace frame, iff tracing
+                      TAG_EVENTS       event-log frame (codec), iff spans
+                                       or tracing are on
                       TAG_DONE         pickled summary dict
                       TAG_ERROR        pickled traceback string
 
@@ -33,7 +33,7 @@ larger than a ring. The worker only ever *attaches* to the segments —
 cleanup (unlink) belongs exclusively to the driver.
 
 Deadlock freedom: workers send **nothing** until they receive EOF —
-matches (and spans) accumulate locally — so while the driver is
+matches (and the event log) accumulate locally — so while the driver is
 feeding batches its reads can't be required to unblock anyone; after
 it sends EOF to every worker it switches to draining, and workers
 blocked writing a large match chunk (or waiting for mirror-ring
@@ -41,14 +41,14 @@ credits, which the draining driver replenishes as it consumes)
 proceed as soon as their turn is read.
 
 Live telemetry rides a *separate* one-way heartbeat pipe per worker
-so the argument above is untouched: :class:`HeartbeatEmitter` writes
-one fixed-size ``TAG_HEARTBEAT`` frame per sampling interval with the
-pipe in non-blocking mode — the frame is far below ``PIPE_BUF``, so
-the write either lands atomically or raises ``BlockingIOError``, in
-which case the sample is dropped (and counted) rather than ever
-blocking the worker on the monitoring plane. A final flagged
-heartbeat is always emitted at EOF, so every finished run carries at
-least one sample per worker at any interval.
+so the argument above is untouched: :class:`HeartbeatEmitter` hands
+:func:`pipe_sink` one fixed-size ``TAG_HEARTBEAT`` frame per sampling
+interval, written with the pipe in non-blocking mode — the frame is
+far below ``PIPE_BUF``, so the write either lands atomically or raises
+``BlockingIOError``, in which case the sample is dropped (and counted)
+rather than ever blocking the worker on the monitoring plane. A final
+flagged heartbeat is always emitted at EOF, so every finished run
+carries at least one sample per worker at any interval.
 
 One batch path: every record batch, whatever carried it, enters
 through :meth:`ShardWorker.receive` (decode → stamp → release the ring
@@ -65,10 +65,11 @@ when both are off — runs through the one un-timed loop. Engine and
 meter calls are the same calls in the same order either way, so
 instrumentation can never change an observable. Spans (blocked-read
 wait, decode, probe, insert, meter flush) and trace events
-(decode/probe/insert/match-emit) ship back post-EOF as one
-``TAG_SPANS`` / ``TAG_TRACE`` frame each; independent of both, every
-worker tracks cheap per-run telemetry (blocked/busy seconds, bytes
-in/out, peak RSS) reported in the ``TAG_DONE`` summary.
+(decode/probe/insert/match-emit) are rows of the worker's one
+:class:`~repro.obs.eventlog.EventLog` and ship back post-EOF as one
+``TAG_EVENTS`` frame; independent of it, every worker tracks cheap
+per-run telemetry (blocked/busy seconds, bytes in/out, peak RSS)
+reported in the ``TAG_DONE`` summary.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ from repro.core.dedup import PrefixDedupFilter
 from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
 from repro.core.two_stream import cross_source_filter
-from repro.obs.rectrace import EVENT_ID, TraceRecorder
-from repro.obs.spans import PHASE_ID, SpanRecorder
+from repro.obs.eventlog import RECORD_SCOPE, EventLog
+from repro.obs.rectrace import EVENT_ID
+from repro.obs.spans import PHASE_ID
 from repro.parallel.codec import (
     INDEX,
     PROBE,
@@ -95,21 +97,19 @@ from repro.parallel.codec import (
     TAG_DONE,
     TAG_EOF,
     TAG_ERROR,
+    TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
     TAG_SHM_FRAME,
     TAG_SHM_MATCHES,
-    TAG_SPANS,
-    TAG_TRACE,
     HEARTBEAT_PHASES,
     MatchRow,
     decode_record_batch,
     decode_shm_descriptor,
+    encode_event_frame,
     encode_heartbeat,
     encode_match_batch,
     encode_shm_descriptor,
-    encode_span_frame,
-    encode_trace_frame,
     match_batch_parts,
 )
 from repro.parallel.shm import RingBuffer, attach_ring
@@ -122,11 +122,10 @@ from repro.sketch.minhash import MinHashScheme
 from repro.streams.window import SlidingWindow
 
 __all__ = [
-    "TAG_BATCH", "TAG_EOF", "TAG_MATCHES", "TAG_DONE", "TAG_SPANS",
-    "TAG_HEARTBEAT", "TAG_TRACE", "TAG_SHM_FRAME", "TAG_SHM_MATCHES",
-    "TAG_ERROR",
+    "TAG_BATCH", "TAG_EOF", "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS",
+    "TAG_HEARTBEAT", "TAG_SHM_FRAME", "TAG_SHM_MATCHES", "TAG_ERROR",
     "MATCH_CHUNK", "peak_rss_bytes", "build_shard_engine",
-    "ShardWorker", "HeartbeatEmitter", "worker_main",
+    "ShardWorker", "HeartbeatEmitter", "pipe_sink", "worker_main",
 ]
 
 #: Rows per TAG_MATCHES frame — bounds peak frame size (~40 bytes/row).
@@ -141,10 +140,10 @@ _PROBE_PHASE = PHASE_ID["probe"]
 _INSERT_PHASE = PHASE_ID["insert"]
 _METER_FLUSH = PHASE_ID["meter_flush"]
 
-_EV_DECODE = EVENT_ID["decode"]
-_EV_PROBE = EVENT_ID["probe"]
-_EV_INSERT = EVENT_ID["insert"]
-_EV_MATCH_EMIT = EVENT_ID["match_emit"]
+_EV_DECODE = RECORD_SCOPE | EVENT_ID["decode"]
+_EV_PROBE = RECORD_SCOPE | EVENT_ID["probe"]
+_EV_INSERT = RECORD_SCOPE | EVENT_ID["insert"]
+_EV_MATCH_EMIT = RECORD_SCOPE | EVENT_ID["match_emit"]
 
 
 def peak_rss_bytes() -> int:
@@ -281,11 +280,13 @@ class ShardWorker:
         self.bytes_in = 0
         self.bytes_out = 0
         self.lifetime_s = 0.0
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(sample=spans_sample) if spans_sample >= 1 else None
-        )
-        self.tracer: Optional[TraceRecorder] = (
-            TraceRecorder(sample=trace_sample) if trace_sample >= 1 else None
+        #: The worker's one event log — spans and trace events both —
+        #: or ``None`` when neither is on: an uninstrumented worker
+        #: calibrates nothing and allocates no columns.
+        self.log: Optional[EventLog] = (
+            EventLog(spans_sample, trace_sample)
+            if spans_sample >= 1 or trace_sample >= 1
+            else None
         )
         #: Per-shard batch sequence numbers — the deterministic sampling
         #: key (a pure function of the shard plan and batch size, never
@@ -294,11 +295,11 @@ class ShardWorker:
 
     def telemetry_snapshot(self) -> dict:
         """Rolling counters for one heartbeat frame — O(shards) plus,
-        when spans are on, one linear pass over the recorded spans for
-        the per-phase split. Pure read: touches no engine or meter
-        state, so sampling can never perturb an observable."""
-        if self.spans is not None:
-            by_id = self.spans.phase_seconds()
+        when spans are on, a pass over the rows logged since the last
+        snapshot for the per-phase split. Pure read: touches no engine
+        or meter state, so sampling can never perturb an observable."""
+        if self.log is not None:
+            by_id = self.log.phase_seconds()
             phase_s = {
                 name: by_id[PHASE_ID[name]] for name in HEARTBEAT_PHASES
             }
@@ -332,15 +333,13 @@ class ShardWorker:
         t0 = time.monotonic()
         items = decode_record_batch(payload)
         t1 = time.monotonic()
-        spans = self.spans
-        if spans is not None and spans.keep(seq):
-            spans.record(_DECODE, t0, t1, shard, seq)
-        tracer = self.tracer
-        if tracer is not None:
-            stride = tracer.sample
-            for _op, record in items:
-                if not record.rid % stride:
-                    tracer.record(_EV_DECODE, record.rid, t0, t1, shard)
+        log = self.log
+        if log is not None:
+            stride = log.trace_sample
+            traced = (
+                [r.rid for _op, r in items if not r.rid % stride] if stride else ()
+            )
+            log.window(_DECODE, _EV_DECODE, t0, t1, shard, seq, traced)
         if advance:
             # Decode fully copied the columns out of the ring; hand the
             # bytes back to the driver's credit before the (potentially
@@ -364,10 +363,9 @@ class ShardWorker:
         interleave per record)."""
         seq = self._batch_seq.get(shard, 0)
         self._batch_seq[shard] = seq + 1
-        spans = self.spans
-        tracer = self.tracer
-        stride = tracer.sample if tracer is not None else 0
-        keep = spans is not None and spans.keep(seq)
+        log = self.log
+        stride = log.trace_sample if log is not None else 0
+        keep = log is not None and log.keep(seq)
         if keep:
             timed = range(len(items))
         elif stride:
@@ -396,7 +394,7 @@ class ShardWorker:
                     t1 = monotonic()
                     probe_s += t1 - t0
                     if traced:
-                        tracer.record(_EV_PROBE, record.rid, t0, t1, shard)
+                        log.record(_EV_PROBE, t0, t1, shard, record.rid)
                     event("results", len(matches))
                     if matches:
                         ts, rid = record.timestamp, record.rid
@@ -407,8 +405,8 @@ class ShardWorker:
                                 (ts, rid, m.partner.rid, m.overlap, m.similarity)
                             )
                         if traced:
-                            tracer.record(
-                                _EV_MATCH_EMIT, rid, t0, monotonic(), shard
+                            log.record(
+                                _EV_MATCH_EMIT, t0, monotonic(), shard, rid
                             )
                 if op & INDEX:
                     had_insert = True
@@ -417,18 +415,18 @@ class ShardWorker:
                     t1 = monotonic()
                     insert_s += t1 - t0
                     if traced:
-                        tracer.record(_EV_INSERT, record.rid, t0, t1, shard)
+                        log.record(_EV_INSERT, t0, t1, shard, record.rid)
             _run_untimed(engine, event, rows, items[cursor:] if cursor else items)
             flush_start = monotonic()
         end = monotonic()
         if keep:
             cursor = start
             if had_probe:
-                spans.record(_PROBE_PHASE, cursor, cursor + probe_s, shard, seq)
+                log.record(_PROBE_PHASE, cursor, cursor + probe_s, shard, seq)
                 cursor += probe_s
             if had_insert:
-                spans.record(_INSERT_PHASE, cursor, cursor + insert_s, shard, seq)
-            spans.record(_METER_FLUSH, flush_start, end, shard, seq)
+                log.record(_INSERT_PHASE, cursor, cursor + insert_s, shard, seq)
+            log.record(_METER_FLUSH, flush_start, end, shard, seq)
         self.records += len(items)
         self.batches += 1
         self.busy_s += end - start
@@ -441,8 +439,8 @@ class ShardWorker:
                 "final_postings", self.engines[shard].live_postings
             )
         self.matches.sort()
-        spans = self.spans
-        tracer = self.tracer
+        log = self.log
+        span_count, trace_count = log.counts() if log is not None else (0, 0)
         return {
             "meters": {
                 shard: {
@@ -461,42 +459,61 @@ class ShardWorker:
             "bytes_out": self.bytes_out,
             "lifetime_s": self.lifetime_s,
             "peak_rss_bytes": peak_rss_bytes(),
-            "span_count": len(spans) if spans is not None else 0,
-            "span_record_cost_s": spans.record_cost_s if spans is not None else 0.0,
-            "trace_count": len(tracer) if tracer is not None else 0,
-            "trace_record_cost_s": (
-                tracer.record_cost_s if tracer is not None else 0.0
-            ),
+            "span_count": span_count,
+            "trace_count": trace_count,
+            "record_cost_s": log.record_cost_s if log is not None else 0.0,
         }
 
 
+def pipe_sink(conn):
+    """The heartbeat sink of a process worker: a non-blocking write on
+    its dedicated pipe.
+
+    The connection's fd is switched to non-blocking mode here; one
+    frame is far below ``PIPE_BUF`` and ``send_bytes`` issues it as a
+    single write, so each write is atomic — it lands whole (``True``)
+    or raises ``BlockingIOError``, and the sample is dropped
+    (``False``). A vanished reader is a drop too: monitoring must not
+    kill the run. The worker therefore *never* blocks on the monitoring
+    plane, which is what keeps the result-pipe deadlock-freedom
+    argument intact with telemetry enabled.
+    """
+    os.set_blocking(conn.fileno(), False)
+
+    def write(frame: bytes) -> bool:
+        try:
+            conn.send_bytes(frame)
+        except OSError:  # BlockingIOError and InterruptedError included
+            return False
+        return True
+
+    return write
+
+
 class HeartbeatEmitter:
-    """Non-blocking ``TAG_HEARTBEAT`` writer over a dedicated pipe.
+    """One worker's ``TAG_HEARTBEAT`` schedule: due times, sequence
+    numbers and frames, handed to ``sink(frame) -> delivered``.
 
-    The connection's fd is switched to non-blocking mode at
-    construction; one frame is far below ``PIPE_BUF`` and
-    ``send_bytes`` issues it as a single write, so each emit is atomic
-    — it lands whole or raises ``BlockingIOError``, in which case the
-    sample is dropped and counted. The worker therefore *never* blocks
-    on the monitoring plane, which is what keeps the result-pipe
-    deadlock-freedom argument intact with telemetry enabled.
+    The sink is the only part that knows where a frame goes —
+    :func:`pipe_sink` for a process worker, the telemetry recorder
+    itself (through the codec) for the inline executor — so both
+    executors sample on the same schedule with the same frame.
 
-    ``seq`` increments only on successful sends, so the driver sees a
+    ``seq`` increments only on delivered frames, so the driver sees a
     strictly increasing, gap-free sequence per worker; drops surface
     through the ``dropped`` counter carried in every later frame.
     """
 
-    def __init__(self, conn, worker: int, interval: float):
+    def __init__(self, sink, worker: int, interval: float):
         if interval <= 0:
             raise ValueError(f"heartbeat interval must be > 0, got {interval}")
-        self.conn = conn
+        self.sink = sink
         self.worker = worker
         self.interval = interval
         self.seq = 0
         self.dropped = 0
         self._born = time.monotonic()
         self._next_due = self._born + interval
-        os.set_blocking(conn.fileno(), False)
 
     def poll_timeout(self) -> float:
         """Seconds the hosting recv loop may block before a sample is
@@ -504,31 +521,22 @@ class HeartbeatEmitter:
         return max(0.0, self._next_due - time.monotonic())
 
     def emit(self, counters: dict, final: bool = False, retries: int = 0) -> bool:
-        """Pack and write one frame; ``retries`` bounds short waits for
-        the final flagged sample (still never an unbounded block)."""
+        """Pack one frame and hand it to the sink; ``retries`` bounds
+        short waits for the final flagged sample (still never an
+        unbounded block)."""
         now = time.monotonic()
         frame = encode_heartbeat(
             self.worker, self.seq, now - self._born, now,
             counters, dropped=self.dropped, final=final,
         )
+        self._next_due = now + self.interval
         for attempt in range(retries + 1):
-            try:
-                self.conn.send_bytes(frame)
-            except (BlockingIOError, InterruptedError):
-                if attempt < retries:
-                    time.sleep(0.001)
-                    continue
-                self.dropped += 1
-                self._next_due = now + self.interval
-                return False
-            except OSError:
-                # Reader vanished — monitoring must not kill the run.
-                self.dropped += 1
-                self._next_due = now + self.interval
-                return False
-            self.seq += 1
-            self._next_due = now + self.interval
-            return True
+            if self.sink(frame):
+                self.seq += 1
+                return True
+            if attempt < retries:
+                time.sleep(0.001)
+        self.dropped += 1
         return False
 
     def maybe_emit(self, worker: "ShardWorker") -> bool:
@@ -641,9 +649,10 @@ def worker_main(
             trace_sample=trace_sample,
         )
         if heartbeat is not None and heartbeat_interval > 0:
-            emitter = HeartbeatEmitter(heartbeat, worker_id, heartbeat_interval)
-        spans = worker.spans
-        tracer = worker.tracer
+            emitter = HeartbeatEmitter(
+                pipe_sink(heartbeat), worker_id, heartbeat_interval
+            )
+        log = worker.log
         frames = 0
         while True:
             t_wait = time.monotonic()
@@ -654,8 +663,8 @@ def worker_main(
             t_got = time.monotonic()
             worker.blocked_s += t_got - t_wait
             worker.bytes_in += len(msg)
-            if spans is not None and spans.keep(frames):
-                spans.record(wait_phase, t_wait, t_got, -1, frames)
+            if log is not None and log.keep(frames):
+                log.record(wait_phase, t_wait, t_got, -1, frames)
             frames += 1
             tag = msg[0]
             if tag == TAG_BATCH or tag == TAG_SHM_FRAME:
@@ -711,16 +720,11 @@ def worker_main(
                     match_bytes = emit_matches_shm(
                         conn, ring_out, rows, worker_id
                     )
-                if spans is not None:
+                if log is not None:
                     out_frames.append(
-                        bytes([TAG_SPANS]) + encode_span_frame(*spans.columns())
+                        bytes([TAG_EVENTS]) + encode_event_frame(*log.columns())
                     )
-                if tracer is not None:
-                    out_frames.append(
-                        bytes([TAG_TRACE])
-                        + encode_trace_frame(*tracer.columns())
-                    )
-                # bytes_out counts the data plane (match + span frames,
+                # bytes_out counts the data plane (match + event frames,
                 # or their ring payload + descriptors under shm); the
                 # pickled summary frame itself is excluded — it has to
                 # carry the final byte count.

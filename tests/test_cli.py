@@ -644,6 +644,14 @@ class TestTraceRectraceCommand:
         assert "per-stage latency" in out
         assert "slowest" in out
         assert "e2e" in out
+        assert "recorder overhead: ~" in out and "% of wall" in out
+
+    def test_analyze_file_written_before_the_overhead_block(self, capsys):
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "rectrace_fixture.jsonl"
+        )
+        assert main(["trace", fixture]) == 0
+        assert "recorder overhead: n/a" in capsys.readouterr().out
 
     def test_smoke(self, rectrace_file, capsys):
         assert main(["trace", str(rectrace_file), "--smoke"]) == 0

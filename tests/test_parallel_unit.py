@@ -26,10 +26,8 @@ from repro.parallel import (
 )
 from repro.parallel.codec import (
     CodecError,
-    decode_span_frame,
-    decode_trace_frame,
-    encode_span_frame,
-    encode_trace_frame,
+    decode_event_frame,
+    encode_event_frame,
 )
 from repro.records import Record
 from repro.similarity.functions import get_similarity
@@ -125,17 +123,20 @@ class TestTruncationContract:
             decode_match_batch,
             encode_match_batch([(0.5, 10, 3, 4, 0.8), (0.75, 11, 10, 5, 1.0)]),
         ),
+        # The one event frame, once per row scope: batch-scoped rows
+        # (spans) and record-scoped rows (stage bit 0x80, rid keys).
         "span": (
-            decode_span_frame,
-            encode_span_frame(
-                array("B", [1, 2]), array("i", [0, 3]), array("i", [7, 8]),
+            decode_event_frame,
+            encode_event_frame(
+                array("B", [1, 2]), array("i", [0, 3]), array("q", [7, 8]),
                 array("d", [0.1, 0.2]), array("d", [0.3, 0.4]),
             ),
         ),
         "trace": (
-            decode_trace_frame,
-            encode_trace_frame(
-                array("B", [1, 2]), array("q", [5, 6]), array("i", [0, 3]),
+            decode_event_frame,
+            encode_event_frame(
+                array("B", [0x81, 0x82]), array("i", [0, 3]),
+                array("q", [5, 2 ** 40]),
                 array("d", [0.1, 0.2]), array("d", [0.3, 0.4]),
             ),
         ),

@@ -10,17 +10,22 @@ batch sizes.
 """
 
 import json
+import os
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import JoinConfig
+from repro.obs.archive import RunArchive
+from repro.obs.chrome import rectrace_to_chrome, spans_to_chrome, validate_chrome
+from repro.obs.eventlog import RECORD_SCOPE, EventLog, log_rows
 from repro.obs.rectrace import (
+    RECTRACE_SCHEMA_VERSION,
     DEFAULT_TRACE_SAMPLE,
     EVENT_ID,
     TRACE_EVENTS,
     TRACE_STAGES,
-    TraceRecorder,
     latency_digest,
     latency_metrics,
     load_rectrace_jsonl,
@@ -29,18 +34,24 @@ from repro.obs.rectrace import (
     slowest_records,
     split_rectrace,
     stage_durations,
-    trace_to_rows,
     validate_rectrace_lines,
-    write_rectrace_jsonl,
 )
 from repro.obs.registry import ObsRegistry
+from repro.obs.spans import (
+    PHASE_ID,
+    PHASES,
+    SPANS_SCHEMA_VERSION,
+    load_spans_jsonl,
+    smoke_check,
+    validate_span_lines,
+)
 from repro.parallel import ParallelJoinRunner, run_serial, shm_supported
 from repro.parallel.codec import (
-    TRACE_MAGIC,
-    TRACE_VERSION,
+    EVENT_MAGIC,
+    EVENT_VERSION,
     CodecError,
-    decode_trace_frame,
-    encode_trace_frame,
+    decode_event_frame,
+    encode_event_frame,
 )
 
 from tests.test_parallel_differential import (
@@ -48,102 +59,170 @@ from tests.test_parallel_differential import (
     fuzz_records,
     try_process_run,
 )
-from tests.test_spans import structure
+from tests.test_spans import FIXTURE as SPANS_FIXTURE, structure
+
+RECTRACE_FIXTURE = os.path.join(
+    os.path.dirname(__file__), "data", "rectrace_fixture.jsonl"
+)
 
 
 def _columns(rows):
-    """(event, rid, shard, start, end) rows → recorder-shaped columns."""
-    events = array("B", (r[0] for r in rows))
-    rids = array("q", (r[1] for r in rows))
-    shards = array("i", (r[2] for r in rows))
+    """(stage, shard, key, start, end) rows → event-frame columns."""
+    stages = array("B", (r[0] for r in rows))
+    shards = array("i", (r[1] for r in rows))
+    keys = array("q", (r[2] for r in rows))
     starts = array("d", (r[3] for r in rows))
     ends = array("d", (r[4] for r in rows))
-    return events, rids, shards, starts, ends
+    return stages, shards, keys, starts, ends
+
+
+def _event(name):
+    return RECORD_SCOPE | EVENT_ID[name]
 
 
 class TestTraceFrameCodec:
-    """TAG_TRACE wire frame, mirroring the heartbeat codec tests."""
+    """The one ``TAG_EVENTS`` wire frame, carrying record-scoped rows
+    next to batch-scoped ones (batch-scoped alone:
+    ``test_spans.TestSpanFrameCodec``)."""
 
     ROWS = [
-        (EVENT_ID["feed"], 0, -1, 0.25, 0.5),
-        (EVENT_ID["decode"], 16, 3, 1.0, 1.125),
-        (EVENT_ID["probe"], 16, 3, 1.25, 1.5),
-        (EVENT_ID["match_emit"], 2 ** 40, 7, 2.0, 2.0625),
+        (_event("feed"), -1, 0, 0.25, 0.5),
+        (PHASE_ID["decode"], 3, 1, 1.0, 1.125),
+        (_event("decode"), 3, 16, 1.0, 1.125),
+        (_event("probe"), 3, 16, 1.25, 1.5),
+        (_event("match_emit"), 7, 2 ** 40, 2.0, 2.0625),
     ]
 
     def test_round_trip_every_column(self):
         cols = _columns(self.ROWS)
-        decoded = decode_trace_frame(encode_trace_frame(*cols))
+        decoded = decode_event_frame(encode_event_frame(*cols))
         assert [tuple(c) for c in decoded] == [tuple(c) for c in cols]
+        # The scope bit survives the wire: one span, four events, and a
+        # rid past 32 bits comes back whole.
+        spans, events = log_rows(decoded)
+        assert [row["phase"] for row in spans] == ["decode"]
+        assert [row["event"] for row in events] == [
+            "feed", "decode", "probe", "match_emit",
+        ]
+        assert events[-1]["rid"] == 2 ** 40
 
     def test_empty_frame_round_trips(self):
         cols = _columns([])
-        decoded = decode_trace_frame(encode_trace_frame(*cols))
+        decoded = decode_event_frame(encode_event_frame(*cols))
         assert all(len(c) == 0 for c in decoded)
+        assert log_rows(decoded) == ([], [])
 
     def test_truncated_frame_rejected(self):
-        frame = encode_trace_frame(*_columns(self.ROWS))
+        frame = encode_event_frame(*_columns(self.ROWS))
         with pytest.raises(CodecError, match="truncated"):
-            decode_trace_frame(frame[:3])
+            decode_event_frame(frame[:3])
         with pytest.raises(CodecError, match="inconsistent"):
-            decode_trace_frame(frame[:-1])
+            decode_event_frame(frame[:-1])
 
     def test_bad_magic_rejected(self):
-        frame = bytearray(encode_trace_frame(*_columns(self.ROWS)))
+        frame = bytearray(encode_event_frame(*_columns(self.ROWS)))
         frame[0] ^= 0xFF
         with pytest.raises(CodecError, match="magic"):
-            decode_trace_frame(bytes(frame))
+            decode_event_frame(bytes(frame))
 
     def test_unknown_version_rejected(self):
-        frame = bytearray(encode_trace_frame(*_columns(self.ROWS)))
-        frame[2] = TRACE_VERSION + 1
+        frame = bytearray(encode_event_frame(*_columns(self.ROWS)))
+        frame[2] = EVENT_VERSION + 1
         with pytest.raises(CodecError, match="version"):
-            decode_trace_frame(bytes(frame))
+            decode_event_frame(bytes(frame))
 
-    def test_magic_constant_spells_tc(self):
-        assert TRACE_MAGIC == 0x5443  # "TC"
+    def test_magic_constant_spells_ev(self):
+        assert EVENT_MAGIC == 0x4556  # "EV"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 255),
+        st.integers(-(2 ** 31), 2 ** 31 - 1),
+        st.integers(-(2 ** 63), 2 ** 63 - 1),
+        st.floats(allow_nan=False),
+        st.floats(allow_nan=False),
+    ), max_size=12), st.data())
+    def test_frame_contract_round_trip_prefixes_and_header_bytes(self, rows, data):
+        """The record codec's contract (PR 15), on the instrument
+        frame: arbitrary column contents round-trip exactly; every
+        strict prefix, and every single-byte corruption of the 8-byte
+        header (magic, version, flags, row count), is a ``CodecError``
+        — never a ``struct.error`` and never a silently short decode."""
+        cols = _columns(rows)
+        frame = encode_event_frame(*cols)
+        assert [tuple(c) for c in decode_event_frame(frame)] == [
+            tuple(c) for c in cols
+        ]
+        for cut in range(len(frame)):
+            with pytest.raises(CodecError):
+                decode_event_frame(frame[:cut])
+        for position in range(8):
+            corrupt = bytearray(frame)
+            corrupt[position] ^= data.draw(st.integers(1, 255))
+            with pytest.raises(CodecError):
+                decode_event_frame(bytes(corrupt))
 
 
 class TestTraceRecorder:
+    """The one :class:`EventLog`, through its record-scoped rows (the
+    batch-scoped view is ``test_spans.TestSpanRecorder``)."""
+
     def test_selected_is_pure_stride(self):
-        recorder = TraceRecorder(sample=4)
-        assert [rid for rid in range(13) if recorder.selected(rid)] == [
-            0, 4, 8, 12,
-        ]
+        log = EventLog(trace_sample=4, measure=False)
+        assert [rid for rid in range(13) if log.selected(rid)] == [0, 4, 8, 12]
+        # Stride 0 is "tracing off": a spans-only log traces no rid.
+        assert not EventLog(spans_sample=1, measure=False).selected(0)
 
     def test_sample_one_selects_everything(self):
-        recorder = TraceRecorder(sample=1)
-        assert all(recorder.selected(rid) for rid in range(10))
+        log = EventLog(trace_sample=1, measure=False)
+        assert all(log.selected(rid) for rid in range(10))
 
     def test_invalid_args_rejected(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(sample=0)
-        with pytest.raises(ValueError):
-            TraceRecorder(sample=4, capacity=0)
+        with pytest.raises(ValueError, match="trace_sample"):
+            EventLog(trace_sample=-1)
+        with pytest.raises(ValueError, match="capacity"):
+            EventLog(trace_sample=4, capacity=0)
 
     def test_record_grows_past_capacity(self):
-        recorder = TraceRecorder(sample=1, capacity=2, measure=False)
+        """Growth keeps the i64 key column whole: rids past 32 bits."""
+        log = EventLog(trace_sample=1, capacity=2, measure=False)
         for i in range(5):
-            recorder.record(EVENT_ID["probe"], i, float(i), float(i) + 0.5, 1)
-        assert len(recorder) == 5
-        events, rids, shards, starts, ends = recorder.columns()
-        assert list(rids) == [0, 1, 2, 3, 4]
+            log.record(_event("probe"), float(i), float(i) + 0.5, 1, 2 ** 40 + i)
+        assert len(log) == 5
+        stages, shards, rids, starts, ends = log.columns()
+        assert list(rids) == [2 ** 40 + i for i in range(5)]
         assert list(ends) == [0.5, 1.5, 2.5, 3.5, 4.5]
 
     def test_rows_rebase_and_label(self):
-        recorder = TraceRecorder(sample=1, measure=False)
-        recorder.record(EVENT_ID["decode"], 3, 10.0, 10.5, 2)
-        (row,) = recorder.rows(base=10.0, worker=1)
-        assert row == {
+        log = EventLog(trace_sample=1, measure=False)
+        log.record(_event("decode"), 10.0, 10.5, 2, 3)
+        spans, events = log_rows(log.columns(), base=10.0, worker=1)
+        assert spans == []
+        assert events == [{
             "kind": "event", "event": "decode", "rid": 3, "worker": 1,
             "shard": 2, "start": 0.0, "end": 0.5,
-        }
+        }]
 
     def test_overhead_estimate_scales_with_count(self):
-        recorder = TraceRecorder(sample=1)
-        assert recorder.estimated_overhead_s() == 0.0
-        recorder.record(EVENT_ID["probe"], 0, 0.0, 0.1, 0)
-        assert recorder.estimated_overhead_s() == recorder.record_cost_s
+        log = EventLog(spans_sample=1, trace_sample=1)
+        assert log.record_cost_s > 0
+        assert log.counts() == (0, 0)
+        log.record(_event("probe"), 0.0, 0.1, 0, 0)
+        log.record(PHASE_ID["probe"], 0.0, 0.1, 0, 0)
+        log.record(_event("insert"), 0.1, 0.2, 0, 0)
+        assert log.counts() == (1, 2)
+
+    def test_window_is_one_stamp_in_two_views(self):
+        """A batch-level window becomes the batch's span iff the batch
+        is kept, plus one event per traced rid — same floats."""
+        log = EventLog(spans_sample=2, trace_sample=1, measure=False)
+        log.window(PHASE_ID["encode"], _event("encode"), 1.0, 1.5, 3, 4, [8, 9])
+        log.window(PHASE_ID["encode"], _event("encode"), 2.0, 2.5, 3, 5, [10])
+        spans, events = log_rows(log.columns())
+        assert [(r["batch"], r["start"], r["end"]) for r in spans] == [(4, 1.0, 1.5)]
+        assert [(r["rid"], r["start"], r["end"]) for r in events] == [
+            (8, 1.0, 1.5), (9, 1.0, 1.5), (10, 2.0, 2.5),
+        ]
 
 
 def _trace_signature(doc):
@@ -199,6 +278,29 @@ class TestSamplingDeterminism:
             assert events[0] == "feed", rid
             assert "encode" in events and "decode" in events, rid
             assert "probe" in events or "insert" in events, rid
+
+
+def _assert_one_stamp_two_views(result, label):
+    """With both strides at 1 every batch is kept and every rid traced,
+    and a batch-level window is stamped once into the one log: each
+    rid's ``encode`` / ``pipe_write`` / ``decode`` event must carry
+    float-equal bounds to a span of its batch's phase on that shard
+    (``pipe_write`` is the transport-neutral name of the write span,
+    ``shm_write`` under shm)."""
+    windows = {}
+    for row in result.span_rows:
+        phase = "pipe_write" if row["phase"] == "shm_write" else row["phase"]
+        windows.setdefault((phase, row["shard"]), set()).add(
+            (row["start"], row["end"])
+        )
+    checked = 0
+    for row in result.trace_rows:
+        if row["event"] in ("encode", "pipe_write", "decode"):
+            assert (row["start"], row["end"]) in windows[
+                (row["event"], row["shard"])
+            ], (label, row)
+            checked += 1
+    assert checked, label
 
 
 class TestTracingDifferential:
@@ -266,7 +368,9 @@ class TestTracingDifferential:
         only traced and (3-record batches, stride 4) batches that are
         neither: observables equal serial, and span structure and each
         rid's trace events are the same on both executors at 1 and 2
-        workers — except that only a process run has a write phase."""
+        workers — except that only a process run has a write phase.
+        With both strides at 1, batch-level events and spans are the
+        same stamps."""
         if transport == "shm" and not shm_supported()[0]:
             pytest.skip("shared memory unsupported on this host")
         config = JoinConfig(threshold=0.6, num_workers=4)
@@ -287,6 +391,8 @@ class TestTracingDifferential:
                 )
                 result = try_process_run(runner, records)
                 assert_equal_observables(serial, result, label)
+                if spans_sample == trace_sample == 1:
+                    _assert_one_stamp_two_views(result, label)
                 signature = _trace_signature(result.rectrace_document())
                 for rid, events in signature.items():
                     writes = [shard for e, shard in events if e == "pipe_write"]
@@ -338,6 +444,33 @@ class TestRectraceArtefact:
         assert header["traced"] == 40
         assert header["events"] == len(events)
         assert set(header["stages"]) <= set(TRACE_STAGES)
+        # The log's self-measured cost, in the spans header's shape:
+        # per actor, its events x its calibrated per-stamp cost.
+        overhead = header["overhead"]
+        assert set(overhead["workers"]) == {"0", "1"}
+        actors = {"-1": overhead["driver"], **overhead["workers"]}
+        for worker, entry in actors.items():
+            assert entry["count"] == sum(
+                1 for row in events if str(row["worker"]) == worker
+            )
+            assert entry["record_cost_s"] > 0
+            assert entry["estimated_s"] == pytest.approx(
+                entry["count"] * entry["record_cost_s"], abs=1e-9
+            )
+
+    def test_uninstrumented_run_builds_no_log(self, monkeypatch):
+        """Spans and tracing both off: no calibration burst is paid and
+        no columns are allocated, on the driver or in any worker."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an uninstrumented run touched the event log")
+
+        monkeypatch.setattr("repro.obs.eventlog.EventLog.__init__", forbidden)
+        result = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=2, executor="inline",
+            telemetry=True,
+        ).run(fuzz_records(seed=33, n=60))
+        assert result.span_header is None and result.trace_header is None
+        assert result.telemetry_samples() >= 2
 
     def test_corrupt_line_pointed_error(self, tmp_path):
         result = self._result(n=80)
@@ -363,6 +496,75 @@ class TestRectraceArtefact:
             result.rectrace_document()
         with pytest.raises(ValueError, match="traced no records"):
             result.latency_digest()
+
+
+class TestCommittedFixtures:
+    """The two JSONL artefacts are the compatibility surface of the
+    one event log. ``spans_fixture.jsonl`` dates from the first span
+    release; ``rectrace_fixture.jsonl`` was written by the last commit
+    that still had a ``TraceRecorder`` (process executor, 2 workers,
+    40 records, ``batch_size=8``, ``trace_sample=8``). Both must keep
+    loading, validating, smoke-passing, Chrome-exporting and ingesting,
+    and what the one log writes for the same run shape must validate
+    under the same, unchanged, schema constants."""
+
+    FAMILIES = {
+        "spans": (
+            SPANS_FIXTURE, load_spans_jsonl, validate_span_lines,
+            smoke_check, spans_to_chrome,
+        ),
+        "rectrace": (
+            RECTRACE_FIXTURE, load_rectrace_jsonl, validate_rectrace_lines,
+            rectrace_smoke, rectrace_to_chrome,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fixture_still_reads(self, family, tmp_path):
+        path, load, validate, smoke, to_chrome = self.FAMILIES[family]
+        rows = load(path)
+        assert validate(rows) == []
+        assert smoke(rows) == []
+        assert validate_chrome(to_chrome(rows)) == []
+        with RunArchive(str(tmp_path / "archive.db")) as archive:
+            (_run_id, detected), = archive.ingest_path(path)
+        assert detected == family
+
+    def test_schema_constants_unchanged(self):
+        assert SPANS_SCHEMA_VERSION == RECTRACE_SCHEMA_VERSION == 1
+        assert PHASES == (
+            "setup", "feed", "encode", "pipe_write", "drain", "merge",
+            "pipe_read", "decode", "probe", "insert", "meter_flush",
+            "shm_write", "shm_read",
+        )
+        assert TRACE_EVENTS == (
+            "feed", "encode", "pipe_write", "decode", "probe", "insert",
+            "match_emit",
+        )
+
+    def test_new_artefacts_match_the_fixtures_shape(self):
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6, num_workers=2), workers=2,
+                executor="process", batch_size=8,
+                spans=True, trace=True, trace_sample=8,
+            ),
+            fuzz_records(seed=31, n=40),
+        )
+        for family, document in (
+            ("spans", result.spans_document()),
+            ("rectrace", result.rectrace_document()),
+        ):
+            path, load, validate, smoke, _ = self.FAMILIES[family]
+            assert validate(document) == []
+            assert smoke(document) == []
+            old = load(path)
+            # Header keys only ever grow; row keys are frozen.
+            assert set(old[0]) <= set(document[0]), family
+            assert set(old[1]) == set(document[1]), family
+        # Same corpus, same plan: the fixture's event structure exactly.
+        old = load_rectrace_jsonl(RECTRACE_FIXTURE)
+        assert _trace_signature(result.rectrace_document()) == _trace_signature(old)
 
 
 class TestLatencyAnalysis:
@@ -425,10 +627,3 @@ class TestLatencyAnalysis:
         for entry in slow:
             assert entry["rid"] % 4 == 0
             assert entry["stages"]
-
-    def test_trace_to_rows_matches_recorder_rows(self):
-        recorder = TraceRecorder(sample=1, measure=False)
-        recorder.record(EVENT_ID["probe"], 8, 2.0, 2.5, 1)
-        assert trace_to_rows(
-            *recorder.columns(), base=1.0, worker=3
-        ) == recorder.rows(base=1.0, worker=3)

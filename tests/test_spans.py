@@ -2,8 +2,9 @@
 
 Three layers under test, mirroring the pipeline's structure:
 
-* the building blocks — :class:`SpanRecorder`, the ``TAG_SPANS`` wire
-  frame codec, and the JSONL artefact round-trip with pointed errors;
+* the building blocks — the batch-scoped rows of the one
+  :class:`EventLog`, the ``TAG_EVENTS`` wire frame codec, and the JSONL
+  artefact round-trip with pointed errors;
 * the analyzer on a committed fixture whose numbers are small enough
   to check by hand (``tests/data/spans_fixture.jsonl``);
 * live runs — span *structure* (phase/shard/batch multisets) must be a
@@ -17,15 +18,18 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import JoinConfig
+from repro.obs.eventlog import RECORD_SCOPE, EventLog, log_rows
 from repro.obs.exporters import metrics_to_json
 from repro.obs.health import HealthMonitor, HealthThresholds
+from repro.obs.rectrace import TRACE_EVENTS
 from repro.obs.spans import (
     DRIVER,
     PHASE_ID,
+    PHASES,
     SPANS_SCHEMA_VERSION,
-    SpanRecorder,
     critical_path,
     load_spans_jsonl,
     phase_totals,
@@ -35,7 +39,7 @@ from repro.obs.spans import (
     waterfall,
 )
 from repro.parallel import ParallelJoinRunner, run_serial
-from repro.parallel.codec import CodecError, decode_span_frame, encode_span_frame
+from repro.parallel.codec import CodecError, decode_event_frame, encode_event_frame
 from repro.parallel.merge import worker_health, worker_metrics
 
 from tests.test_parallel_differential import (
@@ -64,64 +68,103 @@ def structure(result):
 
 
 class TestSpanRecorder:
+    """The one :class:`EventLog`, through its batch-scoped rows (the
+    record-scoped view is ``test_rectrace.TestTraceRecorder``)."""
+
     def test_rejects_bad_capacity_and_sample(self):
         with pytest.raises(ValueError, match="capacity"):
-            SpanRecorder(capacity=0)
-        with pytest.raises(ValueError, match="sample"):
-            SpanRecorder(sample=0)
+            EventLog(capacity=0)
+        with pytest.raises(ValueError, match="spans_sample"):
+            EventLog(spans_sample=-1)
 
     def test_record_and_rows_rebased(self):
-        recorder = SpanRecorder(capacity=4, measure=False)
-        recorder.record(PHASE_ID["probe"], 10.5, 10.75, shard=3, batch=2)
-        assert len(recorder) == 1
-        (row,) = recorder.rows(base=10.0, worker=4)
-        assert row == {
+        log = EventLog(spans_sample=1, capacity=4, measure=False)
+        log.record(PHASE_ID["probe"], 10.5, 10.75, shard=3, key=2)
+        assert len(log) == 1
+        spans, events = log_rows(log.columns(), base=10.0, worker=4)
+        assert events == []
+        assert spans == [{
             "kind": "span", "phase": "probe", "worker": 4,
             "shard": 3, "batch": 2, "start": 0.5, "end": 0.75,
-        }
+        }]
 
     def test_grows_past_preallocated_capacity(self):
-        recorder = SpanRecorder(capacity=2, measure=False)
+        log = EventLog(spans_sample=1, capacity=2, measure=False)
         for i in range(9):
-            recorder.record(PHASE_ID["insert"], float(i), float(i) + 0.5, shard=i)
-        assert len(recorder) == 9
-        assert recorder.capacity >= 9
-        phases, shards, batches, starts, ends = recorder.columns()
+            log.record(PHASE_ID["insert"], float(i), float(i) + 0.5, shard=i)
+        assert len(log) == 9
+        assert log.capacity >= 9
+        phases, shards, batches, starts, ends = log.columns()
         assert list(shards) == list(range(9))
         assert starts[8] == 8.0 and ends[8] == 8.5
 
     def test_keep_is_every_nth_batch_index(self):
-        recorder = SpanRecorder(sample=3, measure=False)
-        assert [recorder.keep(i) for i in range(7)] == [
+        log = EventLog(spans_sample=3, measure=False)
+        assert [log.keep(i) for i in range(7)] == [
             True, False, False, True, False, False, True,
         ]
+        # Stride 0 is "spans off": a trace-only log keeps no batch.
+        assert not EventLog(trace_sample=4, measure=False).keep(0)
 
     def test_overhead_budget_is_count_times_cost(self):
-        recorder = SpanRecorder(capacity=8)
-        assert recorder.record_cost_s > 0
+        log = EventLog(spans_sample=1, capacity=8)
+        assert log.record_cost_s > 0
         for _ in range(5):
-            recorder.record(0, 0.0, 1.0)
-        assert recorder.estimated_overhead_s() == pytest.approx(
-            5 * recorder.record_cost_s
-        )
+            log.record(0, 0.0, 1.0)
+        # The budget both artefact headers report is rows-per-scope x
+        # this cost (checked end to end in TestLiveSpans below).
+        assert log.counts() == (5, 0)
 
     def test_measure_false_skips_calibration(self):
-        assert SpanRecorder(measure=False).record_cost_s == 0.0
+        assert EventLog(measure=False).record_cost_s == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.none(),
+        st.tuples(
+            st.sampled_from(
+                list(range(len(PHASES)))
+                + [RECORD_SCOPE | i for i in range(len(TRACE_EVENTS))]
+            ),
+            st.floats(0, 1e6, allow_nan=False),
+            st.floats(0, 10, allow_nan=False),
+        ),
+    ), max_size=80))
+    def test_phase_seconds_cursor_equals_a_from_scratch_sum(self, steps):
+        """``phase_seconds`` keeps running totals and a cursor; under
+        any interleaving of ``record`` (a tuple) and ``phase_seconds``
+        (``None``) every call is float-equal to summing the whole log
+        from row zero, spans only, past a capacity doubling."""
+        log = EventLog(spans_sample=1, trace_sample=1, capacity=4, measure=False)
+        for step in [*steps, None]:
+            if step is not None:
+                stage, start, width = step
+                log.record(stage, start, start + width)
+                continue
+            expected = [0.0] * len(PHASES)
+            for stage, _shard, _key, start, end in zip(*log.columns()):
+                if stage < RECORD_SCOPE:
+                    expected[stage] += end - start
+            assert log.phase_seconds() == expected
 
 
 class TestSpanFrameCodec:
+    """The one ``TAG_EVENTS`` frame, carrying batch-scoped rows (the
+    record-scoped and mixed cases, and the corruption property, are
+    ``test_rectrace.TestTraceFrameCodec``)."""
+
     def frame(self, n=3):
-        recorder = SpanRecorder(capacity=max(n, 1), measure=False)
+        log = EventLog(spans_sample=1, capacity=max(n, 1), measure=False)
         for i in range(n):
-            recorder.record(
-                PHASE_ID["decode"], 0.25 * i, 0.25 * i + 0.1, shard=i, batch=i * 2
+            log.record(
+                PHASE_ID["decode"], 0.25 * i, 0.25 * i + 0.1, shard=i, key=i * 2
             )
-        return encode_span_frame(*recorder.columns()), recorder
+        return encode_event_frame(*log.columns()), log
 
     def test_round_trip(self):
-        frame, recorder = self.frame()
-        phases, shards, batches, starts, ends = decode_span_frame(frame)
-        ophases, oshards, obatches, ostarts, oends = recorder.columns()
+        frame, log = self.frame()
+        phases, shards, batches, starts, ends = decode_event_frame(frame)
+        ophases, oshards, obatches, ostarts, oends = log.columns()
         assert list(phases) == list(ophases)
         assert list(shards) == list(oshards)
         assert list(batches) == list(obatches)
@@ -130,27 +173,27 @@ class TestSpanFrameCodec:
 
     def test_empty_frame_round_trips(self):
         frame, _ = self.frame(n=0)
-        columns = decode_span_frame(frame)
+        columns = decode_event_frame(frame)
         assert all(len(column) == 0 for column in columns)
 
     def test_truncated_header_is_pointed(self):
-        with pytest.raises(CodecError, match="span frame truncated"):
-            decode_span_frame(b"\x50")
+        with pytest.raises(CodecError, match="event frame truncated"):
+            decode_event_frame(b"\x50")
 
     def test_truncated_body_is_pointed(self):
         frame, _ = self.frame()
         with pytest.raises(CodecError, match="inconsistent"):
-            decode_span_frame(frame[:-4])
+            decode_event_frame(frame[:-4])
 
     def test_bad_magic(self):
         frame, _ = self.frame()
         with pytest.raises(CodecError, match="magic"):
-            decode_span_frame(b"\x00\x00" + frame[2:])
+            decode_event_frame(b"\x00\x00" + frame[2:])
 
     def test_bad_version(self):
         frame, _ = self.frame()
         with pytest.raises(CodecError, match="version"):
-            decode_span_frame(frame[:2] + b"\x63" + frame[3:])
+            decode_event_frame(frame[:2] + b"\x63" + frame[3:])
 
 
 class TestSpansArtefact:
