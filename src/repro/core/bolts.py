@@ -19,17 +19,11 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.bundle import BundleIndex
 from repro.core.config import JoinConfig
-from repro.core.dedup import PrefixDedupFilter
-from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
-from repro.core.two_stream import cross_source_filter
+from repro.core.shard_engine import build_shard_engine
 from repro.records import Record
-from repro.routing.band_router import band_owner
 from repro.routing.base import Router, fanout_fraction
-from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import SimilarityFunction
-from repro.sketch.engine import SketchStreamingSetJoin
-from repro.sketch.minhash import MinHashScheme
 from repro.storm.components import Bolt, Spout
 from repro.storm.tuples import StormTuple
 from repro.streams.stream import RecordStream
@@ -137,51 +131,18 @@ class JoinBolt(Bolt):
         self._watermarks = [-1] * config.dispatcher_parallelism
         self._pending: List[Tuple[int, str, Record]] = []
         self.meter = WorkMeter(ctx)
-        window = SlidingWindow(config.window_seconds)
-        cross = cross_source_filter if config.cross_source_only else None
-        if config.mode == "approx":
-            worker, workers = ctx.task_index, ctx.num_tasks
-            self.engine = SketchStreamingSetJoin(
-                self.func,
-                scheme=MinHashScheme(perms=config.perms, bands=config.bands),
-                window=window,
-                meter=self.meter,
-                band_filter=(
-                    None if workers == 1
-                    else lambda j, key: band_owner(j, key, workers) == worker
-                ),
-            )
-        elif config.distribution == "prefix":
-            worker, workers = ctx.task_index, ctx.num_tasks
-            dedup = PrefixDedupFilter(worker, workers, self.func, self.meter)
-            pair_filter = dedup
-            if cross is not None:
-                def pair_filter(r, s, _dedup=dedup):  # noqa: E731
-                    return cross_source_filter(r, s) and _dedup(r, s)
-            self.engine = StreamingSetJoin(
-                self.func,
-                window=window,
-                meter=self.meter,
-                token_filter=lambda token: token_owner(token, workers) == worker,
-                pair_filter=pair_filter,
-                expiry=config.expiry,
-            )
-        elif config.use_bundles:
+        if config.use_bundles:
             self.engine = BundleIndex(
                 self.func,
-                window=window,
+                window=SlidingWindow(config.window_seconds),
                 meter=self.meter,
                 bundle_threshold=config.bundle_threshold,
                 max_members=config.bundle_max_members,
                 batch_verification=config.batch_verification,
             )
         else:
-            self.engine = StreamingSetJoin(
-                self.func,
-                window=window,
-                meter=self.meter,
-                pair_filter=cross,
-                expiry=config.expiry,
+            self.engine = build_shard_engine(
+                config, self.func, ctx.task_index, ctx.num_tasks, self.meter
             )
 
     def execute(self, tup: StormTuple) -> None:

@@ -80,7 +80,7 @@ outside the window — long-lived bounded windows never re-scan dead
 postings. Both modes are differentially fuzzed against the reference
 engine.
 
-Two details specific to this reproduction:
+Three details specific to this reproduction:
 
 **first-match verification.** With an unfiltered (whole-prefix) index,
 the first posting hit for a pair is provably its minimal common token,
@@ -89,9 +89,20 @@ can therefore resume right after those positions with one match already
 known. With a *token-filtered* index (the prefix-based distribution
 scheme owns only a share of the token space per worker), that argument
 breaks — common tokens owned by other workers may precede the local
-first match — so filtered engines verify from scratch and use a
-correspondingly relaxed position filter. Both variants are exercised by
-the equivalence tests.
+first match — so a filtered engine verifies from ``(0, 0)`` and admits
+candidates through a correspondingly relaxed position filter: up to
+``min(i, j)`` matches may precede the hit, and only the merge can tell.
+Both variants are exercised by the equivalence tests.
+
+**what a token-filtered engine reports.** ``token_filter`` is the
+engine's ownership predicate, and decides more than what is indexed
+and probed: a filtered engine reports a pair iff it owns the pair's
+*minimal common prefix token*, so the owners of the pair's other
+shared tokens, which meet it too, stay silent and the scheme's output
+is exactly-once (:mod:`repro.core.dedup`). Finding that token is the
+first stretch of the from-scratch merge, so a candidate gets one walk
+(:func:`~repro.core.dedup.verify_owned_pair`), metered as the two
+passes it fuses (DESIGN §9.7).
 
 **metering.** Every operation is charged to a
 :class:`~repro.core.metering.WorkMeter` so the simulator's cost model
@@ -103,9 +114,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core.dedup import verify_owned_pair
 from repro.core.metering import WorkMeter
 from repro.records import Record
 from repro.similarity.functions import SimilarityFunction
@@ -191,14 +204,16 @@ class StreamingSetJoin:
     meter:
         Work meter; a fresh unattached one is created if omitted.
     token_filter:
-        Restrict the index (and probes) to owned tokens — used by the
-        prefix-based distribution scheme. Enables from-scratch
-        verification and the relaxed position filter (see module doc).
+        Ownership predicate of the prefix-based distribution scheme:
+        only owned tokens are indexed and probed, and a pair is
+        reported only if its minimal common prefix token is owned.
+        Enables from-scratch verification and the relaxed position
+        filter (see module doc). Must be a pure function of the token;
+        answers are memoised.
     pair_filter:
         Predicate deciding whether an admitted candidate pair may be
-        verified/reported at this worker (the prefix scheme's
-        minimal-common-token deduplication). Qualifying pairs must pass
-        at exactly one worker.
+        verified/reported at all (the two-stream join's cross-source
+        rule); evaluated before the ownership test.
     expiry:
         ``"lazy"`` (default) or ``"eager"`` window expiration; ignored
         for unbounded windows (nothing ever expires).
@@ -219,6 +234,9 @@ class StreamingSetJoin:
         self.window = window if window is not None else SlidingWindow()
         self.meter = meter if meter is not None else WorkMeter()
         self.token_filter = token_filter
+        #: ``token_filter`` memoised per engine: probe, insert and the
+        #: dedup test of every candidate ask it about the same tokens.
+        self._owns = token_filter and lru_cache(maxsize=None)(token_filter)
         self.pair_filter = pair_filter
         self.expiry = expiry
         self._eager = expiry == "eager" and self.window.bounded
@@ -245,7 +263,7 @@ class StreamingSetJoin:
         tokens = record.tokens
         size = len(tokens)
         width = self.func.index_prefix_length(size)
-        token_filter = self.token_filter
+        owns = self._owns
         rid = record.rid
         timestamp = record.timestamp
         index = self._index
@@ -262,7 +280,7 @@ class StreamingSetJoin:
         if eager or self._time_ordered:
             for position in range(width):
                 token = tokens[position]
-                if token_filter is not None and not token_filter(token):
+                if owns is not None and not owns(token):
                     continue
                 cols = index.get(token)
                 if cols is None:
@@ -292,7 +310,7 @@ class StreamingSetJoin:
         else:
             for position in range(width):
                 token = tokens[position]
-                if token_filter is not None and not token_filter(token):
+                if owns is not None and not owns(token):
                     continue
                 cols = index.get(token)
                 if cols is None:
@@ -333,8 +351,8 @@ class StreamingSetJoin:
         width = func.probe_prefix_length(lr)
         min_overlap = func.min_overlap
         similarity_from_overlap = func.similarity_from_overlap
-        token_filter = self.token_filter
-        filtered_mode = token_filter is not None
+        owns = self._owns
+        filtered_mode = owns is not None
         pair_filter = self.pair_filter
         time_ordered = self._time_ordered
         size_sorted = not (eager or time_ordered)
@@ -361,7 +379,7 @@ class StreamingSetJoin:
 
         for i in range(width):
             token = tokens[i]
-            if filtered_mode and not token_filter(token):
+            if filtered_mode and not owns(token):
                 continue
             n_lookup += 1
             cols = index.get(token)
@@ -423,13 +441,19 @@ class StreamingSetJoin:
                 i1 = i + 1
                 rem_r = lr - i1
                 if filtered_mode:
+                    # ``required`` is recomputed only when ``ls`` changes;
+                    # the position filter is the relaxed one (module doc).
+                    last_ls = -1
+                    required = 0
                     for ls, rid, j, partner in zip(sizes, rids, positions, recs):
                         if lenfilter and (ls < lo or ls > hi):
                             continue
                         if rid in seen:
                             continue
                         seen_add(rid)
-                        required = min_overlap(lr, ls)
+                        if ls != last_ls:
+                            last_ls = ls
+                            required = min_overlap(lr, ls)
                         slack = i if i < j else j
                         rem_s = ls - j - 1
                         if (
@@ -442,11 +466,11 @@ class StreamingSetJoin:
                             record, partner
                         ):
                             continue
-                        overlap, comparisons = verify_pair(
-                            tokens, partner.tokens, required
+                        overlap, comparisons, verified = verify_owned_pair(
+                            tokens, partner.tokens, required, owns
                         )
                         n_compare += comparisons
-                        n_verify += 1
+                        n_verify += verified
                         if overlap >= required:
                             n_emit += 1
                             emit(new_mr(MR, (
@@ -618,8 +642,11 @@ class StreamingSetJoin:
                 partner = recs[k]
                 if pair_filter is not None and not pair_filter(record, partner):
                     continue
+                verified = 1
                 if filtered_mode:
-                    overlap, comparisons = verify_pair(tokens, partner.tokens, required)
+                    overlap, comparisons, verified = verify_owned_pair(
+                        tokens, partner.tokens, required, owns
+                    )
                 else:
                     overlap, comparisons = verify_pair(
                         tokens,
@@ -630,7 +657,7 @@ class StreamingSetJoin:
                         known=1,
                     )
                 n_compare += comparisons
-                n_verify += 1
+                n_verify += verified
                 if overlap >= required:
                     n_emit += 1
                     emit(new_mr(MR, (

@@ -1,6 +1,7 @@
 """Reference implementations: the oracles everything is compared against.
 
-Two tiers of reference, for two kinds of question:
+Two tiers of reference, for two kinds of question, plus the prefix
+scheme's reporting rule as the separate pass it used to be:
 
 :func:`naive_join`
     Brute-force quadratic join, no filtering beyond the window
@@ -19,6 +20,12 @@ Two tiers of reference, for two kinds of question:
     match sets, identical ``WorkMeter`` totals and identical
     ``live_postings``, and the wall-clock benchmark suite times the two
     against each other (DESIGN §9).
+
+:class:`PrefixDedupFilter` / :func:`min_common_prefix_token`
+    The minimal-common-prefix-token rule (:mod:`repro.core.dedup`) as a
+    pair filter with its own merge and its own meter charge. Paired
+    with the reference engine it is the oracle for the one-walk form
+    inside a token-filtered ``StreamingSetJoin`` (DESIGN §9.7).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.local_join import EXPIRY_MODES, MatchResult, PairFilter, TokenFilter
 from repro.core.metering import WorkMeter
 from repro.records import Record, pair_key
+from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.verification import verify_pair
 from repro.streams.window import SlidingWindow
@@ -79,6 +87,13 @@ class ReferenceStreamingSetJoin:
     postings at the start of every probe/insert) and the unbounded-
     window short-circuit (no liveness call, no alive-list rebuild when
     nothing can ever expire).
+
+    One deliberate difference: here ``token_filter`` only restricts the
+    index and the probes. The prefix scheme's reporting rule, which the
+    columnar engine applies inside its verification walk, is bolted on
+    from outside as a ``pair_filter`` (:class:`PrefixDedupFilter`,
+    below) — a second merge and a restart from ``(0, 0)``, which is
+    what makes this engine an independent oracle for the fused one.
     """
 
     def __init__(
@@ -254,3 +269,50 @@ class ReferenceStreamingSetJoin:
                 "window_expiration_lag_fraction",
                 (now - timestamp - seconds) / seconds,
             )
+
+
+def min_common_prefix_token(
+    r: Record, s: Record, func: SimilarityFunction
+) -> Tuple[Optional[int], int]:
+    """First common token of the two records' prefixes, plus merge cost.
+
+    Returns ``(token, comparisons)``; ``token`` is ``None`` when the
+    prefixes share nothing (such a pair is never a candidate under
+    prefix routing, but the function stays total).
+    """
+    pr = func.probe_prefix_length(r.size)
+    ps = func.index_prefix_length(s.size)
+    i = j = comparisons = 0
+    while i < pr and j < ps:
+        comparisons += 1
+        a, b = r.tokens[i], s.tokens[j]
+        if a == b:
+            return a, comparisons
+        if a < b:
+            i += 1
+        else:
+            j += 1
+    return None, comparisons
+
+
+class PrefixDedupFilter:
+    """Pair filter: report only at the minimal common token's owner."""
+
+    def __init__(
+        self,
+        worker_index: int,
+        num_workers: int,
+        func: SimilarityFunction,
+        meter: WorkMeter,
+    ):
+        self.worker_index = worker_index
+        self.num_workers = num_workers
+        self.func = func
+        self.meter = meter
+
+    def __call__(self, r: Record, s: Record) -> bool:
+        token, comparisons = min_common_prefix_token(r, s, self.func)
+        self.meter.charge("token_compare", comparisons)
+        if token is None:
+            return False
+        return token_owner(token, self.num_workers) == self.worker_index

@@ -1,0 +1,58 @@
+"""The one place a join task's engine is built from a ``JoinConfig``:
+the simulator's ``JoinBolt`` and the parallel runtime's ``ShardWorker``
+both call it, so task ``t`` of ``n`` meters the same work on either
+runtime (DESIGN §10.3).
+"""
+
+from __future__ import annotations
+
+from typing import Union
+
+from repro.core.config import JoinConfig
+from repro.core.local_join import StreamingSetJoin
+from repro.core.metering import WorkMeter
+from repro.core.two_stream import cross_source_filter
+from repro.routing.band_router import band_owner
+from repro.routing.prefix_router import token_owner
+from repro.similarity.functions import SimilarityFunction
+from repro.sketch.engine import SketchStreamingSetJoin
+from repro.sketch.minhash import MinHashScheme
+from repro.streams.window import SlidingWindow
+
+
+def build_shard_engine(
+    config: JoinConfig,
+    func: SimilarityFunction,
+    shard: int,
+    num_shards: int,
+    meter: WorkMeter,
+) -> Union[StreamingSetJoin, SketchStreamingSetJoin]:
+    """The engine for logical shard (join task) ``shard`` of
+    ``num_shards``. The bundle engine is not built here: only the
+    simulator runs it (``plan_shards`` rejects ``use_bundles``)."""
+    window = SlidingWindow(config.window_seconds)
+    if config.mode == "approx":
+        return SketchStreamingSetJoin(
+            func,
+            scheme=MinHashScheme(perms=config.perms, bands=config.bands),
+            window=window,
+            meter=meter,
+            band_filter=(
+                None if num_shards == 1
+                else lambda j, key: band_owner(j, key, num_shards) == shard
+            ),
+        )
+    # Under the prefix scheme a shard owns a share of the token space
+    # and reports only the pairs whose minimal common token it owns.
+    return StreamingSetJoin(
+        func,
+        window=window,
+        meter=meter,
+        token_filter=(
+            (lambda token: token_owner(token, num_shards) == shard)
+            if config.distribution == "prefix"
+            else None
+        ),
+        pair_filter=cross_source_filter if config.cross_source_only else None,
+        expiry=config.expiry,
+    )

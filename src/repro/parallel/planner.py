@@ -42,6 +42,11 @@ class ShardPlan:
     _tasks_by_size: Dict[int, List[Tuple[int, int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: ``tasks`` results by routing decision, for every other plan: a
+    #: stream has far fewer distinct target sets than records.
+    _tasks_by_targets: Dict[RoutingDecision, List[Tuple[int, int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def num_shards(self) -> int:
@@ -58,18 +63,27 @@ class ShardPlan:
         like the ``"p"/"i"/"b"`` message kinds). Callers only iterate
         the list: records of one size share it when the router routes
         by size alone, which every router does over one shard (its
-        targets are all shard 0)."""
+        targets are all shard 0); otherwise records routed to the same
+        targets share it."""
         router = self.router
-        if not (router.routes_by_size or router.num_workers == 1):
-            return self._tasks_of(record)
-        size = len(record.tokens)
-        tasks = self._tasks_by_size.get(size)
+        if router.routes_by_size or router.num_workers == 1:
+            size = len(record.tokens)
+            tasks = self._tasks_by_size.get(size)
+            if tasks is None:
+                tasks = self._tasks_by_size[size] = self._tasks_of(record)
+            return tasks
+        decision = router.route(record)
+        tasks = self._tasks_by_targets.get(decision)
         if tasks is None:
-            tasks = self._tasks_by_size[size] = self._tasks_of(record)
+            tasks = self._tasks_by_targets[decision] = self._tasks_for(decision)
         return tasks
 
     def _tasks_of(self, record: Record) -> List[Tuple[int, int]]:
-        decision = self.router.route(record)
+        """``tasks`` without either memo."""
+        return self._tasks_for(self.router.route(record))
+
+    @staticmethod
+    def _tasks_for(decision: RoutingDecision) -> List[Tuple[int, int]]:
         index_set = set(decision.index_tasks)
         probe_set = set(decision.probe_tasks)
         out = []

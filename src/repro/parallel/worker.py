@@ -1,12 +1,12 @@
 """The worker side of the parallel runtime.
 
 A physical worker process hosts one or more logical shards, each a
-:class:`~repro.core.local_join.StreamingSetJoin` built exactly the way
-:class:`~repro.core.bolts.JoinBolt` builds its engine for task index
-``shard`` of ``num_shards`` — same window, same expiry mode, same
-prefix-ownership token filter and dedup/cross-source pair filters — so
-a shard behaves identically whether it runs inside the simulated
-cluster, inline in the driver, or in a forked process.
+:class:`~repro.core.local_join.StreamingSetJoin` built by the function
+:class:`~repro.core.bolts.JoinBolt` builds its engine with for task
+index ``shard`` of ``num_shards``
+(:func:`~repro.core.shard_engine.build_shard_engine`) — so a shard
+behaves identically whether it runs inside the simulated cluster,
+inline in the driver, or in a forked process.
 
 Wire protocol (one :func:`multiprocessing.Pipe` per worker, message =
 one ``send_bytes`` frame, first byte = tag, tags defined in
@@ -83,10 +83,9 @@ import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
-from repro.core.dedup import PrefixDedupFilter
 from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
-from repro.core.two_stream import cross_source_filter
+from repro.core.shard_engine import build_shard_engine
 from repro.obs.eventlog import RECORD_SCOPE, EventLog
 from repro.obs.rectrace import EVENT_ID
 from repro.obs.spans import PHASE_ID
@@ -114,12 +113,7 @@ from repro.parallel.codec import (
 )
 from repro.parallel.shm import RingBuffer, attach_ring
 from repro.records import Record
-from repro.routing.band_router import band_owner
-from repro.routing.prefix_router import token_owner
-from repro.similarity.functions import SimilarityFunction, get_similarity
-from repro.sketch.engine import SketchStreamingSetJoin
-from repro.sketch.minhash import MinHashScheme
-from repro.streams.window import SlidingWindow
+from repro.similarity.functions import get_similarity
 
 __all__ = [
     "TAG_BATCH", "TAG_EOF", "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS",
@@ -159,56 +153,6 @@ def peak_rss_bytes() -> int:
     if sys.platform != "darwin":
         rss *= 1024
     return rss
-
-
-def build_shard_engine(
-    config: JoinConfig,
-    func: SimilarityFunction,
-    shard: int,
-    num_shards: int,
-    meter: WorkMeter,
-) -> StreamingSetJoin:
-    """The engine for logical shard ``shard`` of ``num_shards`` —
-    field-for-field the engine :meth:`JoinBolt.prepare` would build for
-    the same task index, so shard observables match the simulated
-    cluster's."""
-    window = SlidingWindow(config.window_seconds)
-    cross = cross_source_filter if config.cross_source_only else None
-    if config.mode == "approx":
-        scheme = MinHashScheme(perms=config.perms, bands=config.bands)
-        return SketchStreamingSetJoin(
-            func,
-            scheme=scheme,
-            window=window,
-            meter=meter,
-            band_filter=(
-                None if num_shards == 1
-                else lambda j, key: band_owner(j, key, num_shards) == shard
-            ),
-        )
-    if config.distribution == "prefix":
-        dedup = PrefixDedupFilter(shard, num_shards, func, meter)
-        pair_filter = dedup
-        if cross is not None:
-
-            def pair_filter(r, s, _dedup=dedup):  # noqa: E731
-                return cross_source_filter(r, s) and _dedup(r, s)
-
-        return StreamingSetJoin(
-            func,
-            window=window,
-            meter=meter,
-            token_filter=lambda token: token_owner(token, num_shards) == shard,
-            pair_filter=pair_filter,
-            expiry=config.expiry,
-        )
-    return StreamingSetJoin(
-        func,
-        window=window,
-        meter=meter,
-        pair_filter=cross,
-        expiry=config.expiry,
-    )
 
 
 def _run_untimed(engine, event, rows: List[MatchRow], items) -> None:

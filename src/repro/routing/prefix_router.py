@@ -23,6 +23,9 @@ systematically collide with worker index.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Dict, Tuple
+
 from repro.records import Record
 from repro.routing.base import Router, RoutingDecision
 from repro.similarity.functions import SimilarityFunction
@@ -43,6 +46,14 @@ class PrefixRouter(Router):
     def __init__(self, num_workers: int, func: SimilarityFunction):
         super().__init__(num_workers)
         self.func = func
+        #: ``token -> owner`` table, filled as tokens are first routed:
+        #: a prefix token costs one lookup, not one hash, per record.
+        self._owner = lru_cache(maxsize=None)(
+            lambda token: token_owner(token, num_workers)
+        )
+        #: One decision object per distinct owner set: building the
+        #: frozen dataclass costs more than the lookups that found it.
+        self._decisions: Dict[Tuple[int, ...], RoutingDecision] = {}
 
     def route(self, record: Record) -> RoutingDecision:
         probe_len = self.func.probe_prefix_length(record.size)
@@ -51,17 +62,14 @@ class PrefixRouter(Router):
         # general computation so the scheme stays correct if a subclass
         # tightens one of them.
         width = max(probe_len, index_len)
-        owners = tuple(
-            sorted(
-                {
-                    token_owner(token, self.num_workers)
-                    for token in record.tokens[:width]
-                }
+        owners = tuple(sorted(set(map(self._owner, record.tokens[:width]))))
+        decision = self._decisions.get(owners)
+        if decision is None:
+            targets = owners or (0,)
+            decision = self._decisions[owners] = RoutingDecision(
+                index_tasks=targets, probe_tasks=targets
             )
-        )
-        if not owners:
-            owners = (0,)
-        return RoutingDecision(index_tasks=owners, probe_tasks=owners)
+        return decision
 
     def routing_units(self, record: Record, cost) -> float:
         """Prefix routing hashes every prefix token."""

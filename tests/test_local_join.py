@@ -346,11 +346,11 @@ class TestExpiryModes:
 
 class TestFilteredModeEquivalence:
     """A union of token-filtered engines must equal one unfiltered
-    engine (the prefix scheme's per-worker decomposition)."""
+    engine (the prefix scheme's per-worker decomposition): each engine
+    reports a pair only if it owns the pair's minimal common token."""
 
     @pytest.mark.parametrize("num_workers", [2, 3, 5])
     def test_union_over_token_shards(self, num_workers):
-        from repro.core.dedup import PrefixDedupFilter
         from repro.routing.prefix_router import token_owner
 
         func = Jaccard(0.6)
@@ -360,13 +360,10 @@ class TestFilteredModeEquivalence:
 
         engines = []
         for w in range(num_workers):
-            meter = WorkMeter()
             engines.append(
                 StreamingSetJoin(
                     func,
-                    meter=meter,
                     token_filter=lambda t, w=w: token_owner(t, num_workers) == w,
-                    pair_filter=PrefixDedupFilter(w, num_workers, func, meter),
                 )
             )
         found = {}

@@ -30,6 +30,7 @@ from repro.parallel.codec import (
     encode_event_frame,
 )
 from repro.records import Record
+from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import get_similarity
 
 
@@ -270,6 +271,43 @@ class TestShardPlanner:
                 len(record.tokens) for record in records
             }
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shards=st.integers(2, 8),
+        stream=st.lists(
+            st.tuples(st.integers(0, 10**6),
+                      st.frozensets(st.integers(0, 200), max_size=30)),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_multi_shard_plan_memo_equals_per_record_routing(
+        self, shards, stream
+    ):
+        """Over 2-8 shards the prefix, broadcast and band plans answer
+        ``tasks`` from the by-targets memo (and the prefix router from
+        its token -> owner table); the answer must be the unmemoised
+        one, and the table must hold ``token_owner``'s values."""
+        records = [Record(rid=rid, tokens=tuple(sorted(tokens)))
+                   for rid, tokens in stream]
+        for config in (
+            JoinConfig(distribution="prefix", num_workers=shards),
+            JoinConfig(distribution="broadcast", num_workers=shards),
+            JoinConfig(mode="approx", num_workers=shards),
+        ):
+            plan = plan_shards(config, [r.tokens for r in records])
+            for record in records + records:
+                assert plan.tasks(record) == plan._tasks_of(record), (
+                    plan.router.name, record)
+            assert not plan._tasks_by_size
+            assert 1 <= len(plan._tasks_by_targets) <= len(records)
+            if plan.router.name == "prefix":
+                width = plan.func.probe_prefix_length
+                for record in records:
+                    owners = {token_owner(t, shards)
+                              for t in record.tokens[:width(record.size)]}
+                    assert [s for s, _ in plan.tasks(record)] == (
+                        sorted(owners) or [0])
+
     def test_shards_of_worker_partition_all_shards(self):
         config = JoinConfig(distribution="prefix", num_workers=7)
         plan = plan_shards(config, [(1,)])
@@ -286,6 +324,32 @@ class TestShardPlanner:
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ValueError, match="num_shards"):
             plan_shards(JoinConfig(), [(1,)], num_shards=0)
+
+
+class TestOneEngineBuilder:
+    """The simulator's join bolt and the runtime's shards build their
+    engines with one function, so task ``t`` of ``n`` meters the same
+    work on either runtime."""
+
+    @pytest.mark.parametrize("config", [
+        JoinConfig(threshold=0.7, num_workers=3, distribution="prefix"),
+        JoinConfig(threshold=0.7, num_workers=3, distribution="prefix",
+                   window_seconds=0.2, expiry="eager"),
+        JoinConfig(threshold=0.7, num_workers=3),
+        JoinConfig(threshold=0.7, num_workers=3, mode="approx"),
+    ], ids=["prefix", "prefix-eager-window", "length", "band"])
+    def test_simulated_cluster_meters_what_the_shards_meter(self, config):
+        from repro.core.join import DistributedStreamJoin
+        from repro.datasets import synthetic_dblp
+
+        stream = synthetic_dblp(400, seed=3, vocabulary_size=300)
+        simulated = DistributedStreamJoin(config).run(stream).cluster
+        serial = run_serial(config, stream)
+        assert serial.operations["token_compare"] > 0
+        for op, total in serial.operations.items():
+            assert simulated.counter("op:" + op) == total, op
+        for name, total in serial.events.items():
+            assert simulated.counter(name) == total, name
 
 
 class TestBatchEngineAPIs:

@@ -118,6 +118,34 @@ class TestSpanRecorder:
     def test_measure_false_skips_calibration(self):
         assert EventLog(measure=False).record_cost_s == 0.0
 
+    def test_calibration_ignores_a_stalled_burst(self, monkeypatch):
+        """A worker descheduled once during calibration (7.4 ms lost at
+        its 150th stamp, 0.3 us per stamp otherwise) must still read
+        0.3 us, within the same 512-stamp budget: one burst averaged
+        over all of them reads 14.8 us."""
+        from repro.obs import eventlog
+
+        stamps = 0
+        record = EventLog.record
+
+        def counting_record(self, *args):
+            nonlocal stamps
+            stamps += 1
+            record(self, *args)
+
+        class StallingClock:
+            @staticmethod
+            def perf_counter():
+                return stamps * 0.3e-6 + (7.4e-3 if stamps >= 150 else 0.0)
+
+        monkeypatch.setattr(EventLog, "record", counting_record)
+        monkeypatch.setattr(eventlog, "time", StallingClock)
+        assert eventlog.measure_record_cost() == pytest.approx(0.3e-6)
+        assert stamps == 512
+        assert (StallingClock.perf_counter() / stamps) == pytest.approx(
+            14.8e-6, rel=0.01
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(
         st.none(),

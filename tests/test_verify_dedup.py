@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bundle import Bundle, BundleMember
-from repro.core.dedup import PrefixDedupFilter, min_common_prefix_token
+from repro.core.reference import PrefixDedupFilter, min_common_prefix_token
 from repro.core.metering import WorkMeter
 from repro.core.verify import (
     batch_verify_members,
