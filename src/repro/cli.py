@@ -814,9 +814,10 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         "records_per_s": round(result.throughput, 1),
     }]))
     if args.pairs:
-        rows = sorted(result.matches, key=lambda row: -row[4])
-        for timestamp, later, earlier, overlap, similarity in rows:
-            print(f"{similarity:.4f}\t{earlier}\t{later}")
+        _, later, earlier, _, similarity = result.matches.columns
+        order = range(len(similarity))  # stable: ties keep canonical order
+        for i in sorted(order, key=similarity.__getitem__, reverse=True):
+            print(f"{similarity[i]:.4f}\t{earlier[i]}\t{later[i]}")
     if args.timeline:
         print(result.timeline().render())
     if args.metrics_out:

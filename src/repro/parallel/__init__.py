@@ -17,6 +17,7 @@ from repro.parallel.codec import (
     PROBE,
     BatchEncoder,
     MatchRow,
+    MatchTable,
     decode_event_frame,
     decode_heartbeat,
     decode_match_batch,
@@ -51,6 +52,7 @@ __all__ = [
     "PROBE",
     "BatchEncoder",
     "MatchRow",
+    "MatchTable",
     "ParallelJoinResult",
     "ParallelJoinRunner",
     "ParallelWorkerError",

@@ -25,9 +25,9 @@ timestamps are almost never all-zero — but sources usually are).
 
 Byte order is native: driver and workers are processes on one host.
 
-Match batches travel the other way with the same idea: five parallel
-columns ``(timestamps, rid_a, rid_b, overlap, similarity)``, one row
-per reported pair, already in the runtime's canonical result order.
+Match batches travel the other way with the same idea: the five
+columns of a :class:`MatchTable` ``(timestamps, rid_a, rid_b, overlap,
+similarity)``, one row per reported pair, in canonical result order.
 
 The event frame (``TAG_EVENTS``) — the one post-EOF instrument frame
 — ships a worker's event log back after EOF with the identical
@@ -69,7 +69,11 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import List, Sequence, Tuple
+from bisect import bisect_right
+from itertools import chain, compress, count, groupby, islice
+from operator import eq, ge, itemgetter
+from struct import pack
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.records import Record
 
@@ -349,62 +353,155 @@ def decode_record_batch(data) -> List[Tuple[int, Record]]:
 MatchRow = Tuple[float, int, int, int, float]
 
 
-def match_batch_parts(rows: Sequence[MatchRow]) -> List[bytes]:
-    """Column slices of one match batch, in wire order (same contract
-    as :func:`record_batch_parts`: transports place the bytes)."""
-    stamps = array("d")
-    rid_a = array("q")
-    rid_b = array("q")
-    overlap = array("q")
-    similarity = array("d")
-    for ts, a, b, ov, sim in rows:
-        stamps.append(ts)
-        rid_a.append(a)
-        rid_b.append(b)
-        overlap.append(ov)
-        similarity.append(sim)
-    return [
-        _U32.pack(len(stamps)),
-        stamps.tobytes(),
-        rid_a.tobytes(),
-        rid_b.tobytes(),
-        overlap.tobytes(),
-        similarity.tobytes(),
-    ]
+class MatchTable:
+    """The results direction's one representation: five typed columns
+    ``(stamps d, rid_a q, rid_b q, overlap q, similarity d)`` — exactly
+    the match frame's wire layout, so rows go from a worker's emit to
+    ``ParallelJoinResult.matches`` as column bytes and no per-row
+    object exists unless a reader asks for one. Readers see a sequence
+    of :data:`MatchRow` tuples: ``len``, iteration and indexing yield
+    rows, slicing yields a table, ``==`` holds against row lists too.
+
+    ``runs`` lists where each stretch of strictly increasing
+    ``(timestamp, rid_a, rid_b)`` keys starts: one run (one shard, an
+    in-order stream) is canonical order already; several shards on a
+    worker, several workers and late arrivals start more, and
+    :meth:`sort` merges them.
+    """
+
+    __slots__ = ("columns", "runs")
+
+    def __init__(self, rows: Iterable[MatchRow] = ()):
+        flat = list(chain.from_iterable(rows))  # transposed by strided slices
+        self.columns = tuple(array(c, flat[k::5]) for k, c in enumerate("dqqqd"))
+        self._find_runs()
+
+    def _find_runs(self) -> None:
+        # A key tuple per row: never on the emit → wire → merge path.
+        keys = list(zip(*self.columns[:3]))
+        breaks = map(ge, keys, islice(keys, 1, None))
+        self.runs = [0, *compress(count(1), breaks)]
+
+    @property
+    def ordered(self) -> bool:
+        return len(self.runs) == 1
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            return tuple(column[index] for column in self.columns)
+        table = MatchTable()
+        table.columns = tuple(column[index] for column in self.columns)
+        if not (self.ordered and index.step in (None, 1)):
+            table._find_runs()
+        return table
+
+    def __eq__(self, other):
+        if isinstance(other, MatchTable):
+            return self.columns == other.columns
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MatchTable({len(self)} rows, {len(self.runs)} ordered runs)"
+
+    def emit(self, timestamp: float, rid: int, matches) -> None:
+        """Append one probe's (non-empty) ``MatchResult`` list, sorted by
+        partner rid: a bulk append per column, one key test for ``runs``."""
+        stamps, rid_a, rid_b, overlap, similarity = self.columns
+        partners, sims, overlaps = zip(*matches)  # MatchResult's field order
+        partner_rids = [partner.rid for partner in partners]
+        if partner_rids != sorted(partner_rids):
+            by_rid = sorted(zip(partner_rids, overlaps, sims))
+            partner_rids, overlaps, sims = zip(*by_rid)
+        last = (stamps[-1], rid_a[-1], rid_b[-1]) if stamps else ()
+        if (timestamp, rid, partner_rids[0]) <= last:  # no key is <= ()
+            self.runs.append(len(stamps))
+        n = len(partner_rids)
+        stamps.frombytes(pack("d", timestamp) * n)
+        rid_a.frombytes(pack("q", rid) * n)
+        rid_b.frombytes(pack(f"{n}q", *partner_rids))
+        overlap.frombytes(pack(f"{n}q", *overlaps))
+        similarity.frombytes(pack(f"{n}d", *sims))
+
+    def extend(self, other: "MatchTable") -> None:
+        """Append ``other``'s rows (column memcpys) and runs; the seam
+        starts a run unless the keys increase across it."""
+        n = len(self)
+        joined = not (n and len(other)) or self[-1][:3] < other[0][:3]
+        self.runs += [n + run for run in other.runs[1 if joined else 0:]]
+        for column, more in zip(self.columns, other.columns):
+            column.extend(more)
+
+    def sort(self) -> None:
+        """Impose the canonical order (plain tuple order of the rows):
+        cut every run into equal-timestamp blocks (``bisect`` on the
+        column), order the blocks, rebuild the columns block by block.
+        A timestamp one block carries moves as five slices; only rows
+        whose timestamp several runs share are sorted as tuples — the
+        work is per probe, not per row."""
+        if self.ordered:
+            return
+        stamps = self.columns[0]
+        blocks = []
+        for lo, hi in zip(self.runs, self.runs[1:] + [len(self)]):
+            while lo < hi:
+                stop = bisect_right(stamps, stamps[lo], lo, hi)
+                blocks.append((stamps[lo], lo, stop))
+                lo = stop
+        blocks.sort()
+        merged = MatchTable().columns
+        for _, tied in groupby(blocks, key=itemgetter(0)):
+            cuts = [[c[lo:hi] for c in self.columns] for _, lo, hi in tied]
+            if len(cuts) > 1:
+                rows = sorted(chain.from_iterable(zip(*cut) for cut in cuts))
+                cuts = [zip(*rows)]
+            for cut in cuts:
+                for column, values in zip(merged, cut):
+                    column.extend(values)
+        self.columns, self.runs = merged, [0]
+
+    def parts(self, start: int = 0, stop: Optional[int] = None) -> list:
+        """Rows ``[start, stop)`` as one match frame's pieces, in wire
+        order: the row count, then a byte view of each column slice for
+        the transport to place (ring write, ``join`` into a pipe frame).
+        The views pin the columns: drop them before the table grows."""
+        views = [memoryview(column)[start:stop] for column in self.columns]
+        return [_U32.pack(len(views[0]))] + [view.cast("B") for view in views]
 
 
-def encode_match_batch(rows: Sequence[MatchRow]) -> bytes:
-    """Pack ``(timestamp, rid_a, rid_b, overlap, similarity)`` rows."""
-    return b"".join(match_batch_parts(rows))
+def encode_match_batch(rows) -> bytes:
+    """One match frame from a :class:`MatchTable` (or from rows)."""
+    table = rows if isinstance(rows, MatchTable) else MatchTable(rows)
+    return b"".join(table.parts())
 
 
-def decode_match_batch(data) -> List[MatchRow]:
+def decode_match_batch(data) -> MatchTable:
     """Inverse of :func:`encode_match_batch` (any bytes-like buffer —
-    the driver decodes mirror-ring frames as ``memoryview``s)."""
+    the driver decodes mirror-ring frames as ``memoryview``s). The
+    row-count-vs-byte-length check is the gate: no prefix or extension
+    of a valid frame decodes, so no column can come up short. Workers
+    sort before they ship, so the table comes back as one run."""
     if len(data) < _U32.size:
         raise CodecError(f"match batch truncated: {len(data)} bytes")
     (n,) = _U32.unpack_from(data)
-    offset = _U32.size
-    expected = offset + n * (8 * 5)
+    expected = _U32.size + n * (8 * 5)
     if len(data) != expected:
         raise CodecError(
             f"match batch inconsistent: {n} rows need {expected} bytes, "
             f"have {len(data)}"
         )
-
-    def column(typecode: str) -> array:
-        nonlocal offset
-        col = array(typecode)
-        col.frombytes(data[offset : offset + 8 * n])
-        offset += 8 * n
-        return col
-
-    stamps = column("d")
-    rid_a = column("q")
-    rid_b = column("q")
-    overlap = column("q")
-    similarity = column("d")
-    return list(zip(stamps, rid_a, rid_b, overlap, similarity))
+    table = MatchTable()
+    view = memoryview(data)
+    for k, column in enumerate(table.columns):
+        column.frombytes(view[_U32.size + 8 * n * k : _U32.size + 8 * n * (k + 1)])
+    return table
 
 
 EVENT_MAGIC = 0x4556  # "EV"

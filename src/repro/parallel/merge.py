@@ -4,11 +4,12 @@ Three merges, each with an exactness argument:
 
 * **Matches** — every pair is reported by exactly one shard (the
   routing schemes are complete and non-duplicating), so the global
-  match set is the disjoint union of per-worker lists; sorting the
-  concatenation by ``(timestamp, rid_a, rid_b)`` (plain tuple order of
-  :data:`~repro.parallel.codec.MatchRow`) gives a total order
-  independent of worker count — ``rid_a`` repeats across a probe's
-  partners but ``(rid_a, rid_b)`` is unique per pair.
+  match set is the disjoint union of per-worker tables; the canonical
+  order ``(timestamp, rid_a, rid_b)`` (plain tuple order of
+  :data:`~repro.parallel.codec.MatchRow`) is a total order independent
+  of worker count — ``rid_a`` repeats across a probe's partners but
+  ``(rid_a, rid_b)`` is unique per pair. A lone in-order table *is*
+  the merge; otherwise :meth:`MatchTable.sort` merges the runs.
 * **Meters** — operation/event counts are integers (see
   ``WorkMeter.charge_many``), so summing per-shard totals in any order
   reproduces a serial run's totals bit-for-bit; we still sum in sorted
@@ -29,19 +30,21 @@ from repro.obs.health import HealthMonitor, HealthThresholds
 from repro.obs.registry import ObsRegistry
 from repro.obs.spans import DRIVER
 from repro.obs.timeline import TimelineRecorder
-from repro.parallel.codec import MatchRow
+from repro.parallel.codec import MatchTable
 
 #: Timeline/health component name for physical worker processes.
 WORKER_COMPONENT = "pworker"
 
 
-def merge_matches(chunks: Iterable[List[MatchRow]]) -> List[MatchRow]:
-    """Concatenate per-worker match lists and impose the canonical
-    order. Workers pre-sort their own lists, so Timsort mostly merges
-    runs."""
-    merged: List[MatchRow] = []
-    for chunk in chunks:
-        merged.extend(chunk)
+def merge_matches(chunks: Iterable) -> MatchTable:
+    """Per-worker results (tables, or row lists, whose order is checked
+    rather than assumed) as one table in canonical order. The first
+    table is adopted — returned itself, grown in place by the others —
+    so a lone worker's result is never copied or sorted."""
+    tables = [c if isinstance(c, MatchTable) else MatchTable(c) for c in chunks]
+    merged = tables[0] if tables else MatchTable()
+    for table in tables[1:]:
+        merged.extend(table)
     merged.sort()
     return merged
 

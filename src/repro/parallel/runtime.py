@@ -88,7 +88,7 @@ from repro.parallel.codec import (
     TAG_SHM_FRAME,
     TAG_SHM_MATCHES,
     BatchEncoder,
-    MatchRow,
+    MatchTable,
     decode_event_frame,
     decode_heartbeat,
     decode_match_batch,
@@ -171,8 +171,9 @@ class ParallelJoinResult:
     executor: str
     records: int
     #: Canonically ordered ``(timestamp, rid_a, rid_b, overlap,
-    #: similarity)`` rows — ``rid_a`` is the later (probing) record.
-    matches: List[MatchRow]
+    #: similarity)`` rows — ``rid_a`` is the later (probing) record —
+    #: as columns; a sequence of ``MatchRow`` tuples to its readers.
+    matches: MatchTable
     operations: Dict[str, float]
     events: Dict[str, float]
     signals: Dict[str, float]
@@ -910,10 +911,10 @@ class ParallelJoinRunner:
             for w in range(workers):
                 send(w, bytes([TAG_EOF]))
 
-            chunks: List[List[MatchRow]] = []
+            chunks: List[MatchTable] = []
             summaries = []
             for w, conn in enumerate(conns):
-                rows: List[MatchRow] = []
+                rows = MatchTable()
                 while True:
                     try:
                         if telemetry is not None:
@@ -1219,7 +1220,7 @@ def run_serial(
         shard: build_shard_engine(config, plan.func, shard, shards, meters[shard])
         for shard in range(shards)
     }
-    matches: List[MatchRow] = []
+    matches = MatchTable()
     fanout_total = 0.0
     fanout_peak = 0.0
     for record in records:
@@ -1233,9 +1234,8 @@ def run_serial(
             if op & PROBE:
                 found = engine.probe(record)
                 meters[shard].event("results", len(found))
-                ts, rid = record.timestamp, record.rid
-                for m in found:
-                    matches.append((ts, rid, m.partner.rid, m.overlap, m.similarity))
+                if found:
+                    matches.emit(record.timestamp, record.rid, found)
             if op & INDEX:
                 engine.insert(record)
     for shard in range(shards):

@@ -102,14 +102,12 @@ from repro.parallel.codec import (
     TAG_SHM_FRAME,
     TAG_SHM_MATCHES,
     HEARTBEAT_PHASES,
-    MatchRow,
+    MatchTable,
     decode_record_batch,
     decode_shm_descriptor,
     encode_event_frame,
     encode_heartbeat,
-    encode_match_batch,
     encode_shm_descriptor,
-    match_batch_parts,
 )
 from repro.parallel.shm import RingBuffer, attach_ring
 from repro.records import Record
@@ -126,6 +124,7 @@ __all__ = [
 MATCH_CHUNK = 16384
 
 _U32 = struct.Struct("<I")
+_MATCHES_TAG = bytes([TAG_MATCHES])
 
 _PIPE_READ = PHASE_ID["pipe_read"]
 _SHM_READ = PHASE_ID["shm_read"]
@@ -155,10 +154,10 @@ def peak_rss_bytes() -> int:
     return rss
 
 
-def _run_untimed(engine, event, rows: List[MatchRow], items) -> None:
+def _run_untimed(engine, event, emit, items) -> None:
     """The un-instrumented record body: one tight loop, no timing and
     no instrument test per record. ``event`` is the shard meter's
-    bound ``event`` method, ``rows`` the worker's match list."""
+    bound ``event`` method, ``emit`` the match table's."""
     probe = engine.probe
     insert = engine.insert
     for op, record in items:
@@ -166,11 +165,7 @@ def _run_untimed(engine, event, rows: List[MatchRow], items) -> None:
             matches = probe(record)
             event("results", len(matches))
             if matches:
-                ts, rid = record.timestamp, record.rid
-                for m in matches:
-                    rows.append(
-                        (ts, rid, m.partner.rid, m.overlap, m.similarity)
-                    )
+                emit(record.timestamp, record.rid, matches)
         if op & INDEX:
             insert(record)
 
@@ -210,7 +205,7 @@ class ShardWorker:
             self.engines[shard] = build_shard_engine(
                 config, self.func, shard, num_shards, meter
             )
-        self.matches: List[MatchRow] = []
+        self.matches = MatchTable()
         self.records = 0
         self.batches = 0
         self.busy_s = 0.0
@@ -319,7 +314,7 @@ class ShardWorker:
         monotonic = time.monotonic
         engine = self.engines[shard]
         event = self.meters[shard].event
-        rows = self.matches
+        emit = self.matches.emit
         probe_s = insert_s = 0.0
         had_probe = had_insert = False
         cursor = 0
@@ -327,7 +322,7 @@ class ShardWorker:
         with engine.batched():
             for pos in timed:
                 if cursor < pos:
-                    _run_untimed(engine, event, rows, items[cursor:pos])
+                    _run_untimed(engine, event, emit, items[cursor:pos])
                 cursor = pos + 1
                 op, record = items[pos]
                 traced = stride and not record.rid % stride
@@ -341,16 +336,12 @@ class ShardWorker:
                         log.record(_EV_PROBE, t0, t1, shard, record.rid)
                     event("results", len(matches))
                     if matches:
-                        ts, rid = record.timestamp, record.rid
                         if traced:
                             t0 = monotonic()
-                        for m in matches:
-                            rows.append(
-                                (ts, rid, m.partner.rid, m.overlap, m.similarity)
-                            )
+                        emit(record.timestamp, record.rid, matches)
                         if traced:
                             log.record(
-                                _EV_MATCH_EMIT, t0, monotonic(), shard, rid
+                                _EV_MATCH_EMIT, t0, monotonic(), shard, record.rid
                             )
                 if op & INDEX:
                     had_insert = True
@@ -360,7 +351,7 @@ class ShardWorker:
                     insert_s += t1 - t0
                     if traced:
                         log.record(_EV_INSERT, t0, t1, shard, record.rid)
-            _run_untimed(engine, event, rows, items[cursor:] if cursor else items)
+            _run_untimed(engine, event, emit, items[cursor:] if cursor else items)
             flush_start = monotonic()
         end = monotonic()
         if keep:
@@ -490,33 +481,34 @@ class HeartbeatEmitter:
         return self.emit(worker.telemetry_snapshot())
 
 
-def emit_matches_shm(conn, ring, rows: Sequence[MatchRow], worker_id: int) -> int:
-    """Ship match rows through the mirror ring, one ``MATCH_CHUNK``
-    frame at a time; returns the data-plane bytes sent (ring payload
-    plus descriptors).
+def ship_matches(table: MatchTable, conn, ring, worker_id: int) -> int:
+    """The one shipper of the results direction: cut ``table`` into
+    ``MATCH_CHUNK`` frames and send each as it is cut — column views
+    written into the mirror ring (``ring`` is ``None`` on the pipe
+    transport) or joined into a ``TAG_MATCHES`` pipe frame, never a
+    second copy of the result; returns the data-plane bytes sent.
 
     Runs strictly post-EOF, when the driver is draining: a full ring
     only means the driver has not yet consumed earlier frames, and its
     drain loop releases them in order, so the credit wait here is
-    bounded. A chunk larger than the whole ring falls back to a plain
-    ``TAG_MATCHES`` pipe frame — the protocol, not the segment size,
-    is the invariant.
+    bounded. A chunk the ring can never hold takes the pipe frame —
+    the protocol, not the segment size, is the invariant.
     """
-    sent = 0
-    generation = 0
-    # Chunk by ring size as well as row count: keeping each frame under
-    # a quarter of the ring means several frames are in flight while
-    # the driver drains, and no frame ever needs the pipe fallback for
-    # being un-claimable at an awkward wrap offset (40 bytes/row).
-    chunk = min(MATCH_CHUNK, max(1, (ring.capacity // 4) // 40))
-    for i in range(0, len(rows), chunk):
-        parts = match_batch_parts(rows[i : i + chunk])
-        total = sum(len(part) for part in parts)
-        claim = ring.try_claim(total)
-        if claim is None and not ring.claimable(total):
-            frame = bytes([TAG_MATCHES]) + b"".join(parts)
-            conn.send_bytes(frame)
-            sent += len(frame)
+    sent = generation = 0
+    chunk = MATCH_CHUNK
+    if ring is not None:
+        # Chunk by ring size as well as row count: frames under a
+        # quarter of the ring keep several in flight while the driver
+        # drains, and none is un-claimable at an awkward wrap offset
+        # (40 bytes/row).
+        chunk = min(chunk, max(1, (ring.capacity // 4) // 40))
+    for i in range(0, len(table), chunk):
+        parts = table.parts(i, i + chunk)
+        total = sum(map(len, parts))
+        claim = ring.try_claim(total) if ring is not None else None
+        if claim is None and (ring is None or not ring.claimable(total)):
+            conn.send_bytes(b"".join((_MATCHES_TAG, *parts)))
+            sent += 1 + total
             continue
         while claim is None:
             time.sleep(0.0005)
@@ -651,32 +643,16 @@ def worker_main(
                 if emitter is not None:
                     summary["heartbeats"] = emitter.seq
                     summary["heartbeats_dropped"] = emitter.dropped
-                rows = worker.matches
-                match_bytes = 0
-                out_frames = []
-                if ring_out is None:
-                    out_frames = [
-                        bytes([TAG_MATCHES])
-                        + encode_match_batch(rows[i : i + MATCH_CHUNK])
-                        for i in range(0, len(rows), MATCH_CHUNK)
-                    ]
-                else:
-                    match_bytes = emit_matches_shm(
-                        conn, ring_out, rows, worker_id
-                    )
-                if log is not None:
-                    out_frames.append(
-                        bytes([TAG_EVENTS]) + encode_event_frame(*log.columns())
-                    )
                 # bytes_out counts the data plane (match + event frames,
                 # or their ring payload + descriptors under shm); the
                 # pickled summary frame itself is excluded — it has to
                 # carry the final byte count.
-                summary["bytes_out"] = match_bytes + sum(
-                    len(f) for f in out_frames
-                )
-                for frame in out_frames:
+                sent = ship_matches(worker.matches, conn, ring_out, worker_id)
+                if log is not None:
+                    frame = bytes([TAG_EVENTS]) + encode_event_frame(*log.columns())
                     conn.send_bytes(frame)
+                    sent += len(frame)
+                summary["bytes_out"] = sent
                 conn.send_bytes(bytes([TAG_DONE]) + pickle.dumps(summary))
                 return
             else:

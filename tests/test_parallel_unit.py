@@ -120,9 +120,14 @@ class TestTruncationContract:
                 [(BOTH, r) for r in make_records(4, sources=True)]
             ),
         ),
+        # Nine rows, every column carrying distinct non-zero values: a
+        # column that came up short could not pass for a shorter table.
         "match": (
             decode_match_batch,
-            encode_match_batch([(0.5, 10, 3, 4, 0.8), (0.75, 11, 10, 5, 1.0)]),
+            encode_match_batch([
+                (0.25 * k, 100 + k, 2 ** 33 + k, 3 + k % 4, 1.0 - k / 64)
+                for k in range(1, 10)
+            ]),
         ),
         # The one event frame, once per row scope: batch-scoped rows
         # (spans) and record-scoped rows (stage bit 0x80, rid keys).
