@@ -567,8 +567,8 @@ def parallel_scaling_section(
 
     Runs record wall-clock spans (:mod:`repro.obs.spans`), and each
     worker-count entry embeds the best run's ``phase_totals`` — where
-    the wall time went (driver setup/feed/drain/merge, per-worker
-    decode/probe/insert) — so phase shares are tracked run-over-run in
+    the wall time went (driver setup/drain/merge, per-worker
+    route/probe/insert) — so phase shares are tracked run-over-run in
     ``BENCH_wallclock.json``. The span recorder's measured overhead is
     a few microseconds per batch (reported in the totals' source
     header), far below run-to-run noise.
@@ -879,38 +879,6 @@ def archive_overhead_section(
     }
 
 
-def _transport_io(totals: Dict[str, object]) -> Dict[str, float]:
-    """Codec-tax metrics of one run's ``phase_totals``.
-
-    Driver side: ``encode`` (building the wire frames / column parts)
-    plus the transport write (``pipe_write`` under the pipe transport,
-    ``shm_write`` — ring copy + credit waits + descriptor sends — under
-    shm; whichever is unused totals 0). Worker side: ``decode`` plus
-    the blocked read wait (``pipe_read``/``shm_read``), summed over
-    workers. These are exactly the phases the zero-copy transport
-    exists to shrink.
-    """
-    driver = totals["driver"]
-    encode = float(driver.get("encode", 0.0))
-    write = float(driver.get("pipe_write", 0.0)) + float(
-        driver.get("shm_write", 0.0)
-    )
-    decode = read = 0.0
-    for entry in totals["workers"].values():
-        decode += float(entry.get("decode", 0.0))
-        read += float(entry.get("pipe_read", 0.0)) + float(
-            entry.get("shm_read", 0.0)
-        )
-    return {
-        "encode_s": encode,
-        "write_s": write,
-        "decode_s": decode,
-        "read_s": read,
-        "driver_io_s": encode + write,
-        "worker_io_s": decode + read,
-    }
-
-
 def transport_comparison_section(
     workers: int = 2,
     repeats: int = 3,
@@ -923,15 +891,12 @@ def transport_comparison_section(
 ) -> Dict[str, object]:
     """Pipe vs. shared-memory transport A/B (``parallel.transport``).
 
-    The calibrated workload runs through the process executor with
-    spans on, in interleaved pipe/shm pairs (drift on a time-shared
-    host cancels instead of biasing the ratio). Each transport reports
-    its best wall time plus the best-of-repeats codec-tax phase sums
-    (:func:`_transport_io`): the driver's ``encode`` + transport write
-    and the workers' ``decode`` + blocked read. The acceptance claim is
-    ``shm_wins`` — both sums strictly smaller under shm, i.e. the
-    zero-copy path really did kill the codec tax rather than move it.
-    Observables of both runs are diffed against
+    The calibrated workload runs through the process executor in
+    interleaved pipe/shm pairs (drift on a time-shared host cancels
+    instead of biasing the ratio). A transport carries results only —
+    records are handed to the workers at start-up — so each reports
+    just its best wall time, and ``shm_wins`` says whether shm's was
+    the smaller. Observables of both runs are diffed against
     :func:`~repro.parallel.runtime.run_serial` ground truth and folded
     into :func:`correctness_ok`; like every wall-clock number, the
     timings themselves are reported, never gated, in CI.
@@ -952,18 +917,13 @@ def transport_comparison_section(
     serial = run_serial(config, records)
 
     best: Dict[str, object] = {}
-    io_best: Dict[str, Dict[str, float]] = {}
     for _ in range(repeats):
         for transport in ("pipe", "shm"):
             result = ParallelJoinRunner(
-                config, workers=workers, spans=True, transport=transport
+                config, workers=workers, transport=transport
             ).run(records)
-            io = _transport_io(result.phase_totals())
             if transport not in best or result.wall_s < best[transport].wall_s:
                 best[transport] = result
-            held = io_best.setdefault(transport, io)
-            for key, value in io.items():
-                held[key] = min(held[key], value)
 
     section: Dict[str, object] = {
         "supported": True,
@@ -976,24 +936,13 @@ def transport_comparison_section(
         result = best[transport]
         section[transport] = {
             "wall_s": round(result.wall_s, 6),
-            "io": {k: round(v, 6) for k, v in io_best[transport].items()},
             "correctness": {
                 "matches_equal": result.matches == serial.matches,
                 "operations_equal": result.operations == serial.operations,
                 "events_equal": result.events == serial.events,
             },
         }
-    pipe_io, shm_io = io_best["pipe"], io_best["shm"]
-    section["driver_io_speedup"] = round(
-        pipe_io["driver_io_s"] / shm_io["driver_io_s"], 3
-    ) if shm_io["driver_io_s"] > 0 else None
-    section["worker_io_speedup"] = round(
-        pipe_io["worker_io_s"] / shm_io["worker_io_s"], 3
-    ) if shm_io["worker_io_s"] > 0 else None
-    section["shm_wins"] = {
-        "driver_io": shm_io["driver_io_s"] < pipe_io["driver_io_s"],
-        "worker_io": shm_io["worker_io_s"] < pipe_io["worker_io_s"],
-    }
+    section["shm_wins"] = best["shm"].wall_s < best["pipe"].wall_s
     return section
 
 
@@ -1362,17 +1311,11 @@ def render_wallclock(payload: Dict[str, object]) -> str:
                 all(transport[name]["correctness"].values())
                 for name in ("pipe", "shm")
             )
-            wins = transport["shm_wins"]
             lines.append(
                 f"  transport: workers={transport['workers']} "
                 f"batch={transport['batch_size']}  "
                 f"wall pipe {transport['pipe']['wall_s']*1e3:.1f}ms / "
                 f"shm {transport['shm']['wall_s']*1e3:.1f}ms  "
-                f"driver io x{transport['driver_io_speedup']:.2f} "
-                f"worker io x{transport['worker_io_speedup']:.2f} "
-                f"(shm wins: driver "
-                f"{'yes' if wins['driver_io'] else 'NO'}, worker "
-                f"{'yes' if wins['worker_io'] else 'NO'})  "
                 f"correctness {'ok' if ok else 'MISMATCH'}"
             )
     archive = payload.get("parallel", {}).get("archive")

@@ -185,11 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "fingerprints across worker counts)")
     join.add_argument("--transport", default=None,
                       choices=["auto", "pipe", "shm"],
-                      help="batch transport in --parallel mode: 'pipe' "
-                           "(struct frames over the worker pipe), 'shm' "
-                           "(zero-copy shared-memory rings, descriptors "
-                           "over the pipe), or 'auto' (shm when the "
-                           "platform supports it; the default)")
+                      help="how match rows return from the workers in "
+                           "--parallel mode (records are handed to each "
+                           "worker once, at start-up): 'pipe' (struct "
+                           "frames over the worker pipe), 'shm' (a "
+                           "shared-memory ring per worker, descriptors "
+                           "over the pipe), or 'auto' (the default: "
+                           "pipe, the faster of the two on every "
+                           "measured workload)")
     join.add_argument("--batch-size", type=int, default=None,
                       help="records per IPC batch in --parallel mode "
                            "(default: 512)")
@@ -644,7 +647,7 @@ def _cmd_join(args) -> int:
             return 2
     if args.transport is not None and not args.parallel:
         print("join: --transport requires --parallel (it picks the "
-              "multi-core runtime's batch transport; the simulated "
+              "multi-core runtime's results transport; the simulated "
               "cluster has no IPC)", file=sys.stderr)
         return 2
     if args.heartbeat_interval is not None:
@@ -753,7 +756,7 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
     The exit-2 rejections here are the flags that *genuinely* conflict
     with the multi-core driver: ``--bundles`` (the bundle engine needs
     home-worker probe reuse the sharded driver never sees) and
-    ``--dispatchers`` (records are routed by the driver thread).
+    ``--dispatchers`` (every worker routes for itself).
     Everything else composes: ``--metrics-out`` exports the per-worker
     wall-clock telemetry, ``--spans-out`` the wall-clock span
     pipeline, ``--trace-out`` the distributed record-trace artefact
@@ -767,7 +770,7 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
               "never sees)", file=sys.stderr)
         return 2
     if args.dispatchers > 1:
-        print("join: --parallel routes records in the driver; "
+        print("join: --parallel workers route for themselves; "
               "--dispatchers does not apply", file=sys.stderr)
         return 2
     from repro.obs.rectrace import DEFAULT_TRACE_SAMPLE
@@ -1105,8 +1108,7 @@ def _trace_rectrace(args) -> int:
     ]
     print(format_table(
         stage_rows,
-        title="\nper-stage latency (pipe = pipe_write end -> decode "
-              "start; e2e = first stamp -> last stamp)",
+        title="\nper-stage latency (e2e = first stamp -> last stamp)",
     ))
     if slow:
         print(format_table([
@@ -1304,8 +1306,7 @@ def _overhead_line(header) -> str:
 def _cmd_spans(args) -> int:
     """``repro spans``: analyze (or smoke-gate) a wall-clock spans file."""
     from repro.obs.spans import (
-        WORKER_EXEC_PHASES,
-        WORKER_PHASES,
+        WORKER_WAIT_PHASES,
         critical_path,
         load_spans_jsonl,
         phase_totals,
@@ -1380,21 +1381,23 @@ def _cmd_spans(args) -> int:
     print(format_table(
         driver_rows,
         title=f"\ndriver phases (coverage {totals['driver_coverage']:.1%}"
-              f" of wall; feed excludes nested encode/pipe_write)",
+              f" of wall)",
     ))
     if totals["workers"]:
         worker_rows = []
         for worker, entry in totals["workers"].items():
-            row = {"worker": worker}
-            row.update({phase: entry[phase] for phase in WORKER_PHASES})
+            row = {"worker": worker, **entry}
             row["exec_s"] = round(
-                sum(entry[phase] for phase in WORKER_EXEC_PHASES), 6
+                sum(
+                    seconds for phase, seconds in entry.items()
+                    if phase not in WORKER_WAIT_PHASES
+                ), 6
             )
             worker_rows.append(row)
         print(format_table(
             worker_rows,
-            title="\nper-worker phases (pipe_read is blocked wait, "
-                  "not work)",
+            title="\nper-worker phases (route is the worker's own walk "
+                  "over the records between batches)",
         ))
     if path:
         print(format_table([

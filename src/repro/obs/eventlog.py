@@ -20,10 +20,10 @@ of an index and never of the wall clock: ``spans_sample`` keeps every
 Nth batch of each shard (:meth:`EventLog.keep`), ``trace_sample``
 traces every rid that is a multiple of it (:meth:`EventLog.selected`);
 ``0`` switches a scope off. Because the rid stride is a pure function
-of the rid, driver and workers agree on the traced set without a wire
-byte of trace context.
+of the rid, every worker agrees on the traced set without being told
+it.
 
-A worker's log ships back post-EOF as one ``TAG_EVENTS`` frame (the
+A worker's log ships back after its loop as one ``TAG_EVENTS`` frame (the
 columns as they are, :func:`repro.parallel.codec.encode_event_frame`);
 the driver turns every actor's columns into the two JSONL artefacts
 with :func:`log_rows`. The log measures its own per-stamp cost at
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.rectrace import TRACE_EVENTS
 from repro.obs.spans import DRIVER, PHASES
@@ -140,19 +140,6 @@ class EventLog:
         """Whether ``rid`` is in the traced set — a pure function of
         the rid, identical on every actor at the same stride."""
         return self.trace_sample > 0 and rid % self.trace_sample == 0
-
-    def window(
-        self, phase: int, event: int, start: float, end: float,
-        shard: int, batch_index: int, rids: Sequence[int],
-    ) -> None:
-        """One stamp, two views: a batch-level window (encode, write,
-        decode) becomes the batch's span when the batch is kept, and
-        one trace event per traced rid it carried — every traced record
-        in a batch inherits the batch's window."""
-        if self.keep(batch_index):
-            self.record(phase, start, end, shard, batch_index)
-        for rid in rids:
-            self.record(event, start, end, shard, rid)
 
     def __len__(self) -> int:
         return self._n

@@ -19,16 +19,10 @@ progress):
 * **window expiration lag** — lazily-expired postings linger far past
   their window before a scan collects them, inflating index scans (fed
   by the join engines via ``WorkMeter.signal``);
-* **pipe backpressure** — the parallel driver spends a large fraction
-  of its feed phase blocked writing batches into worker pipes: the
-  workers cannot drain their input as fast as the driver routes it
-  (fed from ``pipe_write`` span durations by
-  :func:`repro.parallel.merge.worker_health`);
 * **worker starvation** — a worker process spends most of its lifetime
-  blocked reading its pipe: the driver (or the routing skew) cannot
-  keep it fed, so adding workers will not help (fed from blocked-read
-  time, i.e. ``pipe_read`` span durations aggregated as the worker's
-  ``blocked_s``).
+  blocked waiting for input, so adding workers will not help (fed from
+  the worker's ``blocked_s``; the parallel runtime hands every worker
+  its whole input at start-up, so its workers report zero).
 
 Events are deterministic: they are emitted in the simulator's event
 order with simulated-clock timestamps, and each detector escalates on
@@ -112,8 +106,6 @@ class HealthThresholds:
     fanout_critical: float = 0.95
     expiration_lag_warning: float = 0.5
     expiration_lag_critical: float = 2.0
-    backpressure_warning: float = 0.25
-    backpressure_critical: float = 0.6
     starvation_warning: float = 0.6
     starvation_critical: float = 0.9
 
@@ -127,8 +119,6 @@ class HealthThresholds:
             "fanout_critical": self.fanout_critical,
             "expiration_lag_warning": self.expiration_lag_warning,
             "expiration_lag_critical": self.expiration_lag_critical,
-            "backpressure_warning": self.backpressure_warning,
-            "backpressure_critical": self.backpressure_critical,
             "starvation_warning": self.starvation_warning,
             "starvation_critical": self.starvation_critical,
         }
@@ -160,8 +150,7 @@ class HealthMonitor:
         #: Highest expiration-lag severity already reported, per task
         #: (0 = none, 1 = warning, 2 = critical).
         self._lag_level: Dict[TaskKey, int] = {}
-        #: Same one-shot leveling for pipe backpressure / starvation.
-        self._backpressure_level: Dict[TaskKey, int] = {}
+        #: Same one-shot leveling for starvation.
         self._starvation_level: Dict[TaskKey, int] = {}
         #: One-shot leveling for the *online* load-skew detector
         #: (component-level: keyed by component, task -1 semantics).
@@ -200,8 +189,6 @@ class HealthMonitor:
             self._on_fanout(component, task, time, value)
         elif name == "window_expiration_lag_fraction":
             self._on_expiration_lag(component, task, time, value)
-        elif name == "pipe_blocked_write_fraction":
-            self._on_backpressure(component, task, time, value)
         elif name == "worker_starved_fraction":
             self._on_starvation(component, task, time, value)
 
@@ -245,29 +232,6 @@ class HealthMonitor:
                 f"collection",
             )
 
-    def _on_backpressure(
-        self, component: str, task: int, time: float, fraction: float
-    ) -> None:
-        key = (component, task)
-        level = self._backpressure_level.get(key, 0)
-        if fraction >= self.thresholds.backpressure_critical and level < 2:
-            self._backpressure_level[key] = 2
-            self._emit(
-                time, "critical", "pipe_backpressure", component, task,
-                fraction, self.thresholds.backpressure_critical,
-                f"{component}[{task}] spent {fraction:.0%} of its feed "
-                f"phase blocked writing batches into worker pipes: the "
-                f"workers cannot absorb the offered rate",
-            )
-        elif fraction >= self.thresholds.backpressure_warning and level < 1:
-            self._backpressure_level[key] = 1
-            self._emit(
-                time, "warning", "pipe_backpressure", component, task,
-                fraction, self.thresholds.backpressure_warning,
-                f"{component}[{task}] spent {fraction:.0%} of its feed "
-                f"phase blocked writing batches into worker pipes",
-            )
-
     def _on_starvation(
         self, component: str, task: int, time: float, fraction: float
     ) -> None:
@@ -279,8 +243,8 @@ class HealthMonitor:
                 time, "critical", "worker_starvation", component, task,
                 fraction, self.thresholds.starvation_critical,
                 f"{component}[{task}] spent {fraction:.0%} of its "
-                f"lifetime blocked reading its pipe: the driver cannot "
-                f"keep it fed, so more workers will not speed this up",
+                f"lifetime blocked waiting for input: more workers "
+                f"will not speed this up",
             )
         elif fraction >= self.thresholds.starvation_warning and level < 1:
             self._starvation_level[key] = 1
@@ -288,7 +252,7 @@ class HealthMonitor:
                 time, "warning", "worker_starvation", component, task,
                 fraction, self.thresholds.starvation_warning,
                 f"{component}[{task}] spent {fraction:.0%} of its "
-                f"lifetime blocked reading its pipe",
+                f"lifetime blocked waiting for input",
             )
 
     def on_busy_snapshot(

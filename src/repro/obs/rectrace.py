@@ -1,31 +1,28 @@
-"""Distributed record tracing: follow one record across processes.
+"""Record tracing: follow one record through the worker processes.
 
 Spans (:mod:`repro.obs.spans`) explain where a parallel run's *actors*
 spend wall time; this module explains what a single *record*
-experiences — the feed→encode→pipe→decode→probe→insert→emit path a
-sampled record takes through the multiprocessing runtime, stamped on
-both sides of the process boundary and reassembled by the driver into
-per-record event trees and per-stage latency digests.
+experiences — the probe→emit→insert path a sampled record takes on
+every shard it reaches, stamped inside the workers and reassembled by
+the driver into per-record event trees and per-stage latency digests.
 
 Design constraints, mirroring the span pipeline:
 
-* **No trace context crosses the wire.** Sampling is a pure function
-  of the record id — ``rid % sample == 0`` — so driver and workers
-  independently agree on the traced set without a single extra wire
-  byte per batch. The traced-rid set is therefore identical across
-  worker counts, batch sizes and executors, and so is each record's
-  event *structure* (which events hit which shard): events per rid
-  are determined by the shard plan alone (one ``feed``; one
-  ``encode``/``pipe_write``/``decode`` per shard-batch carrying the
-  record; one ``probe``/``insert`` per PROBE/INDEX op; one
-  ``match_emit`` per probe that found matches).
+* **No trace context is passed around.** Sampling is a pure function
+  of the record id — ``rid % sample == 0`` — so every worker agrees on
+  the traced set on its own. The traced-rid set is therefore identical
+  across worker counts, batch sizes and executors, and so is each
+  record's event *structure* (which events hit which shard): events
+  per rid are determined by the shard plan alone (one
+  ``probe``/``insert`` per PROBE/INDEX op; one ``match_emit`` per probe
+  that found matches).
 * **O(1) recording.** A trace event is a record-scoped row of the
   actor's :class:`~repro.obs.eventlog.EventLog` — the same five
   preallocated typed-array columns the spans use (stage u8, shard i32,
   key i64 = rid, start/end f64): no allocation, no dict, no object per
-  event — shipped post-EOF inside the one ``TAG_EVENTS`` frame.
+  event — shipped inside the one ``TAG_EVENTS`` frame.
 * **One clock.** All stamps are ``time.monotonic()`` (CLOCK_MONOTONIC
-  system-wide on POSIX, comparable across forked processes); the
+  system-wide on POSIX, comparable across processes of one host); the
   driver rebases everything to the run start, exactly like spans.
 * **Observables are untouched.** The instrumented batch path issues
   the identical engine and meter calls in identical order; the
@@ -34,13 +31,19 @@ Design constraints, mirroring the span pipeline:
 
 The artefact (``join --parallel --trace-out``) is JSONL: one header
 line (``artefact: "rectrace"`` — what ``repro trace FILE`` sniffs
-for), then one event object per line. Two *derived* stages join the
-seven recorded events in the latency digest: ``pipe`` (the gap between
-a batch's ``pipe_write`` end and its ``decode`` start — time spent in
-the OS pipe plus the worker's queue) and ``e2e`` (first-stamp to
-last-stamp per record). Digests use
+for), then one event object per line. The derived stage ``e2e``
+(first-stamp to last-stamp per record) joins the recorded events in
+the latency digest. Digests use
 :class:`~repro.storm.metrics.LatencySampler` reservoirs — exact
 quantiles, no new percentile code.
+
+Artefacts written while records still travelled driver → worker in
+batches also carry driver-stamped ``feed`` / ``encode`` /
+``pipe_write`` events and a worker-stamped ``decode``, and get a second
+derived stage, ``pipe`` (a batch's ``pipe_write`` end → its ``decode``
+start). No run records them any more; their wire ids stay reserved and
+every reader here still accepts them, so committed artefacts keep
+loading.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ RECTRACE_ARTEFACT = "rectrace"
 
 #: Event names in wire-id order (the low bits of the stage byte of a
 #: record-scoped row of the event frame and the ``event`` field of
-#: every JSONL event line). The first three are stamped by the driver,
-#: the rest by workers.
+#: every JSONL event line). Workers stamp the last three; the first
+#: four only appear in artefacts from the per-batch record wire.
 TRACE_EVENTS = (
     "feed",
     "encode",
@@ -72,12 +75,9 @@ TRACE_EVENTS = (
 )
 EVENT_ID: Dict[str, int] = {name: i for i, name in enumerate(TRACE_EVENTS)}
 
-DRIVER_EVENTS = TRACE_EVENTS[:3]
-WORKER_EVENTS = TRACE_EVENTS[3:]
-
-#: Stages of the latency digest: every recorded event plus the two
-#: derived stages (``pipe`` = pipe_write→decode gap per shard-batch
-#: hop, ``e2e`` = first stamp → last stamp per record).
+#: Stages of the latency digest: every event plus the two derived
+#: stages (``pipe`` = pipe_write→decode gap per shard-batch hop, legacy
+#: files only; ``e2e`` = first stamp → last stamp per record).
 TRACE_STAGES = TRACE_EVENTS + ("pipe", "e2e")
 
 #: Default deterministic sampling stride: trace every record whose rid
@@ -85,16 +85,13 @@ TRACE_STAGES = TRACE_EVENTS + ("pipe", "e2e")
 #: leave on, dense enough that short runs still trace several records.
 DEFAULT_TRACE_SAMPLE = 16
 
-#: Worker id of driver-stamped events (mirrors ``spans.DRIVER``).
-DRIVER = -1
-
 #: Required fields of an event line and their types (header aside).
 EVENT_SCHEMA: Dict[str, type] = {
     "kind": str,    # "event"
     "event": str,   # one of TRACE_EVENTS
     "rid": int,     # the traced record id
-    "worker": int,  # -1 for the driver
-    "shard": int,   # -1 when the event is not shard-attributed (feed)
+    "worker": int,  # -1 for the driver (legacy files only)
+    "shard": int,   # -1 when the event is not shard-attributed
     "start": float, # seconds since run start (monotonic, rebased)
     "end": float,
 }
@@ -184,7 +181,7 @@ def record_trees(
 
     Accepts either the full document or just event rows; ties on
     ``start`` break by wire event order, so a record's tree reads in
-    pipeline order (feed, encode, pipe_write, decode, ...)."""
+    pipeline order (probe, insert, match_emit)."""
     trees: Dict[int, List[Dict[str, object]]] = {}
     for row in rows:
         if row.get("kind") != "event":
@@ -199,10 +196,11 @@ def stage_durations(
     rows: Sequence[Dict[str, object]],
 ) -> Dict[str, List[float]]:
     """Per-stage duration samples: every recorded event contributes
-    its own width, plus the two derived stages — ``pipe`` (each
-    shard-hop's pipe_write→decode gap, clamped at zero: the stamps
-    come from two processes whose work can overlap by a scheduling
-    quantum) and ``e2e`` (per record, first stamp to last stamp)."""
+    its own width, plus the derived stages — ``e2e`` (per record,
+    first stamp to last stamp) and, in a file from the record wire,
+    ``pipe`` (each shard-hop's pipe_write→decode gap, clamped at zero:
+    the stamps come from two processes whose work can overlap by a
+    scheduling quantum)."""
     durations: Dict[str, List[float]] = {stage: [] for stage in TRACE_STAGES}
     #: (rid, shard) → pipe_write end / decode start, for the gap.
     writes: Dict[Tuple[int, int], List[float]] = {}
@@ -278,10 +276,9 @@ def latency_metrics(rows: Sequence[Dict[str, object]], registry) -> None:
 
 def rectrace_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro trace FILE --smoke`` gate: schema-valid, at least
-    one traced record, every expected stage present for the run's
-    executor, every stamp inside the run's wall time, and each traced
-    record's tree rooted at a driver ``feed``. Returns failure strings
-    (empty = pass)."""
+    one traced record, every expected stage present and every stamp
+    inside the run's wall time. Returns failure strings (empty =
+    pass)."""
     failures = validate_rectrace_lines(rows)
     if failures:
         return failures
@@ -300,10 +297,7 @@ def rectrace_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
             f"events cover {len(trees)}"
         )
     present = {row["event"] for row in events}
-    expected = {"feed", "encode", "decode", "probe", "insert"}
-    if header.get("executor") == "process":
-        expected |= {"pipe_write"}
-    for event in sorted(expected):
+    for event in ("insert", "probe"):
         if event not in present:
             failures.append(f"no event covers stage {event!r}")
     budget = wall * 1.02 + 1e-6
@@ -312,15 +306,6 @@ def rectrace_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
             failures.append(
                 f"event {row['event']} of rid {row['rid']} ends at "
                 f"{row['end']:.6f}s, past the wall time ({wall:.6f}s)"
-            )
-            break
-    for rid, tree in trees.items():
-        first = tree[0]
-        if first["event"] != "feed" or first["worker"] != DRIVER:
-            failures.append(
-                f"rid {rid}: tree is not rooted at a driver 'feed' "
-                f"(first event is {first['event']!r} on worker "
-                f"{first['worker']})"
             )
             break
     return failures

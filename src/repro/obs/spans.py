@@ -35,31 +35,26 @@ Design constraints, in order:
 
 Phases (the driver records the driver set with ``worker == -1``)::
 
-    setup       plan shards, build engines, spawn workers
-    feed        route records into per-shard batches (exclusive of the
-                nested encode/write phases in the analyzer's accounting)
-    encode      struct-pack one batch           (nested inside feed)
-    pipe_write  blocking send of one batch      (nested inside feed)
-    drain       EOF broadcast + blocking reads of worker results
+    setup       materialise the records, plan shards, spawn workers (each
+                is handed the records and the plan as start-up arguments)
+    drain       blocking reads of worker results (the inline executor
+                runs its workers inside this window)
     merge       canonical match sort + meter summation
-    pipe_read   worker blocking on its pipe (blocked-read wait)
-    decode      unpack one batch
+    route       a worker's own walk over the published records between
+                two batches: plan lookups, fanout tally, buffer appends
     probe       probe calls of one batch (accumulated, tiled from the
                 batch start — probes and inserts interleave per record,
                 so positions within a batch are approximate while the
                 per-phase *totals* are exact)
     insert      insert calls of one batch (tiled after probe)
     meter_flush the one charge_many/event_many flush per batch
-    shm_write   ring credit wait + column copy + descriptor send of one
-                batch under ``--transport shm`` (nested inside feed;
-                replaces pipe_write in that run's accounting)
-    shm_read    worker blocking on a ring descriptor (replaces
-                pipe_read under ``--transport shm``)
 
-The shm phases were appended after the first release of the span wire
-format, so existing phase ids — and every committed artefact — stay
-valid; a pipe-transport run simply never records them (and vice
-versa).
+Artefacts written while records still travelled driver → worker in
+batches also carry ``feed`` / ``encode`` / ``pipe_write`` /
+``shm_write`` (driver) and ``pipe_read`` / ``shm_read`` / ``decode``
+(worker) spans. No run records them any more, but their wire ids stay
+reserved and every reader here still totals them when a file has them,
+so committed artefacts keep loading.
 """
 
 from __future__ import annotations
@@ -85,19 +80,22 @@ PHASES = (
     "probe",
     "insert",
     "meter_flush",
-    "shm_write",  # appended in the shm-transport release: ids 0-10 are
-    "shm_read",   # frozen by committed artefacts, so new phases only append
+    "shm_write",  # ids are frozen by committed artefacts,
+    "shm_read",   # so new phases only append
+    "route",
 )
 PHASE_ID: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
 
-#: Explicit actor vocabularies — no longer contiguous PHASES slices,
-#: since the appended shm phases interleave actors in id order.
-DRIVER_PHASES = ("setup", "feed", "encode", "pipe_write", "drain", "merge", "shm_write")
-WORKER_PHASES = ("pipe_read", "decode", "probe", "insert", "meter_flush", "shm_read")
-#: Worker phases that are actual work (as opposed to blocked waiting);
-#: the starvation detector and the critical path treat ``pipe_read``
-#: and ``shm_read`` as waiting, not work.
-WORKER_EXEC_PHASES = ("decode", "probe", "insert", "meter_flush")
+#: What each actor records today, in reporting order.
+DRIVER_PHASES = ("setup", "drain", "merge")
+WORKER_PHASES = ("route", "probe", "insert", "meter_flush")
+#: Phases only artefacts from the per-batch record wire carry; reported
+#: when a file has them.
+LEGACY_DRIVER_PHASES = ("feed", "encode", "pipe_write", "shm_write")
+LEGACY_WORKER_PHASES = ("pipe_read", "decode", "shm_read")
+#: Worker phases that were blocked waiting, not work — every other
+#: worker phase counts as executing.
+WORKER_WAIT_PHASES = ("pipe_read", "shm_read")
 
 #: Worker id of driver-recorded spans.
 DRIVER = -1
@@ -179,27 +177,39 @@ def _sum_phase(spans, phase: str, worker: Optional[int] = None) -> float:
 def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Per-actor seconds by phase, plus the driver's wall coverage.
 
-    The driver's four top-level windows (``setup``/``feed``/``drain``/
-    ``merge``) tile the run, so their inclusive sum over the wall time
-    — ``driver_coverage`` — measures how much of the run the span
+    The driver's top-level windows (``setup``/``drain``/``merge``, and
+    ``feed`` between the first two in a file from the record wire) tile
+    the run, so their inclusive sum over the wall time —
+    ``driver_coverage`` — measures how much of the run the span
     pipeline accounts for (the bench gate wants it within 5% of 1).
-    The reported ``feed`` is *exclusive* of its nested ``encode``,
-    ``pipe_write``, and ``shm_write`` spans, so the driver dict reads
-    as a partition of driver time; worker phase totals are reported as
-    recorded (with ``sample > 1`` they undercount by design — the
-    header says so).
+    Each actor's dict holds today's phases plus whichever legacy ones
+    the file carries; a reported ``feed`` is *exclusive* of its nested
+    ``encode``, ``pipe_write`` and ``shm_write`` spans, so the driver
+    dict reads as a partition of driver time. Worker phase totals are
+    reported as recorded (with ``sample > 1`` they undercount by design
+    — the header says so).
     """
     header, spans = split_rows(rows)
     wall = float(header.get("wall_s", 0.0)) or 0.0
-
-    driver: Dict[str, float] = {phase: 0.0 for phase in DRIVER_PHASES}
-    for phase in DRIVER_PHASES:
-        driver[phase] = _sum_phase(spans, phase, DRIVER)
-    covered = driver["setup"] + driver["feed"] + driver["drain"] + driver["merge"]
-    driver["feed"] = max(
-        0.0,
-        driver["feed"] - driver["encode"] - driver["pipe_write"] - driver["shm_write"],
+    present = {row["phase"] for row in spans}
+    driver_phases = DRIVER_PHASES + tuple(
+        phase for phase in LEGACY_DRIVER_PHASES if phase in present
     )
+    worker_phases = WORKER_PHASES + tuple(
+        phase for phase in LEGACY_WORKER_PHASES if phase in present
+    )
+
+    driver: Dict[str, float] = {
+        phase: _sum_phase(spans, phase, DRIVER) for phase in driver_phases
+    }
+    feed = driver.get("feed", 0.0)
+    covered = driver["setup"] + feed + driver["drain"] + driver["merge"]
+    if "feed" in driver:
+        nested = sum(
+            driver.get(phase, 0.0)
+            for phase in ("encode", "pipe_write", "shm_write")
+        )
+        driver["feed"] = max(0.0, feed - nested)
 
     workers: Dict[str, Dict[str, float]] = {}
     for row in spans:
@@ -207,13 +217,13 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
         if worker == DRIVER:
             continue
         entry = workers.setdefault(
-            str(worker), {phase: 0.0 for phase in WORKER_PHASES}
+            str(worker), {phase: 0.0 for phase in worker_phases}
         )
         entry[row["phase"]] += row["end"] - row["start"]
 
     return {
         "wall_s": wall,
-        "driver": {phase: round(driver[phase], 6) for phase in DRIVER_PHASES},
+        "driver": {phase: round(driver[phase], 6) for phase in driver_phases},
         "driver_covered_s": round(covered, 6),
         "driver_coverage": round(covered / wall, 4) if wall > 0 else 0.0,
         "workers": {
@@ -223,11 +233,11 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def _clip(spans, phases, worker, lo: float, hi: float) -> float:
-    """Summed overlap of a worker's spans (of ``phases``) with [lo, hi]."""
+def _clip(spans, worker, lo: float, hi: float) -> float:
+    """Summed overlap of a worker's executing spans with [lo, hi]."""
     total = 0.0
     for row in spans:
-        if row["worker"] != worker or row["phase"] not in phases:
+        if row["worker"] != worker or row["phase"] in WORKER_WAIT_PHASES:
             continue
         overlap = min(row["end"], hi) - max(row["start"], lo)
         if overlap > 0:
@@ -239,16 +249,17 @@ def critical_path(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     """The run as a chain of driver windows, each attributed to the
     actor that bounds it.
 
-    Algorithm: the driver's ``setup → feed → drain → merge`` spans
-    partition the run into serial windows (they cannot overlap — the
-    driver is one thread). For each window, every worker's *executing*
-    time (:data:`WORKER_EXEC_PHASES`, i.e. not pipe waits) is clipped
-    to the window; the window's critical actor is the driver during
-    ``setup``/``merge`` (no concurrent work exists), otherwise whoever
-    is busiest — during ``drain`` that is the straggler worker the
-    driver is blocked on, during ``feed`` it is the driver itself
-    unless some worker computes for more of the window than the driver
-    spends feeding it. Summing the window durations reproduces the
+    Algorithm: the driver's ``setup → drain → merge`` spans (with
+    ``feed`` after ``setup`` in a file from the record wire) partition
+    the run into serial windows (they cannot overlap — the driver is
+    one thread). For each window, every worker's *executing* time
+    (anything but :data:`WORKER_WAIT_PHASES`) is clipped to the window;
+    the window's critical actor is the driver during ``setup``/``merge``
+    (no concurrent work exists), otherwise whoever is busiest — during
+    ``drain`` that is the straggler worker the driver is blocked on,
+    during a legacy ``feed`` it is the driver itself unless some worker
+    computes for more of the window than the driver spends feeding it.
+    Summing the window durations reproduces the
     covered wall time, so the chain *is* a critical path: shortening a
     window's critical actor shortens the run.
     """
@@ -269,7 +280,7 @@ def critical_path(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
         critical, busy = "driver", duration
         if stage in ("feed", "drain") and workers:
             clipped = {
-                worker: _clip(spans, WORKER_EXEC_PHASES, worker, lo, hi)
+                worker: _clip(spans, worker, lo, hi)
                 for worker in workers
             }
             straggler = max(clipped, key=lambda w: (clipped[w], -w))
@@ -320,17 +331,13 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
         failures.append(f"header wall_s is not positive: {wall}")
         return failures
     present = {row["phase"] for row in spans}
-    expected = {"setup", "feed", "merge"}
+    expected = {"setup", "merge"}
+    if header.get("executor") == "process" or "feed" not in present:
+        # The window the workers run in; an inline file from the record
+        # wire ran them inside ``feed`` and has no ``drain``.
+        expected.add("drain")
     if int(header.get("batches", 1)):
-        expected |= {"encode", "decode", "probe", "insert", "meter_flush"}
-        if header.get("executor") == "process":
-            # The transport decides which write/read pair must appear;
-            # headers predating the shm transport have no field and
-            # keep the pipe expectation.
-            if header.get("transport") == "shm":
-                expected |= {"shm_write", "shm_read", "drain"}
-            else:
-                expected |= {"pipe_write", "pipe_read", "drain"}
+        expected |= {"probe", "insert", "meter_flush"}
     for phase in sorted(expected):
         if phase not in present:
             failures.append(f"no span covers phase {phase!r}")
@@ -343,7 +350,10 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
             f"driver phase totals ({covered:.6f}s) exceed wall time ({wall:.6f}s)"
         )
     for worker, entry in totals["workers"].items():
-        exec_total = sum(entry[phase] for phase in WORKER_EXEC_PHASES)
+        exec_total = sum(
+            value for phase, value in entry.items()
+            if phase not in WORKER_WAIT_PHASES
+        )
         if exec_total > budget:
             failures.append(
                 f"worker {worker} phase totals ({exec_total:.6f}s) exceed "

@@ -11,18 +11,19 @@ a dedicated out-of-band pipe; the driver hands each decoded frame to a
 * keeps the rolling per-worker and cluster-wide time series,
 * feeds the existing :class:`~repro.obs.health.HealthMonitor`
   detectors *online* — worker starvation from each sample's
-  blocked/uptime ratio, load skew from the cross-worker busy snapshot,
-  pipe backpressure from the driver's own feed-side ticks — so leveled
-  findings surface mid-run instead of post-hoc, and
+  blocked/uptime ratio, load skew from the cross-worker busy snapshot
+  — so leveled findings surface mid-run instead of post-hoc, and
 * appends a durable JSONL artefact (``--telemetry-out``), flushed per
   line so ``python -m repro top FILE`` can tail a run in progress.
 
 The artefact mirrors the spans/health dumps: one header line, then
-``sample`` / ``driver`` / ``health`` rows in arrival order, closed by
-a single ``final`` row. :func:`validate_telemetry_lines` checks the
-schema and the per-worker invariants (strictly increasing ``seq``,
-monotonic counters); :func:`telemetry_smoke` is the CI gate behind
-``python -m repro telemetry --smoke``.
+``sample`` / ``health`` rows in arrival order, closed by a single
+``final`` row (files from the per-batch record wire also carry
+``driver`` rows — feed-side counters — which readers skip).
+:func:`validate_telemetry_lines` checks the schema and the per-worker
+invariants (strictly increasing ``seq``, monotonic counters);
+:func:`telemetry_smoke` is the CI gate behind ``python -m repro
+telemetry --smoke``.
 
 Telemetry is monitoring-plane only: nothing here touches engines,
 meters or match rows, and the differential tests assert that every
@@ -76,9 +77,9 @@ class TelemetryRecorder:
     """Aggregates heartbeat samples into time series + online health.
 
     The runtime constructs one per telemetry-enabled run and calls
-    :meth:`on_heartbeat` for every decoded frame (process executor) or
-    synthesized snapshot (inline executor), :meth:`driver_tick` from
-    the feed loop, and :meth:`finalize` once after the merge. All
+    :meth:`on_heartbeat` for every decoded frame (from a process
+    worker's pipe or the inline executor's loopback) and
+    :meth:`finalize` once after the merge. All
     hooks are O(1) dict work plus one JSON line when a sink path is
     configured — nothing here may slow the data plane measurably.
     """
@@ -115,8 +116,8 @@ class TelemetryRecorder:
             "transport": transport,
             "thresholds": self.monitor.thresholds.as_dict(),
         }
-        #: Every non-header row in arrival order (samples, driver
-        #: ticks, health events, the final row).
+        #: Every non-header row in arrival order (samples, health
+        #: events, the final row).
         self.rows: List[Dict[str, object]] = []
         #: worker id -> that worker's sample rows in arrival order.
         self.by_worker: Dict[int, List[Dict[str, object]]] = {}
@@ -169,8 +170,7 @@ class TelemetryRecorder:
     def _feed_health(self, row: Dict[str, object], t: float) -> None:
         uptime = row["uptime_s"]
         # Starvation: blocked/uptime of this sample — skip the very
-        # first moments of a worker's life where "blocked" just means
-        # "the driver has not reached me yet".
+        # first moments of a worker's life, where any wait dominates.
         if uptime >= 2 * self.interval and row["blocked_s"] > 0:
             self.monitor.on_signal(
                 self.component, row["worker"], t,
@@ -188,51 +188,6 @@ class TelemetryRecorder:
             ]
             self.monitor.on_busy_snapshot(self.component, t, busy)
         self._drain_health_events()
-
-    def driver_tick(self, stats: Dict[str, float]) -> Dict[str, object]:
-        """Feed-side driver telemetry: cumulative routing/encode/write
-        counters, sampled on the same cadence as worker heartbeats.
-
-        ``stats`` carries ``records_routed``/``batches_sent``/
-        ``bytes_out`` plus cumulative ``feed_s``/``encode_s``/
-        ``pipe_write_s`` seconds; the blocked-write fraction drives the
-        pipe-backpressure detector online. Under the shm transport the
-        runner also supplies ``shm_write_s`` (ring publish + credit-wait
-        seconds) and ``ring_occupancy`` (max filled fraction across the
-        batch rings); occupancy then feeds the same backpressure
-        detector — a persistently full ring is the shm analogue of a
-        blocked pipe write.
-        """
-        t = max(0.0, time.monotonic() - self.base)
-        row = {
-            "kind": "driver",
-            "t": round(t, 6),
-            "records_routed": int(stats.get("records_routed", 0)),
-            "batches_sent": int(stats.get("batches_sent", 0)),
-            "bytes_out": int(stats.get("bytes_out", 0)),
-            "feed_s": round(float(stats.get("feed_s", 0.0)), 6),
-            "encode_s": round(float(stats.get("encode_s", 0.0)), 6),
-            "pipe_write_s": round(float(stats.get("pipe_write_s", 0.0)), 6),
-        }
-        has_ring = "ring_occupancy" in stats
-        if has_ring:
-            row["shm_write_s"] = round(float(stats.get("shm_write_s", 0.0)), 6)
-            row["ring_occupancy"] = round(
-                min(1.0, max(0.0, float(stats["ring_occupancy"]))), 6
-            )
-        self.rows.append(row)
-        self._write_line(row)
-        if row["feed_s"] > 0:
-            if has_ring:
-                signal = row["ring_occupancy"]
-            else:
-                signal = row["pipe_write_s"] / row["feed_s"]
-            self.monitor.on_signal(
-                "driver", 0, t,
-                "pipe_blocked_write_fraction", signal,
-            )
-            self._drain_health_events()
-        return row
 
     def _drain_health_events(self) -> None:
         """Append any health events the last hook call emitted."""
@@ -404,10 +359,12 @@ def worker_series(
 
 
 def rates(samples: Sequence[Dict[str, object]], key: str) -> List[float]:
-    """Per-interval first derivative of a rolling counter (units/s)."""
+    """Per-interval first derivative of a rolling counter (units/s),
+    over the worker's own clock (``uptime_s``): arrival stamps bunch up
+    whenever busy workers leave the driver little CPU to read them."""
     out: List[float] = []
     for prev, cur in zip(samples, samples[1:]):
-        dt = cur["t"] - prev["t"]
+        dt = cur["uptime_s"] - prev["uptime_s"]
         if dt <= 0:
             continue
         out.append(max(0.0, (cur[key] - prev[key]) / dt))
@@ -506,7 +463,6 @@ class TelemetryView:
         self.header: Optional[Dict[str, object]] = None
         self.samples: Dict[int, List[Dict[str, object]]] = {}
         self.health: List[Dict[str, object]] = []
-        self.driver: Optional[Dict[str, object]] = None
         self.final: Optional[Dict[str, object]] = None
         self._rates: Dict[int, List[float]] = {}
 
@@ -519,7 +475,7 @@ class TelemetryView:
             samples = self.samples.setdefault(worker, [])
             if samples:
                 prev = samples[-1]
-                dt = row["t"] - prev["t"]
+                dt = row["uptime_s"] - prev["uptime_s"]
                 if dt > 0:
                     self._rates.setdefault(worker, []).append(
                         max(0.0, (row["records"] - prev["records"]) / dt)
@@ -530,8 +486,6 @@ class TelemetryView:
             rate_tail = self._rates.get(worker)
             if rate_tail and len(rate_tail) > self.history:
                 del rate_tail[: len(rate_tail) - self.history]
-        elif kind == "driver":
-            self.driver = row
         elif kind == "health":
             self.health.append(row)
         elif kind == "final":

@@ -3,8 +3,9 @@
 Real processes, not simulated tasks: the columnar
 :class:`~repro.core.local_join.StreamingSetJoin` is sharded across
 ``multiprocessing`` workers, routed by the same
-length/prefix/broadcast policies as the simulated cluster, with
-batched struct-packed record delivery (see
+length/prefix/broadcast policies as the simulated cluster; every worker
+is handed the records and the plan once and keeps what the plan assigns
+its shards, and only results travel back (see
 :mod:`repro.parallel.codec`). Observables — match sets, meter totals,
 fingerprints — are bit-identical to a serial run of the same shard
 plan, across any worker count (see :mod:`repro.parallel.planner` for

@@ -1,4 +1,10 @@
-"""Struct-packed batch codec: the wire format between driver and workers.
+"""Struct-packed batch codec: the wire format between workers and driver.
+
+The record batch codec below (:func:`record_batch_parts`,
+:func:`encode_record_batch`, :class:`BatchEncoder`,
+:func:`decode_record_batch`) is called by no runtime path: records are
+published to the workers once as start-up arguments. It stays for the
+benchmark replay that imports it and goes with ROADMAP item 1(a).
 
 Per-record pickling dominates IPC cost for small records (a pickled
 ``Record`` is ~200 bytes and costs two dispatch round-trips through
@@ -29,8 +35,8 @@ Match batches travel the other way with the same idea: the five
 columns of a :class:`MatchTable` ``(timestamps, rid_a, rid_b, overlap,
 similarity)``, one row per reported pair, in canonical result order.
 
-The event frame (``TAG_EVENTS``) — the one post-EOF instrument frame
-— ships a worker's event log back after EOF with the identical
+The event frame (``TAG_EVENTS``) — the one instrument frame — ships a
+worker's event log back after its loop ends with the identical
 columnar trick: a ``<HBBI`` header (magic ``0x4556`` "EV", version,
 flags = 0, n_rows) followed by five flat columns — stage ``u8``, shard
 ``i32``, key ``i64``, start ``f64``, end ``f64``, 29 bytes per row —
@@ -41,17 +47,16 @@ events travel in the same columns: the top bit of the stage byte says
 whether ``key`` is a batch sequence or a rid, and the driver splits
 them into the two JSONL artefacts.
 
-Shared-memory descriptors (``TAG_SHM_FRAME`` / ``TAG_SHM_MATCHES``)
-are the control plane of the zero-copy transport
-(:mod:`repro.parallel.shm`): when batches travel through ring buffers
-instead of the pipe, the pipe carries only these 21-byte frames naming
-where in the ring the bytes live. The columnar layout above is
-unchanged — the shm driver writes the exact same column slices, just
-into the ring instead of a joined pipe message — which is what keeps
-the two transports bit-identical.
+Shared-memory descriptors (``TAG_SHM_MATCHES``) are the control plane
+of the zero-copy transport (:mod:`repro.parallel.shm`): when match
+frames travel through a ring buffer instead of the pipe, the pipe
+carries only these 21-byte frames naming where in the ring the bytes
+live. The columnar layout above is unchanged — the shm worker writes
+the exact same column slices, just into the ring instead of a joined
+pipe message — which is what keeps the two transports bit-identical.
 
 Heartbeat frames (``TAG_HEARTBEAT``) are the one *in-flight* message:
-a single fixed-size struct (one packed row of rolling counters, 157
+a single fixed-size struct (one packed row of rolling counters, 141
 bytes tag included) a worker writes to its dedicated out-of-band
 heartbeat pipe every ``--heartbeat-interval`` seconds. The frame is
 deliberately far below ``PIPE_BUF`` so a non-blocking write either
@@ -85,9 +90,6 @@ PROBE, INDEX, BOTH = 1, 2, 3
 #: Frame tags — the first byte of every pipe message. Defined once
 #: here (and only here): driver and workers must agree on these or the
 #: wire protocol silently corrupts.
-TAG_BATCH = 0x01        # driver → worker: u32 shard + record batch
-TAG_EOF = 0x02          # driver → worker: end of stream (empty)
-TAG_SHM_FRAME = 0x03    # driver → worker: shm ring frame descriptor
 TAG_MATCHES = 0x11      # worker → driver: match batch, repeated
 TAG_DONE = 0x12         # worker → driver: pickled summary dict
 TAG_EVENTS = 0x13       # worker → driver: event-log frame, iff spans or tracing
@@ -110,16 +112,15 @@ class CodecError(ValueError):
 
 
 #: Shared-memory frame descriptor — the whole payload of a
-#: ``TAG_SHM_FRAME`` / ``TAG_SHM_MATCHES`` control message. ``channel``
-#: is the logical shard id for record frames and the worker id for
-#: match frames; ``advance`` is ``length`` plus any wrap padding the
+#: ``TAG_SHM_MATCHES`` control message. ``channel`` is the worker id;
+#: ``advance`` is ``length`` plus any wrap padding the
 #: producer skipped (the amount the consumer must release);
 #: ``generation`` is a per-ring monotonic frame counter so a desynced
 #: ring surfaces as a pointed error instead of silent corruption.
 _SHM_DESC = struct.Struct("<IIIII")
 
 #: Whole descriptor frame size including the tag byte (21 bytes — the
-#: entire per-batch pipe traffic under ``--transport shm``).
+#: entire per-frame pipe traffic under ``--transport shm``).
 SHM_DESCRIPTOR_BYTES = 1 + _SHM_DESC.size
 
 
@@ -563,7 +564,7 @@ def decode_event_frame(data: bytes) -> EventColumns:
 
 
 HEARTBEAT_MAGIC = 0x4842  # "HB"
-HEARTBEAT_VERSION = 1
+HEARTBEAT_VERSION = 2
 
 #: Flag bit set on the unconditional last heartbeat a worker emits at
 #: EOF (so a finished run always carries >= 1 sample per worker, at
@@ -573,19 +574,15 @@ HEARTBEAT_FLAG_FINAL = 1
 #: The per-phase busy seconds carried by a heartbeat, in wire order —
 #: must equal :data:`repro.obs.spans.WORKER_PHASES` (asserted by the
 #: tests; not imported here to keep the codec dependency-free).
-#: ``shm_read`` is the worker's descriptor-wait + mapped-read phase
-#: under ``--transport shm`` (zero on pipe runs, and vice versa).
-HEARTBEAT_PHASES = (
-    "pipe_read", "decode", "probe", "insert", "meter_flush", "shm_read",
-)
+HEARTBEAT_PHASES = ("route", "probe", "insert", "meter_flush")
 
 #: magic u16 | version u8 | flags u8 | worker u32 | seq u32 |
 #: uptime f64 | mono f64 | batches/records/matches/live_postings u64 |
 #: busy/blocked f64 | bytes_in/bytes_out u64 | rss_bytes u64 |
-#: dropped u64 | 6 x phase seconds f64.
-_HEARTBEAT = struct.Struct("<HBBIIddQQQQddQQQQ6d")
+#: dropped u64 | 4 x phase seconds f64.
+_HEARTBEAT = struct.Struct("<HBBIIddQQQQddQQQQ4d")
 
-#: Whole-frame size including the leading tag byte. 157 bytes — far
+#: Whole-frame size including the leading tag byte. 141 bytes — far
 #: below POSIX ``PIPE_BUF`` (>= 512), so a non-blocking pipe write of
 #: one frame is atomic: it lands whole or raises ``EAGAIN``.
 HEARTBEAT_FRAME_BYTES = 1 + _HEARTBEAT.size
@@ -661,5 +658,5 @@ def decode_heartbeat(data: bytes) -> dict:
         "bytes_out": bytes_out,
         "rss_bytes": rss_bytes,
         "dropped": dropped,
-        "phase_s": dict(zip(HEARTBEAT_PHASES, fields[17:23])),
+        "phase_s": dict(zip(HEARTBEAT_PHASES, fields[17:])),
     }

@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.health import HealthMonitor, HealthThresholds
 from repro.obs.registry import ObsRegistry
-from repro.obs.spans import DRIVER
 from repro.obs.timeline import TimelineRecorder
 from repro.parallel.codec import MatchTable
 
@@ -173,14 +172,14 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
         ("worker_busy_seconds", "seconds spent processing batches", "busy_s"),
         (
             "worker_blocked_seconds",
-            "seconds blocked reading the input pipe",
+            "seconds blocked waiting for input",
             "blocked_s",
         ),
         ("worker_batches", "batches processed", "batches"),
         ("worker_records", "records processed", "records"),
         ("worker_bytes_in", "frame bytes received", "bytes_in"),
         ("worker_bytes_out", "match/span frame bytes sent", "bytes_out"),
-        ("worker_lifetime_seconds", "seconds from fork to EOF", "lifetime_s"),
+        ("worker_lifetime_seconds", "seconds from start to loop end", "lifetime_s"),
         (
             "worker_peak_rss_bytes",
             "peak resident set size in bytes (ru_maxrss normalised: "
@@ -231,36 +230,17 @@ def worker_health(
     """Run the end-of-run health detectors over a parallel result.
 
     The load-skew detector sees per-worker busy seconds (a straggler
-    process reads exactly like a straggler task). The driver's routing
+    process reads exactly like a straggler task). The run's routing
     observations are replayed with their true peak (the one-shot
     critical alert) and true average (the run-end warning), and engine
     health signals (e.g. expiration lag) replay their peaks — the
     peak is exactly what those one-shot detectors key on.
 
-    Two wall-clock detectors join in for process runs: pipe
-    backpressure (the fraction of the driver's feed phase spent in
-    blocked ``pipe_write`` spans — ``shm_write`` under the shm
-    transport, where the blocked time is a credit wait on a full ring
-    rather than a full pipe; needs spans enabled) and worker
-    starvation (each worker's blocked-read seconds over its lifetime —
-    the ``pipe_read``/``shm_read`` aggregate, carried in the summary
-    telemetry, so it fires even without spans).
+    One wall-clock detector joins in: worker starvation (each worker's
+    blocked seconds over its lifetime, carried in the summary
+    telemetry).
     """
     monitor = HealthMonitor(thresholds)
-    if result.span_rows:
-        write_s = feed_s = 0.0
-        for row in result.span_rows:
-            if row["worker"] != DRIVER:
-                continue
-            if row["phase"] in ("pipe_write", "shm_write"):
-                write_s += row["end"] - row["start"]
-            elif row["phase"] == "feed":
-                feed_s += row["end"] - row["start"]
-        if feed_s > 0:
-            monitor.on_signal(
-                "driver", 0, result.wall_s,
-                "pipe_blocked_write_fraction", write_s / feed_s,
-            )
     for stats in result.worker_stats:
         lifetime = stats.get("lifetime_s", 0.0)
         if lifetime > 0 and stats.get("blocked_s", 0.0) > 0:

@@ -7,11 +7,14 @@ simulated cluster uses), each backed by its own
 :class:`~repro.core.local_join.StreamingSetJoin`; the ``--workers N``
 process count only decides which OS process *hosts* each shard
 (``shard % N``). Every shard therefore sees exactly the same record
-subsequence — in arrival order, because routing happens in the driver
-and per-shard delivery is FIFO — regardless of how many processes run.
-Match sets, ``WorkMeter`` totals and fingerprints are a pure function
-of the shard plan, which is why the differential harness can demand
-bit-equality across worker counts.
+subsequence — in arrival order, because every worker walks the same
+published record list through this same plan (a pure function of the
+record) and keeps the tasks of the shards it hosts — regardless of how
+many processes run. Match sets, ``WorkMeter`` totals and fingerprints
+are a pure function of the shard plan, which is why the differential
+harness can demand bit-equality across worker counts. The plan pickles
+(memo tables included or rebuilt), so a ``spawn`` worker receives it as
+a start-up argument like a ``fork`` worker inherits it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from repro.similarity.functions import SimilarityFunction, get_similarity
 
 @dataclass
 class ShardPlan:
-    """The routing side of one parallel run, fixed before any IPC."""
+    """The routing side of one parallel run, fixed before any worker
+    starts."""
 
     config: JoinConfig
     router: Router

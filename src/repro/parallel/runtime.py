@@ -1,51 +1,49 @@
-"""The driver: feed a record stream through sharded worker processes.
+"""The driver: publish a record stream once to sharded worker processes.
 
 Execution model::
 
     driver                          worker 0..W-1 (processes)
     ------                          -------------------------
-    plan shards (router)            build engines for its shards
-    route each record ──batches──>  probe/insert under one meter
-    send EOF                        flush per batch
+    materialise records, plan       (start-up arguments: records, plan,
+    spawn workers ───────────────>   hosted shards, batch size)
+                                    build engines for its shards
+                                    walk the records, keep its shards'
+                                    tasks, probe/insert per batch
     drain matches + summaries <──   sort + stream matches, summary
     merge (sort, sum meters)
 
 Determinism: the stream is routed over ``num_shards`` logical shards
-(default ``config.num_workers``) regardless of the physical worker
-count; each shard receives its records in arrival order (driver routes
-sequentially, per-worker pipes are FIFO, and a worker processes frames
-in receive order), so every shard engine performs the identical
-operation sequence for any ``workers``/``batch_size``/executor choice.
-The merged observables — match rows in ``(timestamp, rid_a, rid_b)``
-order, summed integer meter totals — are therefore bit-identical
-across configurations, which the differential tests and the ``repro
-diff`` fingerprint gate both assert.
+(default ``config.num_workers``) regardless of the physical worker count;
+every worker walks the same record list in arrival order through the
+same pure :class:`~repro.parallel.planner.ShardPlan`, so each shard
+engine performs the identical operation sequence for any
+``workers``/``batch_size``/executor choice. The merged observables —
+match rows in ``(timestamp, rid_a, rid_b)`` order, summed integer meter
+totals — are therefore bit-identical across configurations, which the
+differential tests and the ``repro diff`` fingerprint gate both assert.
 
 Three executors:
 
 * ``"process"`` — real ``multiprocessing`` workers (the point).
-* ``"inline"``  — same :class:`ShardWorker` code and codec round-trip,
-  driven in-process: the single-core fallback and what the
-  differential tests use to cover worker-count grids cheaply.
-* :func:`run_serial` — no batching, no codec, direct per-record
-  engine calls: the ground truth the other two must reproduce.
+* ``"inline"``  — same :class:`ShardWorker` code driven in-process:
+  the single-core fallback and what the differential tests use to
+  cover worker-count grids cheaply.
+* :func:`run_serial` — no batching, direct per-record engine calls:
+  the ground truth the other two must reproduce.
 
-One batch path under both executors: one feed loop
-(:meth:`ParallelJoinRunner._feed`) hands every full batch to one sender
-(:meth:`_Sender.ship` — batch sequence, per-batch instrument
-selection, encode/write stamps, driver counters), which delivers it to
-one receiver (:meth:`ShardWorker.receive`). Only the wire format
-differs, behind three record links: :class:`_PipeLink` (a codec frame
-on the worker's pipe), :class:`_ShmLink` (ring claim + descriptor, the
-pipe frame as per-batch fallback) and :class:`_LoopbackLink` (the
-inline executor's in-process hand-over; no write phase). Every stamp
-along the way — spans and record-trace events alike — lands in one
+One publish, no record wire: :meth:`ParallelJoinRunner.run` hands every
+worker ``(records, plan, hosted shards, batch_size)`` once — inherited
+under ``fork``, pickled once under ``spawn``, one code path either way
+— and :meth:`ShardWorker.run` self-selects its shards' tasks from them
+under both executors. The driver writes nothing after start-up: it goes
+from spawn straight to draining results, which is also all a transport
+carries (pipe frames, or the shm mirror ring plus descriptors). Every
+stamp — spans and record-trace events alike — lands in one
 :class:`~repro.obs.eventlog.EventLog` per actor (the driver's on the
-per-run :class:`_Run`, each worker's shipped back post-EOF as one
-``TAG_EVENTS`` frame), and one merge helper
-(:meth:`ParallelJoinRunner._artefacts`) splits them into the two JSONL
-artefacts. Placement and the run's log live on :class:`_Run`; the
-runner holds configuration only.
+per-run :class:`_Run`, each worker's shipped back as one ``TAG_EVENTS``
+frame), and one merge helper (:meth:`ParallelJoinRunner._artefacts`)
+splits them into the two JSONL artefacts. Placement and the run's log
+live on :class:`_Run`; the runner holds configuration only.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from __future__ import annotations
 import atexit
 import math
 import pickle
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,10 +58,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
 from repro.obs.artefact import write_jsonl
-from repro.obs.eventlog import RECORD_SCOPE, EventLog, log_rows
+from repro.obs.eventlog import EventLog, log_rows
 from repro.obs.rectrace import (
     DEFAULT_TRACE_SAMPLE,
-    EVENT_ID,
     RECTRACE_ARTEFACT,
     RECTRACE_SCHEMA_VERSION,
     latency_digest,
@@ -78,24 +74,18 @@ from repro.obs.timeseries import (
 from repro.parallel.codec import (
     INDEX,
     PROBE,
-    TAG_BATCH,
     TAG_DONE,
-    TAG_EOF,
     TAG_ERROR,
     TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
-    TAG_SHM_FRAME,
     TAG_SHM_MATCHES,
-    BatchEncoder,
     MatchTable,
     decode_event_frame,
     decode_heartbeat,
     decode_match_batch,
     decode_shm_descriptor,
     encode_event_frame,
-    encode_shm_descriptor,
-    record_batch_parts,
 )
 from repro.parallel.merge import (
     merge_matches,
@@ -105,14 +95,12 @@ from repro.parallel.merge import (
     worker_metrics,
     worker_timeline,
 )
-from repro.parallel.planner import ShardPlan, plan_shards
+from repro.parallel.planner import plan_shards
 from repro.parallel.shm import (
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
-    RingBuffer,
     ShmRing,
     shm_supported,
-    wait_for_credit,
 )
 from repro.parallel.worker import (
     HeartbeatEmitter,
@@ -124,36 +112,24 @@ from repro.parallel.worker import (
 from repro.records import Record
 from repro.routing.base import fanout_fraction
 
-_U32 = struct.Struct("<I")
-
 _SETUP = PHASE_ID["setup"]
-_FEED = PHASE_ID["feed"]
-_ENCODE = PHASE_ID["encode"]
-_PIPE_WRITE = PHASE_ID["pipe_write"]
-_SHM_WRITE = PHASE_ID["shm_write"]
 _DRAIN = PHASE_ID["drain"]
 _MERGE = PHASE_ID["merge"]
 
-_EV_FEED = RECORD_SCOPE | EVENT_ID["feed"]
-_EV_ENCODE = RECORD_SCOPE | EVENT_ID["encode"]
-_EV_PIPE_WRITE = RECORD_SCOPE | EVENT_ID["pipe_write"]
-
 EXECUTORS = ("process", "inline")
-#: Batch transports: ``pipe`` ships whole frames through the result
-#: pipe (the struct codec); ``shm`` ships the same column bytes through
-#: per-worker shared-memory rings and only 21-byte descriptors through
-#: the pipe (see :mod:`repro.parallel.shm`). ``"auto"`` is accepted by
-#: the runner and resolves to shm for the process executor when the
-#: platform supports it.
+#: Result transports: ``pipe`` ships whole match frames through the
+#: worker's pipe (the struct codec); ``shm`` ships the same column
+#: bytes through a per-worker shared-memory mirror ring and only
+#: 21-byte descriptors through the pipe (see :mod:`repro.parallel.shm`).
+#: ``"auto"`` is accepted by the runner and resolves to pipe.
 TRANSPORTS = ("pipe", "shm")
 
 
-def _unlink_rings(channels) -> None:
+def _unlink_rings(rings) -> None:
     """The atexit backstop (and ``finally`` body): unlink every ring
     segment of one run. Idempotent — double unlinking is a no-op."""
-    for pair in channels:
-        for ring in pair:
-            ring.unlink()
+    for ring in rings:
+        ring.unlink()
 
 
 class ParallelWorkerError(RuntimeError):
@@ -235,8 +211,7 @@ class ParallelJoinResult:
 
     def health(self, thresholds=None):
         """Finalized :class:`HealthMonitor` (load skew across workers,
-        routing fanout, pipe backpressure / worker starvation, engine
-        signals)."""
+        routing fanout, worker starvation, engine signals)."""
         return worker_health(self, thresholds)
 
     def metrics_registry(self):
@@ -319,8 +294,8 @@ class ParallelJoinResult:
 @dataclass
 class _Run:
     """What one :meth:`ParallelJoinRunner.run` call owns besides its
-    inputs, passed to the executor, the feed and the merge — the runner
-    holds configuration only, so its runs cannot see each other."""
+    inputs, passed to the executor and the merge — the runner holds
+    configuration only, so its runs cannot see each other."""
 
     #: Monotonic clock value at run start (base for every rebase).
     started: float
@@ -330,13 +305,10 @@ class _Run:
     trace_sample: int
     telemetry: Optional[TelemetryRecorder] = None
     #: The planner's placement, decided once per run: ``assignment[w]``
-    #: lists worker ``w``'s shards, ``worker_of[shard]`` is its inverse.
+    #: lists worker ``w``'s shards.
     assignment: List[List[int]] = field(default_factory=list)
-    worker_of: Dict[int, int] = field(default_factory=dict)
     #: worker id → its decoded event-log columns, filled while draining.
     columns: Dict[int, tuple] = field(default_factory=dict)
-    #: Driver-observed routing fanout, set by the feed.
-    fanout: Optional[Dict[str, float]] = None
     #: The driver's event log, built from the strides (``None``: neither
     #: spans nor tracing — nothing is calibrated or allocated).
     log: Optional[EventLog] = field(init=False, default=None)
@@ -346,214 +318,11 @@ class _Run:
             self.log = EventLog(self.spans_sample, self.trace_sample)
 
     def window(self, phase: int, start: float) -> None:
-        """Close one of the driver's top-level windows (setup, feed,
-        drain, merge) now — recorded whenever spans are on, whatever
-        the batch sampling stride."""
+        """Close one of the driver's top-level windows (setup, drain,
+        merge) now — recorded whenever spans are on, whatever the batch
+        sampling stride."""
         if self.spans_sample:
             self.log.record(phase, start, time.monotonic())
-
-
-class _PipeLink:
-    """Record link of the pipe transport: one whole codec frame per
-    batch on the hosting worker's pipe. A link hides the wire format
-    and nothing else: ``encode`` turns a batch into whatever ``write``
-    puts on the wire, ``write`` returns the bytes moved, ``write_phase``
-    is the write window's span phase (``None``: nothing to stamp).
-    ``send(worker, frame)`` is the executor's pipe write, which owns
-    the dead-worker handling."""
-
-    write_phase = _PIPE_WRITE
-
-    def __init__(self, num_shards: int, send):
-        self.send = send
-        #: One tag+shard prefix per shard and one scratch buffer for the
-        #: whole feed: the pipe path allocates nothing per batch beyond
-        #: the codec's own column slices.
-        self.prefixes = [
-            bytes([TAG_BATCH]) + _U32.pack(shard) for shard in range(num_shards)
-        ]
-        self.encoder = BatchEncoder()
-
-    def encode(self, worker: int, shard: int, items):
-        return self.encoder.encode(self.prefixes[shard], items)
-
-    def write(self, worker: int, shard: int, frame) -> int:
-        self.send(worker, frame)
-        return len(frame)
-
-    def stats(self, write_s: float) -> Dict[str, float]:
-        """This link's share of a driver telemetry row."""
-        return {"pipe_write_s": write_s}
-
-
-class _ShmLink(_PipeLink):
-    """Record link of the shm transport: the column slices go straight
-    into the hosting worker's batch ring and only a 21-byte descriptor
-    travels on the pipe; a batch the ring can never hold takes the
-    inherited pipe frame. ``alive(worker)`` is the executor's liveness
-    check for the credit wait."""
-
-    write_phase = _SHM_WRITE
-
-    def __init__(self, num_shards, send, rings: Sequence[RingBuffer], alive):
-        super().__init__(num_shards, send)
-        self.rings = rings
-        self.alive = alive
-        #: Frames published per worker — the descriptor's generation,
-        #: which the worker checks against its own count.
-        self.generations = [0] * len(rings)
-
-    def encode(self, worker: int, shard: int, items):
-        return record_batch_parts(items)
-
-    def write(self, worker: int, shard: int, parts) -> int:
-        ring = self.rings[worker]
-        total = sum(len(part) for part in parts)
-        # Credit wait: the worker releases every frame right after
-        # decoding it and sends nothing before EOF, so the wait is
-        # bounded — unless the worker died, which the periodic liveness
-        # check turns into a pointed error instead of a hang.
-        claim = wait_for_credit(
-            ring, total, liveness=lambda: self.alive(worker), liveness_every=64
-        )
-        if claim is None:
-            # A batch too large for the ring (or un-claimable at this
-            # wrap offset): per-frame pipe-codec fallback.
-            frame = b"".join((self.prefixes[shard], *parts))
-            return super().write(worker, shard, frame)
-        offset, advance = claim
-        ring.write(offset, parts)
-        ring.publish(advance)
-        descriptor = encode_shm_descriptor(
-            TAG_SHM_FRAME, shard, offset, total, advance,
-            self.generations[worker],
-        )
-        self.generations[worker] += 1
-        self.send(worker, descriptor)
-        return len(descriptor) + total
-
-    def stats(self, write_s: float) -> Dict[str, float]:
-        occupancy = max(ring.occupancy() for ring in self.rings)
-        return {"shm_write_s": write_s, "ring_occupancy": occupancy}
-
-
-class _LoopbackLink:
-    """Record link of the inline executor, which is both ends of the
-    wire. ``encode`` round-trips the batch through the codec, so inline
-    runs exercise the exact wire bytes and records arrive
-    re-materialized; ``write`` is the hosting worker's
-    :meth:`ShardWorker.receive` — no write window to stamp. ``rings``
-    (shm only) are plain ``bytearray``-backed: the identical
-    claim/publish/release protocol with no real segments, each frame
-    published then immediately consumed (credits always clear), which
-    lets the differential grid cover ring wraparound deterministically
-    on any platform."""
-
-    write_phase = None
-
-    def __init__(self, pool, rings, emitters):
-        self.pool = pool
-        self.rings = rings
-        #: One heartbeat emitter per hosted worker (``None``: telemetry
-        #: off), polled after every batch like ``worker_main`` does.
-        self.emitters = emitters
-
-    def encode(self, worker: int, shard: int, items):
-        parts = record_batch_parts(items)
-        if self.rings is not None:
-            ring = self.rings[worker]
-            total = sum(len(part) for part in parts)
-            claim = ring.try_claim(total)
-            if claim is not None:
-                offset, advance = claim
-                ring.write(offset, parts)
-                ring.publish(advance)
-                return ring.view(offset, total), ring, advance
-        # Pipe transport, or an un-claimable (~ring-sized) frame taking
-        # the pipe-codec fallback, same as the process executor.
-        return b"".join(parts), None, 0
-
-    def write(self, worker: int, shard: int, frame) -> int:
-        payload, ring, advance = frame
-        host = self.pool[worker]
-        host.bytes_in += len(payload)
-        host.receive(shard, payload, ring, advance)
-        if self.emitters is not None:
-            self.emitters[worker].maybe_emit(host)
-        return len(payload)
-
-
-class _Sender:
-    """The one batch sender: :meth:`ship` owns a batch from buffer to
-    wire — placement lookup, per-shard batch sequence, the span-sample /
-    traced / telemetry decision, encode and write stamps, the driver's
-    feed counters. ``pump`` (the executor's heartbeat drain) switches
-    on driver telemetry rows; the inline executor passes none — its
-    workers heartbeat straight into the recorder."""
-
-    def __init__(self, link, run: _Run, pump=None):
-        self.link = link
-        self.worker_of = run.worker_of
-        self.log = run.log
-        self.telemetry = run.telemetry if pump is not None else None
-        self.pump = pump
-        #: Per-shard batch sequence (the deterministic sampling key for
-        #: the driver's encode/write spans — it mirrors the worker-side
-        #: counter by construction: both sides see each shard's batches
-        #: in the same order).
-        self.batch_seq = [0] * len(run.worker_of)
-        #: Cumulative feed totals, in driver telemetry row vocabulary.
-        self.totals = {
-            "records_routed": 0, "batches_sent": 0, "bytes_out": 0,
-            "encode_s": 0.0,
-        }
-        self.write_s = 0.0
-        self.feed_t0 = self.last_tick = time.monotonic()
-
-    def ship(self, shard: int, items, traced: Sequence[int]) -> None:
-        """Encode and write one batch; ``traced`` lists its traced rids
-        (pre-accumulated by the feed loop — no per-batch rescan here).
-        Three clock reads per batch, whatever is switched on."""
-        seq = self.batch_seq[shard]
-        self.batch_seq[shard] = seq + 1
-        link = self.link
-        worker = self.worker_of[shard]
-        t0 = time.monotonic()
-        frame = link.encode(worker, shard, items)
-        t1 = time.monotonic()
-        sent = link.write(worker, shard, frame)
-        t2 = time.monotonic()
-        log = self.log
-        if log is not None:
-            # One stamp per window: the batch's span and, for every
-            # traced record in it, an event over the same window. The
-            # trace event vocabulary is transport-neutral: pipe_write
-            # is "the transport publish window" — under shm the ring
-            # copy + descriptor send.
-            log.window(_ENCODE, _EV_ENCODE, t0, t1, shard, seq, traced)
-            if link.write_phase is not None:
-                log.window(
-                    link.write_phase, _EV_PIPE_WRITE, t1, t2, shard, seq, traced
-                )
-        if self.telemetry is not None:
-            totals = self.totals
-            totals["records_routed"] += len(items)
-            totals["batches_sent"] += 1
-            totals["bytes_out"] += sent
-            totals["encode_s"] += t1 - t0
-            self.write_s += t2 - t1
-            if t2 - self.last_tick >= self.telemetry.interval:
-                self.tick(t2)
-
-    def tick(self, now: float) -> None:
-        """One driver telemetry row: the cumulative feed totals."""
-        self.last_tick = now
-        self.pump()
-        self.telemetry.driver_tick({
-            **self.totals,
-            "feed_s": now - self.feed_t0,
-            **self.link.stats(self.write_s),
-        })
 
 
 def _corpus_of(stream, records: Sequence[Record]) -> Sequence[Tuple[int, ...]]:
@@ -587,24 +356,24 @@ class ParallelJoinRunner:
 
     ``trace=True`` switches on distributed per-record tracing (see
     :mod:`repro.obs.rectrace`): records with ``rid % trace_sample ==
-    0`` are followed across the process boundary — the driver stamps
-    feed/encode/pipe-write, the workers stamp
-    decode/probe/insert/match-emit — and the merged, clock-rebased
-    event rows land on the result (``trace_rows`` /
+    0`` are followed through the workers — each stamps the record's
+    probe/insert/match-emit on every shard it reaches — and the merged,
+    clock-rebased event rows land on the result (``trace_rows`` /
     ``rectrace_document()`` / ``latency_digest()``). The traced rid
     set is a pure function of rid, so it is identical across worker
     counts, batch sizes and executors; like spans and telemetry,
     tracing never changes an observable.
 
-    ``transport`` picks how batch bytes reach the workers: ``"pipe"``
-    (the struct codec over the result pipe — the default and the
-    universal fallback), ``"shm"`` (per-worker shared-memory rings with
-    descriptor-only pipe traffic — see :mod:`repro.parallel.shm`), or
-    ``"auto"`` (shm for the process executor when the platform supports
-    it). ``ring_bytes`` sizes each ring's data region; batches that
-    cannot fit a ring fall back to pipe frames transparently. The
-    transport is pure mechanism: observables are bit-identical across
-    transports, which the differential grid asserts.
+    ``transport`` picks how match rows come back from process workers
+    (records travel no wire): ``"pipe"`` (the struct codec over the
+    worker's pipe — the default and the universal fallback), ``"shm"``
+    (a per-worker shared-memory mirror ring with descriptor-only pipe
+    traffic — see :mod:`repro.parallel.shm`), or ``"auto"`` (pipe: shm
+    wins on no measured workload). ``ring_bytes`` sizes each ring's
+    data region; frames that cannot fit a ring fall
+    back to pipe frames transparently. The transport is pure mechanism:
+    observables are bit-identical across transports, which the
+    differential grid asserts.
     """
 
     def __init__(
@@ -641,13 +410,10 @@ class ParallelJoinRunner:
                 f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
             )
         if transport == "auto":
-            # Only the process executor has real segments to gain from;
-            # inline defaults to the pipe codec round-trip.
-            transport = (
-                "shm"
-                if executor == "process" and shm_supported()[0]
-                else "pipe"
-            )
+            # Results are all a transport carries, and on them shm has
+            # not beaten pipe on any benchmark workload (EXPERIMENTS.md
+            # "publish once (PR 21)").
+            transport = "pipe"
         elif transport == "shm" and executor == "process":
             ok, reason = shm_supported()
             if not ok:
@@ -699,8 +465,8 @@ class ParallelJoinRunner:
 
     # -- execution -----------------------------------------------------------
     def run(self, stream) -> ParallelJoinResult:
-        """Route ``stream`` (a RecordStream or record iterable) through
-        the workers; block until merged."""
+        """Publish ``stream`` (a RecordStream or record iterable) to the
+        workers; block until merged."""
         started = time.monotonic()
         run = _Run(
             started=started,
@@ -716,9 +482,6 @@ class ParallelJoinRunner:
         run.assignment = [
             plan.shards_of_worker(w, workers) for w in range(workers)
         ]
-        run.worker_of = {
-            shard: w for w, hosted in enumerate(run.assignment) for shard in hosted
-        }
         if self.telemetry:
             run.telemetry = TelemetryRecorder(
                 workers=workers,
@@ -735,105 +498,51 @@ class ParallelJoinRunner:
         chunks, summaries = execute(run, plan, records)
         return self._merge(run, plan, records, chunks, summaries)
 
-    def _feed(self, run: _Run, plan: ShardPlan, records, sender: _Sender) -> None:
-        """Route records into per-shard batches and ship each full one;
-        leaves the driver's fanout stats on ``run``. Untraced,
-        ``stride`` is 0 and a record pays a few truthiness tests and no
-        stride arithmetic; traced, each batch's traced rids accumulate
-        *here*, alongside the buffer appends, so the sender stamps
-        encode/write events without rescanning every batch (the rid set
-        is a pure function of the stride either way — the worker still
-        re-derives it independently)."""
-        shards = plan.num_shards
-        batch_size = self.batch_size
-        ship = sender.ship
-        log = run.log
-        stride = run.trace_sample
-        monotonic = time.monotonic
-        buffers: List[List[Tuple[int, Record]]] = [[] for _ in range(shards)]
-        marks: List[List[int]] = [[] for _ in range(shards)]
-        fanout_total = 0.0
-        fanout_peak = 0.0
-        t_feed = monotonic()
-        for record in records:
-            # The feed event covers the record's routing and buffer
-            # appends — including any batch flush it triggers, which is
-            # latency the record genuinely experiences at the driver.
-            traced = stride and not record.rid % stride
-            if traced:
-                t_rec = monotonic()
-            tasks = plan.tasks(record)
-            fraction = fanout_fraction(len(tasks), shards)
-            fanout_total += fraction
-            if fraction > fanout_peak:
-                fanout_peak = fraction
-            for shard, op in tasks:
-                buffer = buffers[shard]
-                buffer.append((op, record))
-                if traced:
-                    marks[shard].append(record.rid)
-                if len(buffer) >= batch_size:
-                    ship(shard, buffer, marks[shard])
-                    buffer.clear()
-                    marks[shard].clear()
-            if traced:
-                log.record(_EV_FEED, t_rec, monotonic(), -1, record.rid)
-        for shard, buffer in enumerate(buffers):
-            if buffer:
-                ship(shard, buffer, marks[shard])
-        run.window(_FEED, t_feed)
-        run.fanout = {
-            "total": fanout_total, "count": len(records), "peak": fanout_peak
-        }
-
     def _run_process(self, run: _Run, plan, records):
         import multiprocessing as mp
 
         telemetry = run.telemetry
         workers = len(run.assignment)
-        monotonic = time.monotonic
         ctx = mp.get_context(self.start_method)
         use_shm = self.transport == "shm"
         conns = []
         procs = []
         hb_conns = []
-        #: Per-worker ``(batch ShmRing, mirror ShmRing)`` — created (and
-        #: therefore unlinked) by the driver, before the workers that
-        #: attach by name exist.
-        channels: List[Tuple[ShmRing, ShmRing]] = []
+        #: Per-worker mirror ``ShmRing`` — created (and therefore
+        #: unlinked) by the driver, before the workers that attach by
+        #: name exist.
+        rings: List[ShmRing] = []
         self.shm_segment_names = []
         if use_shm:
             # Backstop first, segments second: whatever gets created is
             # already covered if the process dies mid-setup. The happy
             # path unlinks in the ``finally`` below and unregisters.
-            atexit.register(_unlink_rings, channels)
+            atexit.register(_unlink_rings, rings)
         try:
             if use_shm:
                 for w in range(workers):
-                    pair = (ShmRing(self.ring_bytes), ShmRing(self.ring_bytes))
-                    channels.append(pair)
-                    self.shm_segment_names.extend(seg.name for seg in pair)
+                    rings.append(ShmRing(self.ring_bytes))
+                    self.shm_segment_names.append(rings[w].name)
             for w in range(workers):
                 parent, child = ctx.Pipe(duplex=True)
                 hb_send = None
                 if telemetry is not None:
                     # Dedicated one-way heartbeat pipe: the monitoring
-                    # plane never shares the result pipe, so the
-                    # deadlock-freedom argument is untouched.
+                    # plane never shares the result pipe.
                     hb_recv, hb_send = ctx.Pipe(duplex=False)
                     hb_conns.append(hb_recv)
+                # The one publish: records and plan ride the start-up
+                # arguments (inherited under fork, pickled under spawn).
                 proc = ctx.Process(
                     target=worker_main,
                     args=(
                         child, w, self.config, run.assignment[w],
-                        plan.num_shards,
+                        records, plan, self.batch_size,
                         run.spans_sample,
                         hb_send,
                         self.heartbeat_interval if telemetry is not None else 0.0,
                         run.trace_sample,
-                        self.transport,
-                        channels[w][0].name if use_shm else None,
-                        channels[w][1].name if use_shm else None,
+                        rings[w].name if use_shm else None,
                     ),
                     daemon=True,
                 )
@@ -861,66 +570,22 @@ class ParallelJoinRunner:
                         if msg and msg[0] == TAG_HEARTBEAT:
                             telemetry.on_heartbeat(decode_heartbeat(msg))
 
-            def worker_died(w: int) -> ParallelWorkerError:
-                """Surface a worker's death during the feed: prefer its
-                own TAG_ERROR traceback if one is buffered."""
-                conn = conns[w]
-                try:
-                    if conn.poll(0):
-                        msg = conn.recv_bytes()
-                        if msg and msg[0] == TAG_ERROR:
-                            return ParallelWorkerError(pickle.loads(msg[1:]))
-                except (EOFError, OSError):
-                    pass
-                return ParallelWorkerError(
-                    f"worker {w} died mid-feed (pipe closed before EOF)"
-                )
-
-            def send(w: int, frame) -> None:
-                """Every driver → worker pipe write, on either
-                transport: a closed pipe is a dead worker."""
-                try:
-                    conns[w].send_bytes(frame)
-                except OSError:
-                    raise worker_died(w) from None
-
-            def alive(w: int) -> None:
-                """Liveness check of the ring credit wait (which also
-                keeps live samples flowing while the driver is blocked
-                on credits)."""
-                if telemetry is not None:
-                    pump()
-                if conns[w].poll(0) or not procs[w].is_alive():
-                    raise worker_died(w)
-
-            if use_shm:
-                rings = [pair[0].ring for pair in channels]
-                link = _ShmLink(plan.num_shards, send, rings, alive)
-            else:
-                link = _PipeLink(plan.num_shards, send)
-            sender = _Sender(link, run, pump)
-            #: Mirror-ring frames consumed per worker (generation check).
-            drain_generations = [0] * workers
-            self._feed(run, plan, records, sender)
-            if telemetry is not None:
-                # Closing driver row: cumulative feed totals, so every
-                # telemetry artefact carries at least one driver tick.
-                sender.tick(monotonic())
-
-            t_drain = monotonic()
-            for w in range(workers):
-                send(w, bytes([TAG_EOF]))
-
+            t_drain = time.monotonic()
+            poll_s = min(0.05, self.heartbeat_interval)
             chunks: List[MatchTable] = []
             summaries = []
             for w, conn in enumerate(conns):
                 rows = MatchTable()
+                #: Mirror-ring frames consumed (generation check).
+                generation = 0
                 while True:
                     try:
                         if telemetry is not None:
                             # Keep ingesting live samples while blocked
-                            # on a straggler's results.
-                            while not conn.poll(0.05):
+                            # on a worker's results — at least once per
+                            # heartbeat interval, so arrival stamps are
+                            # no coarser than the samples.
+                            while not conn.poll(poll_s):
                                 pump()
                         msg = conn.recv_bytes()
                     except EOFError:
@@ -932,17 +597,16 @@ class ParallelJoinRunner:
                     if tag == TAG_MATCHES:
                         rows.extend(decode_match_batch(msg[1:]))
                     elif tag == TAG_SHM_MATCHES:
-                        _, offset, length, advance, generation = (
+                        _, offset, length, advance, seen = (
                             decode_shm_descriptor(msg[1:])
                         )
-                        if generation != drain_generations[w]:
+                        if seen != generation:
                             raise ParallelWorkerError(
                                 f"worker {w} mirror ring desynced: frame "
-                                f"generation {generation}, expected "
-                                f"{drain_generations[w]}"
+                                f"generation {seen}, expected {generation}"
                             )
-                        drain_generations[w] += 1
-                        ring = channels[w][1].ring
+                        generation += 1
+                        ring = rings[w].ring
                         # decode copies the columns out; releasing right
                         # after returns the credit a blocked worker may
                         # be waiting on.
@@ -979,20 +643,19 @@ class ParallelJoinRunner:
             for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
-                    proc.join()
+                proc.join()
             if use_shm:
                 # Unlink after the workers are gone, on every exit path
                 # — normal return, worker crash, KeyboardInterrupt —
                 # then retire the atexit backstop (unlink is idempotent,
-                # but a later run re-registers a fresh channel list).
-                _unlink_rings(channels)
+                # but a later run re-registers a fresh ring list).
+                _unlink_rings(rings)
                 atexit.unregister(_unlink_rings)
 
     def _run_inline(self, run: _Run, plan, records):
         telemetry = run.telemetry
         workers = len(run.assignment)
         monotonic = time.monotonic
-        born = monotonic()
         pool = [
             ShardWorker(
                 self.config, run.assignment[w], plan.num_shards,
@@ -1006,45 +669,40 @@ class ParallelJoinRunner:
         def loopback(frame: bytes) -> bool:
             """The inline heartbeat sink: samples round-trip through
             the wire codec so the inline differential grid covers the
-            heartbeat frame format exactly like it covers the record
-            and event-log codecs — and nothing is ever dropped."""
+            heartbeat frame format exactly like it covers the event-log
+            codec — and nothing is ever dropped."""
             telemetry.on_heartbeat(decode_heartbeat(frame))
             return True
 
-        emitters = (
-            [
+        t_drain = monotonic()
+        summaries = []
+        for w, worker in enumerate(pool):
+            # One worker after the other, each over the whole published
+            # input — what the processes do side by side.
+            born = monotonic()
+            emitter = (
                 HeartbeatEmitter(loopback, w, self.heartbeat_interval)
-                for w in range(workers)
-            ]
-            if telemetry is not None
-            else None
-        )
-        rings = (
-            [RingBuffer.local(self.ring_bytes) for _ in range(workers)]
-            if self.transport == "shm"
-            else None
-        )
-        link = _LoopbackLink(pool, rings, emitters)
-        self._feed(run, plan, records, _Sender(link, run))
-        for worker in pool:
+                if telemetry is not None
+                else None
+            )
+            fanout = worker.run(records, plan, self.batch_size, emitter)
             worker.lifetime_s = monotonic() - born
-        if emitters is not None:
-            for worker, emitter in zip(pool, emitters):
-                # The flagged final sample per worker, mirroring the
-                # process executor's EOF heartbeat.
+            if emitter is not None:
+                # The flagged final sample, mirroring ``worker_main``.
                 emitter.emit(worker.telemetry_snapshot(), final=True)
-        summaries = [worker.finish() for worker in pool]
-        if emitters is not None:
-            for summary, emitter in zip(summaries, emitters):
+            summary = worker.finish()
+            summary["fanout"] = fanout
+            if emitter is not None:
                 summary["heartbeats"] = emitter.seq
                 summary["heartbeats_dropped"] = emitter.dropped
-        if run.log is not None:
-            # Round-trip the workers' event logs through the wire frame
-            # too, for the same inline-covers-the-codec reason.
-            for w, worker in enumerate(pool):
+            summaries.append(summary)
+            if worker.log is not None:
+                # Round-trip the event log through the wire frame, so
+                # inline runs cover that codec too.
                 run.columns[w] = decode_event_frame(
                     encode_event_frame(*worker.log.columns())
                 )
+        run.window(_DRAIN, t_drain)
         return [worker.matches for worker in pool], summaries
 
     def _artefacts(self, run: _Run, summaries, shape, records: int):
@@ -1148,7 +806,8 @@ class ParallelJoinRunner:
             )
         operations, events, signals = merge_meters(shard_meters)
         matches = merge_matches(chunks)
-        fanout = run.fanout
+        # Every worker tallies the same walk over the same records.
+        fanout = summaries[0]["fanout"]
         if fanout["count"]:
             peak = fanout["peak"]
             if (

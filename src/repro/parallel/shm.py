@@ -1,17 +1,14 @@
-"""Shared-memory batch transport: SPSC ring buffers for the runtime.
+"""Shared-memory results transport: an SPSC ring buffer per worker.
 
-The struct codec (:mod:`repro.parallel.codec`) fixed the *serialization*
-tax; this module removes the *copy* tax. Under ``--transport shm`` the
-driver writes each encoded batch's column slices directly into a
-per-worker single-producer/single-consumer ring buffer hosted in a
-:mod:`multiprocessing.shared_memory` segment, and publishes only a
-21-byte frame descriptor (ring offset, length, generation counter)
-over the existing pipe as a ``TAG_SHM_FRAME`` control message. The
-worker maps the segment once at startup and reads each batch as a
-zero-copy ``memoryview``; match rows travel back the same way through
-a mirror ring described by ``TAG_SHM_MATCHES`` descriptors. The pipe
-thus carries only tiny control frames — the bulk bytes never cross the
-kernel pipe buffer at all.
+Under ``--transport shm`` a worker writes each match frame's column
+slices directly into its single-producer/single-consumer *mirror* ring,
+hosted in a :mod:`multiprocessing.shared_memory` segment the driver
+owns, and publishes only a 21-byte frame descriptor (ring offset,
+length, generation counter) over its pipe as a ``TAG_SHM_MATCHES``
+control message. The driver reads each frame as a zero-copy
+``memoryview`` and releases it — the bulk bytes never cross the kernel
+pipe buffer. Records travel no wire at all (every worker is handed them
+once, at start-up), so this is the only ring a run creates.
 
 Ring layout (DESIGN §14)::
 
@@ -35,17 +32,16 @@ available — never corrupt it.
 Credit-based flow control replaces blocking pipe writes: the free
 space the producer sees (``capacity - (head - tail)``) *is* its credit
 balance, replenished by the consumer advancing ``tail``. When a claim
-fails the producer sleeps briefly and re-reads ``tail`` — the consumer
-never blocks on sends before EOF, so it always makes progress and the
-wait is bounded (the runtime additionally checks worker liveness in
-that loop, so a killed worker surfaces as an error, not a hang).
+fails the producer (:func:`repro.parallel.worker.ship_matches`) sleeps
+briefly and re-reads ``tail`` — the draining driver never writes, so it
+always makes progress and the wait is bounded (the worker additionally
+checks in that loop that the driver is still there).
 
 :class:`RingBuffer` is deliberately buffer-agnostic: the process
-executor hands it shared-memory segments, while the inline executor
-(and the unit tests) run the identical claim/publish/release protocol
-over a plain ``bytearray`` — so wraparound and credit behaviour are
-covered by the deterministic differential grid, not just by timing-
-dependent process runs.
+executor hands it shared-memory segments, while the unit tests run the
+identical claim/publish/release protocol over a plain ``bytearray`` —
+so wraparound and credit behaviour are covered deterministically, not
+just by timing-dependent process runs.
 
 Segment hygiene: the driver is the sole owner — it creates and always
 unlinks (``finally`` + an ``atexit`` backstop, so KeyboardInterrupt and
@@ -58,8 +54,7 @@ unlink (see :func:`attach_ring` for why workers never unregister).
 from __future__ import annotations
 
 import struct
-import time
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "DEFAULT_RING_BYTES",
@@ -71,7 +66,7 @@ __all__ = [
     "shm_supported",
 ]
 
-#: Default data capacity of one ring (per worker, per direction).
+#: Default data capacity of one ring (one per worker).
 DEFAULT_RING_BYTES = 1 << 20
 
 #: Smallest ring the runtime accepts — one header plus room for a few
@@ -97,7 +92,7 @@ class RingBuffer:
 
     Exactly one producer calls :meth:`try_claim` / :meth:`write` /
     :meth:`publish`; exactly one consumer calls :meth:`view` /
-    :meth:`release`. Either side may also read :meth:`occupancy`.
+    :meth:`release`.
     The backing buffer must hold ``RING_HEADER_BYTES + capacity``
     bytes; pass ``create=True`` from the side that owns the memory to
     initialise the control block.
@@ -138,16 +133,8 @@ class RingBuffer:
         self._tail = _COUNTER.unpack_from(mv, _TAIL_OFFSET)[0]
 
     # -- shared ----------------------------------------------------------
-    def _read_head(self) -> int:
-        return _COUNTER.unpack_from(self._mv, _HEAD_OFFSET)[0]
-
     def _read_tail(self) -> int:
         return _COUNTER.unpack_from(self._mv, _TAIL_OFFSET)[0]
-
-    def occupancy(self) -> float:
-        """Published-but-unreleased fraction of the ring, in [0, 1]."""
-        used = self._read_head() - self._read_tail()
-        return min(1.0, used / self.capacity) if self.capacity else 0.0
 
     # -- producer --------------------------------------------------------
     def free_bytes(self) -> int:
@@ -240,8 +227,8 @@ class RingBuffer:
     # -- construction helpers -------------------------------------------
     @classmethod
     def local(cls, capacity: int = 1 << 16) -> "RingBuffer":
-        """A process-local ring over a fresh ``bytearray`` — the inline
-        executor's and the unit tests' backing store."""
+        """A process-local ring over a fresh ``bytearray`` — the unit
+        tests' backing store."""
         return cls(bytearray(RING_HEADER_BYTES + capacity), create=True)
 
 
@@ -343,31 +330,3 @@ def attach_ring(name: str):
 
     segment = shared_memory.SharedMemory(name=name)
     return segment, RingBuffer(segment.buf)
-
-
-def wait_for_credit(
-    ring: RingBuffer,
-    length: int,
-    poll: float = 0.0002,
-    liveness=None,
-    liveness_every: int = 256,
-) -> Optional[Tuple[int, int]]:
-    """Block (sleep-poll) until ``try_claim(length)`` succeeds.
-
-    Returns the claim, or ``None`` when the frame is not
-    :meth:`RingBuffer.claimable` from the current position (the wait
-    could then never end). ``liveness`` — called every
-    ``liveness_every`` polls — may raise to abort the wait (the runtime
-    uses it to surface a dead worker instead of hanging forever).
-    """
-    claim = ring.try_claim(length)
-    if claim is not None or not ring.claimable(length):
-        return claim
-    polls = 0
-    while claim is None:
-        time.sleep(poll)
-        polls += 1
-        if liveness is not None and polls % liveness_every == 0:
-            liveness()
-        claim = ring.try_claim(length)
-    return claim

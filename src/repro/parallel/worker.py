@@ -8,13 +8,19 @@ index ``shard`` of ``num_shards``
 behaves identically whether it runs inside the simulated cluster,
 inline in the driver, or in a forked process.
 
-Wire protocol (one :func:`multiprocessing.Pipe` per worker, message =
-one ``send_bytes`` frame, first byte = tag, tags defined in
-:mod:`repro.parallel.codec`):
+Records never cross a wire. Every worker is handed the whole record
+list and the shard plan once, as process start-up arguments (inherited
+under ``fork``, pickled once under ``spawn``), and
+:meth:`ShardWorker.run` self-selects: it walks the records in arrival
+order, asks the plan for each record's ``(shard, op)`` tasks, keeps the
+tasks of the shards it hosts and cuts them into per-shard batches — the
+map-side partitioning of a candidate-free distributed join, with no
+per-record work left in the driver.
 
-    driver → worker   TAG_BATCH      u32 shard + record batch (codec)
-                      TAG_SHM_FRAME  ring descriptor (shm transport)
-                      TAG_EOF        (empty)
+Wire protocol, results direction only (one :func:`multiprocessing.Pipe`
+per worker, message = one ``send_bytes`` frame, first byte = tag, tags
+defined in :mod:`repro.parallel.codec`):
+
     worker → driver   TAG_MATCHES      match batch (codec), repeated
                       TAG_SHM_MATCHES  mirror-ring descriptor (shm)
                       TAG_EVENTS       event-log frame (codec), iff spans
@@ -22,53 +28,46 @@ one ``send_bytes`` frame, first byte = tag, tags defined in
                       TAG_DONE         pickled summary dict
                       TAG_ERROR        pickled traceback string
 
-Under ``--transport shm`` (:mod:`repro.parallel.shm`) the batch bytes
-live in a driver-owned shared-memory ring the worker mapped once at
-startup: ``TAG_SHM_FRAME`` names a frame in that ring, the worker
-decodes it as a zero-copy ``memoryview`` and releases the bytes back
-to the driver's credit immediately after decode. Match rows return
-through a mirror ring the same way (``TAG_SHM_MATCHES``), with the
-struct-codec pipe frames kept as the per-frame fallback for batches
-larger than a ring. The worker only ever *attaches* to the segments —
+Under ``--transport shm`` (:mod:`repro.parallel.shm`) match rows return
+through a driver-owned shared-memory mirror ring the worker mapped once
+at startup (``TAG_SHM_MATCHES`` names a frame in it), with the
+struct-codec pipe frames kept as the per-frame fallback for chunks
+larger than the ring. The worker only ever *attaches* to the segment —
 cleanup (unlink) belongs exclusively to the driver.
 
-Deadlock freedom: workers send **nothing** until they receive EOF —
-matches (and the event log) accumulate locally — so while the driver is
-feeding batches its reads can't be required to unblock anyone; after
-it sends EOF to every worker it switches to draining, and workers
+Deadlock freedom: the driver never writes after start-up, so no wait
+cycle exists. A worker ships its matches (and event log) when its loop
+ends; the driver goes from spawn straight to draining, and a worker
 blocked writing a large match chunk (or waiting for mirror-ring
 credits, which the draining driver replenishes as it consumes)
-proceed as soon as their turn is read.
+proceeds as soon as its turn is read.
 
-Live telemetry rides a *separate* one-way heartbeat pipe per worker
-so the argument above is untouched: :class:`HeartbeatEmitter` hands
-:func:`pipe_sink` one fixed-size ``TAG_HEARTBEAT`` frame per sampling
-interval, written with the pipe in non-blocking mode — the frame is
+Live telemetry rides a *separate* one-way heartbeat pipe per worker:
+:class:`HeartbeatEmitter` hands :func:`pipe_sink` one fixed-size
+``TAG_HEARTBEAT`` frame per sampling interval, polled after every
+batch and written with the pipe in non-blocking mode — the frame is
 far below ``PIPE_BUF``, so the write either lands atomically or raises
 ``BlockingIOError``, in which case the sample is dropped (and counted)
 rather than ever blocking the worker on the monitoring plane. A final
-flagged heartbeat is always emitted at EOF, so every finished run
-carries at least one sample per worker at any interval.
+flagged heartbeat is always emitted when the loop ends, so every
+finished run carries at least one sample per worker at any interval.
 
-One batch path: every record batch, whatever carried it, enters
-through :meth:`ShardWorker.receive` (decode → stamp → release the ring
-credit → :meth:`ShardWorker.process_batch`), called by
-:func:`worker_main` and by the runtime's inline executor alike, and
-every record runs through one probe → emit → insert body. Instruments
-are selected per *batch*, never by a second copy of that body: a batch
-whose per-shard sequence number falls in the span sample
-(``spans_sample >= 1``) times every record (per-phase totals must be
-exact), any other batch times only its traced rids (``rid %
-trace_sample == 0``, re-derived from the stride — no trace context is
-ever sent on the wire), and everything not selected — the whole batch
-when both are off — runs through the one un-timed loop. Engine and
-meter calls are the same calls in the same order either way, so
-instrumentation can never change an observable. Spans (blocked-read
-wait, decode, probe, insert, meter flush) and trace events
-(decode/probe/insert/match-emit) are rows of the worker's one
-:class:`~repro.obs.eventlog.EventLog` and ship back post-EOF as one
-``TAG_EVENTS`` frame; independent of it, every worker tracks cheap
-per-run telemetry (blocked/busy seconds, bytes in/out, peak RSS)
+One batch path: :meth:`ShardWorker.run` (called by :func:`worker_main`
+and by the runtime's inline executor alike) hands every batch to
+:meth:`ShardWorker.process_batch`, and every record runs through one
+probe → emit → insert body. Instruments are selected per *batch*, never
+by a second copy of that body: a batch whose per-shard sequence number
+falls in the span sample (``spans_sample >= 1``) times every record
+(per-phase totals must be exact), any other batch times only its traced
+rids (``rid % trace_sample == 0``, derived from the stride), and
+everything not selected — the whole batch when both are off — runs
+through the one un-timed loop. Engine and meter calls are the same
+calls in the same order either way, so instrumentation can never change
+an observable. Spans (the loop's own routing time between batches,
+probe, insert, meter flush) and trace events (probe/insert/match-emit)
+are rows of the worker's one :class:`~repro.obs.eventlog.EventLog` and
+ship back as one ``TAG_EVENTS`` frame; independent of it, every worker
+tracks cheap per-run telemetry (busy seconds, bytes out, peak RSS)
 reported in the ``TAG_DONE`` summary.
 """
 
@@ -76,7 +75,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import struct
 import sys
 import time
 import traceback
@@ -92,30 +90,26 @@ from repro.obs.spans import PHASE_ID
 from repro.parallel.codec import (
     INDEX,
     PROBE,
-    TAG_BATCH,
     TAG_DONE,
-    TAG_EOF,
     TAG_ERROR,
     TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
-    TAG_SHM_FRAME,
     TAG_SHM_MATCHES,
     HEARTBEAT_PHASES,
     MatchTable,
-    decode_record_batch,
-    decode_shm_descriptor,
     encode_event_frame,
     encode_heartbeat,
     encode_shm_descriptor,
 )
-from repro.parallel.shm import RingBuffer, attach_ring
+from repro.parallel.shm import attach_ring
 from repro.records import Record
+from repro.routing.base import fanout_fraction
 from repro.similarity.functions import get_similarity
 
 __all__ = [
-    "TAG_BATCH", "TAG_EOF", "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS",
-    "TAG_HEARTBEAT", "TAG_SHM_FRAME", "TAG_SHM_MATCHES", "TAG_ERROR",
+    "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS", "TAG_HEARTBEAT",
+    "TAG_SHM_MATCHES", "TAG_ERROR",
     "MATCH_CHUNK", "peak_rss_bytes", "build_shard_engine",
     "ShardWorker", "HeartbeatEmitter", "pipe_sink", "worker_main",
 ]
@@ -123,17 +117,13 @@ __all__ = [
 #: Rows per TAG_MATCHES frame — bounds peak frame size (~40 bytes/row).
 MATCH_CHUNK = 16384
 
-_U32 = struct.Struct("<I")
 _MATCHES_TAG = bytes([TAG_MATCHES])
 
-_PIPE_READ = PHASE_ID["pipe_read"]
-_SHM_READ = PHASE_ID["shm_read"]
-_DECODE = PHASE_ID["decode"]
+_ROUTE = PHASE_ID["route"]
 _PROBE_PHASE = PHASE_ID["probe"]
 _INSERT_PHASE = PHASE_ID["insert"]
 _METER_FLUSH = PHASE_ID["meter_flush"]
 
-_EV_DECODE = RECORD_SCOPE | EVENT_ID["decode"]
 _EV_PROBE = RECORD_SCOPE | EVENT_ID["probe"]
 _EV_INSERT = RECORD_SCOPE | EVENT_ID["insert"]
 _EV_MATCH_EMIT = RECORD_SCOPE | EVENT_ID["match_emit"]
@@ -213,8 +203,10 @@ class ShardWorker:
         #: driver's busy/idle timeline.
         self.intervals: List[Tuple[float, float]] = []
         #: Telemetry filled by the hosting loop (``worker_main`` or the
-        #: inline executor): blocked-read seconds, frame bytes each way,
-        #: and the worker's total lifetime.
+        #: inline executor): result-frame bytes sent and the worker's
+        #: total lifetime. ``blocked_s`` / ``bytes_in`` stay zero — a
+        #: worker never waits for, or receives, a record — and exist for
+        #: the heartbeat frame and artefact schemas that carry them.
         self.blocked_s = 0.0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -259,32 +251,68 @@ class ShardWorker:
             "phase_s": phase_s,
         }
 
-    def receive(
-        self, shard: int, payload, ring: Optional[RingBuffer] = None,
-        advance: int = 0,
-    ) -> None:
-        """The one receiver: decode ``payload`` (pipe bytes or a ring
-        view), stamp the decode span / per-rid decode events, hand
-        ``advance`` ring bytes back to the sender's credit, and process
-        the batch. Traced rids are re-derived from the stride: every
-        traced record in the batch inherits the batch's decode window."""
-        seq = self._batch_seq.get(shard, 0)
-        t0 = time.monotonic()
-        items = decode_record_batch(payload)
-        t1 = time.monotonic()
+    def run(
+        self, records: Sequence[Record], plan, batch_size: int, emitter=None
+    ) -> Dict[str, float]:
+        """Walk the published ``records`` in arrival order and process
+        what ``plan`` assigns the hosted shards; returns the
+        routing-fanout totals ``{"total", "count", "peak"}`` of the
+        per-record reached-shards fraction (over every record and every
+        shard, so all workers of a run return the same three numbers).
+
+        A record's tasks land in per-shard buffers, each cut at
+        ``batch_size`` and handed to :meth:`process_batch`; leftovers
+        flush in shard order at the end. Per-shard batch boundaries and
+        the cross-shard batch order are therefore a pure function of
+        the plan and ``batch_size``, whatever the worker count.
+        ``emitter`` (a :class:`HeartbeatEmitter`) is polled after every
+        batch. With spans on, the loop's own time between two batches —
+        plan lookups, fanout tally, buffer appends — is one ``route``
+        span per kept frame."""
+        shards = plan.num_shards
+        tasks_of = plan.tasks
         log = self.log
-        if log is not None:
-            stride = log.trace_sample
-            traced = (
-                [r.rid for _op, r in items if not r.rid % stride] if stride else ()
-            )
-            log.window(_DECODE, _EV_DECODE, t0, t1, shard, seq, traced)
-        if advance:
-            # Decode fully copied the columns out of the ring; hand the
-            # bytes back to the driver's credit before the (potentially
-            # long) batch processing.
-            ring.release(advance)
-        self.process_batch(shard, items)
+        monotonic = time.monotonic
+        engines = self.engines
+        buffers: List[Optional[list]] = [
+            [] if shard in engines else None for shard in range(shards)
+        ]
+        frames = 0
+        mark = monotonic()
+
+        def flush(shard: int, buffer: list) -> None:
+            nonlocal frames, mark
+            if log is not None and log.keep(frames):
+                log.record(_ROUTE, mark, monotonic(), -1, frames)
+            frames += 1
+            self.process_batch(shard, buffer)
+            buffer.clear()
+            if emitter is not None:
+                emitter.maybe_emit(self)
+            if log is not None:
+                mark = monotonic()
+
+        fanout_total = 0.0
+        fanout_peak = 0.0
+        for record in records:
+            tasks = tasks_of(record)
+            fraction = fanout_fraction(len(tasks), shards)
+            fanout_total += fraction
+            if fraction > fanout_peak:
+                fanout_peak = fraction
+            for shard, op in tasks:
+                buffer = buffers[shard]
+                if buffer is None:
+                    continue
+                buffer.append((op, record))
+                if len(buffer) >= batch_size:
+                    flush(shard, buffer)
+        for shard, buffer in enumerate(buffers):
+            if buffer:
+                flush(shard, buffer)
+        return {
+            "total": fanout_total, "count": len(records), "peak": fanout_peak
+        }
 
     def process_batch(
         self, shard: int, items: Sequence[Tuple[int, Record]]
@@ -450,11 +478,6 @@ class HeartbeatEmitter:
         self._born = time.monotonic()
         self._next_due = self._born + interval
 
-    def poll_timeout(self) -> float:
-        """Seconds the hosting recv loop may block before a sample is
-        due (0 when one is already overdue)."""
-        return max(0.0, self._next_due - time.monotonic())
-
     def emit(self, counters: dict, final: bool = False, retries: int = 0) -> bool:
         """Pack one frame and hand it to the sink; ``retries`` bounds
         short waits for the final flagged sample (still never an
@@ -488,11 +511,12 @@ def ship_matches(table: MatchTable, conn, ring, worker_id: int) -> int:
     transport) or joined into a ``TAG_MATCHES`` pipe frame, never a
     second copy of the result; returns the data-plane bytes sent.
 
-    Runs strictly post-EOF, when the driver is draining: a full ring
-    only means the driver has not yet consumed earlier frames, and its
-    drain loop releases them in order, so the credit wait here is
-    bounded. A chunk the ring can never hold takes the pipe frame —
-    the protocol, not the segment size, is the invariant.
+    Runs once the worker's loop has ended, while the driver is
+    draining (it does nothing else after start-up): a full ring only
+    means the driver has not yet consumed earlier frames, and its drain
+    loop releases them in order, so the credit wait here is bounded. A
+    chunk the ring can never hold takes the pipe frame — the protocol,
+    not the segment size, is the invariant.
     """
     sent = generation = 0
     chunk = MATCH_CHUNK
@@ -513,9 +537,9 @@ def ship_matches(table: MatchTable, conn, ring, worker_id: int) -> int:
         while claim is None:
             time.sleep(0.0005)
             if conn.poll(0):
-                # The driver sends nothing after EOF — a readable pipe
-                # here means it closed its end (died). Abort instead
-                # of waiting forever on credits nobody will grant.
+                # The driver never sends — a readable pipe here means
+                # it closed its end (died). Abort instead of waiting
+                # forever on credits nobody will grant.
                 raise RuntimeError(
                     f"worker {worker_id}: driver vanished during match drain"
                 )
@@ -537,126 +561,69 @@ def worker_main(
     worker_id: int,
     config: JoinConfig,
     shard_ids: Sequence[int],
-    num_shards: int,
+    records: Sequence[Record],
+    plan,
+    batch_size: int,
     spans_sample: int = 0,
     heartbeat=None,
     heartbeat_interval: float = 0.0,
     trace_sample: int = 0,
-    transport: str = "pipe",
-    shm_in: Optional[str] = None,
     shm_out: Optional[str] = None,
 ) -> None:
     """Child-process entry point (module-level: spawn-context picklable).
 
-    ``heartbeat`` is the optional write end of the worker's dedicated
-    heartbeat pipe; with ``heartbeat_interval > 0`` the recv loop polls
-    the result pipe with a bounded timeout and emits a rolling-counter
-    frame whenever a sample falls due — including while blocked waiting
-    for the driver, which is exactly when live visibility matters.
+    ``records`` and ``plan`` (a :class:`~repro.parallel.planner.ShardPlan`)
+    are the whole published input — inherited under ``fork``, pickled
+    once under ``spawn`` — which :meth:`ShardWorker.run` walks for the
+    hosted ``shard_ids``; nothing is read from ``conn``.
 
+    ``heartbeat`` is the optional write end of the worker's dedicated
+    heartbeat pipe; with ``heartbeat_interval > 0`` a rolling-counter
+    frame is emitted after any batch that finds a sample due.
     ``spans_sample`` / ``trace_sample`` are the :class:`ShardWorker`
-    strides (0 = off). ``transport="shm"`` switches on the zero-copy
-    path: ``shm_in`` / ``shm_out`` name the driver-owned batch and
-    mirror rings, mapped once here (see
-    :func:`repro.parallel.shm.attach_ring` for the tracker discipline)
-    then read/written for the whole run. The blocked-wait span phase
-    becomes ``shm_read`` so phase totals stay comparable across
-    transports.
+    strides (0 = off). ``shm_out`` names the driver-owned mirror ring of
+    the shm transport (``None``: results travel as pipe frames), mapped
+    once here (see :func:`repro.parallel.shm.attach_ring` for the
+    tracker discipline).
     """
     born = time.monotonic()
-    emitter = None
-    segments = []
-    ring_in = ring_out = None
+    segment = ring_out = None
     try:
-        if transport == "shm":
-            if shm_in is None or shm_out is None:
-                raise ValueError(
-                    f"worker {worker_id}: shm transport without segment names"
-                )
-            segment, ring_in = attach_ring(shm_in)
-            segments.append(segment)
+        if shm_out is not None:
             segment, ring_out = attach_ring(shm_out)
-            segments.append(segment)
-        wait_phase = _SHM_READ if transport == "shm" else _PIPE_READ
-        expect_generation = 0
         worker = ShardWorker(
-            config, shard_ids, num_shards,
+            config, shard_ids, plan.num_shards,
             spans_sample=spans_sample, worker=worker_id,
             trace_sample=trace_sample,
         )
+        emitter = None
         if heartbeat is not None and heartbeat_interval > 0:
             emitter = HeartbeatEmitter(
                 pipe_sink(heartbeat), worker_id, heartbeat_interval
             )
-        log = worker.log
-        frames = 0
-        while True:
-            t_wait = time.monotonic()
-            if emitter is not None:
-                while not conn.poll(emitter.poll_timeout()):
-                    emitter.maybe_emit(worker)
-            msg = conn.recv_bytes()
-            t_got = time.monotonic()
-            worker.blocked_s += t_got - t_wait
-            worker.bytes_in += len(msg)
-            if log is not None and log.keep(frames):
-                log.record(wait_phase, t_wait, t_got, -1, frames)
-            frames += 1
-            tag = msg[0]
-            if tag == TAG_BATCH or tag == TAG_SHM_FRAME:
-                advance = 0
-                if tag == TAG_BATCH:
-                    # Plain pipe frame — the default transport, and the
-                    # shm transport's oversized-batch fallback.
-                    (shard,) = _U32.unpack_from(msg, 1)
-                    payload = msg[1 + _U32.size :]
-                else:
-                    if ring_in is None:
-                        raise ValueError(
-                            f"worker {worker_id}: shm frame on pipe transport"
-                        )
-                    shard, offset, length, advance, generation = (
-                        decode_shm_descriptor(msg[1:])
-                    )
-                    if generation != expect_generation:
-                        raise ValueError(
-                            f"worker {worker_id}: shm frame generation "
-                            f"{generation}, expected {expect_generation} "
-                            f"(ring desynced)"
-                        )
-                    expect_generation += 1
-                    payload = ring_in.view(offset, length)
-                    worker.bytes_in += length
-                worker.receive(shard, payload, ring_in, advance)
-                if emitter is not None:
-                    emitter.maybe_emit(worker)
-            elif tag == TAG_EOF:
-                worker.lifetime_s = time.monotonic() - born
-                if emitter is not None:
-                    # The unconditional flagged sample: every finished
-                    # run carries >= 1 heartbeat per worker, whatever
-                    # the interval. Bounded retries, never a block.
-                    emitter.emit(
-                        worker.telemetry_snapshot(), final=True, retries=3
-                    )
-                summary = worker.finish()
-                if emitter is not None:
-                    summary["heartbeats"] = emitter.seq
-                    summary["heartbeats_dropped"] = emitter.dropped
-                # bytes_out counts the data plane (match + event frames,
-                # or their ring payload + descriptors under shm); the
-                # pickled summary frame itself is excluded — it has to
-                # carry the final byte count.
-                sent = ship_matches(worker.matches, conn, ring_out, worker_id)
-                if log is not None:
-                    frame = bytes([TAG_EVENTS]) + encode_event_frame(*log.columns())
-                    conn.send_bytes(frame)
-                    sent += len(frame)
-                summary["bytes_out"] = sent
-                conn.send_bytes(bytes([TAG_DONE]) + pickle.dumps(summary))
-                return
-            else:
-                raise ValueError(f"worker {worker_id}: unknown frame tag {tag}")
+        fanout = worker.run(records, plan, batch_size, emitter)
+        worker.lifetime_s = time.monotonic() - born
+        if emitter is not None:
+            # The unconditional flagged sample: every finished run
+            # carries >= 1 heartbeat per worker, whatever the interval.
+            # Bounded retries, never a block.
+            emitter.emit(worker.telemetry_snapshot(), final=True, retries=3)
+        summary = worker.finish()
+        summary["fanout"] = fanout
+        if emitter is not None:
+            summary["heartbeats"] = emitter.seq
+            summary["heartbeats_dropped"] = emitter.dropped
+        # bytes_out counts the data plane (match + event frames, or
+        # their ring payload + descriptors under shm); the pickled
+        # summary frame itself is excluded — it has to carry the final
+        # byte count.
+        sent = ship_matches(worker.matches, conn, ring_out, worker_id)
+        if worker.log is not None:
+            frame = bytes([TAG_EVENTS]) + encode_event_frame(*worker.log.columns())
+            conn.send_bytes(frame)
+            sent += len(frame)
+        summary["bytes_out"] = sent
+        conn.send_bytes(bytes([TAG_DONE]) + pickle.dumps(summary))
     except Exception:
         try:
             conn.send_bytes(
@@ -668,15 +635,12 @@ def worker_main(
         except Exception:
             pass
     finally:
-        # Drop every live view into the rings before closing the
-        # mappings (SharedMemory refuses to close under live exports);
-        # never unlink — the driver owns segment lifetime.
-        payload = None  # noqa: F841 - may still hold the last frame view
-        for _ring in (ring_in, ring_out):
-            if _ring is not None:
-                _ring.detach()
-        ring_in = ring_out = None
-        for segment in segments:
+        # Drop the ring's views before closing the mapping (SharedMemory
+        # refuses to close under live exports); never unlink — the
+        # driver owns segment lifetime.
+        if ring_out is not None:
+            ring_out.detach()
+        if segment is not None:
             try:
                 segment.close()
             except (OSError, BufferError):

@@ -55,6 +55,11 @@ class PrefixRouter(Router):
         #: frozen dataclass costs more than the lookups that found it.
         self._decisions: Dict[Tuple[int, ...], RoutingDecision] = {}
 
+    def __reduce__(self):
+        # The owner memo wraps a closure and does not pickle; a copy in
+        # another process (a ``spawn`` worker's plan) refills its own.
+        return type(self), (self.num_workers, self.func)
+
     def route(self, record: Record) -> RoutingDecision:
         probe_len = self.func.probe_prefix_length(record.size)
         index_len = self.func.index_prefix_length(record.size)

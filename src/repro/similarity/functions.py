@@ -154,6 +154,12 @@ class SimilarityFunction:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.threshold))
 
+    def __reduce__(self):
+        # The per-instance memo tables shadow the methods they wrap and
+        # do not pickle; a copy in another process starts with empty
+        # ones (a ``ShardPlan`` carries one as a ``spawn`` argument).
+        return type(self), (self.threshold,)
+
 
 def _overlap(r: Sequence[int], s: Sequence[int]) -> int:
     """Intersection size of two sorted token arrays (linear merge)."""

@@ -685,11 +685,11 @@ class TestTraceRectraceCommand:
     def test_smoke_fails_on_truncated_file(self, rectrace_file, tmp_path,
                                            capsys):
         lines = [l for l in rectrace_file.read_text().splitlines()
-                 if '"event": "feed"' not in l]
-        bad = tmp_path / "nofeed.jsonl"
+                 if '"event": "insert"' not in l]
+        bad = tmp_path / "noinsert.jsonl"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["trace", str(bad), "--smoke"]) == 1
-        assert "feed" in capsys.readouterr().err
+        assert "insert" in capsys.readouterr().err
 
     def test_chrome_rejected_on_token_input(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -124,62 +124,6 @@ class TestExpirationLag:
         assert monitor.events == []
 
 
-class TestBackpressureBoundaries:
-    """Exact threshold semantics: ``>=`` at 0.25 (warning) / 0.6
-    (critical), one-shot leveling per task."""
-
-    SIGNAL = "pipe_blocked_write_fraction"
-
-    def test_just_below_warning_is_silent(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.2499999)
-        assert monitor.events == []
-
-    def test_exactly_warning_threshold_fires(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.25)
-        (event,) = monitor.events
-        assert (event.severity, event.detector) == (
-            "warning", "pipe_backpressure")
-        assert event.threshold == 0.25
-
-    def test_exactly_critical_threshold_fires(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.6)
-        (event,) = monitor.events
-        assert event.severity == "critical"
-        assert event.threshold == 0.6
-
-    def test_just_below_critical_is_warning(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.5999999)
-        (event,) = monitor.events
-        assert event.severity == "warning"
-
-    def test_one_shot_rearms_across_levels(self):
-        # A warning must not suppress a later critical; each level
-        # fires exactly once per task.
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.3)   # warning
-        monitor.on_signal("driver", 0, 0.2, self.SIGNAL, 0.4)   # suppressed
-        monitor.on_signal("driver", 0, 0.3, self.SIGNAL, 0.7)   # critical
-        monitor.on_signal("driver", 0, 0.4, self.SIGNAL, 0.9)   # suppressed
-        monitor.on_signal("driver", 0, 0.5, self.SIGNAL, 0.3)   # suppressed
-        assert [e.severity for e in monitor.events] == ["warning", "critical"]
-
-    def test_critical_first_suppresses_later_warning(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.8)   # critical
-        monitor.on_signal("driver", 0, 0.2, self.SIGNAL, 0.3)   # suppressed
-        assert [e.severity for e in monitor.events] == ["critical"]
-
-    def test_tasks_level_independently(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 0.1, self.SIGNAL, 0.3)
-        monitor.on_signal("driver", 1, 0.2, self.SIGNAL, 0.3)
-        assert len(monitor.events) == 2
-
-
 class TestStarvationBoundaries:
     """Exact threshold semantics: ``>=`` at 0.6 (warning) / 0.9
     (critical)."""

@@ -7,9 +7,10 @@ the ``repro diff`` fingerprint — across worker counts, batch sizes,
 expiry modes and routing schemes.
 
 The full grid runs on the inline executor (same ``ShardWorker`` code
-and codec round-trip as the process path, no fork cost); a smaller
-process-executor grid covers real IPC and skips gracefully on hosts
-where multiprocessing is unavailable.
+as the process path, no fork cost); a smaller process-executor grid
+covers real processes under both start methods — ``fork`` inherits the
+published records and plan, ``spawn`` pickles them — and skips
+gracefully on hosts where multiprocessing is unavailable.
 """
 
 import math
@@ -220,3 +221,42 @@ class TestProcessExecutor:
         assert sum(s["records"] for s in result.worker_stats) == 8 * 150
         assert all(s["batches"] >= 1 for s in result.worker_stats)
         assert all(s["busy_s"] > 0 for s in result.worker_stats)
+
+
+class TestStartMethods:
+    """One publish, two ways to receive it: a forked worker inherits
+    ``(records, plan)``, a spawned one unpickles them. Both must walk
+    them to the same result, batch for batch."""
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fork_and_spawn_equal_serial(self, workers, num_shards, transport):
+        if transport == "shm":
+            from repro.parallel.shm import shm_supported
+
+            if not shm_supported()[0]:
+                pytest.skip("shared memory unsupported on this host")
+        config = JoinConfig(threshold=0.6, window_seconds=1.5)
+        records = fuzz_records(seed=91, n=200)
+        serial = run_serial(config, records, num_shards)
+        assert serial.results > 0 and serial.operation("posting_expire") > 0
+        per_worker = {}
+        for start_method in ("fork", "spawn"):
+            result = try_process_run(
+                ParallelJoinRunner(
+                    config, workers=workers, num_shards=num_shards,
+                    batch_size=16, transport=transport,
+                    start_method=start_method,
+                ),
+                records,
+            )
+            assert_equal_observables(
+                serial, result,
+                f"{start_method} w={workers} shards={num_shards} {transport}",
+            )
+            per_worker[start_method] = [
+                (stats["batches"], stats["records"])
+                for stats in result.worker_stats
+            ]
+        assert per_worker["fork"] == per_worker["spawn"]

@@ -2,7 +2,11 @@
 merger, the engine batch APIs and the config/CLI validation."""
 
 import math
+import pickle
+import random
+import re
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +317,44 @@ class TestShardPlanner:
                     assert [s for s, _ in plan.tasks(record)] == (
                         sorted(owners) or [0])
 
+    @pytest.mark.parametrize("distribution", ["length", "prefix"])
+    def test_pickled_plan_routes_identically(self, distribution):
+        """A plan is a ``spawn`` worker's start-up argument: the copy
+        that crosses the process boundary (its similarity function and
+        router rebuilt with empty memo tables) must return the same
+        ``tasks`` for every record — whether the original had warmed
+        its memos or not."""
+        with pytest.raises(Exception):
+            # What makes the ``__reduce__`` pair necessary: the memo
+            # tables themselves do not pickle.
+            pickle.dumps(get_similarity("jaccard", 0.8).min_overlap)
+        func = pickle.loads(pickle.dumps(get_similarity("jaccard", 0.8)))
+        assert func == get_similarity("jaccard", 0.8)
+        assert func.min_overlap(10, 10) == 9
+
+        rng = random.Random(5)
+        records = [
+            Record(
+                rid=rid,
+                tokens=tuple(sorted(rng.sample(range(300), rng.randint(1, 24)))),
+                timestamp=float(rid),
+            )
+            for rid in range(2000)
+        ]
+        config = JoinConfig(
+            threshold=0.7, distribution=distribution, num_workers=4
+        )
+        plan = plan_shards(config, [r.tokens for r in records])
+        cold = pickle.loads(pickle.dumps(plan))
+        for record in records[:500]:
+            plan.tasks(record)
+        warm = pickle.loads(pickle.dumps(plan))
+        assert cold.num_shards == warm.num_shards == plan.num_shards
+        for record in records:
+            want = plan.tasks(record)
+            assert cold.tasks(record) == want, record
+            assert warm.tasks(record) == want, record
+
     def test_shards_of_worker_partition_all_shards(self):
         config = JoinConfig(distribution="prefix", num_workers=7)
         plan = plan_shards(config, [(1,)])
@@ -524,3 +566,25 @@ class TestObsBridges:
             config, workers=3, executor="inline"
         ).run(records)
         assert parallel.signals == serial.signals
+
+
+def test_runtime_does_not_call_the_record_codec():
+    """The record batch codec has no runtime caller since records are
+    published once; it stays only for the benchmark replay that imports
+    it (ROADMAP 1(a) deletes it). Nothing under ``src/repro`` may grow
+    a new dependency on it — outside the codec module itself and the
+    package's re-exports."""
+    names = re.compile(
+        r"BatchEncoder|record_batch_parts|encode_record_batch"
+        r"|decode_record_batch"
+    )
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    allowed = {root / "parallel" / "codec.py", root / "parallel" / "__init__.py"}
+    hits = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path not in allowed
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if names.search(line)
+    ]
+    assert hits == []

@@ -51,10 +51,10 @@ from tests.test_parallel_differential import (
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "spans_fixture.jsonl")
 
 #: Phases whose span structure is shard/batch-attributed and therefore
-#: deterministic across worker counts (pipe_read is per-frame, and the
+#: deterministic across worker counts (route is per-frame, and the
 #: driver's window spans are per-run — both trivially stable in count
 #: but not shard-keyed).
-STRUCTURAL_PHASES = ("encode", "decode", "probe", "insert", "meter_flush")
+STRUCTURAL_PHASES = ("probe", "insert", "meter_flush")
 
 
 def structure(result):
@@ -275,16 +275,17 @@ class TestAnalyzerOnFixture:
         assert totals["wall_s"] == 0.1
         assert totals["driver_covered_s"] == 0.1
         assert totals["driver_coverage"] == 1.0
+        # Today's phases, plus the record wire's that this (pipe-run)
+        # fixture carries — and none it does not (no shm pair).
         assert totals["driver"] == {
-            "setup": 0.02, "feed": 0.023, "encode": 0.003,
-            "pipe_write": 0.004, "drain": 0.045, "merge": 0.005,
-            "shm_write": 0.0,
+            "setup": 0.02, "drain": 0.045, "merge": 0.005,
+            "feed": 0.023, "encode": 0.003, "pipe_write": 0.004,
         }
         assert totals["workers"] == {
-            "0": {"pipe_read": 0.011, "decode": 0.001, "probe": 0.034,
-                  "insert": 0.01, "meter_flush": 0.001, "shm_read": 0.0},
-            "1": {"pipe_read": 0.024, "decode": 0.001, "probe": 0.045,
-                  "insert": 0.01, "meter_flush": 0.001, "shm_read": 0.0},
+            "0": {"route": 0.0, "probe": 0.034, "insert": 0.01,
+                  "meter_flush": 0.001, "pipe_read": 0.011, "decode": 0.001},
+            "1": {"route": 0.0, "probe": 0.045, "insert": 0.01,
+                  "meter_flush": 0.001, "pipe_read": 0.024, "decode": 0.001},
         }
 
     def test_critical_path(self, rows):
@@ -399,11 +400,22 @@ class TestLiveSpans:
         document = result.spans_document()
         assert document[0]["executor"] == "process"
         assert smoke_check(document) == []
+        # No record wire, no wire phases — whatever the transport (it
+        # carries results only): the driver goes from setup straight to
+        # drain, and a worker's time is its own walk plus the batches.
         phases = {row["phase"] for row in document[1:]}
-        assert {"pipe_write", "pipe_read", "drain"} <= phases
+        assert phases == {
+            "setup", "drain", "merge",
+            "route", "probe", "insert", "meter_flush",
+        }
+        driver = sorted(
+            (row["start"], row["phase"]) for row in document[1:]
+            if row["worker"] == DRIVER
+        )
+        assert [phase for _, phase in driver] == ["setup", "drain", "merge"]
         for stats in result.worker_stats:
             assert stats["lifetime_s"] > 0
-            assert stats["bytes_in"] > 0
+            assert stats["bytes_in"] == 0
             assert stats["bytes_out"] > 0
 
     def test_reused_runner_describes_only_its_own_run(self, records):
@@ -449,17 +461,6 @@ class TestLiveSpans:
 
 
 class TestParallelHealthDetectors:
-    def test_backpressure_levels_one_shot(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("driver", 0, 1.0, "pipe_blocked_write_fraction", 0.1)
-        assert monitor.events == []
-        monitor.on_signal("driver", 0, 1.0, "pipe_blocked_write_fraction", 0.3)
-        monitor.on_signal("driver", 0, 1.2, "pipe_blocked_write_fraction", 0.4)
-        assert [e.severity for e in monitor.events] == ["warning"]
-        monitor.on_signal("driver", 0, 1.5, "pipe_blocked_write_fraction", 0.7)
-        assert [e.severity for e in monitor.events] == ["warning", "critical"]
-        assert all(e.detector == "pipe_backpressure" for e in monitor.events)
-
     def test_starvation_levels_one_shot(self):
         monitor = HealthMonitor()
         monitor.on_signal("pworker", 3, 1.0, "worker_starved_fraction", 0.5)
@@ -472,19 +473,17 @@ class TestParallelHealthDetectors:
 
     def test_thresholds_exported(self):
         snapshot = HealthThresholds().as_dict()
-        for key in (
-            "backpressure_warning", "backpressure_critical",
-            "starvation_warning", "starvation_critical",
-        ):
+        for key in ("starvation_warning", "starvation_critical"):
             assert key in snapshot
+        assert not any("backpressure" in key for key in snapshot)
 
     def test_worker_health_reads_summary_telemetry(self):
         records = fuzz_records(seed=11, n=120)
         result = ParallelJoinRunner(
             JoinConfig(threshold=0.6), workers=2, batch_size=32, spans=True
         ).run(records)
-        # Inline workers never block, so forge a starved worker the way
-        # a slow pipe would present it in the summary telemetry.
+        # Workers are handed their input at start-up and never block on
+        # it, so forge a starved worker in the summary telemetry.
         result.worker_stats[0]["blocked_s"] = 0.95
         result.worker_stats[0]["lifetime_s"] = 1.0
         monitor = worker_health(result)
