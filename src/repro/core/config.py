@@ -6,10 +6,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.local_join import EXPIRY_MODES
+
 DISTRIBUTIONS = ("length", "prefix", "broadcast")
 PARTITIONINGS = ("load_aware", "uniform", "quantile")
 SIMILARITIES = ("jaccard", "cosine", "dice", "overlap")
-EXPIRIES = ("lazy", "eager")
 MODES = ("exact", "approx")
 
 #: Upper bound on :attr:`JoinConfig.batch_size` — beyond this a batch
@@ -132,9 +133,9 @@ class JoinConfig:
             raise ValueError(
                 f"window_seconds must be positive, got {self.window_seconds}"
             )
-        if self.expiry not in EXPIRIES:
+        if self.expiry not in EXPIRY_MODES:
             raise ValueError(
-                f"expiry must be one of {EXPIRIES}, got {self.expiry!r}"
+                f"expiry must be one of {EXPIRY_MODES}, got {self.expiry!r}"
             )
         if self.expiry == "eager" and self.use_bundles:
             raise ValueError(

@@ -18,9 +18,9 @@ list that owns record lifetimes. The scan loop reads primitive slots;
 attribute access on a Record happens only once a candidate survives
 every filter.
 
-**Three column layouts, one scan loop.** What order a column is kept in
-follows from when its postings can die; the window and the expiry mode
-fix it at construction (DESIGN §9.2):
+**Two column layouts, one scan loop.** What order a column is kept in
+follows from when its postings can die; the window fixes it at
+construction (DESIGN §9.2):
 
 * *Unbounded window — size-sorted.* A probe applies the length filter
   *wholesale*: two binary searches bound the qualifying slice and
@@ -34,22 +34,19 @@ fix it at construction (DESIGN §9.2):
   it, so equal sizes stay in arrival order and a probe scans exactly
   the arrangement it always has (measured by the ``enron_long``
   workload of ``benchmarks/e2e``).
-* *Bounded window, lazy expiry — time-ordered.* Inserts append unless
-  the record arrives late, in which case it is bisect-inserted at its
-  timestamp. ``now - ts`` never grows with ``ts`` (IEEE subtraction is
-  monotone), so the postings that fail the window predicate at a probe
-  are a *prefix*: the probe walks the front to the first live posting,
-  charges the dead prefix in bulk, truncates it with one ``del`` per
-  column, and scans the live suffix with no per-posting liveness check
-  (measured by the ``tweet_window`` workload of ``benchmarks/e2e``).
-* *Bounded window, eager expiry — slot-stable.* Columns stay in append
-  order because the expiration heap addresses postings by absolute
-  slot; consumed fronts advance a cursor and out-of-order expiries
-  leave tombstones.
+* *Bounded window — time-ordered.* Inserts append unless the record
+  arrives late, in which case it is bisect-inserted at its timestamp.
+  ``now - ts`` never grows with ``ts`` (IEEE subtraction is monotone),
+  so the postings that fail the window predicate at ``now`` are a
+  *prefix* of every column, and expiring them is one ``del`` per
+  column off the front. The expiry mode only decides who cuts it
+  (below); either way a probe scans a live suffix with no per-posting
+  liveness check (measured by the ``tweet_window`` workload of
+  ``benchmarks/e2e``).
 
-Every layout feeds the same ``zip`` loops (length filter per posting
-where the slice was not bisected); only an eager column holding
-consumed or tombstoned slots is walked by index instead.
+Both layouts feed the same ``zip`` loops (length filter per posting
+where the slice was not bisected): every column is dense — expiry
+only ever cuts its front — so nothing is walked by index.
 
 **Aggregate metering.** The scan accumulates plain local integers and
 flushes them once per probe through
@@ -72,12 +69,18 @@ with comparison counting identical to
 prefix holds a single token skip duplicate-candidate tracking entirely
 (a partner cannot be scanned twice through one token).
 
-Window expiration supports two modes. ``"lazy"`` (default, the
-original semantics): dead postings are dropped when a probe touches
-their list. ``"eager"``: inserts also push ``(timestamp, token, slot)``
-onto a min-heap, and every probe/insert first drains all postings
-outside the window — long-lived bounded windows never re-scan dead
-postings. Both modes are differentially fuzzed against the reference
+Window expiration supports two modes over the one time-ordered layout.
+``"lazy"`` (default, the original semantics): a probe walks the front
+of each column it touches to the first live posting, charges the dead
+prefix in bulk and truncates it; a token no later record probes keeps
+its dead postings. ``"eager"``: inserts also push ``(timestamp,
+token)`` onto a min-heap, and every probe/insert first pops every entry
+outside the window, counts the pops per token and cuts that many
+postings off the front of each touched column — the index never holds
+a posting dead at the current record's time, so ``live_postings`` is
+exact and bounded by the window whatever the vocabulary does. The heap
+needs no slot addresses: a token's oldest posting *is* its column's
+front. Both modes are differentially fuzzed against the reference
 engine.
 
 Three details specific to this reproduction:
@@ -122,7 +125,6 @@ from repro.core.dedup import verify_owned_pair
 from repro.core.metering import WorkMeter
 from repro.records import Record
 from repro.similarity.functions import SimilarityFunction
-from repro.similarity.verification import verify_pair
 from repro.streams.window import SlidingWindow
 
 TokenFilter = Callable[[int], bool]
@@ -149,47 +151,23 @@ class _Postings:
     """One token's posting list as parallel columns.
 
     Four primitive columns (``array``) plus a Record-reference list,
-    index-aligned. The engine keeps them in one of three orders (see
-    the module docstring): sorted by ``sizes`` under an unbounded
-    window, sorted by ``timestamps`` under a bounded window with lazy
-    expiry, append order under eager expiry.
+    index-aligned. The engine keeps them in one of two orders (see the
+    module docstring): sorted by ``sizes`` under an unbounded window,
+    sorted by ``timestamps`` under a bounded one — in both expiry
+    modes, which differ only in *when* the dead front is cut.
 
     The ``timestamps`` column is empty in the size-sorted layout —
     nothing expires.
-
-    ``start``/``base``/``dead`` serve eager expiry only (all zero
-    otherwise). Heap entries carry *absolute* slots — the running
-    append index ``base + len(rids)`` — so that trimming consumed
-    front entries (``base += start``) never invalidates live slots.
-    Entries expired out of order leave a rid ``-1`` tombstone, counted
-    in ``dead`` and skipped by scans without being metered.
     """
 
-    __slots__ = (
-        "rids", "sizes", "positions", "timestamps", "recs",
-        "start", "base", "dead",
-    )
+    __slots__ = ("rids", "sizes", "positions", "timestamps", "recs")
 
     def __init__(self) -> None:
         self.rids = array("q")
         self.sizes = array("q")
         self.positions = array("q")
         self.timestamps = array("d")
-        self.recs: List[Optional[Record]] = []
-        self.start = 0
-        self.base = 0
-        self.dead = 0
-
-    def live_count(self) -> int:
-        return len(self.rids) - self.start - self.dead
-
-    def trim(self) -> None:
-        """Physically release the consumed front (eager mode)."""
-        start = self.start
-        for name in ("rids", "sizes", "positions", "timestamps", "recs"):
-            del getattr(self, name)[:start]
-        self.base += start
-        self.start = 0
+        self.recs: List[Record] = []
 
 
 class StreamingSetJoin:
@@ -240,13 +218,15 @@ class StreamingSetJoin:
         self.pair_filter = pair_filter
         self.expiry = expiry
         self._eager = expiry == "eager" and self.window.bounded
-        #: Lazy expiry over a bounded window — the one case where a scan
-        #: can meet dead postings (an unbounded window never expires,
-        #: the eager heap drains before each scan): columns are
-        #: time-ordered so that the dead ones are a prefix.
-        self._time_ordered = self.window.bounded and not self._eager
+        #: A bounded window's postings die in timestamp order, so its
+        #: columns are time-ordered and the dead ones are a prefix —
+        #: cut by the probe that meets them (lazy) or by the heap
+        #: before every probe and insert (eager).
+        self._time_ordered = self.window.bounded
         self._index: Dict[int, _Postings] = {}
-        self._heap: List[Tuple[float, int, int]] = []  # (ts, token, abs slot)
+        #: Eager mode: one ``(timestamp, token)`` per live posting. No
+        #: slot — the oldest posting of a token is its column's front.
+        self._heap: List[Tuple[float, int]] = []
         self._live_postings = 0
 
     # -- index maintenance ---------------------------------------------------
@@ -267,17 +247,17 @@ class StreamingSetJoin:
         rid = record.rid
         timestamp = record.timestamp
         index = self._index
-        eager = self._eager
         inserted = 0
         # Every column is kept in its layout's order here; probes rely
-        # on it. Bounded columns carry timestamps: eager ones append
-        # (the heap addresses stable slots); lazy ones stay
-        # time-ordered, which is an append too unless the record arrives
-        # late. Unbounded columns stay size-sorted — an append unless a
-        # larger record is already posted — and skip the timestamps
-        # column: nothing reads it when postings cannot expire (hot
-        # path: this is the engine's per-posting cost floor).
-        if eager or self._time_ordered:
+        # on it. Bounded columns carry timestamps and stay time-ordered,
+        # which is an append unless the record arrives late; eager mode
+        # also files the posting in the expiration heap. Unbounded
+        # columns stay size-sorted — an append unless a larger record
+        # is already posted — and skip the timestamps column: nothing
+        # reads it when postings cannot expire (hot path: this is the
+        # engine's per-posting cost floor).
+        if self._time_ordered:
+            eager = self._eager
             for position in range(width):
                 token = tokens[position]
                 if owns is not None and not owns(token):
@@ -288,10 +268,8 @@ class StreamingSetJoin:
                 timestamps = cols.timestamps
                 inserted += 1
                 if eager:
-                    heappush(
-                        self._heap, (timestamp, token, cols.base + len(cols.rids))
-                    )
-                elif timestamps and timestamp < timestamps[-1]:
+                    heappush(self._heap, (timestamp, token))
+                if timestamps and timestamp < timestamps[-1]:
                     # Late arrival: take the slot after every posting
                     # not newer than this one, so the column stays
                     # sorted by timestamp (ties in arrival order).
@@ -344,8 +322,7 @@ class StreamingSetJoin:
         func = self.func
         meter = self.meter
         now = record.timestamp
-        eager = self._eager
-        if eager:
+        if self._eager:
             self._expire_upto(now)
         lo, hi = func.length_bounds(lr)
         width = func.probe_prefix_length(lr)
@@ -355,16 +332,13 @@ class StreamingSetJoin:
         filtered_mode = owns is not None
         pair_filter = self.pair_filter
         time_ordered = self._time_ordered
-        size_sorted = not (eager or time_ordered)
         seconds = self.window.seconds
         index = self._index
         # A single-token probe prefix cannot scan the same partner
         # twice, so duplicate-candidate tracking is skipped wholesale;
-        # the ``seen`` set exists only when something can use it (the
-        # tombstone path at the bottom always does, and runs only in
-        # eager mode).
+        # the ``seen`` set exists only when something can use it.
         dedup = width > 1
-        if dedup or filtered_mode or eager:
+        if dedup or filtered_mode:
             seen: set = set()
             seen_add = seen.add
         results: List[MatchResult] = []
@@ -390,281 +364,232 @@ class StreamingSetJoin:
             positions = cols.positions
             recs = cols.recs
             n = len(rids)
-
-            if not cols.dead and not cols.start:
-                # Fast path: every slot left to scan is live — no
-                # per-posting liveness check, scan count in one add.
-                # Only an eager column with consumed or tombstoned
-                # slots falls through to the loop at the bottom.
-                n_scan += n
-                lenfilter = True
-                if time_ordered:
-                    # Time-ordered column: ``now - ts`` never grows
-                    # with ``ts`` (IEEE subtraction is monotone), so
-                    # the postings dead at ``now`` are a prefix; walk
-                    # it, charge it in bulk, truncate the front.
-                    timestamps = cols.timestamps
-                    kd = 0
-                    while kd < n and now - timestamps[kd] > seconds:
-                        # Health signal: how long past its window the
-                        # dead posting lingered before this scan
-                        # collected it, in units of the window length.
-                        meter.signal(
-                            "window_expiration_lag_fraction",
-                            (now - timestamps[kd] - seconds) / seconds,
-                        )
-                        kd += 1
-                    if kd:
-                        n_expire += kd
-                        self._live_postings -= kd
-                        if kd == n:
-                            del index[token]
-                            continue
-                        del rids[:kd], sizes[:kd], positions[:kd]
-                        del timestamps[:kd], recs[:kd]
-                elif size_sorted:
-                    # Size-sorted column (unbounded window): the length
-                    # filter is two bisects bounding the qualifying
-                    # slice; the pruned slots still count as scanned
-                    # (see module doc).
-                    klo = bisect_left(sizes, lo)
-                    khi = bisect_right(sizes, hi, klo)
-                    if klo >= khi:
+            # Every posting left in a column is scanned — no
+            # per-posting liveness check, scan count in one add.
+            n_scan += n
+            lenfilter = True
+            if time_ordered:
+                # Time-ordered column: ``now - ts`` never grows
+                # with ``ts`` (IEEE subtraction is monotone), so
+                # the postings dead at ``now`` are a prefix; walk
+                # it, charge it in bulk, truncate the front. (Eager
+                # mode cut that prefix before the scan: the walk
+                # stops at the first posting.)
+                timestamps = cols.timestamps
+                kd = 0
+                while kd < n and now - timestamps[kd] > seconds:
+                    # Health signal: how long past its window the
+                    # dead posting lingered before this scan
+                    # collected it, in units of the window length.
+                    meter.signal(
+                        "window_expiration_lag_fraction",
+                        (now - timestamps[kd] - seconds) / seconds,
+                    )
+                    kd += 1
+                if kd:
+                    n_expire += kd
+                    self._live_postings -= kd
+                    if kd == n:
+                        del index[token]
                         continue
-                    if klo or khi < n:
-                        sizes = sizes[klo:khi]
-                        positions = positions[klo:khi]
-                        recs = recs[klo:khi]
-                        if dedup or filtered_mode:
-                            rids = rids[klo:khi]
-                    lenfilter = False
-                i1 = i + 1
-                rem_r = lr - i1
-                if filtered_mode:
-                    # ``required`` is recomputed only when ``ls`` changes;
-                    # the position filter is the relaxed one (module doc).
-                    last_ls = -1
-                    required = 0
-                    for ls, rid, j, partner in zip(sizes, rids, positions, recs):
-                        if lenfilter and (ls < lo or ls > hi):
-                            continue
-                        if rid in seen:
-                            continue
-                        seen_add(rid)
-                        if ls != last_ls:
-                            last_ls = ls
-                            required = min_overlap(lr, ls)
-                        slack = i if i < j else j
-                        rem_s = ls - j - 1
-                        if (
-                            slack + 1 + (rem_r if rem_r < rem_s else rem_s)
-                            < required
-                        ):
-                            continue
-                        n_admit += 1
-                        if pair_filter is not None and not pair_filter(
-                            record, partner
-                        ):
-                            continue
-                        overlap, comparisons, verified = verify_owned_pair(
-                            tokens, partner.tokens, required, owns
-                        )
-                        n_compare += comparisons
-                        n_verify += verified
-                        if overlap >= required:
-                            n_emit += 1
-                            emit(new_mr(MR, (
-                                partner,
-                                similarity_from_overlap(lr, ls, overlap),
-                                overlap,
-                            )))
-                elif dedup:
-                    # Sorted sizes arrive in runs: ``required`` and the
-                    # position-filter bound (admit iff
-                    # ``min(rem_r, ls - j - 1) >= required - 1``, i.e.
-                    # ``j <= ls - required`` unless ``rem_r`` alone is
-                    # too short) are recomputed only when ``ls`` changes.
-                    last_ls = -1
-                    required = jmax = 0
-                    for ls, rid, j, partner in zip(sizes, rids, positions, recs):
-                        if lenfilter and (ls < lo or ls > hi):
-                            continue
-                        if rid in seen:
-                            continue
-                        seen_add(rid)
-                        if ls != last_ls:
-                            last_ls = ls
-                            required = min_overlap(lr, ls)
-                            jmax = ls - required if rem_r >= required - 1 else -1
-                        if j > jmax:
-                            continue
-                        n_admit += 1
-                        if pair_filter is not None and not pair_filter(
-                            record, partner
-                        ):
-                            continue
-                        # verify_pair(tokens, partner.tokens, required,
-                        #             start_r=i+1, start_s=j+1, known=1),
-                        # inlined: (i, j) is the pair's first common
-                        # token — resume after it with one match known.
-                        ptokens = partner.tokens
-                        b = j + 1
-                        if ls == lr and b == i1 and tokens == ptokens:
-                            # Exact duplicate: every remaining step of
-                            # the merge matches and the bound (constant
-                            # at ``1 + lr - a``, admitted by the
-                            # position filter) never fires — the
-                            # outcome is closed-form.
-                            comparisons = lr - i1
-                            o = 1 + comparisons
-                            n_compare += comparisons
-                            n_verify += 1
-                            n_emit += 1
-                            emit(new_mr(MR, (
-                                partner,
-                                similarity_from_overlap(lr, ls, o),
-                                o,
-                            )))
-                            continue
-                        a, o = i1, 1
-                        comparisons = 0
-                        while a < lr and b < ls:
-                            ra = lr - a
-                            rb = ls - b
-                            if o + (ra if ra < rb else rb) < required:
-                                break  # bound failed => o < required
-                            comparisons += 1
-                            ta = tokens[a]
-                            tb = ptokens[b]
-                            if ta == tb:
-                                o += 1
-                                a += 1
-                                b += 1
-                            elif ta < tb:
-                                a += 1
-                            else:
-                                b += 1
-                        n_compare += comparisons
-                        n_verify += 1
-                        if o >= required:
-                            n_emit += 1
-                            emit(new_mr(MR, (
-                                partner,
-                                similarity_from_overlap(lr, ls, o),
-                                o,
-                            )))
-                else:
-                    # Same run-level caching as the dedup loop above.
-                    last_ls = -1
-                    required = jmax = 0
-                    for ls, j, partner in zip(sizes, positions, recs):
-                        if lenfilter and (ls < lo or ls > hi):
-                            continue
-                        if ls != last_ls:
-                            last_ls = ls
-                            required = min_overlap(lr, ls)
-                            jmax = ls - required if rem_r >= required - 1 else -1
-                        if j > jmax:
-                            continue
-                        n_admit += 1
-                        if pair_filter is not None and not pair_filter(
-                            record, partner
-                        ):
-                            continue
-                        # Same inlined first-match merge as above.
-                        ptokens = partner.tokens
-                        b = j + 1
-                        if ls == lr and b == i1 and tokens == ptokens:
-                            # Exact duplicate: every remaining step of
-                            # the merge matches and the bound (constant
-                            # at ``1 + lr - a``, admitted by the
-                            # position filter) never fires — the
-                            # outcome is closed-form.
-                            comparisons = lr - i1
-                            o = 1 + comparisons
-                            n_compare += comparisons
-                            n_verify += 1
-                            n_emit += 1
-                            emit(new_mr(MR, (
-                                partner,
-                                similarity_from_overlap(lr, ls, o),
-                                o,
-                            )))
-                            continue
-                        a, o = i1, 1
-                        comparisons = 0
-                        while a < lr and b < ls:
-                            ra = lr - a
-                            rb = ls - b
-                            if o + (ra if ra < rb else rb) < required:
-                                break  # bound failed => o < required
-                            comparisons += 1
-                            ta = tokens[a]
-                            tb = ptokens[b]
-                            if ta == tb:
-                                o += 1
-                                a += 1
-                                b += 1
-                            elif ta < tb:
-                                a += 1
-                            else:
-                                b += 1
-                        n_compare += comparisons
-                        n_verify += 1
-                        if o >= required:
-                            n_emit += 1
-                            emit(new_mr(MR, (
-                                partner,
-                                similarity_from_overlap(lr, ls, o),
-                                o,
-                            )))
-                continue
-
-            # Eager column with consumed or tombstoned slots: skip them
-            # by index. Same filter pipeline as above.
-            for k in range(cols.start, n):
-                rid = rids[k]
-                if rid < 0:  # tombstone: already expired, unmetered
+                    del rids[:kd], sizes[:kd], positions[:kd]
+                    del timestamps[:kd], recs[:kd]
+            else:
+                # Size-sorted column (unbounded window): the length
+                # filter is two bisects bounding the qualifying
+                # slice; the pruned slots still count as scanned
+                # (see module doc).
+                klo = bisect_left(sizes, lo)
+                khi = bisect_right(sizes, hi, klo)
+                if klo >= khi:
                     continue
-                n_scan += 1
-                ls = sizes[k]
-                if ls < lo or ls > hi:
-                    continue
-                if rid in seen:
-                    continue
-                seen_add(rid)
-                required = min_overlap(lr, ls)
-                j = positions[k]
-                slack = min(i, j) if filtered_mode else 0
-                if slack + 1 + min(lr - i - 1, ls - j - 1) < required:
-                    continue
-                n_admit += 1
-                partner = recs[k]
-                if pair_filter is not None and not pair_filter(record, partner):
-                    continue
-                verified = 1
-                if filtered_mode:
+                if klo or khi < n:
+                    sizes = sizes[klo:khi]
+                    positions = positions[klo:khi]
+                    recs = recs[klo:khi]
+                    if dedup or filtered_mode:
+                        rids = rids[klo:khi]
+                lenfilter = False
+            i1 = i + 1
+            rem_r = lr - i1
+            if filtered_mode:
+                # ``required`` is recomputed only when ``ls`` changes;
+                # the position filter is the relaxed one (module doc).
+                last_ls = -1
+                required = 0
+                for ls, rid, j, partner in zip(sizes, rids, positions, recs):
+                    if lenfilter and (ls < lo or ls > hi):
+                        continue
+                    if rid in seen:
+                        continue
+                    seen_add(rid)
+                    if ls != last_ls:
+                        last_ls = ls
+                        required = min_overlap(lr, ls)
+                    slack = i if i < j else j
+                    rem_s = ls - j - 1
+                    if (
+                        slack + 1 + (rem_r if rem_r < rem_s else rem_s)
+                        < required
+                    ):
+                        continue
+                    n_admit += 1
+                    if pair_filter is not None and not pair_filter(
+                        record, partner
+                    ):
+                        continue
                     overlap, comparisons, verified = verify_owned_pair(
                         tokens, partner.tokens, required, owns
                     )
-                else:
-                    overlap, comparisons = verify_pair(
-                        tokens,
-                        partner.tokens,
-                        required,
-                        start_r=i + 1,
-                        start_s=j + 1,
-                        known=1,
-                    )
-                n_compare += comparisons
-                n_verify += verified
-                if overlap >= required:
-                    n_emit += 1
-                    emit(new_mr(MR, (
-                        partner,
-                        similarity_from_overlap(lr, ls, overlap),
-                        overlap,
-                    )))
+                    n_compare += comparisons
+                    n_verify += verified
+                    if overlap >= required:
+                        n_emit += 1
+                        emit(new_mr(MR, (
+                            partner,
+                            similarity_from_overlap(lr, ls, overlap),
+                            overlap,
+                        )))
+            elif dedup:
+                # Sorted sizes arrive in runs: ``required`` and the
+                # position-filter bound (admit iff
+                # ``min(rem_r, ls - j - 1) >= required - 1``, i.e.
+                # ``j <= ls - required`` unless ``rem_r`` alone is
+                # too short) are recomputed only when ``ls`` changes.
+                last_ls = -1
+                required = jmax = 0
+                for ls, rid, j, partner in zip(sizes, rids, positions, recs):
+                    if lenfilter and (ls < lo or ls > hi):
+                        continue
+                    if rid in seen:
+                        continue
+                    seen_add(rid)
+                    if ls != last_ls:
+                        last_ls = ls
+                        required = min_overlap(lr, ls)
+                        jmax = ls - required if rem_r >= required - 1 else -1
+                    if j > jmax:
+                        continue
+                    n_admit += 1
+                    if pair_filter is not None and not pair_filter(
+                        record, partner
+                    ):
+                        continue
+                    # verify_pair(tokens, partner.tokens, required,
+                    #             start_r=i+1, start_s=j+1, known=1),
+                    # inlined: (i, j) is the pair's first common
+                    # token — resume after it with one match known.
+                    ptokens = partner.tokens
+                    b = j + 1
+                    if ls == lr and b == i1 and tokens == ptokens:
+                        # Exact duplicate: every remaining step of
+                        # the merge matches and the bound (constant
+                        # at ``1 + lr - a``, admitted by the
+                        # position filter) never fires — the
+                        # outcome is closed-form.
+                        comparisons = lr - i1
+                        o = 1 + comparisons
+                        n_compare += comparisons
+                        n_verify += 1
+                        n_emit += 1
+                        emit(new_mr(MR, (
+                            partner,
+                            similarity_from_overlap(lr, ls, o),
+                            o,
+                        )))
+                        continue
+                    a, o = i1, 1
+                    comparisons = 0
+                    while a < lr and b < ls:
+                        ra = lr - a
+                        rb = ls - b
+                        if o + (ra if ra < rb else rb) < required:
+                            break  # bound failed => o < required
+                        comparisons += 1
+                        ta = tokens[a]
+                        tb = ptokens[b]
+                        if ta == tb:
+                            o += 1
+                            a += 1
+                            b += 1
+                        elif ta < tb:
+                            a += 1
+                        else:
+                            b += 1
+                    n_compare += comparisons
+                    n_verify += 1
+                    if o >= required:
+                        n_emit += 1
+                        emit(new_mr(MR, (
+                            partner,
+                            similarity_from_overlap(lr, ls, o),
+                            o,
+                        )))
+            else:
+                # Same run-level caching as the dedup loop above.
+                last_ls = -1
+                required = jmax = 0
+                for ls, j, partner in zip(sizes, positions, recs):
+                    if lenfilter and (ls < lo or ls > hi):
+                        continue
+                    if ls != last_ls:
+                        last_ls = ls
+                        required = min_overlap(lr, ls)
+                        jmax = ls - required if rem_r >= required - 1 else -1
+                    if j > jmax:
+                        continue
+                    n_admit += 1
+                    if pair_filter is not None and not pair_filter(
+                        record, partner
+                    ):
+                        continue
+                    # Same inlined first-match merge as above.
+                    ptokens = partner.tokens
+                    b = j + 1
+                    if ls == lr and b == i1 and tokens == ptokens:
+                        # Exact duplicate: every remaining step of
+                        # the merge matches and the bound (constant
+                        # at ``1 + lr - a``, admitted by the
+                        # position filter) never fires — the
+                        # outcome is closed-form.
+                        comparisons = lr - i1
+                        o = 1 + comparisons
+                        n_compare += comparisons
+                        n_verify += 1
+                        n_emit += 1
+                        emit(new_mr(MR, (
+                            partner,
+                            similarity_from_overlap(lr, ls, o),
+                            o,
+                        )))
+                        continue
+                    a, o = i1, 1
+                    comparisons = 0
+                    while a < lr and b < ls:
+                        ra = lr - a
+                        rb = ls - b
+                        if o + (ra if ra < rb else rb) < required:
+                            break  # bound failed => o < required
+                        comparisons += 1
+                        ta = tokens[a]
+                        tb = ptokens[b]
+                        if ta == tb:
+                            o += 1
+                            a += 1
+                            b += 1
+                        elif ta < tb:
+                            a += 1
+                        else:
+                            b += 1
+                    n_compare += comparisons
+                    n_verify += 1
+                    if o >= required:
+                        n_emit += 1
+                        emit(new_mr(MR, (
+                            partner,
+                            similarity_from_overlap(lr, ls, o),
+                            o,
+                        )))
 
         charges: Dict[str, float] = {}
         if n_lookup:
@@ -749,44 +674,33 @@ class StreamingSetJoin:
     def _expire_upto(self, now: float) -> None:
         """Eagerly remove every posting dead at time ``now``.
 
-        Pops the ``(timestamp, token, slot)`` heap while the oldest
-        posting fails the window predicate. Slots expiring in timestamp
-        order (the streaming common case) advance the column's ``start``
-        cursor; out-of-order slots tombstone in place. Consumed fronts
-        are trimmed once they dominate the column.
+        Pops the ``(timestamp, token)`` heap while the oldest posting
+        fails the window predicate and counts the pops per token: the
+        columns are time-ordered, so a token's ``k`` dead postings are
+        the first ``k`` of its column, cut with one ``del`` per column.
         """
         heap = self._heap
-        if not heap:
-            return
-        meter = self.meter
         seconds = self.window.seconds
-        index = self._index
-        n_expired = 0
+        meter = self.meter
+        cuts: Dict[int, int] = {}
         while heap and now - heap[0][0] > seconds:
-            timestamp, token, slot = heappop(heap)
-            cols = index[token]
-            k = slot - cols.base
-            rids = cols.rids
-            cols.recs[k] = None
-            if k == cols.start:
-                start = cols.start + 1
-                n = len(rids)
-                while start < n and rids[start] < 0:
-                    start += 1
-                    cols.dead -= 1
-                cols.start = start
-            else:
-                rids[k] = -1
-                cols.dead += 1
-            n_expired += 1
+            timestamp, token = heappop(heap)
+            cuts[token] = cuts.get(token, 0) + 1
             meter.signal(
                 "window_expiration_lag_fraction",
                 (now - timestamp - seconds) / seconds,
             )
-            if cols.live_count() == 0:
+        if not cuts:
+            return
+        index = self._index
+        n_expired = 0
+        for token, k in cuts.items():
+            cols = index[token]
+            n_expired += k
+            if k == len(cols.rids):
                 del index[token]
-            elif cols.start >= 64 and cols.start * 2 >= len(rids):
-                cols.trim()
-        if n_expired:
-            self._live_postings -= n_expired
-            meter.charge_many({"posting_expire": n_expired})
+                continue
+            del cols.rids[:k], cols.sizes[:k], cols.positions[:k]
+            del cols.timestamps[:k], cols.recs[:k]
+        self._live_postings -= n_expired
+        meter.charge_many({"posting_expire": n_expired})

@@ -251,7 +251,7 @@ def test_size_sorted_schedules(schedule, mode, seed):
     assert emitted > 50  # the order check saw real match lists
 
 
-# -- lazy expiry over a bounded window: the time-ordered columns ------------
+# -- a bounded window: the time-ordered columns ----------------------------
 
 def test_window_boundary_differential():
     """``now - ts == seconds`` is alive; one ulp later the posting dies —
@@ -285,6 +285,23 @@ def test_late_record_differential():
         for rid, ts in enumerate(times)
     ]
     assert_identical(records, "jaccard", 0.5, 3.0, "lazy")
+
+
+@pytest.mark.parametrize("expiry", ["lazy", "eager"])
+def test_reversed_stream_differential(expiry):
+    """Timestamps run backwards, so every insert is a late arrival filed
+    at its column's front and nothing expires; three forward records
+    then expire the lot in stages."""
+    times = [6.0 - 0.25 * k for k in range(25)] + [7.0, 8.5, 20.0]
+    rng = random.Random(5)
+    records = [
+        Record(rid, tuple(sorted(rng.sample(range(10), rng.randint(1, 4)))),
+               timestamp=ts)
+        for rid, ts in enumerate(times)
+    ]
+    _, columnar, _ = assert_identical(records, "jaccard", 0.5, 3.0, expiry)
+    assert columnar[-1]["operations"]["posting_expire"] > 20
+    assert any(step["matches"] for step in columnar)
 
 
 @pytest.mark.parametrize("seed", [200, 201])

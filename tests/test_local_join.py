@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.local_join import StreamingSetJoin
+from repro.core.local_join import StreamingSetJoin, _Postings
 from repro.core.metering import WorkMeter
 from repro.core.reference import naive_join
 from repro.records import Record, pair_key
 from repro.similarity.functions import Cosine, Dice, Jaccard, Overlap
 from repro.streams.window import SlidingWindow
+from tests.test_fuzz_columnar import fuzz_stream
 
 
 def make_records(corpus, spacing=1.0):
@@ -221,14 +222,16 @@ class TestSizeSortedColumns:
 
 
 class TestTimeOrderedColumns:
-    """Lazy expiry over a bounded window: columns sorted by timestamp,
-    dead postings dropped as a prefix."""
+    """A bounded window: columns sorted by timestamp, dead postings
+    dropped as a prefix — by the probe that meets them (lazy) or by the
+    heap before every operation (eager)."""
 
-    def engine(self, seconds):
+    def engine(self, seconds, expiry="lazy"):
         """θ = 0.9: records of up to 9 tokens post only their first."""
         meter = WorkMeter()
         return StreamingSetJoin(
-            Jaccard(0.9), window=SlidingWindow(seconds), meter=meter
+            Jaccard(0.9), window=SlidingWindow(seconds), meter=meter,
+            expiry=expiry,
         ), meter
 
     def test_boundary_is_alive_next_float_expires(self):
@@ -244,8 +247,9 @@ class TestTimeOrderedColumns:
         assert meter.operation("posting_expire") == 1
         assert engine.live_postings == 0
 
-    def test_late_record_lands_at_its_time_position(self):
-        engine, _ = self.engine(10.0)
+    @pytest.mark.parametrize("expiry", ["lazy", "eager"])
+    def test_late_record_lands_at_its_time_position(self, expiry):
+        engine, _ = self.engine(10.0, expiry)
         for rid, ts in enumerate([0.0, 1.0, 3.0, 3.0, 2.0, 3.0, 0.5]):
             engine.insert(Record(rid, (7, 8 + rid), timestamp=ts))
         cols = engine._index[7]
@@ -287,6 +291,36 @@ class TestTimeOrderedColumns:
         assert [m.partner.rid for m in found] == [0]
         assert meter.operation("posting_expire") == 0
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eager_index_holds_exactly_the_live_postings(self, seed):
+        """After every operation at time ``now`` the columns physically
+        hold ``live_postings`` entries, in time order, none dead at
+        ``now`` — nothing consumed lingers, nothing is marked dead."""
+        seconds = 3.0
+        engine = StreamingSetJoin(
+            Jaccard(0.6), window=SlidingWindow(seconds), expiry="eager"
+        )
+        assert _Postings.__slots__ == (
+            "rids", "sizes", "positions", "timestamps", "recs"
+        )
+        expired = False
+        for record in fuzz_stream(seed):
+            for op in (engine.probe, engine.insert):
+                before = engine.live_postings
+                op(record)
+                if op == engine.probe and not record.tokens:
+                    continue  # an empty probe returns before the index
+                expired = expired or engine.live_postings < before
+                held = 0
+                for cols in engine._index.values():
+                    timestamps = list(cols.timestamps)
+                    held += len(cols.rids)
+                    assert timestamps == sorted(timestamps)
+                    assert record.timestamp - timestamps[0] <= seconds
+                    assert [r.rid for r in cols.recs] == list(cols.rids)
+                assert held == engine.live_postings
+        assert expired  # the heap cut real postings along the way
+
 
 class TestExpiryModes:
     def test_rejects_unknown_expiry(self):
@@ -323,6 +357,30 @@ class TestExpiryModes:
             engine.insert(Record(i, (1, 2, 3), timestamp=float(i) * 1e6))
         func = Jaccard(0.9)
         assert engine.live_postings == 5 * func.index_prefix_length(3)
+
+    def test_eager_bounds_the_index_on_an_open_vocabulary(self):
+        """What only the mode provides: every record's one posted token
+        is fresh, so no later probe touches it — lazy keeps every
+        posting of the stream, eager at most a window's worth."""
+        seconds, spacing, func = 10.0, 1.0, Jaccard(0.9)
+        records = [
+            Record(rid, (rid, 1000, 1001), timestamp=rid * spacing)
+            for rid in range(int(5 * seconds / spacing))
+        ]
+        assert func.index_prefix_length(3) == 1
+        in_window = int(seconds / spacing) + 1
+        engines = {
+            expiry: StreamingSetJoin(
+                func, window=SlidingWindow(seconds), expiry=expiry
+            )
+            for expiry in ("lazy", "eager")
+        }
+        for n, record in enumerate(records, start=1):
+            for engine in engines.values():
+                assert engine.probe_and_insert(record) == []
+            assert engines["lazy"].live_postings == n
+            assert engines["eager"].live_postings == min(n, in_window)
+            assert len(engines["eager"]._index) == min(n, in_window)
 
     @pytest.mark.parametrize("window_seconds", [2.0, 7.5])
     def test_eager_matches_lazy_results(self, window_seconds):
