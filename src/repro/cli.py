@@ -14,10 +14,11 @@ Eleven commands cover the workflows a downstream user needs:
     ``BENCH_summary.json``; the same dump flags write one artefact set
     per method. ``--write-baseline`` archives the suite's run
     fingerprints; ``--check-baseline`` gates the run against one.
-    ``--wallclock`` instead runs the real-time microbenchmark suite
-    (columnar engine vs. reference engine, DESIGN §9) and writes
-    ``BENCH_wallclock.json``; it exits non-zero only on a cross-engine
-    correctness mismatch, never on timings.
+    ``--wallclock`` instead runs the engine A/B (columnar engine vs.
+    reference engine over two calibrated corpora, insert and probe
+    phases timed apart, DESIGN §9) and writes ``BENCH_wallclock.json``;
+    it exits non-zero only on a cross-engine correctness mismatch,
+    never on timings. Whole-join timings are ``benchmarks/e2e/run.py``.
 ``trace``
     Run one instrumented join (synthetic corpus or token file) and
     show where tuples spend their time: per-hop latency breakdown and
@@ -118,10 +119,6 @@ from repro.sketch.recall import observables_recall
 from repro.storm.costmodel import CostModel
 
 METHOD_LABELS = ("BRD", "PRE", "LEN-U", "LEN", "LEN+BUN", "SKT")
-
-#: Record-count multiplier behind ``--wallclock-scale smoke`` — small
-#: enough for CI runners, large enough that every corpus still joins.
-SMOKE_WALLCLOCK_SCALE = 0.05
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,12 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiplier on the calibrated wall-clock "
                             "record counts; < 1 speeds up smoke runs "
                             "(the x3 headline target is calibrated "
-                            "at 1.0), or the literal 'smoke' for the "
-                            "CI smoke configuration")
-    bench.add_argument("--no-parallel-sweep", action="store_true",
-                       help="skip the multi-core scaling sweep in "
-                            "--wallclock mode (--workers caps its "
-                            "worker counts)")
+                            "at 1.0)")
     bench.add_argument("--no-archive", action="store_true",
                        help="do not record this run in the persistent "
                             "archive (.repro/archive.db; see `repro "
@@ -972,19 +964,12 @@ def _bench_wallclock(args) -> int:
         print(f"bench: --repeats must be >= 1, got {args.repeats}",
               file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print(f"bench: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
+    try:
+        scale = float(args.wallclock_scale)
+    except ValueError:
+        print(f"bench: --wallclock-scale must be a number, "
+              f"got {args.wallclock_scale!r}", file=sys.stderr)
         return 2
-    if args.wallclock_scale == "smoke":
-        scale = SMOKE_WALLCLOCK_SCALE
-    else:
-        try:
-            scale = float(args.wallclock_scale)
-        except ValueError:
-            print(f"bench: --wallclock-scale must be a number or 'smoke', "
-                  f"got {args.wallclock_scale!r}", file=sys.stderr)
-            return 2
     if scale <= 0:
         print(f"bench: --wallclock-scale must be > 0, got {scale}",
               file=sys.stderr)
@@ -994,7 +979,6 @@ def _bench_wallclock(args) -> int:
         threshold=args.threshold,
         seed=args.seed if args.seed else WALLCLOCK_SEED,
         scale=scale,
-        workers=None if args.no_parallel_sweep else args.workers,
     )
     print(render_wallclock(payload))
     if args.wallclock_out:

@@ -72,7 +72,8 @@ from repro.obs.artefact import artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
     BANDED_GAUGES,
     FINGERPRINT_SCHEMA_VERSION,
-    _relative_change,
+    judge,
+    verdict_lines,
 )
 
 ARCHIVE_SCHEMA_VERSION = 2
@@ -1075,27 +1076,26 @@ class RunArchive:
             checks += 1
             baseline = float(statistics.median(history))
             policy = metric_policy(metric, exact_names)
+            judged = judge(policy, baseline, current, tolerance)
+            if judged is None:
+                continue
+            outcome, rel = judged
             entry = {
-                "metric": metric, "policy": policy,
+                "metric": metric,
+                "policy": "exact" if policy == "exact" else "banded",
                 "baseline": baseline, "current": current,
                 "baseline_runs": baseline_ids,
             }
             if policy == "exact":
-                if current != baseline:
-                    entry["message"] = (
-                        f"exact metric {metric!r} drifted from the rolling "
-                        f"median of runs {baseline_ids}: "
-                        f"{baseline:g} -> {current:g}"
-                    )
-                    verdict["failures"].append(entry)  # type: ignore[union-attr]
+                entry["message"] = (
+                    f"exact metric {metric!r} drifted from the rolling "
+                    f"median of runs {baseline_ids}: "
+                    f"{baseline:g} -> {current:g}"
+                )
+                verdict["failures"].append(entry)  # type: ignore[union-attr]
                 continue
-            rel = _relative_change(baseline, current)
-            entry["policy"] = "banded"
             entry["relative_change"] = rel
-            if abs(rel) <= tolerance:
-                continue
-            worse = rel < 0 if policy == "higher_better" else rel > 0
-            if worse:
+            if outcome == "failure":
                 entry["message"] = (
                     f"banded metric {metric!r} regressed {abs(rel):.3%} "
                     f"vs the rolling median (tolerance {tolerance:g}): "
@@ -1119,10 +1119,7 @@ def render_check(verdict: Dict[str, object]) -> str:
     lines: List[str] = []
     for message in verdict.get("skipped", []):  # type: ignore[union-attr]
         lines.append(f"skip {message}")
-    for entry in verdict["failures"]:  # type: ignore[union-attr]
-        lines.append(f"FAIL {entry['message']}")
-    for entry in verdict["improvements"]:  # type: ignore[union-attr]
-        lines.append(f"  ok {entry['message']}")
+    lines.extend(verdict_lines(verdict))
     baseline_ids = verdict.get("baseline_runs") or []
     against = (
         f"vs median of runs {baseline_ids}" if baseline_ids else "no baseline"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 FINGERPRINT_SCHEMA_VERSION = 1
 DEFAULT_REL_TOL = 1e-6
@@ -99,6 +99,29 @@ def fingerprint_from_metrics(dump: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+def judge(
+    policy: str, baseline: object, current: object, tolerance: float
+) -> Optional[Tuple[str, Optional[float]]]:
+    """The one verdict rule behind ``repro diff`` and ``history check``.
+
+    ``policy`` is ``"exact"``, ``"higher_better"`` or ``"lower_better"``.
+    Returns ``None`` when ``current`` passes unremarked, else
+    ``(outcome, relative_change)`` with ``outcome`` ``"failure"`` or
+    ``"improvement"``. Exact values fail on any difference (no relative
+    change is reported for them); banded values are remarked on only
+    when their relative change exceeds ``tolerance`` — a change exactly
+    at the tolerance passes — and fail only in the policy's bad
+    direction.
+    """
+    if policy == "exact":
+        return None if baseline == current else ("failure", None)
+    rel = _relative_change(baseline, current)  # type: ignore[arg-type]
+    if abs(rel) <= tolerance:
+        return None
+    worse = rel < 0 if policy == "higher_better" else rel > 0
+    return ("failure" if worse else "improvement", rel)
+
+
 def compare_fingerprints(
     baseline: Dict[str, object],
     current: Dict[str, object],
@@ -152,7 +175,7 @@ def compare_fingerprints(
                 "message": f"exact metric {name!r} "
                            + ("appeared" if b is None else "disappeared"),
             })
-        elif b != c:
+        elif judge("exact", b, c, rel_tol):
             failures.append({
                 "metric": name, "policy": "exact", "baseline": b, "current": c,
                 "message": f"exact metric {name!r} drifted: "
@@ -172,16 +195,15 @@ def compare_fingerprints(
             })
             continue
         b, c = _num(base_banded[name]), _num(cur_banded[name])
-        rel = _relative_change(b, c)
+        judged = judge(BANDED_GAUGES.get(name, "lower_better"), b, c, rel_tol)
+        if judged is None:
+            continue
+        outcome, rel = judged
         entry = {
             "metric": name, "policy": "banded",
             "baseline": b, "current": c, "relative_change": rel,
         }
-        if abs(rel) <= rel_tol:
-            continue
-        direction = BANDED_GAUGES.get(name, "lower_better")
-        worse = rel < 0 if direction == "higher_better" else rel > 0
-        if worse:
+        if outcome == "failure":
             entry["message"] = (
                 f"banded metric {name!r} regressed {abs(rel):.3%} "
                 f"(tolerance {rel_tol:.1e}): {b:g} -> {c:g}"
@@ -321,15 +343,20 @@ def compare_loaded(
     return compare_fingerprints(baseline, current, rel_tol=rel_tol)
 
 
+def verdict_lines(verdict: Dict[str, object]) -> List[str]:
+    """One ``FAIL`` line per failure, then one ``ok`` line per
+    improvement — the body both gates' plain-text verdicts share."""
+    lines: List[str] = []
+    for tag, key in (("FAIL", "failures"), ("  ok", "improvements")):
+        for entry in verdict[key]:  # type: ignore[union-attr]
+            prefix = f"[{entry['method']}] " if "method" in entry else ""
+            lines.append(f"{tag} {prefix}{entry['message']}")
+    return lines
+
+
 def render_verdict(verdict: Dict[str, object]) -> str:
     """Plain-text verdict for terminals (the JSON form is canonical)."""
-    lines: List[str] = []
-    for entry in verdict["failures"]:  # type: ignore[union-attr]
-        prefix = f"[{entry['method']}] " if "method" in entry else ""
-        lines.append(f"FAIL {prefix}{entry['message']}")
-    for entry in verdict["improvements"]:  # type: ignore[union-attr]
-        prefix = f"[{entry['method']}] " if "method" in entry else ""
-        lines.append(f"  ok {prefix}{entry['message']}")
+    lines = verdict_lines(verdict)
     lines.append(
         f"diff: {verdict['status']} "
         f"({verdict['checks']} checks, {len(verdict['failures'])} failures, "

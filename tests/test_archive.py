@@ -158,6 +158,42 @@ class TestRoundTrip:
                     run_id, f"corpora.{corpus}.{leaf}"
                 ) == entry[leaf]
 
+    def test_old_shape_wallclock_payload_still_ingests(self, db, tmp_path):
+        # reports uploaded before the suite went back to the engine A/B
+        # still carry `parallel` and `sketch` sections
+        new = {
+            "schema": "repro/wallclock/v1", "threshold": 0.8, "seed": 7,
+            "corpora": {"AOL": {"records": 300, "results": 41}},
+            "headline": {"corpus": "AOL", "probe_speedup": 3.25},
+        }
+        old = dict(
+            new,
+            parallel={"scaling": {"speedup_at_4": 0.926, "shards": 8}},
+            sketch={"frontier": {"headline": {"recall": 0.997}}},
+        )
+        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+        old_path.write_text(json.dumps(old))
+        new_path.write_text(json.dumps(new))
+        with RunArchive(db) as archive:
+            (old_id, family), = archive.ingest_path(str(old_path))
+            assert family == "wallclock"
+            assert archive.metric_value(old_id, "headline.probe_speedup") == 3.25
+            assert archive.metric_value(
+                old_id, "parallel.scaling.speedup_at_4"
+            ) == 0.926
+            (new_id, _), = archive.ingest_path(str(new_path))
+            verdict = archive.check(new_id, last=1, metrics=[
+                "corpora.AOL.results", "headline.probe_speedup",
+                "parallel.scaling.speedup_at_4", "parallel.scaling.shards",
+            ])
+        assert verdict["status"] == "ok" and verdict["checks"] == 2
+        assert verdict["baseline_runs"] == [old_id]
+        assert verdict["skipped"] == [
+            "metric 'parallel.scaling.speedup_at_4': "
+            "missing from the current run",
+            "metric 'parallel.scaling.shards': missing from the current run",
+        ]
+
     def test_committed_seed_matches_reports(self):
         seed_db = os.path.join(
             REPO_ROOT, "benchmarks", "baselines", "archive.db"

@@ -568,32 +568,3 @@ class TestSketchCLI:
                      "--workers", "2", "--summary-out", ""]) == 0
         out = capsys.readouterr().out
         assert "SKT" in out and "LEN" in out
-
-
-class TestFrontierSection:
-    def test_small_scale_section(self):
-        from repro.bench.wallclock import sketch_frontier_section
-
-        section = sketch_frontier_section(
-            repeats=1, scale=0.02, grid=((16, 4),)
-        )
-        assert section["exact"]["pairs"] > 0
-        entry = section["grid"]["16x4"]
-        assert entry["rows"] == 4
-        assert 0.0 <= entry["recall"] <= 1.0
-        assert entry["precision"] == 1.0
-        assert entry["recall"] >= entry["recall_lower_bound"]
-        assert isinstance(entry["isolated"], bool)
-        assert entry["peak_rss_bytes"] > 0
-        assert section["headline"]["config"] == "16x4"
-        correctness = section["correctness"]
-        assert correctness["precision_one"]
-        assert correctness["recall_above_bound"]
-        assert correctness["observables_identical"]
-        assert correctness["matches_identical"]
-
-    def test_rejects_bad_repeats(self):
-        from repro.bench.wallclock import sketch_frontier_section
-
-        with pytest.raises(ValueError, match="repeats"):
-            sketch_frontier_section(repeats=0)
