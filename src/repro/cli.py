@@ -796,7 +796,11 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
             else DEFAULT_TRACE_SAMPLE
         ),
     )
-    result = runner.run(stream)
+    # Nothing reads the rows unless --pairs / --recall-floor asked for
+    # them: hand each frame to a discarding sink and hold no result.
+    result = runner.run(
+        stream, sink=None if config.collect_pairs else lambda frame: None
+    )
     print(format_table([{
         "method": config.method_label,
         "workers": result.workers,
@@ -1381,7 +1385,8 @@ def _cmd_spans(args) -> int:
         print(format_table(
             worker_rows,
             title="\nper-worker phases (route is the worker's own walk "
-                  "over the records between batches)",
+                  "over the records between batches; pipe_write / "
+                  "shm_write its per-batch result ship)",
         ))
     if path:
         print(format_table([

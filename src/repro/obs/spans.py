@@ -48,6 +48,10 @@ Phases (the driver records the driver set with ``worker == -1``)::
                 per-phase *totals* are exact)
     insert      insert calls of one batch (tiled after probe)
     meter_flush the one charge_many/event_many flush per batch
+    pipe_write  a worker shipping one batch's match rows (the inline
+                executor's hand-over included); ``shm_write`` instead
+                when the rows went through its mirror ring — only
+                batches that produced rows have one
 
 Artefacts written while records still travelled driver → worker in
 batches also carry ``feed`` / ``encode`` / ``pipe_write`` /
@@ -86,12 +90,17 @@ PHASES = (
 )
 PHASE_ID: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
 
-#: What each actor records today, in reporting order.
+#: What each actor records in every run, in reporting order.
 DRIVER_PHASES = ("setup", "drain", "merge")
 WORKER_PHASES = ("route", "probe", "insert", "meter_flush")
+#: A worker's per-batch result ship: one of the two by transport, and
+#: only in a run that produced rows, so reported when an actor has it
+#: (in a file from the record wire that actor is the driver, writing
+#: record batches under the same frozen ids).
+SHIP_PHASES = ("pipe_write", "shm_write")
 #: Phases only artefacts from the per-batch record wire carry; reported
 #: when a file has them.
-LEGACY_DRIVER_PHASES = ("feed", "encode", "pipe_write", "shm_write")
+LEGACY_DRIVER_PHASES = ("feed", "encode")
 LEGACY_WORKER_PHASES = ("pipe_read", "decode", "shm_read")
 #: Worker phases that were blocked waiting, not work — every other
 #: worker phase counts as executing.
@@ -182,8 +191,8 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     the run, so their inclusive sum over the wall time —
     ``driver_coverage`` — measures how much of the run the span
     pipeline accounts for (the bench gate wants it within 5% of 1).
-    Each actor's dict holds today's phases plus whichever legacy ones
-    the file carries; a reported ``feed`` is *exclusive* of its nested
+    Each actor's dict holds today's phases plus whichever ship and
+    legacy ones it recorded; a reported ``feed`` is *exclusive* of its nested
     ``encode``, ``pipe_write`` and ``shm_write`` spans, so the driver
     dict reads as a partition of driver time. Worker phase totals are
     reported as recorded (with ``sample > 1`` they undercount by design
@@ -191,12 +200,15 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """
     header, spans = split_rows(rows)
     wall = float(header.get("wall_s", 0.0)) or 0.0
-    present = {row["phase"] for row in spans}
+    by_driver = {row["phase"] for row in spans if row["worker"] == DRIVER}
+    by_workers = {row["phase"] for row in spans if row["worker"] != DRIVER}
     driver_phases = DRIVER_PHASES + tuple(
-        phase for phase in LEGACY_DRIVER_PHASES if phase in present
+        phase for phase in LEGACY_DRIVER_PHASES + SHIP_PHASES
+        if phase in by_driver
     )
     worker_phases = WORKER_PHASES + tuple(
-        phase for phase in LEGACY_WORKER_PHASES if phase in present
+        phase for phase in SHIP_PHASES + LEGACY_WORKER_PHASES
+        if phase in by_workers
     )
 
     driver: Dict[str, float] = {
@@ -206,8 +218,7 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     covered = driver["setup"] + feed + driver["drain"] + driver["merge"]
     if "feed" in driver:
         nested = sum(
-            driver.get(phase, 0.0)
-            for phase in ("encode", "pipe_write", "shm_write")
+            driver.get(phase, 0.0) for phase in ("encode",) + SHIP_PHASES
         )
         driver["feed"] = max(0.0, feed - nested)
 
@@ -320,8 +331,10 @@ def waterfall(rows: Sequence[Dict[str, object]], width: int = 60) -> str:
 
 def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro spans --smoke`` gate: schema-valid, every expected
-    phase present for the run's executor, and no actor's phase totals
-    exceed the wall time. Returns failure strings (empty = pass)."""
+    phase present for the run's executor, ship spans where a run
+    without a record wire can have them (on workers, ``shm_write`` only
+    under the shm transport), and no actor's phase totals exceed the
+    wall time. Returns failure strings (empty = pass)."""
     failures = validate_span_lines(rows)
     if failures:
         return failures
@@ -341,6 +354,19 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
     for phase in sorted(expected):
         if phase not in present:
             failures.append(f"no span covers phase {phase!r}")
+    if "feed" not in present:
+        # No record wire: the only writes are workers shipping rows.
+        for phase in sorted(
+            {row["phase"] for row in spans if row["worker"] == DRIVER}
+            & set(SHIP_PHASES)
+        ):
+            failures.append(
+                f"driver recorded {phase!r} but the file has no record wire"
+            )
+        if "shm_write" in present and header.get("transport") != "shm":
+            failures.append(
+                f"'shm_write' spans in a {header.get('transport')!r}-transport run"
+            )
 
     budget = wall * 1.02 + 1e-6
     totals = phase_totals(rows)

@@ -91,7 +91,7 @@ def parallel_fingerprint(result) -> Dict[str, object]:
     for name in sorted(result.events):
         exact[name] = {"total": result.events[name], "series": 1}
     exact["run_records"] = {"total": float(result.records), "series": 1}
-    exact["run_results"] = {"total": float(len(result.matches)), "series": 1}
+    exact["run_results"] = {"total": float(result.results), "series": 1}
     return {
         "schema": 1,
         "labels": {
@@ -148,7 +148,7 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
     registry.gauge("run_shards", help="logical shards").set(result.num_shards)
     registry.gauge("run_records", help="records routed").set(result.records)
     registry.gauge("run_results", help="match pairs reported").set(
-        len(result.matches)
+        result.results
     )
     if result.config.mode == "approx":
         # Sketch-tier attribution gauges: how many band collisions the
@@ -167,7 +167,7 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
         registry.gauge(
             "sketch_candidate_precision",
             help="verified matches per admitted sketch candidate",
-        ).set(len(result.matches) / admitted if admitted else 1.0)
+        ).set(result.results / admitted if admitted else 1.0)
     gauges = (
         ("worker_busy_seconds", "seconds spent processing batches", "busy_s"),
         (

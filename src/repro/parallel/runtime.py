@@ -9,7 +9,8 @@ Execution model::
                                     build engines for its shards
                                     walk the records, keep its shards'
                                     tasks, probe/insert per batch
-    drain matches + summaries <──   sort + stream matches, summary
+    drain every worker at once <──  ship each batch's matches as it
+    (frame → sink, or collect)      finishes; event log + summary last
     merge (sort, sum meters)
 
 Determinism: the stream is routed over ``num_shards`` logical shards
@@ -37,7 +38,17 @@ under ``fork``, pickled once under ``spawn``, one code path either way
 — and :meth:`ShardWorker.run` self-selects its shards' tasks from them
 under both executors. The driver writes nothing after start-up: it goes
 from spawn straight to draining results, which is also all a transport
-carries (pipe frames, or the shm mirror ring plus descriptors). Every
+carries (pipe frames, or the shm mirror ring plus descriptors).
+
+Results stream: workers ship at every batch boundary that has rows, and
+one loop over :func:`multiprocessing.connection.wait` consumes a frame
+when it arrives, whoever sent it. With a ``sink`` each decoded frame is
+handed over and dropped — nobody holds the result; without one, frames
+extend per-worker tables that :func:`~repro.parallel.merge.merge_matches`
+puts in canonical order. The sink contract is deliberately weak: every
+row exactly once; a probe's rows contiguous, in partner-rid order; one
+shard's frames in arrival order; no order across shards or workers (no
+consumer needs one — canonical order is the collecting path's). Every
 stamp — spans and record-trace events alike — lands in one
 :class:`~repro.obs.eventlog.EventLog` per actor (the driver's on the
 per-run :class:`_Run`, each worker's shipped back as one ``TAG_EVENTS``
@@ -53,7 +64,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
@@ -149,7 +160,11 @@ class ParallelJoinResult:
     #: Canonically ordered ``(timestamp, rid_a, rid_b, overlap,
     #: similarity)`` rows — ``rid_a`` is the later (probing) record —
     #: as columns; a sequence of ``MatchRow`` tuples to its readers.
-    matches: MatchTable
+    #: ``None`` when the run handed its frames to a ``sink`` instead.
+    matches: Optional[MatchTable]
+    #: Match rows the run produced, counted as frames were consumed —
+    #: collected or not.
+    results: int
     operations: Dict[str, float]
     events: Dict[str, float]
     signals: Dict[str, float]
@@ -185,10 +200,6 @@ class ParallelJoinResult:
     #: Merged driver + worker trace events, rebased so 0 = run start
     #: (``None`` unless tracing was on).
     trace_rows: Optional[List[Dict[str, object]]] = field(default=None, repr=False)
-
-    @property
-    def results(self) -> int:
-        return len(self.matches)
 
     @property
     def throughput(self) -> float:
@@ -309,6 +320,11 @@ class _Run:
     assignment: List[List[int]] = field(default_factory=list)
     #: worker id → its decoded event-log columns, filled while draining.
     columns: Dict[int, tuple] = field(default_factory=dict)
+    #: Where match frames go (``None``: into ``chunks``, one table per
+    #: worker, for the merge) and how many rows have gone there.
+    sink: Optional[Callable[[MatchTable], None]] = None
+    chunks: List[MatchTable] = field(default_factory=list)
+    results: int = 0
     #: The driver's event log, built from the strides (``None``: neither
     #: spans nor tracing — nothing is calibrated or allocated).
     log: Optional[EventLog] = field(init=False, default=None)
@@ -316,6 +332,15 @@ class _Run:
     def __post_init__(self):
         if self.spans_sample or self.trace_sample:
             self.log = EventLog(self.spans_sample, self.trace_sample)
+
+    def consume(self, w: int, frame: MatchTable) -> None:
+        """The one consumer of a match frame, both executors: count it,
+        then hand it to the sink or append it to worker ``w``'s table."""
+        self.results += len(frame)
+        if self.sink is not None:
+            self.sink(frame)
+        else:
+            self.chunks[w].extend(frame)
 
     def window(self, phase: int, start: float) -> None:
         """Close one of the driver's top-level windows (setup, drain,
@@ -464,14 +489,23 @@ class ParallelJoinRunner:
         self.shm_segment_names: List[str] = []
 
     # -- execution -----------------------------------------------------------
-    def run(self, stream) -> ParallelJoinResult:
+    def run(
+        self, stream, sink: Optional[Callable[[MatchTable], None]] = None
+    ) -> ParallelJoinResult:
         """Publish ``stream`` (a RecordStream or record iterable) to the
-        workers; block until merged."""
+        workers; block until merged.
+
+        With a ``sink``, every match frame is passed to it as it
+        arrives and dropped (``result.matches`` is ``None``; see the
+        module docstring for what a sink may rely on); without one the
+        frames are collected into the canonical ``result.matches``.
+        ``result.results`` counts the rows either way."""
         started = time.monotonic()
         run = _Run(
             started=started,
             spans_sample=self.spans_sample if self.spans else 0,
             trace_sample=self.trace_sample if self.trace else 0,
+            sink=sink,
         )
         records = list(stream)
         plan = plan_shards(
@@ -482,6 +516,7 @@ class ParallelJoinRunner:
         run.assignment = [
             plan.shards_of_worker(w, workers) for w in range(workers)
         ]
+        run.chunks = [MatchTable() for _ in range(workers)]
         if self.telemetry:
             run.telemetry = TelemetryRecorder(
                 workers=workers,
@@ -495,11 +530,12 @@ class ParallelJoinRunner:
         execute = (
             self._run_process if self.executor == "process" else self._run_inline
         )
-        chunks, summaries = execute(run, plan, records)
-        return self._merge(run, plan, records, chunks, summaries)
+        summaries = execute(run, plan, records)
+        return self._merge(run, plan, records, summaries)
 
     def _run_process(self, run: _Run, plan, records):
         import multiprocessing as mp
+        from multiprocessing.connection import wait
 
         telemetry = run.telemetry
         workers = len(run.assignment)
@@ -552,41 +588,36 @@ class ParallelJoinRunner:
                     hb_send.close()
                 conns.append(parent)
                 procs.append(proc)
-            hb_active = list(hb_conns)
             run.window(_SETUP, run.started)
 
-            def pump() -> None:
-                """Drain every buffered heartbeat frame (non-blocking).
-                A closed write end (worker exited) retires its pipe."""
-                for conn in list(hb_active):
-                    while True:
-                        try:
-                            if not conn.poll(0):
-                                break
-                            msg = conn.recv_bytes()
-                        except (EOFError, OSError):
-                            hb_active.remove(conn)
-                            break
-                        if msg and msg[0] == TAG_HEARTBEAT:
-                            telemetry.on_heartbeat(decode_heartbeat(msg))
+            def beat(conn) -> None:
+                """One heartbeat frame off a readable heartbeat pipe; a
+                closed write end (worker exited) retires the pipe."""
+                try:
+                    msg = conn.recv_bytes()
+                except (EOFError, OSError):
+                    beats.remove(conn)
+                    return
+                if msg and msg[0] == TAG_HEARTBEAT:
+                    telemetry.on_heartbeat(decode_heartbeat(msg))
 
             t_drain = time.monotonic()
-            poll_s = min(0.05, self.heartbeat_interval)
-            chunks: List[MatchTable] = []
-            summaries = []
-            for w, conn in enumerate(conns):
-                rows = MatchTable()
-                #: Mirror-ring frames consumed (generation check).
-                generation = 0
-                while True:
+            beats = list(hb_conns)
+            #: Result pipe → its worker, until that worker's TAG_DONE.
+            pending = {conn: w for w, conn in enumerate(conns)}
+            #: Per worker: mirror-ring frames consumed (generation
+            #: check) and the summary slot.
+            generation = [0] * workers
+            summaries: List[Optional[dict]] = [None] * workers
+            while pending:
+                # Every pipe at once: a frame, a heartbeat or a dead
+                # worker's EOF is handled when it arrives, whoever's.
+                for conn in wait([*pending, *beats]):
+                    w = pending.get(conn)
+                    if w is None:
+                        beat(conn)
+                        continue
                     try:
-                        if telemetry is not None:
-                            # Keep ingesting live samples while blocked
-                            # on a worker's results — at least once per
-                            # heartbeat interval, so arrival stamps are
-                            # no coarser than the samples.
-                            while not conn.poll(poll_s):
-                                pump()
                         msg = conn.recv_bytes()
                     except EOFError:
                         raise ParallelWorkerError(
@@ -594,47 +625,47 @@ class ParallelJoinRunner:
                             f"(killed or crashed before reporting)"
                         ) from None
                     tag = msg[0]
+                    body = memoryview(msg)[1:]
                     if tag == TAG_MATCHES:
-                        rows.extend(decode_match_batch(msg[1:]))
+                        run.consume(w, decode_match_batch(body))
                     elif tag == TAG_SHM_MATCHES:
                         _, offset, length, advance, seen = (
-                            decode_shm_descriptor(msg[1:])
+                            decode_shm_descriptor(body)
                         )
-                        if seen != generation:
+                        if seen != generation[w]:
                             raise ParallelWorkerError(
                                 f"worker {w} mirror ring desynced: frame "
-                                f"generation {seen}, expected {generation}"
+                                f"generation {seen}, expected {generation[w]}"
                             )
-                        generation += 1
+                        generation[w] += 1
                         ring = rings[w].ring
                         # decode copies the columns out; releasing right
                         # after returns the credit a blocked worker may
-                        # be waiting on.
-                        rows.extend(
-                            decode_match_batch(ring.view(offset, length))
-                        )
+                        # be waiting on, before the consumer runs.
+                        frame = decode_match_batch(ring.view(offset, length))
                         ring.release(advance)
+                        run.consume(w, frame)
                     elif tag == TAG_EVENTS:
-                        run.columns[w] = decode_event_frame(msg[1:])
+                        run.columns[w] = decode_event_frame(body)
                     elif tag == TAG_DONE:
-                        summaries.append(pickle.loads(msg[1:]))
-                        break
+                        summaries[w] = pickle.loads(body)
+                        del pending[conn]
                     elif tag == TAG_ERROR:
-                        raise ParallelWorkerError(pickle.loads(msg[1:]))
+                        raise ParallelWorkerError(pickle.loads(body))
                     else:
                         raise ParallelWorkerError(
                             f"worker {w} sent unknown frame tag {tag}"
                         )
-                chunks.append(rows)
             for proc in procs:
                 proc.join()
-            if telemetry is not None:
-                # Workers closed their heartbeat ends on exit; drain
-                # whatever is still buffered (the flagged final
-                # samples) through to EOF.
-                pump()
+            # Workers closed their heartbeat ends on exit; take whatever
+            # is still buffered (the flagged final samples) through to
+            # EOF.
+            while beats and (ready := wait(beats, 0)):
+                for conn in ready:
+                    beat(conn)
             run.window(_DRAIN, t_drain)
-            return chunks, summaries
+            return summaries
         finally:
             for conn in conns:
                 conn.close()
@@ -685,7 +716,13 @@ class ParallelJoinRunner:
                 if telemetry is not None
                 else None
             )
-            fanout = worker.run(records, plan, self.batch_size, emitter)
+
+            def ship(table: MatchTable, w: int = w) -> int:
+                """The inline hand-over: no wire, no bytes."""
+                run.consume(w, table)
+                return 0
+
+            fanout = worker.run(records, plan, self.batch_size, emitter, ship)
             worker.lifetime_s = monotonic() - born
             if emitter is not None:
                 # The flagged final sample, mirroring ``worker_main``.
@@ -703,7 +740,7 @@ class ParallelJoinRunner:
                     encode_event_frame(*worker.log.columns())
                 )
         run.window(_DRAIN, t_drain)
-        return [worker.matches for worker in pool], summaries
+        return summaries
 
     def _artefacts(self, run: _Run, summaries, shape, records: int):
         """The one merge helper: every actor's event log → ``(span
@@ -776,9 +813,7 @@ class ParallelJoinRunner:
             trace_header, trace_rows if run.trace_sample else None,
         )
 
-    def _merge(
-        self, run: _Run, plan, records, chunks, summaries
-    ) -> ParallelJoinResult:
+    def _merge(self, run: _Run, plan, records, summaries) -> ParallelJoinResult:
         started = run.started
         workers = len(run.assignment)
         t_merge = time.monotonic()
@@ -805,7 +840,7 @@ class ParallelJoinRunner:
                 }
             )
         operations, events, signals = merge_meters(shard_meters)
-        matches = merge_matches(chunks)
+        matches = merge_matches(run.chunks) if run.sink is None else None
         # Every worker tallies the same walk over the same records.
         fanout = summaries[0]["fanout"]
         if fanout["count"]:
@@ -829,7 +864,7 @@ class ParallelJoinRunner:
         }
         telemetry_doc = None
         if run.telemetry is not None:
-            run.telemetry.finalize(wall_s, len(records), len(matches))
+            run.telemetry.finalize(wall_s, len(records), run.results)
             telemetry_doc = run.telemetry.document()
         span_header, span_rows, trace_header, trace_rows = self._artefacts(
             run, summaries, shape, len(records)
@@ -842,6 +877,7 @@ class ParallelJoinRunner:
             executor=self.executor,
             records=len(records),
             matches=matches,
+            results=run.results,
             operations=operations,
             events=events,
             signals=signals,
@@ -925,6 +961,7 @@ def run_serial(
         executor="serial",
         records=len(records),
         matches=matches,
+        results=len(matches),
         operations=operations,
         events=events,
         signals=signals,

@@ -32,10 +32,12 @@ available — never corrupt it.
 Credit-based flow control replaces blocking pipe writes: the free
 space the producer sees (``capacity - (head - tail)``) *is* its credit
 balance, replenished by the consumer advancing ``tail``. When a claim
-fails the producer (:func:`repro.parallel.worker.ship_matches`) sleeps
-briefly and re-reads ``tail`` — the draining driver never writes, so it
-always makes progress and the wait is bounded (the worker additionally
-checks in that loop that the driver is still there).
+fails the producer (:func:`repro.parallel.worker.ship_matches`, at a
+batch boundary in the middle of the run) sleeps briefly and re-reads
+``tail`` — the driver never writes and drains every worker's pipe at
+once, releasing each frame as its descriptor arrives, so it always
+makes progress and the wait is bounded (the worker additionally checks
+in that loop that the driver is still there).
 
 :class:`RingBuffer` is deliberately buffer-agnostic: the process
 executor hands it shared-memory segments, while the unit tests run the

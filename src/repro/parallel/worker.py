@@ -35,12 +35,16 @@ struct-codec pipe frames kept as the per-frame fallback for chunks
 larger than the ring. The worker only ever *attaches* to the segment —
 cleanup (unlink) belongs exclusively to the driver.
 
-Deadlock freedom: the driver never writes after start-up, so no wait
-cycle exists. A worker ships its matches (and event log) when its loop
-ends; the driver goes from spawn straight to draining, and a worker
-blocked writing a large match chunk (or waiting for mirror-ring
-credits, which the draining driver replenishes as it consumes)
-proceeds as soon as its turn is read.
+Results stream: a worker ships its emit buffer at every batch boundary
+that has rows (:meth:`ShardWorker.flush_matches`) and starts a fresh
+one, so it never holds more than one batch's rows; its event log and
+summary follow when the loop ends.
+
+Deadlock freedom: the driver never writes after start-up and reads
+every worker's pipe at once, so no wait cycle exists. A worker blocked
+writing a match frame (or waiting for mirror-ring credits, which the
+driver replenishes as it consumes) waits only for the driver, and the
+driver waits for no worker in particular.
 
 Live telemetry rides a *separate* one-way heartbeat pipe per worker:
 :class:`HeartbeatEmitter` hands :func:`pipe_sink` one fixed-size
@@ -64,11 +68,13 @@ everything not selected — the whole batch when both are off — runs
 through the one un-timed loop. Engine and meter calls are the same
 calls in the same order either way, so instrumentation can never change
 an observable. Spans (the loop's own routing time between batches,
-probe, insert, meter flush) and trace events (probe/insert/match-emit)
-are rows of the worker's one :class:`~repro.obs.eventlog.EventLog` and
-ship back as one ``TAG_EVENTS`` frame; independent of it, every worker
-tracks cheap per-run telemetry (busy seconds, bytes out, peak RSS)
-reported in the ``TAG_DONE`` summary.
+probe, insert, meter flush, the per-batch result ship) and trace events
+(probe/insert/match-emit) are rows of the worker's one
+:class:`~repro.obs.eventlog.EventLog` and ship back as one
+``TAG_EVENTS`` frame; independent of it, every worker tracks cheap
+per-run telemetry (busy seconds, rows and bytes shipped so far, peak
+RSS) carried live by the heartbeats and reported in the ``TAG_DONE``
+summary.
 """
 
 from __future__ import annotations
@@ -78,7 +84,9 @@ import pickle
 import sys
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.core.local_join import StreamingSetJoin
@@ -123,6 +131,8 @@ _ROUTE = PHASE_ID["route"]
 _PROBE_PHASE = PHASE_ID["probe"]
 _INSERT_PHASE = PHASE_ID["insert"]
 _METER_FLUSH = PHASE_ID["meter_flush"]
+_PIPE_WRITE = PHASE_ID["pipe_write"]
+_SHM_WRITE = PHASE_ID["shm_write"]
 
 _EV_PROBE = RECORD_SCOPE | EVENT_ID["probe"]
 _EV_INSERT = RECORD_SCOPE | EVENT_ID["insert"]
@@ -195,16 +205,25 @@ class ShardWorker:
             self.engines[shard] = build_shard_engine(
                 config, self.func, shard, num_shards, meter
             )
+        #: The emit buffer: one batch's rows under a ``ship`` hook
+        #: (:meth:`flush_matches` replaces it), the whole result when
+        #: nobody ships (``process_batch`` + ``finish()`` callers).
         self.matches = MatchTable()
+        #: Rows already handed to the ``ship`` hook.
+        self.shipped = 0
+        #: Span phase of a ship; ``worker_main`` switches it to
+        #: ``shm_write`` when it attached a mirror ring.
+        self.ship_phase = _PIPE_WRITE
         self.records = 0
         self.batches = 0
         self.busy_s = 0.0
         #: ``(start, end)`` monotonic spans of batch processing, for the
         #: driver's busy/idle timeline.
         self.intervals: List[Tuple[float, float]] = []
-        #: Telemetry filled by the hosting loop (``worker_main`` or the
-        #: inline executor): result-frame bytes sent and the worker's
-        #: total lifetime. ``blocked_s`` / ``bytes_in`` stay zero — a
+        #: Telemetry: result-frame bytes sent so far (what the ``ship``
+        #: hook returned, plus the event frame) and, filled by the
+        #: hosting loop (``worker_main`` or the inline executor), the
+        #: worker's total lifetime. ``blocked_s`` / ``bytes_in`` stay zero — a
         #: worker never waits for, or receives, a record — and exist for
         #: the heartbeat frame and artefact schemas that carry them.
         self.blocked_s = 0.0
@@ -239,7 +258,7 @@ class ShardWorker:
         return {
             "batches": self.batches,
             "records": self.records,
-            "matches": len(self.matches),
+            "matches": self.shipped + len(self.matches),
             "live_postings": sum(
                 engine.live_postings for engine in self.engines.values()
             ),
@@ -252,7 +271,8 @@ class ShardWorker:
         }
 
     def run(
-        self, records: Sequence[Record], plan, batch_size: int, emitter=None
+        self, records: Sequence[Record], plan, batch_size: int, emitter=None,
+        ship=None,
     ) -> Dict[str, float]:
         """Walk the published ``records`` in arrival order and process
         what ``plan`` assigns the hosted shards; returns the
@@ -265,9 +285,11 @@ class ShardWorker:
         flush in shard order at the end. Per-shard batch boundaries and
         the cross-shard batch order are therefore a pure function of
         the plan and ``batch_size``, whatever the worker count.
-        ``emitter`` (a :class:`HeartbeatEmitter`) is polled after every
-        batch. With spans on, the loop's own time between two batches —
-        plan lookups, fanout tally, buffer appends — is one ``route``
+        After every batch, ``ship`` (``table -> bytes sent``) gets the
+        rows it left in the emit buffer (:meth:`flush_matches`) and
+        ``emitter`` (a :class:`HeartbeatEmitter`) is polled. With spans
+        on, the loop's own time between two batches — plan lookups,
+        fanout tally, buffer appends, never the ship — is one ``route``
         span per kept frame."""
         shards = plan.num_shards
         tasks_of = plan.tasks
@@ -287,6 +309,8 @@ class ShardWorker:
             frames += 1
             self.process_batch(shard, buffer)
             buffer.clear()
+            if ship is not None and len(self.matches):
+                self.flush_matches(ship, shard)
             if emitter is not None:
                 emitter.maybe_emit(self)
             if log is not None:
@@ -395,8 +419,25 @@ class ShardWorker:
         self.busy_s += end - start
         self.intervals.append((start, end))
 
+    def flush_matches(self, ship, shard: int) -> None:
+        """Hand the emit buffer to ``ship`` as one table in canonical
+        order (one shard's batch of an in-order stream is one run
+        already) and start a fresh buffer — the frame views ``ship``
+        takes pin the old columns, so replace, never clear. With spans
+        on, the ship is one row of the batch ``shard`` just finished."""
+        table = self.matches
+        self.matches = MatchTable()
+        table.sort()
+        self.shipped += len(table)
+        start = time.monotonic()
+        self.bytes_out += ship(table)
+        seq = self._batch_seq[shard] - 1
+        if self.log is not None and self.log.keep(seq):
+            self.log.record(self.ship_phase, start, time.monotonic(), shard, seq)
+
     def finish(self) -> dict:
-        """Final-postings events, canonical match order, summary dict."""
+        """Final-postings events, canonical match order of whatever the
+        emit buffer still holds, summary dict."""
         for shard in sorted(self.engines):
             self.meters[shard].event(
                 "final_postings", self.engines[shard].live_postings
@@ -504,21 +545,30 @@ class HeartbeatEmitter:
         return self.emit(worker.telemetry_snapshot())
 
 
-def ship_matches(table: MatchTable, conn, ring, worker_id: int) -> int:
+def ship_matches(
+    table: MatchTable, conn, ring, worker_id: int,
+    generation: Optional[Iterator[int]] = None,
+) -> int:
     """The one shipper of the results direction: cut ``table`` into
     ``MATCH_CHUNK`` frames and send each as it is cut — column views
     written into the mirror ring (``ring`` is ``None`` on the pipe
     transport) or joined into a ``TAG_MATCHES`` pipe frame, never a
-    second copy of the result; returns the data-plane bytes sent.
+    second copy of the rows; returns the data-plane bytes sent.
 
-    Runs once the worker's loop has ended, while the driver is
-    draining (it does nothing else after start-up): a full ring only
-    means the driver has not yet consumed earlier frames, and its drain
-    loop releases them in order, so the credit wait here is bounded. A
-    chunk the ring can never hold takes the pipe frame — the protocol,
-    not the segment size, is the invariant.
+    ``generation`` numbers the ring frames; the driver counts them per
+    worker for the whole run, so a worker passes one counter to all its
+    ships (``None``: a one-off ship, from 0).
+
+    Runs at batch boundaries while the driver drains every worker at
+    once (it does nothing else after start-up): a full ring only means
+    the driver has not yet consumed earlier frames, and it releases them
+    as they arrive, so the credit wait here is bounded. A chunk the ring
+    can never hold takes the pipe frame — the protocol, not the segment
+    size, is the invariant.
     """
-    sent = generation = 0
+    if generation is None:
+        generation = count()
+    sent = 0
     chunk = MATCH_CHUNK
     if ring is not None:
         # Chunk by ring size as well as row count: frames under a
@@ -548,9 +598,8 @@ def ship_matches(table: MatchTable, conn, ring, worker_id: int) -> int:
         ring.write(offset, parts)
         ring.publish(advance)
         descriptor = encode_shm_descriptor(
-            TAG_SHM_MATCHES, worker_id, offset, total, advance, generation
+            TAG_SHM_MATCHES, worker_id, offset, total, advance, next(generation)
         )
-        generation += 1
         conn.send_bytes(descriptor)
         sent += len(descriptor) + total
     return sent
@@ -601,28 +650,33 @@ def worker_main(
             emitter = HeartbeatEmitter(
                 pipe_sink(heartbeat), worker_id, heartbeat_interval
             )
-        fanout = worker.run(records, plan, batch_size, emitter)
+        if ring_out is not None:
+            worker.ship_phase = _SHM_WRITE
+        ship = partial(
+            ship_matches, conn=conn, ring=ring_out, worker_id=worker_id,
+            generation=count(),
+        )
+        fanout = worker.run(records, plan, batch_size, emitter, ship)
         worker.lifetime_s = time.monotonic() - born
+        # bytes_out counts the data plane (match + event frames, or
+        # their ring payload + descriptors under shm); the pickled
+        # summary frame itself is excluded — it has to carry the final
+        # byte count.
+        if worker.log is not None:
+            frame = bytes([TAG_EVENTS]) + encode_event_frame(*worker.log.columns())
+            conn.send_bytes(frame)
+            worker.bytes_out += len(frame)
         if emitter is not None:
             # The unconditional flagged sample: every finished run
-            # carries >= 1 heartbeat per worker, whatever the interval.
-            # Bounded retries, never a block.
+            # carries >= 1 heartbeat per worker, whatever the interval,
+            # and its counters are the run's totals. Bounded retries,
+            # never a block.
             emitter.emit(worker.telemetry_snapshot(), final=True, retries=3)
         summary = worker.finish()
         summary["fanout"] = fanout
         if emitter is not None:
             summary["heartbeats"] = emitter.seq
             summary["heartbeats_dropped"] = emitter.dropped
-        # bytes_out counts the data plane (match + event frames, or
-        # their ring payload + descriptors under shm); the pickled
-        # summary frame itself is excluded — it has to carry the final
-        # byte count.
-        sent = ship_matches(worker.matches, conn, ring_out, worker_id)
-        if worker.log is not None:
-            frame = bytes([TAG_EVENTS]) + encode_event_frame(*worker.log.columns())
-            conn.send_bytes(frame)
-            sent += len(frame)
-        summary["bytes_out"] = sent
         conn.send_bytes(bytes([TAG_DONE]) + pickle.dumps(summary))
     except Exception:
         try:

@@ -103,6 +103,25 @@ class TestJoinParallel:
                           if l and l[0].isdigit())
         assert pair_lines(["--parallel", "--workers", "2"]) == pair_lines([])
 
+    def test_parallel_holds_no_result_unless_pairs_ask(
+        self, corpus_file, tmp_path, capsys
+    ):
+        """Without ``--pairs`` the frames go to a discarding sink: same
+        fingerprint (``run_results`` included) and same summary count as
+        the collecting ``--pairs`` run, which prints that many lines."""
+        seen = {}
+        for label, extra in (("discard", []), ("collect", ["--pairs"])):
+            path = tmp_path / f"{label}.json"
+            assert main(["join", str(corpus_file), "--parallel",
+                         "--workers", "2", "--threshold", "0.7",
+                         "--fingerprint-out", str(path)] + extra) == 0
+            out = capsys.readouterr().out.splitlines()
+            pairs = [l for l in out if l and l[0].isdigit()]
+            seen[label] = json.loads(path.read_text()), len(pairs)
+        (discard, no_lines), (collect, lines) = seen["discard"], seen["collect"]
+        assert discard == collect and no_lines == 0
+        assert lines == collect["exact"]["run_results"]["total"] > 0
+
     def test_parallel_fingerprint_stable_across_workers(
         self, corpus_file, tmp_path, capsys
     ):

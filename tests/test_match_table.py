@@ -27,7 +27,8 @@ from repro.parallel.shm import MIN_RING_BYTES, RingBuffer, shm_supported
 from repro.parallel.worker import MATCH_CHUNK, ship_matches
 from repro.records import Record
 
-from tests.test_shm import _segments_all_unlinked, try_process_run
+from tests.test_parallel_differential import try_process_run
+from tests.test_shm import _segments_all_unlinked
 
 ROWS = [
     (0.5, 10, 3, 4, 0.8),
@@ -83,6 +84,9 @@ class TestSequenceProtocol:
         assert len(frame) == 4 + 40 * len(ROWS)
         decoded = decode_match_batch(memoryview(frame))
         assert isinstance(decoded, MatchTable) and decoded == ROWS
+        # The drain loop decodes a view past the tag byte, not a copy.
+        tagged = memoryview(bytes([TAG_MATCHES]) + frame)[1:]
+        assert decode_match_batch(tagged) == decode_match_batch(frame)
 
 
 def emit_all(table, probes):
@@ -230,6 +234,48 @@ class TestMergeMatches:
             tracemalloc.stop()
         assert merged is rows and len(merged) == n and merged == table
         assert peak <= 2.5 * wire, f"peak {peak} vs wire {wire}"
+
+
+    def test_a_discarding_sink_keeps_the_driver_at_frame_size(self):
+        """A dense result (one match class: ~20 k rows, 0.8 MB of
+        columns) through real workers. Collecting holds it; with a
+        discarding sink the driver's traced peak is what a run with no
+        rows at all costs plus a small multiple of the largest frame —
+        a bound in the frame, not in the result."""
+        dense = [
+            Record(rid=rid, tokens=(3, 7, 9), timestamp=rid * 0.001)
+            for rid in range(200)
+        ]
+        disjoint = [
+            Record(rid=rid, tokens=(rid,), timestamp=rid * 0.001)
+            for rid in range(200)
+        ]
+        config = JoinConfig(threshold=0.9, num_workers=2)
+
+        def driver_peak(records, sink):
+            runner = ParallelJoinRunner(config, workers=2, batch_size=8)
+            tracemalloc.start()
+            try:
+                result = try_process_run(runner, records, sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, peak
+
+        frames = []
+        driver_peak(disjoint, None)  # first-run imports are not the run's
+        empty, floor = driver_peak(disjoint, lambda frame: None)
+        collected, held = driver_peak(dense, None)
+        streamed, peak = driver_peak(
+            dense, lambda frame: frames.append(40 * len(frame))
+        )
+        wire = 40 * collected.results
+        assert empty.results == 0
+        assert collected.results == streamed.results == sum(frames) // 40 > 15_000
+        assert len(frames) > 20 and max(frames) < wire / 10
+        assert held >= wire
+        assert peak <= floor + 4 * max(frames), (peak, floor, max(frames), wire)
+        assert peak < wire / 2
 
 
 class _Pipe:

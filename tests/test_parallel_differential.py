@@ -15,12 +15,14 @@ gracefully on hosts where multiprocessing is unavailable.
 
 import math
 import random
+import time
 
 import pytest
 
 from repro.core.config import JoinConfig
 from repro.obs.baseline import compare_fingerprints
 from repro.parallel import ParallelJoinRunner, run_serial
+from repro.parallel.worker import ShardWorker
 from repro.records import Record
 
 WORKER_COUNTS = (1, 2, 3, 7)
@@ -69,12 +71,34 @@ def assert_equal_observables(serial, result, context):
     assert verdict["status"] == "ok", f"{context}: {verdict['failures']}"
 
 
-def try_process_run(runner, records):
+def try_process_run(runner, records, sink=None):
     """Run on real processes, or skip when the host forbids them."""
     try:
-        return runner.run(records)
+        return runner.run(records, sink=sink)
     except (ImportError, OSError, PermissionError) as error:
         pytest.skip(f"multiprocessing unavailable on this host: {error}")
+
+
+def assert_sink_equals_collect(serial, runner, records, context):
+    """One grid cell of the results stream: the same runner with and
+    without a sink. The collecting run is the serial run bit for bit;
+    the sink sees every row exactly once (sorted, they are the canonical
+    table), holds nothing afterwards, and changes no meter."""
+    collected = try_process_run(runner, records)
+    assert_equal_observables(serial, collected, f"{context}: collect")
+    frames = []
+    streamed = try_process_run(runner, records, sink=frames.append)
+    assert streamed.matches is None, f"{context}: a sink run held the result"
+    rows = sorted(row for frame in frames for row in frame)
+    assert rows == collected.matches == serial.matches, f"{context}: sink rows"
+    for frame in frames:
+        assert len(frame) and frame.ordered, f"{context}: unsorted frame"
+    for result in (collected, streamed):
+        assert result.results == len(rows) == result.events["results"], context
+    assert streamed.operations == serial.operations, context
+    assert streamed.events == serial.events, context
+    assert streamed.signals == serial.signals, context
+    assert streamed.fingerprint() == collected.fingerprint(), context
 
 
 class TestInlineGrid:
@@ -260,3 +284,131 @@ class TestStartMethods:
                 for stats in result.worker_stats
             ]
         assert per_worker["fork"] == per_worker["spawn"]
+
+
+def _fork_or_skip():
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method unavailable on this host")
+
+
+class TestResultsStream:
+    """Workers ship at every batch boundary that has rows, the driver
+    drains every worker at once and hands each frame to the sink:
+    equal to collecting, and observably early."""
+
+    @pytest.mark.parametrize("batch_size", [1, 64, 512])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sink_equals_collect(self, workers, batch_size):
+        from repro.parallel.shm import shm_supported
+
+        config = JoinConfig(threshold=0.6, window_seconds=1.5)
+        records = fuzz_records(seed=191, n=200)
+        cells = [("inline", "pipe"), ("process", "pipe")]
+        if shm_supported()[0]:
+            cells.append(("process", "shm"))
+        for num_shards in (workers, 4):
+            serial = run_serial(config, records, num_shards)
+            assert serial.results > 0
+            for executor, transport in cells:
+                runner = ParallelJoinRunner(
+                    config, workers=workers, num_shards=num_shards,
+                    batch_size=batch_size, executor=executor,
+                    transport=transport,
+                )
+                assert_sink_equals_collect(
+                    serial, runner, records,
+                    f"w={workers} shards={num_shards} batch={batch_size} "
+                    f"{executor}/{transport}",
+                )
+
+    def test_inline_first_frame_long_before_the_last_batch(self, monkeypatch):
+        """At hook time the emit buffer holds the rows of the batch
+        just processed and nothing older, and the sink's first call
+        comes when the worker has most of the stream still ahead."""
+        real_batch = ShardWorker.process_batch
+        real_flush = ShardWorker.flush_matches
+        progress = []
+
+        def batch(self, shard, items):
+            self.batch_rids = {record.rid for _, record in items}
+            real_batch(self, shard, items)
+
+        def flush(self, ship, shard):
+            assert set(self.matches.columns[1]) <= self.batch_rids
+            progress.append(self.records)
+            real_flush(self, ship, shard)
+            assert len(self.matches) == 0
+
+        monkeypatch.setattr(ShardWorker, "process_batch", batch)
+        monkeypatch.setattr(ShardWorker, "flush_matches", flush)
+        seen_at_first_call = []
+
+        def sink(frame):
+            if not seen_at_first_call:
+                seen_at_first_call.append(progress[-1])
+
+        records = fuzz_records(seed=192)
+        result = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=1, executor="inline",
+            batch_size=16,
+        ).run(records, sink=sink)
+        assert result.results > 0 and len(progress) > 3
+        assert seen_at_first_call[0] < result.worker_stats[0]["records"] / 2
+
+    def test_process_first_frame_long_before_run_end(self, monkeypatch):
+        """Every batch slowed by 10 ms: the first frame reaches the
+        sink while at least half the injected sleep is still ahead."""
+        _fork_or_skip()
+        real = ShardWorker.process_batch
+
+        def slow(self, shard, items):
+            time.sleep(0.010)
+            real(self, shard, items)
+
+        monkeypatch.setattr(ShardWorker, "process_batch", slow)
+        arrivals = []
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=2, batch_size=16,
+            start_method="fork",
+        )
+        result = try_process_run(
+            runner, fuzz_records(seed=193),
+            sink=lambda frame: arrivals.append(time.monotonic()),
+        )
+        ended = time.monotonic()
+        injected = 0.010 * max(s["batches"] for s in result.worker_stats)
+        assert injected > 0.2
+        assert ended - arrivals[0] >= injected / 2
+
+    def test_frames_interleave_across_workers(self, monkeypatch):
+        """Worker 0 slowed: the other workers' frames are consumed
+        while it is still working — the first frame to reach the sink
+        is not worker 0's, and nobody's frames wait for its summary."""
+        _fork_or_skip()
+        import repro.parallel.runtime as runtime_mod
+
+        real_batch = ShardWorker.process_batch
+        real_consume = runtime_mod._Run.consume
+        order = []
+
+        def slow_worker_0(self, shard, items):
+            if self.worker == 0:
+                time.sleep(0.03)
+            real_batch(self, shard, items)
+
+        def consume(self, w, frame):
+            order.append(w)
+            real_consume(self, w, frame)
+
+        monkeypatch.setattr(ShardWorker, "process_batch", slow_worker_0)
+        monkeypatch.setattr(runtime_mod._Run, "consume", consume)
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=3, batch_size=16,
+            start_method="fork",
+        )
+        try_process_run(runner, fuzz_records(seed=194), sink=lambda frame: None)
+        assert set(order) == {0, 1, 2}
+        assert order[0] != 0
+        assert order[-1] == 0

@@ -42,6 +42,7 @@ from repro.parallel.codec import (
 )
 from repro.parallel.runtime import ParallelWorkerError
 from repro.parallel.shm import (
+    DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
     RING_HEADER_BYTES,
     RingBuffer,
@@ -333,6 +334,36 @@ class TestShmDifferentialGrid:
                 )
                 assert shm.transport == "shm"
 
+    @pytest.mark.skipif(
+        not shm_supported()[0], reason="shared memory unsupported on this host"
+    )
+    @pytest.mark.parametrize("ring_bytes", [MIN_RING_BYTES, DEFAULT_RING_BYTES])
+    def test_dense_cell_ships_many_batches_per_worker(self, ring_bytes):
+        """~40 matches per record, batches of 8: every worker ships
+        well over three times through its ring, so the frame generation
+        has to carry across ships (the driver counts it per worker for
+        the whole run)."""
+        records = [
+            Record(rid=rid, tokens=(rid % 3, 7, 9), timestamp=rid * 0.001)
+            for rid in range(120)
+        ]
+        config = JoinConfig(threshold=0.9, num_workers=4, distribution="prefix")
+        serial = run_serial(config, records)
+        assert serial.results > 2000
+        result = try_process_run(
+            ParallelJoinRunner(
+                config, workers=2, batch_size=8, transport="shm",
+                ring_bytes=ring_bytes, spans=True,
+            ),
+            records,
+        )
+        assert_equal_observables(serial, result, f"dense shm ring={ring_bytes}")
+        ships = [
+            row["worker"] for row in result.span_rows
+            if row["phase"] == "shm_write"
+        ]
+        assert all(ships.count(worker) >= 3 for worker in (0, 1)), ships
+
     def test_auto_resolves_to_pipe_inline(self):
         config = JoinConfig(threshold=0.6)
         runner = ParallelJoinRunner(
@@ -443,11 +474,13 @@ class TestSegmentLifecycle:
     def test_sigkilled_worker_does_not_leak_segments(
         self, monkeypatch, transport
     ):
-        """One of two workers SIGKILLed inside ``ShardWorker.run``, a
-        few batches into its loop: ``ParallelWorkerError`` within 5 s on
-        either transport (the driver writes nothing, so there is no
-        feed to fail — the drain loop's EOF is the one detection
-        point), every segment unlinked, no zombie left behind."""
+        """Worker 1 of two SIGKILLed inside ``ShardWorker.run``, a few
+        batches into its loop, while worker 0 — slowed to several
+        seconds — is still running: ``ParallelWorkerError`` in well
+        under half of worker 0's run time on either transport (the
+        driver reads every pipe at once, so a dead worker is its own
+        pipe's EOF, not something found after its predecessors finish),
+        every segment unlinked, no zombie left behind."""
         from repro.parallel.worker import ShardWorker
 
         real = ShardWorker.process_batch
@@ -455,11 +488,17 @@ class TestSegmentLifecycle:
         def dying(self, shard, items):
             if self.worker == 1 and self.batches == 3:
                 os.kill(os.getpid(), signal.SIGKILL)
+            if self.worker == 0:
+                time.sleep(0.1)
             real(self, shard, items)
 
-        monkeypatch.setattr(ShardWorker, "process_batch", dying)
         config = JoinConfig(threshold=0.6, batch_size=64)
         records = fuzz_records(seed=23, n=4000)
+        batches = ParallelJoinRunner(
+            config, workers=2, executor="inline"
+        ).run(records, sink=lambda frame: None).worker_stats[0]["batches"]
+        assert 0.1 * batches > 4.0, "worker 0 would not outlive the check"
+        monkeypatch.setattr(ShardWorker, "process_batch", dying)
         runner = ParallelJoinRunner(
             config, workers=2, executor="process",
             transport=transport, start_method="fork",
@@ -470,7 +509,7 @@ class TestSegmentLifecycle:
                 runner.run(records)
             except (ImportError, OSError, PermissionError) as error:
                 pytest.skip(f"multiprocessing unavailable: {error}")
-        assert time.monotonic() - started < 5.0
+        assert time.monotonic() - started < 2.0
         if transport == "shm":
             assert runner.shm_segment_names
             assert _segments_all_unlinked(runner.shm_segment_names) == []

@@ -198,6 +198,9 @@ class TestSpanFrameCodec:
         assert list(batches) == list(obatches)
         assert list(starts) == list(ostarts)
         assert list(ends) == list(oends)
+        # The drain loop decodes a view past the tag byte, not a copy.
+        tagged = memoryview(b"\x13" + frame)[1:]
+        assert decode_event_frame(tagged) == decode_event_frame(frame)
 
     def test_empty_frame_round_trips(self):
         frame, _ = self.frame(n=0)
@@ -392,31 +395,104 @@ class TestLiveSpans:
         assert 0.95 <= totals["driver_coverage"] <= 1.02
 
     def test_process_executor_spans(self, records):
-        runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="process",
-            batch_size=32, spans=True,
-        )
-        result = try_process_run(runner, records)
-        document = result.spans_document()
-        assert document[0]["executor"] == "process"
-        assert smoke_check(document) == []
-        # No record wire, no wire phases — whatever the transport (it
-        # carries results only): the driver goes from setup straight to
-        # drain, and a worker's time is its own walk plus the batches.
-        phases = {row["phase"] for row in document[1:]}
-        assert phases == {
-            "setup", "drain", "merge",
-            "route", "probe", "insert", "meter_flush",
+        from repro.parallel.shm import shm_supported
+
+        for transport, ship in (("pipe", "pipe_write"), ("shm", "shm_write")):
+            if transport == "shm" and not shm_supported()[0]:
+                continue
+            runner = ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, executor="process",
+                batch_size=32, spans=True, transport=transport,
+            )
+            result = try_process_run(runner, records)
+            document = result.spans_document()
+            assert document[0]["executor"] == "process"
+            assert smoke_check(document) == []
+            # No record wire: the driver goes from setup straight to
+            # drain, and a worker's time is its own walk, the batches
+            # and — under the transport's phase id — shipping the rows
+            # of every batch that produced any.
+            phases = {row["phase"] for row in document[1:]}
+            assert phases == {
+                "setup", "drain", "merge",
+                "route", "probe", "insert", "meter_flush", ship,
+            }
+            driver = sorted(
+                (row["start"], row["phase"]) for row in document[1:]
+                if row["worker"] == DRIVER
+            )
+            assert [phase for _, phase in driver] == ["setup", "drain", "merge"]
+            for stats in result.worker_stats:
+                assert stats["lifetime_s"] > 0
+                assert stats["bytes_in"] == 0
+                assert stats["bytes_out"] > 0
+            self.check_ship_spans(document, ship)
+
+    @staticmethod
+    def check_ship_spans(document, ship):
+        """A ship is one worker row keyed like the batch it follows,
+        attributed per worker, and outside every ``route`` span."""
+        rows = document[1:]
+        ships = [row for row in rows if row["phase"] == ship]
+        flushes = {
+            (row["worker"], row["shard"], row["batch"]): row["end"]
+            for row in rows if row["phase"] == "meter_flush"
         }
-        driver = sorted(
-            (row["start"], row["phase"]) for row in document[1:]
-            if row["worker"] == DRIVER
+        assert ships and len(ships) == len(
+            {(row["shard"], row["batch"]) for row in ships}
         )
-        assert [phase for _, phase in driver] == ["setup", "drain", "merge"]
-        for stats in result.worker_stats:
-            assert stats["lifetime_s"] > 0
-            assert stats["bytes_in"] == 0
-            assert stats["bytes_out"] > 0
+        for row in ships:
+            assert row["worker"] != DRIVER
+            key = (row["worker"], row["shard"], row["batch"])
+            assert flushes[key] <= row["start"] <= row["end"]
+            for route in rows:
+                if route["phase"] == "route" and route["worker"] == row["worker"]:
+                    assert (
+                        route["end"] <= row["start"] or row["end"] <= route["start"]
+                    )
+        totals = phase_totals(document)
+        for worker, entry in totals["workers"].items():
+            assert entry[ship] == pytest.approx(
+                sum(
+                    row["end"] - row["start"] for row in ships
+                    if str(row["worker"]) == worker
+                ),
+                abs=1e-5,
+            )
+
+    def test_smoke_check_places_ship_spans(self, records):
+        document = self.run(records, workers=2).spans_document()
+        assert smoke_check(document) == []
+        ship = next(
+            i for i, row in enumerate(document) if row.get("phase") == "pipe_write"
+        )
+        on_driver = [dict(row) for row in document]
+        on_driver[ship]["worker"] = DRIVER
+        assert any(
+            "driver recorded 'pipe_write'" in f for f in smoke_check(on_driver)
+        )
+        wrong_id = [dict(row) for row in document]
+        wrong_id[ship]["phase"] = "shm_write"
+        assert any(
+            "'shm_write' spans in a 'pipe'-transport run" in f
+            for f in smoke_check(wrong_id)
+        )
+
+    def test_inline_ship_spans_are_structural(self, records):
+        """The inline hand-over records the same (shard, batch) ship
+        rows at any worker count — which batches produce rows is a
+        function of the plan and the batch size."""
+        def ships(result):
+            document = result.spans_document()
+            self.check_ship_spans(document, "pipe_write")
+            return sorted(
+                (row["shard"], row["batch"]) for row in document[1:]
+                if row["phase"] == "pipe_write"
+            )
+
+        baseline = ships(self.run(records, workers=1))
+        for workers in (2, 3):
+            assert ships(self.run(records, workers=workers)) == baseline
 
     def test_reused_runner_describes_only_its_own_run(self, records):
         """Run state lives on the run, not the runner: a second run on

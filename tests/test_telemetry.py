@@ -167,6 +167,51 @@ class TestDifferentialWithTelemetry:
         assert off.telemetry is None
         assert telemetry_smoke(on.telemetry) == []
 
+    def test_live_counters_are_cumulative_and_end_at_the_totals(self, monkeypatch):
+        """Workers ship (and empty their emit buffer) at every batch
+        boundary, so ``matches`` is rows emitted so far — never the
+        buffer's length — and ``bytes_out`` grows as frames leave: both
+        non-decreasing per worker, both mid-run non-zero, and the
+        flagged sample equal to the worker's share of the run."""
+        import time
+
+        from repro.parallel.worker import ShardWorker
+
+        real = ShardWorker.process_batch
+
+        def slow(self, shard, items):
+            time.sleep(0.002)
+            real(self, shard, items)
+
+        monkeypatch.setattr(ShardWorker, "process_batch", slow)
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, batch_size=16,
+                spans=True, heartbeat_interval=0.004,
+            ),
+            fuzz_records(seed=4207),
+        )
+        assert telemetry_smoke(result.telemetry) == []
+        samples = [r for r in result.telemetry if r.get("kind") == "sample"]
+        for stats in result.worker_stats:
+            series = [r for r in samples if r["worker"] == stats["worker"]]
+            assert len(series) >= 4 and series[-1]["final"]
+            for key in ("matches", "bytes_out"):
+                values = [row[key] for row in series]
+                assert values == sorted(values)
+                # Live, not 0 until exit: some mid-run sample already
+                # carries part of the total.
+                assert any(0 < value < values[-1] for value in values[:-1])
+            share = sum(
+                result.shard_meters[shard]["events"]["results"]
+                for shard in stats["shards"]
+            )
+            assert series[-1]["matches"] == share > 0
+            assert series[-1]["bytes_out"] == stats["bytes_out"] > 40 * share
+        assert sum(
+            r["matches"] for r in samples if r["final"]
+        ) == result.results == result.telemetry[-1]["results"]
+
     def test_telemetry_composes_with_spans(self):
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=4203)
