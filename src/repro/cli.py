@@ -180,16 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "observables depend on shards and never on "
                            "--workers, so pin --shards to compare "
                            "fingerprints across worker counts)")
-    join.add_argument("--transport", default=None,
-                      choices=["auto", "pipe", "shm"],
-                      help="how match rows return from the workers in "
-                           "--parallel mode (records are handed to each "
-                           "worker once, at start-up): 'pipe' (struct "
-                           "frames over the worker pipe), 'shm' (a "
-                           "shared-memory ring per worker, descriptors "
-                           "over the pipe), or 'auto' (the default: "
-                           "pipe, the faster of the two on every "
-                           "measured workload)")
     join.add_argument("--batch-size", type=int, default=None,
                       help="records per IPC batch in --parallel mode "
                            "(default: 512)")
@@ -637,11 +627,6 @@ def _cmd_join(args) -> int:
             print(f"join: --trace-sample must be >= 1, got "
                   f"{args.trace_sample}", file=sys.stderr)
             return 2
-    if args.transport is not None and not args.parallel:
-        print("join: --transport requires --parallel (it picks the "
-              "multi-core runtime's results transport; the simulated "
-              "cluster has no IPC)", file=sys.stderr)
-        return 2
     if args.heartbeat_interval is not None:
         if not args.parallel:
             print("join: --heartbeat-interval requires --parallel (it sets "
@@ -768,21 +753,10 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
     from repro.obs.rectrace import DEFAULT_TRACE_SAMPLE
     from repro.parallel import ParallelJoinRunner
 
-    transport = args.transport if args.transport is not None else "auto"
-    if transport == "shm":
-        from repro.parallel.shm import shm_supported
-
-        ok, reason = shm_supported()
-        if not ok:
-            print(f"join: --transport shm is unsupported on this platform "
-                  f"({reason}); use --transport pipe or auto",
-                  file=sys.stderr)
-            return 2
     trace = args.trace_out is not None or args.trace_sample is not None
     runner = ParallelJoinRunner(
         config,
         workers=args.workers,
-        transport=transport,
         spans=args.spans_out is not None,
         spans_sample=args.spans_sample,
         telemetry=args.telemetry_out is not None
@@ -806,7 +780,6 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         "workers": result.workers,
         "shards": result.num_shards,
         "batch": result.batch_size,
-        "transport": result.transport,
         "records": result.records,
         "results": result.results,
         "wall_s": round(result.wall_s, 4),
@@ -1385,8 +1358,8 @@ def _cmd_spans(args) -> int:
         print(format_table(
             worker_rows,
             title="\nper-worker phases (route is the worker's own walk "
-                  "over the records between batches; pipe_write / "
-                  "shm_write its per-batch result ship)",
+                  "over the records between batches; pipe_write its "
+                  "per-batch result ship)",
         ))
     if path:
         print(format_table([

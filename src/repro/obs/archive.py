@@ -68,7 +68,7 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.artefact import artefact_family, load_jsonl_objects
+from repro.obs.artefact import TRANSPORT, artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
     BANDED_GAUGES,
     FINGERPRINT_SCHEMA_VERSION,
@@ -496,7 +496,7 @@ class RunArchive:
             "workers": result.workers,
             "shards": result.num_shards,
             "batch_size": result.batch_size,
-            "transport": result.transport,
+            "transport": TRANSPORT,
             "executor": result.executor,
             "records": result.records,
             "results": result.results,

@@ -22,6 +22,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "TRANSPORT",
     "ArtefactError",
     "write_jsonl",
     "load_jsonl_objects",
@@ -29,6 +30,13 @@ __all__ = [
     "check_fields",
     "artefact_family",
 ]
+
+
+#: The ``transport`` value of every span, telemetry and record-trace
+#: header and archive row: results have one wire, the worker pipe. The
+#: key stays so older artefacts and archives compare; it goes with the
+#: next schema bump (ROADMAP 2(iv)).
+TRANSPORT = "pipe"
 
 
 class ArtefactError(ValueError):

@@ -49,16 +49,16 @@ Phases (the driver records the driver set with ``worker == -1``)::
     insert      insert calls of one batch (tiled after probe)
     meter_flush the one charge_many/event_many flush per batch
     pipe_write  a worker shipping one batch's match rows (the inline
-                executor's hand-over included); ``shm_write`` instead
-                when the rows went through its mirror ring — only
-                batches that produced rows have one
+                executor's hand-over included) — only batches that
+                produced rows have one
 
 Artefacts written while records still travelled driver → worker in
 batches also carry ``feed`` / ``encode`` / ``pipe_write`` /
 ``shm_write`` (driver) and ``pipe_read`` / ``shm_read`` / ``decode``
-(worker) spans. No run records them any more, but their wire ids stay
-reserved and every reader here still totals them when a file has them,
-so committed artefacts keep loading.
+(worker) spans, and files from the removed shm results transport carry
+worker ``shm_write`` ships. No run records them any more, but their
+wire ids stay reserved and every reader here still totals them when a
+file has them, so committed artefacts keep loading.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ PHASE_ID: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
 #: What each actor records in every run, in reporting order.
 DRIVER_PHASES = ("setup", "drain", "merge")
 WORKER_PHASES = ("route", "probe", "insert", "meter_flush")
-#: A worker's per-batch result ship: one of the two by transport, and
-#: only in a run that produced rows, so reported when an actor has it
-#: (in a file from the record wire that actor is the driver, writing
-#: record batches under the same frozen ids).
+#: A worker's per-batch result ship (``shm_write`` only in files from
+#: the removed shm transport), and only in a run that produced rows, so
+#: reported when an actor has it (in a file from the record wire that
+#: actor is the driver, writing record batches under the same frozen
+#: ids).
 SHIP_PHASES = ("pipe_write", "shm_write")
 #: Phases only artefacts from the per-batch record wire carry; reported
 #: when a file has them.
@@ -332,9 +333,10 @@ def waterfall(rows: Sequence[Dict[str, object]], width: int = 60) -> str:
 def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro spans --smoke`` gate: schema-valid, every expected
     phase present for the run's executor, ship spans where a run
-    without a record wire can have them (on workers, ``shm_write`` only
-    under the shm transport), and no actor's phase totals exceed the
-    wall time. Returns failure strings (empty = pass)."""
+    without a record wire can have them (on workers; ``shm_write`` only
+    in a file whose header names the removed shm transport), and no
+    actor's phase totals exceed the wall time. Returns failure strings
+    (empty = pass)."""
     failures = validate_span_lines(rows)
     if failures:
         return failures

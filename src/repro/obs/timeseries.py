@@ -37,7 +37,12 @@ import json
 import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.artefact import check_fields, load_jsonl_objects, split_document
+from repro.obs.artefact import (
+    TRANSPORT,
+    check_fields,
+    load_jsonl_objects,
+    split_document,
+)
 from repro.obs.health import HealthMonitor, HealthThresholds
 
 TELEMETRY_SCHEMA_VERSION = 1
@@ -94,7 +99,6 @@ class TelemetryRecorder:
         out_path: Optional[str] = None,
         thresholds: Optional[HealthThresholds] = None,
         component: str = "pworker",
-        transport: str = "pipe",
     ):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
@@ -104,7 +108,6 @@ class TelemetryRecorder:
         self.interval = interval
         self.base = base
         self.component = component
-        self.transport = transport
         self.monitor = HealthMonitor(thresholds)
         self.header: Dict[str, object] = {
             "kind": "header",
@@ -113,7 +116,7 @@ class TelemetryRecorder:
             "workers": workers,
             "shards": shards,
             "executor": executor,
-            "transport": transport,
+            "transport": TRANSPORT,
             "thresholds": self.monitor.thresholds.as_dict(),
         }
         #: Every non-header row in arrival order (samples, health

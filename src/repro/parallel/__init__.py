@@ -38,13 +38,11 @@ from repro.parallel.merge import (
 )
 from repro.parallel.planner import ShardPlan, plan_shards
 from repro.parallel.runtime import (
-    TRANSPORTS,
     ParallelJoinResult,
     ParallelJoinRunner,
     ParallelWorkerError,
     run_serial,
 )
-from repro.parallel.shm import RingBuffer, ShmRing, shm_supported
 from repro.parallel.worker import ShardWorker, build_shard_engine, worker_main
 
 __all__ = [
@@ -57,11 +55,8 @@ __all__ = [
     "ParallelJoinResult",
     "ParallelJoinRunner",
     "ParallelWorkerError",
-    "RingBuffer",
     "ShardPlan",
     "ShardWorker",
-    "ShmRing",
-    "TRANSPORTS",
     "build_shard_engine",
     "decode_event_frame",
     "decode_heartbeat",
@@ -76,7 +71,6 @@ __all__ = [
     "parallel_fingerprint",
     "plan_shards",
     "run_serial",
-    "shm_supported",
     "worker_health",
     "worker_main",
     "worker_metrics",

@@ -47,14 +47,6 @@ events travel in the same columns: the top bit of the stage byte says
 whether ``key`` is a batch sequence or a rid, and the driver splits
 them into the two JSONL artefacts.
 
-Shared-memory descriptors (``TAG_SHM_MATCHES``) are the control plane
-of the zero-copy transport (:mod:`repro.parallel.shm`): when match
-frames travel through a ring buffer instead of the pipe, the pipe
-carries only these 21-byte frames naming where in the ring the bytes
-live. The columnar layout above is unchanged — the shm worker writes
-the exact same column slices, just into the ring instead of a joined
-pipe message — which is what keeps the two transports bit-identical.
-
 Heartbeat frames (``TAG_HEARTBEAT``) are the one *in-flight* message:
 a single fixed-size struct (one packed row of rolling counters, 141
 bytes tag included) a worker writes to its dedicated out-of-band
@@ -94,7 +86,6 @@ TAG_MATCHES = 0x11      # worker → driver: match batch, repeated
 TAG_DONE = 0x12         # worker → driver: pickled summary dict
 TAG_EVENTS = 0x13       # worker → driver: event-log frame, iff spans or tracing
 TAG_HEARTBEAT = 0x14    # worker → driver (heartbeat pipe): live counters
-TAG_SHM_MATCHES = 0x16  # worker → driver: mirror-ring match descriptor
 TAG_ERROR = 0x7F        # worker → driver: pickled traceback string
 
 MAGIC = 0x5052  # "PR"
@@ -111,50 +102,14 @@ class CodecError(ValueError):
     """A batch buffer that does not parse (truncated / wrong magic)."""
 
 
-#: Shared-memory frame descriptor — the whole payload of a
-#: ``TAG_SHM_MATCHES`` control message. ``channel`` is the worker id;
-#: ``advance`` is ``length`` plus any wrap padding the
-#: producer skipped (the amount the consumer must release);
-#: ``generation`` is a per-ring monotonic frame counter so a desynced
-#: ring surfaces as a pointed error instead of silent corruption.
-_SHM_DESC = struct.Struct("<IIIII")
-
-#: Whole descriptor frame size including the tag byte (21 bytes — the
-#: entire per-frame pipe traffic under ``--transport shm``).
-SHM_DESCRIPTOR_BYTES = 1 + _SHM_DESC.size
-
-
-def encode_shm_descriptor(
-    tag: int, channel: int, offset: int, length: int, advance: int,
-    generation: int,
-) -> bytes:
-    """Pack one ring-frame descriptor into a tagged control message."""
-    return bytes([tag]) + _SHM_DESC.pack(
-        channel, offset, length, advance, generation
-    )
-
-
-def decode_shm_descriptor(data: bytes) -> Tuple[int, int, int, int, int]:
-    """Inverse of :func:`encode_shm_descriptor`, tag byte excluded:
-    returns ``(channel, offset, length, advance, generation)``."""
-    if len(data) != _SHM_DESC.size:
-        raise CodecError(
-            f"shm descriptor is {len(data)} bytes, "
-            f"expected {_SHM_DESC.size}"
-        )
-    return _SHM_DESC.unpack(data)
-
-
 def record_batch_parts(
     items: Sequence[Tuple[int, Record]]
 ) -> List[bytes]:
     """Column slices of one record batch, in wire order.
 
     The parts sum to exactly :func:`encode_record_batch`'s output; the
-    split form exists so transports can place the bytes themselves —
-    the shm driver writes the slices straight into a claimed ring
-    region and :class:`BatchEncoder` copies them into a reused scratch
-    buffer, neither ever materialising the joined intermediate.
+    split form lets :class:`BatchEncoder` copy them into a reused
+    scratch buffer without materialising the joined intermediate.
     """
     ops = array("B")
     rids = array("q")
@@ -212,7 +167,7 @@ def encode_record_batch(items: Sequence[Tuple[int, Record]]) -> bytes:
 
 
 class BatchEncoder:
-    """Scratch-buffer encoder for the pipe transport's hot path.
+    """Scratch-buffer record-batch encoder (the benchmark replay's).
 
     ``encode_record_batch`` allocates a fresh joined buffer per batch;
     at bench scale that is one short-lived multi-KB allocation per
@@ -253,10 +208,9 @@ class BatchEncoder:
 def decode_record_batch(data) -> List[Tuple[int, Record]]:
     """Inverse of :func:`encode_record_batch`.
 
-    ``data`` may be any bytes-like buffer — the shm transport passes a
-    ``memoryview`` straight over the ring segment, so decoding copies
-    each column exactly once (buffer → typed array) with no
-    intermediate joined bytes object.
+    ``data`` may be any bytes-like buffer (the benchmark replay passes
+    a ``memoryview`` over its ring), so decoding copies each column
+    exactly once (buffer → typed array).
     """
     if len(data) < _HEADER.size:
         raise CodecError(f"record batch truncated: {len(data)} bytes")
@@ -471,7 +425,7 @@ class MatchTable:
     def parts(self, start: int = 0, stop: Optional[int] = None) -> list:
         """Rows ``[start, stop)`` as one match frame's pieces, in wire
         order: the row count, then a byte view of each column slice for
-        the transport to place (ring write, ``join`` into a pipe frame).
+        the shipper to ``join`` into a pipe frame.
         The views pin the columns: drop them before the table grows."""
         views = [memoryview(column)[start:stop] for column in self.columns]
         return [_U32.pack(len(views[0]))] + [view.cast("B") for view in views]
@@ -485,7 +439,7 @@ def encode_match_batch(rows) -> bytes:
 
 def decode_match_batch(data) -> MatchTable:
     """Inverse of :func:`encode_match_batch` (any bytes-like buffer —
-    the driver decodes mirror-ring frames as ``memoryview``s). The
+    the driver decodes a ``memoryview`` past the frame's tag). The
     row-count-vs-byte-length check is the gate: no prefix or extension
     of a valid frame decodes, so no column can come up short. Workers
     sort before they ship, so the table comes back as one run."""

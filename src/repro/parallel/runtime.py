@@ -37,8 +37,8 @@ worker ``(records, plan, hosted shards, batch_size)`` once — inherited
 under ``fork``, pickled once under ``spawn``, one code path either way
 — and :meth:`ShardWorker.run` self-selects its shards' tasks from them
 under both executors. The driver writes nothing after start-up: it goes
-from spawn straight to draining results, which is also all a transport
-carries (pipe frames, or the shm mirror ring plus descriptors).
+from spawn straight to draining results, which return as match frames
+over one pipe per worker — the only results wire.
 
 Results stream: workers ship at every batch boundary that has rows, and
 one loop over :func:`multiprocessing.connection.wait` consumes a frame
@@ -59,7 +59,6 @@ live on :class:`_Run`; the runner holds configuration only.
 
 from __future__ import annotations
 
-import atexit
 import math
 import pickle
 import time
@@ -68,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
-from repro.obs.artefact import write_jsonl
+from repro.obs.artefact import TRANSPORT, write_jsonl
 from repro.obs.eventlog import EventLog, log_rows
 from repro.obs.rectrace import (
     DEFAULT_TRACE_SAMPLE,
@@ -90,12 +89,10 @@ from repro.parallel.codec import (
     TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
-    TAG_SHM_MATCHES,
     MatchTable,
     decode_event_frame,
     decode_heartbeat,
     decode_match_batch,
-    decode_shm_descriptor,
     encode_event_frame,
 )
 from repro.parallel.merge import (
@@ -107,12 +104,6 @@ from repro.parallel.merge import (
     worker_timeline,
 )
 from repro.parallel.planner import plan_shards
-from repro.parallel.shm import (
-    DEFAULT_RING_BYTES,
-    MIN_RING_BYTES,
-    ShmRing,
-    shm_supported,
-)
 from repro.parallel.worker import (
     HeartbeatEmitter,
     ShardWorker,
@@ -128,19 +119,6 @@ _DRAIN = PHASE_ID["drain"]
 _MERGE = PHASE_ID["merge"]
 
 EXECUTORS = ("process", "inline")
-#: Result transports: ``pipe`` ships whole match frames through the
-#: worker's pipe (the struct codec); ``shm`` ships the same column
-#: bytes through a per-worker shared-memory mirror ring and only
-#: 21-byte descriptors through the pipe (see :mod:`repro.parallel.shm`).
-#: ``"auto"`` is accepted by the runner and resolves to pipe.
-TRANSPORTS = ("pipe", "shm")
-
-
-def _unlink_rings(rings) -> None:
-    """The atexit backstop (and ``finally`` body): unlink every ring
-    segment of one run. Idempotent — double unlinking is a no-op."""
-    for ring in rings:
-        ring.unlink()
 
 
 class ParallelWorkerError(RuntimeError):
@@ -177,9 +155,6 @@ class ParallelJoinResult:
     #: Driver-observed routing fanout: ``{"total", "count", "peak"}``
     #: of the per-record reached-shards fraction.
     routing_fanout: Dict[str, float] = field(repr=False)
-    #: Batch transport the run used (``"pipe"`` or ``"shm"``) — purely
-    #: a mechanism label: every observable above is transport-invariant.
-    transport: str = "pipe"
     #: Monotonic clock value at run start (base for worker intervals).
     started: float = 0.0
     wall_s: float = 0.0
@@ -389,16 +364,9 @@ class ParallelJoinRunner:
     counts, batch sizes and executors; like spans and telemetry,
     tracing never changes an observable.
 
-    ``transport`` picks how match rows come back from process workers
-    (records travel no wire): ``"pipe"`` (the struct codec over the
-    worker's pipe — the default and the universal fallback), ``"shm"``
-    (a per-worker shared-memory mirror ring with descriptor-only pipe
-    traffic — see :mod:`repro.parallel.shm`), or ``"auto"`` (pipe: shm
-    wins on no measured workload). ``ring_bytes`` sizes each ring's
-    data region; frames that cannot fit a ring fall
-    back to pipe frames transparently. The transport is pure mechanism:
-    observables are bit-identical across transports, which the
-    differential grid asserts.
+    Match rows come back from process workers over one pipe per
+    worker, the only results wire; ``transport`` survives for one
+    caller and accepts only ``"pipe"``.
     """
 
     def __init__(
@@ -416,8 +384,7 @@ class ParallelJoinRunner:
         heartbeat_interval: Optional[float] = None,
         trace: bool = False,
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
-        transport: str = "pipe",
-        ring_bytes: int = DEFAULT_RING_BYTES,
+        transport: str = TRANSPORT,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -425,27 +392,14 @@ class ParallelJoinRunner:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
-        if transport != "auto" and transport not in TRANSPORTS:
+        # Only because benchmarks/e2e/layers.py still passes
+        # transport="pipe"; ROADMAP item 1 (the benchmark-only change)
+        # deletes that call and this parameter.
+        if transport != TRANSPORT:
             raise ValueError(
-                f"transport must be 'auto' or one of {TRANSPORTS}, "
-                f"got {transport!r}"
+                f"transport must be {TRANSPORT!r}, got {transport!r} "
+                f"(the shm transport was removed: it won on no workload)"
             )
-        if ring_bytes < MIN_RING_BYTES:
-            raise ValueError(
-                f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
-            )
-        if transport == "auto":
-            # Results are all a transport carries, and on them shm has
-            # not beaten pipe on any benchmark workload (EXPERIMENTS.md
-            # "publish once (PR 21)").
-            transport = "pipe"
-        elif transport == "shm" and executor == "process":
-            ok, reason = shm_supported()
-            if not ok:
-                raise ValueError(
-                    f"shm transport is unsupported on this platform "
-                    f"({reason}); use transport='pipe'"
-                )
         if batch_size is None:
             batch_size = config.batch_size
         elif batch_size < 1:
@@ -482,11 +436,6 @@ class ParallelJoinRunner:
         )
         self.trace = bool(trace)
         self.trace_sample = trace_sample
-        self.transport = transport
-        self.ring_bytes = ring_bytes
-        #: Segment names of the most recent shm run (empty otherwise) —
-        #: the leak tests assert these are unattachable afterwards.
-        self.shm_segment_names: List[str] = []
 
     # -- execution -----------------------------------------------------------
     def run(
@@ -525,7 +474,6 @@ class ParallelJoinRunner:
                 interval=self.heartbeat_interval,
                 base=started,
                 out_path=self.telemetry_out,
-                transport=self.transport,
             )
         execute = (
             self._run_process if self.executor == "process" else self._run_inline
@@ -540,25 +488,10 @@ class ParallelJoinRunner:
         telemetry = run.telemetry
         workers = len(run.assignment)
         ctx = mp.get_context(self.start_method)
-        use_shm = self.transport == "shm"
         conns = []
         procs = []
         hb_conns = []
-        #: Per-worker mirror ``ShmRing`` — created (and therefore
-        #: unlinked) by the driver, before the workers that attach by
-        #: name exist.
-        rings: List[ShmRing] = []
-        self.shm_segment_names = []
-        if use_shm:
-            # Backstop first, segments second: whatever gets created is
-            # already covered if the process dies mid-setup. The happy
-            # path unlinks in the ``finally`` below and unregisters.
-            atexit.register(_unlink_rings, rings)
         try:
-            if use_shm:
-                for w in range(workers):
-                    rings.append(ShmRing(self.ring_bytes))
-                    self.shm_segment_names.append(rings[w].name)
             for w in range(workers):
                 parent, child = ctx.Pipe(duplex=True)
                 hb_send = None
@@ -578,7 +511,6 @@ class ParallelJoinRunner:
                         hb_send,
                         self.heartbeat_interval if telemetry is not None else 0.0,
                         run.trace_sample,
-                        rings[w].name if use_shm else None,
                     ),
                     daemon=True,
                 )
@@ -605,9 +537,6 @@ class ParallelJoinRunner:
             beats = list(hb_conns)
             #: Result pipe → its worker, until that worker's TAG_DONE.
             pending = {conn: w for w, conn in enumerate(conns)}
-            #: Per worker: mirror-ring frames consumed (generation
-            #: check) and the summary slot.
-            generation = [0] * workers
             summaries: List[Optional[dict]] = [None] * workers
             while pending:
                 # Every pipe at once: a frame, a heartbeat or a dead
@@ -628,23 +557,6 @@ class ParallelJoinRunner:
                     body = memoryview(msg)[1:]
                     if tag == TAG_MATCHES:
                         run.consume(w, decode_match_batch(body))
-                    elif tag == TAG_SHM_MATCHES:
-                        _, offset, length, advance, seen = (
-                            decode_shm_descriptor(body)
-                        )
-                        if seen != generation[w]:
-                            raise ParallelWorkerError(
-                                f"worker {w} mirror ring desynced: frame "
-                                f"generation {seen}, expected {generation[w]}"
-                            )
-                        generation[w] += 1
-                        ring = rings[w].ring
-                        # decode copies the columns out; releasing right
-                        # after returns the credit a blocked worker may
-                        # be waiting on, before the consumer runs.
-                        frame = decode_match_batch(ring.view(offset, length))
-                        ring.release(advance)
-                        run.consume(w, frame)
                     elif tag == TAG_EVENTS:
                         run.columns[w] = decode_event_frame(body)
                     elif tag == TAG_DONE:
@@ -675,13 +587,6 @@ class ParallelJoinRunner:
                 if proc.is_alive():
                     proc.terminate()
                 proc.join()
-            if use_shm:
-                # Unlink after the workers are gone, on every exit path
-                # — normal return, worker crash, KeyboardInterrupt —
-                # then retire the atexit backstop (unlink is idempotent,
-                # but a later run re-registers a fresh ring list).
-                _unlink_rings(rings)
-                atexit.unregister(_unlink_rings)
 
     def _run_inline(self, run: _Run, plan, records):
         telemetry = run.telemetry
@@ -767,7 +672,7 @@ class ParallelJoinRunner:
             return {
                 "count": count,
                 "record_cost_s": round(cost, 12),
-                "estimated_s": round(count * cost, 9),
+                "estimated_s": round(count * cost, 12),
             }
 
         def overhead(view: int, count_key: str) -> Dict[str, object]:
@@ -857,7 +762,7 @@ class ParallelJoinRunner:
         shape = {
             "wall_s": round(wall_s, 9),
             "executor": self.executor,
-            "transport": self.transport,
+            "transport": TRANSPORT,
             "workers": workers,
             "shards": plan.num_shards,
             "batch_size": self.batch_size,
@@ -884,7 +789,6 @@ class ParallelJoinRunner:
             shard_meters=shard_meters,
             worker_stats=worker_stats,
             routing_fanout=fanout,
-            transport=self.transport,
             started=started,
             wall_s=wall_s,
             span_header=span_header,

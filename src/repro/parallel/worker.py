@@ -21,19 +21,11 @@ Wire protocol, results direction only (one :func:`multiprocessing.Pipe`
 per worker, message = one ``send_bytes`` frame, first byte = tag, tags
 defined in :mod:`repro.parallel.codec`):
 
-    worker → driver   TAG_MATCHES      match batch (codec), repeated
-                      TAG_SHM_MATCHES  mirror-ring descriptor (shm)
-                      TAG_EVENTS       event-log frame (codec), iff spans
-                                       or tracing are on
-                      TAG_DONE         pickled summary dict
-                      TAG_ERROR        pickled traceback string
-
-Under ``--transport shm`` (:mod:`repro.parallel.shm`) match rows return
-through a driver-owned shared-memory mirror ring the worker mapped once
-at startup (``TAG_SHM_MATCHES`` names a frame in it), with the
-struct-codec pipe frames kept as the per-frame fallback for chunks
-larger than the ring. The worker only ever *attaches* to the segment —
-cleanup (unlink) belongs exclusively to the driver.
+    worker → driver   TAG_MATCHES   match batch (codec), repeated
+                      TAG_EVENTS    event-log frame (codec), iff spans or
+                                    tracing are on
+                      TAG_DONE      pickled summary dict
+                      TAG_ERROR     pickled traceback string
 
 Results stream: a worker ships its emit buffer at every batch boundary
 that has rows (:meth:`ShardWorker.flush_matches`) and starts a fresh
@@ -42,9 +34,8 @@ summary follow when the loop ends.
 
 Deadlock freedom: the driver never writes after start-up and reads
 every worker's pipe at once, so no wait cycle exists. A worker blocked
-writing a match frame (or waiting for mirror-ring credits, which the
-driver replenishes as it consumes) waits only for the driver, and the
-driver waits for no worker in particular.
+writing a match frame waits only for the driver, and the driver waits
+for no worker in particular.
 
 Live telemetry rides a *separate* one-way heartbeat pipe per worker:
 :class:`HeartbeatEmitter` hands :func:`pipe_sink` one fixed-size
@@ -85,8 +76,7 @@ import sys
 import time
 import traceback
 from functools import partial
-from itertools import count
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.core.local_join import StreamingSetJoin
@@ -103,21 +93,17 @@ from repro.parallel.codec import (
     TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
-    TAG_SHM_MATCHES,
     HEARTBEAT_PHASES,
     MatchTable,
     encode_event_frame,
     encode_heartbeat,
-    encode_shm_descriptor,
 )
-from repro.parallel.shm import attach_ring
 from repro.records import Record
 from repro.routing.base import fanout_fraction
 from repro.similarity.functions import get_similarity
 
 __all__ = [
-    "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS", "TAG_HEARTBEAT",
-    "TAG_SHM_MATCHES", "TAG_ERROR",
+    "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS", "TAG_HEARTBEAT", "TAG_ERROR",
     "MATCH_CHUNK", "peak_rss_bytes", "build_shard_engine",
     "ShardWorker", "HeartbeatEmitter", "pipe_sink", "worker_main",
 ]
@@ -132,7 +118,6 @@ _PROBE_PHASE = PHASE_ID["probe"]
 _INSERT_PHASE = PHASE_ID["insert"]
 _METER_FLUSH = PHASE_ID["meter_flush"]
 _PIPE_WRITE = PHASE_ID["pipe_write"]
-_SHM_WRITE = PHASE_ID["shm_write"]
 
 _EV_PROBE = RECORD_SCOPE | EVENT_ID["probe"]
 _EV_INSERT = RECORD_SCOPE | EVENT_ID["insert"]
@@ -211,9 +196,6 @@ class ShardWorker:
         self.matches = MatchTable()
         #: Rows already handed to the ``ship`` hook.
         self.shipped = 0
-        #: Span phase of a ship; ``worker_main`` switches it to
-        #: ``shm_write`` when it attached a mirror ring.
-        self.ship_phase = _PIPE_WRITE
         self.records = 0
         self.batches = 0
         self.busy_s = 0.0
@@ -433,7 +415,7 @@ class ShardWorker:
         self.bytes_out += ship(table)
         seq = self._batch_seq[shard] - 1
         if self.log is not None and self.log.keep(seq):
-            self.log.record(self.ship_phase, start, time.monotonic(), shard, seq)
+            self.log.record(_PIPE_WRITE, start, time.monotonic(), shard, seq)
 
     def finish(self) -> dict:
         """Final-postings events, canonical match order of whatever the
@@ -545,63 +527,16 @@ class HeartbeatEmitter:
         return self.emit(worker.telemetry_snapshot())
 
 
-def ship_matches(
-    table: MatchTable, conn, ring, worker_id: int,
-    generation: Optional[Iterator[int]] = None,
-) -> int:
+def ship_matches(table: MatchTable, conn) -> int:
     """The one shipper of the results direction: cut ``table`` into
-    ``MATCH_CHUNK`` frames and send each as it is cut — column views
-    written into the mirror ring (``ring`` is ``None`` on the pipe
-    transport) or joined into a ``TAG_MATCHES`` pipe frame, never a
-    second copy of the rows; returns the data-plane bytes sent.
-
-    ``generation`` numbers the ring frames; the driver counts them per
-    worker for the whole run, so a worker passes one counter to all its
-    ships (``None``: a one-off ship, from 0).
-
-    Runs at batch boundaries while the driver drains every worker at
-    once (it does nothing else after start-up): a full ring only means
-    the driver has not yet consumed earlier frames, and it releases them
-    as they arrive, so the credit wait here is bounded. A chunk the ring
-    can never hold takes the pipe frame — the protocol, not the segment
-    size, is the invariant.
-    """
-    if generation is None:
-        generation = count()
+    ``MATCH_CHUNK`` frames and send each as it is cut, column views
+    joined into a ``TAG_MATCHES`` pipe frame — never a second copy of
+    the rows; returns the bytes sent."""
     sent = 0
-    chunk = MATCH_CHUNK
-    if ring is not None:
-        # Chunk by ring size as well as row count: frames under a
-        # quarter of the ring keep several in flight while the driver
-        # drains, and none is un-claimable at an awkward wrap offset
-        # (40 bytes/row).
-        chunk = min(chunk, max(1, (ring.capacity // 4) // 40))
-    for i in range(0, len(table), chunk):
-        parts = table.parts(i, i + chunk)
-        total = sum(map(len, parts))
-        claim = ring.try_claim(total) if ring is not None else None
-        if claim is None and (ring is None or not ring.claimable(total)):
-            conn.send_bytes(b"".join((_MATCHES_TAG, *parts)))
-            sent += 1 + total
-            continue
-        while claim is None:
-            time.sleep(0.0005)
-            if conn.poll(0):
-                # The driver never sends — a readable pipe here means
-                # it closed its end (died). Abort instead of waiting
-                # forever on credits nobody will grant.
-                raise RuntimeError(
-                    f"worker {worker_id}: driver vanished during match drain"
-                )
-            claim = ring.try_claim(total)
-        offset, advance = claim
-        ring.write(offset, parts)
-        ring.publish(advance)
-        descriptor = encode_shm_descriptor(
-            TAG_SHM_MATCHES, worker_id, offset, total, advance, next(generation)
-        )
-        conn.send_bytes(descriptor)
-        sent += len(descriptor) + total
+    for i in range(0, len(table), MATCH_CHUNK):
+        frame = b"".join((_MATCHES_TAG, *table.parts(i, i + MATCH_CHUNK)))
+        conn.send_bytes(frame)
+        sent += len(frame)
     return sent
 
 
@@ -617,7 +552,6 @@ def worker_main(
     heartbeat=None,
     heartbeat_interval: float = 0.0,
     trace_sample: int = 0,
-    shm_out: Optional[str] = None,
 ) -> None:
     """Child-process entry point (module-level: spawn-context picklable).
 
@@ -630,16 +564,10 @@ def worker_main(
     heartbeat pipe; with ``heartbeat_interval > 0`` a rolling-counter
     frame is emitted after any batch that finds a sample due.
     ``spans_sample`` / ``trace_sample`` are the :class:`ShardWorker`
-    strides (0 = off). ``shm_out`` names the driver-owned mirror ring of
-    the shm transport (``None``: results travel as pipe frames), mapped
-    once here (see :func:`repro.parallel.shm.attach_ring` for the
-    tracker discipline).
+    strides (0 = off).
     """
     born = time.monotonic()
-    segment = ring_out = None
     try:
-        if shm_out is not None:
-            segment, ring_out = attach_ring(shm_out)
         worker = ShardWorker(
             config, shard_ids, plan.num_shards,
             spans_sample=spans_sample, worker=worker_id,
@@ -650,18 +578,12 @@ def worker_main(
             emitter = HeartbeatEmitter(
                 pipe_sink(heartbeat), worker_id, heartbeat_interval
             )
-        if ring_out is not None:
-            worker.ship_phase = _SHM_WRITE
-        ship = partial(
-            ship_matches, conn=conn, ring=ring_out, worker_id=worker_id,
-            generation=count(),
-        )
+        ship = partial(ship_matches, conn=conn)
         fanout = worker.run(records, plan, batch_size, emitter, ship)
         worker.lifetime_s = time.monotonic() - born
-        # bytes_out counts the data plane (match + event frames, or
-        # their ring payload + descriptors under shm); the pickled
-        # summary frame itself is excluded — it has to carry the final
-        # byte count.
+        # bytes_out counts the data plane (match + event frames); the
+        # pickled summary frame itself is excluded — it has to carry
+        # the final byte count.
         if worker.log is not None:
             frame = bytes([TAG_EVENTS]) + encode_event_frame(*worker.log.columns())
             conn.send_bytes(frame)
@@ -689,16 +611,6 @@ def worker_main(
         except Exception:
             pass
     finally:
-        # Drop the ring's views before closing the mapping (SharedMemory
-        # refuses to close under live exports); never unlink — the
-        # driver owns segment lifetime.
-        if ring_out is not None:
-            ring_out.detach()
-        if segment is not None:
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass
         if heartbeat is not None:
             try:
                 heartbeat.close()

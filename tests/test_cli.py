@@ -310,40 +310,13 @@ class TestJoinParallel:
                          "--heartbeat-interval", bad]) == 2
             assert "--heartbeat-interval" in capsys.readouterr().err
 
-    def test_rejects_transport_without_parallel(self, corpus_file, capsys):
-        assert main(["join", str(corpus_file), "--transport", "shm"]) == 2
-        assert "--transport requires --parallel" in capsys.readouterr().err
-
-    def test_transport_shm_unsupported_platform_exits_2(self, corpus_file,
-                                                        capsys, monkeypatch):
-        import repro.parallel.shm as shm_mod
-
-        monkeypatch.setattr(
-            shm_mod, "shm_supported",
-            lambda: (False, "no /dev/shm mounted"),
-        )
-        assert main(["join", str(corpus_file), "--parallel",
-                     "--transport", "shm"]) == 2
-        err = capsys.readouterr().err
-        assert "--transport shm is unsupported on this platform" in err
-        assert "no /dev/shm mounted" in err
-
-    def test_transport_pipe_and_shm_match(self, corpus_file, capsys):
-        from repro.parallel.shm import shm_supported
-
-        if not shm_supported()[0]:
-            pytest.skip("shared memory unsupported on this host")
-
-        def pair_lines(transport):
-            assert main(["join", str(corpus_file), "--parallel",
-                         "--workers", "2", "--threshold", "0.7",
-                         "--transport", transport, "--pairs"]) == 0
-            out = capsys.readouterr().out
-            assert f" {transport} " in out  # summary table column
-            return sorted(l for l in out.splitlines()
-                          if l and l[0].isdigit())
-
-        assert pair_lines("pipe") == pair_lines("shm")
+    def test_transport_flag_is_gone(self, corpus_file, capsys):
+        """Results have one wire: there is no ``--transport`` to pick."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", str(corpus_file), "--parallel",
+                  "--transport", "pipe"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
     def test_telemetry_out_writes_artefact(self, corpus_file, tmp_path,
                                            capsys):

@@ -2,9 +2,8 @@
 
 Sequence protocol, the ordered-runs bookkeeping and its block merge
 against a plain ``sorted(list_of_tuples)`` oracle, the one shipper's
-frames, the driver-side memory bound, and the differential cases the
-grids lack: out-of-order timestamps over several shards per worker, and
-a dense result squeezed through the smallest mirror ring.
+frames, the driver-side memory bound, and the differential case the
+grids lack: out-of-order timestamps over several shards per worker.
 """
 
 import random
@@ -22,13 +21,11 @@ from repro.parallel import (
     merge_matches,
     run_serial,
 )
-from repro.parallel.codec import TAG_MATCHES, TAG_SHM_MATCHES, decode_shm_descriptor
-from repro.parallel.shm import MIN_RING_BYTES, RingBuffer, shm_supported
+from repro.parallel.codec import TAG_MATCHES
 from repro.parallel.worker import MATCH_CHUNK, ship_matches
 from repro.records import Record
 
 from tests.test_parallel_differential import try_process_run
-from tests.test_shm import _segments_all_unlinked
 
 ROWS = [
     (0.5, 10, 3, 4, 0.8),
@@ -287,9 +284,6 @@ class _Pipe:
     def send_bytes(self, frame):
         self.frames.append(bytes(frame))
 
-    def poll(self, _timeout):
-        return False
-
 
 class TestShipMatches:
     ROWS = sorted(as_rows(random_probes(random.Random(6), n=400)))
@@ -298,7 +292,7 @@ class TestShipMatches:
         table = MatchTable(self.ROWS * 12)  # > one MATCH_CHUNK
         table.sort()
         conn = _Pipe()
-        sent = ship_matches(table, conn, None, 0)
+        sent = ship_matches(table, conn)
         expected = [
             bytes([TAG_MATCHES]) + encode_match_batch(table[i:i + MATCH_CHUNK])
             for i in range(0, len(table), MATCH_CHUNK)
@@ -306,38 +300,6 @@ class TestShipMatches:
         assert len(expected) > 1 and conn.frames == expected
         assert sent == sum(map(len, expected))
         table.emit(9e9, 10 ** 9, [MatchResult(Record(0, ()), 1.0, 1)])  # unpinned
-
-    def test_unclaimable_chunk_takes_the_pipe_frame(self):
-        table = MatchTable(ROWS)
-        conn = _Pipe()
-        sent = ship_matches(table, conn, RingBuffer.local(40), 0)  # < one row
-        assert conn.frames == [
-            bytes([TAG_MATCHES]) + encode_match_batch([row]) for row in ROWS
-        ]
-        assert sent == sum(map(len, conn.frames))
-
-    def test_ring_frames(self):
-        table = MatchTable(self.ROWS)
-        ring = RingBuffer.local(MIN_RING_BYTES)
-        chunk = (MIN_RING_BYTES // 4) // 40
-
-        class Draining(_Pipe):
-            def send_bytes(conn, frame):  # noqa: N805 - consume as the driver does
-                super().send_bytes(frame)
-                if frame[0] == TAG_SHM_MATCHES:
-                    _, offset, length, advance, generation = (
-                        decode_shm_descriptor(frame[1:])
-                    )
-                    assert generation == len(got)
-                    got.append(decode_match_batch(ring.view(offset, length)))
-                    ring.release(advance)
-
-        got = []
-        conn = Draining()
-        sent = ship_matches(table, conn, ring, 3)
-        assert len(got) == -(-len(table) // chunk)
-        assert merge_matches(got) == self.ROWS
-        assert sent == sum(map(len, conn.frames)) + 40 * len(table) + 4 * len(got)
 
 
 def late_arrival_records(seed=23, n=300):
@@ -356,11 +318,8 @@ def late_arrival_records(seed=23, n=300):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
     @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_out_of_order_stream_over_four_shards(self, executor, transport):
-        if executor == "process" and transport == "shm" and not shm_supported()[0]:
-            pytest.skip("shared memory unsupported on this host")
+    def test_out_of_order_stream_over_four_shards(self, executor):
         records = late_arrival_records()
         config = JoinConfig(threshold=0.6, num_workers=4)
         serial = run_serial(config, records)
@@ -370,33 +329,9 @@ class TestDifferential:
         arrival = [row[1] for row in rows]
         assert arrival != sorted(arrival), "stream was not out of order"
         runner = ParallelJoinRunner(
-            config, workers=2, executor=executor, transport=transport,
-            batch_size=16,
+            config, workers=2, executor=executor, batch_size=16,
         )
         result = try_process_run(runner, records)
         assert result.matches == rows
         assert result.operations == serial.operations
         assert result.events == serial.events
-
-    @pytest.mark.skipif(
-        not shm_supported()[0], reason="shared memory unsupported on this host"
-    )
-    def test_dense_result_through_the_smallest_ring(self):
-        """~40 matches per record against a 4 KiB mirror ring: hundreds
-        of ring frames, credit waits, and no segment left behind."""
-        records = [
-            Record(rid=rid, tokens=(rid % 3, 7, 9), timestamp=rid * 0.001)
-            for rid in range(120)
-        ]
-        config = JoinConfig(threshold=0.9)
-        serial = run_serial(config, records)
-        assert serial.results > 2000
-        runner = ParallelJoinRunner(
-            config, workers=2, executor="process", transport="shm",
-            ring_bytes=MIN_RING_BYTES,
-        )
-        result = try_process_run(runner, records)
-        assert result.matches == serial.matches
-        assert list(result.matches) == sorted(serial.matches)
-        assert runner.shm_segment_names
-        assert _segments_all_unlinked(runner.shm_segment_names) == []

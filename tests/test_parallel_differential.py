@@ -252,15 +252,9 @@ class TestStartMethods:
     ``(records, plan)``, a spawned one unpickles them. Both must walk
     them to the same result, batch for batch."""
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
     @pytest.mark.parametrize("num_shards", [1, 4])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_fork_and_spawn_equal_serial(self, workers, num_shards, transport):
-        if transport == "shm":
-            from repro.parallel.shm import shm_supported
-
-            if not shm_supported()[0]:
-                pytest.skip("shared memory unsupported on this host")
+    def test_fork_and_spawn_equal_serial(self, workers, num_shards):
         config = JoinConfig(threshold=0.6, window_seconds=1.5)
         records = fuzz_records(seed=91, n=200)
         serial = run_serial(config, records, num_shards)
@@ -270,14 +264,13 @@ class TestStartMethods:
             result = try_process_run(
                 ParallelJoinRunner(
                     config, workers=workers, num_shards=num_shards,
-                    batch_size=16, transport=transport,
-                    start_method=start_method,
+                    batch_size=16, start_method=start_method,
                 ),
                 records,
             )
             assert_equal_observables(
                 serial, result,
-                f"{start_method} w={workers} shards={num_shards} {transport}",
+                f"{start_method} w={workers} shards={num_shards}",
             )
             per_worker[start_method] = [
                 (stats["batches"], stats["records"])
@@ -301,27 +294,43 @@ class TestResultsStream:
     @pytest.mark.parametrize("batch_size", [1, 64, 512])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sink_equals_collect(self, workers, batch_size):
-        from repro.parallel.shm import shm_supported
-
         config = JoinConfig(threshold=0.6, window_seconds=1.5)
         records = fuzz_records(seed=191, n=200)
-        cells = [("inline", "pipe"), ("process", "pipe")]
-        if shm_supported()[0]:
-            cells.append(("process", "shm"))
         for num_shards in (workers, 4):
             serial = run_serial(config, records, num_shards)
             assert serial.results > 0
-            for executor, transport in cells:
+            for executor in ("inline", "process"):
                 runner = ParallelJoinRunner(
                     config, workers=workers, num_shards=num_shards,
                     batch_size=batch_size, executor=executor,
-                    transport=transport,
                 )
                 assert_sink_equals_collect(
                     serial, runner, records,
                     f"w={workers} shards={num_shards} batch={batch_size} "
-                    f"{executor}/{transport}",
+                    f"{executor}",
                 )
+
+    def test_dense_cell_ships_many_batches_per_worker(self):
+        """~40 matches per record, batches of 8: every process worker
+        ships well over three times during its run, each ship one
+        ``pipe_write`` span, and the rows equal serial's."""
+        records = [
+            Record(rid=rid, tokens=(rid % 3, 7, 9), timestamp=rid * 0.001)
+            for rid in range(120)
+        ]
+        config = JoinConfig(threshold=0.9, num_workers=4, distribution="prefix")
+        serial = run_serial(config, records)
+        assert serial.results > 2000
+        result = try_process_run(
+            ParallelJoinRunner(config, workers=2, batch_size=8, spans=True),
+            records,
+        )
+        assert_equal_observables(serial, result, "dense pipe")
+        ships = [
+            row["worker"] for row in result.span_rows
+            if row["phase"] == "pipe_write"
+        ]
+        assert all(ships.count(worker) >= 3 for worker in (0, 1)), ships
 
     def test_inline_first_frame_long_before_the_last_batch(self, monkeypatch):
         """At hook time the emit buffer holds the rows of the batch

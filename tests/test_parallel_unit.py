@@ -1,10 +1,14 @@
 """Unit tests for the parallel runtime's pieces: codec, planner,
-merger, the engine batch APIs and the config/CLI validation."""
+merger, the engine batch APIs, the config/CLI validation, and how a run
+fails (a killed worker, Ctrl-C in the driver)."""
 
 import math
+import os
 import pickle
 import random
 import re
+import signal
+import time
 from array import array
 from pathlib import Path
 
@@ -29,13 +33,19 @@ from repro.parallel import (
     run_serial,
 )
 from repro.parallel.codec import (
+    BatchEncoder,
     CodecError,
     decode_event_frame,
     encode_event_frame,
+    record_batch_parts,
 )
+from repro.parallel.runtime import ParallelWorkerError
+from repro.parallel.worker import ShardWorker
 from repro.records import Record
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import get_similarity
+
+from tests.test_parallel_differential import fuzz_records
 
 
 def make_records(n=20, sources=False):
@@ -89,6 +99,51 @@ class TestRecordCodec:
         blob = encode_record_batch([(BOTH, r) for r in make_records(2)])
         with pytest.raises(CodecError, match="magic"):
             decode_record_batch(b"\x00\x00" + blob[2:])
+
+
+class TestBatchEncoder:
+    """The record codec's preallocated-scratch encode path (the
+    benchmark replay's)."""
+
+    def _items(self, n=50, seed=4):
+        rng = random.Random(seed)
+        return [
+            (
+                0,
+                Record(
+                    rid=i,
+                    tokens=tuple(sorted(rng.sample(range(90), rng.randint(1, 9)))),
+                    timestamp=round(i * 0.01, 6),
+                ),
+            )
+            for i in range(n)
+        ]
+
+    def test_matches_join_encoding(self):
+        items = self._items()
+        encoder = BatchEncoder()
+        view = encoder.encode(b"\x01ABCD", items)
+        assert isinstance(view, memoryview)
+        assert bytes(view) == b"\x01ABCD" + encode_record_batch(items)
+
+    def test_scratch_reused_across_calls(self):
+        items = self._items()
+        encoder = BatchEncoder(capacity=16)  # forces at least one growth
+        first = bytes(encoder.encode(b"", items))
+        # The returned view is a window over the scratch: the next call
+        # overwrites it, but its *content* round-trips first.
+        second = bytes(encoder.encode(b"", items))
+        assert first == second == encode_record_batch(items)
+
+    def test_decoded_from_view_identical(self):
+        items = self._items()
+        encoder = BatchEncoder()
+        decoded = decode_record_batch(encoder.encode(b"", items))
+        assert decoded == decode_record_batch(encode_record_batch(items))
+
+    def test_parts_concatenate_to_frame(self):
+        items = self._items()
+        assert b"".join(record_batch_parts(items)) == encode_record_batch(items)
 
 
 class TestMatchCodec:
@@ -481,6 +536,12 @@ class TestRunnerValidation:
         with pytest.raises(ValueError, match="batch_size"):
             ParallelJoinRunner(JoinConfig(), batch_size=0)
 
+    def test_only_the_pipe_transport(self):
+        ParallelJoinRunner(JoinConfig(), transport="pipe")
+        for transport in ("shm", "auto", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="shm transport was removed"):
+                ParallelJoinRunner(JoinConfig(), transport=transport)
+
     def test_batch_size_defaults_to_config(self):
         config = JoinConfig(batch_size=64)
         assert ParallelJoinRunner(config).batch_size == 64
@@ -568,23 +629,103 @@ class TestObsBridges:
         assert parallel.signals == serial.signals
 
 
-def test_runtime_does_not_call_the_record_codec():
-    """The record batch codec has no runtime caller since records are
-    published once; it stays only for the benchmark replay that imports
-    it (ROADMAP 1(a) deletes it). Nothing under ``src/repro`` may grow
-    a new dependency on it — outside the codec module itself and the
-    package's re-exports."""
-    names = re.compile(
-        r"BatchEncoder|record_batch_parts|encode_record_batch"
-        r"|decode_record_batch"
-    )
+def _no_runtime_caller(names, allowed):
+    """Lines under ``src/repro`` outside ``allowed`` (paths relative to
+    it) that match ``names``."""
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
-    allowed = {root / "parallel" / "codec.py", root / "parallel" / "__init__.py"}
-    hits = [
+    allowed = {root / path for path in allowed}
+    return [
         f"{path.relative_to(root)}:{number}: {line.strip()}"
         for path in sorted(root.rglob("*.py"))
         if path not in allowed
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if names.search(line)
     ]
-    assert hits == []
+
+
+def test_runtime_calls_neither_the_record_codec_nor_the_ring():
+    """The record batch codec and the ring buffer have no runtime caller
+    — records are published once and results return over one pipe per
+    worker; they stay only for the benchmark replay that imports them
+    (ROADMAP 1 deletes both). Nothing under ``src/repro`` may grow a new
+    dependency on either outside its own module (and, for the codec,
+    the package's re-exports), and shared memory appears nowhere."""
+    codec = re.compile(
+        r"BatchEncoder|record_batch_parts|encode_record_batch"
+        r"|decode_record_batch"
+    )
+    assert _no_runtime_caller(
+        codec, {"parallel/codec.py", "parallel/__init__.py"}
+    ) == []
+    ring = re.compile(r"RingBuffer|repro\.parallel\.shm|parallel import shm")
+    assert _no_runtime_caller(ring, {"parallel/shm.py"}) == []
+    assert _no_runtime_caller(re.compile("shared_memory"), set()) == []
+
+
+class TestRunFailure:
+    """How a process run ends when it cannot finish: promptly, with the
+    error propagated and every worker reaped."""
+
+    @staticmethod
+    def assert_no_zombie():
+        try:
+            # An exited-but-unreaped child would be returned here.
+            assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+        except ChildProcessError:
+            pass  # no children at all
+
+    def test_sigkilled_worker_fails_fast_without_zombies(self, monkeypatch):
+        """Worker 1 of two SIGKILLed inside ``ShardWorker.run``, a few
+        batches into its loop, while worker 0 — slowed to several
+        seconds — is still running: ``ParallelWorkerError`` in well
+        under half of worker 0's run time (the driver reads every pipe
+        at once, so a dead worker is its own pipe's EOF, not something
+        found after its predecessors finish), no zombie left behind."""
+        real = ShardWorker.process_batch
+
+        def dying(self, shard, items):
+            if self.worker == 1 and self.batches == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if self.worker == 0:
+                time.sleep(0.1)
+            real(self, shard, items)
+
+        config = JoinConfig(threshold=0.6, batch_size=64)
+        records = fuzz_records(seed=23, n=4000)
+        batches = ParallelJoinRunner(
+            config, workers=2, executor="inline"
+        ).run(records, sink=lambda frame: None).worker_stats[0]["batches"]
+        assert 0.1 * batches > 4.0, "worker 0 would not outlive the check"
+        monkeypatch.setattr(ShardWorker, "process_batch", dying)
+        runner = ParallelJoinRunner(
+            config, workers=2, executor="process", start_method="fork",
+        )
+        started = time.monotonic()
+        with pytest.raises(ParallelWorkerError, match="worker 1 exited"):
+            try:
+                runner.run(records)
+            except (ImportError, OSError, PermissionError) as error:
+                pytest.skip(f"multiprocessing unavailable: {error}")
+        assert time.monotonic() - started < 2.0
+        self.assert_no_zombie()
+
+    def test_keyboard_interrupt_propagates_without_zombies(self, monkeypatch):
+        """Ctrl-C mid-drain — raised where the driver decodes a match
+        frame — propagates, and no worker is left unreaped."""
+        import repro.parallel.runtime as runtime_mod
+
+        def interrupting(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runtime_mod, "decode_match_batch", interrupting)
+        config = JoinConfig(threshold=0.6, batch_size=16)
+        records = fuzz_records(seed=29, n=200)
+        runner = ParallelJoinRunner(
+            config, workers=2, executor="process", start_method="fork",
+        )
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                runner.run(records)
+            except (ImportError, OSError, PermissionError) as error:
+                pytest.skip(f"multiprocessing unavailable: {error}")
+        self.assert_no_zombie()

@@ -45,7 +45,7 @@ from repro.obs.spans import (
     smoke_check,
     validate_span_lines,
 )
-from repro.parallel import ParallelJoinRunner, run_serial, shm_supported
+from repro.parallel import ParallelJoinRunner, run_serial
 from repro.parallel.codec import (
     EVENT_MAGIC,
     EVENT_VERSION,
@@ -325,19 +325,14 @@ class TestTracingDifferential:
         assert result.telemetry is not None
         assert rectrace_smoke(result.rectrace_document()) == []
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
     @pytest.mark.parametrize("trace_sample", [1, 4])
     @pytest.mark.parametrize("spans_sample", [1, 3])
-    def test_sampled_spans_with_tracing_grid(
-        self, spans_sample, trace_sample, transport
-    ):
+    def test_sampled_spans_with_tracing_grid(self, spans_sample, trace_sample):
         """Span-sampled *and* traced batches next to batches that are
         only traced and (3-record batches, stride 4) batches that are
         neither: observables equal serial, and span structure and each
         rid's trace events are the same on both executors at 1 and 2
         workers."""
-        if transport == "shm" and not shm_supported()[0]:
-            pytest.skip("shared memory unsupported on this host")
         config = JoinConfig(threshold=0.6, num_workers=4)
         records = fuzz_records(seed=24, n=260)
         serial = run_serial(config, records)
@@ -346,13 +341,12 @@ class TestTracingDifferential:
             for workers in (1, 2):
                 label = (
                     f"{executor} w={workers} spans/{spans_sample} "
-                    f"trace/{trace_sample} {transport}"
+                    f"trace/{trace_sample}"
                 )
                 runner = ParallelJoinRunner(
                     config, workers=workers, executor=executor, batch_size=3,
                     spans=True, spans_sample=spans_sample,
                     trace=True, trace_sample=trace_sample,
-                    transport=transport, ring_bytes=4096,
                 )
                 result = try_process_run(runner, records)
                 assert_equal_observables(serial, result, label)

@@ -9,7 +9,7 @@ Three layers of evidence, mirroring DESIGN §15:
 * **engine/runtime differentials** — precision exactly 1.0 (every
   emitted pair is a true pair with the exact similarity), measured
   recall at or above the analytic lower bound, and bit-identical
-  approx observables across worker counts, batch sizes and transports.
+  approx observables across worker counts, batch sizes and executors.
 """
 
 import math
@@ -401,7 +401,7 @@ APPROX_CONFIG = JoinConfig(
 class TestDifferentialRecall:
     """The parallel runtime's sketch tier vs. exact ground truth: recall
     at or above the analytic bound, precision 1.0, and bit-identical
-    approx observables across worker counts, batch sizes and transports.
+    approx observables across worker counts, batch sizes and executors.
     """
 
     @classmethod
@@ -444,16 +444,14 @@ class TestDifferentialRecall:
         assert result.events == self.approx.events, context
         self.assert_recall_contract(result)
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_process_transports_bit_identical(self, transport):
+    def test_process_bit_identical(self):
         runner = ParallelJoinRunner(
-            APPROX_CONFIG, workers=2, executor="process",
-            batch_size=64, transport=transport,
+            APPROX_CONFIG, workers=2, executor="process", batch_size=64,
         )
         result = try_process_run(runner, self.records)
-        assert result.matches == self.approx.matches, transport
-        assert result.operations == self.approx.operations, transport
-        assert result.events == self.approx.events, transport
+        assert result.matches == self.approx.matches
+        assert result.operations == self.approx.operations
+        assert result.events == self.approx.events
         self.assert_recall_contract(result)
 
 

@@ -395,38 +395,33 @@ class TestLiveSpans:
         assert 0.95 <= totals["driver_coverage"] <= 1.02
 
     def test_process_executor_spans(self, records):
-        from repro.parallel.shm import shm_supported
-
-        for transport, ship in (("pipe", "pipe_write"), ("shm", "shm_write")):
-            if transport == "shm" and not shm_supported()[0]:
-                continue
-            runner = ParallelJoinRunner(
-                JoinConfig(threshold=0.6), workers=2, executor="process",
-                batch_size=32, spans=True, transport=transport,
-            )
-            result = try_process_run(runner, records)
-            document = result.spans_document()
-            assert document[0]["executor"] == "process"
-            assert smoke_check(document) == []
-            # No record wire: the driver goes from setup straight to
-            # drain, and a worker's time is its own walk, the batches
-            # and — under the transport's phase id — shipping the rows
-            # of every batch that produced any.
-            phases = {row["phase"] for row in document[1:]}
-            assert phases == {
-                "setup", "drain", "merge",
-                "route", "probe", "insert", "meter_flush", ship,
-            }
-            driver = sorted(
-                (row["start"], row["phase"]) for row in document[1:]
-                if row["worker"] == DRIVER
-            )
-            assert [phase for _, phase in driver] == ["setup", "drain", "merge"]
-            for stats in result.worker_stats:
-                assert stats["lifetime_s"] > 0
-                assert stats["bytes_in"] == 0
-                assert stats["bytes_out"] > 0
-            self.check_ship_spans(document, ship)
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=2, executor="process",
+            batch_size=32, spans=True,
+        )
+        result = try_process_run(runner, records)
+        document = result.spans_document()
+        assert document[0]["executor"] == "process"
+        assert document[0]["transport"] == "pipe"
+        assert smoke_check(document) == []
+        # No record wire: the driver goes from setup straight to drain,
+        # and a worker's time is its own walk, the batches and shipping
+        # the rows of every batch that produced any.
+        phases = {row["phase"] for row in document[1:]}
+        assert phases == {
+            "setup", "drain", "merge",
+            "route", "probe", "insert", "meter_flush", "pipe_write",
+        }
+        driver = sorted(
+            (row["start"], row["phase"]) for row in document[1:]
+            if row["worker"] == DRIVER
+        )
+        assert [phase for _, phase in driver] == ["setup", "drain", "merge"]
+        for stats in result.worker_stats:
+            assert stats["lifetime_s"] > 0
+            assert stats["bytes_in"] == 0
+            assert stats["bytes_out"] > 0
+        self.check_ship_spans(document, "pipe_write")
 
     @staticmethod
     def check_ship_spans(document, ship):
