@@ -46,7 +46,8 @@ Eleven commands cover the workflows a downstream user needs:
     Post-hoc analyzer for a telemetry file, mirroring the ``spans``
     UX: per-worker sample digest, peak throughput, health event
     counts. ``--smoke`` gates the file instead (schema-valid, closed
-    by a final row, every worker sampled) — CI's live-telemetry gate.
+    by a final row without an error, every worker sampled) — CI's
+    live-telemetry gate.
 ``diff``
     Compare two run artefacts (metrics dumps or stored fingerprints)
     under the regression-gate policy: exact on deterministic counters,
@@ -759,8 +760,6 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         workers=args.workers,
         spans=args.spans_out is not None,
         spans_sample=args.spans_sample,
-        telemetry=args.telemetry_out is not None
-        or args.heartbeat_interval is not None,
         telemetry_out=args.telemetry_out,
         heartbeat_interval=args.heartbeat_interval,
         trace=trace,
@@ -1482,7 +1481,7 @@ def _cmd_telemetry(args) -> int:
         final = next(row for row in body if row.get("kind") == "final")
         print(f"telemetry smoke ok: {samples} samples from "
               f"{header['workers']} workers, interval {header['interval']}s, "
-              f"wall {final['wall_s']:.4f}s, {final['dropped']} dropped")
+              f"wall {final['wall_s']:.4f}s")
         return 0
 
     errors = validate_telemetry_lines(rows)
@@ -1510,11 +1509,9 @@ def _cmd_telemetry(args) -> int:
             "records": entry["records"],
             "matches": entry["matches"],
             "busy_s": round(entry["busy_s"], 4),
-            "blocked_s": round(entry["blocked_s"], 4),
             "postings": entry["live_postings"],
             "rss_mb": round(entry["rss_bytes"] / (1024 * 1024), 1),
             "peak_rec_per_s": entry["peak_records_per_s"],
-            "dropped": entry["dropped"],
         })
     if worker_rows:
         print(format_table(worker_rows, title="\nper-worker telemetry "

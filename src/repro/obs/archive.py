@@ -512,15 +512,12 @@ class RunArchive:
         self._insert_fingerprint(run_id, fingerprint)
         self._insert_observables(run_id, "signal", dict(result.signals))
         aggregates: Dict[str, float] = {
-            "worker_busy_s": 0.0, "worker_blocked_s": 0.0,
-            "worker_batches": 0.0, "worker_bytes_in": 0.0,
+            "worker_busy_s": 0.0, "worker_batches": 0.0,
             "worker_bytes_out": 0.0, "worker_heartbeats": 0.0,
         }
         for stats in result.worker_stats:
             aggregates["worker_busy_s"] += stats.get("busy_s", 0.0) or 0.0
-            aggregates["worker_blocked_s"] += stats.get("blocked_s", 0.0) or 0.0
             aggregates["worker_batches"] += stats.get("batches", 0) or 0
-            aggregates["worker_bytes_in"] += stats.get("bytes_in", 0) or 0
             aggregates["worker_bytes_out"] += stats.get("bytes_out", 0) or 0
             aggregates["worker_heartbeats"] += stats.get("heartbeats", 0) or 0
         if result.telemetry is not None:
@@ -755,12 +752,10 @@ class RunArchive:
             **shape,
         })
         aggregates: Dict[str, float] = {
-            "worker_busy_s": 0.0, "worker_blocked_s": 0.0,
-            "telemetry_samples": 0.0,
+            "worker_busy_s": 0.0, "telemetry_samples": 0.0,
         }
         for entry in summary.get("workers", {}).values():
             aggregates["worker_busy_s"] += entry.get("busy_s", 0.0) or 0.0
-            aggregates["worker_blocked_s"] += entry.get("blocked_s", 0.0) or 0.0
             aggregates["telemetry_samples"] += entry.get("samples", 0) or 0
         self._insert_observables(run_id, "worker", aggregates)
         self._insert_health_events(

@@ -11,18 +11,15 @@ progress):
   rate (fed per delivery by :class:`repro.storm.cluster.LocalCluster`);
 * **straggler / load skew** — one task of a component carries far more
   busy time than its siblings (fed at run end from the metrics
-  registry);
+  registry, and mid-run from live worker heartbeats through
+  :meth:`HealthMonitor.on_busy_snapshot`);
 * **routing fanout / replication blow-up** — records fan out to most
   of the join tasks, so communication dominates (fed per record by the
   dispatcher via ``ctx.signal``; a one-task plan feeds zero, see
   :func:`repro.routing.base.fanout_fraction`);
 * **window expiration lag** — lazily-expired postings linger far past
   their window before a scan collects them, inflating index scans (fed
-  by the join engines via ``WorkMeter.signal``);
-* **worker starvation** — a worker process spends most of its lifetime
-  blocked waiting for input, so adding workers will not help (fed from
-  the worker's ``blocked_s``; the parallel runtime hands every worker
-  its whole input at start-up, so its workers report zero).
+  by the join engines via ``WorkMeter.signal``).
 
 Events are deterministic: they are emitted in the simulator's event
 order with simulated-clock timestamps, and each detector escalates on
@@ -106,8 +103,6 @@ class HealthThresholds:
     fanout_critical: float = 0.95
     expiration_lag_warning: float = 0.5
     expiration_lag_critical: float = 2.0
-    starvation_warning: float = 0.6
-    starvation_critical: float = 0.9
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -119,8 +114,6 @@ class HealthThresholds:
             "fanout_critical": self.fanout_critical,
             "expiration_lag_warning": self.expiration_lag_warning,
             "expiration_lag_critical": self.expiration_lag_critical,
-            "starvation_warning": self.starvation_warning,
-            "starvation_critical": self.starvation_critical,
         }
 
 
@@ -150,8 +143,6 @@ class HealthMonitor:
         #: Highest expiration-lag severity already reported, per task
         #: (0 = none, 1 = warning, 2 = critical).
         self._lag_level: Dict[TaskKey, int] = {}
-        #: Same one-shot leveling for starvation.
-        self._starvation_level: Dict[TaskKey, int] = {}
         #: One-shot leveling for the *online* load-skew detector
         #: (component-level: keyed by component, task -1 semantics).
         self._skew_level: Dict[str, int] = {}
@@ -189,8 +180,6 @@ class HealthMonitor:
             self._on_fanout(component, task, time, value)
         elif name == "window_expiration_lag_fraction":
             self._on_expiration_lag(component, task, time, value)
-        elif name == "worker_starved_fraction":
-            self._on_starvation(component, task, time, value)
 
     def _on_fanout(
         self, component: str, task: int, time: float, fraction: float
@@ -230,29 +219,6 @@ class HealthMonitor:
                 f"expired posting at {component}[{task}] lingered "
                 f"{lag_fraction:.2f} windows past its expiry before lazy "
                 f"collection",
-            )
-
-    def _on_starvation(
-        self, component: str, task: int, time: float, fraction: float
-    ) -> None:
-        key = (component, task)
-        level = self._starvation_level.get(key, 0)
-        if fraction >= self.thresholds.starvation_critical and level < 2:
-            self._starvation_level[key] = 2
-            self._emit(
-                time, "critical", "worker_starvation", component, task,
-                fraction, self.thresholds.starvation_critical,
-                f"{component}[{task}] spent {fraction:.0%} of its "
-                f"lifetime blocked waiting for input: more workers "
-                f"will not speed this up",
-            )
-        elif fraction >= self.thresholds.starvation_warning and level < 1:
-            self._starvation_level[key] = 1
-            self._emit(
-                time, "warning", "worker_starvation", component, task,
-                fraction, self.thresholds.starvation_warning,
-                f"{component}[{task}] spent {fraction:.0%} of its "
-                f"lifetime blocked waiting for input",
             )
 
     def on_busy_snapshot(

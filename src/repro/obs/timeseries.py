@@ -1,29 +1,31 @@
 """Rolling in-flight telemetry: the driver side of worker heartbeats.
 
 Spans (:mod:`repro.obs.spans`) explain a parallel run *after* it ends;
-this module makes one observable *while* it runs. Workers ship
-fixed-size ``TAG_HEARTBEAT`` frames (:mod:`repro.parallel.codec`) over
-a dedicated out-of-band pipe; the driver hands each decoded frame to a
-:class:`TelemetryRecorder`, which
+this module makes one observable *while* it runs. Workers write
+``TAG_HEARTBEAT`` frames — a pickled counter dict — on their result
+pipe at batch boundaries (:mod:`repro.parallel.worker`); the driver
+hands each sample to a :class:`TelemetryRecorder`, which
 
 * timestamps the sample on arrival (seconds since run start — one
   driver clock, so samples from different workers are comparable),
 * keeps the rolling per-worker and cluster-wide time series,
-* feeds the existing :class:`~repro.obs.health.HealthMonitor`
-  detectors *online* — worker starvation from each sample's
-  blocked/uptime ratio, load skew from the cross-worker busy snapshot
-  — so leveled findings surface mid-run instead of post-hoc, and
+* feeds the :class:`~repro.obs.health.HealthMonitor`'s load-skew
+  detector *online* from the cross-worker busy snapshot, so a
+  straggler surfaces mid-run instead of post-hoc, and
 * appends a durable JSONL artefact (``--telemetry-out``), flushed per
   line so ``python -m repro top FILE`` can tail a run in progress.
 
 The artefact mirrors the spans/health dumps: one header line, then
 ``sample`` / ``health`` rows in arrival order, closed by a single
-``final`` row (files from the per-batch record wire also carry
-``driver`` rows — feed-side counters — which readers skip).
+``final`` row — also when the run fails, with an ``error`` field.
 :func:`validate_telemetry_lines` checks the schema and the per-worker
 invariants (strictly increasing ``seq``, monotonic counters);
 :func:`telemetry_smoke` is the CI gate behind ``python -m repro
-telemetry --smoke``.
+telemetry --smoke``. Schema-1 files, written while heartbeats had a
+pipe of their own, still validate and read: the counters they carry
+beyond :data:`SAMPLE_SCHEMA` (two that were always zero and a drop
+count) are ignored, and so are the ``driver`` rows of files from the
+per-batch record wire.
 
 Telemetry is monitoring-plane only: nothing here touches engines,
 meters or match rows, and the differential tests assert that every
@@ -45,7 +47,11 @@ from repro.obs.artefact import (
 )
 from repro.obs.health import HealthMonitor, HealthThresholds
 
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
+
+#: Schemas the readers accept: the one written, and schema 1 (decode
+#: only).
+_READABLE_SCHEMAS = (1, TELEMETRY_SCHEMA_VERSION)
 
 #: Default worker sampling interval in seconds (`--heartbeat-interval`).
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -63,28 +69,22 @@ SAMPLE_SCHEMA: Dict[str, type] = {
     "matches": int,
     "live_postings": int,
     "busy_s": float,
-    "blocked_s": float,
-    "bytes_in": int,
     "bytes_out": int,
     "rss_bytes": int,
-    "dropped": int,       # samples the worker could not write (EAGAIN)
     "phase_s": dict,      # per worker phase busy seconds (spans on only)
 }
 
 #: Rolling counters that must never decrease across a worker's samples.
-_MONOTONE_COUNTERS = (
-    "batches", "records", "matches", "busy_s",
-    "blocked_s", "bytes_in", "bytes_out", "seq",
-)
+_MONOTONE_COUNTERS = ("batches", "records", "matches", "busy_s", "bytes_out")
 
 
 class TelemetryRecorder:
     """Aggregates heartbeat samples into time series + online health.
 
     The runtime constructs one per telemetry-enabled run and calls
-    :meth:`on_heartbeat` for every decoded frame (from a process
-    worker's pipe or the inline executor's loopback) and
-    :meth:`finalize` once after the merge. All
+    :meth:`on_heartbeat` for every sample (unpickled from a process
+    worker's pipe, or handed over by the inline executor's emitter) and
+    :meth:`finalize` once after the merge, or when the run fails. All
     hooks are O(1) dict work plus one JSON line when a sink path is
     configured — nothing here may slow the data plane measurably.
     """
@@ -134,12 +134,12 @@ class TelemetryRecorder:
 
     # -- ingestion -----------------------------------------------------------
     def on_heartbeat(self, sample: Dict[str, object]) -> Dict[str, object]:
-        """One decoded heartbeat frame → one timestamped sample row.
+        """One heartbeat sample → one timestamped sample row.
 
-        ``sample`` is the dict :func:`repro.parallel.codec.decode_heartbeat`
-        returns. Arrival is stamped against the driver's monotonic
-        clock rebased to the run start; the worker's own ``mono`` value
-        is dropped (it is only comparable on fork-based hosts).
+        ``sample`` is the dict
+        :class:`~repro.parallel.worker.HeartbeatEmitter` hands its sink.
+        Arrival is stamped against the driver's monotonic clock rebased
+        to the run start.
         """
         t = max(0.0, time.monotonic() - self.base)
         row = {
@@ -154,11 +154,8 @@ class TelemetryRecorder:
             "matches": int(sample["matches"]),
             "live_postings": int(sample["live_postings"]),
             "busy_s": round(float(sample["busy_s"]), 6),
-            "blocked_s": round(float(sample["blocked_s"]), 6),
-            "bytes_in": int(sample["bytes_in"]),
             "bytes_out": int(sample["bytes_out"]),
             "rss_bytes": int(sample["rss_bytes"]),
-            "dropped": int(sample["dropped"]),
             "phase_s": {
                 name: round(float(value), 6)
                 for name, value in sample.get("phase_s", {}).items()
@@ -167,18 +164,10 @@ class TelemetryRecorder:
         self.rows.append(row)
         self.by_worker.setdefault(row["worker"], []).append(row)
         self._write_line(row)
-        self._feed_health(row, t)
+        self._feed_health(t)
         return row
 
-    def _feed_health(self, row: Dict[str, object], t: float) -> None:
-        uptime = row["uptime_s"]
-        # Starvation: blocked/uptime of this sample — skip the very
-        # first moments of a worker's life, where any wait dominates.
-        if uptime >= 2 * self.interval and row["blocked_s"] > 0:
-            self.monitor.on_signal(
-                self.component, row["worker"], t,
-                "worker_starved_fraction", row["blocked_s"] / uptime,
-            )
+    def _feed_health(self, t: float) -> None:
         # Load skew: the cross-worker busy snapshot, once every worker
         # has reported at least twice (a single early sample per worker
         # says nothing about sustained imbalance).
@@ -204,24 +193,24 @@ class TelemetryRecorder:
             self._write_line(row)
 
     def finalize(
-        self, wall_s: float, records: int, results: int
+        self, wall_s: float, records: int, results: int,
+        error: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Write the closing row and release the sink (idempotent)."""
+        """Write the closing row and release the sink (idempotent).
+        A failed run passes its ``error``, which the row carries."""
         if self._final_written:
             return self.rows[-1]
         self._final_written = True
-        dropped = sum(
-            rows[-1]["dropped"] for rows in self.by_worker.values() if rows
-        )
         row = {
             "kind": "final",
             "t": round(max(0.0, time.monotonic() - self.base), 6),
             "wall_s": round(wall_s, 9),
             "records": records,
             "results": results,
-            "samples": sum(len(rows) for rows in self.by_worker.values()),
-            "dropped": dropped,
+            "samples": self.sample_count(),
         }
+        if error is not None:
+            row["error"] = error
         self.rows.append(row)
         self._write_line(row)
         if self._out is not None:
@@ -261,7 +250,7 @@ def validate_telemetry_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
     if header.get("kind") != "header":
         errors.append("first line is not a header")
     else:
-        if header.get("schema") != TELEMETRY_SCHEMA_VERSION:
+        if header.get("schema") not in _READABLE_SCHEMAS:
             errors.append(
                 f"unsupported telemetry schema {header.get('schema')!r}"
             )
@@ -297,8 +286,6 @@ def validate_telemetry_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
                     f"{row.get('seq')} not after {previous.get('seq')}"
                 )
             for key in _MONOTONE_COUNTERS:
-                if key == "seq":
-                    continue
                 if (
                     isinstance(row.get(key), (int, float))
                     and isinstance(previous.get(key), (int, float))
@@ -322,9 +309,9 @@ def split_telemetry(rows: Sequence[Dict[str, object]]):
 
 def telemetry_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro telemetry --smoke`` gate: schema-valid, properly
-    closed, and at least one sample from every worker (the flagged
-    final heartbeat guarantees this at any interval). Returns failure
-    strings (empty = pass)."""
+    closed by a run that did not fail, and at least one sample from
+    every worker (the flagged final heartbeat guarantees this at any
+    interval). Returns failure strings (empty = pass)."""
     failures = validate_telemetry_lines(rows)
     if failures:
         return failures
@@ -333,6 +320,8 @@ def telemetry_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
     if final is None:
         failures.append("no final row: the run did not close its telemetry")
         return failures
+    if final.get("error"):
+        failures.append(f"the run failed: {final['error']}")
     if final.get("wall_s", 0) <= 0:
         failures.append(f"final wall_s is not positive: {final.get('wall_s')}")
     seen = {row["worker"] for row in body if row.get("kind") == "sample"}
@@ -391,10 +380,8 @@ def telemetry_summary(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
             "batches": last["batches"],
             "matches": last["matches"],
             "busy_s": last["busy_s"],
-            "blocked_s": last["blocked_s"],
             "live_postings": last["live_postings"],
             "rss_bytes": last["rss_bytes"],
-            "dropped": last["dropped"],
             "peak_records_per_s": round(max(record_rates), 3)
             if record_rates
             else 0.0,
@@ -504,10 +491,7 @@ class TelemetryView:
             )
         lifetime = sample["uptime_s"]
         if lifetime > 0:
-            return (
-                f"busy {sample['busy_s'] / lifetime:.0%} "
-                f"blocked {sample['blocked_s'] / lifetime:.0%}"
-            )
+            return f"busy {sample['busy_s'] / lifetime:.0%}"
         return "(warming up)"
 
     def render(self) -> str:
@@ -543,16 +527,15 @@ class TelemetryView:
             lines.append("(no worker samples yet)")
         totals = {
             key: sum(rows[-1][key] for rows in self.samples.values())
-            for key in ("records", "matches", "dropped")
-        } if self.samples else {"records": 0, "matches": 0, "dropped": 0}
+            for key in ("records", "matches")
+        }
         cluster_rate = sum(
             tail[-1] for tail in self._rates.values() if tail
         )
         lines.append(
             f"cluster   {_fmt_count(cluster_rate):>7} rec/s  "
             f"records {_fmt_count(totals['records'])}  "
-            f"matches {_fmt_count(totals['matches'])}  "
-            f"drops {totals['dropped']}"
+            f"matches {_fmt_count(totals['matches'])}"
         )
         if self.health:
             counts: Dict[str, int] = {}
@@ -576,4 +559,7 @@ class TelemetryView:
                 f"results {_fmt_count(self.final.get('results', 0))}  "
                 f"samples {self.final.get('samples')}"
             )
+            error = self.final.get("error")
+            if error:
+                lines.append(f"failed    {error.splitlines()[0]}")
         return "\n".join(lines)

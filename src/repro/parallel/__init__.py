@@ -20,11 +20,9 @@ from repro.parallel.codec import (
     MatchRow,
     MatchTable,
     decode_event_frame,
-    decode_heartbeat,
     decode_match_batch,
     decode_record_batch,
     encode_event_frame,
-    encode_heartbeat,
     encode_match_batch,
     encode_record_batch,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "ShardWorker",
     "build_shard_engine",
     "decode_event_frame",
-    "decode_heartbeat",
     "decode_match_batch",
     "decode_record_batch",
     "encode_event_frame",
-    "encode_heartbeat",
     "encode_match_batch",
     "encode_record_batch",
     "merge_matches",

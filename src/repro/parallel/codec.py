@@ -47,15 +47,10 @@ events travel in the same columns: the top bit of the stage byte says
 whether ``key`` is a batch sequence or a rid, and the driver splits
 them into the two JSONL artefacts.
 
-Heartbeat frames (``TAG_HEARTBEAT``) are the one *in-flight* message:
-a single fixed-size struct (one packed row of rolling counters, 141
-bytes tag included) a worker writes to its dedicated out-of-band
-heartbeat pipe every ``--heartbeat-interval`` seconds. The frame is
-deliberately far below ``PIPE_BUF`` so a non-blocking write either
-lands whole or fails cleanly with ``EAGAIN`` — the worker then drops
-the sample (counted in ``dropped``) rather than ever blocking on the
-monitoring plane, preserving the result-pipe deadlock-freedom
-argument untouched.
+Heartbeat frames (``TAG_HEARTBEAT``) need no codec here: like
+``TAG_DONE`` they are the tag byte and a pickled dict (one row of
+rolling counters), written on the result pipe at a batch boundary, so
+they arrive in order with the match frames around them.
 
 This module is the single source of truth for the ``TAG_*`` frame
 tags; :mod:`repro.parallel.worker` and the runtime import them from
@@ -85,7 +80,7 @@ PROBE, INDEX, BOTH = 1, 2, 3
 TAG_MATCHES = 0x11      # worker → driver: match batch, repeated
 TAG_DONE = 0x12         # worker → driver: pickled summary dict
 TAG_EVENTS = 0x13       # worker → driver: event-log frame, iff spans or tracing
-TAG_HEARTBEAT = 0x14    # worker → driver (heartbeat pipe): live counters
+TAG_HEARTBEAT = 0x14    # worker → driver: pickled live-counter dict
 TAG_ERROR = 0x7F        # worker → driver: pickled traceback string
 
 MAGIC = 0x5052  # "PR"
@@ -515,102 +510,3 @@ def decode_event_frame(data: bytes) -> EventColumns:
         return col
 
     return column("B"), column("i"), column("q"), column("d"), column("d")
-
-
-HEARTBEAT_MAGIC = 0x4842  # "HB"
-HEARTBEAT_VERSION = 2
-
-#: Flag bit set on the unconditional last heartbeat a worker emits at
-#: EOF (so a finished run always carries >= 1 sample per worker, at
-#: any interval).
-HEARTBEAT_FLAG_FINAL = 1
-
-#: The per-phase busy seconds carried by a heartbeat, in wire order —
-#: must equal :data:`repro.obs.spans.WORKER_PHASES` (asserted by the
-#: tests; not imported here to keep the codec dependency-free).
-HEARTBEAT_PHASES = ("route", "probe", "insert", "meter_flush")
-
-#: magic u16 | version u8 | flags u8 | worker u32 | seq u32 |
-#: uptime f64 | mono f64 | batches/records/matches/live_postings u64 |
-#: busy/blocked f64 | bytes_in/bytes_out u64 | rss_bytes u64 |
-#: dropped u64 | 4 x phase seconds f64.
-_HEARTBEAT = struct.Struct("<HBBIIddQQQQddQQQQ4d")
-
-#: Whole-frame size including the leading tag byte. 141 bytes — far
-#: below POSIX ``PIPE_BUF`` (>= 512), so a non-blocking pipe write of
-#: one frame is atomic: it lands whole or raises ``EAGAIN``.
-HEARTBEAT_FRAME_BYTES = 1 + _HEARTBEAT.size
-
-
-def encode_heartbeat(
-    worker: int,
-    seq: int,
-    uptime_s: float,
-    mono: float,
-    counters: dict,
-    dropped: int = 0,
-    final: bool = False,
-) -> bytes:
-    """Pack one heartbeat sample (``counters`` is the dict produced by
-    :meth:`ShardWorker.telemetry_snapshot`) into a tagged frame."""
-    phases = counters.get("phase_s") or {}
-    return bytes([TAG_HEARTBEAT]) + _HEARTBEAT.pack(
-        HEARTBEAT_MAGIC,
-        HEARTBEAT_VERSION,
-        HEARTBEAT_FLAG_FINAL if final else 0,
-        worker,
-        seq,
-        uptime_s,
-        mono,
-        counters["batches"],
-        counters["records"],
-        counters["matches"],
-        counters["live_postings"],
-        counters["busy_s"],
-        counters["blocked_s"],
-        counters["bytes_in"],
-        counters["bytes_out"],
-        counters["rss_bytes"],
-        dropped,
-        *(phases.get(name, 0.0) for name in HEARTBEAT_PHASES),
-    )
-
-
-def decode_heartbeat(data: bytes) -> dict:
-    """Inverse of :func:`encode_heartbeat` (tag byte included)."""
-    if len(data) != HEARTBEAT_FRAME_BYTES:
-        raise CodecError(
-            f"heartbeat frame is {len(data)} bytes, "
-            f"expected {HEARTBEAT_FRAME_BYTES}"
-        )
-    if data[0] != TAG_HEARTBEAT:
-        raise CodecError(f"bad heartbeat tag 0x{data[0]:02x}")
-    fields = _HEARTBEAT.unpack_from(data, 1)
-    magic, version, flags = fields[0], fields[1], fields[2]
-    if magic != HEARTBEAT_MAGIC:
-        raise CodecError(f"bad heartbeat magic 0x{magic:04x}")
-    if version != HEARTBEAT_VERSION:
-        raise CodecError(f"unsupported heartbeat version {version}")
-    (
-        worker, seq, uptime_s, mono,
-        batches, records, matches, live_postings,
-        busy_s, blocked_s, bytes_in, bytes_out, rss_bytes, dropped,
-    ) = fields[3:17]
-    return {
-        "final": bool(flags & HEARTBEAT_FLAG_FINAL),
-        "worker": worker,
-        "seq": seq,
-        "uptime_s": uptime_s,
-        "mono": mono,
-        "batches": batches,
-        "records": records,
-        "matches": matches,
-        "live_postings": live_postings,
-        "busy_s": busy_s,
-        "blocked_s": blocked_s,
-        "bytes_in": bytes_in,
-        "bytes_out": bytes_out,
-        "rss_bytes": rss_bytes,
-        "dropped": dropped,
-        "phase_s": dict(zip(HEARTBEAT_PHASES, fields[17:])),
-    }

@@ -170,14 +170,8 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
         ).set(result.results / admitted if admitted else 1.0)
     gauges = (
         ("worker_busy_seconds", "seconds spent processing batches", "busy_s"),
-        (
-            "worker_blocked_seconds",
-            "seconds blocked waiting for input",
-            "blocked_s",
-        ),
         ("worker_batches", "batches processed", "batches"),
         ("worker_records", "records processed", "records"),
-        ("worker_bytes_in", "frame bytes received", "bytes_in"),
         ("worker_bytes_out", "match/span frame bytes sent", "bytes_out"),
         ("worker_lifetime_seconds", "seconds from start to loop end", "lifetime_s"),
         (
@@ -187,11 +181,6 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
             "peak_rss_bytes",
         ),
         ("worker_heartbeats", "heartbeat samples emitted", "heartbeats"),
-        (
-            "worker_heartbeats_dropped",
-            "heartbeat samples dropped (non-blocking write would block)",
-            "heartbeats_dropped",
-        ),
     )
     for stats in result.worker_stats:
         labels = {"component": WORKER_COMPONENT, "task": stats["worker"]}
@@ -200,14 +189,9 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
                 stats.get(key, 0) or 0
             )
         lifetime = stats.get("lifetime_s", 0.0) or 0.0
-        idle = max(
-            0.0, lifetime - stats["busy_s"] - (stats.get("blocked_s", 0.0) or 0.0)
-        )
         registry.gauge(
-            "worker_idle_seconds",
-            help="lifetime not spent busy or blocked",
-            **labels,
-        ).set(idle)
+            "worker_idle_seconds", help="lifetime not spent busy", **labels,
+        ).set(max(0.0, lifetime - stats["busy_s"]))
     return registry
 
 
@@ -235,19 +219,8 @@ def worker_health(
     critical alert) and true average (the run-end warning), and engine
     health signals (e.g. expiration lag) replay their peaks — the
     peak is exactly what those one-shot detectors key on.
-
-    One wall-clock detector joins in: worker starvation (each worker's
-    blocked seconds over its lifetime, carried in the summary
-    telemetry).
     """
     monitor = HealthMonitor(thresholds)
-    for stats in result.worker_stats:
-        lifetime = stats.get("lifetime_s", 0.0)
-        if lifetime > 0 and stats.get("blocked_s", 0.0) > 0:
-            monitor.on_signal(
-                WORKER_COMPONENT, stats["worker"], result.wall_s,
-                "worker_starved_fraction", stats["blocked_s"] / lifetime,
-            )
     for name, value in sorted(result.signals.items()):
         if name == "routing_fanout_fraction":
             continue  # replayed below with exact average semantics

@@ -38,7 +38,8 @@ under ``fork``, pickled once under ``spawn``, one code path either way
 — and :meth:`ShardWorker.run` self-selects its shards' tasks from them
 under both executors. The driver writes nothing after start-up: it goes
 from spawn straight to draining results, which return as match frames
-over one pipe per worker — the only results wire.
+over one pipe per worker — the only results wire, and the only pipe a
+worker has: live heartbeats are frames on it too.
 
 Results stream: workers ship at every batch boundary that has rows, and
 one loop over :func:`multiprocessing.connection.wait` consumes a frame
@@ -91,7 +92,6 @@ from repro.parallel.codec import (
     TAG_MATCHES,
     MatchTable,
     decode_event_frame,
-    decode_heartbeat,
     decode_match_batch,
     encode_event_frame,
 )
@@ -197,7 +197,7 @@ class ParallelJoinResult:
 
     def health(self, thresholds=None):
         """Finalized :class:`HealthMonitor` (load skew across workers,
-        routing fanout, worker starvation, engine signals)."""
+        routing fanout, engine signals)."""
         return worker_health(self, thresholds)
 
     def metrics_registry(self):
@@ -236,11 +236,12 @@ class ParallelJoinResult:
     # -- telemetry -----------------------------------------------------------
     def telemetry_document(self) -> List[Dict[str, object]]:
         """The full telemetry artefact (header line first). Raises
-        unless the run was started with ``telemetry=True``."""
+        unless the run was started with a ``heartbeat_interval`` or a
+        ``telemetry_out``."""
         if self.telemetry is None:
             raise ValueError(
-                "this run recorded no telemetry "
-                "(construct ParallelJoinRunner with telemetry=True)"
+                "this run recorded no telemetry (construct "
+                "ParallelJoinRunner with heartbeat_interval= or telemetry_out=)"
             )
         return list(self.telemetry)
 
@@ -345,12 +346,12 @@ class ParallelJoinRunner:
     batch-index downsampling stride for the high-rate batch-scoped
     phases (1 = record every batch).
 
-    ``telemetry=True`` (implied by ``telemetry_out`` or an explicit
-    ``heartbeat_interval``) switches on the live heartbeat channel
-    (see :mod:`repro.obs.timeseries`): each worker samples its rolling
-    counters every ``heartbeat_interval`` seconds onto a dedicated
-    non-blocking pipe, and the driver aggregates them into a rolling
-    time series with online health detection, optionally appended as
+    Telemetry is on iff ``heartbeat_interval`` or ``telemetry_out`` is
+    given (see :mod:`repro.obs.timeseries`): each worker samples its
+    rolling counters every ``heartbeat_interval`` seconds (default
+    :data:`~repro.obs.timeseries.DEFAULT_HEARTBEAT_INTERVAL`) onto its
+    result pipe, and the driver aggregates them into a rolling time
+    series with online load-skew detection, optionally appended as
     JSONL to ``telemetry_out``. Telemetry is monitoring-plane only —
     every observable stays bit-identical with it on or off.
 
@@ -379,7 +380,6 @@ class ParallelJoinRunner:
         start_method: Optional[str] = None,
         spans: bool = False,
         spans_sample: int = 1,
-        telemetry: bool = False,
         telemetry_out: Optional[str] = None,
         heartbeat_interval: Optional[float] = None,
         trace: bool = False,
@@ -424,9 +424,7 @@ class ParallelJoinRunner:
         self.spans = bool(spans)
         self.spans_sample = spans_sample
         self.telemetry = (
-            bool(telemetry)
-            or telemetry_out is not None
-            or heartbeat_interval is not None
+            telemetry_out is not None or heartbeat_interval is not None
         )
         self.telemetry_out = telemetry_out
         self.heartbeat_interval = (
@@ -478,7 +476,17 @@ class ParallelJoinRunner:
         execute = (
             self._run_process if self.executor == "process" else self._run_inline
         )
-        summaries = execute(run, plan, records)
+        try:
+            summaries = execute(run, plan, records)
+        except (ParallelWorkerError, KeyboardInterrupt) as error:
+            if run.telemetry is not None:
+                # Close the file with its one final row, so a reader
+                # tailing it (``repro top``) sees the run end.
+                run.telemetry.finalize(
+                    time.monotonic() - started, len(records), run.results,
+                    error=str(error) or type(error).__name__,
+                )
+            raise
         return self._merge(run, plan, records, summaries)
 
     def _run_process(self, run: _Run, plan, records):
@@ -490,16 +498,9 @@ class ParallelJoinRunner:
         ctx = mp.get_context(self.start_method)
         conns = []
         procs = []
-        hb_conns = []
         try:
             for w in range(workers):
                 parent, child = ctx.Pipe(duplex=True)
-                hb_send = None
-                if telemetry is not None:
-                    # Dedicated one-way heartbeat pipe: the monitoring
-                    # plane never shares the result pipe.
-                    hb_recv, hb_send = ctx.Pipe(duplex=False)
-                    hb_conns.append(hb_recv)
                 # The one publish: records and plan ride the start-up
                 # arguments (inherited under fork, pickled under spawn).
                 proc = ctx.Process(
@@ -508,7 +509,6 @@ class ParallelJoinRunner:
                         child, w, self.config, run.assignment[w],
                         records, plan, self.batch_size,
                         run.spans_sample,
-                        hb_send,
                         self.heartbeat_interval if telemetry is not None else 0.0,
                         run.trace_sample,
                     ),
@@ -516,36 +516,19 @@ class ParallelJoinRunner:
                 )
                 proc.start()
                 child.close()
-                if hb_send is not None:
-                    hb_send.close()
                 conns.append(parent)
                 procs.append(proc)
             run.window(_SETUP, run.started)
 
-            def beat(conn) -> None:
-                """One heartbeat frame off a readable heartbeat pipe; a
-                closed write end (worker exited) retires the pipe."""
-                try:
-                    msg = conn.recv_bytes()
-                except (EOFError, OSError):
-                    beats.remove(conn)
-                    return
-                if msg and msg[0] == TAG_HEARTBEAT:
-                    telemetry.on_heartbeat(decode_heartbeat(msg))
-
             t_drain = time.monotonic()
-            beats = list(hb_conns)
             #: Result pipe → its worker, until that worker's TAG_DONE.
             pending = {conn: w for w, conn in enumerate(conns)}
             summaries: List[Optional[dict]] = [None] * workers
             while pending:
-                # Every pipe at once: a frame, a heartbeat or a dead
-                # worker's EOF is handled when it arrives, whoever's.
-                for conn in wait([*pending, *beats]):
-                    w = pending.get(conn)
-                    if w is None:
-                        beat(conn)
-                        continue
+                # Every pipe at once: a frame or a dead worker's EOF is
+                # handled when it arrives, whoever's.
+                for conn in wait(list(pending)):
+                    w = pending[conn]
                     try:
                         msg = conn.recv_bytes()
                     except EOFError:
@@ -557,6 +540,8 @@ class ParallelJoinRunner:
                     body = memoryview(msg)[1:]
                     if tag == TAG_MATCHES:
                         run.consume(w, decode_match_batch(body))
+                    elif tag == TAG_HEARTBEAT:
+                        telemetry.on_heartbeat(pickle.loads(body))
                     elif tag == TAG_EVENTS:
                         run.columns[w] = decode_event_frame(body)
                     elif tag == TAG_DONE:
@@ -570,18 +555,10 @@ class ParallelJoinRunner:
                         )
             for proc in procs:
                 proc.join()
-            # Workers closed their heartbeat ends on exit; take whatever
-            # is still buffered (the flagged final samples) through to
-            # EOF.
-            while beats and (ready := wait(beats, 0)):
-                for conn in ready:
-                    beat(conn)
             run.window(_DRAIN, t_drain)
             return summaries
         finally:
             for conn in conns:
-                conn.close()
-            for conn in hb_conns:
                 conn.close()
             for proc in procs:
                 if proc.is_alive():
@@ -602,14 +579,6 @@ class ParallelJoinRunner:
         ]
         run.window(_SETUP, run.started)
 
-        def loopback(frame: bytes) -> bool:
-            """The inline heartbeat sink: samples round-trip through
-            the wire codec so the inline differential grid covers the
-            heartbeat frame format exactly like it covers the event-log
-            codec — and nothing is ever dropped."""
-            telemetry.on_heartbeat(decode_heartbeat(frame))
-            return True
-
         t_drain = monotonic()
         summaries = []
         for w, worker in enumerate(pool):
@@ -617,7 +586,9 @@ class ParallelJoinRunner:
             # input — what the processes do side by side.
             born = monotonic()
             emitter = (
-                HeartbeatEmitter(loopback, w, self.heartbeat_interval)
+                HeartbeatEmitter(
+                    telemetry.on_heartbeat, w, self.heartbeat_interval
+                )
                 if telemetry is not None
                 else None
             )
@@ -636,7 +607,6 @@ class ParallelJoinRunner:
             summary["fanout"] = fanout
             if emitter is not None:
                 summary["heartbeats"] = emitter.seq
-                summary["heartbeats_dropped"] = emitter.dropped
             summaries.append(summary)
             if worker.log is not None:
                 # Round-trip the event log through the wire frame, so
@@ -734,14 +704,11 @@ class ParallelJoinRunner:
                     "batches": summary["batches"],
                     "busy_s": summary["busy_s"],
                     "intervals": summary["intervals"],
-                    "blocked_s": summary.get("blocked_s", 0.0),
-                    "bytes_in": summary.get("bytes_in", 0),
                     "bytes_out": summary.get("bytes_out", 0),
                     "lifetime_s": summary.get("lifetime_s", 0.0),
                     "peak_rss_bytes": summary.get("peak_rss_bytes", 0),
                     "span_count": summary.get("span_count", 0),
                     "heartbeats": summary.get("heartbeats", 0),
-                    "heartbeats_dropped": summary.get("heartbeats_dropped", 0),
                 }
             )
         operations, events, signals = merge_meters(shard_meters)
@@ -878,8 +845,6 @@ def run_serial(
                 "batches": 0,
                 "busy_s": wall_s,
                 "intervals": [(started, started + wall_s)],
-                "blocked_s": 0.0,
-                "bytes_in": 0,
                 "bytes_out": 0,
                 "lifetime_s": wall_s,
                 "peak_rss_bytes": peak_rss_bytes(),

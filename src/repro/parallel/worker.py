@@ -22,6 +22,8 @@ per worker, message = one ``send_bytes`` frame, first byte = tag, tags
 defined in :mod:`repro.parallel.codec`):
 
     worker → driver   TAG_MATCHES   match batch (codec), repeated
+                      TAG_HEARTBEAT pickled live-counter dict, iff
+                                    telemetry is on, repeated
                       TAG_EVENTS    event-log frame (codec), iff spans or
                                     tracing are on
                       TAG_DONE      pickled summary dict
@@ -34,18 +36,17 @@ summary follow when the loop ends.
 
 Deadlock freedom: the driver never writes after start-up and reads
 every worker's pipe at once, so no wait cycle exists. A worker blocked
-writing a match frame waits only for the driver, and the driver waits
-for no worker in particular.
+writing a frame — matches or heartbeat — waits only for the driver,
+and the driver waits for no worker in particular.
 
-Live telemetry rides a *separate* one-way heartbeat pipe per worker:
-:class:`HeartbeatEmitter` hands :func:`pipe_sink` one fixed-size
-``TAG_HEARTBEAT`` frame per sampling interval, polled after every
-batch and written with the pipe in non-blocking mode — the frame is
-far below ``PIPE_BUF``, so the write either lands atomically or raises
-``BlockingIOError``, in which case the sample is dropped (and counted)
-rather than ever blocking the worker on the monitoring plane. A final
-flagged heartbeat is always emitted when the loop ends, so every
-finished run carries at least one sample per worker at any interval.
+Live telemetry rides the same pipe: :class:`HeartbeatEmitter` is polled
+at every batch boundary, after the batch's match ship, and when a
+sample is due writes one ``TAG_HEARTBEAT`` frame — a blocking write
+like every other. Frames of one pipe arrive in order, so a sample's
+``matches`` is exactly the rows the driver has already taken from that
+worker. A final flagged heartbeat is always written when the loop ends,
+before ``TAG_DONE``, so every finished run carries at least one sample
+per worker at any interval.
 
 One batch path: :meth:`ShardWorker.run` (called by :func:`worker_main`
 and by the runtime's inline executor alike) hands every batch to
@@ -70,7 +71,6 @@ summary.
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 import time
@@ -84,7 +84,7 @@ from repro.core.metering import WorkMeter
 from repro.core.shard_engine import build_shard_engine
 from repro.obs.eventlog import RECORD_SCOPE, EventLog
 from repro.obs.rectrace import EVENT_ID
-from repro.obs.spans import PHASE_ID
+from repro.obs.spans import PHASE_ID, WORKER_PHASES
 from repro.parallel.codec import (
     INDEX,
     PROBE,
@@ -93,10 +93,8 @@ from repro.parallel.codec import (
     TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
-    HEARTBEAT_PHASES,
     MatchTable,
     encode_event_frame,
-    encode_heartbeat,
 )
 from repro.records import Record
 from repro.routing.base import fanout_fraction
@@ -105,13 +103,14 @@ from repro.similarity.functions import get_similarity
 __all__ = [
     "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS", "TAG_HEARTBEAT", "TAG_ERROR",
     "MATCH_CHUNK", "peak_rss_bytes", "build_shard_engine",
-    "ShardWorker", "HeartbeatEmitter", "pipe_sink", "worker_main",
+    "ShardWorker", "HeartbeatEmitter", "worker_main",
 ]
 
 #: Rows per TAG_MATCHES frame — bounds peak frame size (~40 bytes/row).
 MATCH_CHUNK = 16384
 
 _MATCHES_TAG = bytes([TAG_MATCHES])
+_HEARTBEAT_TAG = bytes([TAG_HEARTBEAT])
 
 _ROUTE = PHASE_ID["route"]
 _PROBE_PHASE = PHASE_ID["probe"]
@@ -205,11 +204,7 @@ class ShardWorker:
         #: Telemetry: result-frame bytes sent so far (what the ``ship``
         #: hook returned, plus the event frame) and, filled by the
         #: hosting loop (``worker_main`` or the inline executor), the
-        #: worker's total lifetime. ``blocked_s`` / ``bytes_in`` stay zero — a
-        #: worker never waits for, or receives, a record — and exist for
-        #: the heartbeat frame and artefact schemas that carry them.
-        self.blocked_s = 0.0
-        self.bytes_in = 0
+        #: worker's total lifetime.
         self.bytes_out = 0
         self.lifetime_s = 0.0
         #: The worker's one event log — spans and trace events both —
@@ -226,17 +221,15 @@ class ShardWorker:
         self._batch_seq: Dict[int, int] = {}
 
     def telemetry_snapshot(self) -> dict:
-        """Rolling counters for one heartbeat frame — O(shards) plus,
-        when spans are on, a pass over the rows logged since the last
+        """Rolling counters for one heartbeat — O(shards) plus, when
+        spans are on, a pass over the rows logged since the last
         snapshot for the per-phase split. Pure read: touches no engine
         or meter state, so sampling can never perturb an observable."""
         if self.log is not None:
             by_id = self.log.phase_seconds()
-            phase_s = {
-                name: by_id[PHASE_ID[name]] for name in HEARTBEAT_PHASES
-            }
+            phase_s = {name: by_id[PHASE_ID[name]] for name in WORKER_PHASES}
         else:
-            phase_s = {name: 0.0 for name in HEARTBEAT_PHASES}
+            phase_s = {name: 0.0 for name in WORKER_PHASES}
         return {
             "batches": self.batches,
             "records": self.records,
@@ -245,8 +238,6 @@ class ShardWorker:
                 engine.live_postings for engine in self.engines.values()
             ),
             "busy_s": self.busy_s,
-            "blocked_s": self.blocked_s,
-            "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "rss_bytes": peak_rss_bytes(),
             "phase_s": phase_s,
@@ -440,8 +431,6 @@ class ShardWorker:
             "batches": self.batches,
             "busy_s": self.busy_s,
             "intervals": list(self.intervals),
-            "blocked_s": self.blocked_s,
-            "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "lifetime_s": self.lifetime_s,
             "peak_rss_bytes": peak_rss_bytes(),
@@ -451,43 +440,16 @@ class ShardWorker:
         }
 
 
-def pipe_sink(conn):
-    """The heartbeat sink of a process worker: a non-blocking write on
-    its dedicated pipe.
-
-    The connection's fd is switched to non-blocking mode here; one
-    frame is far below ``PIPE_BUF`` and ``send_bytes`` issues it as a
-    single write, so each write is atomic — it lands whole (``True``)
-    or raises ``BlockingIOError``, and the sample is dropped
-    (``False``). A vanished reader is a drop too: monitoring must not
-    kill the run. The worker therefore *never* blocks on the monitoring
-    plane, which is what keeps the result-pipe deadlock-freedom
-    argument intact with telemetry enabled.
-    """
-    os.set_blocking(conn.fileno(), False)
-
-    def write(frame: bytes) -> bool:
-        try:
-            conn.send_bytes(frame)
-        except OSError:  # BlockingIOError and InterruptedError included
-            return False
-        return True
-
-    return write
-
-
 class HeartbeatEmitter:
-    """One worker's ``TAG_HEARTBEAT`` schedule: due times, sequence
-    numbers and frames, handed to ``sink(frame) -> delivered``.
+    """One worker's ``TAG_HEARTBEAT`` schedule: due times and sequence
+    numbers, each sample handed to ``sink(sample)``.
 
-    The sink is the only part that knows where a frame goes —
-    :func:`pipe_sink` for a process worker, the telemetry recorder
-    itself (through the codec) for the inline executor — so both
-    executors sample on the same schedule with the same frame.
-
-    ``seq`` increments only on delivered frames, so the driver sees a
-    strictly increasing, gap-free sequence per worker; drops surface
-    through the ``dropped`` counter carried in every later frame.
+    The sink is the only part that knows where a sample goes — a tagged
+    pickle on the result pipe for a process worker (:func:`worker_main`),
+    :meth:`~repro.obs.timeseries.TelemetryRecorder.on_heartbeat` for the
+    inline executor — so both executors sample on the same schedule.
+    Every sample is delivered, so ``seq`` is strictly increasing and
+    gap-free per worker.
     """
 
     def __init__(self, sink, worker: int, interval: float):
@@ -497,34 +459,24 @@ class HeartbeatEmitter:
         self.worker = worker
         self.interval = interval
         self.seq = 0
-        self.dropped = 0
         self._born = time.monotonic()
         self._next_due = self._born + interval
 
-    def emit(self, counters: dict, final: bool = False, retries: int = 0) -> bool:
-        """Pack one frame and hand it to the sink; ``retries`` bounds
-        short waits for the final flagged sample (still never an
-        unbounded block)."""
+    def emit(self, counters: dict, final: bool = False) -> None:
+        """Stamp ``counters`` (a :meth:`ShardWorker.telemetry_snapshot`)
+        and hand the sample to the sink."""
         now = time.monotonic()
-        frame = encode_heartbeat(
-            self.worker, self.seq, now - self._born, now,
-            counters, dropped=self.dropped, final=final,
-        )
         self._next_due = now + self.interval
-        for attempt in range(retries + 1):
-            if self.sink(frame):
-                self.seq += 1
-                return True
-            if attempt < retries:
-                time.sleep(0.001)
-        self.dropped += 1
-        return False
+        self.sink({
+            "worker": self.worker, "seq": self.seq, "final": final,
+            "uptime_s": now - self._born, **counters,
+        })
+        self.seq += 1
 
-    def maybe_emit(self, worker: "ShardWorker") -> bool:
+    def maybe_emit(self, worker: "ShardWorker") -> None:
         """Emit one sample iff the interval has elapsed."""
-        if time.monotonic() < self._next_due:
-            return False
-        return self.emit(worker.telemetry_snapshot())
+        if time.monotonic() >= self._next_due:
+            self.emit(worker.telemetry_snapshot())
 
 
 def ship_matches(table: MatchTable, conn) -> int:
@@ -549,7 +501,6 @@ def worker_main(
     plan,
     batch_size: int,
     spans_sample: int = 0,
-    heartbeat=None,
     heartbeat_interval: float = 0.0,
     trace_sample: int = 0,
 ) -> None:
@@ -560,9 +511,9 @@ def worker_main(
     once under ``spawn`` — which :meth:`ShardWorker.run` walks for the
     hosted ``shard_ids``; nothing is read from ``conn``.
 
-    ``heartbeat`` is the optional write end of the worker's dedicated
-    heartbeat pipe; with ``heartbeat_interval > 0`` a rolling-counter
-    frame is emitted after any batch that finds a sample due.
+    With ``heartbeat_interval > 0`` a rolling-counter ``TAG_HEARTBEAT``
+    frame follows any batch that finds a sample due, and a final one
+    precedes ``TAG_DONE``.
     ``spans_sample`` / ``trace_sample`` are the :class:`ShardWorker`
     strides (0 = off).
     """
@@ -574,9 +525,12 @@ def worker_main(
             trace_sample=trace_sample,
         )
         emitter = None
-        if heartbeat is not None and heartbeat_interval > 0:
+        if heartbeat_interval > 0:
             emitter = HeartbeatEmitter(
-                pipe_sink(heartbeat), worker_id, heartbeat_interval
+                lambda sample: conn.send_bytes(
+                    _HEARTBEAT_TAG + pickle.dumps(sample)
+                ),
+                worker_id, heartbeat_interval,
             )
         ship = partial(ship_matches, conn=conn)
         fanout = worker.run(records, plan, batch_size, emitter, ship)
@@ -591,14 +545,12 @@ def worker_main(
         if emitter is not None:
             # The unconditional flagged sample: every finished run
             # carries >= 1 heartbeat per worker, whatever the interval,
-            # and its counters are the run's totals. Bounded retries,
-            # never a block.
-            emitter.emit(worker.telemetry_snapshot(), final=True, retries=3)
+            # and its counters are the run's totals.
+            emitter.emit(worker.telemetry_snapshot(), final=True)
         summary = worker.finish()
         summary["fanout"] = fanout
         if emitter is not None:
             summary["heartbeats"] = emitter.seq
-            summary["heartbeats_dropped"] = emitter.dropped
         conn.send_bytes(bytes([TAG_DONE]) + pickle.dumps(summary))
     except Exception:
         try:
@@ -611,9 +563,4 @@ def worker_main(
         except Exception:
             pass
     finally:
-        if heartbeat is not None:
-            try:
-                heartbeat.close()
-            except OSError:
-                pass
         conn.close()

@@ -214,7 +214,7 @@ class TestIngestAdapters:
     @pytest.fixture
     def artefacts(self, tmp_path, config, records):
         result = ParallelJoinRunner(
-            config, workers=2, trace=True, spans=True, telemetry=True
+            config, workers=2, trace=True, spans=True, heartbeat_interval=0.25
         ).run(records)
         paths = {
             "rectrace": str(tmp_path / "rect.jsonl"),

@@ -124,48 +124,6 @@ class TestExpirationLag:
         assert monitor.events == []
 
 
-class TestStarvationBoundaries:
-    """Exact threshold semantics: ``>=`` at 0.6 (warning) / 0.9
-    (critical)."""
-
-    SIGNAL = "worker_starved_fraction"
-
-    def test_just_below_warning_is_silent(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("pworker", 0, 0.1, self.SIGNAL, 0.5999999)
-        assert monitor.events == []
-
-    def test_exactly_warning_threshold_fires(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("pworker", 0, 0.1, self.SIGNAL, 0.6)
-        (event,) = monitor.events
-        assert (event.severity, event.detector) == (
-            "warning", "worker_starvation")
-        assert event.threshold == 0.6
-
-    def test_exactly_critical_threshold_fires(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("pworker", 1, 0.1, self.SIGNAL, 0.9)
-        (event,) = monitor.events
-        assert event.severity == "critical"
-        assert event.threshold == 0.9
-        assert event.task == 1
-
-    def test_one_shot_rearms_across_levels(self):
-        monitor = HealthMonitor()
-        monitor.on_signal("pworker", 0, 0.1, self.SIGNAL, 0.65)  # warning
-        monitor.on_signal("pworker", 0, 0.2, self.SIGNAL, 0.7)   # suppressed
-        monitor.on_signal("pworker", 0, 0.3, self.SIGNAL, 0.95)  # critical
-        monitor.on_signal("pworker", 0, 0.4, self.SIGNAL, 0.99)  # suppressed
-        assert [e.severity for e in monitor.events] == ["warning", "critical"]
-
-    def test_custom_thresholds_respected(self):
-        monitor = HealthMonitor(HealthThresholds(
-            starvation_warning=0.1, starvation_critical=0.2))
-        monitor.on_signal("pworker", 0, 0.1, self.SIGNAL, 0.15)
-        assert [e.severity for e in monitor.events] == ["warning"]
-
-
 class TestOnlineLoadSkew:
     """The telemetry-fed ``on_busy_snapshot`` detector: same thresholds
     as finalize's end-of-run pass (1.5 warning / 3.0 critical), but

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.config import JoinConfig
 from repro.obs.baseline import compare_fingerprints
+from repro.obs.timeseries import telemetry_smoke
 from repro.parallel import ParallelJoinRunner, run_serial
 from repro.parallel.worker import ShardWorker
 from repro.records import Record
@@ -250,7 +251,8 @@ class TestProcessExecutor:
 class TestStartMethods:
     """One publish, two ways to receive it: a forked worker inherits
     ``(records, plan)``, a spawned one unpickles them. Both must walk
-    them to the same result, batch for batch."""
+    them to the same result, batch for batch. The two-worker, four-shard
+    cell also runs heartbeats, so ``spawn`` covers that path too."""
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -259,12 +261,14 @@ class TestStartMethods:
         records = fuzz_records(seed=91, n=200)
         serial = run_serial(config, records, num_shards)
         assert serial.results > 0 and serial.operation("posting_expire") > 0
+        heartbeat_interval = 0.01 if (workers, num_shards) == (2, 4) else None
         per_worker = {}
         for start_method in ("fork", "spawn"):
             result = try_process_run(
                 ParallelJoinRunner(
                     config, workers=workers, num_shards=num_shards,
                     batch_size=16, start_method=start_method,
+                    heartbeat_interval=heartbeat_interval,
                 ),
                 records,
             )
@@ -272,6 +276,8 @@ class TestStartMethods:
                 serial, result,
                 f"{start_method} w={workers} shards={num_shards}",
             )
+            if heartbeat_interval is not None:
+                assert telemetry_smoke(result.telemetry) == []
             per_worker[start_method] = [
                 (stats["batches"], stats["records"])
                 for stats in result.worker_stats

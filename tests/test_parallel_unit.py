@@ -674,13 +674,19 @@ class TestRunFailure:
         except ChildProcessError:
             pass  # no children at all
 
-    def test_sigkilled_worker_fails_fast_without_zombies(self, monkeypatch):
+    @pytest.mark.parametrize("heartbeat_interval", [None, 0.01], ids=["off", "on"])
+    def test_sigkilled_worker_fails_fast_without_zombies(
+        self, monkeypatch, tmp_path, heartbeat_interval
+    ):
         """Worker 1 of two SIGKILLed inside ``ShardWorker.run``, a few
         batches into its loop, while worker 0 — slowed to several
         seconds — is still running: ``ParallelWorkerError`` in well
         under half of worker 0's run time (the driver reads every pipe
         at once, so a dead worker is its own pipe's EOF, not something
-        found after its predecessors finish), no zombie left behind."""
+        found after its predecessors finish), no zombie left behind.
+        With heartbeats on, the telemetry file still closes: its last
+        row is a ``final`` row carrying the error, the smoke gate fails
+        on it, and ``repro top`` (following, not ``--once``) returns."""
         real = ShardWorker.process_batch
 
         def dying(self, shard, items):
@@ -697,8 +703,12 @@ class TestRunFailure:
         ).run(records, sink=lambda frame: None).worker_stats[0]["batches"]
         assert 0.1 * batches > 4.0, "worker 0 would not outlive the check"
         monkeypatch.setattr(ShardWorker, "process_batch", dying)
+        telemetry_out = None
+        if heartbeat_interval is not None:
+            telemetry_out = str(tmp_path / "run.telemetry.jsonl")
         runner = ParallelJoinRunner(
             config, workers=2, executor="process", start_method="fork",
+            heartbeat_interval=heartbeat_interval, telemetry_out=telemetry_out,
         )
         started = time.monotonic()
         with pytest.raises(ParallelWorkerError, match="worker 1 exited"):
@@ -708,6 +718,18 @@ class TestRunFailure:
                 pytest.skip(f"multiprocessing unavailable: {error}")
         assert time.monotonic() - started < 2.0
         self.assert_no_zombie()
+        if telemetry_out is None:
+            return
+        from repro.cli import main
+        from repro.obs.timeseries import load_telemetry_jsonl, telemetry_smoke
+
+        rows = load_telemetry_jsonl(telemetry_out)
+        assert rows[-1]["kind"] == "final"
+        assert "worker 1 exited" in rows[-1]["error"]
+        assert any("run failed" in f for f in telemetry_smoke(rows))
+        started = time.monotonic()
+        assert main(["top", telemetry_out, "--refresh", "0.05"]) == 0
+        assert time.monotonic() - started < 2.0
 
     def test_keyboard_interrupt_propagates_without_zombies(self, monkeypatch):
         """Ctrl-C mid-drain — raised where the driver decodes a match

@@ -318,7 +318,7 @@ class TestTracingDifferential:
         serial = run_serial(config, records)
         result = ParallelJoinRunner(
             config, workers=2, executor="inline",
-            trace=True, trace_sample=4, spans=True, telemetry=True,
+            trace=True, trace_sample=4, spans=True, heartbeat_interval=0.25,
         ).run(records)
         assert_equal_observables(serial, result, "trace+spans+telemetry")
         assert result.span_header is not None
@@ -414,7 +414,7 @@ class TestRectraceArtefact:
         monkeypatch.setattr("repro.obs.eventlog.EventLog.__init__", forbidden)
         result = ParallelJoinRunner(
             JoinConfig(threshold=0.6), workers=2, executor="inline",
-            telemetry=True,
+            heartbeat_interval=0.25,
         ).run(fuzz_records(seed=33, n=60))
         assert result.span_header is None and result.trace_header is None
         assert result.telemetry_samples() >= 2

@@ -12,8 +12,6 @@ import time
 
 import pytest
 
-from repro.obs.spans import WORKER_PHASES
-from repro.parallel.codec import HEARTBEAT_PHASES
 from repro.parallel.shm import RING_HEADER_BYTES, RingBuffer, RingError
 
 
@@ -129,8 +127,3 @@ class TestRingBuffer:
         assert stalled.is_set(), "ring never filled; test is vacuous"
         assert ring.free_bytes() == ring.capacity
 
-
-def test_heartbeat_phases_track_worker_phases():
-    """The heartbeat frame carries exactly the worker span phases, in
-    order — adding a phase to one without the other desyncs decode."""
-    assert HEARTBEAT_PHASES == WORKER_PHASES

@@ -1,4 +1,4 @@
-"""Live telemetry: heartbeat codec, recorder, analysis, differential.
+"""Live telemetry: recorder, analysis, differential, pipe ordering.
 
 The tentpole contract of the observability PR: heartbeats are
 monitoring-plane only. Every observable — match rows, operation and
@@ -27,102 +27,12 @@ from repro.obs.timeseries import (
     worker_series,
 )
 from repro.parallel import ParallelJoinRunner, run_serial
-from repro.parallel.codec import (
-    HEARTBEAT_FRAME_BYTES,
-    HEARTBEAT_PHASES,
-    TAG_HEARTBEAT,
-    CodecError,
-    decode_heartbeat,
-    encode_heartbeat,
-)
 
 from tests.test_parallel_differential import (
     assert_equal_observables,
     fuzz_records,
     try_process_run,
 )
-
-
-def _counters(**overrides):
-    counters = {
-        "batches": 7,
-        "records": 3500,
-        "matches": 41,
-        "live_postings": 12_000,
-        "busy_s": 1.25,
-        "blocked_s": 0.125,
-        "bytes_in": 65_536,
-        "bytes_out": 4_096,
-        "rss_bytes": 48 * 1024 * 1024,
-        "phase_s": {"probe": 0.8, "insert": 0.3, "route": 0.125},
-    }
-    counters.update(overrides)
-    return counters
-
-
-class TestHeartbeatCodec:
-    def test_round_trip_every_field(self):
-        frame = encode_heartbeat(
-            worker=3, seq=9, uptime_s=2.5, mono=123.456,
-            counters=_counters(), dropped=2, final=False,
-        )
-        assert len(frame) == HEARTBEAT_FRAME_BYTES
-        assert frame[0] == TAG_HEARTBEAT
-        sample = decode_heartbeat(frame)
-        assert sample["worker"] == 3
-        assert sample["seq"] == 9
-        assert sample["uptime_s"] == 2.5
-        assert sample["mono"] == 123.456
-        assert sample["batches"] == 7
-        assert sample["records"] == 3500
-        assert sample["matches"] == 41
-        assert sample["live_postings"] == 12_000
-        assert sample["busy_s"] == 1.25
-        assert sample["blocked_s"] == 0.125
-        assert sample["bytes_in"] == 65_536
-        assert sample["bytes_out"] == 4_096
-        assert sample["rss_bytes"] == 48 * 1024 * 1024
-        assert sample["dropped"] == 2
-        assert sample["final"] is False
-        assert sample["phase_s"] == {
-            "route": 0.125, "probe": 0.8, "insert": 0.3, "meter_flush": 0.0,
-        }
-
-    def test_final_flag_round_trips(self):
-        frame = encode_heartbeat(0, 1, 0.1, 0.0, _counters(), final=True)
-        assert decode_heartbeat(frame)["final"] is True
-
-    def test_frame_is_atomic_under_pipe_buf(self):
-        # POSIX guarantees atomicity of pipe writes up to PIPE_BUF
-        # (>= 512); the non-blocking heartbeat channel relies on it.
-        assert HEARTBEAT_FRAME_BYTES < 512
-
-    def test_truncated_frame_rejected(self):
-        frame = encode_heartbeat(0, 1, 0.1, 0.0, _counters())
-        with pytest.raises(CodecError, match="bytes"):
-            decode_heartbeat(frame[:-1])
-
-    def test_wrong_tag_rejected(self):
-        frame = encode_heartbeat(0, 1, 0.1, 0.0, _counters())
-        with pytest.raises(CodecError, match="tag"):
-            decode_heartbeat(bytes([0x7F]) + frame[1:])
-
-    def test_bad_magic_rejected(self):
-        frame = bytearray(encode_heartbeat(0, 1, 0.1, 0.0, _counters()))
-        frame[1] ^= 0xFF
-        with pytest.raises(CodecError, match="magic"):
-            decode_heartbeat(bytes(frame))
-
-    def test_unknown_version_rejected(self):
-        frame = bytearray(encode_heartbeat(0, 1, 0.1, 0.0, _counters()))
-        frame[3] = 99  # version byte follows the u16 magic
-        with pytest.raises(CodecError, match="version"):
-            decode_heartbeat(bytes(frame))
-
-    def test_phase_order_matches_span_vocabulary(self):
-        # codec.py keeps no import on repro.obs; this assertion is the
-        # contract that keeps the two phase vocabularies in lockstep.
-        assert HEARTBEAT_PHASES == WORKER_PHASES
 
 
 class TestDifferentialWithTelemetry:
@@ -134,17 +44,19 @@ class TestDifferentialWithTelemetry:
         records = fuzz_records(seed=4201)
         serial = run_serial(config, records)
         assert serial.results > 0
-        for interval in (None, 10.0, 0.001):
+        for interval in (None, DEFAULT_HEARTBEAT_INTERVAL, 10.0, 0.001):
             runner = ParallelJoinRunner(
                 config, workers=workers, executor="inline", batch_size=64,
-                telemetry=True, heartbeat_interval=interval,
+                heartbeat_interval=interval,
             )
             result = runner.run(records)
             assert_equal_observables(
                 serial, result,
                 f"inline workers={workers} interval={interval}",
             )
-            assert result.telemetry is not None
+            if interval is None:
+                assert result.telemetry is None
+                continue
             # The flagged EOF sample guarantees coverage at any interval.
             assert result.telemetry_samples() >= workers
 
@@ -157,8 +69,7 @@ class TestDifferentialWithTelemetry:
         )
         on = try_process_run(
             ParallelJoinRunner(
-                config, workers=2, batch_size=64,
-                telemetry=True, heartbeat_interval=0.005,
+                config, workers=2, batch_size=64, heartbeat_interval=0.005,
             ),
             records,
         )
@@ -212,13 +123,60 @@ class TestDifferentialWithTelemetry:
             r["matches"] for r in samples if r["final"]
         ) == result.results == result.telemetry[-1]["results"]
 
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_sample_matches_are_the_rows_already_consumed(
+        self, executor, monkeypatch
+    ):
+        """Heartbeats ride the result pipe, behind every match frame
+        their worker shipped before them: each sample's ``matches`` is
+        exactly the rows the driver had consumed from that worker when
+        the sample arrived — mid-run samples included."""
+        import time
+
+        from repro.parallel import runtime
+        from repro.parallel.worker import ShardWorker
+
+        real_batch = ShardWorker.process_batch
+        real_consume = runtime._Run.consume
+        real_beat = TelemetryRecorder.on_heartbeat
+        consumed = {}
+        arrivals = []
+
+        def slow(self, shard, items):
+            time.sleep(0.001)
+            real_batch(self, shard, items)
+
+        def consume(self, w, frame):
+            real_consume(self, w, frame)
+            consumed[w] = consumed.get(w, 0) + len(frame)
+
+        def on_heartbeat(self, sample):
+            arrivals.append(
+                (sample["matches"], consumed.get(sample["worker"], 0))
+            )
+            return real_beat(self, sample)
+
+        monkeypatch.setattr(ShardWorker, "process_batch", slow)
+        monkeypatch.setattr(runtime._Run, "consume", consume)
+        monkeypatch.setattr(TelemetryRecorder, "on_heartbeat", on_heartbeat)
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, batch_size=16,
+                executor=executor, heartbeat_interval=0.002,
+            ),
+            fuzz_records(seed=4208),
+        )
+        assert len(arrivals) == result.telemetry_samples() >= 8
+        assert all(matches == seen for matches, seen in arrivals), arrivals
+        assert any(0 < matches < result.results for matches, _ in arrivals)
+
     def test_telemetry_composes_with_spans(self):
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=4203)
         serial = run_serial(config, records)
         result = ParallelJoinRunner(
             config, workers=2, executor="inline", batch_size=64,
-            spans=True, telemetry=True, heartbeat_interval=0.001,
+            spans=True, heartbeat_interval=0.001,
         ).run(records)
         assert_equal_observables(serial, result, "inline spans+telemetry")
         assert result.span_rows
@@ -237,6 +195,7 @@ class TestRunnerSurface:
                 )
 
     def test_interval_or_out_path_implies_telemetry(self, tmp_path):
+        assert ParallelJoinRunner(JoinConfig()).telemetry is False
         runner = ParallelJoinRunner(
             JoinConfig(), executor="inline", heartbeat_interval=5.0
         )
@@ -259,7 +218,7 @@ class TestRunnerSurface:
             off.telemetry_document()
         on = ParallelJoinRunner(
             JoinConfig(threshold=0.6), workers=2, executor="inline",
-            telemetry=True,
+            heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
         ).run(records)
         doc = on.telemetry_document()
         assert doc[0]["kind"] == "header"
@@ -290,22 +249,20 @@ class TestRunnerSurface:
         records = fuzz_records(seed=4206, n=120)
         result = ParallelJoinRunner(
             JoinConfig(threshold=0.6), workers=2, executor="inline",
-            telemetry=True,
+            heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
         ).run(records)
         for stats in result.worker_stats:
             assert stats["heartbeats"] >= 1
-            assert stats["heartbeats_dropped"] == 0
 
 
 class TestRecorder:
     def _sample(self, worker=0, seq=1, **overrides):
         sample = {
             "final": False, "worker": worker, "seq": seq,
-            "uptime_s": 1.0, "mono": 0.0, "batches": 2, "records": 100,
+            "uptime_s": 1.0, "batches": 2, "records": 100,
             "matches": 3, "live_postings": 500, "busy_s": 0.5,
-            "blocked_s": 0.1, "bytes_in": 1024, "bytes_out": 256,
-            "rss_bytes": 1 << 20, "dropped": 0,
-            "phase_s": {name: 0.0 for name in HEARTBEAT_PHASES},
+            "bytes_out": 256, "rss_bytes": 1 << 20,
+            "phase_s": {name: 0.0 for name in WORKER_PHASES},
         }
         sample.update(overrides)
         return sample
@@ -328,7 +285,6 @@ class TestRecorder:
         row = recorder.on_heartbeat(self._sample())
         assert row["kind"] == "sample"
         assert row["t"] >= 0.0
-        assert "mono" not in row  # worker clock is dropped on arrival
         assert recorder.sample_count() == 1
         recorder.finalize(wall_s=1.0, records=100, results=3)
         doc = recorder.document()
@@ -342,31 +298,18 @@ class TestRecorder:
         assert first is second
         assert sum(1 for r in recorder.rows if r["kind"] == "final") == 1
 
-    def test_starvation_fed_per_sample_with_warmup_guard(self):
-        recorder = self._recorder(interval=0.25)
-        # uptime below 2x interval: warming up, no signal even at 100%.
-        recorder.on_heartbeat(
-            self._sample(seq=1, uptime_s=0.3, blocked_s=0.3))
-        assert not [r for r in recorder.rows if r["kind"] == "health"]
-        recorder.on_heartbeat(
-            self._sample(seq=2, uptime_s=1.0, blocked_s=0.95))
-        events = [r for r in recorder.rows if r["kind"] == "health"]
-        assert [e["detector"] for e in events] == ["worker_starvation"]
-        assert events[0]["severity"] == "critical"
-
     def test_skew_snapshot_needs_two_samples_per_worker(self):
         recorder = self._recorder(workers=2)
-        balanced = dict(uptime_s=10.0, blocked_s=0.0)
         recorder.on_heartbeat(
-            self._sample(worker=0, seq=1, busy_s=0.1, **balanced))
+            self._sample(worker=0, seq=1, busy_s=0.1, uptime_s=10.0))
         recorder.on_heartbeat(
-            self._sample(worker=1, seq=1, busy_s=9.0, **balanced))
+            self._sample(worker=1, seq=1, busy_s=9.0, uptime_s=10.0))
         # One sample each: the snapshot detector must stay quiet.
         assert not [r for r in recorder.rows if r["kind"] == "health"]
         recorder.on_heartbeat(
-            self._sample(worker=0, seq=2, busy_s=0.2, **balanced))
+            self._sample(worker=0, seq=2, busy_s=0.2, uptime_s=10.0))
         recorder.on_heartbeat(
-            self._sample(worker=1, seq=2, busy_s=18.0, **balanced))
+            self._sample(worker=1, seq=2, busy_s=18.0, uptime_s=10.0))
         events = [r for r in recorder.rows if r["kind"] == "health"]
         assert any(e["detector"] == "load_skew" for e in events)
 
@@ -404,6 +347,45 @@ class TestValidation:
         for row in document:
             view.feed(row)
         assert "worker 0" in view.render()
+
+    def test_schema_1_file_still_reads(self, tmp_path, capsys):
+        """A file from the separate heartbeat pipe: schema 1, samples
+        carrying the always-zero ``blocked_s`` / ``bytes_in`` and a
+        ``dropped`` count, a final row with the drop total. It passes
+        both gates, summarises and renders."""
+        from repro.cli import main
+
+        sample = dict(
+            TestRecorder()._sample(), kind="sample", t=0.3,
+            blocked_s=0.0, bytes_in=0, dropped=0,
+        )
+        document = [
+            {
+                "kind": "header", "schema": 1, "interval": 0.25,
+                "workers": 1, "shards": 8, "executor": "process",
+                "transport": "pipe",
+                "thresholds": {
+                    "skew_warning": 1.5, "starvation_warning": 0.6,
+                },
+            },
+            sample,
+            dict(sample, t=0.6, seq=2, uptime_s=2.0, records=200, final=True),
+            {
+                "kind": "final", "t": 0.7, "wall_s": 0.7, "records": 200,
+                "results": 3, "samples": 2, "dropped": 0,
+            },
+        ]
+        assert validate_telemetry_lines(document) == []
+        assert telemetry_smoke(document) == []
+        path = tmp_path / "schema1.telemetry.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in document))
+        assert main(["telemetry", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["workers"]["0"]["records"] == 200
+        assert summary["final"]["samples"] == 2
+        assert main(["top", str(path), "--once"]) == 0
+        frame = capsys.readouterr().out
+        assert "worker 0" in frame and "samples 2" in frame
 
     def test_empty_and_headerless_rejected(self):
         assert validate_telemetry_lines([]) == ["empty telemetry file"]
@@ -523,7 +505,7 @@ class TestAnalysis:
         })
         view.feed({
             "kind": "final", "wall_s": 0.4, "records": 600,
-            "results": 3, "samples": 3, "dropped": 0,
+            "results": 3, "samples": 3,
         })
         frame = view.render()
         assert "worker 0" in frame
