@@ -6,8 +6,9 @@ Eleven commands cover the workflows a downstream user needs:
     Run the distributed streaming join over a token file (one record
     per line, whitespace-separated tokens); print the report and,
     optionally, the similar pairs. ``--trace-out``/``--metrics-out``/
-    ``--health-out`` dump the run's tuple trace (JSONL), metrics
-    (JSON + Prometheus) and online health events (JSONL).
+    ``--health-out`` dump the run's record trace (rectrace JSONL, on
+    either runtime), metrics (JSON + Prometheus) and online health
+    events (JSONL).
 ``bench``
     Compare the method suite (BRD/PRE/LEN-U/LEN/LEN+BUN) on a synthetic
     corpus, print the standard table and write the machine-readable
@@ -20,15 +21,16 @@ Eleven commands cover the workflows a downstream user needs:
     it exits non-zero only on a cross-engine correctness mismatch,
     never on timings. Whole-join timings are ``benchmarks/e2e/run.py``.
 ``trace``
-    Run one instrumented join (synthetic corpus or token file) and
-    show where tuples spend their time: per-hop latency breakdown and
-    the per-task busy timeline. ``--smoke`` runs a tiny end-to-end
-    check that the trace, metrics and health dumps are non-empty,
-    schema-valid and consistent with the report — CI's observability
-    gate. Given a record-trace artefact (``join --parallel
-    --trace-out``) instead, analyzes it: per-stage p50/p95/p99
-    latency digest, slowest records, ``--chrome`` Perfetto export,
-    and a ``--smoke`` structural gate.
+    Run one instrumented simulated join (synthetic corpus or token
+    file) and show where records spend their time: the record trace's
+    per-stage p50/p95/p99 latency digest, slowest records, ``--json``,
+    ``--chrome`` Perfetto export, then the per-task busy timeline.
+    ``--smoke`` runs a tiny end-to-end check that the trace, metrics
+    and health dumps are non-empty, schema-valid and consistent with
+    the report — CI's observability gate. Given a record-trace artefact
+    (``--trace-out`` of either runtime) instead, analyzes it the same
+    way, or gates it with ``--smoke``; any other artefact is a pointed
+    error naming the command that reads it.
 ``spans``
     Analyze a wall-clock spans file written by ``join --parallel
     --spans-out``: per-actor phase breakdown, the critical path
@@ -79,6 +81,7 @@ Eleven commands cover the workflows a downstream user needs:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -106,6 +109,7 @@ from repro.datasets.corpora import CORPUS_BUILDERS
 from repro.datasets.loader import load_token_file, save_token_file
 from repro.obs import RunObserver
 from repro.obs.attribution import attribute_gap, render_attribution
+from repro.obs.artefact import artefact_family
 from repro.obs.baseline import (
     bench_fingerprint,
     compare_loaded,
@@ -115,7 +119,15 @@ from repro.obs.baseline import (
 )
 from repro.obs.exporters import load_metrics_json, metrics_to_json, write_metrics
 from repro.obs.health import load_health_jsonl, validate_health_lines
-from repro.obs.tracing import load_trace_jsonl, validate_trace_lines
+from repro.obs.rectrace import (
+    DEFAULT_TRACE_SAMPLE,
+    latency_digest,
+    load_rectrace_jsonl,
+    rectrace_smoke,
+    slowest_records,
+    split_rectrace,
+    validate_rectrace_lines,
+)
 from repro.sketch.recall import observables_recall
 from repro.storm.costmodel import CostModel
 
@@ -206,13 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="do not record this run in the persistent "
                            "archive (.repro/archive.db; see `repro "
                            "history`)")
-    join.add_argument("--trace-sample", type=int, default=None, metavar="N",
-                      help="trace records whose rid %% N == 0 across the "
-                           "process boundary (deterministic; default 16 "
-                           "when tracing); requires --parallel; with "
-                           "--trace-out writes the record-trace JSONL "
-                           "analyzed by `repro trace FILE`")
-    _add_obs_flags(join, default_stride=1)
+    _add_obs_flags(join)
 
     bench = commands.add_parser("bench", help="compare methods on a synthetic corpus")
     bench.add_argument("--corpus", default="TWEET", choices=sorted(CORPUS_BUILDERS))
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not record this run in the persistent "
                             "archive (.repro/archive.db; see `repro "
                             "history`)")
-    _add_obs_flags(bench, default_stride=100)
+    _add_obs_flags(bench)
 
     trace = commands.add_parser(
         "trace", help="run one instrumented join and show where time goes"
@@ -294,17 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--top", type=int, default=5,
                        help="slowest traces to break down")
     trace.add_argument("--smoke", action="store_true",
-                       help="tiny end-to-end run; validate trace+metrics "
-                            "dumps (on a record-trace file: schema + "
-                            "structure gate, exit 1 on failure)")
+                       help="tiny end-to-end run tracing every record; "
+                            "validate trace+metrics+health dumps (on a "
+                            "record-trace file: schema + structure gate); "
+                            "exit 1 on failure")
     trace.add_argument("--json", action="store_true",
-                       help="record-trace files only: emit the latency "
-                            "digest and slowest records as JSON")
+                       help="emit the latency digest and slowest records "
+                            "as JSON")
     trace.add_argument("--chrome", default=None, metavar="PATH",
-                       help="record-trace files only: export a Chrome "
+                       help="export the record trace as a Chrome "
                             "trace-event JSON timeline (load in "
                             "ui.perfetto.dev)")
-    _add_obs_flags(trace, default_stride=1)
+    _add_obs_flags(trace)
 
     spans = commands.add_parser(
         "spans", help="analyze a wall-clock spans file (join --parallel --spans-out)"
@@ -487,15 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_obs_flags(command: argparse.ArgumentParser, default_stride: int) -> None:
+def _add_obs_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write sampled per-tuple spans as JSONL")
+                         help="write the record trace (rectrace JSONL, "
+                              "analyzed by `repro trace FILE`)")
     command.add_argument("--metrics-out", default=None, metavar="BASE",
                          help="write the metrics registry to BASE.json "
                               "and BASE.prom")
-    command.add_argument("--trace-stride", type=int, default=default_stride,
-                         help="trace every Nth record (deterministic; "
-                              f"default {default_stride})")
+    command.add_argument("--trace-sample", type=int, default=None,
+                         metavar="N",
+                         help="trace records whose rid %% N == 0 "
+                              "(deterministic; default "
+                              f"{DEFAULT_TRACE_SAMPLE}); on join "
+                              "--parallel it switches tracing on even "
+                              "without --trace-out")
     command.add_argument("--timeline", action="store_true",
                          help="print the per-task busy/idle timeline")
     command.add_argument("--health-out", default=None, metavar="PATH",
@@ -503,31 +515,45 @@ def _add_obs_flags(command: argparse.ArgumentParser, default_stride: int) -> Non
                               "their events as JSONL")
 
 
+def _bad_trace_sample(args) -> bool:
+    """Print the pointed error for a non-positive ``--trace-sample``."""
+    if args.trace_sample is not None and args.trace_sample < 1:
+        print(f"{args.command}: --trace-sample must be >= 1, got "
+              f"{args.trace_sample}", file=sys.stderr)
+        return True
+    return False
+
+
+def _trace_sample(args) -> int:
+    """The rid stride ``--trace-sample`` asked for, or the default."""
+    return args.trace_sample if args.trace_sample is not None else DEFAULT_TRACE_SAMPLE
+
+
 def _make_observer(args) -> Optional[RunObserver]:
     """An observer matching the obs flags (None if nothing requested)."""
-    want_trace = args.trace_out is not None or getattr(args, "command", "") == "trace"
-    if want_trace and args.trace_stride < 1:
-        raise SystemExit(
-            f"{args.command}: --trace-stride must be >= 1 when tracing "
-            f"(got {args.trace_stride})"
-        )
+    want_trace = args.trace_out is not None or args.command == "trace"
     want_health = args.health_out is not None
     if not (want_trace or args.timeline or args.metrics_out or want_health):
         return None
     return RunObserver.create(
-        trace_stride=args.trace_stride if want_trace else 0,
-        timeline=args.timeline or getattr(args, "command", "") == "trace",
+        trace_sample=_trace_sample(args) if want_trace else 0,
+        timeline=args.timeline or args.command == "trace",
         health=want_health,
     )
+
+
+def _trace_line(path: str, lines: int, header) -> str:
+    return (f"trace: {lines} lines -> {path} ({header['traced']} records, "
+            f"{header['events']} events, sample {header['sample']})")
 
 
 def _write_artifacts(observer, report, args, label: str = "") -> None:
     """Write/print whatever the obs flags asked for."""
     suffix = f".{label}" if label else ""
-    if args.trace_out and observer is not None and observer.tracer is not None:
+    if args.trace_out and observer is not None and observer.trace is not None:
         path = _suffixed(args.trace_out, suffix)
-        lines = observer.tracer.write_jsonl(path)
-        print(f"trace: {lines} lines -> {path}")
+        lines = observer.write_trace(path)
+        print(_trace_line(path, lines, observer.trace[0]))
     if args.metrics_out:
         base = _suffixed(args.metrics_out, suffix)
         if observer is not None and observer.registry is not None:
@@ -617,17 +643,8 @@ def _cmd_join(args) -> int:
               "come from the multi-core runtime's worker processes; the "
               "simulated cluster has --health-out)", file=sys.stderr)
         return 2
-    if args.trace_sample is not None:
-        if not args.parallel:
-            print("join: --trace-sample requires --parallel (record traces "
-                  "follow rids across the multi-core runtime's process "
-                  "boundary; the simulated cluster samples with "
-                  "--trace-stride)", file=sys.stderr)
-            return 2
-        if args.trace_sample < 1:
-            print(f"join: --trace-sample must be >= 1, got "
-                  f"{args.trace_sample}", file=sys.stderr)
-            return 2
+    if _bad_trace_sample(args):
+        return 2
     if args.heartbeat_interval is not None:
         if not args.parallel:
             print("join: --heartbeat-interval requires --parallel (it sets "
@@ -751,7 +768,6 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         print("join: --parallel workers route for themselves; "
               "--dispatchers does not apply", file=sys.stderr)
         return 2
-    from repro.obs.rectrace import DEFAULT_TRACE_SAMPLE
     from repro.parallel import ParallelJoinRunner
 
     trace = args.trace_out is not None or args.trace_sample is not None
@@ -763,11 +779,7 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         telemetry_out=args.telemetry_out,
         heartbeat_interval=args.heartbeat_interval,
         trace=trace,
-        trace_sample=(
-            args.trace_sample
-            if args.trace_sample is not None
-            else DEFAULT_TRACE_SAMPLE
-        ),
+        trace_sample=_trace_sample(args),
     )
     # Nothing reads the rows unless --pairs / --recall-floor asked for
     # them: hand each frame to a discarding sink and hold no result.
@@ -801,10 +813,7 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
               f"(driver coverage {coverage:.1%})")
     if args.trace_out and result.trace_header is not None:
         lines = result.write_rectrace(args.trace_out)
-        header = result.trace_header
-        print(f"trace: {lines} lines -> {args.trace_out} "
-              f"({header['traced']} records, {header['events']} events, "
-              f"sample {header['sample']})")
+        print(_trace_line(args.trace_out, lines, result.trace_header))
     if result.telemetry is not None:
         samples = result.telemetry_samples()
         health_events = sum(
@@ -851,6 +860,8 @@ def _cmd_bench(args) -> int:
                 return 2
     if args.wallclock:
         return _bench_wallclock(args)
+    if _bad_trace_sample(args):
+        return 2
     builder = CORPUS_BUILDERS[args.corpus]
     kwargs = {"seed": args.seed}
     if args.vocabulary is not None:
@@ -972,12 +983,13 @@ def _bench_wallclock(args) -> int:
     return 0
 
 
-def _is_rectrace_artefact(path: str) -> bool:
-    """Whether ``path``'s first non-empty line is a rectrace header.
+def _artefact_header(path: str) -> Optional[dict]:
+    """``path``'s first non-empty line when it is a JSONL artefact
+    header (``kind: "header"``), else ``None``.
 
     Token files can't parse as JSON objects, so the sniff cleanly
-    separates ``repro trace CORPUS`` (simulated-topology tracing) from
-    ``repro trace RECTRACE.jsonl`` (record-trace analysis)."""
+    separates ``repro trace CORPUS`` (a simulated join) from ``repro
+    trace ARTEFACT.jsonl`` (analysis, or a pointed error)."""
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
@@ -987,30 +999,43 @@ def _is_rectrace_artefact(path: str) -> bool:
                 try:
                     row = json.loads(line)
                 except ValueError:
-                    return False
-                return (
-                    isinstance(row, dict)
-                    and row.get("kind") == "header"
-                    and row.get("artefact") == "rectrace"
-                )
+                    return None
+                if isinstance(row, dict) and row.get("kind") == "header":
+                    return row
+                return None
     except OSError:
-        return False
-    return False
+        return None
+    return None
+
+
+#: What reads each non-trace artefact family, for ``repro trace``'s
+#: pointed error.
+_ARTEFACT_READERS = {
+    "spans": "a spans artefact (--spans-out); read it with `repro spans`",
+    "telemetry": ("a telemetry artefact (--telemetry-out); read it with "
+                  "`repro telemetry` or `repro top`"),
+    "health": ("a health-event artefact (--health-out); the run that "
+               "wrote it printed its events, and `repro trace --smoke` "
+               "validates the format"),
+}
+
+
+def _not_a_trace(path: str, header: dict) -> str:
+    """Why ``repro trace`` refuses an artefact header that is not a
+    record trace, naming what reads it instead."""
+    if "sampler" in header:
+        return (f"trace: {path} is a tuple trace from before the simulator "
+                f"wrote record traces; no command reads it any more — "
+                f"re-run with --trace-out")
+    family = artefact_family([header])
+    if family in _ARTEFACT_READERS:
+        return f"trace: {path} is {_ARTEFACT_READERS[family]}"
+    return f"trace: {path} is a JSONL artefact but not a record trace"
 
 
 def _trace_rectrace(args) -> int:
     """``repro trace FILE``: analyze (or smoke-gate) a record-trace
-    artefact written by ``join --parallel --trace-out``."""
-    from repro.obs.chrome import rectrace_to_chrome, write_chrome
-    from repro.obs.rectrace import (
-        latency_digest,
-        load_rectrace_jsonl,
-        rectrace_smoke,
-        slowest_records,
-        split_rectrace,
-        validate_rectrace_lines,
-    )
-
+    artefact written by ``--trace-out``."""
     try:
         rows = load_rectrace_jsonl(args.input)
     except (OSError, ValueError) as error:
@@ -1029,17 +1054,27 @@ def _trace_rectrace(args) -> int:
             for error in errors:
                 print(f"trace: {args.input}: {error}", file=sys.stderr)
             return 2
+    _render_rectrace(args, rows, args.input)
+    return 0
+
+
+def _render_rectrace(args, rows, source: str) -> None:
+    """Print a rectrace document — a loaded file or a simulated run's
+    in-memory one: ``--chrome`` export, then the smoke verdict, the
+    ``--json`` digest, or the per-stage digest and slowest records."""
+    from repro.obs.chrome import rectrace_to_chrome, write_chrome
 
     header, events = split_rectrace(rows)
     if args.chrome:
         count = write_chrome(args.chrome, rectrace_to_chrome(rows))
-        print(f"chrome: {count} events -> {args.chrome}")
+        print(f"chrome: {count} events -> {args.chrome}",
+              file=sys.stderr if args.json else sys.stdout)
     if args.smoke:
         print(f"trace smoke ok: {header['traced']} records, "
               f"{len(events)} events, executor={header['executor']} "
               f"workers={header['workers']} sample={header['sample']} "
               f"wall={header['wall_s']:.4f}s")
-        return 0
+        return
 
     digest = latency_digest(events)
     slow = slowest_records(events, top=args.top)
@@ -1048,9 +1083,9 @@ def _trace_rectrace(args) -> int:
             {"header": header, "stages": digest, "slowest": slow},
             indent=1, sort_keys=True,
         ))
-        return 0
+        return
 
-    print(f"{args.input}: {header['traced']} traced records "
+    print(f"{source}: {header['traced']} traced records "
           f"({header['events']} events), executor={header['executor']} "
           f"workers={header['workers']} shards={header['shards']} "
           f"sample={header['sample']} wall={header['wall_s']:.4f}s")
@@ -1080,20 +1115,18 @@ def _trace_rectrace(args) -> int:
             }
             for entry in slow
         ], title=f"\nslowest {len(slow)} records"))
-    return 0
 
 
 def _cmd_trace(args) -> int:
-    if args.input is not None and _is_rectrace_artefact(args.input):
-        return _trace_rectrace(args)
-    if args.chrome:
-        print("trace: --chrome applies to record-trace files (written by "
-              "join --parallel --trace-out)", file=sys.stderr)
+    if _bad_trace_sample(args):
         return 2
-    if args.json:
-        print("trace: --json applies to record-trace files (written by "
-              "join --parallel --trace-out)", file=sys.stderr)
-        return 2
+    if args.input is not None:
+        header = _artefact_header(args.input)
+        if header is not None and artefact_family([header]) == "rectrace":
+            return _trace_rectrace(args)
+        if header is not None:
+            print(_not_a_trace(args.input, header), file=sys.stderr)
+            return 2
     if args.smoke:
         return _trace_smoke(args)
     if args.input is not None:
@@ -1110,68 +1143,28 @@ def _cmd_trace(args) -> int:
     )
     observer = _make_observer(args)
     report = DistributedStreamJoin(config).run(stream, observer=observer)
+    # --json keeps stdout one JSON document; the human output moves to
+    # stderr.
+    human = sys.stderr if args.json else sys.stdout
     print(format_table([report.summary()],
                        title=f"{stream.name} n={len(stream.corpus)} "
-                             f"θ={args.threshold} k={args.workers}"))
-
-    tracer = observer.tracer
-    print(f"\ntraced {len(tracer.traces())} records "
-          f"(stride {args.trace_stride}), {len(tracer.spans)} spans")
-    print(format_table(_hop_rows(tracer), title="\nper-hop breakdown"))
-    slow = _slowest_traces(tracer, args.top)
-    if slow:
-        print(format_table(slow, title=f"\nslowest {len(slow)} traces"))
-    print("\nbusy/idle timeline (cost-model charges over simulated time)")
-    print(observer.timeline.render())
-    _write_artifacts(observer, report, args)
+                             f"θ={args.threshold} k={args.workers}"),
+          file=human)
+    _render_rectrace(args, observer.trace, stream.name)
+    with contextlib.redirect_stdout(human):
+        print("\nbusy/idle timeline (cost-model charges over simulated time)")
+        print(observer.timeline.render())
+        _write_artifacts(observer, report, args)
     return 0
-
-
-def _hop_rows(tracer) -> List[dict]:
-    """Aggregate spans into one row per (component, span name)."""
-    buckets: dict = {}
-    for span in tracer.spans:
-        key = (span.component, span.name)
-        entry = buckets.setdefault(key, {"n": 0, "queue": 0.0, "service": 0.0})
-        entry["n"] += 1
-        entry["queue"] += span.queue_wait
-        entry["service"] += span.service
-    rows = []
-    for (component, name), entry in sorted(buckets.items()):
-        rows.append({
-            "component": component,
-            "span": name,
-            "count": entry["n"],
-            "avg_queue_ms": round(entry["queue"] / entry["n"] * 1e3, 4),
-            "avg_service_ms": round(entry["service"] / entry["n"] * 1e3, 4),
-        })
-    return rows
-
-
-def _slowest_traces(tracer, top: int) -> List[dict]:
-    rows = []
-    for trace_id, spans in tracer.traces().items():
-        hops = [s for s in spans if s.name in ("emit", "hop")]
-        if not hops:
-            continue
-        total = max(s.end for s in hops) - min(s.enter for s in hops)
-        rows.append({
-            "trace": trace_id,
-            "latency_ms": round(total * 1e3, 4),
-            "queue_ms": round(sum(s.queue_wait for s in hops) * 1e3, 4),
-            "service_ms": round(sum(s.service for s in hops) * 1e3, 4),
-            "path": " > ".join(f"{s.component}[{s.task}]" for s in hops),
-        })
-    rows.sort(key=lambda r: (-r["latency_ms"], r["trace"]))
-    return rows[:top]
 
 
 def _trace_smoke(args) -> int:
     """Tiny end-to-end run asserting the observability path works.
 
-    Deterministic given ``--seed``; exits non-zero with a reason when
-    the trace, metrics or health dump is empty, corrupt, schema-invalid,
-    or inconsistent with the cluster report. CI runs this.
+    Deterministic given ``--seed``; traces every record; exits
+    non-zero with a reason when the trace, metrics or health dump is
+    empty, corrupt, schema-invalid, or inconsistent with the cluster
+    report. CI runs this.
     """
     stream = CORPUS_BUILDERS[args.corpus](min(args.records, 150), seed=args.seed)
     config = JoinConfig(
@@ -1179,7 +1172,7 @@ def _trace_smoke(args) -> int:
         num_workers=min(args.workers, 2),
         distribution=args.distribution,
     )
-    observer = RunObserver.create(trace_stride=1, timeline=True, health=True)
+    observer = RunObserver.create(trace_sample=1, timeline=True, health=True)
     report = DistributedStreamJoin(config).run(stream, observer=observer)
 
     failures: List[str] = []
@@ -1191,19 +1184,20 @@ def _trace_smoke(args) -> int:
         json_path, prom_path = observer.write_metrics(metrics_base)
         observer.write_health(health_path)
 
-        spans: List[dict] = []
-        seen_components: set = set()
+        events: List[dict] = []
         try:
-            rows = load_trace_jsonl(trace_path)
+            rows = load_rectrace_jsonl(trace_path)
         except ValueError as error:
             failures.append(str(error))
         else:
-            failures.extend(validate_trace_lines(rows))
-            spans = [row for row in rows if row.get("kind") == "span"]
-            seen_components = {row.get("component") for row in spans}
-            for component in ("source", "dispatch", "join", "sink"):
-                if component not in seen_components:
-                    failures.append(f"no span covers component {component!r}")
+            trace_failures = rectrace_smoke(rows)
+            failures.extend(trace_failures)
+            if not trace_failures:
+                events = split_rectrace(rows)[1]
+                seen = {row["event"] for row in events}
+                for event in ("emit", "dispatch", "join", "sink"):
+                    if event not in seen:
+                        failures.append(f"no event covers stage {event!r}")
 
         try:
             health_rows = load_health_jsonl(health_path)
@@ -1233,7 +1227,8 @@ def _trace_smoke(args) -> int:
             print(f"smoke FAIL: {failure}", file=sys.stderr)
         return 1
     health_counts = observer.health.counts()
-    print(f"smoke ok: {len(spans)} spans over {len(seen_components)} components, "
+    print(f"smoke ok: {len(events)} trace events over "
+          f"{len({row['rid'] for row in events})} records, "
           f"{len(dump['metrics'])} metric families, "
           f"{sum(health_counts.values())} health events, report consistent "
           f"(seed {args.seed}, {report.cluster.records} records, "
@@ -1250,8 +1245,8 @@ def write_chrome_spans(path: str, rows) -> int:
 
 def _overhead_line(header) -> str:
     """The event log's self-reported cost, from a spans or rectrace
-    header's ``overhead`` block (rectrace files written before the
-    block existed, and zero-wall runs, read ``n/a``)."""
+    header's ``overhead`` block (simulated runs, rectrace files written
+    before the block existed, and zero-wall runs read ``n/a``)."""
     overhead = header.get("overhead")
     if not overhead or not header["wall_s"]:
         return "recorder overhead: n/a"

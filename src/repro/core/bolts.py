@@ -75,7 +75,6 @@ class DispatcherBolt(Bolt):
         probe_set = set(decision.probe_tasks)
         fanout = len(index_set | probe_set)
         ctx.add_counter("routing_fanout", fanout)
-        ctx.trace_note(router=self.router.name, fanout=fanout)
         # Health signal: what share of the join tasks this record
         # reaches — the replication blow-up detector's input.
         ctx.signal(
@@ -169,21 +168,13 @@ class JoinBolt(Bolt):
         ctx = self.ctx
         if kind in (PROBE, BOTH):
             # The probe phase is candidate generation + verification;
-            # its child span carries the verify counters so a trace
-            # shows where the hop's service time went.
-            before_candidates = self.meter.count("candidates")
-            before_verifications = self.meter.count("verifications")
-            with ctx.trace_child("probe_verify", only_for=record.rid) as notes:
+            # its trace event shows where the hop's service time went.
+            with ctx.trace_child("probe", only_for=record.rid):
                 matches = self.engine.probe(record)
-                notes["candidates"] = self.meter.count("candidates") - before_candidates
-                notes["verifications"] = (
-                    self.meter.count("verifications") - before_verifications
-                )
-                notes["matches"] = len(matches)
         else:
             matches = []
         if kind in (INDEX, BOTH):
-            with ctx.trace_child("index", only_for=record.rid):
+            with ctx.trace_child("insert", only_for=record.rid):
                 if isinstance(self.engine, BundleIndex):
                     self.engine.insert(record, matches if kind == BOTH else None)
                 else:

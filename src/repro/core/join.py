@@ -112,7 +112,7 @@ class DistributedStreamJoin:
     ) -> JoinRunReport:
         """Simulate the full topology over the stream; return the report.
 
-        ``observer`` switches on tuple tracing and/or the profiling
+        ``observer`` switches on record tracing and/or the profiling
         timeline for this run (see :mod:`repro.obs`); the run's metric
         series are labeled with the method and the stream name either
         way.

@@ -1,4 +1,4 @@
-"""Observability: structured metrics, tuple tracing and profiling.
+"""Observability: structured metrics, record tracing and profiling.
 
 This package is the measurement surface of the whole system. The
 simulator (``repro.storm``), the join bolts (``repro.core``) and the
@@ -9,8 +9,6 @@ experiment number is recomputable from its exports:
   with labeled dimensions (component, task, method, corpus);
 * :mod:`repro.obs.exporters` — JSON and Prometheus text dumps of a
   registry, plus loaders for the dumped formats;
-* :mod:`repro.obs.tracing` — sampled per-tuple spans across every
-  topology hop, written as JSONL;
 * :mod:`repro.obs.timeline` — per-task busy/idle timelines over
   simulated time, rendered as bucketed utilisation series;
 * :mod:`repro.obs.health` — online health detectors (backpressure,
@@ -23,10 +21,11 @@ experiment number is recomputable from its exports:
   between two methods into per-cost-category contributions (the
   ``repro explain`` command);
 * :mod:`repro.obs.eventlog` — the one recorder of the multiprocessing
-  runtime (``repro.parallel``): a budgeted-overhead columnar event log
-  per actor that holds wall-clock spans (batch-scoped rows) and
-  record-trace events (record-scoped rows) alike, two deterministic
-  sampling strides, and the split into the two artefacts below;
+  runtime (``repro.parallel``) and of the simulated cluster's record
+  traces: a budgeted-overhead columnar event log per actor that holds
+  wall-clock spans (batch-scoped rows) and record-trace events
+  (record-scoped rows) alike, two deterministic sampling strides, and
+  the split into the two artefacts below;
 * :mod:`repro.obs.artefact` — the one JSONL artefact path: writer,
   loader, header/body splitter and field-type checker behind every
   family's ``write`` / ``load`` / ``validate``;
@@ -38,11 +37,10 @@ experiment number is recomputable from its exports:
   per-worker series, online health feeding, the ``--telemetry-out``
   JSONL artefact and the analysis/rendering behind ``repro top`` and
   ``repro telemetry``;
-* :mod:`repro.obs.rectrace` — distributed per-record tracing for the
-  parallel runtime: the event vocabulary driver and workers stamp
-  across the process boundary, the ``--trace-out`` JSONL artefact and
-  its schema, per-stage latency digests and the ``repro trace`` smoke
-  gate;
+* :mod:`repro.obs.rectrace` — per-record tracing for both runtimes:
+  the event vocabulary driver, workers and simulated tasks stamp, the
+  one ``--trace-out`` JSONL artefact, its header builder and schema,
+  per-stage latency digests and the ``repro trace`` smoke gate;
 * :mod:`repro.obs.chrome` — Chrome trace-event export of span and
   record-trace artefacts (Perfetto-loadable timelines behind the
   ``--chrome`` flags);
@@ -115,13 +113,6 @@ from repro.obs.timeseries import (
     telemetry_summary,
     validate_telemetry_lines,
 )
-from repro.obs.tracing import (
-    TRACE_SCHEMA,
-    TraceSampler,
-    TupleTracer,
-    load_trace_jsonl,
-    validate_span,
-)
 
 __all__ = [
     "Counter",
@@ -142,10 +133,7 @@ __all__ = [
     "TelemetryRecorder",
     "TelemetryView",
     "TimelineRecorder",
-    "TraceSampler",
-    "TupleTracer",
     "TRACE_EVENTS",
-    "TRACE_SCHEMA",
     "TRACE_STAGES",
     "attribute_gap",
     "busy_decomposition",
@@ -160,7 +148,6 @@ __all__ = [
     "load_rectrace_jsonl",
     "load_spans_jsonl",
     "load_telemetry_jsonl",
-    "load_trace_jsonl",
     "metrics_to_json",
     "metrics_to_prometheus",
     "phase_totals",
@@ -176,7 +163,6 @@ __all__ = [
     "validate_health_lines",
     "validate_rectrace_lines",
     "validate_telemetry_lines",
-    "validate_span",
     "validate_span_lines",
     "waterfall",
     "write_chrome",

@@ -679,6 +679,14 @@ class RunArchive:
             )
         rows = load_jsonl_objects(path, "artefact")
         family = artefact_family(rows)
+        if family == "rectrace" and rows[0].get("executor") == "simulated":
+            raise ArchiveError(
+                f"{path}: a simulated-cluster record trace is not archived "
+                f"— its stage latencies are simulated seconds and must never "
+                f"become the median a wall-clock run is judged against (a "
+                f"simulated join is archived when it runs; ingest a `join "
+                f"--parallel --trace-out` artefact instead)"
+            )
         if family == "rectrace":
             return [(self._ingest_rectrace(rows, argv), "rectrace")]
         if family == "spans":

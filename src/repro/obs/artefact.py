@@ -1,7 +1,7 @@
 """The one JSONL artefact path: write, load, split, check.
 
-Every artefact the runtime writes — span dumps, record traces, live
-telemetry, health events, tuple traces — is line-delimited JSON with a
+Every artefact the runtimes write — span dumps, record traces, live
+telemetry, health events — is line-delimited JSON with a
 header object first. The mechanics they share live here, once:
 :func:`write_jsonl` is the writer behind every post-run dump,
 :func:`load_jsonl_objects` the loader (a truncated or corrupted file
@@ -60,16 +60,12 @@ def write_jsonl(
     return count
 
 
-def load_jsonl_objects(
-    path: str, noun: str, snippet: bool = False
-) -> List[Dict[str, object]]:
+def load_jsonl_objects(path: str, noun: str) -> List[Dict[str, object]]:
     """All lines of a JSONL artefact as dicts, with pointed errors.
 
     ``noun`` names the line kind in error messages ("span", "trace",
     "telemetry", "health"), preserving each analyzer's historical
-    wording. With ``snippet=True`` the message appends the offending
-    line's first 80 characters (the tuple-trace loader's richer
-    format, useful when the artefact is hand-edited).
+    wording.
     """
     rows: List[Dict[str, object]] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -80,23 +76,11 @@ def load_jsonl_objects(
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as error:
-                if snippet:
-                    message = (
-                        f"{path}:{number}: corrupt {noun} line "
-                        f"(not valid JSON: {error.msg}): {line[:80]!r}"
-                    )
-                else:
-                    message = f"{path}:{number}: corrupt {noun} line ({error})"
-                raise ArtefactError(message) from error
+                raise ArtefactError(
+                    f"{path}:{number}: corrupt {noun} line ({error})"
+                ) from error
             if not isinstance(row, dict):
-                if snippet:
-                    message = (
-                        f"{path}:{number}: corrupt {noun} line "
-                        f"(expected a JSON object): {line[:80]!r}"
-                    )
-                else:
-                    message = f"{path}:{number}: {noun} line is not an object"
-                raise ArtefactError(message)
+                raise ArtefactError(f"{path}:{number}: {noun} line is not an object")
             rows.append(row)
     return rows
 
@@ -144,8 +128,9 @@ def artefact_family(rows: List[Dict[str, object]]) -> Optional[str]:
     keys on: record traces stamp ``artefact="rectrace"`` explicitly,
     span headers carry the capture ``overhead``, telemetry headers the
     heartbeat ``interval``, health headers the detector ``thresholds``
-    (and nothing run-shaped), and tuple-trace headers describe their
-    ``sampler``. Returns ``None`` when nothing matches.
+    (and nothing run-shaped). Returns ``None`` when nothing matches —
+    including a tuple trace from before both runtimes wrote rectrace
+    (its header describes a ``sampler``), which no reader accepts.
     """
     if not rows:
         return None
@@ -158,8 +143,6 @@ def artefact_family(rows: List[Dict[str, object]]) -> Optional[str]:
         return "spans"
     if "interval" in header:
         return "telemetry"
-    if "sampler" in header:
-        return "trace"
     if "thresholds" in header:
         return "health"
     return None

@@ -1,28 +1,34 @@
 """The observer: everything one cluster run should capture.
 
-A :class:`RunObserver` bundles the optional instruments — tuple tracer
-and profiling timeline — and, after the run, holds the populated
-metrics registry, so callers write all artefacts from one handle::
+A :class:`RunObserver` bundles the optional instruments — record
+tracing and profiling timeline — and, after the run, holds the
+populated metrics registry, so callers write all artefacts from one
+handle::
 
-    observer = RunObserver.create(trace_stride=10, timeline=True)
+    observer = RunObserver.create(trace_sample=10, timeline=True)
     report = DistributedStreamJoin(config).run(stream, observer=observer)
-    observer.write_trace("run.trace.jsonl")
+    observer.write_trace("run.rectrace.jsonl")
     observer.write_metrics("run.metrics")     # .json + .prom
 
-The metrics registry itself is always on (it lives inside the storm
+Record tracing keeps one :class:`~repro.obs.eventlog.EventLog` per
+actor — the same recorder and the same rectrace artefact as the
+parallel runtime (DESIGN §8.1). The metrics registry itself is always
+on (it lives inside the storm
 :class:`~repro.storm.metrics.MetricsRegistry`); the observer only adds
-the per-tuple instruments that cost memory proportional to the run.
+the per-record instruments that cost memory proportional to the run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.obs.artefact import write_jsonl
+from repro.obs.eventlog import EventLog, log_rows
 from repro.obs.exporters import write_metrics
 from repro.obs.health import HealthMonitor
+from repro.obs.rectrace import rectrace_header
 from repro.obs.registry import ObsRegistry
 from repro.obs.timeline import TimelineRecorder
-from repro.obs.tracing import TraceSampler, TupleTracer, default_trace_key
 
 
 class RunObserver:
@@ -30,45 +36,80 @@ class RunObserver:
 
     def __init__(
         self,
-        tracer: Optional[TupleTracer] = None,
+        trace_sample: int = 0,
         timeline: Optional[TimelineRecorder] = None,
-        trace_key: Callable[[str, Tuple[object, ...]], Optional[int]] = default_trace_key,
         health: Optional[HealthMonitor] = None,
     ):
-        self.tracer = tracer
+        if trace_sample < 0:
+            raise ValueError(f"trace_sample must be >= 0, got {trace_sample}")
+        #: Trace every rid that is a multiple of this (0 = tracing off).
+        self.trace_sample = trace_sample
         self.timeline = timeline
-        self.trace_key = trace_key
         self.health = health
+        #: Actor → its event log (actor ``t`` = join task ``t``; ``-1``
+        #: = the source, dispatch and sink tasks).
+        self.logs: Dict[int, EventLog] = {}
+        #: The rectrace document (header first), set when a traced run
+        #: drains.
+        self.trace: Optional[List[Dict[str, object]]] = None
         #: Populated by the cluster when the run finishes.
         self.registry: Optional[ObsRegistry] = None
 
     @classmethod
     def create(
-        cls, trace_stride: int = 0, timeline: bool = False, health: bool = False
+        cls, trace_sample: int = 0, timeline: bool = False, health: bool = False
     ) -> "RunObserver":
         """Convenience constructor from CLI-style options.
 
-        ``trace_stride=0`` disables tracing; ``trace_stride=k`` traces
-        every *k*-th record deterministically. ``health=True`` runs the
-        online health detectors alongside the topology.
+        ``trace_sample=0`` disables tracing; ``trace_sample=k`` traces
+        every record whose rid is a multiple of *k*. ``health=True``
+        runs the online health detectors alongside the topology.
         """
-        tracer = TupleTracer(TraceSampler(trace_stride)) if trace_stride else None
-        recorder = TimelineRecorder() if timeline else None
-        monitor = HealthMonitor() if health else None
-        return cls(tracer=tracer, timeline=recorder, health=monitor)
+        return cls(
+            trace_sample=trace_sample,
+            timeline=TimelineRecorder() if timeline else None,
+            health=HealthMonitor() if health else None,
+        )
 
     # -- cluster hooks ------------------------------------------------------
-    def attach(self, registry: ObsRegistry, topology_meta: Dict[str, object]) -> None:
+    def attach(self, registry: ObsRegistry) -> None:
         """Called by the cluster at run start."""
         self.registry = registry
-        if self.tracer is not None:
-            self.tracer.header.update(topology_meta)
+        self.logs = {}
+        self.trace = None
+
+    def trace_log(self, actor: int) -> Optional[EventLog]:
+        """``actor``'s event log (built on first use; ``None`` with
+        tracing off)."""
+        if not self.trace_sample:
+            return None
+        log = self.logs.get(actor)
+        if log is None:
+            log = self.logs[actor] = EventLog(
+                trace_sample=self.trace_sample, measure=False
+            )
+        return log
+
+    def close_trace(self, records: int, wall_s: float, join_tasks: int) -> None:
+        """Called by the cluster when a traced run drains: every
+        actor's rows → the rectrace document."""
+        rows: List[Dict[str, object]] = []
+        for actor, log in sorted(self.logs.items()):
+            rows.extend(log_rows(log.columns(), worker=actor)[1])
+        shape = {
+            "wall_s": round(wall_s, 9),
+            "executor": "simulated",
+            "workers": join_tasks,
+            "shards": join_tasks,
+        }
+        header = rectrace_header(rows, shape, records, self.trace_sample)
+        self.trace = [header] + rows
 
     # -- artefacts ----------------------------------------------------------
     def write_trace(self, path: str) -> int:
-        if self.tracer is None:
-            raise ValueError("run was not traced (trace_stride=0)")
-        return self.tracer.write_jsonl(path)
+        if self.trace is None:
+            raise ValueError("run was not traced (trace_sample=0)")
+        return write_jsonl(path, self.trace[0], self.trace[1:])
 
     def write_health(self, path: str) -> int:
         if self.health is None:

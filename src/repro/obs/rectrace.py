@@ -1,10 +1,14 @@
-"""Record tracing: follow one record through the worker processes.
+"""Record tracing: follow one record through either runtime.
 
 Spans (:mod:`repro.obs.spans`) explain where a parallel run's *actors*
 spend wall time; this module explains what a single *record*
 experiences — the probe→emit→insert path a sampled record takes on
 every shard it reaches, stamped inside the workers and reassembled by
 the driver into per-record event trees and per-stage latency digests.
+The simulated cluster (:mod:`repro.storm.cluster`) writes the same
+artefact on its simulated clock: its join task *t* is worker and shard
+*t*, and its source, dispatch and sink tasks are actor ``-1`` — the
+role the driver plays in the parallel runtime (DESIGN §8.1).
 
 Design constraints, mirroring the span pipeline:
 
@@ -29,9 +33,10 @@ Design constraints, mirroring the span pipeline:
   differential grid pins match rows, meter totals and fingerprints
   bit-identical with tracing on or off at any sampling rate.
 
-The artefact (``join --parallel --trace-out``) is JSONL: one header
-line (``artefact: "rectrace"`` — what ``repro trace FILE`` sniffs
-for), then one event object per line. The derived stage ``e2e``
+The artefact (``--trace-out``, built by :func:`rectrace_header`
+whichever runtime ran) is JSONL: one header line (``artefact:
+"rectrace"`` — what ``repro trace FILE`` sniffs for), then one event
+object per line. The derived stage ``e2e``
 (first-stamp to last-stamp per record) joins the recorded events in
 the latency digest. Digests use
 :class:`~repro.storm.metrics.LatencySampler` reservoirs — exact
@@ -48,7 +53,7 @@ loading.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.artefact import check_fields, load_jsonl_objects, split_document
 from repro.storm.metrics import LatencySampler
@@ -62,8 +67,13 @@ RECTRACE_ARTEFACT = "rectrace"
 
 #: Event names in wire-id order (the low bits of the stage byte of a
 #: record-scoped row of the event frame and the ``event`` field of
-#: every JSONL event line). Workers stamp the last three; the first
-#: four only appear in artefacts from the per-batch record wire.
+#: every JSONL event line), names only ever appended. Workers stamp
+#: ``probe`` / ``insert`` / ``match_emit``; the first four only appear
+#: in artefacts from the per-batch record wire. The simulated cluster
+#: stamps the last five plus ``probe`` / ``insert``: a zero-width
+#: ``emit`` at the source, a ``queue`` wait (delivery → service start)
+#: when a hop waited, and one service window per hop named after its
+#: component.
 TRACE_EVENTS = (
     "feed",
     "encode",
@@ -72,6 +82,11 @@ TRACE_EVENTS = (
     "probe",
     "insert",
     "match_emit",
+    "emit",
+    "queue",
+    "dispatch",
+    "join",
+    "sink",
 )
 EVENT_ID: Dict[str, int] = {name: i for i, name in enumerate(TRACE_EVENTS)}
 
@@ -90,9 +105,9 @@ EVENT_SCHEMA: Dict[str, type] = {
     "kind": str,    # "event"
     "event": str,   # one of TRACE_EVENTS
     "rid": int,     # the traced record id
-    "worker": int,  # -1 for the driver (legacy files only)
+    "worker": int,  # -1: the driver, or a simulated source/dispatch/sink
     "shard": int,   # -1 when the event is not shard-attributed
-    "start": float, # seconds since run start (monotonic, rebased)
+    "start": float, # seconds since run start (simulated on the simulator)
     "end": float,
 }
 
@@ -157,19 +172,44 @@ def validate_rectrace_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
     return errors
 
 
+def rectrace_header(
+    rows: List[Dict[str, object]],
+    shape: Dict[str, object],
+    records: int,
+    sample: int,
+    overhead: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """The header line of a rectrace document, for either runtime.
+
+    Sorts ``rows`` (event dicts, :func:`~repro.obs.eventlog.log_rows`
+    shape) in place into per-record stamp order — the order the file
+    is written in — and digests them. ``shape`` carries the run-shape
+    fields (``wall_s``, ``executor``, ``workers``, ``shards`` and, on
+    the parallel runtime, ``transport`` / ``batch_size``); ``overhead``
+    is the event log's self-measured cost, absent on the simulator,
+    whose clock the recorder does not advance."""
+    rows.sort(key=lambda r: (r["rid"], r["start"], r["end"], r["worker"]))
+    header: Dict[str, object] = {
+        "kind": "header",
+        "artefact": RECTRACE_ARTEFACT,
+        "schema": RECTRACE_SCHEMA_VERSION,
+        **shape,
+        "records": records,
+        "sample": sample,
+        "traced": len({row["rid"] for row in rows}),
+        "events": len(rows),
+        "stages": latency_digest(rows),
+    }
+    if overhead is not None:
+        header["overhead"] = overhead
+    return header
+
+
 def split_rectrace(
     rows: Sequence[Dict[str, object]],
 ) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """(header, event rows) of a loaded dump; raises without a header."""
     return split_document(rows, "rectrace", "event")
-
-
-def is_rectrace_document(rows: Sequence[Dict[str, object]]) -> bool:
-    """Whether a loaded JSONL document is a rectrace artefact."""
-    return bool(rows) and (
-        rows[0].get("kind") == "header"
-        and rows[0].get("artefact") == RECTRACE_ARTEFACT
-    )
 
 
 # -- analysis ---------------------------------------------------------------

@@ -4,8 +4,9 @@ The obs stack so far explains *logical* cost — metered operations over
 the simulated clock. The multiprocessing runtime (``repro.parallel``)
 spends real seconds in places the meters cannot see: encoding batches,
 blocking on pipes, decoding, probing, flushing meters, merging. This
-module is the wall-clock counterpart of :mod:`repro.obs.tracing`: the
-span vocabulary (the batch-scoped rows of the per-actor
+module is the wall-clock counterpart of the simulated busy/idle
+timeline (:mod:`repro.obs.timeline`): the span vocabulary (the
+batch-scoped rows of the per-actor
 :class:`~repro.obs.eventlog.EventLog` that driver and workers thread
 through their hot paths), the canonical JSONL artefact
 (``--spans-out``) and its schema, and the analysis behind ``python -m

@@ -72,10 +72,9 @@ from repro.obs.artefact import TRANSPORT, write_jsonl
 from repro.obs.eventlog import EventLog, log_rows
 from repro.obs.rectrace import (
     DEFAULT_TRACE_SAMPLE,
-    RECTRACE_ARTEFACT,
-    RECTRACE_SCHEMA_VERSION,
     latency_digest,
     latency_metrics,
+    rectrace_header,
 )
 from repro.obs.spans import DRIVER, PHASE_ID, SPANS_SCHEMA_VERSION
 from repro.obs.timeseries import (
@@ -668,21 +667,10 @@ class ParallelJoinRunner:
                 "overhead": overhead(0, "span_count"),
             }
         if run.trace_sample:
-            trace_rows.sort(
-                key=lambda r: (r["rid"], r["start"], r["end"], r["worker"])
+            trace_header = rectrace_header(
+                trace_rows, shape, records, run.trace_sample,
+                overhead=overhead(1, "trace_count"),
             )
-            trace_header = {
-                "kind": "header",
-                "artefact": RECTRACE_ARTEFACT,
-                "schema": RECTRACE_SCHEMA_VERSION,
-                **shape,
-                "records": records,
-                "sample": run.trace_sample,
-                "traced": len({row["rid"] for row in trace_rows}),
-                "events": len(trace_rows),
-                "stages": latency_digest(trace_rows),
-                "overhead": overhead(1, "trace_count"),
-            }
         return (
             span_header, span_rows if run.spans_sample else None,
             trace_header, trace_rows if run.trace_sample else None,

@@ -26,7 +26,10 @@ import time
 from bisect import bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.eventlog import RECORD_SCOPE
 from repro.obs.observer import RunObserver
+from repro.obs.rectrace import EVENT_ID
+from repro.records import Record
 from repro.storm.components import Bolt, OutputCollector, Spout, TopologyContext
 from repro.storm.costmodel import CostModel, NetworkModel
 from repro.storm.metrics import ClusterReport, MetricsRegistry, build_report
@@ -35,11 +38,34 @@ from repro.storm.tuples import StormTuple, payload_bytes
 
 TaskKey = Tuple[str, int]
 
+_EMIT = RECORD_SCOPE | EVENT_ID["emit"]
+_QUEUE = RECORD_SCOPE | EVENT_ID["queue"]
+
+
+def _trace_key(stream: str, values: Tuple[object, ...]) -> Optional[int]:
+    """The rid of the source record a tuple belongs to.
+
+    Work/record tuples carry the :class:`Record` itself; result tuples
+    carry the probing record's rid first; watermark and other control
+    tuples are untraceable (``None``).
+    """
+    if stream == "wm":
+        return None
+    for value in values:
+        if isinstance(value, Record):
+            return value.rid
+    if stream == "results" and values and isinstance(values[0], int):
+        return values[0]
+    return None
+
 
 class _Executor:
     """One task: a component instance plus its scheduling state."""
 
-    __slots__ = ("key", "instance", "ctx", "collector", "busy_until", "end_times")
+    __slots__ = (
+        "key", "instance", "ctx", "collector", "busy_until", "end_times",
+        "service",
+    )
 
     def __init__(
         self,
@@ -56,6 +82,8 @@ class _Executor:
         #: Monotone list of processing-completion times; used to compute
         #: the queue depth at any delivery time by binary search.
         self.end_times: List[float] = []
+        #: Stage byte of this task's per-hop service row (tracing only).
+        self.service = 0
 
 
 class LocalCluster:
@@ -72,8 +100,10 @@ class LocalCluster:
         this raise ``RuntimeError``).
     observer:
         Optional :class:`~repro.obs.observer.RunObserver` switching on
-        tuple tracing and/or the busy/idle timeline for this cluster's
+        record tracing and/or the busy/idle timeline for this cluster's
         runs; the run's metrics registry is attached to it at start.
+        A traced run records into one event log per actor: join task
+        *t* is worker and shard *t*; every other task is actor ``-1``.
     """
 
     def __init__(
@@ -87,9 +117,8 @@ class LocalCluster:
         self.network = network if network is not None else NetworkModel()
         self.max_events = max_events
         self.observer = observer
-        self._tracer = observer.tracer if observer is not None else None
         self._timeline = observer.timeline if observer is not None else None
-        self._trace_key = observer.trace_key if observer is not None else None
+        self._source_log = None
         self._health = observer.health if observer is not None else None
 
     def run(
@@ -106,15 +135,9 @@ class LocalCluster:
         wall_start = time.perf_counter()
         registry = MetricsRegistry(labels=labels)
         if self.observer is not None:
-            self.observer.attach(
-                registry.obs,
-                {
-                    "topology": topology.describe(),
-                    "join_component": join_component,
-                    "labels": dict(labels or {}),
-                },
-            )
-        executors = self._build_executors(topology, registry)
+            self.observer.attach(registry.obs)
+            self._source_log = self.observer.trace_log(-1)
+        executors = self._build_executors(topology, registry, join_component)
 
         heap: List[Tuple[float, int, int, Any]] = []
         # Per-channel FIFO state: last delivery time per (source task →
@@ -153,13 +176,10 @@ class LocalCluster:
                     first_source = when
                 last_time = max(last_time, when)
                 tup = StormTuple(stream, values, name, 0, when)
-                if self._tracer is not None:
-                    trace_id = self._trace_key(stream, values)
-                    if self._tracer.sampled(trace_id):
-                        self._tracer.hop(
-                            trace_id, name, 0, stream,
-                            enter=when, start=when, end=when, name="emit",
-                        )
+                if self._source_log is not None:
+                    rid = _trace_key(stream, values)
+                    if rid is not None and self._source_log.selected(rid):
+                        self._source_log.record(_EMIT, when, when, -1, rid)
                 seq = self._route(topology, executors, registry, heap, seq, tup, None)
                 nxt = next(spout_iters[name], None)
                 if nxt is not None:
@@ -206,6 +226,11 @@ class LocalCluster:
             self._health.finalize(
                 registry, last_time, join_component=join_component
             )
+        if self._source_log is not None:
+            self.observer.close_trace(
+                source_records, last_time,
+                topology.parallelism.get(join_component, 0),
+            )
         makespan = last_time - (first_source or 0.0)
         return build_report(
             registry,
@@ -217,11 +242,17 @@ class LocalCluster:
 
     # -- internals ---------------------------------------------------------
     def _build_executors(
-        self, topology: Topology, registry: MetricsRegistry
+        self, topology: Topology, registry: MetricsRegistry, join_component: str
     ) -> Dict[TaskKey, _Executor]:
         executors: Dict[TaskKey, _Executor] = {}
         for name, factory in topology.bolts.items():
             num_tasks = topology.parallelism[name]
+            if self._source_log is not None and name not in EVENT_ID:
+                raise ValueError(
+                    f"cannot trace component {name!r}: a hop's service row "
+                    f"is named after its component, and the trace "
+                    f"vocabulary has no event {name!r}"
+                )
             for index in range(num_tasks):
                 ctx = TopologyContext(
                     component=name,
@@ -235,9 +266,13 @@ class LocalCluster:
                 collector = OutputCollector()
                 instance = factory(index)
                 instance.prepare(ctx, collector)
-                executors[(name, index)] = _Executor(
-                    (name, index), instance, ctx, collector
-                )
+                executor = _Executor((name, index), instance, ctx, collector)
+                if self._source_log is not None:
+                    actor = index if name == join_component else -1
+                    ctx.trace_log = self.observer.trace_log(actor)
+                    ctx.trace_shard = actor
+                    executor.service = RECORD_SCOPE | EVENT_ID[name]
+                executors[(name, index)] = executor
         return executors
 
     def _process(
@@ -252,7 +287,8 @@ class LocalCluster:
         seq: int,
     ) -> Tuple[int, float]:
         """Run one tuple through a bolt; schedule its emissions."""
-        metrics = executor.ctx.metrics
+        ctx = executor.ctx
+        metrics = ctx.metrics
         queue_depth = len(executor.end_times) - bisect_right(
             executor.end_times, deliver_time
         )
@@ -263,47 +299,40 @@ class LocalCluster:
                 executor.key[0], executor.key[1], deliver_time, queue_depth
             )
 
-        trace_id: Optional[int] = None
-        if self._tracer is not None:
-            candidate = self._trace_key(tup.stream, tup.values)
-            if self._tracer.sampled(candidate):
-                trace_id = candidate
+        rid: Optional[int] = None
+        if ctx.trace_log is not None:
+            candidate = _trace_key(tup.stream, tup.values)
+            if candidate is not None and ctx.trace_log.selected(candidate):
+                rid = candidate
 
         start = max(deliver_time, executor.busy_until)
-        executor.ctx.now = start
-        executor.ctx.pending_units = (
+        ctx.now = start
+        ctx.pending_units = (
             self.cost.tuple_overhead
             + self.cost.tuple_per_byte * payload_bytes(tup.values)
         )
-        if trace_id is not None:
-            executor.ctx._begin_trace(self._tracer, trace_id, tup.stream)
+        ctx.trace_rid = rid
         executor.instance.execute(tup)
+        ctx.trace_rid = None
         emit_units = 0.0
         for _stream, values, _direct in executor.collector.pending:
             emit_units += self.cost.emit_overhead
             emit_units += self.cost.emit_per_byte * payload_bytes(values)
-        executor.ctx.pending_units += emit_units
-        duration = self.cost.seconds(executor.ctx.pending_units)
+        ctx.pending_units += emit_units
+        duration = self.cost.seconds(ctx.pending_units)
         end = start + duration
         executor.busy_until = end
         executor.end_times.append(end)
-        if trace_id is not None:
-            notes = executor.ctx._end_trace()
-            self._tracer.hop(
-                trace_id,
-                executor.key[0],
-                executor.key[1],
-                tup.stream,
-                enter=deliver_time,
-                start=start,
-                end=end,
-                notes=notes,
-            )
+        if rid is not None:
+            log, shard = ctx.trace_log, ctx.trace_shard
+            if start > deliver_time:
+                log.record(_QUEUE, deliver_time, start, shard, rid)
+            log.record(executor.service, start, end, shard, rid)
         if self._timeline is not None:
             self._timeline.record(executor.key[0], executor.key[1], start, end)
 
         metrics.tuples_in += 1
-        metrics.work_units += executor.ctx.pending_units
+        metrics.work_units += ctx.pending_units
         metrics.busy_seconds += duration
 
         for out in self._drain(executor, end):

@@ -18,8 +18,10 @@ occupy the task for the corresponding simulated time. The join bolts in
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.obs.eventlog import RECORD_SCOPE
+from repro.obs.rectrace import EVENT_ID
 from repro.storm.costmodel import CostModel
 from repro.storm.metrics import MetricsRegistry, TaskMetrics
 from repro.storm.tuples import StormTuple
@@ -52,12 +54,13 @@ class TopologyContext:
         self.now: float = 0.0
         #: Work units accumulated for the tuple being processed.
         self.pending_units: float = 0.0
-        # Tracing state for the tuple being processed (set by the
-        # executor only when the tuple is sampled).
-        self._tracer = None
-        self._trace_id: Optional[int] = None
-        self._trace_stream: str = ""
-        self._trace_notes: Dict[str, Any] = {}
+        #: This task's :class:`repro.obs.eventlog.EventLog` and the
+        #: shard its rows carry (set by the cluster when tracing is on),
+        #: and the rid of the tuple being processed (set by the executor
+        #: only when that rid is sampled).
+        self.trace_log = None
+        self.trace_shard = -1
+        self.trace_rid: Optional[int] = None
 
     def charge(self, operation: str, count: float = 1.0) -> None:
         """Charge ``count`` occurrences of a cost-model operation.
@@ -98,64 +101,32 @@ class TopologyContext:
         return self._registry.obs
 
     # -- tracing ------------------------------------------------------------
-    def _begin_trace(self, tracer, trace_id: int, stream: str) -> None:
-        self._tracer = tracer
-        self._trace_id = trace_id
-        self._trace_stream = stream
-        self._trace_notes = {}
-
-    def _end_trace(self) -> Dict[str, Any]:
-        notes, self._trace_notes = self._trace_notes, {}
-        self._tracer = None
-        self._trace_id = None
-        return notes
-
-    def trace_note(self, **notes: Any) -> None:
-        """Attach facts to the current hop span (no-op when unsampled)."""
-        if self._tracer is not None:
-            self._trace_notes.update(notes)
-
-    @property
-    def trace_id(self) -> Optional[int]:
-        """Trace id of the tuple being executed (None when unsampled)."""
-        return self._trace_id
-
     @contextmanager
-    def trace_child(self, name: str, only_for: Optional[int] = None):
-        """Record a child span for a phase of the current ``execute``.
+    def trace_child(self, event: str, only_for: Optional[int] = None):
+        """Record a ``probe`` / ``insert`` trace event for a phase of
+        the current ``execute``.
 
         Timestamps derive from the cost-model charges: the phase's
         simulated window is ``now + seconds(pending-units-at-enter)``
-        to ``now + seconds(pending-units-at-exit)``, so span durations
+        to ``now + seconds(pending-units-at-exit)``, so event widths
         are exactly the simulated time the charged work occupies.
-        Yields a dict the caller may fill with span notes. Cheap no-op
-        when the current tuple is not sampled, or when ``only_for`` is
-        given and names a different trace than the executing tuple's —
-        the guard bolts use when they process buffered work that may
-        not belong to the tuple currently executing.
+        Cheap no-op when the current tuple is not sampled, or when
+        ``only_for`` is given and names a different rid than the
+        executing tuple's — the guard bolts use when they process
+        buffered work that may not belong to the tuple currently
+        executing.
         """
-        if self._tracer is None or self._trace_id is None:
-            yield {}
+        rid = self.trace_rid
+        if rid is None or (only_for is not None and only_for != rid):
+            yield
             return
-        if only_for is not None and only_for != self._trace_id:
-            yield {}
-            return
-        notes: Dict[str, Any] = {}
         enter = self.now + self.cost.seconds(self.pending_units)
         try:
-            yield notes
+            yield
         finally:
             end = self.now + self.cost.seconds(self.pending_units)
-            self._tracer.hop(
-                self._trace_id,
-                self.component,
-                self.task_index,
-                self._trace_stream,
-                enter=enter,
-                start=enter,
-                end=end,
-                name=name,
-                notes=notes,
+            self.trace_log.record(
+                RECORD_SCOPE | EVENT_ID[event], enter, end, self.trace_shard, rid
             )
 
 

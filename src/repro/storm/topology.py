@@ -172,23 +172,6 @@ class Topology:
     def components(self) -> List[str]:
         return list(self.spouts) + list(self.bolts)
 
-    def describe(self) -> Dict[str, Any]:
-        """JSON-serialisable wiring digest (trace headers, tooling)."""
-        return {
-            "components": {
-                name: self.parallelism[name] for name in self.components()
-            },
-            "edges": [
-                {
-                    "source": s.source,
-                    "stream": s.stream,
-                    "destination": s.destination,
-                    "grouping": s.grouping.kind,
-                }
-                for s in self.subscriptions
-            ],
-        }
-
 
 class TopologyBuilder:
     """Declare spouts, bolts and groupings, then :meth:`build`."""

@@ -256,6 +256,30 @@ class TestIngestAdapters:
         assert "driver" in stored
         assert any(actor.startswith("worker:") for actor in stored)
 
+    def test_simulated_rectrace_is_refused(self, db, artefacts, tmp_path,
+                                           capsys):
+        """Simulated-clock stage latencies never join the rolling median
+        a wall-clock run is judged against; a parallel rectrace still
+        ingests."""
+        from repro.core.join import DistributedStreamJoin
+        from repro.obs import RunObserver
+
+        _, paths = artefacts
+        observer = RunObserver.create(trace_sample=4)
+        DistributedStreamJoin(JoinConfig(threshold=0.7)).run(
+            synthetic_aol(80, seed=3), observer=observer
+        )
+        simulated = str(tmp_path / "sim.rectrace.jsonl")
+        observer.write_trace(simulated)
+        with RunArchive(db) as archive:
+            with pytest.raises(ArchiveError, match="simulated"):
+                archive.ingest_path(simulated)
+            assert archive.list_runs() == []
+            (_, family), = archive.ingest_path(paths["rectrace"])
+            assert family == "rectrace"
+        assert main(["history", "ingest", "--db", db, simulated]) == 2
+        assert "simulated-cluster record trace" in capsys.readouterr().err
+
     def test_unrecognized_files_are_pointed_errors(self, db, tmp_path):
         token_file = tmp_path / "corpus.jsonl"
         token_file.write_text('{"kind": "mystery"}\n')

@@ -270,10 +270,17 @@ class TestJoinParallel:
         assert rectrace_smoke(rows) == []
         assert rows[0]["sample"] == 1
 
-    def test_rejects_trace_sample_without_parallel(self, corpus_file, capsys):
-        assert main(["join", str(corpus_file),
-                     "--trace-sample", "4"]) == 2
-        assert "--trace-sample requires --parallel" in capsys.readouterr().err
+    def test_trace_sample_applies_without_parallel(self, corpus_file,
+                                                   tmp_path, capsys):
+        from repro.obs.rectrace import load_rectrace_jsonl, rectrace_smoke
+
+        path = tmp_path / "sim.rectrace.jsonl"
+        assert main(["join", str(corpus_file), "--threshold", "0.7",
+                     "--trace-sample", "2", "--trace-out", str(path)]) == 0
+        assert "sample 2" in capsys.readouterr().out
+        rows = load_rectrace_jsonl(str(path))
+        assert rectrace_smoke(rows) == []
+        assert rows[0]["executor"] == "simulated" and rows[0]["sample"] == 2
 
     def test_rejects_bad_trace_sample(self, corpus_file, capsys):
         assert main(["join", str(corpus_file), "--parallel",
@@ -575,7 +582,49 @@ class TestTrace:
         assert main(["trace", "--records", "60", "--workers", "2",
                      "--expiry", "eager"]) == 0
         out = capsys.readouterr().out
-        assert "per-hop breakdown" in out
+        assert "per-stage latency" in out
+
+    def test_json_keeps_stdout_one_document(self, capsys):
+        assert main(["trace", "--records", "60", "--workers", "2",
+                     "--trace-sample", "4", "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["header"]["executor"] == "simulated"
+        assert payload["header"]["sample"] == 4
+        assert "e2e" in payload["stages"] and payload["slowest"]
+        assert "timeline" in captured.err
+
+    # Every other artefact family, and a tuple trace from before the
+    # simulator wrote record traces: exit 2, naming what reads it,
+    # instead of a simulated join over the JSON text.
+    OTHER_ARTEFACTS = {
+        "telemetry": ({"kind": "header", "schema": 2, "interval": 0.25,
+                       "workers": 2}, "repro telemetry"),
+        "health": ({"kind": "header", "schema": 1,
+                    "thresholds": {"queue_warning": 64}}, "--health-out"),
+        "tuple_trace": ({"kind": "header", "schema": 1, "sampler": "stride",
+                         "stride": 1}, "re-run with --trace-out"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(OTHER_ARTEFACTS))
+    def test_other_artefact_is_a_pointed_error(self, family, tmp_path, capsys):
+        header, reader = self.OTHER_ARTEFACTS[family]
+        path = tmp_path / "artefact.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        assert main(["trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert reader in captured.err
+        assert "throughput" not in captured.out
+
+    def test_spans_fixture_is_a_pointed_error(self, capsys):
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "spans_fixture.jsonl"
+        )
+        for extra in ([], ["--smoke"]):
+            assert main(["trace", fixture, *extra]) == 2
+            captured = capsys.readouterr()
+            assert "repro spans" in captured.err
+            assert "throughput" not in captured.out
 
 
 class TestTraceRectraceCommand:
@@ -646,12 +695,16 @@ class TestTraceRectraceCommand:
         assert main(["trace", str(bad), "--smoke"]) == 1
         assert "insert" in capsys.readouterr().err
 
-    def test_chrome_rejected_on_token_input(self, tmp_path, capsys):
+    def test_chrome_export_on_simulated_run(self, tmp_path, capsys):
+        from repro.obs.chrome import validate_chrome
+
         corpus = tmp_path / "c.txt"
-        corpus.write_text("alpha beta\nalpha beta gamma\n")
-        assert main(["trace", str(corpus),
-                     "--chrome", str(tmp_path / "x.json")]) == 2
-        assert "--chrome" in capsys.readouterr().err
+        corpus.write_text("alpha beta\nalpha beta gamma\nalpha beta\n")
+        out_path = tmp_path / "x.json"
+        assert main(["trace", str(corpus), "--threshold", "0.6",
+                     "--trace-sample", "1", "--chrome", str(out_path)]) == 0
+        assert "chrome:" in capsys.readouterr().out
+        assert validate_chrome(json.loads(out_path.read_text())) == []
 
 
 class TestParser:

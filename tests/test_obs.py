@@ -1,6 +1,6 @@
-"""The observability layer: registry, exporters, tracing, timelines,
-and the guarantee that every experiment headline is recomputable from
-the exported metrics alone."""
+"""The observability layer: registry, exporters, record tracing on the
+simulator, timelines, and the guarantee that every experiment headline
+is recomputable from the exported metrics alone."""
 
 import json
 
@@ -15,7 +15,10 @@ from repro.bench.report import headline_from_metrics
 from repro.core.config import JoinConfig
 from repro.core.join import DistributedStreamJoin
 from repro.datasets import synthetic_aol, synthetic_tweet
-from repro.obs import RunObserver, TimelineRecorder, TraceSampler, TupleTracer
+from repro.obs import EventLog, RunObserver, TimelineRecorder
+from repro.obs.baseline import compare_fingerprints, fingerprint_from_metrics
+from repro.obs.chrome import rectrace_to_chrome, validate_chrome
+from repro.obs.eventlog import RECORD_SCOPE, log_rows
 from repro.obs.exporters import (
     escape_label_value,
     load_metrics_json,
@@ -25,15 +28,17 @@ from repro.obs.exporters import (
     prometheus_name,
     write_metrics,
 )
-from repro.obs.registry import ObsRegistry
-from repro.obs.tracing import (
-    Span,
-    default_trace_key,
-    load_trace_jsonl,
-    validate_span,
-    validate_trace_lines,
+from repro.obs.rectrace import (
+    EVENT_ID,
+    load_rectrace_jsonl,
+    record_trees,
+    rectrace_smoke,
+    stage_durations,
+    validate_rectrace_lines,
 )
+from repro.obs.registry import ObsRegistry
 from repro.records import Record
+from repro.storm.cluster import _trace_key
 
 
 # ---------------------------------------------------------------------------
@@ -155,58 +160,116 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# Tracing primitives
+# Record tracing on the simulator: primitives
 # ---------------------------------------------------------------------------
+#: A simulated record's hops, in pipeline order.
+PIPELINE = ("emit", "dispatch", "join", "sink")
+
+
+def _order_errors(rows):
+    """Each record's pipeline stages in order: a stage's rows start no
+    earlier than the previous stage's first row ends."""
+    errors = []
+    for rid, tree in record_trees(rows).items():
+        ready = None
+        for stage in PIPELINE:
+            stage_rows = [row for row in tree if row["event"] == stage]
+            if not stage_rows:
+                continue
+            first = min(row["start"] for row in stage_rows)
+            if ready is not None and first < ready:
+                errors.append(f"rid {rid}: {stage} starts at {first} < {ready}")
+            ready = min(row["end"] for row in stage_rows)
+    return errors
+
+
+def _simulated_trace(trace_sample=1, records=200, workers=3, seed=5, **config):
+    observer = RunObserver.create(trace_sample=trace_sample)
+    config = JoinConfig(threshold=0.8, num_workers=workers, **config)
+    report = DistributedStreamJoin(config).run(
+        synthetic_aol(records, seed=seed), observer=observer
+    )
+    return observer, report
+
+
+def _event(event, rid, start, end, worker=-1, shard=-1):
+    return {"kind": "event", "event": event, "rid": rid, "worker": worker,
+            "shard": shard, "start": start, "end": end}
+
+
 class TestTracing:
     def test_sampler_is_deterministic_stride(self):
-        sampler = TraceSampler(stride=10)
-        sampled = [rid for rid in range(100) if sampler.sampled(rid)]
+        log = EventLog(trace_sample=10, measure=False)
+        sampled = [rid for rid in range(100) if log.selected(rid)]
         assert sampled == list(range(0, 100, 10))
         with pytest.raises(ValueError):
-            TraceSampler(0)
+            RunObserver.create(trace_sample=-1)
 
     def test_default_trace_key(self):
         record = Record(rid=42, tokens=(1, 2, 3), timestamp=0.5)
-        assert default_trace_key("records", (record,)) == 42
-        assert default_trace_key("work", ("b", record)) == 42
-        assert default_trace_key("results", (7, 2, 0.5, None)) == 7
-        assert default_trace_key("wm", (0, 99)) is None
+        assert _trace_key("records", (record,)) == 42
+        assert _trace_key("work", ("b", record)) == 42
+        assert _trace_key("results", (7, 2, 0.5, None)) == 7
+        assert _trace_key("wm", (0, 99)) is None
 
     def test_span_derived_fields(self):
-        span = Span(1, "hop", "join", 0, "work", 1.0, 1.5, 2.25)
-        assert span.queue_wait == 0.5
-        assert span.service == 0.75
-        row = span.as_dict()
-        assert validate_span(row) == []
+        """A waited hop is a ``queue`` row (delivery → start) plus its
+        service row; ``e2e`` spans the first to the last stamp."""
+        log = EventLog(trace_sample=1, measure=False)
+        log.record(RECORD_SCOPE | EVENT_ID["emit"], 1.0, 1.0, -1, 0)
+        log.record(RECORD_SCOPE | EVENT_ID["queue"], 1.0, 1.5, 2, 0)
+        log.record(RECORD_SCOPE | EVENT_ID["join"], 1.5, 2.25, 2, 0)
+        _, events = log_rows(log.columns(), worker=2)
+        durations = stage_durations(events)
+        assert durations["queue"] == [0.5]
+        assert durations["join"] == [0.75]
+        assert durations["e2e"] == [1.25]
 
     def test_validate_span_catches_breakage(self):
-        good = Span(1, "hop", "join", 0, "work", 1.0, 1.5, 2.25).as_dict()
-        assert validate_span({**good, "enter": 3.0}) != []     # not monotone
-        assert validate_span({k: v for k, v in good.items() if k != "trace"})
-        assert validate_span({**good, "task": "zero"}) != []   # wrong type
+        observer, _ = _simulated_trace(records=40)
+        document = observer.trace
+        good = document[1]
+        assert validate_rectrace_lines(document) == []
+        for bad in (
+            {**good, "end": good["start"] - 1.0},          # ends before start
+            {k: v for k, v in good.items() if k != "rid"},  # missing field
+            {**good, "shard": "zero"},                      # wrong type
+            {**good, "event": "hop"},                       # unknown event
+        ):
+            assert validate_rectrace_lines([document[0], bad]) != []
 
     def test_jsonl_round_trip_and_validation(self, tmp_path):
-        tracer = TupleTracer(TraceSampler(1))
-        tracer.hop(0, "source", 0, "records", 0.0, 0.0, 0.0, name="emit")
-        tracer.hop(0, "dispatch", 0, "records", 0.001, 0.001, 0.002)
-        tracer.hop(0, "join", 2, "work", 0.003, 0.003, 0.004, notes={"x": 1})
+        observer, _ = _simulated_trace(records=60)
         path = str(tmp_path / "t.jsonl")
-        assert tracer.write_jsonl(path) == 4  # header + 3 spans
-        rows = load_trace_jsonl(path)
-        assert rows[0]["kind"] == "header"
-        assert validate_trace_lines(rows) == []
-        assert rows[3]["notes"] == {"x": 1}
+        assert observer.write_trace(path) == len(observer.trace)
+        rows = load_rectrace_jsonl(path)
+        assert rows == observer.trace
+        assert rows[0]["executor"] == "simulated"
+        assert "overhead" not in rows[0]
+        assert validate_rectrace_lines(rows) == []
+        assert rectrace_smoke(rows) == []
 
     def test_validation_flags_backwards_trace(self):
-        tracer = TupleTracer()
-        tracer.hop(0, "a", 0, "s", 1.0, 1.0, 1.0)
-        tracer.hop(0, "b", 0, "s", 0.5, 0.5, 0.6)  # goes backwards
-        rows = [{"kind": "header"}] + [s.as_dict() for s in tracer.spans]
-        assert any("backwards" in e for e in validate_trace_lines(rows))
+        rows = [
+            _event("emit", 0, 1.0, 1.0),
+            _event("dispatch", 0, 1.1, 1.2),
+            _event("join", 0, 0.5, 0.6, 0, 0),  # before its dispatch
+        ]
+        assert any("join starts" in e for e in _order_errors(rows))
 
     def test_empty_trace_is_invalid(self):
-        assert validate_trace_lines([]) != []
-        assert any("no spans" in e for e in validate_trace_lines([{"kind": "header"}]))
+        assert validate_rectrace_lines([]) == ["empty rectrace file"]
+        observer, _ = _simulated_trace(records=40)
+        header = dict(observer.trace[0], traced=0, events=0)
+        assert any(
+            "no records were traced" in e for e in rectrace_smoke([header])
+        )
+
+    def test_chrome_export_of_a_simulated_trace(self):
+        observer, _ = _simulated_trace(records=60)
+        payload = rectrace_to_chrome(observer.trace)
+        assert validate_chrome(payload) == []
+        assert payload["traceEvents"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,56 +328,67 @@ class TestTimeline:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def traced_run():
-    observer = RunObserver.create(trace_stride=1, timeline=True)
-    config = JoinConfig(threshold=0.8, num_workers=4)
+    observer = RunObserver.create(trace_sample=1, timeline=True)
+    config = JoinConfig(threshold=0.8, num_workers=4, collect_pairs=True)
     stream = synthetic_aol(400, seed=11)
     report = DistributedStreamJoin(config).run(stream, observer=observer)
-    return observer, report
+    router, _ = DistributedStreamJoin(config).plan(stream)
+    decisions = {record.rid: router.route(record) for record in stream}
+    return observer, report, decisions
+
+
+def _shards(tree, event):
+    return {row["shard"] for row in tree if row["event"] == event}
 
 
 class TestObservedRun:
     def test_spans_cover_every_hop(self, traced_run):
-        observer, report = traced_run
-        spans = observer.tracer.spans
-        assert {s.component for s in spans} >= {"source", "dispatch", "join", "sink"}
-        # Every record got a source emit and a dispatch hop.
-        traces = observer.tracer.traces()
-        assert len(traces) == report.cluster.records
-        for spans_of_trace in traces.values():
-            names = [(s.component, s.name) for s in spans_of_trace]
-            assert ("source", "emit") in names
-            assert ("dispatch", "hop") in names
-            assert any(c == "join" for c, _ in names)
+        observer, report, _ = traced_run
+        trees = record_trees(observer.trace)
+        assert len(trees) == report.cluster.records
+        for tree in trees.values():
+            events = {row["event"] for row in tree}
+            assert {"emit", "dispatch", "join", "probe", "insert"} <= events
+        # A result tuple reaches the sink for each record whose probe
+        # matched — and only for those.
+        probing = {later for later, _earlier, _sim in report.pairs}
+        assert {rid for rid, tree in trees.items() if _shards(tree, "sink")} == probing
 
     def test_trace_is_schema_valid_and_monotone(self, traced_run, tmp_path):
-        observer, _ = traced_run
+        observer, _, _ = traced_run
         path = str(tmp_path / "run.jsonl")
         observer.write_trace(path)
-        assert validate_trace_lines(load_trace_jsonl(path)) == []
+        rows = load_rectrace_jsonl(path)
+        assert validate_rectrace_lines(rows) == []
+        assert _order_errors(rows) == []
 
     def test_join_hops_have_probe_child_spans_with_counts(self, traced_run):
-        observer, report = traced_run
-        children = [s for s in observer.tracer.spans if s.name == "probe_verify"]
-        assert children
-        assert sum(s.notes.get("candidates", 0) for s in children) == pytest.approx(
-            report.candidates
-        )
-        assert sum(s.notes.get("matches", 0) for s in children) == report.results
+        """One ``probe`` row per shard the record probes and one
+        ``insert`` per shard that indexes it, each inside its hop's
+        ``join`` window."""
+        observer, _, decisions = traced_run
+        for rid, tree in record_trees(observer.trace).items():
+            assert _shards(tree, "probe") == set(decisions[rid].probe_tasks)
+            assert _shards(tree, "insert") == set(decisions[rid].index_tasks)
+            hops = {row["shard"]: row for row in tree if row["event"] == "join"}
+            for row in tree:
+                if row["event"] in ("probe", "insert"):
+                    hop = hops[row["shard"]]
+                    assert hop["start"] <= row["start"] <= row["end"] <= hop["end"]
 
-    def test_dispatch_hops_note_router_and_fanout(self, traced_run):
-        observer, report = traced_run
-        dispatch = [
-            s for s in observer.tracer.spans
-            if s.component == "dispatch" and s.name == "hop"
-        ]
-        assert all(s.notes.get("router") == "length" for s in dispatch)
-        total_fanout = sum(s.notes.get("fanout", 0) for s in dispatch)
-        assert total_fanout == report.cluster.counter("routing_fanout")
+    def test_join_shards_equal_router_targets(self, traced_run):
+        observer, report, decisions = traced_run
+        fanout = 0
+        for rid, tree in record_trees(observer.trace).items():
+            targets = set(decisions[rid].probe_tasks) | set(decisions[rid].index_tasks)
+            assert _shards(tree, "join") == targets
+            fanout += len(targets)
+        assert fanout == report.cluster.counter("routing_fanout")
 
     def test_timeline_matches_task_busy_seconds(self, traced_run):
         # Merged-interval sums regroup the same float additions, so the
         # match is to rounding error, not bit-exact.
-        observer, report = traced_run
+        observer, report, _ = traced_run
         per_task = report.cluster.per_task_busy
         for component, busies in per_task.items():
             for index, busy in enumerate(busies):
@@ -322,32 +396,35 @@ class TestObservedRun:
                     busy, rel=1e-9
                 )
 
-    def test_tracing_is_deterministic(self):
-        def run():
-            observer = RunObserver.create(trace_stride=3)
-            config = JoinConfig(threshold=0.8, num_workers=3)
-            DistributedStreamJoin(config).run(
-                synthetic_aol(200, seed=5), observer=observer
-            )
-            return [s.as_dict() for s in observer.tracer.spans]
-
-        assert run() == run()
+    def test_tracing_is_deterministic(self, tmp_path):
+        paths = []
+        for name in ("a", "b"):
+            observer, _ = _simulated_trace(trace_sample=3)
+            paths.append(tmp_path / f"{name}.jsonl")
+            observer.write_trace(str(paths[-1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_sampling_stride_reduces_spans(self):
-        def spans_with(stride):
-            observer = RunObserver.create(trace_stride=stride)
-            config = JoinConfig(threshold=0.8, num_workers=2)
-            DistributedStreamJoin(config).run(
+        sampled = _simulated_trace(trace_sample=10, workers=2)[0].trace
+        assert len(sampled) < len(_simulated_trace(workers=2)[0].trace) / 5
+        assert all(row["rid"] % 10 == 0 for row in sampled[1:])
+
+    def test_tracing_leaves_reports_and_metrics_unchanged(self):
+        traced, plain = (
+            DistributedStreamJoin(JoinConfig(threshold=0.8, num_workers=3)).run(
                 synthetic_aol(200, seed=5), observer=observer
             )
-            return observer.tracer.spans
-
-        sampled = spans_with(10)
-        assert len(sampled) < len(spans_with(1)) / 5
-        assert all(s.trace % 10 == 0 for s in sampled)
+            for observer in (RunObserver.create(trace_sample=1), None)
+        )
+        assert traced.summary() == plain.summary()
+        verdict = compare_fingerprints(
+            fingerprint_from_metrics(metrics_to_json(plain.obs)),
+            fingerprint_from_metrics(metrics_to_json(traced.obs)),
+        )
+        assert verdict["status"] == "ok" and verdict["checks"] > 0
 
     def test_latency_histogram_matches_report_quantiles(self, traced_run):
-        _, report = traced_run
+        _, report, _ = traced_run
         ((_, hist),) = report.obs.series("latency_seconds")
         assert hist.quantile(0.95) == report.cluster.latency_p95
         assert hist.quantile(0.50) == report.cluster.latency_p50
@@ -395,24 +472,30 @@ class TestHeadlinesFromMetrics:
             "--metrics-out", str(metrics_base),
         ]) == 0
         out = capsys.readouterr().out
-        for component in ("source", "dispatch", "join", "sink"):
-            assert component in out
+        for stage in ("emit", "dispatch", "join", "sink", "e2e"):
+            assert stage in out
+        assert "executor=simulated" in out and "recorder overhead: n/a" in out
         assert "slowest" in out and "timeline" in out
-        rows = load_trace_jsonl(str(trace_path))
-        assert validate_trace_lines(rows) == []
+        rows = load_rectrace_jsonl(str(trace_path))
+        assert rectrace_smoke(rows) == []
         load_metrics_json(str(metrics_base) + ".json")
+        # The written artefact is what `repro trace FILE` analyzes.
+        assert main(["trace", str(trace_path), "--smoke"]) == 0
+        assert "executor=simulated" in capsys.readouterr().out
 
-    def test_cli_rejects_non_positive_stride_when_tracing(self, tmp_path):
+    def test_cli_rejects_non_positive_stride_when_tracing(self, tmp_path, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["trace", "--corpus", "AOL", "--records", "20",
-                  "--trace-stride", "0"])
+        assert main(["trace", "--corpus", "AOL", "--records", "20",
+                     "--trace-sample", "0"]) == 2
+        assert "--trace-sample must be >= 1" in capsys.readouterr().err
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b c\nx y z\n")
-        with pytest.raises(SystemExit):
-            main(["join", str(corpus), "--trace-out",
-                  str(tmp_path / "t.jsonl"), "--trace-stride", "-2"])
+        assert main(["join", str(corpus), "--trace-out",
+                     str(tmp_path / "t.jsonl"), "--trace-sample", "-2"]) == 2
+        assert "--trace-sample must be >= 1" in capsys.readouterr().err
+        assert main(["bench", "--records", "20", "--trace-sample", "0"]) == 2
+        assert "--trace-sample must be >= 1" in capsys.readouterr().err
 
     def test_cli_trace_smoke_gate(self, capsys):
         from repro.cli import main
@@ -427,12 +510,13 @@ class TestHeadlinesFromMetrics:
         corpus.write_text("a b c\na b c d\nx y z\na b c\n")
         assert main([
             "join", str(corpus), "--threshold", "0.7", "--workers", "2",
+            "--trace-sample", "1",
             "--trace-out", str(tmp_path / "j.trace.jsonl"),
             "--metrics-out", str(tmp_path / "j.metrics"),
         ]) == 0
-        assert validate_trace_lines(
-            load_trace_jsonl(str(tmp_path / "j.trace.jsonl"))
-        ) == []
+        rows = load_rectrace_jsonl(str(tmp_path / "j.trace.jsonl"))
+        assert rectrace_smoke(rows) == []
+        assert rows[0]["records"] == 4 and rows[0]["traced"] == 4
         assert (tmp_path / "j.metrics.json").exists()
         assert (tmp_path / "j.metrics.prom").exists()
 
@@ -497,14 +581,6 @@ class TestPrometheusEscaping:
 # ---------------------------------------------------------------------------
 # trace --smoke failure paths
 # ---------------------------------------------------------------------------
-def _hop_line(trace, enter, start, end, component="join"):
-    return json.dumps({
-        "kind": "span", "trace": trace, "name": "hop",
-        "component": component, "task": 0, "stream": "work",
-        "enter": enter, "start": start, "end": end,
-    })
-
-
 def _fake_trace_writer(lines):
     def write_trace(self, path):
         with open(path, "w", encoding="utf-8") as handle:
@@ -516,10 +592,13 @@ def _fake_trace_writer(lines):
 
 class TestSmokeFailurePaths:
     """``trace --smoke`` must exit non-zero with a pointed message when
-    the trace dump is corrupt, truncated, or time-inconsistent."""
+    the record trace is corrupt, truncated, or time-inconsistent."""
 
-    HEADER = json.dumps(
-        {"kind": "header", "schema": 1, "sampler": "stride", "stride": 1})
+    HEADER = json.dumps({
+        "kind": "header", "artefact": "rectrace", "schema": 1,
+        "wall_s": 1.0, "executor": "simulated", "workers": 2, "shards": 2,
+        "sample": 1, "records": 60, "traced": 0, "events": 0, "stages": {},
+    })
 
     def _smoke(self, monkeypatch, capsys, lines):
         from repro.cli import main
@@ -531,7 +610,7 @@ class TestSmokeFailurePaths:
 
     def test_corrupt_json_line(self, monkeypatch, capsys):
         code, err = self._smoke(
-            monkeypatch, capsys, [self.HEADER, '{"kind": "span", trunca'])
+            monkeypatch, capsys, [self.HEADER, '{"kind": "event", trunca'])
         assert code == 1
         assert "smoke FAIL" in err
         assert "corrupt trace line" in err
@@ -539,32 +618,24 @@ class TestSmokeFailurePaths:
     def test_header_only_trace(self, monkeypatch, capsys):
         code, err = self._smoke(monkeypatch, capsys, [self.HEADER])
         assert code == 1
-        assert "no spans in trace" in err
+        assert "no records were traced" in err
 
     def test_empty_trace_file(self, monkeypatch, capsys):
         code, err = self._smoke(monkeypatch, capsys, [])
         assert code == 1
-        assert "empty trace file" in err
+        assert "empty rectrace file" in err
 
     def test_non_monotone_trace_flagged(self, monkeypatch, capsys):
-        lines = [
-            self.HEADER,
-            _hop_line(0, 1.0, 1.0, 1.1),
-            _hop_line(0, 0.5, 0.5, 0.6),  # earlier than the previous hop
-        ]
-        code, err = self._smoke(monkeypatch, capsys, lines)
+        event = json.dumps(_event("join", 0, 0.6, 0.5, 0, 0))
+        code, err = self._smoke(monkeypatch, capsys, [self.HEADER, event])
         assert code == 1
-        assert "moved backwards" in err
+        assert "ends before it starts" in err
 
     def test_span_schema_violation_flagged(self, monkeypatch, capsys):
-        bad = json.dumps({
-            "kind": "span", "trace": 0, "name": "hop", "component": "join",
-            "task": 0, "stream": "work",
-            "enter": 2.0, "start": 1.0, "end": 3.0,  # start before enter
-        })
+        bad = json.dumps({**_event("join", 0, 0.5, 0.6), "shard": "zero"})
         code, err = self._smoke(monkeypatch, capsys, [self.HEADER, bad])
         assert code == 1
-        assert "timestamps not monotone" in err
+        assert "field 'shard' not an int" in err
 
     def test_healthy_smoke_still_passes(self, capsys):
         from repro.cli import main

@@ -488,9 +488,11 @@ class TestCommittedFixtures:
             "pipe_read", "decode", "probe", "insert", "meter_flush",
             "shm_write", "shm_read", "route",
         )
+        # Wire ids 0-6 are frozen; the simulator's hop names were
+        # appended after them.
         assert TRACE_EVENTS == (
             "feed", "encode", "pipe_write", "decode", "probe", "insert",
-            "match_emit",
+            "match_emit", "emit", "queue", "dispatch", "join", "sink",
         )
 
     def test_new_artefacts_match_the_fixtures_shape(self):
