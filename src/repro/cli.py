@@ -658,9 +658,11 @@ def _cmd_join(args) -> int:
                   f"number of seconds, got {args.heartbeat_interval}",
                   file=sys.stderr)
             return 2
-    stream, dictionary = load_token_file(
+    # Only the stream: the dictionary is never read, and dropping it
+    # here keeps it out of the forked workers.
+    stream = load_token_file(
         args.input, rate=args.rate, max_records=args.max_records
-    )
+    )[0]
     try:
         config = JoinConfig(
             similarity=args.similarity,
@@ -1579,7 +1581,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stream, dictionary = load_token_file(args.input, max_records=args.max_records)
+    stream = load_token_file(args.input, max_records=args.max_records)[0]
     print(format_table([stream.statistics().as_row()]))
     return 0
 

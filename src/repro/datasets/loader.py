@@ -5,12 +5,23 @@ builds a frequency-ranked :class:`~repro.similarity.ordering.TokenDictionary`
 over the whole file (the global order prefix filtering needs) and
 returns canonical records — the same pipeline a user would run on the
 real AOL/DBLP/ENRON/TWEET dumps.
+
+The file is read once, front to back, so a FIFO or ``/dev/stdin``
+works. Tokens become provisional ids as each line is read, and only
+the id lists are kept, so one ``str`` per *distinct* token is alive,
+not one per token in the file. At the end of the file the ids are
+ranked by :meth:`TokenDictionary.from_frequency` and every row is
+remapped through the returned rank. The result is identical to
+``TokenDictionary.from_corpus`` followed by ``canonicalize`` over the
+held lines.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, count, filterfalse
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.similarity.ordering import TokenDictionary
 from repro.streams.arrival import ConstantRate
@@ -29,19 +40,31 @@ def load_token_file(
     timestamps are assigned at ``rate`` records/second.
     """
     path = Path(path)
-    raw: List[List[str]] = []
+    ids: Dict[str, int] = {}  # token -> provisional id, first encounter
+    id_of = ids.__getitem__
+    rows: List = []  # id lists while reading, canonical tuples after
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
-            tokens = line.split()
+            tokens = dict.fromkeys(line.split())
             if not tokens:
                 continue
-            raw.append(tokens)
-            if max_records is not None and len(raw) >= max_records:
+            try:
+                row = list(map(id_of, tokens))
+            except KeyError:  # new tokens: number them in line order
+                new = filterfalse(ids.__contains__, tokens)
+                ids.update(zip(new, count(len(ids))))
+                row = list(map(id_of, tokens))
+            rows.append(row)
+            if max_records is not None and len(rows) >= max_records:
                 break
-    dictionary = TokenDictionary.from_corpus(raw)
-    corpus = [dictionary.canonicalize(tokens) for tokens in raw]
+    counts = Counter(chain.from_iterable(rows))  # document frequency per id
+    frequency = Counter(dict(zip(ids, map(counts.__getitem__, ids.values()))))
+    dictionary, rank = TokenDictionary.from_frequency(list(ids), frequency)
+    del ids, id_of, counts, frequency
+    for i, row in enumerate(rows):  # each id list is freed as it goes
+        rows[i] = tuple(sorted(map(rank.__getitem__, row)))
     stream = RecordStream(
-        corpus, arrivals=ConstantRate(rate), name=name or path.stem
+        rows, arrivals=ConstantRate(rate), name=name or path.stem
     )
     return stream, dictionary
 

@@ -64,7 +64,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
@@ -102,7 +102,7 @@ from repro.parallel.merge import (
     worker_metrics,
     worker_timeline,
 )
-from repro.parallel.planner import plan_shards
+from repro.parallel.planner import ShardPlan, plan_shards
 from repro.parallel.worker import (
     HeartbeatEmitter,
     ShardWorker,
@@ -325,11 +325,13 @@ class _Run:
             self.log.record(phase, start, time.monotonic())
 
 
-def _corpus_of(stream, records: Sequence[Record]) -> Sequence[Tuple[int, ...]]:
-    corpus = getattr(stream, "corpus", None)
-    if corpus is not None:
-        return corpus
-    return [record.tokens for record in records]
+def _plan(
+    config: JoinConfig, records: Sequence[Record], num_shards: Optional[int]
+) -> ShardPlan:
+    """The shard plan over the first ``config.sample_size`` records —
+    only the sample is copied, never the whole corpus."""
+    sample = [record.tokens for record in records[: config.sample_size]]
+    return plan_shards(config, sample, num_shards)
 
 
 class ParallelJoinRunner:
@@ -454,9 +456,7 @@ class ParallelJoinRunner:
             sink=sink,
         )
         records = list(stream)
-        plan = plan_shards(
-            self.config, _corpus_of(stream, records), self.num_shards
-        )
+        plan = _plan(self.config, records, self.num_shards)
         shards = plan.num_shards
         workers = max(1, min(self.workers, shards))
         run.assignment = [
@@ -767,7 +767,7 @@ def run_serial(
     """
     started = time.monotonic()
     records = list(stream)
-    plan = plan_shards(config, _corpus_of(stream, records), num_shards)
+    plan = _plan(config, records, num_shards)
     shards = plan.num_shards
     meters = {shard: WorkMeter() for shard in range(shards)}
     engines = {

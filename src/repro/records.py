@@ -8,6 +8,8 @@ core join can all share :class:`Record` without import cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 from typing import Tuple
 
 
@@ -39,7 +41,8 @@ class Record:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if any(self.tokens[i] >= self.tokens[i + 1] for i in range(len(self.tokens) - 1)):
+        tokens = self.tokens
+        if not all(map(lt, tokens, islice(tokens, 1, None))):
             raise ValueError(
                 f"Record {self.rid}: tokens must be strictly ascending "
                 f"(canonical form), got {self.tokens!r}"

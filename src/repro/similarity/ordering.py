@@ -11,18 +11,24 @@ frequency-ascending ordering).
 * **dynamic** — tokens get ids on first encounter (insertion order).
   Always consistent, hence always correct; used when no corpus pass is
   possible.
-* **frequency-ranked** — after observing a corpus (or a warm-up sample),
-  :meth:`rank_by_frequency` reassigns ids so ascending id order equals
-  ascending frequency (ties broken by the token itself for determinism).
-  Tokens first seen *after* ranking receive fresh ids above all ranked
-  ids; they sort last, i.e. they are treated as frequent. That choice
-  only affects pruning power, never correctness.
+* **frequency-ranked** — after a pass over a corpus,
+  :meth:`from_frequency` assigns ids so ascending id order equals
+  ascending document frequency (ties broken by ``repr(token)`` for
+  determinism). It is the one ranking: :meth:`from_corpus` and the
+  one-pass file loader (:func:`repro.datasets.loader.load_token_file`)
+  both count frequencies and call it. When no two tokens share a
+  ``repr`` (true of any set of strings), the order depends only on
+  the counts and the tokens, not on encounter order, so the two build
+  identical dictionaries. Tokens first seen *after* ranking receive
+  fresh ids above all ranked ids; they sort last, i.e. they are treated
+  as frequent. That choice only affects pruning power, never
+  correctness.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 
 class TokenDictionary:
@@ -90,38 +96,36 @@ class TokenDictionary:
         return [self._token_of[token_id] for token_id in record]
 
     # -- frequency ranking -----------------------------------------------
-    def observe(self, tokens: Iterable[Hashable]) -> None:
-        """Accumulate frequency statistics from one raw record."""
-        self._frequency.update(set(tokens))
+    @classmethod
+    def from_frequency(
+        cls, tokens: Sequence[Hashable], frequency: Counter
+    ) -> Tuple["TokenDictionary", List[int]]:
+        """The frequency-ranked dictionary over distinct ``tokens``.
 
-    def rank_by_frequency(self) -> None:
-        """Reassign ids so ascending id = ascending observed frequency.
-
-        Invalidates any canonical records produced before the call;
-        callers (the bench harness, the dataset builders) rank once,
-        before canonicalizing anything.
+        ``frequency`` maps each token to its document frequency and
+        becomes the dictionary's own. Tokens that share a frequency and
+        a ``repr`` keep their order in ``tokens``. Returns the dictionary and
+        ``rank``, where ``rank[i]`` is the id of ``tokens[i]``: a caller
+        that numbered tokens provisionally by their position in
+        ``tokens`` remaps its records through it.
         """
         ordered = sorted(
-            self._id_of,
-            key=lambda token: (self._frequency.get(token, 0), repr(token)),
+            tokens, key=lambda token: (frequency.get(token, 0), repr(token))
         )
-        self._id_of = {token: rank for rank, token in enumerate(ordered)}
-        self._token_of = ordered
-        self._ranked = True
+        dictionary = cls()
+        dictionary._token_of = ordered
+        dictionary._id_of = {token: rank for rank, token in enumerate(ordered)}
+        dictionary._frequency = frequency
+        dictionary._ranked = True
+        return dictionary, list(map(dictionary._id_of.__getitem__, tokens))
 
     @classmethod
     def from_corpus(cls, corpus: Iterable[Iterable[Hashable]]) -> "TokenDictionary":
         """Build a frequency-ranked dictionary from raw token records."""
-        dictionary = cls()
-        frequency = dictionary._frequency
+        frequency: Counter = Counter()
         for record in corpus:
             # Duplicate-free and in record order, so the counter's keys
-            # end up in first-encounter order — the order ids are
-            # assigned in — without a per-token Python call.
+            # end up in first-encounter order (the tie-break between
+            # tokens that share a repr) without a per-token Python call.
             frequency.update(dict.fromkeys(record).keys())
-        dictionary._token_of = list(frequency)
-        dictionary._id_of = {
-            token: new_id for new_id, token in enumerate(frequency)
-        }
-        dictionary.rank_by_frequency()
-        return dictionary
+        return cls.from_frequency(list(frequency), frequency)[0]

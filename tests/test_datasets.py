@@ -1,6 +1,9 @@
 """Dataset substrate: generators, corpora and the file loader."""
 
+import os
 import random
+import threading
+import tracemalloc
 
 import pytest
 
@@ -182,3 +185,115 @@ class TestLoader:
         path = tmp_path / "in.txt"
         path.write_text(text)
         return path
+
+
+def two_pass_load(path, max_records=None):
+    """The oracle: hold every line's raw tokens, rank them with
+    ``from_corpus``, then ``canonicalize`` each held line."""
+    raw = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            tokens = line.split()
+            if not tokens:
+                continue
+            raw.append(tokens)
+            if max_records is not None and len(raw) >= max_records:
+                break
+    dictionary = TokenDictionary.from_corpus(raw)
+    return [dictionary.canonicalize(tokens) for tokens in raw], dictionary
+
+
+class TestOnePassLoader:
+    """``load_token_file`` reads once and keeps ids; it must build
+    exactly the corpus and dictionary the two-pass oracle builds."""
+
+    def assert_matches_oracle(self, path, max_records=None):
+        stream, dictionary = load_token_file(path, max_records=max_records)
+        corpus, oracle = two_pass_load(path, max_records)
+        assert stream.corpus == corpus
+        assert list(dictionary._id_of.items()) == list(oracle._id_of.items())
+        assert dictionary._token_of == oracle._token_of
+        assert dictionary._frequency == oracle._frequency
+        assert dictionary.is_ranked
+        keys = [
+            (dictionary._frequency[token], repr(token))
+            for token in dictionary._token_of
+        ]
+        assert keys == sorted(keys)  # ascending frequency, repr tie-break
+        return stream, dictionary
+
+    @pytest.mark.parametrize("name,builder", sorted(CORPUS_BUILDERS.items()))
+    def test_every_builder_matches_the_oracle(self, tmp_path, name, builder):
+        ids = tmp_path / f"{name}.ids.txt"
+        save_token_file(ids, builder(300, seed=7))
+        stream, dictionary = self.assert_matches_oracle(ids)
+        words = tmp_path / f"{name}.words.txt"
+        save_token_file(words, stream, dictionary)
+        self.assert_matches_oracle(words)
+        for cut in (1, 150, 299, 300, 301):
+            self.assert_matches_oracle(ids, max_records=cut)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a b\n\n   \n\t\nb c\n\n",  # blank and whitespace-only lines
+            "x x y x\ny y\nz y x z\n",  # repeats within a line
+            "café naïve 東京\n東京 ß café\nß\n",  # non-ASCII
+            "10 9 010 1e3 -1\n9 10 -1\n1e3 0x1 10.0\n",  # numeric-looking
+            "solo token\n",
+            "no trailing newline",
+            "",
+        ],
+        ids=["blank", "repeats", "non-ascii", "numeric", "one-line",
+             "no-newline", "empty"],
+    )
+    def test_edge_cases_match_the_oracle(self, tmp_path, text):
+        path = tmp_path / "edge.txt"
+        path.write_text(text, encoding="utf-8")
+        stream, dictionary = self.assert_matches_oracle(path)
+        if not text:
+            assert len(stream) == 0 and len(dictionary) == 0
+
+    def test_max_records_cut_before_blank_lines(self, tmp_path):
+        path = tmp_path / "cut.txt"
+        path.write_text("a b\nc a\n\n  \n\nd a\n")
+        for cut in (1, 2, 3, 4):
+            stream, _ = self.assert_matches_oracle(path, max_records=cut)
+            assert len(stream) == min(cut, 3)
+
+    def test_peak_memory_is_bounded_by_the_result(self, tmp_path):
+        """One ``str`` per distinct token stays alive, not one per token
+        in the file: loading ~90-token records peaks below 2.4x what the
+        loaded stream and dictionary hold (holding every raw token
+        until the end of the file peaks near 2.9x)."""
+        path = tmp_path / "enron.txt"
+        save_token_file(path, synthetic_enron(1000, seed=3))
+        load_token_file(path)  # first-call allocations are not the load's
+        tracemalloc.start()
+        try:
+            stream, dictionary = load_token_file(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 1000 and len(dictionary) > 0
+        assert peak <= 2.4 * held, f"peak {peak} vs result {held}"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_reads_a_fifo_in_one_pass(self, tmp_path):
+        text = "x y z\n\nz y\nw x x\n"
+        regular = tmp_path / "corpus.txt"
+        regular.write_text(text)
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as handle:
+                handle.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        stream, dictionary = load_token_file(fifo)
+        writer.join(timeout=5)
+        expected, oracle = load_token_file(regular)
+        assert stream.corpus == expected.corpus
+        assert dictionary._token_of == oracle._token_of

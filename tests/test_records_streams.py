@@ -18,6 +18,17 @@ class TestRecord:
             Record(rid=0, tokens=(3, 1, 2))
         with pytest.raises(ValueError, match="ascending"):
             Record(rid=0, tokens=(1, 1))  # duplicates rejected too
+        message = (
+            "Record 4: tokens must be strictly ascending (canonical form), "
+            "got (9, 7, 5, 2)"
+        )
+        with pytest.raises(ValueError) as descending:
+            Record(rid=4, tokens=(9, 7, 5, 2))
+        assert str(descending.value) == message
+        with pytest.raises(ValueError, match=r"got \(1, 2, 5, 5, 8\)"):
+            Record(rid=4, tokens=(1, 2, 5, 5, 8))  # a repeat mid-record
+        for tokens in ((), (7,), (0, 3, 8)):
+            assert Record(rid=4, tokens=tokens).tokens == tokens
 
     def test_size_and_prefix(self):
         r = Record(rid=1, tokens=(2, 5, 9))
