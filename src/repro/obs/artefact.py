@@ -35,7 +35,7 @@ __all__ = [
 #: The ``transport`` value of every span, telemetry and record-trace
 #: header and archive row: results have one wire, the worker pipe. The
 #: key stays so older artefacts and archives compare; it goes with the
-#: next schema bump (ROADMAP 2(iv)).
+#: next schema bump (ROADMAP 2(iii)).
 TRANSPORT = "pipe"
 
 

@@ -38,8 +38,8 @@ Phases (the driver records the driver set with ``worker == -1``)::
 
     setup       materialise the records, plan shards, spawn workers (each
                 is handed the records and the plan as start-up arguments)
-    drain       blocking reads of worker results (the inline executor
-                runs its workers inside this window)
+    drain       the driver waiting on every worker's pipe and consuming
+                its frames, until the last worker's summary
     merge       canonical match sort + meter summation
     route       a worker's own walk over the published records between
                 two batches: plan lookups, fanout tally, buffer appends
@@ -49,9 +49,11 @@ Phases (the driver records the driver set with ``worker == -1``)::
                 per-phase *totals* are exact)
     insert      insert calls of one batch (tiled after probe)
     meter_flush the one charge_many/event_many flush per batch
-    pipe_write  a worker shipping one batch's match rows (the inline
-                executor's hand-over included) — only batches that
-                produced rows have one
+    pipe_write  a worker shipping one batch's match rows — only batches
+                that produced rows have one
+
+Files from the removed in-process executor say ``"inline"`` in their
+header; they read like any other.
 
 Artefacts written while records still travelled driver → worker in
 batches also carry ``feed`` / ``encode`` / ``pipe_write`` /

@@ -82,18 +82,17 @@ class TelemetryRecorder:
     """Aggregates heartbeat samples into time series + online health.
 
     The runtime constructs one per telemetry-enabled run and calls
-    :meth:`on_heartbeat` for every sample (unpickled from a process
-    worker's pipe, or handed over by the inline executor's emitter) and
-    :meth:`finalize` once after the merge, or when the run fails. All
-    hooks are O(1) dict work plus one JSON line when a sink path is
-    configured — nothing here may slow the data plane measurably.
+    :meth:`on_heartbeat` for every sample (unpickled from a worker's
+    pipe) and :meth:`finalize` once after the merge, or when the run
+    fails. All hooks are O(1) dict work plus one JSON line when a sink
+    path is configured — nothing here may slow the data plane
+    measurably.
     """
 
     def __init__(
         self,
         workers: int,
         shards: int,
-        executor: str,
         interval: float,
         base: float,
         out_path: Optional[str] = None,
@@ -104,7 +103,6 @@ class TelemetryRecorder:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.workers = workers
         self.shards = shards
-        self.executor = executor
         self.interval = interval
         self.base = base
         self.component = component
@@ -115,7 +113,8 @@ class TelemetryRecorder:
             "interval": interval,
             "workers": workers,
             "shards": shards,
-            "executor": executor,
+            # Only worker processes send heartbeats.
+            "executor": "process",
             "transport": TRANSPORT,
             "thresholds": self.monitor.thresholds.as_dict(),
         }
@@ -136,8 +135,8 @@ class TelemetryRecorder:
     def on_heartbeat(self, sample: Dict[str, object]) -> Dict[str, object]:
         """One heartbeat sample → one timestamped sample row.
 
-        ``sample`` is the dict
-        :class:`~repro.parallel.worker.HeartbeatEmitter` hands its sink.
+        ``sample`` is the dict a
+        :class:`~repro.parallel.worker.HeartbeatEmitter` writes.
         Arrival is stamped against the driver's monotonic clock rebased
         to the run start.
         """

@@ -18,28 +18,23 @@ Determinism: the stream is routed over ``num_shards`` logical shards
 every worker walks the same record list in arrival order through the
 same pure :class:`~repro.parallel.planner.ShardPlan`, so each shard
 engine performs the identical operation sequence for any
-``workers``/``batch_size``/executor choice. The merged observables —
+``workers``/``batch_size``/start-method choice. The merged observables —
 match rows in ``(timestamp, rid_a, rid_b)`` order, summed integer meter
 totals — are therefore bit-identical across configurations, which the
 differential tests and the ``repro diff`` fingerprint gate both assert.
 
-Three executors:
-
-* ``"process"`` — real ``multiprocessing`` workers (the point).
-* ``"inline"``  — same :class:`ShardWorker` code driven in-process:
-  the single-core fallback and what the differential tests use to
-  cover worker-count grids cheaply.
-* :func:`run_serial` — no batching, direct per-record engine calls:
-  the ground truth the other two must reproduce.
+One executor: every :class:`ParallelJoinRunner` run starts real
+``multiprocessing`` workers. :func:`run_serial` — no batching, direct
+per-record engine calls — is the ground truth it must reproduce.
 
 One publish, no record wire: :meth:`ParallelJoinRunner.run` hands every
 worker ``(records, plan, hosted shards, batch_size)`` once — inherited
 under ``fork``, pickled once under ``spawn``, one code path either way
-— and :meth:`ShardWorker.run` self-selects its shards' tasks from them
-under both executors. The driver writes nothing after start-up: it goes
-from spawn straight to draining results, which return as match frames
-over one pipe per worker — the only results wire, and the only pipe a
-worker has: live heartbeats are frames on it too.
+— and :meth:`ShardWorker.run` self-selects its shards' tasks from them.
+The driver writes nothing after start-up: it goes from spawn straight
+to draining results, which return as match frames over one pipe per
+worker — the only results wire, and the only pipe a worker has: live
+heartbeats are frames on it too.
 
 Results stream: workers ship at every batch boundary that has rows, and
 one loop over :func:`multiprocessing.connection.wait` consumes a frame
@@ -92,7 +87,6 @@ from repro.parallel.codec import (
     MatchTable,
     decode_event_frame,
     decode_match_batch,
-    encode_event_frame,
 )
 from repro.parallel.merge import (
     merge_matches,
@@ -103,13 +97,7 @@ from repro.parallel.merge import (
     worker_timeline,
 )
 from repro.parallel.planner import ShardPlan, plan_shards
-from repro.parallel.worker import (
-    HeartbeatEmitter,
-    ShardWorker,
-    build_shard_engine,
-    peak_rss_bytes,
-    worker_main,
-)
+from repro.parallel.worker import build_shard_engine, peak_rss_bytes, worker_main
 from repro.records import Record
 from repro.routing.base import fanout_fraction
 
@@ -117,7 +105,10 @@ _SETUP = PHASE_ID["setup"]
 _DRAIN = PHASE_ID["drain"]
 _MERGE = PHASE_ID["merge"]
 
-EXECUTORS = ("process", "inline")
+#: What a :class:`ParallelJoinRunner` run's artefacts and result say
+#: ran them (``run_serial`` says ``"serial"``, the simulator
+#: ``"simulated"``).
+EXECUTOR = "process"
 
 
 class ParallelWorkerError(RuntimeError):
@@ -280,7 +271,7 @@ class ParallelJoinResult:
 @dataclass
 class _Run:
     """What one :meth:`ParallelJoinRunner.run` call owns besides its
-    inputs, passed to the executor and the merge — the runner holds
+    inputs, passed to the drain loop and the merge — the runner holds
     configuration only, so its runs cannot see each other."""
 
     #: Monotonic clock value at run start (base for every rebase).
@@ -309,7 +300,7 @@ class _Run:
             self.log = EventLog(self.spans_sample, self.trace_sample)
 
     def consume(self, w: int, frame: MatchTable) -> None:
-        """The one consumer of a match frame, both executors: count it,
+        """The one consumer of a decoded match frame: count it,
         then hand it to the sink or append it to worker ``w``'s table."""
         self.results += len(frame)
         if self.sink is not None:
@@ -335,17 +326,18 @@ def _plan(
 
 
 class ParallelJoinRunner:
-    """Runs one config over real cores. See the module docstring.
+    """Runs one config over worker processes. See the module docstring.
 
     ``workers`` is the physical process count (capped at the shard
     count — an extra process would host zero shards); ``num_shards``
     defaults to ``config.num_workers`` so parallel runs shard the
     stream exactly like the simulated cluster; ``batch_size`` defaults
-    to ``config.batch_size``. ``spans=True`` switches on wall-clock
-    span recording in the driver and every worker (see
-    :mod:`repro.obs.spans`); ``spans_sample`` is the deterministic
-    batch-index downsampling stride for the high-rate batch-scoped
-    phases (1 = record every batch).
+    to ``config.batch_size``; ``start_method`` picks the
+    :mod:`multiprocessing` context (``None``: the platform default).
+    ``spans=True`` switches on wall-clock span recording in the driver
+    and every worker (see :mod:`repro.obs.spans`); ``spans_sample`` is
+    the deterministic batch-index downsampling stride for the high-rate
+    batch-scoped phases (1 = record every batch).
 
     Telemetry is on iff ``heartbeat_interval`` or ``telemetry_out`` is
     given (see :mod:`repro.obs.timeseries`): each worker samples its
@@ -363,12 +355,12 @@ class ParallelJoinRunner:
     clock-rebased event rows land on the result (``trace_rows`` /
     ``rectrace_document()`` / ``latency_digest()``). The traced rid
     set is a pure function of rid, so it is identical across worker
-    counts, batch sizes and executors; like spans and telemetry,
+    counts, batch sizes and start methods; like spans and telemetry,
     tracing never changes an observable.
 
-    Match rows come back from process workers over one pipe per
-    worker, the only results wire; ``transport`` survives for one
-    caller and accepts only ``"pipe"``.
+    Match rows come back over one pipe per worker, the only results
+    wire; ``transport`` survives for one caller and accepts only
+    ``"pipe"``.
     """
 
     def __init__(
@@ -377,7 +369,6 @@ class ParallelJoinRunner:
         workers: int = 1,
         num_shards: Optional[int] = None,
         batch_size: Optional[int] = None,
-        executor: str = "process",
         start_method: Optional[str] = None,
         spans: bool = False,
         spans_sample: int = 1,
@@ -389,10 +380,6 @@ class ParallelJoinRunner:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
         # Only because benchmarks/e2e/layers.py still passes
         # transport="pipe"; ROADMAP item 1 (the benchmark-only change)
         # deletes that call and this parameter.
@@ -420,7 +407,6 @@ class ParallelJoinRunner:
         self.workers = workers
         self.num_shards = num_shards
         self.batch_size = batch_size
-        self.executor = executor
         self.start_method = start_method
         self.spans = bool(spans)
         self.spans_sample = spans_sample
@@ -467,16 +453,12 @@ class ParallelJoinRunner:
             run.telemetry = TelemetryRecorder(
                 workers=workers,
                 shards=shards,
-                executor=self.executor,
                 interval=self.heartbeat_interval,
                 base=started,
                 out_path=self.telemetry_out,
             )
-        execute = (
-            self._run_process if self.executor == "process" else self._run_inline
-        )
         try:
-            summaries = execute(run, plan, records)
+            summaries = self._run_process(run, plan, records)
         except (ParallelWorkerError, KeyboardInterrupt) as error:
             if run.telemetry is not None:
                 # Close the file with its one final row, so a reader
@@ -563,58 +545,6 @@ class ParallelJoinRunner:
                 if proc.is_alive():
                     proc.terminate()
                 proc.join()
-
-    def _run_inline(self, run: _Run, plan, records):
-        telemetry = run.telemetry
-        workers = len(run.assignment)
-        monotonic = time.monotonic
-        pool = [
-            ShardWorker(
-                self.config, run.assignment[w], plan.num_shards,
-                spans_sample=run.spans_sample, worker=w,
-                trace_sample=run.trace_sample,
-            )
-            for w in range(workers)
-        ]
-        run.window(_SETUP, run.started)
-
-        t_drain = monotonic()
-        summaries = []
-        for w, worker in enumerate(pool):
-            # One worker after the other, each over the whole published
-            # input — what the processes do side by side.
-            born = monotonic()
-            emitter = (
-                HeartbeatEmitter(
-                    telemetry.on_heartbeat, w, self.heartbeat_interval
-                )
-                if telemetry is not None
-                else None
-            )
-
-            def ship(table: MatchTable, w: int = w) -> int:
-                """The inline hand-over: no wire, no bytes."""
-                run.consume(w, table)
-                return 0
-
-            fanout = worker.run(records, plan, self.batch_size, emitter, ship)
-            worker.lifetime_s = monotonic() - born
-            if emitter is not None:
-                # The flagged final sample, mirroring ``worker_main``.
-                emitter.emit(worker.telemetry_snapshot(), final=True)
-            summary = worker.finish()
-            summary["fanout"] = fanout
-            if emitter is not None:
-                summary["heartbeats"] = emitter.seq
-            summaries.append(summary)
-            if worker.log is not None:
-                # Round-trip the event log through the wire frame, so
-                # inline runs cover that codec too.
-                run.columns[w] = decode_event_frame(
-                    encode_event_frame(*worker.log.columns())
-                )
-        run.window(_DRAIN, t_drain)
-        return summaries
 
     def _artefacts(self, run: _Run, summaries, shape, records: int):
         """The one merge helper: every actor's event log → ``(span
@@ -716,7 +646,7 @@ class ParallelJoinRunner:
         #: The run-shape fields both artefact headers carry, in order.
         shape = {
             "wall_s": round(wall_s, 9),
-            "executor": self.executor,
+            "executor": EXECUTOR,
             "transport": TRANSPORT,
             "workers": workers,
             "shards": plan.num_shards,
@@ -734,7 +664,7 @@ class ParallelJoinRunner:
             num_shards=plan.num_shards,
             workers=workers,
             batch_size=self.batch_size,
-            executor=self.executor,
+            executor=EXECUTOR,
             records=len(records),
             matches=matches,
             results=run.results,

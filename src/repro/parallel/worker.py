@@ -5,8 +5,8 @@ A physical worker process hosts one or more logical shards, each a
 :class:`~repro.core.bolts.JoinBolt` builds its engine with for task
 index ``shard`` of ``num_shards``
 (:func:`~repro.core.shard_engine.build_shard_engine`) — so a shard
-behaves identically whether it runs inside the simulated cluster,
-inline in the driver, or in a forked process.
+behaves identically whether it runs inside the simulated cluster, in
+:func:`~repro.parallel.runtime.run_serial`, or in a worker process.
 
 Records never cross a wire. Every worker is handed the whole record
 list and the shard plan once, as process start-up arguments (inherited
@@ -48,8 +48,7 @@ worker. A final flagged heartbeat is always written when the loop ends,
 before ``TAG_DONE``, so every finished run carries at least one sample
 per worker at any interval.
 
-One batch path: :meth:`ShardWorker.run` (called by :func:`worker_main`
-and by the runtime's inline executor alike) hands every batch to
+One batch path: :meth:`ShardWorker.run` hands every batch to
 :meth:`ShardWorker.process_batch`, and every record runs through one
 probe → emit → insert body. Instruments are selected per *batch*, never
 by a second copy of that body: a batch whose per-shard sequence number
@@ -157,10 +156,6 @@ def _run_untimed(engine, event, emit, items) -> None:
 class ShardWorker:
     """Executes batches against the shards hosted by one worker.
 
-    Used by the forked worker process *and* by the runtime's inline
-    executor (single-core fallback / differential tests) — one code
-    path, so inline and process runs cannot drift apart.
-
     ``spans_sample >= 1`` switches on wall-clock span recording with
     that downsampling stride (0 = off); ``trace_sample >= 1`` switches
     on per-record tracing with that rid stride (0 = off); ``worker``
@@ -202,9 +197,8 @@ class ShardWorker:
         #: driver's busy/idle timeline.
         self.intervals: List[Tuple[float, float]] = []
         #: Telemetry: result-frame bytes sent so far (what the ``ship``
-        #: hook returned, plus the event frame) and, filled by the
-        #: hosting loop (``worker_main`` or the inline executor), the
-        #: worker's total lifetime.
+        #: hook returned, plus the event frame) and, filled by
+        #: ``worker_main``, the worker's total lifetime.
         self.bytes_out = 0
         self.lifetime_s = 0.0
         #: The worker's one event log — spans and trace events both —
@@ -442,35 +436,32 @@ class ShardWorker:
 
 class HeartbeatEmitter:
     """One worker's ``TAG_HEARTBEAT`` schedule: due times and sequence
-    numbers, each sample handed to ``sink(sample)``.
-
-    The sink is the only part that knows where a sample goes — a tagged
-    pickle on the result pipe for a process worker (:func:`worker_main`),
-    :meth:`~repro.obs.timeseries.TelemetryRecorder.on_heartbeat` for the
-    inline executor — so both executors sample on the same schedule.
-    Every sample is delivered, so ``seq`` is strictly increasing and
-    gap-free per worker.
+    numbers, each sample written to the result pipe ``conn`` as a tagged
+    pickle. ``born`` is the worker's start on the clock its summary's
+    ``lifetime_s`` is measured from, so ``uptime_s`` counts from there
+    too. Every sample is delivered, so ``seq`` is strictly increasing
+    and gap-free per worker.
     """
 
-    def __init__(self, sink, worker: int, interval: float):
+    def __init__(self, conn, worker: int, interval: float, born: float):
         if interval <= 0:
             raise ValueError(f"heartbeat interval must be > 0, got {interval}")
-        self.sink = sink
+        self.conn = conn
         self.worker = worker
         self.interval = interval
         self.seq = 0
-        self._born = time.monotonic()
-        self._next_due = self._born + interval
+        self._born = born
+        self._next_due = born + interval
 
     def emit(self, counters: dict, final: bool = False) -> None:
         """Stamp ``counters`` (a :meth:`ShardWorker.telemetry_snapshot`)
-        and hand the sample to the sink."""
+        and write the sample."""
         now = time.monotonic()
         self._next_due = now + self.interval
-        self.sink({
+        self.conn.send_bytes(_HEARTBEAT_TAG + pickle.dumps({
             "worker": self.worker, "seq": self.seq, "final": final,
             "uptime_s": now - self._born, **counters,
-        })
+        }))
         self.seq += 1
 
     def maybe_emit(self, worker: "ShardWorker") -> None:
@@ -526,12 +517,7 @@ def worker_main(
         )
         emitter = None
         if heartbeat_interval > 0:
-            emitter = HeartbeatEmitter(
-                lambda sample: conn.send_bytes(
-                    _HEARTBEAT_TAG + pickle.dumps(sample)
-                ),
-                worker_id, heartbeat_interval,
-            )
+            emitter = HeartbeatEmitter(conn, worker_id, heartbeat_interval, born)
         ship = partial(ship_matches, conn=conn)
         fanout = worker.run(records, plan, batch_size, emitter, ship)
         worker.lifetime_s = time.monotonic() - born

@@ -23,7 +23,7 @@ from repro.obs.chrome import (
 from repro.obs.spans import load_spans_jsonl
 from repro.parallel import ParallelJoinRunner
 
-from tests.test_parallel_differential import fuzz_records
+from tests.test_parallel_differential import fuzz_records, try_process_run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "spans_fixture.jsonl")
 
@@ -77,11 +77,12 @@ class TestSpansExport:
 class TestRectraceExport:
     @pytest.fixture(scope="class")
     def doc(self):
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline",
-            trace=True, trace_sample=4,
-        ).run(fuzz_records(seed=51, n=160))
-        return result.rectrace_document()
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=2, trace=True, trace_sample=4,
+        )
+        return try_process_run(
+            runner, fuzz_records(seed=51, n=160)
+        ).rectrace_document()
 
     def test_round_trips(self, doc):
         events = _assert_trace_event_json(rectrace_to_chrome(doc))

@@ -318,8 +318,7 @@ def late_arrival_records(seed=23, n=300):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_out_of_order_stream_over_four_shards(self, executor):
+    def test_out_of_order_stream_over_four_shards(self):
         records = late_arrival_records()
         config = JoinConfig(threshold=0.6, num_workers=4)
         serial = run_serial(config, records)
@@ -328,9 +327,7 @@ class TestDifferential:
         assert rows == sorted(rows)
         arrival = [row[1] for row in rows]
         assert arrival != sorted(arrival), "stream was not out of order"
-        runner = ParallelJoinRunner(
-            config, workers=2, executor=executor, batch_size=16,
-        )
+        runner = ParallelJoinRunner(config, workers=2, batch_size=16)
         result = try_process_run(runner, records)
         assert result.matches == rows
         assert result.operations == serial.operations

@@ -6,11 +6,13 @@ serial run of the same shard plan on every observable: match rows
 the ``repro diff`` fingerprint — across worker counts, batch sizes,
 expiry modes and routing schemes.
 
-The full grid runs on the inline executor (same ``ShardWorker`` code
-as the process path, no fork cost); a smaller process-executor grid
-covers real processes under both start methods — ``fork`` inherits the
-published records and plan, ``spawn`` pickles them — and skips
-gracefully on hosts where multiprocessing is unavailable.
+Every cell runs real worker processes — the runtime has no other
+executor — through :func:`try_process_run`, which skips gracefully on
+hosts where multiprocessing is unavailable. The full grid runs under
+the platform's default start method; a smaller grid covers both —
+``fork`` inherits the published records and plan, ``spawn`` pickles
+them. What only a worker's own loop can show (the emit buffer at each
+ship) is checked on :meth:`ShardWorker.run` directly.
 """
 
 import math
@@ -23,6 +25,7 @@ from repro.core.config import JoinConfig
 from repro.obs.baseline import compare_fingerprints
 from repro.obs.timeseries import telemetry_smoke
 from repro.parallel import ParallelJoinRunner, run_serial
+from repro.parallel.planner import plan_shards
 from repro.parallel.worker import ShardWorker
 from repro.records import Record
 
@@ -103,7 +106,8 @@ def assert_sink_equals_collect(serial, runner, records, context):
 
 
 class TestInlineGrid:
-    """The full differential grid on the inline executor."""
+    """The full differential grid, on worker processes. (The class
+    keeps the name of the in-process executor it was written for.)"""
 
     @pytest.mark.parametrize("distribution", ["length", "prefix"])
     @pytest.mark.parametrize("expiry", ["lazy", "eager"])
@@ -122,9 +126,10 @@ class TestInlineGrid:
         serial = run_serial(config, records)
         assert serial.results > 0, "fuzz stream produced no matches"
         for workers in WORKER_COUNTS:
-            result = ParallelJoinRunner(
-                config, workers=workers, executor="inline", batch_size=64
-            ).run(records)
+            result = try_process_run(
+                ParallelJoinRunner(config, workers=workers, batch_size=64),
+                records,
+            )
             assert_equal_observables(
                 serial, result, f"{distribution}/{expiry}/workers={workers}"
             )
@@ -134,9 +139,10 @@ class TestInlineGrid:
         config = JoinConfig(threshold=0.7)
         records = fuzz_records(seed=99)
         serial = run_serial(config, records)
-        result = ParallelJoinRunner(
-            config, workers=3, executor="inline", batch_size=batch_size
-        ).run(records)
+        result = try_process_run(
+            ParallelJoinRunner(config, workers=3, batch_size=batch_size),
+            records,
+        )
         assert_equal_observables(serial, result, f"batch={batch_size}")
 
     def test_broadcast_scheme(self):
@@ -144,9 +150,9 @@ class TestInlineGrid:
         records = fuzz_records(seed=5)
         serial = run_serial(config, records)
         for workers in (1, 3):
-            result = ParallelJoinRunner(
-                config, workers=workers, executor="inline"
-            ).run(records)
+            result = try_process_run(
+                ParallelJoinRunner(config, workers=workers), records
+            )
             assert_equal_observables(serial, result, f"broadcast/w={workers}")
 
     def test_cross_source_two_stream(self):
@@ -159,9 +165,7 @@ class TestInlineGrid:
             a = records[rid_a]
             b = records[rid_b]
             assert a.source != b.source
-        result = ParallelJoinRunner(
-            config, workers=2, executor="inline"
-        ).run(records)
+        result = try_process_run(ParallelJoinRunner(config, workers=2), records)
         assert_equal_observables(serial, result, "cross-source")
 
     def test_out_of_order_timestamps_with_window(self):
@@ -181,17 +185,15 @@ class TestInlineGrid:
             )
         config = JoinConfig(threshold=0.6, window_seconds=1.0)
         serial = run_serial(config, records)
-        result = ParallelJoinRunner(
-            config, workers=3, executor="inline", batch_size=32
-        ).run(records)
+        result = try_process_run(
+            ParallelJoinRunner(config, workers=3, batch_size=32), records
+        )
         assert_equal_observables(serial, result, "out-of-order")
 
     def test_match_rows_canonically_ordered(self):
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=8)
-        result = ParallelJoinRunner(
-            config, workers=2, executor="inline"
-        ).run(records)
+        result = try_process_run(ParallelJoinRunner(config, workers=2), records)
         assert result.matches == sorted(result.matches)
 
     def test_shard_count_decoupled_from_workers(self):
@@ -202,9 +204,9 @@ class TestInlineGrid:
             serial = run_serial(config, records)
             assert serial.num_shards <= shards
             for workers in (1, 4):
-                result = ParallelJoinRunner(
-                    config, workers=workers, executor="inline"
-                ).run(records)
+                result = try_process_run(
+                    ParallelJoinRunner(config, workers=workers), records
+                )
                 assert result.num_shards == serial.num_shards
                 assert_equal_observables(
                     serial, result, f"shards={shards}/w={workers}"
@@ -219,9 +221,7 @@ class TestProcessExecutor:
         config = JoinConfig(threshold=0.6, distribution=distribution)
         records = fuzz_records(seed=42, n=250)
         serial = run_serial(config, records)
-        runner = ParallelJoinRunner(
-            config, workers=2, executor="process", batch_size=32
-        )
+        runner = ParallelJoinRunner(config, workers=2, batch_size=32)
         result = try_process_run(runner, records)
         assert_equal_observables(serial, result, f"process/{distribution}")
         assert result.executor == "process"
@@ -232,14 +232,14 @@ class TestProcessExecutor:
         )
         records = fuzz_records(seed=77, n=250)
         serial = run_serial(config, records)
-        runner = ParallelJoinRunner(config, workers=3, executor="process")
+        runner = ParallelJoinRunner(config, workers=3)
         result = try_process_run(runner, records)
         assert_equal_observables(serial, result, "process/eager")
 
     def test_worker_stats_cover_all_records(self):
         config = JoinConfig(threshold=0.6, distribution="broadcast")
         records = fuzz_records(seed=11, n=150)
-        runner = ParallelJoinRunner(config, workers=2, executor="process")
+        runner = ParallelJoinRunner(config, workers=2)
         result = try_process_run(runner, records)
         # Broadcast: every record probes every shard; each of the 8
         # shards sees all 150 records, split across 2 workers (4 each).
@@ -305,16 +305,14 @@ class TestResultsStream:
         for num_shards in (workers, 4):
             serial = run_serial(config, records, num_shards)
             assert serial.results > 0
-            for executor in ("inline", "process"):
-                runner = ParallelJoinRunner(
-                    config, workers=workers, num_shards=num_shards,
-                    batch_size=batch_size, executor=executor,
-                )
-                assert_sink_equals_collect(
-                    serial, runner, records,
-                    f"w={workers} shards={num_shards} batch={batch_size} "
-                    f"{executor}",
-                )
+            runner = ParallelJoinRunner(
+                config, workers=workers, num_shards=num_shards,
+                batch_size=batch_size,
+            )
+            assert_sink_equals_collect(
+                serial, runner, records,
+                f"w={workers} shards={num_shards} batch={batch_size}",
+            )
 
     def test_dense_cell_ships_many_batches_per_worker(self):
         """~40 matches per record, batches of 8: every process worker
@@ -338,39 +336,40 @@ class TestResultsStream:
         ]
         assert all(ships.count(worker) >= 3 for worker in (0, 1)), ships
 
-    def test_inline_first_frame_long_before_the_last_batch(self, monkeypatch):
-        """At hook time the emit buffer holds the rows of the batch
-        just processed and nothing older, and the sink's first call
+    def test_inline_first_frame_long_before_the_last_batch(self):
+        """On the worker's own loop, with a recording ``ship`` hook: at
+        every ship the table holds rows of the batch just processed and
+        nothing older, the emit buffer starts afresh, and the first ship
         comes when the worker has most of the stream still ahead."""
-        real_batch = ShardWorker.process_batch
-        real_flush = ShardWorker.flush_matches
-        progress = []
-
-        def batch(self, shard, items):
-            self.batch_rids = {record.rid for _, record in items}
-            real_batch(self, shard, items)
-
-        def flush(self, ship, shard):
-            assert set(self.matches.columns[1]) <= self.batch_rids
-            progress.append(self.records)
-            real_flush(self, ship, shard)
-            assert len(self.matches) == 0
-
-        monkeypatch.setattr(ShardWorker, "process_batch", batch)
-        monkeypatch.setattr(ShardWorker, "flush_matches", flush)
-        seen_at_first_call = []
-
-        def sink(frame):
-            if not seen_at_first_call:
-                seen_at_first_call.append(progress[-1])
-
+        config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=192)
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=1, executor="inline",
-            batch_size=16,
-        ).run(records, sink=sink)
-        assert result.results > 0 and len(progress) > 3
-        assert seen_at_first_call[0] < result.worker_stats[0]["records"] / 2
+        plan = plan_shards(config, [record.tokens for record in records])
+        worker = ShardWorker(
+            config, plan.shards_of_worker(0, 1), plan.num_shards
+        )
+        real_batch = worker.process_batch
+        batch_rids = []
+
+        def batch(shard, items):
+            batch_rids.append({record.rid for _, record in items})
+            real_batch(shard, items)
+
+        worker.process_batch = batch
+        progress = []
+        shipped = []
+
+        def ship(table):
+            assert set(table.columns[1]) <= batch_rids[-1]
+            assert len(worker.matches) == 0
+            progress.append(worker.records)
+            shipped.extend(table)
+            return 0
+
+        worker.run(records, plan, 16, ship=ship)
+        assert len(progress) > 3 and len(worker.matches) == 0
+        assert progress[0] < worker.records / 2
+        serial = run_serial(config, records)
+        assert sorted(shipped) == serial.matches
 
     def test_process_first_frame_long_before_run_end(self, monkeypatch):
         """Every batch slowed by 10 ms: the first frame reaches the

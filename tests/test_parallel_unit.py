@@ -45,7 +45,7 @@ from repro.records import Record
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import get_similarity
 
-from tests.test_parallel_differential import fuzz_records
+from tests.test_parallel_differential import fuzz_records, try_process_run
 
 
 def make_records(n=20, sources=False):
@@ -529,8 +529,11 @@ class TestRunnerValidation:
             ParallelJoinRunner(JoinConfig(), workers=0)
 
     def test_bad_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            ParallelJoinRunner(JoinConfig(), executor="threads")
+        """Worker processes are the only executor: the keyword that
+        chose another is gone, whatever its value."""
+        for executor in ("inline", "process"):
+            with pytest.raises(TypeError, match="executor"):
+                ParallelJoinRunner(JoinConfig(), executor=executor)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -548,9 +551,9 @@ class TestRunnerValidation:
 
     def test_workers_capped_at_shards(self):
         config = JoinConfig(distribution="prefix", num_workers=2)
-        result = ParallelJoinRunner(
-            config, workers=16, executor="inline"
-        ).run(make_records(10))
+        result = try_process_run(
+            ParallelJoinRunner(config, workers=16), make_records(10)
+        )
         assert result.workers == 2
 
 
@@ -575,9 +578,9 @@ class TestConfigBatchSize:
 class TestObsBridges:
     def run_result(self):
         config = JoinConfig(threshold=0.5, distribution="broadcast")
-        return ParallelJoinRunner(
-            config, workers=2, executor="inline"
-        ).run(make_records(40))
+        return try_process_run(
+            ParallelJoinRunner(config, workers=2), make_records(40)
+        )
 
     def test_fingerprint_schema(self):
         fp = self.run_result().fingerprint()
@@ -605,8 +608,8 @@ class TestObsBridges:
         config = JoinConfig(
             threshold=0.5, distribution=distribution, num_workers=1
         )
-        inline = ParallelJoinRunner(config, workers=1, executor="inline")
-        for result in (inline.run(make_records(40)),
+        runner = ParallelJoinRunner(config, workers=1)
+        for result in (try_process_run(runner, make_records(40)),
                        run_serial(config, make_records(40))):
             assert result.num_shards == 1
             assert result.signals["routing_fanout_fraction"] == 0.0
@@ -623,9 +626,7 @@ class TestObsBridges:
         config = JoinConfig(threshold=0.5, window_seconds=1.0)
         records = make_records(60)
         serial = run_serial(config, records)
-        parallel = ParallelJoinRunner(
-            config, workers=3, executor="inline"
-        ).run(records)
+        parallel = try_process_run(ParallelJoinRunner(config, workers=3), records)
         assert parallel.signals == serial.signals
 
 
@@ -698,16 +699,17 @@ class TestRunFailure:
 
         config = JoinConfig(threshold=0.6, batch_size=64)
         records = fuzz_records(seed=23, n=4000)
-        batches = ParallelJoinRunner(
-            config, workers=2, executor="inline"
-        ).run(records, sink=lambda frame: None).worker_stats[0]["batches"]
+        batches = try_process_run(
+            ParallelJoinRunner(config, workers=2), records,
+            sink=lambda frame: None,
+        ).worker_stats[0]["batches"]
         assert 0.1 * batches > 4.0, "worker 0 would not outlive the check"
         monkeypatch.setattr(ShardWorker, "process_batch", dying)
         telemetry_out = None
         if heartbeat_interval is not None:
             telemetry_out = str(tmp_path / "run.telemetry.jsonl")
         runner = ParallelJoinRunner(
-            config, workers=2, executor="process", start_method="fork",
+            config, workers=2, start_method="fork",
             heartbeat_interval=heartbeat_interval, telemetry_out=telemetry_out,
         )
         started = time.monotonic()
@@ -742,9 +744,7 @@ class TestRunFailure:
         monkeypatch.setattr(runtime_mod, "decode_match_batch", interrupting)
         config = JoinConfig(threshold=0.6, batch_size=16)
         records = fuzz_records(seed=29, n=200)
-        runner = ParallelJoinRunner(
-            config, workers=2, executor="process", start_method="fork",
-        )
+        runner = ParallelJoinRunner(config, workers=2, start_method="fork")
         with pytest.raises(KeyboardInterrupt):
             try:
                 runner.run(records)

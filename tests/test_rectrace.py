@@ -232,10 +232,10 @@ class TestSamplingDeterminism:
 
     def _doc(self, records, workers, batch_size, sample=8):
         runner = ParallelJoinRunner(
-            self.CONFIG, workers=workers, executor="inline",
+            self.CONFIG, workers=workers,
             batch_size=batch_size, trace=True, trace_sample=sample,
         )
-        return runner.run(records).rectrace_document()
+        return try_process_run(runner, records).rectrace_document()
 
     def test_traced_rids_identical_across_workers(self):
         records = fuzz_records(seed=11, n=240)
@@ -271,26 +271,25 @@ class TestSamplingDeterminism:
 
 
 class TestTracingDifferential:
-    """Observables bit-identical with tracing on/off, both executors,
-    >= 2 worker counts, >= 2 sampling strides."""
+    """Observables bit-identical with tracing on/off, >= 2 worker
+    counts, >= 2 sampling strides."""
 
     def test_inline_grid_on_off_any_stride(self):
+        """The on/off grid on worker processes (the name is the
+        in-process executor's it was written for)."""
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=21, n=300)
         serial = run_serial(config, records)
         for workers in (1, 2, 4):
-            for sample in (1, 5, DEFAULT_TRACE_SAMPLE):
-                result = ParallelJoinRunner(
-                    config, workers=workers, executor="inline",
-                    trace=True, trace_sample=sample,
-                ).run(records)
-                assert_equal_observables(
-                    serial, result, f"inline w={workers} sample={sample}"
+            for sample in (1, 5, DEFAULT_TRACE_SAMPLE, None):
+                runner = ParallelJoinRunner(
+                    config, workers=workers, trace=sample is not None,
+                    trace_sample=sample or DEFAULT_TRACE_SAMPLE,
                 )
-            off = ParallelJoinRunner(
-                config, workers=workers, executor="inline"
-            ).run(records)
-            assert_equal_observables(serial, off, f"inline w={workers} off")
+                assert_equal_observables(
+                    serial, try_process_run(runner, records),
+                    f"w={workers} sample={sample}",
+                )
 
     def test_process_on_off_differential(self):
         config = JoinConfig(threshold=0.6)
@@ -300,7 +299,7 @@ class TestTracingDifferential:
             for sample in (4, DEFAULT_TRACE_SAMPLE):
                 result = try_process_run(
                     ParallelJoinRunner(
-                        config, workers=workers, executor="process",
+                        config, workers=workers,
                         trace=True, trace_sample=sample,
                     ),
                     records,
@@ -316,10 +315,13 @@ class TestTracingDifferential:
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=23, n=200)
         serial = run_serial(config, records)
-        result = ParallelJoinRunner(
-            config, workers=2, executor="inline",
-            trace=True, trace_sample=4, spans=True, heartbeat_interval=0.25,
-        ).run(records)
+        result = try_process_run(
+            ParallelJoinRunner(
+                config, workers=2, trace=True, trace_sample=4, spans=True,
+                heartbeat_interval=0.25,
+            ),
+            records,
+        )
         assert_equal_observables(serial, result, "trace+spans+telemetry")
         assert result.span_header is not None
         assert result.telemetry is not None
@@ -331,29 +333,24 @@ class TestTracingDifferential:
         """Span-sampled *and* traced batches next to batches that are
         only traced and (3-record batches, stride 4) batches that are
         neither: observables equal serial, and span structure and each
-        rid's trace events are the same on both executors at 1 and 2
-        workers."""
+        rid's trace events are the same at 1 and 2 workers."""
         config = JoinConfig(threshold=0.6, num_workers=4)
         records = fuzz_records(seed=24, n=260)
         serial = run_serial(config, records)
         seen = {}
-        for executor in ("inline", "process"):
-            for workers in (1, 2):
-                label = (
-                    f"{executor} w={workers} spans/{spans_sample} "
-                    f"trace/{trace_sample}"
-                )
-                runner = ParallelJoinRunner(
-                    config, workers=workers, executor=executor, batch_size=3,
-                    spans=True, spans_sample=spans_sample,
-                    trace=True, trace_sample=trace_sample,
-                )
-                result = try_process_run(runner, records)
-                assert_equal_observables(serial, result, label)
-                seen[label] = (
-                    structure(result),
-                    _trace_signature(result.rectrace_document()),
-                )
+        for workers in (1, 2):
+            label = f"w={workers} spans/{spans_sample} trace/{trace_sample}"
+            runner = ParallelJoinRunner(
+                config, workers=workers, batch_size=3,
+                spans=True, spans_sample=spans_sample,
+                trace=True, trace_sample=trace_sample,
+            )
+            result = try_process_run(runner, records)
+            assert_equal_observables(serial, result, label)
+            seen[label] = (
+                structure(result),
+                _trace_signature(result.rectrace_document()),
+            )
         spans, events = next(iter(seen.values()))
         assert set(events) == {r for r in range(260) if r % trace_sample == 0}
         assert spans and all(batch % spans_sample == 0 for _, _, batch in spans)
@@ -366,11 +363,12 @@ class TestTracingDifferential:
 
 
 class TestRectraceArtefact:
-    def _result(self, executor="inline", workers=2, sample=4, n=160, seed=31):
-        return ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=workers, executor=executor,
+    def _result(self, workers=2, sample=4, n=160, seed=31):
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=workers,
             trace=True, trace_sample=sample,
-        ).run(fuzz_records(seed=seed, n=n))
+        )
+        return try_process_run(runner, fuzz_records(seed=seed, n=n))
 
     def test_jsonl_round_trip(self, tmp_path):
         result = self._result()
@@ -412,10 +410,13 @@ class TestRectraceArtefact:
             raise AssertionError("an uninstrumented run touched the event log")
 
         monkeypatch.setattr("repro.obs.eventlog.EventLog.__init__", forbidden)
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline",
+        # Forked workers inherit the patch; one that built a log would
+        # fail the run.
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6), workers=2, start_method="fork",
             heartbeat_interval=0.25,
-        ).run(fuzz_records(seed=33, n=60))
+        )
+        result = try_process_run(runner, fuzz_records(seed=33, n=60))
         assert result.span_header is None and result.trace_header is None
         assert result.telemetry_samples() >= 2
 
@@ -436,9 +437,10 @@ class TestRectraceArtefact:
         assert any("sample" in error for error in errors)
 
     def test_untraced_run_raises(self):
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline"
-        ).run(fuzz_records(seed=32, n=60))
+        result = try_process_run(
+            ParallelJoinRunner(JoinConfig(threshold=0.6), workers=2),
+            fuzz_records(seed=32, n=60),
+        )
         with pytest.raises(ValueError, match="traced no records"):
             result.rectrace_document()
         with pytest.raises(ValueError, match="traced no records"):
@@ -499,7 +501,7 @@ class TestCommittedFixtures:
         result = try_process_run(
             ParallelJoinRunner(
                 JoinConfig(threshold=0.6, num_workers=2), workers=2,
-                executor="process", batch_size=8,
+                batch_size=8,
                 spans=True, trace=True, trace_sample=8,
             ),
             fuzz_records(seed=31, n=40),
@@ -527,16 +529,13 @@ class TestCommittedFixtures:
 
 
 class TestLatencyAnalysis:
-    def _doc(self, executor="inline"):
+    def _doc(self):
         runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor=executor,
-            trace=True, trace_sample=4,
+            JoinConfig(threshold=0.6), workers=2, trace=True, trace_sample=4,
         )
-        if executor == "process":
-            return try_process_run(
-                runner, fuzz_records(seed=41, n=160)
-            ).rectrace_document()
-        return runner.run(fuzz_records(seed=41, n=160)).rectrace_document()
+        return try_process_run(
+            runner, fuzz_records(seed=41, n=160)
+        ).rectrace_document()
 
     def test_digest_has_quantiles_per_stage(self):
         digest = latency_digest(self._doc())
@@ -548,10 +547,9 @@ class TestLatencyAnalysis:
     def test_pipe_stage_only_with_processes(self):
         """The derived ``pipe`` hop exists only where records crossed a
         pipe: the committed process-run fixture from the record wire.
-        No run has that hop now, on either executor."""
-        for executor in ("inline", "process"):
-            digest = latency_digest(self._doc(executor))
-            assert "pipe" not in digest and "pipe_write" not in digest
+        No run has that hop now."""
+        digest = latency_digest(self._doc())
+        assert "pipe" not in digest and "pipe_write" not in digest
         old = load_rectrace_jsonl(RECTRACE_FIXTURE)
         digest = latency_digest(old)
         assert "pipe" in digest and "pipe_write" in digest
@@ -573,10 +571,12 @@ class TestLatencyAnalysis:
         assert "rectrace_stage_latency_seconds" in families
 
     def test_result_metrics_registry_carries_latency(self):
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline",
-            trace=True, trace_sample=4,
-        ).run(fuzz_records(seed=42, n=120))
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, trace=True, trace_sample=4,
+            ),
+            fuzz_records(seed=42, n=120),
+        )
         families = [f.name for f in result.metrics_registry().families()]
         assert "rectrace_stage_latency_seconds" in families
         digest = result.latency_digest()

@@ -10,8 +10,8 @@ Three layers under test, mirroring the pipeline's structure:
 * live runs — span *structure* (phase/shard/batch multisets) must be a
   pure function of the shard plan, identical across worker counts and
   deterministically thinned by ``--spans-sample``; recording spans must
-  not perturb the bit-identical observables contract; and the process
-  executor's spans document must pass its own smoke gate.
+  not perturb the bit-identical observables contract; and a run's
+  spans document must pass its own smoke gate.
 """
 
 import json
@@ -41,6 +41,8 @@ from repro.obs.spans import (
 from repro.parallel import ParallelJoinRunner, run_serial
 from repro.parallel.codec import CodecError, decode_event_frame, encode_event_frame
 from repro.parallel.merge import worker_health, worker_metrics
+from repro.parallel.planner import plan_shards
+from repro.parallel.worker import ShardWorker
 
 from tests.test_parallel_differential import (
     assert_equal_observables,
@@ -53,8 +55,9 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data", "spans_fixture.jsonl")
 #: Phases whose span structure is shard/batch-attributed and therefore
 #: deterministic across worker counts (route is per-frame, and the
 #: driver's window spans are per-run — both trivially stable in count
-#: but not shard-keyed).
-STRUCTURAL_PHASES = ("probe", "insert", "meter_flush")
+#: but not shard-keyed). A ship is keyed like its batch, and which
+#: batches leave rows is a function of the plan and the batch size.
+STRUCTURAL_PHASES = ("probe", "insert", "meter_flush", "pipe_write")
 
 
 def structure(result):
@@ -332,19 +335,19 @@ class TestLiveSpans:
     def records(self):
         return fuzz_records(seed=7, n=200)
 
-    def run(self, records, workers, executor="inline", **kwargs):
-        return ParallelJoinRunner(
+    def run(self, records, workers, **kwargs):
+        runner = ParallelJoinRunner(
             config=JoinConfig(threshold=0.6),
             workers=workers,
-            executor=executor,
             batch_size=32,
             spans=True,
             **kwargs,
-        ).run(records)
+        )
+        return try_process_run(runner, records)
 
     def test_disabled_by_default(self, records):
-        result = ParallelJoinRunner(JoinConfig(threshold=0.6), workers=2).run(
-            records
+        result = try_process_run(
+            ParallelJoinRunner(JoinConfig(threshold=0.6), workers=2), records
         )
         with pytest.raises(ValueError, match="recorded no spans"):
             result.spans_document()
@@ -381,7 +384,7 @@ class TestLiveSpans:
         document = result.spans_document()
         header = document[0]
         assert header["schema"] == SPANS_SCHEMA_VERSION
-        assert header["executor"] == "inline"
+        assert header["executor"] == "process"
         assert header["workers"] == 2
         overhead = header["overhead"]
         assert overhead["driver"]["count"] > 0
@@ -395,11 +398,7 @@ class TestLiveSpans:
         assert 0.95 <= totals["driver_coverage"] <= 1.02
 
     def test_process_executor_spans(self, records):
-        runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="process",
-            batch_size=32, spans=True,
-        )
-        result = try_process_run(runner, records)
+        result = self.run(records, workers=2)
         document = result.spans_document()
         assert document[0]["executor"] == "process"
         assert document[0]["transport"] == "pipe"
@@ -473,20 +472,39 @@ class TestLiveSpans:
         )
 
     def test_inline_ship_spans_are_structural(self, records):
-        """The inline hand-over records the same (shard, batch) ship
-        rows at any worker count — which batches produce rows is a
-        function of the plan and the batch size."""
-        def ships(result):
-            document = result.spans_document()
-            self.check_ship_spans(document, "pipe_write")
-            return sorted(
-                (row["shard"], row["batch"]) for row in document[1:]
-                if row["phase"] == "pipe_write"
-            )
+        """On the worker's own loop, with a recording ``ship`` hook: one
+        ``pipe_write`` row per batch that left rows, keyed ``(shard,
+        batch)`` like that batch, in ship order — and none for a batch
+        that left no rows."""
+        config = JoinConfig(threshold=0.6)
+        plan = plan_shards(config, [record.tokens for record in records])
+        worker = ShardWorker(
+            config, plan.shards_of_worker(0, 1), plan.num_shards,
+            spans_sample=1,
+        )
+        real_batch = worker.process_batch
+        batches, shipped = [], []
 
-        baseline = ships(self.run(records, workers=1))
-        for workers in (2, 3):
-            assert ships(self.run(records, workers=workers)) == baseline
+        def batch(shard, items):
+            real_batch(shard, items)
+            batches.append((shard, sum(s == shard for s, _ in batches)))
+
+        def ship(table):
+            assert len(table)
+            shipped.append(batches[-1])
+            return 0
+
+        worker.process_batch = batch
+        worker.run(records, plan, 32, ship=ship)
+        spans, _ = log_rows(worker.log.columns())
+        assert shipped and [
+            (row["shard"], row["batch"]) for row in spans
+            if row["phase"] == "pipe_write"
+        ] == shipped
+        assert {
+            (row["shard"], row["batch"]) for row in spans
+            if row["phase"] == "meter_flush"
+        } == set(batches)
 
     def test_reused_runner_describes_only_its_own_run(self, records):
         """Run state lives on the run, not the runner: a second run on
@@ -506,16 +524,16 @@ class TestLiveSpans:
 
         def runner():
             return ParallelJoinRunner(
-                JoinConfig(threshold=0.6), workers=2, executor="inline",
+                JoinConfig(threshold=0.6), workers=2,
                 batch_size=32, spans=True, trace=True, trace_sample=4,
             )
 
         other = fuzz_records(seed=8, n=90)
         reused = runner()
-        first = shape(reused.run(records))
-        second = shape(reused.run(other))
-        assert first == shape(runner().run(records))
-        assert second == shape(runner().run(other))
+        first = shape(try_process_run(reused, records))
+        second = shape(try_process_run(reused, other))
+        assert first == shape(try_process_run(runner(), records))
+        assert second == shape(try_process_run(runner(), other))
         assert first != second
 
     def test_write_spans_round_trips(self, records, tmp_path):

@@ -3,7 +3,7 @@
 The tentpole contract of the observability PR: heartbeats are
 monitoring-plane only. Every observable — match rows, operation and
 event totals, signal peaks, fingerprints — is bit-identical with
-telemetry off, on, and at any sampling interval, on both executors.
+telemetry off, on, and at any sampling interval.
 """
 
 import json
@@ -40,19 +40,20 @@ class TestDifferentialWithTelemetry:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_inline_grid_on_off_any_interval(self, workers):
+        """The on/off grid on worker processes (the name is the
+        in-process executor's it was written for)."""
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=4201)
         serial = run_serial(config, records)
         assert serial.results > 0
         for interval in (None, DEFAULT_HEARTBEAT_INTERVAL, 10.0, 0.001):
             runner = ParallelJoinRunner(
-                config, workers=workers, executor="inline", batch_size=64,
+                config, workers=workers, batch_size=64,
                 heartbeat_interval=interval,
             )
-            result = runner.run(records)
+            result = try_process_run(runner, records)
             assert_equal_observables(
-                serial, result,
-                f"inline workers={workers} interval={interval}",
+                serial, result, f"workers={workers} interval={interval}",
             )
             if interval is None:
                 assert result.telemetry is None
@@ -123,10 +124,7 @@ class TestDifferentialWithTelemetry:
             r["matches"] for r in samples if r["final"]
         ) == result.results == result.telemetry[-1]["results"]
 
-    @pytest.mark.parametrize("executor", ["inline", "process"])
-    def test_sample_matches_are_the_rows_already_consumed(
-        self, executor, monkeypatch
-    ):
+    def test_sample_matches_are_the_rows_already_consumed(self, monkeypatch):
         """Heartbeats ride the result pipe, behind every match frame
         their worker shipped before them: each sample's ``matches`` is
         exactly the rows the driver had consumed from that worker when
@@ -162,7 +160,7 @@ class TestDifferentialWithTelemetry:
         result = try_process_run(
             ParallelJoinRunner(
                 JoinConfig(threshold=0.6), workers=2, batch_size=16,
-                executor=executor, heartbeat_interval=0.002,
+                heartbeat_interval=0.002,
             ),
             fuzz_records(seed=4208),
         )
@@ -174,11 +172,14 @@ class TestDifferentialWithTelemetry:
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=4203)
         serial = run_serial(config, records)
-        result = ParallelJoinRunner(
-            config, workers=2, executor="inline", batch_size=64,
-            spans=True, heartbeat_interval=0.001,
-        ).run(records)
-        assert_equal_observables(serial, result, "inline spans+telemetry")
+        result = try_process_run(
+            ParallelJoinRunner(
+                config, workers=2, batch_size=64,
+                spans=True, heartbeat_interval=0.001,
+            ),
+            records,
+        )
+        assert_equal_observables(serial, result, "spans+telemetry")
         assert result.span_rows
         # With spans on, samples carry the per-phase decomposition.
         samples = [r for r in result.telemetry if r.get("kind") == "sample"]
@@ -189,37 +190,34 @@ class TestRunnerSurface:
     def test_invalid_interval_rejected(self):
         for interval in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="heartbeat_interval"):
-                ParallelJoinRunner(
-                    JoinConfig(), executor="inline",
-                    heartbeat_interval=interval,
-                )
+                ParallelJoinRunner(JoinConfig(), heartbeat_interval=interval)
 
     def test_interval_or_out_path_implies_telemetry(self, tmp_path):
         assert ParallelJoinRunner(JoinConfig()).telemetry is False
-        runner = ParallelJoinRunner(
-            JoinConfig(), executor="inline", heartbeat_interval=5.0
-        )
+        runner = ParallelJoinRunner(JoinConfig(), heartbeat_interval=5.0)
         assert runner.telemetry is True
         assert runner.heartbeat_interval == 5.0
         runner = ParallelJoinRunner(
-            JoinConfig(), executor="inline",
-            telemetry_out=str(tmp_path / "t.jsonl"),
+            JoinConfig(), telemetry_out=str(tmp_path / "t.jsonl"),
         )
         assert runner.telemetry is True
         assert runner.heartbeat_interval == DEFAULT_HEARTBEAT_INTERVAL
 
     def test_telemetry_accessors(self):
         records = fuzz_records(seed=4204, n=120)
-        off = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline"
-        ).run(records)
+        off = try_process_run(
+            ParallelJoinRunner(JoinConfig(threshold=0.6), workers=2), records
+        )
         assert off.telemetry is None
         with pytest.raises(ValueError, match="telemetry"):
             off.telemetry_document()
-        on = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline",
-            heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
-        ).run(records)
+        on = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2,
+                heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
+            ),
+            records,
+        )
         doc = on.telemetry_document()
         assert doc[0]["kind"] == "header"
         assert doc[-1]["kind"] == "final"
@@ -230,10 +228,13 @@ class TestRunnerSurface:
     def test_jsonl_artefact_round_trips(self, tmp_path):
         path = tmp_path / "run.telemetry.jsonl"
         records = fuzz_records(seed=4205, n=200)
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline",
-            telemetry_out=str(path), heartbeat_interval=0.001,
-        ).run(records)
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2,
+                telemetry_out=str(path), heartbeat_interval=0.001,
+            ),
+            records,
+        )
         rows = load_telemetry_jsonl(str(path))
         assert validate_telemetry_lines(rows) == []
         assert telemetry_smoke(rows) == []
@@ -247,12 +248,47 @@ class TestRunnerSurface:
 
     def test_worker_summary_carries_heartbeat_stats(self):
         records = fuzz_records(seed=4206, n=120)
-        result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, executor="inline",
-            heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
-        ).run(records)
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2,
+                heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
+            ),
+            records,
+        )
         for stats in result.worker_stats:
             assert stats["heartbeats"] >= 1
+
+    def test_uptime_counts_from_the_worker_start(self, monkeypatch):
+        """``uptime_s`` and the summary's ``lifetime_s`` share one
+        starting point, the worker's start — engine construction
+        included, here slowed by 50 ms — so the final sample, taken
+        after the lifetime is stamped, is never the younger."""
+        import time
+
+        from repro.parallel import worker as worker_mod
+
+        real_build = worker_mod.build_shard_engine
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.05)
+            return real_build(*args, **kwargs)
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(worker_mod, "build_shard_engine", slow_build)
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, start_method="fork",
+                heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
+            ),
+            fuzz_records(seed=4209, n=60),
+        )
+        finals = {
+            row["worker"]: row for row in result.telemetry
+            if row.get("kind") == "sample" and row["final"]
+        }
+        for stats in result.worker_stats:
+            assert stats["lifetime_s"] >= 0.05
+            assert finals[stats["worker"]]["uptime_s"] >= stats["lifetime_s"]
 
 
 class TestRecorder:
@@ -270,8 +306,7 @@ class TestRecorder:
     def _recorder(self, **kwargs):
         import time
         defaults = dict(
-            workers=2, shards=8, executor="inline",
-            interval=0.25, base=time.monotonic(),
+            workers=2, shards=8, interval=0.25, base=time.monotonic(),
         )
         defaults.update(kwargs)
         return TelemetryRecorder(**defaults)
@@ -318,8 +353,7 @@ class TestValidation:
     def _document(self):
         import time
         recorder = TelemetryRecorder(
-            workers=1, shards=8, executor="inline",
-            interval=0.25, base=time.monotonic(),
+            workers=1, shards=8, interval=0.25, base=time.monotonic(),
         )
         sample = TestRecorder()._sample()
         recorder.on_heartbeat(sample)
@@ -464,8 +498,7 @@ class TestAnalysis:
     def test_summary_digest(self):
         import time
         recorder = TelemetryRecorder(
-            workers=1, shards=8, executor="inline",
-            interval=0.25, base=time.monotonic() - 1.0,
+            workers=1, shards=8, interval=0.25, base=time.monotonic() - 1.0,
         )
         sample = TestRecorder()._sample()
         recorder.on_heartbeat(sample)
@@ -474,7 +507,7 @@ class TestAnalysis:
         )
         recorder.finalize(2.0, 400, 9)
         summary = telemetry_summary(recorder.document())
-        assert summary["executor"] == "inline"
+        assert summary["executor"] == "process"
         entry = summary["workers"]["0"]
         assert entry["samples"] == 2
         assert entry["records"] == 400
