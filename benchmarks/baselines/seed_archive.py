@@ -1,16 +1,16 @@
-"""Back-fill the committed seed archive from the committed bench
-reports.
+"""Back-fill the committed seed archive from the committed wall-clock
+report.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/baselines/seed_archive.py
 
 Regenerates ``benchmarks/baselines/archive.db`` by ingesting the
-checked-in ``BENCH_wallclock.json`` and ``BENCH_summary.json`` through
-the same :meth:`~repro.obs.archive.RunArchive.ingest_path` adapters the
-CLI uses, then asserts the headline numbers round-trip exactly — the
-seed database is only worth committing if it is a faithful copy of the
-reports it came from.
+checked-in ``BENCH_wallclock.json`` through the same
+:meth:`~repro.obs.archive.RunArchive.ingest_path` adapter the CLI
+uses, then asserts the headline numbers round-trip exactly — the seed
+database is only worth committing if it is a faithful copy of the
+report it came from.
 
 CI copies this database to ``.repro/archive.db`` before the perf-smoke
 wall-clock run so ``repro history check`` has a comparable baseline to
@@ -33,62 +33,32 @@ from repro.obs.archive import RunArchive  # noqa: E402
 
 def main() -> int:
     wallclock_path = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
-    summary_path = os.path.join(REPO_ROOT, "BENCH_summary.json")
     db_path = os.path.join(os.path.dirname(__file__), "archive.db")
     if os.path.exists(db_path):
         os.remove(db_path)
 
     with RunArchive(db_path) as archive:
-        ingested = []
-        for path in (wallclock_path, summary_path):
-            ingested.extend(archive.ingest_path(path, argv=["seed_archive"]))
-        print(f"seeded {len(ingested)} runs -> {db_path}")
+        (run_id, _family), = archive.ingest_path(
+            wallclock_path, argv=["seed_archive"]
+        )
+        print(f"seeded run {run_id} -> {db_path}")
 
         # The seed is only committed if the headline numbers survive
         # the trip through SQLite bit-for-bit.
         with open(wallclock_path, encoding="utf-8") as handle:
             wallclock = json.load(handle)
-        wallclock_run = next(
-            run_id for run_id, family in ingested if family == "wallclock"
-        )
         headline = wallclock["headline"]
-        checks = {
-            "headline.probe_speedup": headline["probe_speedup"],
-            f"corpora.{headline['corpus']}.records":
-                wallclock["corpora"][headline["corpus"]]["records"],
-            f"corpora.{headline['corpus']}.results":
-                wallclock["corpora"][headline["corpus"]]["results"],
-            f"corpora.{headline['corpus']}.posting_scans":
-                wallclock["corpora"][headline["corpus"]]["posting_scans"],
-        }
+        corpus = wallclock["corpora"][headline["corpus"]]
+        checks = {"headline.probe_speedup": headline["probe_speedup"]}
+        for leaf in ("records", "results", "posting_scans"):
+            checks[f"corpora.{headline['corpus']}.{leaf}"] = corpus[leaf]
         for metric, expected in checks.items():
-            stored = archive.metric_value(wallclock_run, metric)
+            stored = archive.metric_value(run_id, metric)
             if stored != expected:
                 print(f"seed FAILED round-trip: {metric} stored {stored!r} "
                       f"!= report {expected!r}", file=sys.stderr)
                 return 1
             print(f"  {metric} = {stored:g} (round-trips exactly)")
-
-        with open(summary_path, encoding="utf-8") as handle:
-            summary = json.load(handle)
-        method_runs = [
-            run_id for run_id, family in ingested if family == "summary"
-        ]
-        if len(method_runs) != len(summary["methods"]):
-            print(f"seed FAILED: {len(method_runs)} method runs for "
-                  f"{len(summary['methods'])} methods", file=sys.stderr)
-            return 1
-        for run_id in method_runs:
-            run = archive.run_row(run_id)
-            expected = summary["methods"][run["method"]]["throughput"]
-            stored = archive.metric_value(run_id, "throughput")
-            if stored != expected:
-                print(f"seed FAILED round-trip: {run['method']} throughput "
-                      f"stored {stored!r} != report {expected!r}",
-                      file=sys.stderr)
-                return 1
-            print(f"  {run['method']} throughput = {stored:g} "
-                  f"(round-trips exactly)")
     return 0
 
 

@@ -112,7 +112,7 @@ from repro.obs.attribution import attribute_gap, render_attribution
 from repro.obs.artefact import artefact_family
 from repro.obs.baseline import (
     bench_fingerprint,
-    compare_loaded,
+    compare_fingerprints,
     load_fingerprint,
     render_verdict,
     write_fingerprint,
@@ -578,25 +578,28 @@ def _suffixed(path: str, suffix: str) -> str:
     return f"{root}{suffix}{ext}"
 
 
-def _archive_capture(args, record) -> None:
+def _archive_capture(args, record, stream=None) -> None:
     """Append a finished run to the persistent archive.
 
-    ``record`` receives an open :class:`RunArchive` and returns the
-    new run id (or a list of them). Archiving is best-effort by
-    design: a full disk, a locked database or a future-schema file
-    must never fail the join/bench that just succeeded, so every
-    error degrades to a one-line stderr warning.
+    ``record`` receives an open :class:`RunArchive` and the
+    :func:`stream_digest` of the joined ``stream`` (``None`` without
+    one) and returns the new run id (or a list of them). Archiving is
+    best-effort by design: a full disk, a locked database or a
+    future-schema file must never fail the join/bench that just
+    succeeded, so every error degrades to a one-line stderr warning.
     """
     if getattr(args, "no_archive", False):
         return
-    from repro.obs.archive import RunArchive, default_archive_path
+    from repro.obs.archive import RunArchive, default_archive_path, stream_digest
 
     path = default_archive_path()
     if path is None:
         return
     try:
         with RunArchive(path) as archive:
-            run_ids = record(archive)
+            run_ids = record(
+                archive, None if stream is None else stream_digest(stream)
+            )
     except Exception as error:
         print(f"archive: capture skipped ({error})", file=sys.stderr)
         return
@@ -712,9 +715,10 @@ def _cmd_join(args) -> int:
             args.fingerprint_out, fingerprint_from_metrics(metrics_to_json(report.obs))
         )
         print(f"fingerprint: -> {path}")
-    _archive_capture(args, lambda archive: archive.record_cluster_run(
+    _archive_capture(args, lambda archive, digest: archive.record_cluster_run(
         report, config, wall_s=wall_s, argv=getattr(args, "argv_raw", None),
-    ))
+        input_digest=digest,
+    ), stream)
     if args.recall_floor is not None:
         exact_config = replace(config, mode="exact", collect_pairs=True)
         exact_report = DistributedStreamJoin(exact_config).run(stream)
@@ -835,9 +839,9 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
     if args.fingerprint_out:
         path = write_fingerprint(args.fingerprint_out, result.fingerprint())
         print(f"fingerprint: -> {path}")
-    _archive_capture(args, lambda archive: archive.record_parallel_run(
-        result, argv=getattr(args, "argv_raw", None),
-    ))
+    _archive_capture(args, lambda archive, digest: archive.record_parallel_run(
+        result, argv=getattr(args, "argv_raw", None), input_digest=digest,
+    ), stream)
     if args.recall_floor is not None:
         from repro.parallel.runtime import run_serial
 
@@ -925,20 +929,21 @@ def _cmd_bench(args) -> int:
         if args.check_baseline:
             try:
                 baseline = load_fingerprint(args.check_baseline)
-                verdict = compare_loaded(baseline, current, rel_tol=args.rel_tol)
+                verdict = compare_fingerprints(baseline, current, rel_tol=args.rel_tol)
             except ValueError as error:
                 print(f"bench: {error}", file=sys.stderr)
                 return 2
             print(render_verdict(verdict))
             if verdict["status"] != "ok":
                 return 1
-    _archive_capture(args, lambda archive: [
+    _archive_capture(args, lambda archive, digest: [
         archive.record_cluster_run(
             report, configs[label], command="bench",
             argv=getattr(args, "argv_raw", None), seed=args.seed,
+            input_digest=digest,
         )
         for label, report in reports.items()
-    ])
+    ], stream)
     return 0
 
 
@@ -975,7 +980,7 @@ def _bench_wallclock(args) -> int:
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
         print(f"wallclock: -> {args.wallclock_out}")
-    _archive_capture(args, lambda archive: archive.record_wallclock_payload(
+    _archive_capture(args, lambda archive, _digest: archive.record_wallclock_payload(
         payload, argv=getattr(args, "argv_raw", None),
     ))
     if not correctness_ok(payload):
@@ -1532,7 +1537,7 @@ def _cmd_diff(args) -> int:
     try:
         baseline = load_fingerprint(args.baseline)
         current = load_fingerprint(args.current)
-        verdict = compare_loaded(baseline, current, rel_tol=args.rel_tol)
+        verdict = compare_fingerprints(baseline, current, rel_tol=args.rel_tol)
     except (OSError, ValueError) as error:
         print(f"diff: {error}", file=sys.stderr)
         return 2
@@ -1723,30 +1728,15 @@ def _history_show(args, archive) -> int:
         for event in summary["health"]:
             print(f"    [{event['severity']}] {event['detector']} "
                   f"t={event['time_s']}: {event['message']}")
-    if summary["bench"]:
-        print(f"  bench leaves: {len(summary['bench'])} "
-              f"(show --json for all)")
-        for path in sorted(summary["bench"]):
-            if path.startswith("headline."):
-                print(f"    {path} = {summary['bench'][path]:g}")
     return 0
 
 
 def _history_compare(args, archive) -> int:
-    from repro.obs.archive import ArchiveError
-
     baseline_id = _resolve_run(archive, args.baseline)
     current_id = _resolve_run(archive, args.current)
     baseline = archive.fingerprint(baseline_id)
     current = archive.fingerprint(current_id)
-    for run_id, fingerprint in ((baseline_id, baseline), (current_id, current)):
-        if not fingerprint["exact"] and not fingerprint["banded"]:
-            raise ArchiveError(
-                f"run {run_id} has no fingerprint observables to compare "
-                f"(wall-clock runs are trended with `history trend`, "
-                f"gated with `history check`)"
-            )
-    verdict = compare_loaded(baseline, current, rel_tol=args.rel_tol)
+    verdict = compare_fingerprints(baseline, current, rel_tol=args.rel_tol)
     if args.json:
         print(json.dumps(verdict, indent=1, sort_keys=True))
     else:

@@ -1,63 +1,60 @@
 """Persistent run archive: a SQLite-backed flight recorder.
 
-Nine PRs of instrumentation made a *single* run deeply observable —
-fingerprints, spans, record traces, live telemetry, health events —
-but every artefact was a loose one-shot file, so "did this change make
-probe slower than three PRs ago?" meant manual archaeology. The
-archive gives the system longitudinal memory: every ``repro join`` /
-``repro bench`` invocation appends one compact, normalized summary of
-itself to ``.repro/archive.db`` (opt out with ``--no-archive``;
-relocate or disable with the ``REPRO_ARCHIVE`` environment variable —
-an empty value disables), and ``repro history`` queries the result.
+Fingerprints, spans, record traces, telemetry and health events each
+describe one run. The archive gives the system longitudinal memory:
+every ``repro join`` / ``repro bench`` invocation appends one compact,
+normalized summary of itself to ``.repro/archive.db`` (opt out with
+``--no-archive``; relocate or disable with the ``REPRO_ARCHIVE``
+environment variable — an empty value disables), and ``repro
+history`` queries the result.
 
 Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
 
 ``runs``
     One row per invocation: when, which command, the join config
-    snapshot (JSON), the run shape (method/mode/workers/shards/
-    batch/transport/executor), outcome (records/results/wall/peak
-    RSS) and provenance (git sha + dirty flag, host, platform,
-    python, cpu count).
+    snapshot (JSON), a sha256 digest of the input records, the run
+    shape (method/mode/workers/shards/batch/transport/executor),
+    outcome (records/results/wall/peak RSS) and provenance (git sha +
+    dirty flag, host, platform, python, cpu count).
 ``observables``
-    The run's fingerprint, exploded: ``exact`` counter totals (with
-    their series counts — bit-identical round-trip of
+    Every number the run produced, one ``(kind, name, value)`` row
+    each: the fingerprint's ``exact`` counter totals (with their
+    series counts — bit-identical round-trip of
     :func:`repro.parallel.merge.parallel_fingerprint` /
-    :func:`repro.obs.baseline.fingerprint_from_metrics`), ``banded``
-    float gauges, engine ``signal`` peaks and per-run ``worker``
-    telemetry aggregates. Values are SQLite ``REAL`` — IEEE doubles —
-    so floats round-trip exactly.
-``stage_latency``
-    Per-stage count/mean/p50/p95/p99 from the record-trace digest.
-``span_totals``
-    Per-actor seconds by phase from the span profiler.
+    :func:`repro.obs.baseline.fingerprint_from_metrics`) and
+    ``banded`` gauges, engine ``signal`` peaks, per-run ``worker``
+    telemetry aggregates, record-trace ``stage`` digests
+    (``stage:<stage>:<count|mean_s|p50_s|p95_s|p99_s>``) and span
+    profiler ``span`` totals (``span:<actor>:<phase>``). A wall-clock
+    bench payload's numeric leaves (``headline.probe_speedup``,
+    ``corpora.AOL.posting_scans``, ...; booleans as 0/1) are its
+    fingerprint: deterministic leaves exact, the rest banded. Values
+    are SQLite ``REAL`` — IEEE doubles — so floats round-trip exactly.
 ``health_events``
     Detector firings (severity, time, component, message).
-``bench_sections``
-    Wall-clock bench payloads flattened to dotted numeric leaves
-    (``headline.probe_speedup``, ``corpora.AOL.posting_scans``,
-    ``sketch.frontier.headline.speedup``, ...); booleans store as
-    0/1 so correctness flags stay queryable.
 
 Migrations are forward-only and versioned: opening an older database
-upgrades it in place; opening a *newer* one raises
-:class:`FutureSchemaError` (the CLI maps it to exit 2) instead of
-guessing.
+upgrades it in place (v3 moved the v1/v2 ``stage_latency``,
+``span_totals`` and ``bench_sections`` tables into ``observables``);
+opening a *newer* one raises :class:`FutureSchemaError` (the CLI maps
+it to exit 2) instead of guessing.
 
 ``check`` (see :meth:`RunArchive.check`) is the longitudinal
 regression gate: the newest run is compared against the rolling
 median of its last K *comparable* predecessors (same command, method,
-mode, workers, shards, batch, transport, records, threshold and
-seed), with :mod:`repro.obs.baseline` semantics — exact policy on
-deterministic counters, direction-aware tolerance bands on float
-metrics (a change exactly at the tolerance passes). Unlike the
-hand-committed fingerprint files behind ``repro diff``, the baseline
-here is *self-updating*: every archived run becomes part of the
-median the next run is judged against.
+mode, workers, shards, batch, transport, records, threshold, seed,
+config snapshot and input digest), with :mod:`repro.obs.baseline`
+semantics — exact policy on deterministic counters, direction-aware
+tolerance bands on float metrics (a change exactly at the tolerance
+passes). Unlike the hand-committed fingerprint files behind
+``repro diff``, the baseline here is *self-updating*: every archived
+run becomes part of the median the next run is judged against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -70,13 +67,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.artefact import TRANSPORT, artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
-    BANDED_GAUGES,
     FINGERPRINT_SCHEMA_VERSION,
-    judge,
+    file_outcome,
+    metric_policy,
     verdict_lines,
 )
 
-ARCHIVE_SCHEMA_VERSION = 2
+ARCHIVE_SCHEMA_VERSION = 3
 
 #: Default location, relative to the working directory (gitignored).
 DEFAULT_ARCHIVE_PATH = os.path.join(".repro", "archive.db")
@@ -90,35 +87,19 @@ ARCHIVE_ENV = "REPRO_ARCHIVE"
 #: two runs are comparable iff all of these match (NULL-safe).
 COMPARABLE_COLUMNS = (
     "command", "method", "mode", "workers", "shards", "batch_size",
-    "transport", "records", "threshold", "seed",
+    "transport", "records", "threshold", "seed", "config_json",
+    "input_digest",
 )
 
-#: Dotted-path leaves of bench sections that are deterministic given
-#: config + seed, and therefore held under the exact policy by
-#: default. Timing leaves (``*_s``, speedups, overhead fractions) and
-#: anything sampled on a wall clock (telemetry sample counts) are
-#: deliberately absent — timings are reported, never gated.
-EXACT_LEAVES = frozenset({
-    "records", "results", "posting_scans", "candidate_admits",
-    "result_emits", "traced", "pairs",
-    "matches_equal", "operations_equal", "events_equal",
-    "live_postings_equal",
-})
-
-#: Metric-name suffixes where larger is better (everything else that
-#: is not exact defaults to lower-is-better: wall times, latencies,
-#: RSS, overhead fractions).
-_HIGHER_BETTER_SUFFIXES = (
-    "speedup", "throughput", "recall", "precision", "efficiency",
-    "per_s",
-)
+#: The fields of one record-trace stage digest.
+STAGE_FIELDS = ("count", "mean_s", "p50_s", "p95_s", "p99_s")
 
 _RUN_COLUMNS = (
     "id", "created_utc", "command", "source", "argv", "method", "mode",
     "workers", "shards", "batch_size", "transport", "executor",
     "records", "results", "threshold", "seed", "wall_s",
     "peak_rss_bytes", "config_json", "labels_json", "git_sha",
-    "git_dirty", "host", "platform", "python", "cpus",
+    "git_dirty", "host", "platform", "python", "cpus", "input_digest",
 )
 
 
@@ -146,16 +127,16 @@ def default_archive_path() -> Optional[str]:
 _PROVENANCE_CACHE: Optional[Dict[str, object]] = None
 
 
-def provenance(cwd: Optional[str] = None) -> Dict[str, object]:
+def provenance() -> Dict[str, object]:
     """Host + toolchain + git identity of the current invocation.
 
     Git fields are ``None`` outside a repository (or without a git
-    binary) — archiving must work in a bare deployment. The default
-    (cwd-relative) lookup is cached per process: the two git
-    subprocesses cost more than the SQLite insert they annotate.
+    binary) — archiving must work in a bare deployment. The lookup is
+    cached per process: the two git subprocesses cost more than the
+    SQLite insert they annotate.
     """
     global _PROVENANCE_CACHE
-    if cwd is None and _PROVENANCE_CACHE is not None:
+    if _PROVENANCE_CACHE is not None:
         return dict(_PROVENANCE_CACHE)
     info: Dict[str, object] = {
         "host": platform.node(),
@@ -168,21 +149,29 @@ def provenance(cwd: Optional[str] = None) -> Dict[str, object]:
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd, capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5,
         )
         if sha.returncode == 0:
             info["git_sha"] = sha.stdout.strip()
             status = subprocess.run(
                 ["git", "status", "--porcelain"],
-                cwd=cwd, capture_output=True, text=True, timeout=5,
+                capture_output=True, text=True, timeout=5,
             )
             if status.returncode == 0:
                 info["git_dirty"] = 1 if status.stdout.strip() else 0
     except (OSError, subprocess.SubprocessError):
         pass
-    if cwd is None:
-        _PROVENANCE_CACHE = dict(info)
+    _PROVENANCE_CACHE = dict(info)
     return info
+
+
+def stream_digest(records: Iterable) -> str:
+    """sha256 over each record's ``(rid, timestamp, tokens)``: runs
+    are only comparable if they joined the same input."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr((record.rid, record.timestamp, record.tokens)).encode())
+    return digest.hexdigest()
 
 
 # -- schema migrations -------------------------------------------------------
@@ -273,7 +262,41 @@ def _migrate_v2(conn: sqlite3.Connection) -> None:
     """)
 
 
-_MIGRATIONS = {1: _migrate_v1, 2: _migrate_v2}
+def _migrate_v3(conn: sqlite3.Connection) -> None:
+    """One numeric table: stage digests, span totals and bench leaves
+    move into ``observables`` and their tables are dropped; runs gain
+    the ``input_digest`` comparability column."""
+    if "input_digest" not in {
+        row[1] for row in conn.execute("PRAGMA table_info(runs)")
+    }:
+        conn.execute("ALTER TABLE runs ADD COLUMN input_digest TEXT")
+    insert = (
+        "INSERT OR REPLACE INTO observables (run_id, kind, name, value, series)"
+    )
+    for field in STAGE_FIELDS:
+        conn.execute(
+            f"{insert} SELECT run_id, 'stage', 'stage:' || stage || "
+            f"':{field}', {field}, NULL FROM stage_latency"
+        )
+    conn.execute(
+        f"{insert} SELECT run_id, 'span', 'span:' || actor || ':' || phase, "
+        f"seconds, NULL FROM span_totals"
+    )
+    leaves = conn.execute("SELECT run_id, path, value FROM bench_sections")
+    conn.executemany(f"{insert} VALUES (?, ?, ?, ?, ?)", [
+        (run_id, "exact", path, value, 1)
+        if metric_policy(path) == "exact"
+        else (run_id, "banded", path, value, None)
+        for run_id, path, value in leaves.fetchall()
+    ])
+    conn.executescript("""
+        DROP TABLE stage_latency;
+        DROP TABLE span_totals;
+        DROP TABLE bench_sections;
+    """)
+
+
+_MIGRATIONS = {1: _migrate_v1, 2: _migrate_v2, 3: _migrate_v3}
 
 
 def _flatten_numeric(
@@ -312,31 +335,39 @@ def linear_slope(values: Sequence[float]) -> float:
     return cov / var if var else 0.0
 
 
-def metric_policy(metric: str, exact_names: Iterable[str] = ()) -> str:
-    """``"exact"``, ``"higher_better"`` or ``"lower_better"``.
+def _stage_observables(digest: Dict[str, Dict[str, float]]) -> Dict[str, float]:
+    return {
+        f"stage:{stage}:{field}": float(entry[field])
+        for stage, entry in digest.items() for field in STAGE_FIELDS
+    }
 
-    A metric stored as an exact observable (or whose dotted leaf is a
-    deterministic counter) is exact; the known headline gauges keep
-    their :data:`~repro.obs.baseline.BANDED_GAUGES` direction; names
-    that read like rates/speedups are higher-better; everything else —
-    wall times, latencies, RSS — is lower-better.
-    """
-    if metric in exact_names or metric.startswith("op:"):
-        return "exact"
-    leaf = metric.rsplit(".", 1)[-1]
-    if leaf in EXACT_LEAVES:
-        return "exact"
-    if metric in BANDED_GAUGES:
-        return BANDED_GAUGES[metric]
-    if any(leaf.endswith(suffix) for suffix in _HIGHER_BETTER_SUFFIXES):
-        return "higher_better"
-    return "lower_better"
+
+def _span_observables(totals: Dict[str, object]) -> Dict[str, float]:
+    values = {
+        f"span:driver:{phase}": float(seconds)
+        for phase, seconds in totals.get("driver", {}).items()  # type: ignore[union-attr]
+    }
+    for worker, phases in totals.get("workers", {}).items():  # type: ignore[union-attr]
+        for phase, seconds in phases.items():
+            values[f"span:worker:{worker}:{phase}"] = float(seconds)
+    return values
+
+
+def _leaf_fingerprint(payload: Dict[str, object]) -> Dict[str, object]:
+    """A bench payload's numeric leaves as a fingerprint: leaves whose
+    policy is exact become exact counters, the rest banded gauges."""
+    leaves = _flatten_numeric(payload)
+    exact = {path for path in leaves if metric_policy(path) == "exact"}
+    return {
+        "exact": {path: {"total": leaves[path], "series": 1} for path in exact},
+        "banded": {p: v for p, v in leaves.items() if p not in exact},
+    }
 
 
 class RunArchive:
     """One open archive database. Context-manager friendly::
 
-        with RunArchive.open() as archive:
+        with RunArchive(path) as archive:
             archive.record_parallel_run(result, argv=argv)
     """
 
@@ -358,15 +389,6 @@ class RunArchive:
         except sqlite3.DatabaseError as error:
             self.conn.close()
             raise ArchiveError(f"{path}: not an archive database ({error})") from error
-
-    @classmethod
-    def open(cls, path: Optional[str] = None, create: bool = True) -> "RunArchive":
-        resolved = path or default_archive_path()
-        if not resolved:
-            raise ArchiveError(
-                f"archiving is disabled ({ARCHIVE_ENV} is set empty)"
-            )
-        return cls(resolved, create=create)
 
     def _migrate(self) -> None:
         version = self.conn.execute("PRAGMA user_version").fetchone()[0]
@@ -391,10 +413,13 @@ class RunArchive:
         self.close()
 
     # -- writers -------------------------------------------------------------
-    def _insert_run(self, row: Dict[str, object]) -> int:
+    def _insert_run(
+        self, row: Dict[str, object], argv: Optional[Sequence[str]]
+    ) -> int:
         full = {column: None for column in _RUN_COLUMNS if column != "id"}
         full.update(provenance())
         full["created_utc"] = time.time()
+        full["argv"] = json.dumps(list(argv), ensure_ascii=False) if argv else None
         full.update(row)
         columns = sorted(full)
         cursor = self.conn.execute(
@@ -429,32 +454,6 @@ class RunArchive:
             run_id, "banded", dict(fingerprint.get("banded", {})),  # type: ignore[arg-type]
         )
 
-    def _insert_stage_latency(
-        self, run_id: int, digest: Dict[str, Dict[str, float]]
-    ) -> None:
-        self.conn.executemany(
-            "INSERT OR REPLACE INTO stage_latency "
-            "(run_id, stage, count, mean_s, p50_s, p95_s, p99_s) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            [
-                (run_id, stage, int(entry["count"]), entry["mean_s"],
-                 entry["p50_s"], entry["p95_s"], entry["p99_s"])
-                for stage, entry in sorted(digest.items())
-            ],
-        )
-
-    def _insert_span_totals(self, run_id: int, totals: Dict[str, object]) -> None:
-        rows: List[Tuple[int, str, str, float]] = []
-        for phase, seconds in totals.get("driver", {}).items():  # type: ignore[union-attr]
-            rows.append((run_id, "driver", phase, float(seconds)))
-        for worker, phases in totals.get("workers", {}).items():  # type: ignore[union-attr]
-            for phase, seconds in phases.items():
-                rows.append((run_id, f"worker:{worker}", phase, float(seconds)))
-        self.conn.executemany(
-            "INSERT OR REPLACE INTO span_totals (run_id, actor, phase, seconds) "
-            "VALUES (?, ?, ?, ?)", rows,
-        )
-
     def _insert_health_events(
         self, run_id: int, events: Iterable[Dict[str, object]]
     ) -> None:
@@ -475,11 +474,13 @@ class RunArchive:
         self, result, command: str = "join",
         argv: Optional[Sequence[str]] = None,
         source: str = "live", seed: Optional[int] = None,
+        input_digest: Optional[str] = None,
     ) -> int:
         """Archive one multi-core run: shape + config + fingerprint +
         whatever instrumentation the run carried (latency digest when
         traced, span totals when profiled, telemetry aggregates,
-        health events). Returns the run id."""
+        health events). ``input_digest`` is :func:`stream_digest` of
+        the joined records. Returns the run id."""
         from repro.parallel.worker import peak_rss_bytes
 
         fingerprint = result.fingerprint()
@@ -490,7 +491,6 @@ class RunArchive:
         run_id = self._insert_run({
             "command": command,
             "source": source,
-            "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
             "method": result.config.method_label,
             "mode": result.config.mode,
             "workers": result.workers,
@@ -508,7 +508,8 @@ class RunArchive:
                 dataclasses.asdict(result.config), sort_keys=True
             ),
             "labels_json": json.dumps(fingerprint["labels"], sort_keys=True),
-        })
+            "input_digest": input_digest,
+        }, argv)
         self._insert_fingerprint(run_id, fingerprint)
         self._insert_observables(run_id, "signal", dict(result.signals))
         aggregates: Dict[str, float] = {
@@ -524,9 +525,13 @@ class RunArchive:
             aggregates["telemetry_samples"] = float(result.telemetry_samples())
         self._insert_observables(run_id, "worker", aggregates)
         if result.trace_rows is not None:
-            self._insert_stage_latency(run_id, result.latency_digest())
+            self._insert_observables(
+                run_id, "stage", _stage_observables(result.latency_digest())
+            )
         if result.span_rows is not None:
-            self._insert_span_totals(run_id, result.phase_totals())
+            self._insert_observables(
+                run_id, "span", _span_observables(result.phase_totals())
+            )
         self._insert_health_events(
             run_id, (event.as_dict() for event in result.health().events)
         )
@@ -537,6 +542,7 @@ class RunArchive:
         self, report, config, wall_s: Optional[float] = None,
         command: str = "join", argv: Optional[Sequence[str]] = None,
         source: str = "live", seed: Optional[int] = None,
+        input_digest: Optional[str] = None,
     ) -> int:
         """Archive one simulated-cluster run (``repro join`` without
         ``--parallel``, or one method of a ``repro bench`` suite) via
@@ -553,13 +559,9 @@ class RunArchive:
         run_id = self._insert_run({
             "command": command,
             "source": source,
-            "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
             "method": config.method_label,
             "mode": config.mode,
             "workers": config.num_workers,
-            "shards": None,
-            "batch_size": None,
-            "transport": None,
             "executor": "simulated",
             "records": cluster.records,
             "results": cluster.results,
@@ -571,7 +573,8 @@ class RunArchive:
             "peak_rss_bytes": peak_rss_bytes(),
             "config_json": json.dumps(dataclasses.asdict(config), sort_keys=True),
             "labels_json": json.dumps(fingerprint["labels"], sort_keys=True),
-        })
+            "input_digest": input_digest,
+        }, argv)
         self._insert_fingerprint(run_id, fingerprint)
         self.conn.commit()
         return run_id
@@ -582,82 +585,32 @@ class RunArchive:
         argv: Optional[Sequence[str]] = None, source: str = "live",
     ) -> int:
         """Archive a wall-clock suite payload (live run or ingested
-        ``BENCH_wallclock.json``) as dotted bench-section leaves."""
+        ``BENCH_wallclock.json``); its dotted leaves are the run's
+        fingerprint."""
         corpora: Dict[str, Dict[str, object]] = payload.get("corpora", {})  # type: ignore[assignment]
         headline: Dict[str, object] = payload.get("headline", {})  # type: ignore[assignment]
         anchor = corpora.get(str(headline.get("corpus")), {})
         run_id = self._insert_run({
             "command": command,
             "source": source,
-            "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
             "method": "WALLCLOCK",
             "records": anchor.get("records"),
             "results": anchor.get("results"),
             "threshold": payload.get("threshold"),
             "seed": payload.get("seed"),
-        })
-        self._insert_bench_sections(run_id, _flatten_numeric(payload))
+        }, argv)
+        self._insert_fingerprint(run_id, _leaf_fingerprint(payload))
         self.conn.commit()
         return run_id
-
-    def _insert_bench_sections(
-        self, run_id: int, leaves: Dict[str, float]
-    ) -> None:
-        self.conn.executemany(
-            "INSERT OR REPLACE INTO bench_sections (run_id, path, value) "
-            "VALUES (?, ?, ?)",
-            [(run_id, path, value) for path, value in sorted(leaves.items())],
-        )
-
-    def record_summary_payload(
-        self, payload: Dict[str, object],
-        argv: Optional[Sequence[str]] = None, source: str = "ingest:summary",
-    ) -> List[int]:
-        """Archive a ``BENCH_summary.json`` (one run per method; the
-        per-method table rows become banded observables)."""
-        methods: Dict[str, Dict[str, float]] = payload.get("methods", {})  # type: ignore[assignment]
-        run_ids: List[int] = []
-        for label in sorted(methods):
-            row = methods[label]
-            run_id = self._insert_run({
-                "command": "bench",
-                "source": source,
-                "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
-                "method": label,
-                "mode": "approx" if label == "SKT" else "exact",
-                "workers": payload.get("workers"),
-                "records": row.get("records", payload.get("records")),
-                "results": row.get("results"),
-                "threshold": payload.get("threshold"),
-                "seed": payload.get("seed"),
-                "executor": "simulated",
-            })
-            banded = {
-                name: float(value)
-                for name, value in row.items()
-                if name not in ("records", "results")
-                and isinstance(value, (int, float))
-            }
-            self._insert_observables(run_id, "banded", banded)
-            exact = {
-                "run_records": float(row.get("records", 0)),
-                "run_results": float(row.get("results", 0)),
-            }
-            self._insert_observables(
-                run_id, "exact", exact, series={name: 1 for name in exact}
-            )
-            run_ids.append(run_id)
-        self.conn.commit()
-        return run_ids
 
     # -- ingestion from artefact files ---------------------------------------
     def ingest_path(
         self, path: str, argv: Optional[Sequence[str]] = None
     ) -> List[Tuple[int, str]]:
         """Back-fill from an existing artefact file: a spans /
-        telemetry / rectrace JSONL dump, a ``BENCH_wallclock.json`` or
-        a ``BENCH_summary.json``. Returns ``(run_id, family)`` pairs;
-        raises :class:`ArchiveError` for unrecognized files."""
+        telemetry / rectrace JSONL dump or a ``BENCH_wallclock.json``.
+        Returns ``(run_id, family)`` pairs; raises
+        :class:`ArchiveError` for unrecognized files."""
         if path.endswith(".json"):
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -668,18 +621,19 @@ class RunArchive:
                     payload, argv=argv, source="ingest:wallclock"
                 )
                 return [(run_id, "wallclock")]
-            if isinstance(payload.get("methods"), dict) and "corpus" in payload:
-                return [
-                    (run_id, "summary")
-                    for run_id in self.record_summary_payload(payload, argv=argv)
-                ]
             raise ArchiveError(
                 f"{path}: not an ingestable JSON artefact (expected a "
-                f"BENCH_wallclock.json or BENCH_summary.json payload)"
+                f"BENCH_wallclock.json payload)"
             )
         rows = load_jsonl_objects(path, "artefact")
         family = artefact_family(rows)
-        if family == "rectrace" and rows[0].get("executor") == "simulated":
+        if family not in ("rectrace", "spans", "telemetry"):
+            raise ArchiveError(
+                f"{path}: unrecognized artefact family (expected a rectrace, "
+                f"spans or telemetry JSONL dump)"
+            )
+        header: Dict[str, object] = rows[0]
+        if family == "rectrace" and header.get("executor") == "simulated":
             raise ArchiveError(
                 f"{path}: a simulated-cluster record trace is not archived "
                 f"— its stage latencies are simulated seconds and must never "
@@ -687,91 +641,45 @@ class RunArchive:
                 f"simulated join is archived when it runs; ingest a `join "
                 f"--parallel --trace-out` artefact instead)"
             )
+        shape = {
+            key: header.get(key)
+            for key in ("workers", "shards", "executor", "transport",
+                        "records", "wall_s")
+        }
+        observables: Dict[str, Dict[str, float]] = {}
         if family == "rectrace":
-            return [(self._ingest_rectrace(rows, argv), "rectrace")]
-        if family == "spans":
-            return [(self._ingest_spans(rows, argv), "spans")]
-        if family == "telemetry":
-            return [(self._ingest_telemetry(rows, argv), "telemetry")]
-        raise ArchiveError(
-            f"{path}: unrecognized artefact family (expected a rectrace, "
-            f"spans or telemetry JSONL dump)"
+            observables["stage"] = _stage_observables(header.get("stages", {}))  # type: ignore[arg-type]
+            observables["worker"] = {
+                "traced_records": float(header.get("traced", 0) or 0),  # type: ignore[arg-type]
+                "trace_events": float(header.get("events", 0) or 0),  # type: ignore[arg-type]
+            }
+        elif family == "spans":
+            from repro.obs.spans import phase_totals
+
+            observables["span"] = _span_observables(phase_totals(rows))
+        else:
+            from repro.obs.timeseries import telemetry_summary
+
+            summary = telemetry_summary(rows)
+            final = summary.get("final") or {}
+            shape["wall_s"] = final.get("wall_s", shape["wall_s"])
+            workers = list(summary.get("workers", {}).values())
+            observables["worker"] = {
+                "worker_busy_s": sum(w.get("busy_s", 0.0) or 0.0 for w in workers),
+                "telemetry_samples": float(
+                    sum(w.get("samples", 0) or 0 for w in workers)
+                ),
+            }
+        run_id = self._insert_run(
+            {"command": "join", "source": f"ingest:{family}", **shape}, argv
         )
-
-    def _shape_from_header(self, header: Dict[str, object]) -> Dict[str, object]:
-        return {
-            "workers": header.get("workers"),
-            "shards": header.get("shards"),
-            "executor": header.get("executor"),
-            "transport": header.get("transport"),
-            "records": header.get("records"),
-            "wall_s": header.get("wall_s"),
-        }
-
-    def _ingest_rectrace(
-        self, rows: List[Dict[str, object]], argv: Optional[Sequence[str]]
-    ) -> int:
-        from repro.obs.rectrace import split_rectrace
-
-        header, _events = split_rectrace(rows)
-        run_id = self._insert_run({
-            "command": "join", "source": "ingest:rectrace",
-            "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
-            **self._shape_from_header(header),
-        })
-        stages: Dict[str, Dict[str, float]] = header.get("stages", {})  # type: ignore[assignment]
-        if stages:
-            self._insert_stage_latency(run_id, stages)
-        self._insert_observables(run_id, "worker", {
-            "traced_records": float(header.get("traced", 0) or 0),
-            "trace_events": float(header.get("events", 0) or 0),
-        })
-        self.conn.commit()
-        return run_id
-
-    def _ingest_spans(
-        self, rows: List[Dict[str, object]], argv: Optional[Sequence[str]]
-    ) -> int:
-        from repro.obs.spans import phase_totals, split_rows
-
-        header, _spans = split_rows(rows)
-        run_id = self._insert_run({
-            "command": "join", "source": "ingest:spans",
-            "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
-            **self._shape_from_header(header),
-        })
-        self._insert_span_totals(run_id, phase_totals(rows))
-        self.conn.commit()
-        return run_id
-
-    def _ingest_telemetry(
-        self, rows: List[Dict[str, object]], argv: Optional[Sequence[str]]
-    ) -> int:
-        from repro.obs.timeseries import split_telemetry, telemetry_summary
-
-        header, body = split_telemetry(rows)
-        summary = telemetry_summary(rows)
-        final = summary.get("final") or {}
-        shape = self._shape_from_header(header)
-        shape["wall_s"] = final.get("wall_s", shape.get("wall_s"))
-        run_id = self._insert_run({
-            "command": "join", "source": "ingest:telemetry",
-            "argv": json.dumps(list(argv), ensure_ascii=False) if argv else None,
-            **shape,
-        })
-        aggregates: Dict[str, float] = {
-            "worker_busy_s": 0.0, "telemetry_samples": 0.0,
-        }
-        for entry in summary.get("workers", {}).values():
-            aggregates["worker_busy_s"] += entry.get("busy_s", 0.0) or 0.0
-            aggregates["telemetry_samples"] += entry.get("samples", 0) or 0
-        self._insert_observables(run_id, "worker", aggregates)
+        for kind, values in observables.items():
+            self._insert_observables(run_id, kind, values)
         self._insert_health_events(
-            run_id,
-            (row for row in body if row.get("kind") == "health"),
+            run_id, (row for row in rows if row.get("kind") == "health")
         )
         self.conn.commit()
-        return run_id
+        return [(run_id, family)]
 
     # -- readers -------------------------------------------------------------
     def list_runs(
@@ -808,53 +716,46 @@ class RunArchive:
         return dict(row)
 
     def run_summary(self, run_id: int) -> Dict[str, object]:
-        """Everything archived about one run, grouped by table."""
-        summary: Dict[str, object] = {"run": self.run_row(run_id)}
+        """Everything archived about one run: observables by kind, with
+        the ``stage`` and ``span`` rows regrouped per stage and actor."""
         observables: Dict[str, Dict[str, float]] = {}
         series: Dict[str, int] = {}
+        stages: Dict[str, Dict[str, float]] = {}
+        span_totals: Dict[str, Dict[str, float]] = {}
         for row in self.conn.execute(
             "SELECT kind, name, value, series FROM observables "
             "WHERE run_id = ? ORDER BY kind, name", (run_id,)
         ):
-            observables.setdefault(row["kind"], {})[row["name"]] = row["value"]
+            kind, name, value = row["kind"], row["name"], row["value"]
+            if kind in ("stage", "span"):
+                # the stage or actor (``worker:<n>``) may hold colons;
+                # the field or phase after the last one does not
+                owner, field = name.split(":", 1)[1].rsplit(":", 1)
+                if kind == "stage":
+                    stages.setdefault(owner, {})[field] = (
+                        int(value) if field == "count" else value
+                    )
+                else:
+                    span_totals.setdefault(owner, {})[field] = value
+                continue
+            observables.setdefault(kind, {})[name] = value
             if row["series"] is not None:
-                series[row["name"]] = row["series"]
-        summary["observables"] = observables
-        summary["exact_series"] = series
-        summary["stages"] = {
-            row["stage"]: {
-                "count": row["count"], "mean_s": row["mean_s"],
-                "p50_s": row["p50_s"], "p95_s": row["p95_s"],
-                "p99_s": row["p99_s"],
-            }
-            for row in self.conn.execute(
-                "SELECT * FROM stage_latency WHERE run_id = ? ORDER BY stage",
-                (run_id,),
-            )
+                series[name] = row["series"]
+        return {
+            "run": self.run_row(run_id),
+            "observables": observables,
+            "exact_series": series,
+            "stages": stages,
+            "span_totals": span_totals,
+            "health": [
+                dict(row)
+                for row in self.conn.execute(
+                    "SELECT time_s, severity, detector, component, task, "
+                    "value, threshold, message FROM health_events "
+                    "WHERE run_id = ? ORDER BY time_s", (run_id,)
+                )
+            ],
         }
-        span_totals: Dict[str, Dict[str, float]] = {}
-        for row in self.conn.execute(
-            "SELECT actor, phase, seconds FROM span_totals "
-            "WHERE run_id = ? ORDER BY actor, phase", (run_id,)
-        ):
-            span_totals.setdefault(row["actor"], {})[row["phase"]] = row["seconds"]
-        summary["span_totals"] = span_totals
-        summary["health"] = [
-            dict(row)
-            for row in self.conn.execute(
-                "SELECT time_s, severity, detector, component, task, value, "
-                "threshold, message FROM health_events WHERE run_id = ? "
-                "ORDER BY time_s", (run_id,)
-            )
-        ]
-        summary["bench"] = {
-            row["path"]: row["value"]
-            for row in self.conn.execute(
-                "SELECT path, value FROM bench_sections WHERE run_id = ? "
-                "ORDER BY path", (run_id,)
-            )
-        }
-        return summary
 
     def fingerprint(self, run_id: int) -> Dict[str, object]:
         """The run's fingerprint, reconstructed bit-identically from
@@ -886,95 +787,44 @@ class RunArchive:
         """Resolve one metric for one run, or ``None`` when absent.
 
         Resolution order: run columns (plus derived ``throughput``),
-        ``stage:<stage>:<field>`` latency digests, fingerprint/signal/
-        worker observables by name, then dotted bench-section paths
-        (bare leaves match ``headline.<leaf>`` first, then a unique
-        ``*.<leaf>`` suffix).
+        then the run's observable of that name (``op:posting_scan``,
+        ``stage:e2e:p95_s``, ``headline.probe_speedup``, ...); a bare
+        leaf with no observable of its own matches ``headline.<leaf>``
+        first, then a unique ``*.<leaf>`` suffix.
         """
         run = self.run_row(run_id)
         if metric == "throughput":
             if run["wall_s"] and run["records"]:
                 return run["records"] / run["wall_s"]
-            # No wall time (ingested summaries): fall through to the
-            # stored observable of the same name.
+            # No wall time: fall through to a stored observable.
         elif metric in ("wall_s", "records", "results", "peak_rss_bytes",
                       "workers", "shards", "batch_size", "threshold"):
             value = run[metric]
             return float(value) if value is not None else None
-        if metric.startswith("stage:"):
-            parts = metric.split(":")
-            if len(parts) != 3 or parts[2] not in (
-                "count", "mean_s", "p50_s", "p95_s", "p99_s"
-            ):
-                raise ArchiveError(
-                    f"bad stage metric {metric!r} (expected "
-                    f"stage:<stage>:<count|mean_s|p50_s|p95_s|p99_s>)"
-                )
-            row = self.conn.execute(
-                f"SELECT {parts[2]} FROM stage_latency "
-                f"WHERE run_id = ? AND stage = ?", (run_id, parts[1]),
-            ).fetchone()
-            return float(row[0]) if row else None
         row = self.conn.execute(
             "SELECT value FROM observables WHERE run_id = ? AND name = ? "
             "ORDER BY CASE kind WHEN 'exact' THEN 0 WHEN 'banded' THEN 1 "
             "WHEN 'signal' THEN 2 ELSE 3 END LIMIT 1",
             (run_id, metric),
         ).fetchone()
-        if row is not None:
-            return row[0]
-        row = self.conn.execute(
-            "SELECT value FROM bench_sections WHERE run_id = ? AND path = ?",
-            (run_id, metric),
-        ).fetchone()
-        if row is not None:
-            return row[0]
-        if "." not in metric:
-            row = self.conn.execute(
-                "SELECT value FROM bench_sections WHERE run_id = ? AND path = ?",
-                (run_id, f"headline.{metric}"),
-            ).fetchone()
-            if row is not None:
-                return row[0]
-            matches = self.conn.execute(
-                "SELECT path, value FROM bench_sections "
-                "WHERE run_id = ? AND path LIKE ? ORDER BY path",
+        if row is not None or "." in metric:
+            return row[0] if row is not None else None
+        matches = {
+            row["name"]: row["value"]
+            for row in self.conn.execute(
+                "SELECT name, value FROM observables "
+                "WHERE run_id = ? AND name LIKE ? ORDER BY name",
                 (run_id, f"%.{metric}"),
-            ).fetchall()
-            if len(matches) == 1:
-                return matches[0]["value"]
-            if len(matches) > 1:
-                paths = ", ".join(row["path"] for row in matches[:6])
-                raise ArchiveError(
-                    f"metric {metric!r} is ambiguous in run {run_id}: "
-                    f"matches {paths}"
-                )
-        return None
-
-    def exact_names(self, run_id: int) -> List[str]:
-        return [
-            row["name"]
-            for row in self.conn.execute(
-                "SELECT name FROM observables WHERE run_id = ? AND "
-                "kind = 'exact' ORDER BY name", (run_id,)
             )
-        ]
-
-    def default_check_metrics(self, run_id: int) -> List[str]:
-        """What ``check`` gates when no ``--metric`` is given: every
-        exact fingerprint counter for join/bench runs, every
-        deterministic bench-section leaf for wall-clock runs."""
-        names = self.exact_names(run_id)
-        if names:
-            return names
-        return [
-            row["path"]
-            for row in self.conn.execute(
-                "SELECT path FROM bench_sections WHERE run_id = ? "
-                "ORDER BY path", (run_id,)
+        }
+        if f"headline.{metric}" in matches:
+            return matches[f"headline.{metric}"]
+        if len(matches) > 1:
+            raise ArchiveError(
+                f"metric {metric!r} is ambiguous in run {run_id}: "
+                f"matches {', '.join(list(matches)[:6])}"
             )
-            if row["path"].rsplit(".", 1)[-1] in EXACT_LEAVES
-        ]
+        return next(iter(matches.values()), None)
 
     def comparable_ids(self, run_id: int, last: Optional[int] = None) -> List[int]:
         """Prior runs with the same shape key, newest first."""
@@ -1032,88 +882,51 @@ class RunArchive:
         """
         if run_id is None:
             run_id = self.latest_run_id()
-            if run_id is None:
-                return {
-                    "status": "skip", "run": None, "baseline_runs": [],
-                    "checks": 0, "tolerance": tolerance, "failures": [],
-                    "improvements": [],
-                    "skipped": ["archive is empty (nothing to check)"],
-                }
-        baseline_ids = self.comparable_ids(run_id, last)
+        baseline_ids = [] if run_id is None else self.comparable_ids(run_id, last)
+        # with no --metric, the gate is the run's exact observables
+        exact_names = (
+            [] if run_id is None else list(self.fingerprint(run_id)["exact"])
+        )
+        chosen = list(metrics or exact_names)
+        skipped: List[str] = []
         verdict: Dict[str, object] = {
-            "status": "ok", "run": run_id, "baseline_runs": baseline_ids,
+            "status": "skip", "run": run_id, "baseline_runs": baseline_ids,
             "checks": 0, "tolerance": tolerance,
-            "failures": [], "improvements": [], "skipped": [],
+            "failures": [], "improvements": [], "skipped": skipped,
         }
-        if len(baseline_ids) < last:
-            verdict["status"] = "skip"
-            verdict["skipped"].append(  # type: ignore[union-attr]
+        if run_id is None:
+            skipped.append("archive is empty (nothing to check)")
+        elif len(baseline_ids) < last:
+            skipped.append(
                 f"only {len(baseline_ids)} comparable prior run(s) "
                 f"(need {last}); not gating a cold archive"
             )
+        elif not chosen:
+            skipped.append(f"run {run_id} has no checkable metrics")
+        if skipped:
             return verdict
-        chosen = list(metrics) if metrics else self.default_check_metrics(run_id)
-        if not chosen:
-            verdict["status"] = "skip"
-            verdict["skipped"].append(  # type: ignore[union-attr]
-                f"run {run_id} has no checkable metrics"
-            )
-            return verdict
-        exact_names = set(self.exact_names(run_id))
-        checks = 0
+        context = f" vs the rolling median of runs {baseline_ids}"
         for metric in chosen:
             current = self.metric_value(run_id, metric)
             history = [
-                value
-                for rid in baseline_ids
-                for value in [self.metric_value(rid, metric)]
-                if value is not None
+                value for value in (
+                    self.metric_value(rid, metric) for rid in baseline_ids
+                ) if value is not None
             ]
             if current is None or len(history) < last:
-                verdict["skipped"].append(  # type: ignore[union-attr]
+                skipped.append(
                     f"metric {metric!r}: missing from "
                     + ("the current run" if current is None
                        else "some comparable runs")
                 )
                 continue
-            checks += 1
-            baseline = float(statistics.median(history))
-            policy = metric_policy(metric, exact_names)
-            judged = judge(policy, baseline, current, tolerance)
-            if judged is None:
-                continue
-            outcome, rel = judged
-            entry = {
-                "metric": metric,
-                "policy": "exact" if policy == "exact" else "banded",
-                "baseline": baseline, "current": current,
-                "baseline_runs": baseline_ids,
-            }
-            if policy == "exact":
-                entry["message"] = (
-                    f"exact metric {metric!r} drifted from the rolling "
-                    f"median of runs {baseline_ids}: "
-                    f"{baseline:g} -> {current:g}"
-                )
-                verdict["failures"].append(entry)  # type: ignore[union-attr]
-                continue
-            entry["relative_change"] = rel
-            if outcome == "failure":
-                entry["message"] = (
-                    f"banded metric {metric!r} regressed {abs(rel):.3%} "
-                    f"vs the rolling median (tolerance {tolerance:g}): "
-                    f"{baseline:g} -> {current:g}"
-                )
-                verdict["failures"].append(entry)  # type: ignore[union-attr]
-            else:
-                entry["message"] = (
-                    f"banded metric {metric!r} improved {abs(rel):.3%}: "
-                    f"{baseline:g} -> {current:g}"
-                )
-                verdict["improvements"].append(entry)  # type: ignore[union-attr]
-        verdict["checks"] = checks
-        if verdict["failures"]:
-            verdict["status"] = "regression"
+            verdict["checks"] += 1  # type: ignore[operator]
+            file_outcome(
+                verdict, metric, metric_policy(metric, exact_names),
+                float(statistics.median(history)), current, tolerance,
+                context, baseline_runs=baseline_ids,
+            )
+        verdict["status"] = "regression" if verdict["failures"] else "ok"
         return verdict
 
 

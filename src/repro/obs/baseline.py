@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 FINGERPRINT_SCHEMA_VERSION = 1
 DEFAULT_REL_TOL = 1e-6
@@ -33,17 +33,50 @@ DEFAULT_REL_TOL = 1e-6
 #: Gauges that are integral/deterministic and therefore held exact.
 EXACT_GAUGES = ("run_records", "run_results")
 
-#: Float headline gauges and the direction in which change is *bad*.
-#: Per-component busy sums (``component_busy_seconds:<name>``, added
-#: dynamically) default to lower-is-better — they catch a slowdown in
-#: any component, even one that is not the current bottleneck.
-BANDED_GAUGES: Dict[str, str] = {
-    "run_capacity_throughput": "higher_better",
-    "run_achieved_throughput": "higher_better",
-    "run_makespan_seconds": "lower_better",
-    "run_load_balance": "lower_better",
-    "max_task_busy_seconds": "lower_better",
-}
+#: Float headline gauges, held banded in the direction
+#: :func:`metric_policy` reads from their names. Per-component busy
+#: sums (``component_busy_seconds:<name>``, added dynamically) are
+#: lower-is-better too — they catch a slowdown in any component, even
+#: one that is not the current bottleneck.
+BANDED_GAUGES = (
+    "run_capacity_throughput", "run_achieved_throughput",
+    "run_makespan_seconds", "run_load_balance", "max_task_busy_seconds",
+)
+
+#: Dotted-path leaves of wall-clock bench payloads that are
+#: deterministic given config + seed, and therefore exact. Timing
+#: leaves (``*_s``, speedups, overhead fractions) are deliberately
+#: absent — timings are reported, never gated exactly.
+EXACT_LEAVES = frozenset({
+    "records", "results", "posting_scans", "candidate_admits",
+    "result_emits", "traced", "pairs",
+    "matches_equal", "operations_equal", "events_equal",
+    "live_postings_equal",
+})
+
+#: Metric-name suffixes where larger is better (everything else that
+#: is not exact defaults to lower-is-better: wall times, latencies,
+#: RSS, overhead fractions).
+_HIGHER_BETTER_SUFFIXES = (
+    "speedup", "throughput", "recall", "precision", "efficiency",
+    "per_s",
+)
+
+
+def metric_policy(metric: str, exact_names: Iterable[str] = ()) -> str:
+    """``"exact"``, ``"higher_better"`` or ``"lower_better"``.
+
+    A metric held exact by its run (``exact_names``), an ``op:``
+    counter or a deterministic dotted leaf is exact; names that read
+    like rates/speedups/throughputs are higher-better; everything else
+    — wall times, latencies, RSS, makespans — is lower-better.
+    """
+    leaf = metric.rsplit(".", 1)[-1]
+    if metric in exact_names or metric.startswith("op:") or leaf in EXACT_LEAVES:
+        return "exact"
+    if any(leaf.endswith(suffix) for suffix in _HIGHER_BETTER_SUFFIXES):
+        return "higher_better"
+    return "lower_better"
 
 
 def fingerprint_from_metrics(dump: Dict[str, object]) -> Dict[str, object]:
@@ -122,12 +155,44 @@ def judge(
     return ("failure" if worse else "improvement", rel)
 
 
+def file_outcome(
+    verdict: Dict[str, object], metric: str, policy: str,
+    baseline: object, current: object, tolerance: float,
+    context: str = "", **extra: object,
+) -> None:
+    """Judge one metric and file any failure or improvement into
+    ``verdict`` — the one entry builder behind ``repro diff`` and
+    ``history check``. ``context`` names the baseline in failure
+    messages (empty for a second artefact); ``extra`` rides on the
+    entry. Exact values may be fingerprint entries
+    (``{"total", "series"}``) or bare numbers."""
+    judged = judge(policy, baseline, current, tolerance)
+    if judged is None:
+        return
+    outcome, rel = judged
+    entry = {
+        "metric": metric, "policy": "exact" if policy == "exact" else "banded",
+        "baseline": baseline, "current": current, **extra,
+    }
+    if policy == "exact":
+        change = f"drifted{context}: {_shown(baseline)} -> {_shown(current)}"
+    else:
+        entry["relative_change"] = rel
+        change = (
+            f"regressed {abs(rel):.3%}{context} (tolerance {tolerance:.1e})"
+            if outcome == "failure" else f"improved {abs(rel):.3%}"
+        ) + f": {baseline:g} -> {current:g}"
+    entry["message"] = f"{entry['policy']} metric {metric!r} {change}"
+    verdict["failures" if outcome == "failure" else "improvements"].append(entry)  # type: ignore[index]
+
+
 def compare_fingerprints(
     baseline: Dict[str, object],
     current: Dict[str, object],
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> Dict[str, object]:
-    """Compare two fingerprints; return the machine-readable verdict.
+    """Compare two fingerprints (or two suite baselines); return the
+    machine-readable verdict.
 
     Verdict layout::
 
@@ -140,10 +205,22 @@ def compare_fingerprints(
 
     Exact metrics fail on any difference (including a metric appearing
     or disappearing); banded metrics fail only when the relative change
-    exceeds ``rel_tol`` in the metric's bad direction.
+    exceeds ``rel_tol`` in the direction :func:`metric_policy` calls
+    bad. A suite is compared as one fingerprint (see
+    :func:`_flatten_suite`); a suite against a single-run fingerprint
+    raises :class:`ValueError`.
     """
-    failures: List[Dict[str, object]] = []
-    improvements: List[Dict[str, object]] = []
+    if ("methods" in baseline) != ("methods" in current):
+        raise ValueError(
+            "cannot compare a suite baseline against a single-run fingerprint"
+        )
+    if "methods" in baseline:
+        baseline, current = _flatten_suite(baseline), _flatten_suite(current)
+    verdict: Dict[str, object] = {
+        "status": "ok", "checks": 0, "rel_tol": rel_tol,
+        "failures": [], "improvements": [],
+    }
+    failures: List[Dict[str, object]] = verdict["failures"]  # type: ignore[assignment]
     checks = 0
 
     if baseline.get("schema") != current.get("schema"):
@@ -164,64 +241,30 @@ def compare_fingerprints(
                 "message": f"run label {key!r} differs: these runs are not comparable",
             })
 
-    base_exact: Dict[str, Dict[str, float]] = baseline.get("exact", {})  # type: ignore[assignment]
-    cur_exact: Dict[str, Dict[str, float]] = current.get("exact", {})  # type: ignore[assignment]
-    for name in sorted(set(base_exact) | set(cur_exact)):
-        checks += 1
-        b, c = base_exact.get(name), cur_exact.get(name)
-        if b is None or c is None:
-            failures.append({
-                "metric": name, "policy": "exact", "baseline": b, "current": c,
-                "message": f"exact metric {name!r} "
-                           + ("appeared" if b is None else "disappeared"),
-            })
-        elif judge("exact", b, c, rel_tol):
-            failures.append({
-                "metric": name, "policy": "exact", "baseline": b, "current": c,
-                "message": f"exact metric {name!r} drifted: "
-                           f"{b['total']:g}×{b['series']} -> {c['total']:g}×{c['series']}",
-            })
+    for section in ("exact", "banded"):
+        base: Dict[str, object] = baseline.get(section, {})  # type: ignore[assignment]
+        cur: Dict[str, object] = current.get(section, {})  # type: ignore[assignment]
+        for name in sorted(set(base) | set(cur)):
+            checks += 1
+            if name not in base or name not in cur:
+                failures.append({
+                    "metric": name, "policy": section,
+                    "baseline": base.get(name), "current": cur.get(name),
+                    "message": f"{section} metric {name!r} "
+                               + ("appeared" if name not in base else "disappeared"),
+                })
+            elif section == "exact":
+                file_outcome(verdict, name, "exact", base[name], cur[name], rel_tol)
+            else:
+                file_outcome(
+                    verdict, name, metric_policy(name),
+                    _num(base[name]), _num(cur[name]), rel_tol,
+                )
 
-    base_banded: Dict[str, float] = baseline.get("banded", {})  # type: ignore[assignment]
-    cur_banded: Dict[str, float] = current.get("banded", {})  # type: ignore[assignment]
-    for name in sorted(set(base_banded) | set(cur_banded)):
-        checks += 1
-        if name not in base_banded or name not in cur_banded:
-            failures.append({
-                "metric": name, "policy": "banded",
-                "baseline": base_banded.get(name), "current": cur_banded.get(name),
-                "message": f"banded metric {name!r} "
-                           + ("appeared" if name not in base_banded else "disappeared"),
-            })
-            continue
-        b, c = _num(base_banded[name]), _num(cur_banded[name])
-        judged = judge(BANDED_GAUGES.get(name, "lower_better"), b, c, rel_tol)
-        if judged is None:
-            continue
-        outcome, rel = judged
-        entry = {
-            "metric": name, "policy": "banded",
-            "baseline": b, "current": c, "relative_change": rel,
-        }
-        if outcome == "failure":
-            entry["message"] = (
-                f"banded metric {name!r} regressed {abs(rel):.3%} "
-                f"(tolerance {rel_tol:.1e}): {b:g} -> {c:g}"
-            )
-            failures.append(entry)
-        else:
-            entry["message"] = (
-                f"banded metric {name!r} improved {abs(rel):.3%}: {b:g} -> {c:g}"
-            )
-            improvements.append(entry)
-
-    return {
-        "status": "regression" if failures else "ok",
-        "checks": checks,
-        "rel_tol": rel_tol,
-        "failures": failures,
-        "improvements": improvements,
-    }
+    verdict["checks"] = checks
+    if failures:
+        verdict["status"] = "regression"
+    return verdict
 
 
 # -- bench-suite fingerprints (one file, one fingerprint per method) ---------
@@ -240,52 +283,20 @@ def bench_fingerprint(
     }
 
 
-def compare_bench_fingerprints(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> Dict[str, object]:
-    """Per-method comparison of two suite baselines, merged verdict."""
-    base_methods: Dict[str, Dict[str, object]] = baseline.get("methods", {})  # type: ignore[assignment]
-    cur_methods: Dict[str, Dict[str, object]] = current.get("methods", {})  # type: ignore[assignment]
-    methods: Dict[str, object] = {}
-    failures: List[Dict[str, object]] = []
-    improvements: List[Dict[str, object]] = []
-    checks = 0
-    for label in sorted(set(base_methods) | set(cur_methods)):
-        if label not in base_methods or label not in cur_methods:
-            checks += 1
-            failures.append({
-                "metric": f"method:{label}", "policy": "exact",
-                "baseline": label in base_methods, "current": label in cur_methods,
-                "message": f"method {label!r} "
-                           + ("appeared" if label not in base_methods else "disappeared"),
-            })
-            continue
-        verdict = compare_fingerprints(
-            base_methods[label], cur_methods[label], rel_tol=rel_tol
-        )
-        methods[label] = verdict
-        checks += verdict["checks"]
-        for entry in verdict["failures"]:
-            failures.append({**entry, "method": label})
-        for entry in verdict["improvements"]:
-            improvements.append({**entry, "method": label})
-    if baseline.get("config") and current.get("config"):
-        checks += 1
-        if baseline["config"] != current["config"]:
-            failures.append({
-                "metric": "config", "policy": "exact",
-                "baseline": baseline["config"], "current": current["config"],
-                "message": "bench configs differ: these baselines are not comparable",
-            })
+def _flatten_suite(suite: Dict[str, object]) -> Dict[str, object]:
+    """A suite baseline as one fingerprint: the bench config becomes
+    the labels and each method's metric ``m`` is named ``<method>/m``,
+    so a missing method shows up as its metrics disappearing."""
+    flat: Dict[str, Dict[str, object]] = {"exact": {}, "banded": {}}
+    methods: Dict[str, Dict[str, Dict[str, object]]] = suite["methods"]  # type: ignore[assignment]
+    for label, fingerprint in methods.items():
+        for section, values in flat.items():
+            for name, value in fingerprint.get(section, {}).items():
+                values[f"{label}/{name}"] = value
     return {
-        "status": "regression" if failures else "ok",
-        "checks": checks,
-        "rel_tol": rel_tol,
-        "failures": failures,
-        "improvements": improvements,
-        "methods": methods,
+        "schema": suite.get("schema"),
+        "labels": dict(suite.get("config") or {}),  # type: ignore[arg-type]
+        **flat,
     }
 
 
@@ -327,30 +338,13 @@ def load_fingerprint(path: str) -> Dict[str, object]:
     return data
 
 
-def compare_loaded(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> Dict[str, object]:
-    """Dispatch to the single-run or suite comparison by shape."""
-    suite_b, suite_c = "methods" in baseline, "methods" in current
-    if suite_b != suite_c:
-        raise ValueError(
-            "cannot compare a suite baseline against a single-run fingerprint"
-        )
-    if suite_b:
-        return compare_bench_fingerprints(baseline, current, rel_tol=rel_tol)
-    return compare_fingerprints(baseline, current, rel_tol=rel_tol)
-
-
 def verdict_lines(verdict: Dict[str, object]) -> List[str]:
     """One ``FAIL`` line per failure, then one ``ok`` line per
     improvement — the body both gates' plain-text verdicts share."""
     lines: List[str] = []
     for tag, key in (("FAIL", "failures"), ("  ok", "improvements")):
         for entry in verdict[key]:  # type: ignore[union-attr]
-            prefix = f"[{entry['method']}] " if "method" in entry else ""
-            lines.append(f"{tag} {prefix}{entry['message']}")
+            lines.append(f"{tag} {entry['message']}")
     return lines
 
 
@@ -371,6 +365,14 @@ def _gauge_value(
 ) -> Optional[float]:
     series = metrics.get(name, {}).get("series", [])
     return _num(series[0].get("value", 0.0)) if series else None
+
+
+def _shown(value: object) -> str:
+    """An exact value for a message: ``total×series`` for a
+    fingerprint entry, ``%g`` for a bare number."""
+    if isinstance(value, dict):
+        return f"{value['total']:g}×{value['series']}"
+    return f"{value:g}"
 
 
 def _num(value: object) -> float:

@@ -4,6 +4,7 @@ ingestion adapters, the rolling-median regression gate and the
 
 import json
 import os
+import shutil
 import sqlite3
 
 import pytest
@@ -12,6 +13,7 @@ from repro.cli import main
 from repro.core.config import JoinConfig
 from repro.datasets.corpora import synthetic_aol
 from repro.obs.archive import (
+    _MIGRATIONS,
     ARCHIVE_SCHEMA_VERSION,
     ArchiveError,
     FutureSchemaError,
@@ -19,8 +21,8 @@ from repro.obs.archive import (
     _flatten_numeric,
     default_archive_path,
     linear_slope,
-    metric_policy,
 )
+from repro.obs.baseline import metric_policy
 from repro.parallel.runtime import ParallelJoinRunner, run_serial
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,24 +60,96 @@ class TestMigrations:
                     "SELECT name FROM sqlite_master WHERE type = 'table'"
                 )
             }
-        assert {"runs", "observables", "stage_latency", "span_totals",
-                "health_events", "bench_sections"} <= tables
+        # one numeric table: every number is an observables row
+        assert tables == {"runs", "observables", "health_events"}
 
     def test_v0_database_forward_migrates(self, db, config, records):
-        # A pre-versioning database: v1 tables already exist but
+        # A pre-versioning database: the tables already exist but
         # user_version was never stamped. Opening it must upgrade in
         # place without clobbering existing rows.
         with RunArchive(db) as archive:
             run_id = _record_serial(archive, config, records)
             archive.conn.execute("PRAGMA user_version = 0")
-            archive.conn.execute("DROP TABLE bench_sections")
             archive.conn.commit()
         with RunArchive(db) as archive:
             version = archive.conn.execute("PRAGMA user_version").fetchone()[0]
             assert version == ARCHIVE_SCHEMA_VERSION
             assert archive.run_row(run_id)["records"] == 200
-            # v2's table came back
-            archive.conn.execute("SELECT COUNT(*) FROM bench_sections")
+            assert archive.metric_value(run_id, "run_results") is not None
+            # the v1/v2 tables were recreated and folded away again
+            assert archive.conn.execute(
+                "SELECT COUNT(*) FROM sqlite_master WHERE name IN "
+                "('stage_latency', 'span_totals', 'bench_sections')"
+            ).fetchone()[0] == 0
+
+    def test_v2_database_folds_into_observables(self, db):
+        # A v2 archive as the previous schema wrote it: one row in each
+        # of the three tables that v3 folds into observables.
+        conn = sqlite3.connect(db)
+        for version in (1, 2):
+            _MIGRATIONS[version](conn)
+        conn.execute("PRAGMA user_version = 2")
+        conn.execute(
+            "INSERT INTO runs (id, created_utc, command, source, records) "
+            "VALUES (1, 0.0, 'join', 'live', 50)"
+        )
+        conn.execute(
+            "INSERT INTO observables VALUES (1, 'exact', 'op:probe', 50.0, 2)"
+        )
+        conn.execute(
+            "INSERT INTO stage_latency VALUES (1, 'e2e', 7, 0.5, 0.25, 0.75, 1.5)"
+        )
+        conn.execute(
+            "INSERT INTO span_totals VALUES (1, 'worker:0', 'probe', 0.125)"
+        )
+        conn.executemany("INSERT INTO bench_sections VALUES (1, ?, ?)", [
+            ("corpora.AOL.posting_scans", 812.0),
+            ("headline.probe_speedup", 3.5),
+            ("corpora.AOL.matches_equal", 1.0),
+        ])
+        conn.commit()
+        conn.close()
+        with RunArchive(db) as archive:
+            assert archive.conn.execute(
+                "PRAGMA user_version"
+            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION
+            tables = {
+                row[0] for row in archive.conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            assert tables == {"runs", "observables", "health_events"}
+            assert archive.run_row(1)["input_digest"] is None
+            expected = {
+                "stage:e2e:count": 7, "stage:e2e:mean_s": 0.5,
+                "stage:e2e:p50_s": 0.25, "stage:e2e:p95_s": 0.75,
+                "stage:e2e:p99_s": 1.5, "span:worker:0:probe": 0.125,
+                "corpora.AOL.posting_scans": 812.0,
+                "headline.probe_speedup": 3.5, "probe_speedup": 3.5,
+                "corpora.AOL.matches_equal": 1.0, "op:probe": 50.0,
+            }
+            for metric, value in expected.items():
+                assert archive.metric_value(1, metric) == value, metric
+            summary = archive.run_summary(1)
+            fingerprint = archive.fingerprint(1)
+        assert summary["stages"] == {"e2e": {
+            "count": 7, "mean_s": 0.5, "p50_s": 0.25, "p95_s": 0.75,
+            "p99_s": 1.5,
+        }}
+        assert isinstance(summary["stages"]["e2e"]["count"], int)
+        assert summary["span_totals"] == {"worker:0": {"probe": 0.125}}
+        assert summary["observables"] == {
+            "exact": {
+                "op:probe": 50.0, "corpora.AOL.posting_scans": 812.0,
+                "corpora.AOL.matches_equal": 1.0,
+            },
+            "banded": {"headline.probe_speedup": 3.5},
+        }
+        # deterministic leaves became exact counters, the rest banded
+        assert fingerprint["exact"]["corpora.AOL.posting_scans"] == {
+            "total": 812.0, "series": 1,
+        }
+        assert fingerprint["banded"] == {"headline.probe_speedup": 3.5}
 
     def test_future_schema_is_refused(self, db, capsys):
         conn = sqlite3.connect(db)
@@ -194,15 +268,28 @@ class TestRoundTrip:
             "metric 'parallel.scaling.shards': missing from the current run",
         ]
 
-    def test_committed_seed_matches_reports(self):
+    def test_committed_seed_matches_reports(self, tmp_path):
         seed_db = os.path.join(
             REPO_ROOT, "benchmarks", "baselines", "archive.db"
+        )
+        # read-only: a schema bump without a regenerated seed fails
+        # here instead of silently migrating the tracked file
+        conn = sqlite3.connect(f"file:{seed_db}?mode=ro", uri=True)
+        try:
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+        finally:
+            conn.close()
+        assert version == ARCHIVE_SCHEMA_VERSION, (
+            "regenerate the seed: "
+            "PYTHONPATH=src python benchmarks/baselines/seed_archive.py"
         )
         with open(
             os.path.join(REPO_ROOT, "BENCH_wallclock.json"), encoding="utf-8"
         ) as handle:
             wallclock = json.load(handle)
-        with RunArchive(seed_db, create=False) as archive:
+        copy = str(tmp_path / "seed.db")
+        shutil.copyfile(seed_db, copy)
+        with RunArchive(copy, create=False) as archive:
             runs = archive.list_runs(method="WALLCLOCK", limit=None)
             assert runs, "seed archive has no wallclock run"
             run_id = runs[0]["id"]
@@ -545,13 +632,60 @@ class TestHistoryCli:
 
     def test_ingest_command(self, env_db, tmp_path, capsys):
         assert main(["history", "ingest",
-                     os.path.join(REPO_ROOT, "BENCH_wallclock.json"),
-                     os.path.join(REPO_ROOT, "BENCH_summary.json")]) == 0
-        out = capsys.readouterr().out
-        assert "(wallclock) -> run 1" in out and "(summary)" in out
+                     os.path.join(REPO_ROOT, "BENCH_wallclock.json")]) == 0
+        assert "(wallclock) -> run 1" in capsys.readouterr().out
         assert main(["history", "trend", "--metric", "probe_speedup",
                      "--method", "WALLCLOCK"]) == 0
         assert "probe_speedup" in capsys.readouterr().out
+        # bench summaries are not an archive input
+        assert main(["history", "ingest",
+                     os.path.join(REPO_ROOT, "BENCH_summary.json")]) == 2
+        assert "not an ingestable" in capsys.readouterr().err
+
+    def test_compare_two_wallclock_runs(self, env_db, capsys):
+        report = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
+        assert main(["history", "ingest", report, report]) == 0
+        capsys.readouterr()
+        assert main(["history", "compare", "1", "2", "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["status"] == "ok" and verdict["checks"] > 0
+        with RunArchive(env_db) as archive:
+            archive.conn.execute(
+                "UPDATE observables SET value = value + 1 WHERE run_id = 2 "
+                "AND name LIKE 'corpora.%.posting_scans'"
+            )
+            archive.conn.commit()
+        assert main(["history", "compare", "1", "2", "--json"]) == 1
+        failed = {
+            f["metric"]
+            for f in json.loads(capsys.readouterr().out)["failures"]
+        }
+        assert failed and all(m.endswith(".posting_scans") for m in failed)
+
+    def test_check_skips_other_configs_and_inputs(
+        self, tmp_path, env_db, capsys
+    ):
+        """Comparable means the same config snapshot and the same input
+        records, not only the same shape: a different window or arrival
+        rate, or a different corpus, is a skip — not a regression."""
+        corpus, other = str(tmp_path / "tw.txt"), str(tmp_path / "tw7.txt")
+        for path, seed in ((corpus, "20200420"), (other, "7")):
+            assert main(["generate", path, "--corpus", "TWEET",
+                         "--records", "400", "--seed", seed]) == 0
+        join = ["join", "--parallel", "--workers", "1", "--threshold", "0.8"]
+        for argv in ([corpus], [corpus, "--window", "2", "--rate", "100"],
+                     [other]):
+            assert main(join[:1] + argv + join[1:]) == 0
+            capsys.readouterr()
+            assert main(["history", "check", "--last", "1", "--json"]) == 0
+            verdict = json.loads(capsys.readouterr().out)
+            assert verdict["status"] == "skip", verdict
+        # the same command on the same input is still gated
+        assert main(join[:1] + [other] + join[1:]) == 0
+        capsys.readouterr()
+        assert main(["history", "check", "--last", "1", "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["status"] == "ok" and verdict["checks"] > 0
 
     def test_history_rejects_bad_run_id(self, env_db, corpus_file, capsys):
         assert main(["join", str(corpus_file), "--threshold", "0.7"]) == 0

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -11,15 +12,15 @@ from repro.datasets import synthetic_aol
 from repro.obs.baseline import (
     FINGERPRINT_SCHEMA_VERSION,
     bench_fingerprint,
-    compare_bench_fingerprints,
     compare_fingerprints,
-    compare_loaded,
     fingerprint_from_metrics,
     load_fingerprint,
     write_fingerprint,
 )
 from repro.obs.exporters import metrics_to_json
 from repro.storm.costmodel import CostModel
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _run_dump(cost=None, records=300, seed=20200420):
@@ -126,29 +127,74 @@ class TestFingerprint:
 
 
 class TestBenchFingerprint:
+    """A suite compares as one fingerprint: the bench config is its
+    labels and each method's metric ``m`` is named ``<method>/m``."""
+
     def test_suite_compare_merges_method_verdicts(self, base_dump, slow_dump):
         config = {"corpus": "AOL", "records": 300}
         baseline = bench_fingerprint({"LEN": base_dump}, config=config)
         same = bench_fingerprint({"LEN": base_dump}, config=config)
         slow = bench_fingerprint({"LEN": slow_dump}, config=config)
-        assert compare_bench_fingerprints(baseline, same)["status"] == "ok"
-        verdict = compare_bench_fingerprints(baseline, slow)
+        assert compare_fingerprints(baseline, same)["status"] == "ok"
+        verdict = compare_fingerprints(baseline, slow)
         assert verdict["status"] == "regression"
-        assert all(f["method"] == "LEN" for f in verdict["failures"])
+        failed = {f["metric"] for f in verdict["failures"]}
+        assert "LEN/component_busy_seconds:join" in failed
+        assert all(metric.startswith("LEN/") for metric in failed)
 
     def test_missing_method_and_config_drift_flagged(self, base_dump):
         baseline = bench_fingerprint({"LEN": base_dump}, config={"records": 300})
         other = bench_fingerprint({}, config={"records": 999})
-        verdict = compare_bench_fingerprints(baseline, other)
-        metrics = {f["metric"] for f in verdict["failures"]}
-        assert "method:LEN" in metrics
-        assert "config" in metrics
+        verdict = compare_fingerprints(baseline, other)
+        failures = {f["metric"]: f for f in verdict["failures"]}
+        # the missing method's metrics disappear under its name
+        assert "disappeared" in failures["LEN/op:posting_scan"]["message"]
+        assert "disappeared" in failures["LEN/run_capacity_throughput"]["message"]
+        assert failures["label:records"]["baseline"] == 300
+
+    def test_one_counter_drift_names_the_method(self, base_dump):
+        two = {"LEN": base_dump, "PRE": base_dump}
+        baseline = bench_fingerprint(two, config={"records": 300})
+        drifted = copy.deepcopy(baseline)
+        drifted["methods"]["LEN"]["exact"]["op:posting_scan"]["total"] += 1
+        verdict = compare_fingerprints(baseline, drifted)
+        assert verdict["status"] == "regression"
+        (failure,) = verdict["failures"]
+        assert failure["metric"] == "LEN/op:posting_scan"
+        assert failure["policy"] == "exact"
+        assert "'LEN/op:posting_scan' drifted" in failure["message"]
+
+    def test_committed_suite_directions(self):
+        # every banded name in the committed suite baseline keeps the
+        # direction it was gated in before suites were flattened:
+        # throughputs higher-better, everything else lower-better
+        from repro.obs.baseline import metric_policy
+
+        suite = load_fingerprint(os.path.join(
+            REPO_ROOT, "benchmarks", "baselines",
+            "aol-3000-v800-w4-d4-s20200420.json",
+        ))
+        names = {
+            name
+            for fingerprint in suite["methods"].values()
+            for name in fingerprint["banded"]
+        }
+        assert len(names) == 9
+        for name in names:
+            expected = (
+                "higher_better" if name.endswith("_throughput")
+                else "lower_better"
+            )
+            assert metric_policy(name) == expected, name
+            assert metric_policy(f"LEN/{name}") == expected, name
 
     def test_suite_vs_single_rejected(self, base_dump):
         suite = bench_fingerprint({"LEN": base_dump})
         single = fingerprint_from_metrics(base_dump)
         with pytest.raises(ValueError, match="suite baseline"):
-            compare_loaded(suite, single)
+            compare_fingerprints(suite, single)
+        with pytest.raises(ValueError, match="suite baseline"):
+            compare_fingerprints(single, suite)
 
 
 class TestFiles:
