@@ -194,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "--workers, so pin --shards to compare "
                            "fingerprints across worker counts)")
     join.add_argument("--batch-size", type=int, default=None,
-                      help="records per IPC batch in --parallel mode "
+                      help="records per batch in --parallel mode: one "
+                           "shard's unit of work inside a worker, with one "
+                           "meter flush and at most one match ship "
                            "(default: 512)")
     join.add_argument("--fingerprint-out", default=None, metavar="PATH",
                       help="write the run's fingerprint for `repro diff`")
@@ -780,12 +782,10 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
     runner = ParallelJoinRunner(
         config,
         workers=args.workers,
-        spans=args.spans_out is not None,
-        spans_sample=args.spans_sample,
+        spans_sample=args.spans_sample if args.spans_out else 0,
+        trace_sample=_trace_sample(args) if trace else 0,
         telemetry_out=args.telemetry_out,
         heartbeat_interval=args.heartbeat_interval,
-        trace=trace,
-        trace_sample=_trace_sample(args),
     )
     # Nothing reads the rows unless --pairs / --recall-floor asked for
     # them: hand each frame to a discarding sink and hold no result.

@@ -93,11 +93,11 @@ class JoinConfig:
     #: the two-stream (R–S) cross join over a merged, source-tagged
     #: stream (see :mod:`repro.core.two_stream`).
     cross_source_only: bool = False
-    #: Records per IPC batch in the multi-core runtime
-    #: (:mod:`repro.parallel`): each batch is one struct-packed frame
-    #: and one meter flush. Larger batches amortize more per-frame cost
-    #: but delay shard hand-off; 512 keeps frames ~20 KB on the
-    #: calibrated corpora.
+    #: Records per batch in the multi-core runtime
+    #: (:mod:`repro.parallel`): a batch is one shard's unit of work
+    #: inside a worker, with one meter flush and at most one match ship
+    #: to the driver. Larger batches amortize more per-batch cost but
+    #: delay the first results.
     batch_size: int = 512
     #: Candidate generation tier: ``"exact"`` or ``"approx"`` (sketch).
     mode: str = "exact"
@@ -156,15 +156,15 @@ class JoinConfig:
             )
         if self.batch_size < 1:
             raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}: the "
-                "parallel runtime ships records to workers in batches of "
-                "this many"
+                f"batch_size must be >= 1, got {self.batch_size}: a "
+                "parallel worker processes each shard's records in "
+                "batches of this many"
             )
         if self.batch_size > MAX_BATCH_SIZE:
             raise ValueError(
                 f"batch_size {self.batch_size} is absurd (max "
                 f"{MAX_BATCH_SIZE}): a batch is buffered in memory per "
-                "shard and larger batches only delay shard hand-off"
+                "shard and larger batches only delay the first results"
             )
         if self.cross_source_only and self.use_bundles:
             raise ValueError(

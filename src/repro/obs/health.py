@@ -124,6 +124,18 @@ class _FanoutStats:
     alerted: bool = False
 
 
+def _load_skew(busy: List[float]) -> Optional[Tuple[float, int]]:
+    """``(max/avg ratio, straggler index)`` of one component's per-task
+    busy seconds; ``None`` with fewer than two tasks or no busy time."""
+    if len(busy) < 2:
+        return None
+    average = sum(busy) / len(busy)
+    if average <= 0:
+        return None
+    peak = max(busy)
+    return peak / average, busy.index(peak)
+
+
 class HealthMonitor:
     """Collects health events from the cluster's hook points.
 
@@ -233,14 +245,10 @@ class HealthMonitor:
         leveling so a persistent straggler is reported the moment the
         ratio first crosses each level — mid-run, not post-hoc.
         """
-        if len(busy) < 2:
+        skew = _load_skew(busy)
+        if skew is None:
             return
-        average = sum(busy) / len(busy)
-        if average <= 0:
-            return
-        peak = max(busy)
-        ratio = peak / average
-        straggler = busy.index(peak)
+        ratio, straggler = skew
         level = self._skew_level.get(component, 0)
         if ratio >= self.thresholds.skew_critical and level < 2:
             self._skew_level[component] = 2
@@ -260,7 +268,7 @@ class HealthMonitor:
                 f"average busy time of its component",
             )
 
-    def finalize(self, registry, time: float, join_component: str = "join") -> None:
+    def finalize(self, registry, time: float) -> None:
         """Run-end detectors over the populated metrics registry.
 
         ``registry`` is a :class:`repro.storm.metrics.MetricsRegistry`
@@ -284,14 +292,10 @@ class HealthMonitor:
                     f"dominates communication cost",
                 )
         for component, busy in sorted(registry.busy_by_component().items()):
-            if len(busy) < 2:
+            skew = _load_skew(busy)
+            if skew is None:
                 continue
-            average = sum(busy) / len(busy)
-            if average <= 0:
-                continue
-            peak = max(busy)
-            ratio = peak / average
-            straggler = busy.index(peak)
+            ratio, straggler = skew
             severity = None
             threshold = self.thresholds.skew_warning
             if ratio >= self.thresholds.skew_critical:
@@ -339,12 +343,6 @@ class HealthMonitor:
         for event in self.events:
             totals[event.severity] = totals.get(event.severity, 0) + 1
         return totals
-
-    def worst_severity(self) -> Optional[str]:
-        worst = -1
-        for event in self.events:
-            worst = max(worst, SEVERITIES.index(event.severity))
-        return SEVERITIES[worst] if worst >= 0 else None
 
     def render(self) -> str:
         """Short plain-text digest for the CLI."""

@@ -45,7 +45,7 @@ from repro.obs.artefact import (
     load_jsonl_objects,
     split_document,
 )
-from repro.obs.health import HealthMonitor, HealthThresholds
+from repro.obs.health import HealthMonitor
 
 TELEMETRY_SCHEMA_VERSION = 2
 
@@ -96,8 +96,6 @@ class TelemetryRecorder:
         interval: float,
         base: float,
         out_path: Optional[str] = None,
-        thresholds: Optional[HealthThresholds] = None,
-        component: str = "pworker",
     ):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
@@ -105,8 +103,7 @@ class TelemetryRecorder:
         self.shards = shards
         self.interval = interval
         self.base = base
-        self.component = component
-        self.monitor = HealthMonitor(thresholds)
+        self.monitor = HealthMonitor()
         self.header: Dict[str, object] = {
             "kind": "header",
             "schema": TELEMETRY_SCHEMA_VERSION,
@@ -177,7 +174,8 @@ class TelemetryRecorder:
                 self.by_worker[w][-1]["busy_s"]
                 for w in sorted(self.by_worker)
             ]
-            self.monitor.on_busy_snapshot(self.component, t, busy)
+            # The component name worker_health's timeline uses too.
+            self.monitor.on_busy_snapshot("pworker", t, busy)
         self._drain_health_events()
 
     def _drain_health_events(self) -> None:

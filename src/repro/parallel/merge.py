@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.health import HealthMonitor, HealthThresholds
+from repro.obs.health import HealthMonitor
 from repro.obs.registry import ObsRegistry
 from repro.obs.timeline import TimelineRecorder
 from repro.parallel.codec import MatchTable
@@ -208,9 +208,7 @@ class _WorkerBusyRegistry:
         return {WORKER_COMPONENT: list(self._busy)}
 
 
-def worker_health(
-    result, thresholds: Optional[HealthThresholds] = None
-) -> HealthMonitor:
+def worker_health(result) -> HealthMonitor:
     """Run the end-of-run health detectors over a parallel result.
 
     The load-skew detector sees per-worker busy seconds (a straggler
@@ -220,7 +218,7 @@ def worker_health(
     health signals (e.g. expiration lag) replay their peaks — the
     peak is exactly what those one-shot detectors key on.
     """
-    monitor = HealthMonitor(thresholds)
+    monitor = HealthMonitor()
     for name, value in sorted(result.signals.items()):
         if name == "routing_fanout_fraction":
             continue  # replayed below with exact average semantics
@@ -238,7 +236,5 @@ def worker_health(
         stats.total = fanout["total"]
         stats.count = fanout["count"]
     busy = [stats["busy_s"] for stats in result.worker_stats]
-    monitor.finalize(
-        _WorkerBusyRegistry(busy), result.wall_s, join_component=WORKER_COMPONENT
-    )
+    monitor.finalize(_WorkerBusyRegistry(busy), result.wall_s)
     return monitor

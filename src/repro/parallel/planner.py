@@ -2,12 +2,12 @@
 
 The key determinism decision of the runtime: **logical shards are
 decoupled from physical workers**. The stream is routed over a fixed
-number of shards (``config.num_workers``, the same sharding the
-simulated cluster uses), each backed by its own
-:class:`~repro.core.local_join.StreamingSetJoin`; the ``--workers N``
-process count only decides which OS process *hosts* each shard
-(``shard % N``). Every shard therefore sees exactly the same record
-subsequence — in arrival order, because every worker walks the same
+number of shards (``config.num_workers``, the one place the shard count
+is set, and the same sharding the simulated cluster uses), each backed
+by its own :class:`~repro.core.local_join.StreamingSetJoin`; the
+``--workers N`` process count only decides which OS process *hosts*
+each shard (``shard % N``). Every shard therefore sees exactly the same
+record subsequence — in arrival order, because every worker walks the same
 published record list through this same plan (a pure function of the
 record) and keeps the tasks of the shards it hosts — regardless of how
 many processes run. Match sets, ``WorkMeter`` totals and fingerprints
@@ -106,17 +106,15 @@ class ShardPlan:
 
 
 def plan_shards(
-    config: JoinConfig,
-    corpus: Sequence[Tuple[int, ...]],
-    num_shards: Optional[int] = None,
+    config: JoinConfig, corpus: Sequence[Tuple[int, ...]]
 ) -> ShardPlan:
     """Plan the shard routing for ``config`` over a corpus sample.
 
     ``corpus`` is the stream's token tuples (only the first
     ``config.sample_size`` are consulted, mirroring
-    :meth:`DistributedStreamJoin.plan`). ``num_shards`` overrides the
-    config's shard count for experiments; leaving it at the default
-    keeps parallel observables comparable with the simulated cluster.
+    :meth:`DistributedStreamJoin.plan`). The requested shard count is
+    ``config.num_workers`` and nothing else, which keeps parallel
+    observables comparable with the simulated cluster.
     """
     if config.use_bundles:
         raise ValueError(
@@ -124,11 +122,6 @@ def plan_shards(
             "engine reuses home-worker probe results, which the "
             "process-sharded driver does not observe"
         )
-    shards = config.num_workers if num_shards is None else num_shards
-    if shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {shards}")
     func = get_similarity(config.similarity, config.threshold)
-    router, partition = plan_routing(
-        config, func, corpus[: config.sample_size], num_workers=shards
-    )
+    router, partition = plan_routing(config, func, corpus[: config.sample_size])
     return ShardPlan(config=config, router=router, partition=partition, func=func)

@@ -4,8 +4,8 @@ Execution model::
 
     driver                          worker 0..W-1 (processes)
     ------                          -------------------------
-    materialise records, plan       (start-up arguments: records, plan,
-    spawn workers ───────────────>   hosted shards, batch size)
+    materialise records, plan       (start-up arguments: config,
+    spawn workers ───────────────>   hosted shards, records, plan)
                                     build engines for its shards
                                     walk the records, keep its shards'
                                     tasks, probe/insert per batch
@@ -13,12 +13,13 @@ Execution model::
     (frame → sink, or collect)      finishes; event log + summary last
     merge (sort, sum meters)
 
-Determinism: the stream is routed over ``num_shards`` logical shards
-(default ``config.num_workers``) regardless of the physical worker count;
-every worker walks the same record list in arrival order through the
-same pure :class:`~repro.parallel.planner.ShardPlan`, so each shard
-engine performs the identical operation sequence for any
-``workers``/``batch_size``/start-method choice. The merged observables —
+Determinism: the stream is routed over ``config.num_workers`` logical
+shards — the config is the one place a run's shard count and batch size
+are set — regardless of the physical worker count; every worker walks
+the same record list in arrival order through the same pure
+:class:`~repro.parallel.planner.ShardPlan`, so each shard engine
+performs the identical operation sequence for any ``workers``,
+``config.batch_size`` or start method. The merged observables —
 match rows in ``(timestamp, rid_a, rid_b)`` order, summed integer meter
 totals — are therefore bit-identical across configurations, which the
 differential tests and the ``repro diff`` fingerprint gate both assert.
@@ -28,7 +29,7 @@ One executor: every :class:`ParallelJoinRunner` run starts real
 per-record engine calls — is the ground truth it must reproduce.
 
 One publish, no record wire: :meth:`ParallelJoinRunner.run` hands every
-worker ``(records, plan, hosted shards, batch_size)`` once — inherited
+worker ``(config, hosted shards, records, plan)`` once — inherited
 under ``fork``, pickled once under ``spawn``, one code path either way
 — and :meth:`ShardWorker.run` self-selects its shards' tasks from them.
 The driver writes nothing after start-up: it goes from spawn straight
@@ -65,12 +66,7 @@ from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
 from repro.obs.artefact import TRANSPORT, write_jsonl
 from repro.obs.eventlog import EventLog, log_rows
-from repro.obs.rectrace import (
-    DEFAULT_TRACE_SAMPLE,
-    latency_digest,
-    latency_metrics,
-    rectrace_header,
-)
+from repro.obs.rectrace import latency_digest, latency_metrics, rectrace_header
 from repro.obs.spans import DRIVER, PHASE_ID, SPANS_SCHEMA_VERSION
 from repro.obs.timeseries import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -185,10 +181,10 @@ class ParallelJoinResult:
         """Per-worker busy/idle :class:`TimelineRecorder` (wall time)."""
         return worker_timeline(self)
 
-    def health(self, thresholds=None):
+    def health(self):
         """Finalized :class:`HealthMonitor` (load skew across workers,
         routing fanout, engine signals)."""
-        return worker_health(self, thresholds)
+        return worker_health(self)
 
     def metrics_registry(self):
         """Per-worker wall-clock telemetry as an :class:`ObsRegistry`
@@ -204,11 +200,11 @@ class ParallelJoinResult:
     def spans_document(self) -> List[Dict[str, object]]:
         """The full spans artefact (header line first), as the JSONL
         loader would return it. Raises unless the run was started with
-        ``spans=True``."""
+        a ``spans_sample`` stride."""
         if self.span_header is None or self.span_rows is None:
             raise ValueError(
                 "this run recorded no spans "
-                "(construct ParallelJoinRunner with spans=True)"
+                "(construct ParallelJoinRunner with spans_sample >= 1)"
             )
         return [self.span_header] + list(self.span_rows)
 
@@ -244,11 +240,11 @@ class ParallelJoinResult:
     # -- record traces --------------------------------------------------------
     def rectrace_document(self) -> List[Dict[str, object]]:
         """The full record-trace artefact (header line first). Raises
-        unless the run was started with ``trace=True``."""
+        unless the run was started with a ``trace_sample`` stride."""
         if self.trace_header is None or self.trace_rows is None:
             raise ValueError(
                 "this run traced no records "
-                "(construct ParallelJoinRunner with trace=True)"
+                "(construct ParallelJoinRunner with trace_sample >= 1)"
             )
         return [self.trace_header] + list(self.trace_rows)
 
@@ -259,13 +255,8 @@ class ParallelJoinResult:
 
     def latency_digest(self) -> Dict[str, Dict[str, float]]:
         """Per-stage p50/p95/p99 latency digest of the traced records
-        (raises unless the run was started with ``trace=True``)."""
-        if self.trace_rows is None:
-            raise ValueError(
-                "this run traced no records "
-                "(construct ParallelJoinRunner with trace=True)"
-            )
-        return latency_digest(self.trace_rows)
+        (raises like :meth:`rectrace_document` on an untraced run)."""
+        return latency_digest(self.rectrace_document()[1:])
 
 
 @dataclass
@@ -276,8 +267,8 @@ class _Run:
 
     #: Monotonic clock value at run start (base for every rebase).
     started: float
-    #: The run's effective sampling strides, as every worker gets them
-    #: (0: that instrument is off).
+    #: The runner's sampling strides, as every worker gets them (0: that
+    #: instrument is off).
     spans_sample: int
     trace_sample: int
     telemetry: Optional[TelemetryRecorder] = None
@@ -316,28 +307,44 @@ class _Run:
             self.log.record(phase, start, time.monotonic())
 
 
-def _plan(
-    config: JoinConfig, records: Sequence[Record], num_shards: Optional[int]
-) -> ShardPlan:
+def _fold_fanout(signals: Dict[str, float], fanout: Dict[str, float]) -> None:
+    """The routing fanout peak the walk observed becomes the run's
+    ``routing_fanout_fraction`` signal when it tops the engines' own."""
+    if fanout["count"] and fanout["peak"] > signals.get(
+        "routing_fanout_fraction", -math.inf
+    ):
+        signals["routing_fanout_fraction"] = fanout["peak"]
+
+
+def _plan(config: JoinConfig, records: Sequence[Record]) -> ShardPlan:
     """The shard plan over the first ``config.sample_size`` records —
     only the sample is copied, never the whole corpus."""
     sample = [record.tokens for record in records[: config.sample_size]]
-    return plan_shards(config, sample, num_shards)
+    return plan_shards(config, sample)
 
 
 class ParallelJoinRunner:
     """Runs one config over worker processes. See the module docstring.
 
     ``workers`` is the physical process count (capped at the shard
-    count — an extra process would host zero shards); ``num_shards``
-    defaults to ``config.num_workers`` so parallel runs shard the
-    stream exactly like the simulated cluster; ``batch_size`` defaults
-    to ``config.batch_size``; ``start_method`` picks the
-    :mod:`multiprocessing` context (``None``: the platform default).
-    ``spans=True`` switches on wall-clock span recording in the driver
-    and every worker (see :mod:`repro.obs.spans`); ``spans_sample`` is
-    the deterministic batch-index downsampling stride for the high-rate
-    batch-scoped phases (1 = record every batch).
+    count — an extra process would host zero shards). The shard count
+    and batch size are ``config.num_workers`` and ``config.batch_size``
+    — parallel runs shard the stream exactly like the simulated
+    cluster. ``start_method`` picks the :mod:`multiprocessing` context
+    (``None``: the platform default).
+
+    Spans and record tracing are one stride each, 0 = off.
+    ``spans_sample >= 1`` records wall-clock spans in the driver and
+    every worker (see :mod:`repro.obs.spans`), the high-rate
+    batch-scoped phases of every ``spans_sample``-th batch only.
+    ``trace_sample >= 1`` follows every record with ``rid %
+    trace_sample == 0`` through the workers (see
+    :mod:`repro.obs.rectrace`): each stamps the record's
+    probe/insert/match-emit on every shard it reaches, and the merged,
+    clock-rebased event rows land on the result (``trace_rows`` /
+    ``rectrace_document()`` / ``latency_digest()``). The traced rid set
+    is a pure function of rid, so it is identical across worker counts,
+    batch sizes and start methods.
 
     Telemetry is on iff ``heartbeat_interval`` or ``telemetry_out`` is
     given (see :mod:`repro.obs.timeseries`): each worker samples its
@@ -345,18 +352,9 @@ class ParallelJoinRunner:
     :data:`~repro.obs.timeseries.DEFAULT_HEARTBEAT_INTERVAL`) onto its
     result pipe, and the driver aggregates them into a rolling time
     series with online load-skew detection, optionally appended as
-    JSONL to ``telemetry_out``. Telemetry is monitoring-plane only —
-    every observable stays bit-identical with it on or off.
-
-    ``trace=True`` switches on distributed per-record tracing (see
-    :mod:`repro.obs.rectrace`): records with ``rid % trace_sample ==
-    0`` are followed through the workers — each stamps the record's
-    probe/insert/match-emit on every shard it reaches — and the merged,
-    clock-rebased event rows land on the result (``trace_rows`` /
-    ``rectrace_document()`` / ``latency_digest()``). The traced rid
-    set is a pure function of rid, so it is identical across worker
-    counts, batch sizes and start methods; like spans and telemetry,
-    tracing never changes an observable.
+    JSONL to ``telemetry_out``. No instrument changes an observable:
+    every one stays bit-identical with spans, tracing or telemetry on
+    or off.
 
     Match rows come back over one pipe per worker, the only results
     wire; ``transport`` survives for one caller and accepts only
@@ -367,15 +365,11 @@ class ParallelJoinRunner:
         self,
         config: JoinConfig,
         workers: int = 1,
-        num_shards: Optional[int] = None,
-        batch_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        spans: bool = False,
-        spans_sample: int = 1,
+        spans_sample: int = 0,
+        trace_sample: int = 0,
         telemetry_out: Optional[str] = None,
         heartbeat_interval: Optional[float] = None,
-        trace: bool = False,
-        trace_sample: int = DEFAULT_TRACE_SAMPLE,
         transport: str = TRANSPORT,
     ):
         if workers < 1:
@@ -388,14 +382,10 @@ class ParallelJoinRunner:
                 f"transport must be {TRANSPORT!r}, got {transport!r} "
                 f"(the shm transport was removed: it won on no workload)"
             )
-        if batch_size is None:
-            batch_size = config.batch_size
-        elif batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if spans_sample < 1:
-            raise ValueError(f"spans_sample must be >= 1, got {spans_sample}")
-        if trace_sample < 1:
-            raise ValueError(f"trace_sample must be >= 1, got {trace_sample}")
+        if spans_sample < 0:
+            raise ValueError(f"spans_sample must be >= 0, got {spans_sample}")
+        if trace_sample < 0:
+            raise ValueError(f"trace_sample must be >= 0, got {trace_sample}")
         if heartbeat_interval is not None and (
             not math.isfinite(heartbeat_interval) or heartbeat_interval <= 0
         ):
@@ -405,11 +395,9 @@ class ParallelJoinRunner:
             )
         self.config = config
         self.workers = workers
-        self.num_shards = num_shards
-        self.batch_size = batch_size
         self.start_method = start_method
-        self.spans = bool(spans)
         self.spans_sample = spans_sample
+        self.trace_sample = trace_sample
         self.telemetry = (
             telemetry_out is not None or heartbeat_interval is not None
         )
@@ -419,8 +407,6 @@ class ParallelJoinRunner:
             if heartbeat_interval is not None
             else DEFAULT_HEARTBEAT_INTERVAL
         )
-        self.trace = bool(trace)
-        self.trace_sample = trace_sample
 
     # -- execution -----------------------------------------------------------
     def run(
@@ -437,12 +423,12 @@ class ParallelJoinRunner:
         started = time.monotonic()
         run = _Run(
             started=started,
-            spans_sample=self.spans_sample if self.spans else 0,
-            trace_sample=self.trace_sample if self.trace else 0,
+            spans_sample=self.spans_sample,
+            trace_sample=self.trace_sample,
             sink=sink,
         )
         records = list(stream)
-        plan = _plan(self.config, records, self.num_shards)
+        plan = _plan(self.config, records)
         shards = plan.num_shards
         workers = max(1, min(self.workers, shards))
         run.assignment = [
@@ -488,8 +474,7 @@ class ParallelJoinRunner:
                     target=worker_main,
                     args=(
                         child, w, self.config, run.assignment[w],
-                        records, plan, self.batch_size,
-                        run.spans_sample,
+                        records, plan, run.spans_sample,
                         self.heartbeat_interval if telemetry is not None else 0.0,
                         run.trace_sample,
                     ),
@@ -633,13 +618,7 @@ class ParallelJoinRunner:
         matches = merge_matches(run.chunks) if run.sink is None else None
         # Every worker tallies the same walk over the same records.
         fanout = summaries[0]["fanout"]
-        if fanout["count"]:
-            peak = fanout["peak"]
-            if (
-                "routing_fanout_fraction" not in signals
-                or peak > signals["routing_fanout_fraction"]
-            ):
-                signals["routing_fanout_fraction"] = peak
+        _fold_fanout(signals, fanout)
         run.window(_MERGE, t_merge)
         wall_s = time.monotonic() - started
 
@@ -650,7 +629,7 @@ class ParallelJoinRunner:
             "transport": TRANSPORT,
             "workers": workers,
             "shards": plan.num_shards,
-            "batch_size": self.batch_size,
+            "batch_size": self.config.batch_size,
         }
         telemetry_doc = None
         if run.telemetry is not None:
@@ -663,7 +642,7 @@ class ParallelJoinRunner:
             config=self.config,
             num_shards=plan.num_shards,
             workers=workers,
-            batch_size=self.batch_size,
+            batch_size=self.config.batch_size,
             executor=EXECUTOR,
             records=len(records),
             matches=matches,
@@ -684,9 +663,7 @@ class ParallelJoinRunner:
         )
 
 
-def run_serial(
-    config: JoinConfig, stream, num_shards: Optional[int] = None
-) -> ParallelJoinResult:
+def run_serial(config: JoinConfig, stream) -> ParallelJoinResult:
     """Ground-truth serial execution of the identical sharded workload.
 
     Same shard plan, same engines, same per-record schedule — but no
@@ -697,7 +674,7 @@ def run_serial(
     """
     started = time.monotonic()
     records = list(stream)
-    plan = _plan(config, records, num_shards)
+    plan = _plan(config, records)
     shards = plan.num_shards
     meters = {shard: WorkMeter() for shard in range(shards)}
     engines = {
@@ -736,11 +713,7 @@ def run_serial(
     }
     operations, events, signals = merge_meters(shard_meters)
     fanout = {"total": fanout_total, "count": len(records), "peak": fanout_peak}
-    if fanout["count"] and (
-        "routing_fanout_fraction" not in signals
-        or fanout_peak > signals["routing_fanout_fraction"]
-    ):
-        signals["routing_fanout_fraction"] = fanout_peak
+    _fold_fanout(signals, fanout)
     wall_s = time.monotonic() - started
     return ParallelJoinResult(
         config=config,

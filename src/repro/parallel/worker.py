@@ -8,14 +8,15 @@ index ``shard`` of ``num_shards``
 behaves identically whether it runs inside the simulated cluster, in
 :func:`~repro.parallel.runtime.run_serial`, or in a worker process.
 
-Records never cross a wire. Every worker is handed the whole record
-list and the shard plan once, as process start-up arguments (inherited
-under ``fork``, pickled once under ``spawn``), and
+Records never cross a wire. Every worker is handed the config, the
+whole record list and the shard plan once, as process start-up
+arguments (inherited under ``fork``, pickled once under ``spawn``), and
 :meth:`ShardWorker.run` self-selects: it walks the records in arrival
 order, asks the plan for each record's ``(shard, op)`` tasks, keeps the
-tasks of the shards it hosts and cuts them into per-shard batches — the
-map-side partitioning of a candidate-free distributed join, with no
-per-record work left in the driver.
+tasks of the shards it hosts and cuts them into per-shard batches of
+``config.batch_size`` — the map-side partitioning of a candidate-free
+distributed join, with no per-record work left in the driver. A batch
+is one shard's unit of work: one meter flush and at most one match ship.
 
 Wire protocol, results direction only (one :func:`multiprocessing.Pipe`
 per worker, message = one ``send_bytes`` frame, first byte = tag, tags
@@ -206,7 +207,7 @@ class ShardWorker:
         #: calibrates nothing and allocates no columns.
         self.log: Optional[EventLog] = (
             EventLog(spans_sample, trace_sample)
-            if spans_sample >= 1 or trace_sample >= 1
+            if spans_sample or trace_sample
             else None
         )
         #: Per-shard batch sequence numbers — the deterministic sampling
@@ -238,8 +239,7 @@ class ShardWorker:
         }
 
     def run(
-        self, records: Sequence[Record], plan, batch_size: int, emitter=None,
-        ship=None,
+        self, records: Sequence[Record], plan, emitter=None, ship=None
     ) -> Dict[str, float]:
         """Walk the published ``records`` in arrival order and process
         what ``plan`` assigns the hosted shards; returns the
@@ -248,10 +248,10 @@ class ShardWorker:
         shard, so all workers of a run return the same three numbers).
 
         A record's tasks land in per-shard buffers, each cut at
-        ``batch_size`` and handed to :meth:`process_batch`; leftovers
-        flush in shard order at the end. Per-shard batch boundaries and
-        the cross-shard batch order are therefore a pure function of
-        the plan and ``batch_size``, whatever the worker count.
+        ``config.batch_size`` and handed to :meth:`process_batch`;
+        leftovers flush in shard order at the end. Per-shard batch
+        boundaries and the cross-shard batch order are therefore a pure
+        function of the plan and the config, whatever the worker count.
         After every batch, ``ship`` (``table -> bytes sent``) gets the
         rows it left in the emit buffer (:meth:`flush_matches`) and
         ``emitter`` (a :class:`HeartbeatEmitter`) is polled. With spans
@@ -259,6 +259,7 @@ class ShardWorker:
         fanout tally, buffer appends, never the ship — is one ``route``
         span per kept frame."""
         shards = plan.num_shards
+        batch_size = self.config.batch_size
         tasks_of = plan.tasks
         log = self.log
         monotonic = time.monotonic
@@ -490,7 +491,6 @@ def worker_main(
     shard_ids: Sequence[int],
     records: Sequence[Record],
     plan,
-    batch_size: int,
     spans_sample: int = 0,
     heartbeat_interval: float = 0.0,
     trace_sample: int = 0,
@@ -519,7 +519,7 @@ def worker_main(
         if heartbeat_interval > 0:
             emitter = HeartbeatEmitter(conn, worker_id, heartbeat_interval, born)
         ship = partial(ship_matches, conn=conn)
-        fanout = worker.run(records, plan, batch_size, emitter, ship)
+        fanout = worker.run(records, plan, emitter, ship)
         worker.lifetime_s = time.monotonic() - born
         # bytes_out counts the data plane (match + event frames); the
         # pickled summary frame itself is excluded — it has to carry

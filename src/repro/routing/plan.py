@@ -42,17 +42,15 @@ def plan_routing(
     config: JoinConfig,
     func: SimilarityFunction,
     sample: Sequence[Tuple[int, ...]],
-    num_workers: Optional[int] = None,
 ) -> Tuple[Router, Optional[LengthPartition]]:
     """Build the router (and, for the length scheme, the partition).
 
     ``sample`` is a sequence of token tuples from the stream's head
     (already truncated to ``config.sample_size`` by the caller, or not
-    — the planner takes what it is given). ``num_workers`` overrides
-    ``config.num_workers`` when the caller shards at a different
-    granularity than the configured bolt parallelism.
+    — the planner takes what it is given). The router spans
+    ``config.num_workers`` join tasks.
     """
-    workers = config.num_workers if num_workers is None else num_workers
+    workers = config.num_workers
     if config.mode == "approx":
         # The sketch tier shards by band bucket regardless of the
         # configured distribution (the config layer rejects non-default

@@ -23,6 +23,7 @@ from repro.obs.archive import (
     linear_slope,
 )
 from repro.obs.baseline import metric_policy
+from repro.obs.rectrace import DEFAULT_TRACE_SAMPLE
 from repro.parallel.runtime import ParallelJoinRunner, run_serial
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -192,7 +193,9 @@ class TestRoundTrip:
         assert stored == dataclasses.asdict(config)
 
     def test_stage_latency_round_trips_exactly(self, db, config, records):
-        result = ParallelJoinRunner(config, workers=1, trace=True).run(records)
+        result = ParallelJoinRunner(
+            config, workers=1, trace_sample=DEFAULT_TRACE_SAMPLE
+        ).run(records)
         digest = result.latency_digest()
         assert "e2e" in digest
         with RunArchive(db) as archive:
@@ -301,7 +304,8 @@ class TestIngestAdapters:
     @pytest.fixture
     def artefacts(self, tmp_path, config, records):
         result = ParallelJoinRunner(
-            config, workers=2, trace=True, spans=True, heartbeat_interval=0.25
+            config, workers=2, spans_sample=1, trace_sample=DEFAULT_TRACE_SAMPLE,
+            heartbeat_interval=0.25,
         ).run(records)
         paths = {
             "rectrace": str(tmp_path / "rect.jsonl"),

@@ -78,7 +78,7 @@ class TestRectraceExport:
     @pytest.fixture(scope="class")
     def doc(self):
         runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, trace=True, trace_sample=4,
+            JoinConfig(threshold=0.6), workers=2, trace_sample=4,
         )
         return try_process_run(
             runner, fuzz_records(seed=51, n=160)

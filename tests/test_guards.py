@@ -1,0 +1,206 @@
+"""Guards against deleted code growing back.
+
+Each case is named after the change that deleted something and fails
+when a name, pattern or second copy that change removed reappears. A
+pattern is searched line by line, like ``grep -rn``: a directory means
+every file under it (byte-code caches excluded, and never this module,
+which has to spell every pattern out), a glob its matching files.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+HERE = Path(__file__).resolve()
+
+
+def _files(spec):
+    if any(char in spec for char in "*?["):
+        return sorted(ROOT.glob(spec))
+    path = ROOT / spec
+    if path.is_file():
+        return [path]
+    return sorted(
+        file for file in path.rglob("*")
+        if file.is_file() and "__pycache__" not in file.parts
+        and file.resolve() != HERE
+    )
+
+
+def _lines(*specs):
+    """``(file, line number, line)`` of every file the specs name."""
+    for spec in specs:
+        for file in _files(spec):
+            text = file.read_text(encoding="utf-8", errors="replace")
+            for number, line in enumerate(text.splitlines(), 1):
+                yield file.relative_to(ROOT), number, line
+
+
+def _sed_range(spec, start, end):
+    """The lines ``sed -n '/start/,/end/p' spec`` prints: from every
+    line matching ``start`` through the next line matching ``end``."""
+    lines = [line for _, _, line in _lines(spec)]
+    out, i = [], 0
+    while i < len(lines):
+        if re.search(start, lines[i]):
+            j = next(
+                (k for k in range(i + 1, len(lines)) if re.search(end, lines[k])),
+                len(lines) - 1,
+            )
+            out.extend(lines[i:j + 1])
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+def absent(pattern, *specs):
+    """No line of the named files matches ``pattern``."""
+    def check():
+        regex = re.compile(pattern)
+        return [
+            f"{file}:{number}: {line.strip()}"
+            for file, number, line in _lines(*specs) if regex.search(line)
+        ]
+    return check
+
+
+def absent_in_range(pattern, spec, *ranges):
+    """No line inside the ``(start, end)`` sed ranges of ``spec``
+    matches ``pattern``."""
+    def check():
+        regex = re.compile(pattern)
+        return [
+            f"{spec}: {line.strip()}"
+            for start, end in ranges
+            for line in _sed_range(spec, start, end) if regex.search(line)
+        ]
+    return check
+
+
+def occurs_once(pattern, *specs):
+    """Exactly one line of the named files matches ``pattern``."""
+    def check():
+        regex = re.compile(pattern)
+        hits = [
+            f"{file}:{number}: {line.strip()}"
+            for file, number, line in _lines(*specs) if regex.search(line)
+        ]
+        return [] if len(hits) == 1 else [f"{len(hits)} matches, want 1", *hits]
+    return check
+
+
+def only_target_is_probe_speedup():
+    names = {
+        name for _, _, line in _lines("src/repro/bench/wallclock.py")
+        for name in re.findall(r"\w*_TARGET\b", line)
+    }
+    return [] if names == {"PROBE_SPEEDUP_TARGET"} else [sorted(names)]
+
+
+GUARDS = {
+    # No tuple-trace code: one trace format, the record trace.
+    "One trace format": [
+        absent(
+            r"TupleTracer|TraceSampler|validate_trace_lines|load_trace_jsonl"
+            r"|trace_stride|trace-stride|trace_note",
+            "src",
+        ),
+    ],
+    # Records are published once: the per-batch record wire is gone.
+    "Publish once": [
+        absent(
+            r"_Sender|_PipeLink|_ShmLink|_LoopbackLink|wait_for_credit"
+            r"|TAG_SHM_FRAME|TAG_BATCH|TAG_EOF",
+            "src",
+        ),
+    ],
+    # Results return over one pipe per worker: no shared-memory
+    # transport, its attach, descriptor frame, option or ring size.
+    "One results wire": [
+        absent(
+            r"ShmRing|attach_ring|shm_supported|TAG_SHM_MATCHES|ring_bytes"
+            r"|--transport|shared_memory",
+            "src",
+        ),
+    ],
+    # Heartbeats ride the result pipe: no heartbeat pipe, its
+    # drop-and-retry path, struct codec, always-zero fields or the
+    # starvation detector that read them.
+    "One pipe per worker": [
+        absent(
+            r"pipe_sink|set_blocking|HEARTBEAT_MAGIC|heartbeats_dropped|starv"
+            r"|blocked_s|bytes_in",
+            "src",
+        ),
+    ],
+    # Every run starts real worker processes, and every runtime test
+    # runs them: no in-process executor, dispatch table or keyword.
+    "One executor": [
+        absent(r'_run_inline|EXECUTORS|executor="inline"', "src", "tests"),
+    ],
+    # Every number is an `observables` row, every verdict goes through
+    # compare_fingerprints' entry builder.
+    "One archive table, one comparison": [
+        absent(
+            r"compare_bench_fingerprints|compare_loaded|record_summary_payload"
+            r"|_insert_bench_sections|_insert_stage_latency|_insert_span_totals"
+            r"|default_check_metrics",
+            "src",
+        ),
+    ],
+    # One recorder class owns a _grow; one encoder for instrument
+    # columns.
+    "One event log, one instrument frame": [
+        occurs_once(r"def _grow", "src/repro/obs/*.py"),
+        occurs_once(r"^def encode_[a-z_]*_frame", "src/repro/parallel/codec.py"),
+    ],
+    # A token-filtered engine applies the prefix scheme's reporting
+    # rule itself; the two-pass filter is the test oracle only.
+    "Ownership declared once": [
+        absent(r"PrefixDedupFilter\(", "src/repro/core/bolts.py"),
+        absent(r"PrefixDedupFilter\(", "src/repro/parallel"),
+    ],
+    # Match rows are columns from emit to `result.matches`: no per-row
+    # encoder loop, no tuple-building decode.
+    "One result representation": [
+        absent(
+            r"def match_batch_parts|def emit_matches_shm",
+            "src/repro/parallel/*.py",
+        ),
+        absent_in_range(
+            r"zip\(", "src/repro/parallel/codec.py",
+            (r"^def decode_match_batch", r"^def "),
+        ),
+        absent_in_range(
+            r"\.append\(", "src/repro/parallel/codec.py",
+            (r"^def encode_match_batch", r"^def "),
+            (r"    def parts", r"^def "),
+        ),
+    ],
+    # A bounded window's columns are time-ordered in both expiry modes:
+    # no slot-stable layout, tombstones, cursors or trim.
+    "One layout per window kind": [
+        absent(
+            r"tombstone|\.dead\b|\.trim\(|cols\.(start|base)|import verify_pair",
+            "src/repro/core/local_join.py",
+        ),
+    ],
+    # bench/wallclock.py is the reference-vs-columnar engine A/B and
+    # nothing else, against one target.
+    "One timing source": [
+        absent(
+            r"repro\.parallel|repro\.sketch|repro\.obs|import subprocess",
+            "src/repro/bench/wallclock.py",
+        ),
+        only_target_is_probe_speedup,
+    ],
+}
+
+
+@pytest.mark.parametrize("step", list(GUARDS))
+def test_guard(step):
+    failures = [failure for check in GUARDS[step] for failure in check()]
+    assert failures == [], f"{step}: deleted code grew back: {failures}"

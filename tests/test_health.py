@@ -206,11 +206,9 @@ class TestMonitorReading:
     def test_counts_and_worst_severity(self):
         monitor = HealthMonitor()
         assert monitor.counts() == {}
-        assert monitor.worst_severity() is None
         monitor.on_queue_depth("join", 0, 0.1, 64)
         monitor.on_queue_depth("join", 0, 0.2, 600)
         assert monitor.counts() == {"warning": 1, "critical": 1}
-        assert monitor.worst_severity() == "critical"
 
     def test_render_mentions_every_event(self):
         monitor = HealthMonitor()
@@ -229,7 +227,7 @@ class TestIntegration:
             synthetic_aol(200, seed=5), observer=observer)
         detectors = {e.detector for e in observer.health.events}
         assert "routing_fanout" in detectors
-        assert observer.health.worst_severity() == "critical"
+        assert observer.health.counts().get("critical", 0) >= 1
 
     @pytest.mark.parametrize("method", ["LEN", "PRE", "BRD"])
     def test_one_worker_run_raises_no_fanout_event(self, method):

@@ -247,10 +247,10 @@ class TestMergeMatches:
             Record(rid=rid, tokens=(rid,), timestamp=rid * 0.001)
             for rid in range(200)
         ]
-        config = JoinConfig(threshold=0.9, num_workers=2)
+        config = JoinConfig(threshold=0.9, num_workers=2, batch_size=8)
 
         def driver_peak(records, sink):
-            runner = ParallelJoinRunner(config, workers=2, batch_size=8)
+            runner = ParallelJoinRunner(config, workers=2)
             tracemalloc.start()
             try:
                 result = try_process_run(runner, records, sink)
@@ -327,7 +327,7 @@ class TestDifferential:
         assert rows == sorted(rows)
         arrival = [row[1] for row in rows]
         assert arrival != sorted(arrival), "stream was not out of order"
-        runner = ParallelJoinRunner(config, workers=2, batch_size=16)
+        runner = ParallelJoinRunner(config.replace(batch_size=16), workers=2)
         result = try_process_run(runner, records)
         assert result.matches == rows
         assert result.operations == serial.operations

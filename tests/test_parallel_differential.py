@@ -127,7 +127,7 @@ class TestInlineGrid:
         assert serial.results > 0, "fuzz stream produced no matches"
         for workers in WORKER_COUNTS:
             result = try_process_run(
-                ParallelJoinRunner(config, workers=workers, batch_size=64),
+                ParallelJoinRunner(config.replace(batch_size=64), workers=workers),
                 records,
             )
             assert_equal_observables(
@@ -140,7 +140,7 @@ class TestInlineGrid:
         records = fuzz_records(seed=99)
         serial = run_serial(config, records)
         result = try_process_run(
-            ParallelJoinRunner(config, workers=3, batch_size=batch_size),
+            ParallelJoinRunner(config.replace(batch_size=batch_size), workers=3),
             records,
         )
         assert_equal_observables(serial, result, f"batch={batch_size}")
@@ -186,7 +186,7 @@ class TestInlineGrid:
         config = JoinConfig(threshold=0.6, window_seconds=1.0)
         serial = run_serial(config, records)
         result = try_process_run(
-            ParallelJoinRunner(config, workers=3, batch_size=32), records
+            ParallelJoinRunner(config.replace(batch_size=32), workers=3), records
         )
         assert_equal_observables(serial, result, "out-of-order")
 
@@ -221,7 +221,7 @@ class TestProcessExecutor:
         config = JoinConfig(threshold=0.6, distribution=distribution)
         records = fuzz_records(seed=42, n=250)
         serial = run_serial(config, records)
-        runner = ParallelJoinRunner(config, workers=2, batch_size=32)
+        runner = ParallelJoinRunner(config.replace(batch_size=32), workers=2)
         result = try_process_run(runner, records)
         assert_equal_observables(serial, result, f"process/{distribution}")
         assert result.executor == "process"
@@ -257,17 +257,19 @@ class TestStartMethods:
     @pytest.mark.parametrize("num_shards", [1, 4])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fork_and_spawn_equal_serial(self, workers, num_shards):
-        config = JoinConfig(threshold=0.6, window_seconds=1.5)
+        config = JoinConfig(
+            threshold=0.6, window_seconds=1.5, num_workers=num_shards,
+            batch_size=16,
+        )
         records = fuzz_records(seed=91, n=200)
-        serial = run_serial(config, records, num_shards)
+        serial = run_serial(config, records)
         assert serial.results > 0 and serial.operation("posting_expire") > 0
         heartbeat_interval = 0.01 if (workers, num_shards) == (2, 4) else None
         per_worker = {}
         for start_method in ("fork", "spawn"):
             result = try_process_run(
                 ParallelJoinRunner(
-                    config, workers=workers, num_shards=num_shards,
-                    batch_size=16, start_method=start_method,
+                    config, workers=workers, start_method=start_method,
                     heartbeat_interval=heartbeat_interval,
                 ),
                 records,
@@ -300,15 +302,15 @@ class TestResultsStream:
     @pytest.mark.parametrize("batch_size", [1, 64, 512])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sink_equals_collect(self, workers, batch_size):
-        config = JoinConfig(threshold=0.6, window_seconds=1.5)
         records = fuzz_records(seed=191, n=200)
         for num_shards in (workers, 4):
-            serial = run_serial(config, records, num_shards)
-            assert serial.results > 0
-            runner = ParallelJoinRunner(
-                config, workers=workers, num_shards=num_shards,
+            config = JoinConfig(
+                threshold=0.6, window_seconds=1.5, num_workers=num_shards,
                 batch_size=batch_size,
             )
+            serial = run_serial(config, records)
+            assert serial.results > 0
+            runner = ParallelJoinRunner(config, workers=workers)
             assert_sink_equals_collect(
                 serial, runner, records,
                 f"w={workers} shards={num_shards} batch={batch_size}",
@@ -322,12 +324,13 @@ class TestResultsStream:
             Record(rid=rid, tokens=(rid % 3, 7, 9), timestamp=rid * 0.001)
             for rid in range(120)
         ]
-        config = JoinConfig(threshold=0.9, num_workers=4, distribution="prefix")
+        config = JoinConfig(
+            threshold=0.9, num_workers=4, distribution="prefix", batch_size=8
+        )
         serial = run_serial(config, records)
         assert serial.results > 2000
         result = try_process_run(
-            ParallelJoinRunner(config, workers=2, batch_size=8, spans=True),
-            records,
+            ParallelJoinRunner(config, workers=2, spans_sample=1), records
         )
         assert_equal_observables(serial, result, "dense pipe")
         ships = [
@@ -341,7 +344,7 @@ class TestResultsStream:
         every ship the table holds rows of the batch just processed and
         nothing older, the emit buffer starts afresh, and the first ship
         comes when the worker has most of the stream still ahead."""
-        config = JoinConfig(threshold=0.6)
+        config = JoinConfig(threshold=0.6, batch_size=16)
         records = fuzz_records(seed=192)
         plan = plan_shards(config, [record.tokens for record in records])
         worker = ShardWorker(
@@ -365,7 +368,7 @@ class TestResultsStream:
             shipped.extend(table)
             return 0
 
-        worker.run(records, plan, 16, ship=ship)
+        worker.run(records, plan, ship=ship)
         assert len(progress) > 3 and len(worker.matches) == 0
         assert progress[0] < worker.records / 2
         serial = run_serial(config, records)
@@ -384,7 +387,7 @@ class TestResultsStream:
         monkeypatch.setattr(ShardWorker, "process_batch", slow)
         arrivals = []
         runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, batch_size=16,
+            JoinConfig(threshold=0.6, batch_size=16), workers=2,
             start_method="fork",
         )
         result = try_process_run(
@@ -419,7 +422,7 @@ class TestResultsStream:
         monkeypatch.setattr(ShardWorker, "process_batch", slow_worker_0)
         monkeypatch.setattr(runtime_mod._Run, "consume", consume)
         runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=3, batch_size=16,
+            JoinConfig(threshold=0.6, batch_size=16), workers=3,
             start_method="fork",
         )
         try_process_run(runner, fuzz_records(seed=194), sink=lambda frame: None)

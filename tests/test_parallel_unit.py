@@ -2,6 +2,7 @@
 merger, the engine batch APIs, the config/CLI validation, and how a run
 fails (a killed worker, Ctrl-C in the driver)."""
 
+import inspect
 import math
 import os
 import pickle
@@ -423,10 +424,6 @@ class TestShardPlanner:
         with pytest.raises(ValueError, match="bundles"):
             plan_shards(config, [(1, 2, 3)])
 
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            plan_shards(JoinConfig(), [(1,)], num_shards=0)
-
 
 class TestOneEngineBuilder:
     """The simulator's join bolt and the runtime's shards build their
@@ -535,19 +532,36 @@ class TestRunnerValidation:
             with pytest.raises(TypeError, match="executor"):
                 ParallelJoinRunner(JoinConfig(), executor=executor)
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            ParallelJoinRunner(JoinConfig(), batch_size=0)
+    def test_duplicate_setters_gone(self):
+        """The shard count and batch size are set on ``JoinConfig``
+        alone, and each instrument is one stride: the keywords that set
+        them a second way are gone, whatever their value."""
+        for keyword, value in (
+            ("num_shards", 4), ("batch_size", 64), ("spans", True),
+            ("trace", True),
+        ):
+            with pytest.raises(TypeError, match=keyword):
+                ParallelJoinRunner(JoinConfig(), **{keyword: value})
+
+    def test_settable_values(self):
+        """One setter per value: the runner, the serial reference and
+        the planner take exactly these parameters."""
+        def names(function):
+            return list(inspect.signature(function).parameters)
+
+        assert names(ParallelJoinRunner) == [
+            "config", "workers", "start_method", "spans_sample",
+            "trace_sample", "telemetry_out", "heartbeat_interval",
+            "transport",
+        ]
+        assert names(run_serial) == ["config", "stream"]
+        assert names(plan_shards) == ["config", "corpus"]
 
     def test_only_the_pipe_transport(self):
         ParallelJoinRunner(JoinConfig(), transport="pipe")
         for transport in ("shm", "auto", "carrier-pigeon"):
             with pytest.raises(ValueError, match="shm transport was removed"):
                 ParallelJoinRunner(JoinConfig(), transport=transport)
-
-    def test_batch_size_defaults_to_config(self):
-        config = JoinConfig(batch_size=64)
-        assert ParallelJoinRunner(config).batch_size == 64
 
     def test_workers_capped_at_shards(self):
         config = JoinConfig(distribution="prefix", num_workers=2)

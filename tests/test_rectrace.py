@@ -232,8 +232,8 @@ class TestSamplingDeterminism:
 
     def _doc(self, records, workers, batch_size, sample=8):
         runner = ParallelJoinRunner(
-            self.CONFIG, workers=workers,
-            batch_size=batch_size, trace=True, trace_sample=sample,
+            self.CONFIG.replace(batch_size=batch_size), workers=workers,
+            trace_sample=sample,
         )
         return try_process_run(runner, records).rectrace_document()
 
@@ -281,10 +281,9 @@ class TestTracingDifferential:
         records = fuzz_records(seed=21, n=300)
         serial = run_serial(config, records)
         for workers in (1, 2, 4):
-            for sample in (1, 5, DEFAULT_TRACE_SAMPLE, None):
+            for sample in (1, 5, DEFAULT_TRACE_SAMPLE, 0):
                 runner = ParallelJoinRunner(
-                    config, workers=workers, trace=sample is not None,
-                    trace_sample=sample or DEFAULT_TRACE_SAMPLE,
+                    config, workers=workers, trace_sample=sample
                 )
                 assert_equal_observables(
                     serial, try_process_run(runner, records),
@@ -299,8 +298,7 @@ class TestTracingDifferential:
             for sample in (4, DEFAULT_TRACE_SAMPLE):
                 result = try_process_run(
                     ParallelJoinRunner(
-                        config, workers=workers,
-                        trace=True, trace_sample=sample,
+                        config, workers=workers, trace_sample=sample
                     ),
                     records,
                 )
@@ -317,7 +315,7 @@ class TestTracingDifferential:
         serial = run_serial(config, records)
         result = try_process_run(
             ParallelJoinRunner(
-                config, workers=2, trace=True, trace_sample=4, spans=True,
+                config, workers=2, spans_sample=1, trace_sample=4,
                 heartbeat_interval=0.25,
             ),
             records,
@@ -341,9 +339,8 @@ class TestTracingDifferential:
         for workers in (1, 2):
             label = f"w={workers} spans/{spans_sample} trace/{trace_sample}"
             runner = ParallelJoinRunner(
-                config, workers=workers, batch_size=3,
-                spans=True, spans_sample=spans_sample,
-                trace=True, trace_sample=trace_sample,
+                config.replace(batch_size=3), workers=workers,
+                spans_sample=spans_sample, trace_sample=trace_sample,
             )
             result = try_process_run(runner, records)
             assert_equal_observables(serial, result, label)
@@ -358,15 +355,15 @@ class TestTracingDifferential:
             assert got == (spans, events), label
 
     def test_invalid_trace_sample_rejected(self):
-        with pytest.raises(ValueError, match="trace_sample"):
-            ParallelJoinRunner(JoinConfig(), trace=True, trace_sample=0)
+        for stride in (-1, -16):
+            with pytest.raises(ValueError, match="trace_sample"):
+                ParallelJoinRunner(JoinConfig(), trace_sample=stride)
 
 
 class TestRectraceArtefact:
     def _result(self, workers=2, sample=4, n=160, seed=31):
         runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=workers,
-            trace=True, trace_sample=sample,
+            JoinConfig(threshold=0.6), workers=workers, trace_sample=sample
         )
         return try_process_run(runner, fuzz_records(seed=seed, n=n))
 
@@ -437,10 +434,14 @@ class TestRectraceArtefact:
         assert any("sample" in error for error in errors)
 
     def test_untraced_run_raises(self):
+        """A zero stride — the default — is tracing off."""
         result = try_process_run(
-            ParallelJoinRunner(JoinConfig(threshold=0.6), workers=2),
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6), workers=2, trace_sample=0
+            ),
             fuzz_records(seed=32, n=60),
         )
+        assert result.trace_header is None and result.trace_rows is None
         with pytest.raises(ValueError, match="traced no records"):
             result.rectrace_document()
         with pytest.raises(ValueError, match="traced no records"):
@@ -500,9 +501,8 @@ class TestCommittedFixtures:
     def test_new_artefacts_match_the_fixtures_shape(self):
         result = try_process_run(
             ParallelJoinRunner(
-                JoinConfig(threshold=0.6, num_workers=2), workers=2,
-                batch_size=8,
-                spans=True, trace=True, trace_sample=8,
+                JoinConfig(threshold=0.6, num_workers=2, batch_size=8),
+                workers=2, spans_sample=1, trace_sample=8,
             ),
             fuzz_records(seed=31, n=40),
         )
@@ -531,7 +531,7 @@ class TestCommittedFixtures:
 class TestLatencyAnalysis:
     def _doc(self):
         runner = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, trace=True, trace_sample=4,
+            JoinConfig(threshold=0.6), workers=2, trace_sample=4,
         )
         return try_process_run(
             runner, fuzz_records(seed=41, n=160)
@@ -573,7 +573,7 @@ class TestLatencyAnalysis:
     def test_result_metrics_registry_carries_latency(self):
         result = try_process_run(
             ParallelJoinRunner(
-                JoinConfig(threshold=0.6), workers=2, trace=True, trace_sample=4,
+                JoinConfig(threshold=0.6), workers=2, trace_sample=4,
             ),
             fuzz_records(seed=42, n=120),
         )

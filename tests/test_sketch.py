@@ -437,7 +437,7 @@ class TestDifferentialRecall:
         """The approx tier's grid on worker processes (the name is the
         in-process executor's it was written for)."""
         runner = ParallelJoinRunner(
-            APPROX_CONFIG, workers=workers, batch_size=batch_size,
+            APPROX_CONFIG.replace(batch_size=batch_size), workers=workers
         )
         result = try_process_run(runner, self.records)
         context = f"workers={workers}/batch={batch_size}"

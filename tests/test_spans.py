@@ -335,13 +335,11 @@ class TestLiveSpans:
     def records(self):
         return fuzz_records(seed=7, n=200)
 
-    def run(self, records, workers, **kwargs):
+    def run(self, records, workers, spans_sample=1):
         runner = ParallelJoinRunner(
-            config=JoinConfig(threshold=0.6),
+            config=JoinConfig(threshold=0.6, batch_size=32),
             workers=workers,
-            batch_size=32,
-            spans=True,
-            **kwargs,
+            spans_sample=spans_sample,
         )
         return try_process_run(runner, records)
 
@@ -353,8 +351,9 @@ class TestLiveSpans:
             result.spans_document()
 
     def test_rejects_bad_sample(self):
-        with pytest.raises(ValueError, match="spans_sample"):
-            ParallelJoinRunner(JoinConfig(), spans=True, spans_sample=0)
+        for stride in (-1, -3):
+            with pytest.raises(ValueError, match="spans_sample"):
+                ParallelJoinRunner(JoinConfig(), spans_sample=stride)
 
     def test_structure_identical_across_worker_counts(self, records):
         baseline = structure(self.run(records, workers=1))
@@ -476,7 +475,7 @@ class TestLiveSpans:
         ``pipe_write`` row per batch that left rows, keyed ``(shard,
         batch)`` like that batch, in ship order — and none for a batch
         that left no rows."""
-        config = JoinConfig(threshold=0.6)
+        config = JoinConfig(threshold=0.6, batch_size=32)
         plan = plan_shards(config, [record.tokens for record in records])
         worker = ShardWorker(
             config, plan.shards_of_worker(0, 1), plan.num_shards,
@@ -495,7 +494,7 @@ class TestLiveSpans:
             return 0
 
         worker.process_batch = batch
-        worker.run(records, plan, 32, ship=ship)
+        worker.run(records, plan, ship=ship)
         spans, _ = log_rows(worker.log.columns())
         assert shipped and [
             (row["shard"], row["batch"]) for row in spans
@@ -524,8 +523,8 @@ class TestLiveSpans:
 
         def runner():
             return ParallelJoinRunner(
-                JoinConfig(threshold=0.6), workers=2,
-                batch_size=32, spans=True, trace=True, trace_sample=4,
+                JoinConfig(threshold=0.6, batch_size=32), workers=2,
+                spans_sample=1, trace_sample=4,
             )
 
         other = fuzz_records(seed=8, n=90)
@@ -561,7 +560,7 @@ class TestParallelHealthDetectors:
     def test_worker_health_reads_summary_telemetry(self):
         records = fuzz_records(seed=11, n=120)
         result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, batch_size=32, spans=True
+            JoinConfig(threshold=0.6, batch_size=32), workers=2, spans_sample=1
         ).run(records)
         # Forge a straggler in the summary telemetry: the post-hoc
         # load-skew detector reads each worker's busy seconds.
@@ -578,7 +577,7 @@ class TestWorkerMetrics:
     def test_registry_gauges(self):
         records = fuzz_records(seed=13, n=150)
         result = ParallelJoinRunner(
-            JoinConfig(threshold=0.6), workers=2, batch_size=32
+            JoinConfig(threshold=0.6, batch_size=32), workers=2
         ).run(records)
         registry = result.metrics_registry()
         dump = json.loads(json.dumps(metrics_to_json(registry)))

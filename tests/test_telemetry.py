@@ -48,7 +48,7 @@ class TestDifferentialWithTelemetry:
         assert serial.results > 0
         for interval in (None, DEFAULT_HEARTBEAT_INTERVAL, 10.0, 0.001):
             runner = ParallelJoinRunner(
-                config, workers=workers, batch_size=64,
+                config.replace(batch_size=64), workers=workers,
                 heartbeat_interval=interval,
             )
             result = try_process_run(runner, records)
@@ -65,13 +65,10 @@ class TestDifferentialWithTelemetry:
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=4202)
         serial = run_serial(config, records)
-        off = try_process_run(
-            ParallelJoinRunner(config, workers=2, batch_size=64), records
-        )
+        batched = config.replace(batch_size=64)
+        off = try_process_run(ParallelJoinRunner(batched, workers=2), records)
         on = try_process_run(
-            ParallelJoinRunner(
-                config, workers=2, batch_size=64, heartbeat_interval=0.005,
-            ),
+            ParallelJoinRunner(batched, workers=2, heartbeat_interval=0.005),
             records,
         )
         assert_equal_observables(serial, off, "process telemetry off")
@@ -98,8 +95,8 @@ class TestDifferentialWithTelemetry:
         monkeypatch.setattr(ShardWorker, "process_batch", slow)
         result = try_process_run(
             ParallelJoinRunner(
-                JoinConfig(threshold=0.6), workers=2, batch_size=16,
-                spans=True, heartbeat_interval=0.004,
+                JoinConfig(threshold=0.6, batch_size=16), workers=2,
+                spans_sample=1, heartbeat_interval=0.004,
             ),
             fuzz_records(seed=4207),
         )
@@ -159,7 +156,7 @@ class TestDifferentialWithTelemetry:
         monkeypatch.setattr(TelemetryRecorder, "on_heartbeat", on_heartbeat)
         result = try_process_run(
             ParallelJoinRunner(
-                JoinConfig(threshold=0.6), workers=2, batch_size=16,
+                JoinConfig(threshold=0.6, batch_size=16), workers=2,
                 heartbeat_interval=0.002,
             ),
             fuzz_records(seed=4208),
@@ -174,8 +171,8 @@ class TestDifferentialWithTelemetry:
         serial = run_serial(config, records)
         result = try_process_run(
             ParallelJoinRunner(
-                config, workers=2, batch_size=64,
-                spans=True, heartbeat_interval=0.001,
+                config.replace(batch_size=64), workers=2,
+                spans_sample=1, heartbeat_interval=0.001,
             ),
             records,
         )
