@@ -1,4 +1,4 @@
-"""Benchmark harness: method suites, sweeps and table reporters.
+"""Benchmark harness: method suites and table reporters.
 
 The modules here are what the ``benchmarks/`` experiment files call to
 regenerate each table/figure of the paper's evaluation (see the
@@ -8,7 +8,6 @@ EXPERIMENTS.md).
 
 from repro.bench.harness import ExperimentRunner, run_methods, standard_configs
 from repro.bench.report import format_series, format_table
-from repro.bench.sweeps import sweep_thresholds, sweep_workers
 from repro.bench.wallclock import render_wallclock, wallclock_suite
 
 __all__ = [
@@ -18,7 +17,5 @@ __all__ = [
     "render_wallclock",
     "run_methods",
     "standard_configs",
-    "sweep_thresholds",
-    "sweep_workers",
     "wallclock_suite",
 ]

@@ -14,7 +14,7 @@ Eleven commands cover the workflows a downstream user needs:
     corpus, print the standard table and write the machine-readable
     ``BENCH_summary.json``; the same dump flags write one artefact set
     per method. ``--write-baseline`` archives the suite's run
-    fingerprints; ``--check-baseline`` gates the run against one.
+    fingerprints for ``repro diff`` to gate against a stored one.
     ``--wallclock`` instead runs the engine A/B (columnar engine vs.
     reference engine over two calibrated corpora, insert and probe
     phases timed apart, DESIGN §9) and writes ``BENCH_wallclock.json``;
@@ -233,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mode", default="exact", choices=["exact", "approx"],
                        help="'approx' adds the sketch tier (SKT, "
                             "MinHash/LSH candidate generation) to the "
-                            "method comparison; incompatible with "
-                            "--check-baseline, whose fingerprints gate "
-                            "bit-identical exactness")
+                            "method comparison")
     bench.add_argument("--perms", type=int, default=None, metavar="K",
                        help="MinHash permutations for the SKT method in "
                             "--mode approx (default 64)")
@@ -250,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--write-baseline", default=None, metavar="PATH",
                        help="archive the suite's run fingerprints as a "
                             "baseline for `repro diff`")
-    bench.add_argument("--check-baseline", default=None, metavar="PATH",
-                       help="compare this run against a stored baseline; "
-                            "exit non-zero on regression")
-    bench.add_argument("--rel-tol", type=float, default=1e-6,
-                       help="relative tolerance for banded headline metrics "
-                            "(default 1e-6)")
     bench.add_argument("--wallclock", action="store_true",
                        help="run the wall-clock microbenchmark suite "
                             "(columnar vs. reference engine) instead of "
@@ -851,13 +843,6 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.mode == "approx" and args.check_baseline:
-        print("bench: --check-baseline is an exactness gate (its "
-              "fingerprints compare bit-identical observables); --mode "
-              "approx trades exactness for speed, so the comparison can "
-              "never hold — gate the sketch tier with `repro join --mode "
-              "approx --recall-floor` instead", file=sys.stderr)
-        return 2
     if args.mode != "approx":
         for flag, value in (("--perms", args.perms), ("--bands", args.bands)):
             if value is not None:
@@ -918,24 +903,13 @@ def _cmd_bench(args) -> int:
             args.summary_out, bench_summary(reports, **bench_config)
         )
         print(f"summary: -> {path}")
-    if args.write_baseline or args.check_baseline:
+    if args.write_baseline:
         dumps = {
             label: metrics_to_json(report.obs)
             for label, report in reports.items()
         }
         current = bench_fingerprint(dumps, config=bench_config)
-        if args.write_baseline:
-            print(f"baseline: -> {write_fingerprint(args.write_baseline, current)}")
-        if args.check_baseline:
-            try:
-                baseline = load_fingerprint(args.check_baseline)
-                verdict = compare_fingerprints(baseline, current, rel_tol=args.rel_tol)
-            except ValueError as error:
-                print(f"bench: {error}", file=sys.stderr)
-                return 2
-            print(render_verdict(verdict))
-            if verdict["status"] != "ok":
-                return 1
+        print(f"baseline: -> {write_fingerprint(args.write_baseline, current)}")
     _archive_capture(args, lambda archive, digest: [
         archive.record_cluster_run(
             report, configs[label], command="bench",

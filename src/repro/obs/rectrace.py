@@ -38,9 +38,11 @@ whichever runtime ran) is JSONL: one header line (``artefact:
 "rectrace"`` — what ``repro trace FILE`` sniffs for), then one event
 object per line. The derived stage ``e2e``
 (first-stamp to last-stamp per record) joins the recorded events in
-the latency digest. Digests use
-:class:`~repro.storm.metrics.LatencySampler` reservoirs — exact
-quantiles, no new percentile code.
+the latency digest. The header digest (:func:`latency_digest`) and the
+metrics export (:func:`latency_metrics`) reduce the same per-stage
+durations through the one latency reservoir,
+:class:`~repro.obs.registry.Histogram`, so they report identical
+quantiles.
 
 Artefacts written while records still travelled driver → worker in
 batches also carry driver-stamped ``feed`` / ``encode`` /
@@ -56,7 +58,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.artefact import check_fields, load_jsonl_objects, split_document
-from repro.storm.metrics import LatencySampler
+from repro.obs.registry import Histogram
 
 RECTRACE_SCHEMA_VERSION = 1
 
@@ -274,25 +276,25 @@ def stage_durations(
 
 
 def latency_digest(
-    rows: Sequence[Dict[str, object]], capacity: int = 20000
+    rows: Sequence[Dict[str, object]],
 ) -> Dict[str, Dict[str, object]]:
-    """p50/p95/p99 per-stage digest over
-    :class:`~repro.storm.metrics.LatencySampler` reservoirs (exact
-    quantiles from the simulator's sampler — no new percentile code).
-    Stages with no samples are omitted."""
+    """p50/p95/p99 per-stage digest, each stage reduced through one
+    :class:`~repro.obs.registry.Histogram` — the reservoir
+    :func:`latency_metrics` exports. Stages with no samples are
+    omitted."""
     digest: Dict[str, Dict[str, object]] = {}
     for stage, samples in stage_durations(rows).items():
         if not samples:
             continue
-        sampler = LatencySampler(capacity=capacity)
+        histogram = Histogram()
         for value in samples:
-            sampler.observe(value)
+            histogram.observe(value)
         digest[stage] = {
-            "count": sampler.count,
-            "mean_s": round(sampler.mean(), 9),
-            "p50_s": round(sampler.quantile(0.50), 9),
-            "p95_s": round(sampler.quantile(0.95), 9),
-            "p99_s": round(sampler.quantile(0.99), 9),
+            "count": histogram.count,
+            "mean_s": round(histogram.mean(), 9),
+            "p50_s": round(histogram.quantile(0.50), 9),
+            "p95_s": round(histogram.quantile(0.95), 9),
+            "p99_s": round(histogram.quantile(0.99), 9),
         }
     return digest
 
@@ -301,7 +303,8 @@ def latency_metrics(rows: Sequence[Dict[str, object]], registry) -> None:
     """Fold per-stage latencies into ``registry`` as labeled
     histograms (``rectrace_stage_latency_seconds{stage=...}``), ready
     for the JSON/Prometheus exporters alongside the per-worker
-    gauges."""
+    gauges — the same reductions :func:`latency_digest` writes into
+    the artefact header."""
     for stage, samples in stage_durations(rows).items():
         if not samples:
             continue

@@ -17,8 +17,9 @@ Three metric kinds cover everything the experiments need:
   over a bounded reservoir (end-to-end latency).
 
 Everything is deterministic: iteration orders are insertion orders,
-and the histogram reservoir uses the same systematic thinning as
-:class:`repro.storm.metrics.LatencySampler`.
+and :class:`Histogram` is the one latency reservoir — the simulator's
+end-to-end latency and every record-trace stage digest reduce through
+it at :data:`LATENCY_CAPACITY`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
+
+#: Reservoir size of every latency histogram: quantiles are exact up
+#: to this many observations.
+LATENCY_CAPACITY = 20000
 
 
 def _label_key(labels: Mapping[str, str]) -> LabelSet:
@@ -76,7 +81,7 @@ class Histogram:
 
     __slots__ = ("capacity", "count", "sum", "min", "max", "_samples", "_stride")
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = LATENCY_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -130,14 +135,10 @@ class Histogram:
 class MetricFamily:
     """All series of one metric name, keyed by label set."""
 
-    def __init__(
-        self, name: str, kind: str, help: str = "", capacity: Optional[int] = None
-    ):
+    def __init__(self, name: str, kind: str, help: str = ""):
         self.name = name
         self.kind = kind
         self.help = help
-        #: Histogram reservoir size (histogram families only).
-        self.capacity = capacity
         self._series: Dict[LabelSet, object] = {}
 
     def labels(self, label_key: LabelSet):
@@ -147,8 +148,6 @@ class MetricFamily:
                 series = Counter()
             elif self.kind == "gauge":
                 series = Gauge()
-            elif self.capacity is not None:
-                series = Histogram(self.capacity)
             else:
                 series = Histogram()
             self._series[label_key] = series
@@ -182,26 +181,15 @@ class ObsRegistry:
     def gauge(self, name: str, help: str = "", **labels: object) -> Gauge:
         return self._metric(name, "gauge", help, labels)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        capacity: Optional[int] = None,
-        **labels: object,
-    ) -> Histogram:
-        return self._metric(name, "histogram", help, labels, capacity=capacity)
+    def histogram(self, name: str, help: str = "", **labels: object) -> Histogram:
+        return self._metric(name, "histogram", help, labels)
 
     def _metric(
-        self,
-        name: str,
-        kind: str,
-        help: str,
-        labels: Mapping[str, object],
-        capacity: Optional[int] = None,
+        self, name: str, kind: str, help: str, labels: Mapping[str, object]
     ):
         family = self._families.get(name)
         if family is None:
-            family = MetricFamily(name, kind, help, capacity=capacity)
+            family = MetricFamily(name, kind, help)
             self._families[name] = family
         elif family.kind != kind:
             raise ValueError(

@@ -9,8 +9,8 @@ task pinned at 100% while its siblings idle, over simulated time.
 
 Recording is O(1) per tuple (intervals are emitted in start order per
 task and merged on append), and everything derived — utilisation
-series, per-bucket imbalance, the ASCII rendering — is computed on
-demand from the merged intervals.
+series and the ASCII rendering — is computed on demand from the
+merged intervals.
 """
 
 from __future__ import annotations
@@ -80,29 +80,6 @@ class TimelineRecorder:
                 if overlap > 0:
                     busy[b] += overlap
         return [min(1.0, value / width) for value in busy]
-
-    def imbalance_series(
-        self, component: str, buckets: int, horizon: Optional[float] = None
-    ) -> List[float]:
-        """Per-bucket max/avg utilisation across a component's tasks.
-
-        1.0 is perfect balance; buckets where every task idles report
-        1.0 too (nothing to balance). This is the over-time version of
-        the report's single load-balance number.
-        """
-        rows = [
-            self.utilisation(component, task, buckets, horizon)
-            for comp, task in self.tasks()
-            if comp == component
-        ]
-        if not rows:
-            return [1.0] * buckets
-        series = []
-        for b in range(buckets):
-            values = [row[b] for row in rows]
-            avg = sum(values) / len(values)
-            series.append(max(values) / avg if avg > 0 else 1.0)
-        return series
 
     def render(
         self,

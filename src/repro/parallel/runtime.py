@@ -220,17 +220,6 @@ class ParallelJoinResult:
         return phase_totals(self.spans_document())
 
     # -- telemetry -----------------------------------------------------------
-    def telemetry_document(self) -> List[Dict[str, object]]:
-        """The full telemetry artefact (header line first). Raises
-        unless the run was started with a ``heartbeat_interval`` or a
-        ``telemetry_out``."""
-        if self.telemetry is None:
-            raise ValueError(
-                "this run recorded no telemetry (construct "
-                "ParallelJoinRunner with heartbeat_interval= or telemetry_out=)"
-            )
-        return list(self.telemetry)
-
     def telemetry_samples(self) -> int:
         """Heartbeat samples collected (0 without telemetry)."""
         if self.telemetry is None:

@@ -81,7 +81,7 @@ class TopologyContext:
 
     def observe_latency(self, seconds: float) -> None:
         """Record one end-to-end latency sample."""
-        self._registry.observe_latency(seconds)
+        self._registry.latency.observe(seconds)
 
     def signal(self, name: str, value: float) -> None:
         """Report a named health signal (no-op without a monitor).

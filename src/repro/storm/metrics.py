@@ -7,77 +7,31 @@ quantiles, and the algorithmic counters (candidates, verifications,
 results) behind the ablation experiments.
 
 Every registry also carries an :class:`repro.obs.registry.ObsRegistry`
-— the labeled, exportable view of the same numbers. Algorithmic
-counters and latency observations stream into it live; structural
-task/channel totals are synced by :func:`build_report`, which then
-publishes the run-level aggregates too, so a JSON/Prometheus dump of
-``registry.obs`` is sufficient to recompute every experiment headline.
+— the labeled, exportable view of the same numbers. Each number is
+kept once: latencies go straight into its ``latency_seconds``
+histogram, while counters and task/channel totals stay in their
+:class:`TaskMetrics` / :class:`ChannelMetrics` until :func:`build_report`
+publishes them, with the run-level aggregates, so a JSON/Prometheus
+dump of ``registry.obs`` is sufficient to recompute every experiment
+headline.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.registry import Counter, ObsRegistry
-
-
-class LatencySampler:
-    """Bounded reservoir of latency samples with exact quantiles.
-
-    Keeps up to ``capacity`` samples via systematic sampling (every
-    *k*-th observation once full), which is deterministic — a property
-    the whole simulator guarantees.
-    """
-
-    def __init__(self, capacity: int = 20000):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._samples: List[float] = []
-        self._seen = 0
-        self._stride = 1
-
-    def observe(self, value: float) -> None:
-        self._seen += 1
-        if self._seen % self._stride:
-            return
-        self._samples.append(value)
-        if len(self._samples) >= self.capacity:
-            # Thin by half and double the stride.
-            self._samples = self._samples[::2]
-            self._stride *= 2
-
-    @property
-    def count(self) -> int:
-        """Number of observations (not samples) seen."""
-        return self._seen
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-quantile of the sampled distribution (0 if empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
-    def mean(self) -> float:
-        return sum(self._samples) / len(self._samples) if self._samples else 0.0
+from repro.obs.registry import ObsRegistry
 
 
 @dataclass
 class TaskMetrics:
     """Counters for one task (one executor) of one component.
 
-    Algorithmic counters double-publish: the local ``counters`` dict
-    feeds :func:`build_report`, and each name is also a labeled
-    counter in the run's :class:`~repro.obs.registry.ObsRegistry`
-    (labels ``component``/``task``), cached per name so the hot path
-    pays one dict lookup and one float add.
+    Algorithmic counters live in ``counters`` only (one dict lookup and
+    one float add per charge); :meth:`MetricsRegistry.sync_obs`
+    publishes each as a labeled counter (``component``/``task``).
     """
 
     component: str
@@ -88,21 +42,9 @@ class TaskMetrics:
     busy_seconds: float = 0.0
     peak_queue: int = 0
     counters: Dict[str, float] = field(default_factory=dict)
-    obs: Optional[ObsRegistry] = field(default=None, repr=False, compare=False)
-    _obs_counters: Dict[str, Counter] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def add_counter(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + amount
-        if self.obs is not None:
-            series = self._obs_counters.get(name)
-            if series is None:
-                series = self.obs.counter(
-                    name, component=self.component, task=self.task_index
-                )
-                self._obs_counters[name] = series
-            series.inc(amount)
 
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)
@@ -125,30 +67,21 @@ class MetricsRegistry:
     series of the attached :class:`~repro.obs.registry.ObsRegistry`.
     """
 
-    #: Reservoir size shared by the latency sampler and its obs twin,
-    #: so both report identical quantiles.
-    LATENCY_CAPACITY = 20000
-
     def __init__(self, labels: Optional[Dict[str, str]] = None) -> None:
         self._tasks: Dict[Tuple[str, int], TaskMetrics] = {}
         self._channels: Dict[Tuple[str, str], ChannelMetrics] = {}
-        self.latency = LatencySampler(self.LATENCY_CAPACITY)
         self.obs = ObsRegistry(**(labels or {}))
-        self._obs_latency = self.obs.histogram(
+        #: End-to-end record latency; :func:`build_report` reads its
+        #: quantiles and the exporters dump the same reservoir.
+        self.latency = self.obs.histogram(
             "latency_seconds",
             help="end-to-end record latency (arrival to probe completion)",
-            capacity=self.LATENCY_CAPACITY,
         )
-
-    def observe_latency(self, seconds: float) -> None:
-        """Record one end-to-end latency sample (report + obs views)."""
-        self.latency.observe(seconds)
-        self._obs_latency.observe(seconds)
 
     def task(self, component: str, task_index: int) -> TaskMetrics:
         key = (component, task_index)
         if key not in self._tasks:
-            self._tasks[key] = TaskMetrics(component, task_index, obs=self.obs)
+            self._tasks[key] = TaskMetrics(component, task_index)
         return self._tasks[key]
 
     def channel(self, source: str, destination: str) -> ChannelMetrics:
@@ -157,18 +90,11 @@ class MetricsRegistry:
             self._channels[key] = ChannelMetrics(source, destination)
         return self._channels[key]
 
-    def tasks_of(self, component: str) -> List[TaskMetrics]:
-        return [m for (c, _), m in sorted(self._tasks.items()) if c == component]
-
     def all_tasks(self) -> List[TaskMetrics]:
         return [m for _, m in sorted(self._tasks.items())]
 
     def all_channels(self) -> List[ChannelMetrics]:
         return [m for _, m in sorted(self._channels.items())]
-
-    def total_counter(self, name: str, component: Optional[str] = None) -> float:
-        tasks = self.tasks_of(component) if component else self.all_tasks()
-        return sum(t.counter(name) for t in tasks)
 
     def busy_by_component(self) -> Dict[str, List[float]]:
         """Busy seconds per task, grouped by component (task order).
@@ -184,11 +110,11 @@ class MetricsRegistry:
         return grouped
 
     def sync_obs(self) -> ObsRegistry:
-        """Publish structural task/channel totals into the obs view.
+        """Publish task counters and task/channel totals into the obs view.
 
-        Idempotent (gauges are set, channel counters reset to totals),
-        so re-building a report never double-counts. The algorithmic
-        counters and latency histogram stream in live and need no sync.
+        Idempotent (gauges are set, counters reset to totals), so
+        re-building a report never double-counts. The latency histogram
+        is observed directly and needs no sync.
         """
         task_gauges = (
             ("task_tuples_in", "tuples delivered to the task"),
@@ -208,6 +134,8 @@ class MetricsRegistry:
             )
             for (name, help_text), value in zip(task_gauges, values):
                 self.obs.gauge(name, help=help_text, **labels).set(value)
+            for name, total in task.counters.items():
+                self.obs.counter(name, **labels).reset_to(total)
         for channel in self.all_channels():
             labels = {"source": channel.source, "destination": channel.destination}
             self.obs.counter(

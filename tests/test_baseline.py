@@ -281,8 +281,10 @@ class TestBenchBaselineCli:
                   "--workers", "2", "--dispatchers", "1",
                   "--seed", "20200420",
                   "--summary-out", str(tmp_path / "s.json")]
+        current = str(tmp_path / "current.json")
         assert main(common + ["--write-baseline", baseline]) == 0
-        assert main(common + ["--check-baseline", baseline]) == 0
+        assert main(common + ["--write-baseline", current]) == 0
+        assert main(["diff", baseline, current]) == 0
         assert "diff: ok" in capsys.readouterr().out
         stored = load_fingerprint(baseline)
         assert set(stored["methods"]) == {
@@ -296,8 +298,10 @@ class TestBenchBaselineCli:
         args = ["bench", "--corpus", "AOL", "--workers", "2",
                 "--dispatchers", "1", "--seed", "20200420",
                 "--summary-out", str(tmp_path / "s.json")]
+        current = str(tmp_path / "current.json")
         assert main(args + ["--records", "150",
                             "--write-baseline", baseline]) == 0
         assert main(args + ["--records", "160",
-                            "--check-baseline", baseline]) == 1
+                            "--write-baseline", current]) == 0
+        assert main(["diff", baseline, current]) == 1
         assert "FAIL" in capsys.readouterr().out

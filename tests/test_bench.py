@@ -1,4 +1,4 @@
-"""Bench harness: method suites, sweeps, metering and reporting."""
+"""Bench harness: method suites, metering and reporting."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import pytest
 
 from repro.bench.harness import ExperimentRunner, run_methods, standard_configs
 from repro.bench.report import format_series, format_table
-from repro.bench.sweeps import sweep_thresholds, sweep_workers
 from repro.core.metering import WorkMeter
 from repro.datasets import synthetic_aol
 
@@ -54,32 +53,6 @@ class TestRunners:
         assert [row["method"] for row in rows] == ["LEN", "PRE"]
         assert all("throughput" in row for row in rows)
         assert set(runner.reports) == {"LEN", "PRE"}
-
-
-class TestSweeps:
-    def test_threshold_sweep_shape(self):
-        stream = synthetic_aol(200, seed=5)
-        series = sweep_thresholds(
-            stream, [0.8, 0.9], methods=["LEN", "PRE"], num_workers=2
-        )
-        assert set(series) == {"LEN", "PRE"}
-        assert all(len(v) == 2 for v in series.values())
-
-    def test_worker_sweep_shape(self):
-        stream = synthetic_aol(200, seed=5)
-        series = sweep_workers(stream, [1, 2], methods=["LEN"], threshold=0.8)
-        assert list(series) == ["LEN"]
-        assert len(series["LEN"]) == 2
-
-    def test_custom_metric(self):
-        stream = synthetic_aol(200, seed=5)
-        series = sweep_workers(
-            stream,
-            [2],
-            methods=["LEN"],
-            metric=lambda report: report.messages_per_record,
-        )
-        assert series["LEN"][0] > 0
 
 
 class TestReporting:

@@ -197,6 +197,16 @@ GUARDS = {
         ),
         only_target_is_probe_speedup,
     ],
+    # Histogram is the one latency reservoir and TaskMetrics.counters
+    # the one counter store; `repro diff` is the one baseline gate; no
+    # uncalled sweep helpers or accessors.
+    "One reservoir, one store": [
+        absent(
+            r"LatencySampler|_obs_counters|check_baseline|sweep_thresholds"
+            r"|imbalance_series|telemetry_document",
+            "src", "tests",
+        ),
+    ],
 }
 
 

@@ -1,15 +1,18 @@
 """Property coverage for the bounded latency reservoir.
 
-The sampler keeps quantiles honest while thinning deterministically;
-these tests pin that property across thinning/stride transitions and
-the degenerate edges (empty, single sample, capacity=1).
+:class:`~repro.obs.registry.Histogram` is the one reservoir every
+latency reduces through (the simulator's end-to-end latency and each
+record-trace stage). It keeps quantiles honest while thinning
+deterministically; these tests pin that property across
+thinning/stride transitions and the degenerate edges (empty, single
+sample, capacity=1).
 """
 
 import random
 
 import pytest
 
-from repro.storm.metrics import LatencySampler
+from repro.obs.registry import LATENCY_CAPACITY, Histogram
 
 
 def exact_quantile(values, q):
@@ -19,22 +22,32 @@ def exact_quantile(values, q):
 
 class TestEdgeCases:
     def test_empty_sampler(self):
-        sampler = LatencySampler()
+        sampler = Histogram()
+        assert sampler.capacity == LATENCY_CAPACITY
         assert sampler.count == 0
         assert sampler.mean() == 0.0
         for q in (0.0, 0.5, 0.95, 1.0):
             assert sampler.quantile(q) == 0.0
 
     def test_single_sample(self):
-        sampler = LatencySampler()
+        sampler = Histogram()
         sampler.observe(0.25)
         assert sampler.count == 1
         assert sampler.mean() == 0.25
         for q in (0.0, 0.5, 1.0):
             assert sampler.quantile(q) == 0.25
 
+    def test_quantile_endpoints(self):
+        sampler = Histogram()
+        for value in range(100):
+            sampler.observe(float(value))
+        assert sampler.quantile(0.0) == 0.0
+        assert sampler.quantile(0.5) == pytest.approx(50, abs=2)
+        assert sampler.quantile(1.0) == 99.0
+        assert sampler.mean() == pytest.approx(49.5)
+
     def test_capacity_one_survives_and_stays_bounded(self):
-        sampler = LatencySampler(capacity=1)
+        sampler = Histogram(capacity=1)
         for value in range(1000):
             sampler.observe(float(value))
         assert sampler.count == 1000
@@ -45,13 +58,13 @@ class TestEdgeCases:
 
     def test_invalid_capacity_and_quantile(self):
         with pytest.raises(ValueError):
-            LatencySampler(0)
+            Histogram(0)
         with pytest.raises(ValueError):
-            LatencySampler(-3)
+            Histogram(-3)
         with pytest.raises(ValueError):
-            LatencySampler().quantile(-0.1)
+            Histogram().quantile(-0.1)
         with pytest.raises(ValueError):
-            LatencySampler().quantile(1.1)
+            Histogram().quantile(1.1)
 
 
 class TestQuantileAccuracy:
@@ -63,7 +76,7 @@ class TestQuantileAccuracy:
     def test_uniform_stream(self, capacity, n, seed):
         rng = random.Random(seed)
         values = [rng.random() for _ in range(n)]
-        sampler = LatencySampler(capacity=capacity)
+        sampler = Histogram(capacity=capacity)
         for value in values:
             sampler.observe(value)
         assert sampler.count == n
@@ -87,7 +100,7 @@ class TestQuantileAccuracy:
         even right after a thinning transition (worst case: systematic
         sampling of a monotone sequence stays uniform over rank)."""
         values = [float(i) / n for i in range(n)]
-        sampler = LatencySampler(capacity=128)
+        sampler = Histogram(capacity=128)
         for value in values:
             sampler.observe(value)
         for q in (0.1, 0.5, 0.9):
@@ -96,7 +109,7 @@ class TestQuantileAccuracy:
     def test_across_thinning_transitions(self):
         """Accuracy holds at every point where the stride doubles."""
         capacity = 100
-        sampler = LatencySampler(capacity=capacity)
+        sampler = Histogram(capacity=capacity)
         values = []
         rng = random.Random(42)
         transitions_seen = 0
@@ -118,7 +131,7 @@ class TestQuantileAccuracy:
         simulator's reproducibility rests on this."""
         rng = random.Random(7)
         values = [rng.expovariate(10.0) for _ in range(5000)]
-        a, b = LatencySampler(capacity=200), LatencySampler(capacity=200)
+        a, b = Histogram(capacity=200), Histogram(capacity=200)
         for value in values:
             a.observe(value)
             b.observe(value)
@@ -126,9 +139,10 @@ class TestQuantileAccuracy:
         assert a.quantile(0.95) == b.quantile(0.95)
 
     def test_mean_of_samples_tracks_true_mean(self):
+        """The mean is over every observation, not the thinned sample."""
         rng = random.Random(3)
         values = [rng.random() for _ in range(8000)]
-        sampler = LatencySampler(capacity=256)
+        sampler = Histogram(capacity=256)
         for value in values:
             sampler.observe(value)
-        assert sampler.mean() == pytest.approx(sum(values) / len(values), abs=0.1)
+        assert sampler.mean() == pytest.approx(sum(values) / len(values), rel=1e-12)

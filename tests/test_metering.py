@@ -91,7 +91,9 @@ class TestBoundMeter:
         meter = WorkMeter(ctx)
         meter.event("candidates", 4)
         meter.charge("index_lookup", 3)
-        obs = ctx.obs
+        # Counters live in the task's dict until the report publishes them.
+        assert ctx.obs.family("candidates") is None
+        obs = ctx._registry.sync_obs()
         assert obs.value("candidates", component="join", task=2) == 4
         assert obs.value("op:index_lookup", component="join", task=2) == 3
 

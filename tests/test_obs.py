@@ -298,15 +298,6 @@ class TestTimeline:
         assert recorder.utilisation("join", 0, 4) == [1.0, 0.0, 0.0, 0.0]
         assert recorder.utilisation("join", 1, 4) == [0.0, 0.0, 0.0, 1.0]
 
-    def test_imbalance_series(self):
-        recorder = TimelineRecorder()
-        recorder.record("join", 0, 0.0, 2.0)
-        recorder.record("join", 1, 0.0, 1.0)
-        series = recorder.imbalance_series("join", 2)
-        # First half: both busy (balanced); second: only task 0.
-        assert series[0] == 1.0
-        assert series[1] == 2.0
-
     def test_render_contains_every_task_row(self):
         recorder = TimelineRecorder()
         recorder.record("join", 0, 0.0, 1.0)
@@ -442,6 +433,29 @@ class TestHeadlinesFromMetrics:
             recomputed = verify_instrumented_headlines(report)
             assert recomputed["throughput"] == report.throughput, label
             assert recomputed["load_balance"] == report.load_balance, label
+
+    def test_dump_is_identical_across_report_builds(self, monkeypatch):
+        """Counters are published at report time and nowhere else:
+        building the report a second time from the same registry
+        re-publishes every series to the same value."""
+        import repro.storm.cluster as cluster
+        from repro.storm.metrics import build_report
+
+        calls = []
+
+        def capture(registry, **kwargs):
+            calls.append((registry, kwargs))
+            return build_report(registry, **kwargs)
+
+        monkeypatch.setattr(cluster, "build_report", capture)
+        config = JoinConfig(threshold=0.8, num_workers=4)
+        report = DistributedStreamJoin(config).run(synthetic_aol(300, seed=9))
+        first = metrics_to_json(report.obs)
+        ((registry, kwargs),) = calls
+        again = build_report(registry, **kwargs)
+        assert metrics_to_json(again.obs) == first
+        assert first["metrics"]["candidates"]["series"]
+        assert first["metrics"]["op:posting_scan"]["series"]
 
     def test_multi_dispatcher_run_recomputes_exactly(self):
         config = JoinConfig(threshold=0.8, num_workers=4, dispatcher_parallelism=3)

@@ -563,6 +563,32 @@ class TestLatencyAnalysis:
             for sample in durations.get(stage, ()):
                 assert sample <= e2e + 1e-9
 
+    def test_digest_and_export_agree_on_a_long_stage(self):
+        """A stage of more than 4 096 events: the header digest and the
+        exported histogram reduce through one reservoir, so their
+        quantiles are equal."""
+        events = [
+            {"kind": "event", "event": "probe", "rid": rid, "shard": 0,
+             "worker": 0, "start": rid * 1e-3,
+             "end": rid * 1e-3 + ((rid * 7919) % 6007) * 1e-7}
+            for rid in range(6000)
+        ]
+        digest = latency_digest(events)
+        registry = ObsRegistry()
+        latency_metrics(events, registry)
+        exported = {
+            labels["stage"]: histogram
+            for labels, histogram in registry.series(
+                "rectrace_stage_latency_seconds"
+            )
+        }
+        assert set(exported) == set(digest) == {"probe", "e2e"}
+        for stage, entry in digest.items():
+            histogram = exported[stage]
+            assert entry["count"] == histogram.count == 6000
+            for q in (50, 95, 99):
+                assert entry[f"p{q}_s"] == round(histogram.quantile(q / 100), 9)
+
     def test_metrics_fold(self):
         registry = ObsRegistry()
         _, events = split_rectrace(self._doc())

@@ -539,13 +539,6 @@ class TestSketchCLI:
                      "--bundles"]) == 2
         assert "bundles" in capsys.readouterr().err
 
-    def test_bench_approx_rejects_check_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        baseline.write_text("{}")
-        assert main(["bench", "--mode", "approx",
-                     "--check-baseline", str(baseline)]) == 2
-        assert "exactness gate" in capsys.readouterr().err
-
     def test_bench_sketch_flags_require_approx(self, capsys):
         assert main(["bench", "--perms", "64"]) == 2
         assert "--mode approx" in capsys.readouterr().err

@@ -7,7 +7,6 @@ import pytest
 from repro.storm.cluster import LocalCluster
 from repro.storm.components import Bolt, Spout
 from repro.storm.costmodel import CostModel, NetworkModel
-from repro.storm.metrics import LatencySampler
 from repro.storm.topology import (
     AllGrouping,
     DirectGrouping,
@@ -251,32 +250,6 @@ class TestNetworkModel:
         builder.set_bolt("sink", lambda i: LatencyProbe(), 1).shuffle_grouping("src")
         report = LocalCluster(network=net).run(builder.build(), "sink")
         assert report.latency_p50 >= 0.05
-
-
-class TestLatencySampler:
-    def test_quantiles(self):
-        sampler = LatencySampler()
-        for value in range(100):
-            sampler.observe(float(value))
-        assert sampler.quantile(0.0) == 0.0
-        assert sampler.quantile(0.5) == pytest.approx(50, abs=2)
-        assert sampler.quantile(1.0) == 99.0
-        assert sampler.mean() == pytest.approx(49.5)
-
-    def test_bounded_memory(self):
-        sampler = LatencySampler(capacity=100)
-        for value in range(10_000):
-            sampler.observe(float(value))
-        assert sampler.count == 10_000
-        assert len(sampler._samples) <= 100
-        # quantiles still sane
-        assert 4000 < sampler.quantile(0.5) < 6000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencySampler(0)
-        with pytest.raises(ValueError):
-            LatencySampler().quantile(1.5)
 
 
 class TestCostModel:
