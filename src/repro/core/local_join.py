@@ -105,7 +105,11 @@ shared tokens, which meet it too, stay silent and the scheme's output
 is exactly-once (:mod:`repro.core.dedup`). Finding that token is the
 first stretch of the from-scratch merge, so a candidate gets one walk
 (:func:`~repro.core.dedup.verify_owned_pair`), metered as the two
-passes it fuses (DESIGN §9.7).
+passes it fuses (DESIGN §9.7). Only a prefix-scheme shard of two or
+more is built filtered: a lone shard owns every token, so
+:func:`~repro.core.shard_engine.build_shard_engine` gives it the
+unfiltered engine, which meets every pair first at its minimal common
+token anyway.
 
 **metering.** Every operation is charged to a
 :class:`~repro.core.metering.WorkMeter` so the simulator's cost model

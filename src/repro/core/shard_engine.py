@@ -42,15 +42,18 @@ def build_shard_engine(
                 else lambda j, key: band_owner(j, key, num_shards) == shard
             ),
         )
-    # Under the prefix scheme a shard owns a share of the token space
-    # and reports only the pairs whose minimal common token it owns.
+    # Under the prefix scheme each of two or more shards owns a share
+    # of the token space and reports only the pairs whose minimal
+    # common token it owns. A lone shard owns every token, so, like the
+    # lone band shard above, it gets the unfiltered engine and meters
+    # what a one-shard length or broadcast run meters (DESIGN §9.7).
     return StreamingSetJoin(
         func,
         window=window,
         meter=meter,
         token_filter=(
             (lambda token: token_owner(token, num_shards) == shard)
-            if config.distribution == "prefix"
+            if config.distribution == "prefix" and num_shards > 1
             else None
         ),
         pair_filter=cross_source_filter if config.cross_source_only else None,

@@ -22,12 +22,15 @@ import time
 import pytest
 
 from repro.core.config import JoinConfig
+from repro.core.local_join import StreamingSetJoin
+from repro.core.metering import WorkMeter
 from repro.obs.baseline import compare_fingerprints
 from repro.obs.timeseries import telemetry_smoke
 from repro.parallel import ParallelJoinRunner, run_serial
 from repro.parallel.planner import plan_shards
 from repro.parallel.worker import ShardWorker
 from repro.records import Record
+from repro.similarity.functions import get_similarity
 
 WORKER_COUNTS = (1, 2, 3, 7)
 
@@ -59,6 +62,24 @@ def fuzz_records(seed: int, n: int = 400, sources: bool = False):
                 tokens=tokens,
                 timestamp=round(clock, 6),
                 source=(rng.choice(("L", "R")) if sources else ""),
+            )
+        )
+    return records
+
+
+def late_records(seed: int, n: int = 300):
+    """Arrival order is rid order, but event timestamps jitter
+    backwards — a lazy window must handle both identically."""
+    rng = random.Random(seed)
+    records = []
+    for rid in range(n):
+        size = rng.randint(1, 10)
+        tokens = tuple(sorted(rng.sample(range(80), size)))
+        records.append(
+            Record(
+                rid=rid,
+                tokens=tokens,
+                timestamp=round(rid * 0.01 + rng.uniform(-0.05, 0.0), 6),
             )
         )
     return records
@@ -169,20 +190,7 @@ class TestInlineGrid:
         assert_equal_observables(serial, result, "cross-source")
 
     def test_out_of_order_timestamps_with_window(self):
-        rng = random.Random(31)
-        records = []
-        for rid in range(300):
-            size = rng.randint(1, 10)
-            tokens = tuple(sorted(rng.sample(range(80), size)))
-            # Arrival order is rid order, but event timestamps jitter
-            # backwards — the lazy window must handle both identically.
-            records.append(
-                Record(
-                    rid=rid,
-                    tokens=tokens,
-                    timestamp=round(rid * 0.01 + rng.uniform(-0.05, 0.0), 6),
-                )
-            )
+        records = late_records(seed=31)
         config = JoinConfig(threshold=0.6, window_seconds=1.0)
         serial = run_serial(config, records)
         result = try_process_run(
@@ -211,6 +219,57 @@ class TestInlineGrid:
                 assert_equal_observables(
                     serial, result, f"shards={shards}/w={workers}"
                 )
+
+
+class TestOneShardOneEngine:
+    """At one shard the distribution scheme does not exist: the lone
+    shard owns every token, so every scheme builds the same unfiltered
+    engine and meters the same work (DESIGN §9.7)."""
+
+    STREAMS = {
+        "unbounded": (lambda: fuzz_records(seed=301), math.inf, "lazy"),
+        "lazy-window": (lambda: fuzz_records(seed=302), 1.5, "lazy"),
+        "eager-window": (lambda: fuzz_records(seed=303), 1.5, "eager"),
+        "out-of-order": (lambda: late_records(seed=304), 1.0, "lazy"),
+    }
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    def test_exact_block_does_not_depend_on_distribution(self, stream):
+        make, window, expiry = self.STREAMS[stream]
+        records = make()
+        runs = {}
+        for distribution in ("length", "prefix", "broadcast"):
+            config = JoinConfig(
+                threshold=0.6, num_workers=1, distribution=distribution,
+                window_seconds=window, expiry=expiry,
+            )
+            runs[distribution] = try_process_run(
+                ParallelJoinRunner(config, workers=1), records
+            )
+        length = runs.pop("length")
+        assert length.num_shards == 1 and length.results > 0
+        for distribution, result in runs.items():
+            assert result.num_shards == 1, distribution
+            assert result.matches == length.matches, distribution
+            assert (
+                result.fingerprint()["exact"] == length.fingerprint()["exact"]
+            ), f"{stream}/{distribution}"
+
+    def test_one_prefix_shard_meters_the_bare_engine(self):
+        config = JoinConfig(threshold=0.6, num_workers=1, distribution="prefix")
+        records = fuzz_records(seed=305)
+        meter = WorkMeter()
+        engine = StreamingSetJoin(
+            get_similarity(config.similarity, config.threshold), meter=meter
+        )
+        for record in records:
+            meter.event("results", len(engine.probe(record)))
+            engine.insert(record)
+        meter.event("final_postings", engine.live_postings)
+        serial = run_serial(config, records)
+        assert serial.num_shards == 1
+        assert serial.operations == dict(meter.operations)
+        assert serial.events == dict(meter.events)
 
 
 class TestProcessExecutor:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import MAX_BATCH_SIZE, JoinConfig
 from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
+from repro.core.shard_engine import build_shard_engine
 from repro.parallel import (
     BOTH,
     INDEX,
@@ -449,6 +450,27 @@ class TestOneEngineBuilder:
             assert simulated.counter("op:" + op) == total, op
         for name, total in serial.events.items():
             assert simulated.counter(name) == total, name
+
+    @pytest.mark.parametrize("mode, distribution, attribute", [
+        ("exact", "prefix", "token_filter"),
+        ("approx", "length", "band_filter"),
+    ])
+    def test_ownership_filter_iff_several_shards(
+        self, mode, distribution, attribute
+    ):
+        """A lone shard owns every token (every band), so it gets the
+        unfiltered engine; every shard of two or more is filtered."""
+        config = JoinConfig(
+            threshold=0.7, mode=mode, distribution=distribution
+        )
+        func = get_similarity(config.similarity, config.threshold)
+        for shards in (1, 2, 8):
+            for shard in range(shards):
+                engine = build_shard_engine(
+                    config, func, shard, shards, WorkMeter()
+                )
+                filtered = getattr(engine, attribute) is not None
+                assert filtered == (shards > 1), (shards, shard)
 
 
 class TestBatchEngineAPIs:
