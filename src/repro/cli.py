@@ -1004,10 +1004,6 @@ _ARTEFACT_READERS = {
 def _not_a_trace(path: str, header: dict) -> str:
     """Why ``repro trace`` refuses an artefact header that is not a
     record trace, naming what reads it instead."""
-    if "sampler" in header:
-        return (f"trace: {path} is a tuple trace from before the simulator "
-                f"wrote record traces; no command reads it any more — "
-                f"re-run with --trace-out")
     family = artefact_family([header])
     if family in _ARTEFACT_READERS:
         return f"trace: {path} is {_ARTEFACT_READERS[family]}"
@@ -1649,8 +1645,7 @@ def _history_show(args, archive) -> int:
     run = summary["run"]
     print(f"run {run['id']}: {run['command']} ({run['source']}) "
           f"method={run['method'] or '-'} mode={run['mode'] or '-'} "
-          f"workers={run['workers']} shards={run['shards']} "
-          f"transport={run['transport'] or '-'}")
+          f"workers={run['workers']} shards={run['shards']}")
     when = time.strftime(
         "%Y-%m-%d %H:%M:%S", time.localtime(run["created_utc"])
     )

@@ -382,15 +382,17 @@ class StreamingSetJoin:
                 timestamps = cols.timestamps
                 kd = 0
                 while kd < n and now - timestamps[kd] > seconds:
-                    # Health signal: how long past its window the
-                    # dead posting lingered before this scan
-                    # collected it, in units of the window length.
-                    meter.signal(
-                        "window_expiration_lag_fraction",
-                        (now - timestamps[kd] - seconds) / seconds,
-                    )
                     kd += 1
                 if kd:
+                    # Health signal: how long past its window the
+                    # oldest dead posting lingered before this scan
+                    # collected it, in units of the window length.
+                    # The meter keeps the peak, and the rest of the
+                    # prefix is younger, so one observation suffices.
+                    meter.signal(
+                        "window_expiration_lag_fraction",
+                        (now - timestamps[0] - seconds) / seconds,
+                    )
                     n_expire += kd
                     self._live_postings -= kd
                     if kd == n:
@@ -663,17 +665,6 @@ class StreamingSetJoin:
             for name, value in buffer.signals.items():
                 real.signal(name, value)
 
-    def insert_batch(self, records: List[Record]) -> None:
-        """Index every record, flushing the meter once for the batch."""
-        with self.batched():
-            for record in records:
-                self.insert(record)
-
-    def probe_batch(self, records: List[Record]) -> List[List[MatchResult]]:
-        """Probe every record (one meter flush); per-record match lists."""
-        with self.batched():
-            return [self.probe(record) for record in records]
-
     # -- expiration internals --------------------------------------------------
     def _expire_upto(self, now: float) -> None:
         """Eagerly remove every posting dead at time ``now``.
@@ -686,16 +677,18 @@ class StreamingSetJoin:
         heap = self._heap
         seconds = self.window.seconds
         meter = self.meter
+        if not heap or now - heap[0][0] <= seconds:
+            return
+        # The first pop is the oldest posting: one lag observation
+        # carries the sweep's peak.
+        meter.signal(
+            "window_expiration_lag_fraction",
+            (now - heap[0][0] - seconds) / seconds,
+        )
         cuts: Dict[int, int] = {}
         while heap and now - heap[0][0] > seconds:
-            timestamp, token = heappop(heap)
+            _, token = heappop(heap)
             cuts[token] = cuts.get(token, 0) + 1
-            meter.signal(
-                "window_expiration_lag_fraction",
-                (now - timestamp - seconds) / seconds,
-            )
-        if not cuts:
-            return
         index = self._index
         n_expired = 0
         for token, k in cuts.items():

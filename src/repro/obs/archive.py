@@ -13,7 +13,7 @@ Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
 ``runs``
     One row per invocation: when, which command, the join config
     snapshot (JSON), a sha256 digest of the input records, the run
-    shape (method/mode/workers/shards/batch/transport/executor),
+    shape (method/mode/workers/shards/batch/executor),
     outcome (records/results/wall/peak RSS) and provenance (git sha +
     dirty flag, host, platform, python, cpu count).
 ``observables``
@@ -33,16 +33,16 @@ Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
 ``health_events``
     Detector firings (severity, time, component, message).
 
-Migrations are forward-only and versioned: opening an older database
-upgrades it in place (v3 moved the v1/v2 ``stage_latency``,
-``span_totals`` and ``bench_sections`` tables into ``observables``);
-opening a *newer* one raises :class:`FutureSchemaError` (the CLI maps
-it to exit 2) instead of guessing.
+A new database is created at the current version. A v3 database is
+upgraded in place (v4 dropped the constant ``transport`` run column);
+an older one is refused with an :class:`ArchiveError`, and a *newer*
+one with :class:`FutureSchemaError` (the CLI maps both to exit 2)
+instead of guessing.
 
 ``check`` (see :meth:`RunArchive.check`) is the longitudinal
 regression gate: the newest run is compared against the rolling
 median of its last K *comparable* predecessors (same command, method,
-mode, workers, shards, batch, transport, records, threshold, seed,
+mode, workers, shards, batch, records, threshold, seed,
 config snapshot and input digest), with :mod:`repro.obs.baseline`
 semantics — exact policy on deterministic counters, direction-aware
 tolerance bands on float metrics (a change exactly at the tolerance
@@ -65,7 +65,7 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.artefact import TRANSPORT, artefact_family, load_jsonl_objects
+from repro.obs.artefact import artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
     FINGERPRINT_SCHEMA_VERSION,
     file_outcome,
@@ -73,7 +73,7 @@ from repro.obs.baseline import (
     verdict_lines,
 )
 
-ARCHIVE_SCHEMA_VERSION = 3
+ARCHIVE_SCHEMA_VERSION = 4
 
 #: Default location, relative to the working directory (gitignored).
 DEFAULT_ARCHIVE_PATH = os.path.join(".repro", "archive.db")
@@ -87,8 +87,7 @@ ARCHIVE_ENV = "REPRO_ARCHIVE"
 #: two runs are comparable iff all of these match (NULL-safe).
 COMPARABLE_COLUMNS = (
     "command", "method", "mode", "workers", "shards", "batch_size",
-    "transport", "records", "threshold", "seed", "config_json",
-    "input_digest",
+    "records", "threshold", "seed", "config_json", "input_digest",
 )
 
 #: The fields of one record-trace stage digest.
@@ -96,10 +95,10 @@ STAGE_FIELDS = ("count", "mean_s", "p50_s", "p95_s", "p99_s")
 
 _RUN_COLUMNS = (
     "id", "created_utc", "command", "source", "argv", "method", "mode",
-    "workers", "shards", "batch_size", "transport", "executor",
-    "records", "results", "threshold", "seed", "wall_s",
-    "peak_rss_bytes", "config_json", "labels_json", "git_sha",
-    "git_dirty", "host", "platform", "python", "cpus", "input_digest",
+    "workers", "shards", "batch_size", "executor", "records", "results",
+    "threshold", "seed", "wall_s", "peak_rss_bytes", "config_json",
+    "labels_json", "git_sha", "git_dirty", "host", "platform", "python",
+    "cpus", "input_digest",
 )
 
 
@@ -174,129 +173,64 @@ def stream_digest(records: Iterable) -> str:
     return digest.hexdigest()
 
 
-# -- schema migrations -------------------------------------------------------
-def _migrate_v1(conn: sqlite3.Connection) -> None:
-    """Core tables. ``IF NOT EXISTS`` throughout so a v0 database —
-    tables created by hand or by a pre-versioning build, user_version
-    still 0 — forward-migrates without tripping over itself."""
-    conn.executescript("""
-        CREATE TABLE IF NOT EXISTS runs (
-            id INTEGER PRIMARY KEY,
-            created_utc REAL NOT NULL,
-            command TEXT NOT NULL,
-            source TEXT NOT NULL,
-            argv TEXT,
-            method TEXT,
-            mode TEXT,
-            workers INTEGER,
-            shards INTEGER,
-            batch_size INTEGER,
-            transport TEXT,
-            executor TEXT,
-            records INTEGER,
-            results INTEGER,
-            threshold REAL,
-            seed INTEGER,
-            wall_s REAL,
-            peak_rss_bytes INTEGER,
-            config_json TEXT,
-            labels_json TEXT,
-            git_sha TEXT,
-            git_dirty INTEGER,
-            host TEXT,
-            platform TEXT,
-            python TEXT,
-            cpus INTEGER
-        );
-        CREATE TABLE IF NOT EXISTS observables (
-            run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-            kind TEXT NOT NULL,
-            name TEXT NOT NULL,
-            value REAL NOT NULL,
-            series INTEGER,
-            PRIMARY KEY (run_id, kind, name)
-        );
-        CREATE TABLE IF NOT EXISTS stage_latency (
-            run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-            stage TEXT NOT NULL,
-            count INTEGER NOT NULL,
-            mean_s REAL NOT NULL,
-            p50_s REAL NOT NULL,
-            p95_s REAL NOT NULL,
-            p99_s REAL NOT NULL,
-            PRIMARY KEY (run_id, stage)
-        );
-        CREATE TABLE IF NOT EXISTS span_totals (
-            run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-            actor TEXT NOT NULL,
-            phase TEXT NOT NULL,
-            seconds REAL NOT NULL,
-            PRIMARY KEY (run_id, actor, phase)
-        );
-        CREATE TABLE IF NOT EXISTS health_events (
-            run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-            time_s REAL,
-            severity TEXT,
-            detector TEXT,
-            component TEXT,
-            task INTEGER,
-            value REAL,
-            threshold REAL,
-            message TEXT
-        );
-    """)
+# -- schema ------------------------------------------------------------------
+#: A fresh database. ``input_digest`` comes last, where v3 appended it,
+#: so ``SELECT *`` rows read the same from a fresh and an upgraded file.
+_CREATE = """
+    CREATE TABLE runs (
+        id INTEGER PRIMARY KEY,
+        created_utc REAL NOT NULL,
+        command TEXT NOT NULL,
+        source TEXT NOT NULL,
+        argv TEXT,
+        method TEXT,
+        mode TEXT,
+        workers INTEGER,
+        shards INTEGER,
+        batch_size INTEGER,
+        executor TEXT,
+        records INTEGER,
+        results INTEGER,
+        threshold REAL,
+        seed INTEGER,
+        wall_s REAL,
+        peak_rss_bytes INTEGER,
+        config_json TEXT,
+        labels_json TEXT,
+        git_sha TEXT,
+        git_dirty INTEGER,
+        host TEXT,
+        platform TEXT,
+        python TEXT,
+        cpus INTEGER,
+        input_digest TEXT
+    );
+    CREATE TABLE observables (
+        run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
+        kind TEXT NOT NULL,
+        name TEXT NOT NULL,
+        value REAL NOT NULL,
+        series INTEGER,
+        PRIMARY KEY (run_id, kind, name)
+    );
+    CREATE TABLE health_events (
+        run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
+        time_s REAL,
+        severity TEXT,
+        detector TEXT,
+        component TEXT,
+        task INTEGER,
+        value REAL,
+        threshold REAL,
+        message TEXT
+    );
+    CREATE INDEX idx_runs_shape
+        ON runs (command, method, mode, workers, shards, records);
+"""
 
-
-def _migrate_v2(conn: sqlite3.Connection) -> None:
-    """Bench sections (flattened wall-clock payloads) + the shape
-    index the comparability queries scan."""
-    conn.executescript("""
-        CREATE TABLE IF NOT EXISTS bench_sections (
-            run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
-            path TEXT NOT NULL,
-            value REAL NOT NULL,
-            PRIMARY KEY (run_id, path)
-        );
-        CREATE INDEX IF NOT EXISTS idx_runs_shape
-            ON runs (command, method, mode, workers, shards, records);
-    """)
-
-
-def _migrate_v3(conn: sqlite3.Connection) -> None:
-    """One numeric table: stage digests, span totals and bench leaves
-    move into ``observables`` and their tables are dropped; runs gain
-    the ``input_digest`` comparability column."""
-    if "input_digest" not in {
-        row[1] for row in conn.execute("PRAGMA table_info(runs)")
-    }:
-        conn.execute("ALTER TABLE runs ADD COLUMN input_digest TEXT")
-    insert = (
-        "INSERT OR REPLACE INTO observables (run_id, kind, name, value, series)"
-    )
-    for field in STAGE_FIELDS:
-        conn.execute(
-            f"{insert} SELECT run_id, 'stage', 'stage:' || stage || "
-            f"':{field}', {field}, NULL FROM stage_latency"
-        )
-    conn.execute(
-        f"{insert} SELECT run_id, 'span', 'span:' || actor || ':' || phase, "
-        f"seconds, NULL FROM span_totals"
-    )
-    leaves = conn.execute("SELECT run_id, path, value FROM bench_sections")
-    conn.executemany(f"{insert} VALUES (?, ?, ?, ?, ?)", [
-        (run_id, "exact", path, value, 1)
-        if metric_policy(path) == "exact"
-        else (run_id, "banded", path, value, None)
-        for run_id, path, value in leaves.fetchall()
-    ])
-    conn.executescript("""
-        DROP TABLE stage_latency;
-        DROP TABLE span_totals;
-        DROP TABLE bench_sections;
-    """)
-
-
-_MIGRATIONS = {1: _migrate_v1, 2: _migrate_v2, 3: _migrate_v3}
+#: The one upgrade this build performs: v3 -> v4 drops the ``transport``
+#: column, which only ever held ``"pipe"`` (needs SQLite >= 3.35).
+_UPGRADE_V3 = "ALTER TABLE runs DROP COLUMN transport;"
 
 
 def _flatten_numeric(
@@ -398,10 +332,22 @@ class RunArchive:
                 f"build understands (v{ARCHIVE_SCHEMA_VERSION}); upgrade "
                 f"repro or point --db at an older archive"
             )
-        for target in range(version + 1, ARCHIVE_SCHEMA_VERSION + 1):
-            _MIGRATIONS[target](self.conn)
-            self.conn.execute(f"PRAGMA user_version = {target}")
-        self.conn.commit()
+        if version == ARCHIVE_SCHEMA_VERSION:
+            return
+        if version == 3:
+            script = _UPGRADE_V3
+        elif self.conn.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()[0]:
+            raise ArchiveError(
+                f"{self.path}: archive schema v{version} predates v3, the "
+                f"oldest this build upgrades; move the file aside to start "
+                f"a fresh archive"
+            )
+        else:
+            script = _CREATE
+        self.conn.executescript(
+            f"BEGIN;{script}"
+            f"PRAGMA user_version = {ARCHIVE_SCHEMA_VERSION};COMMIT;"
+        )
 
     def close(self) -> None:
         self.conn.close()
@@ -496,7 +442,6 @@ class RunArchive:
             "workers": result.workers,
             "shards": result.num_shards,
             "batch_size": result.batch_size,
-            "transport": TRANSPORT,
             "executor": result.executor,
             "records": result.records,
             "results": result.results,
@@ -643,8 +588,7 @@ class RunArchive:
             )
         shape = {
             key: header.get(key)
-            for key in ("workers", "shards", "executor", "transport",
-                        "records", "wall_s")
+            for key in ("workers", "shards", "executor", "records", "wall_s")
         }
         observables: Dict[str, Dict[str, float]] = {}
         if family == "rectrace":

@@ -22,7 +22,6 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "TRANSPORT",
     "ArtefactError",
     "write_jsonl",
     "load_jsonl_objects",
@@ -30,13 +29,6 @@ __all__ = [
     "check_fields",
     "artefact_family",
 ]
-
-
-#: The ``transport`` value of every span, telemetry and record-trace
-#: header and archive row: results have one wire, the worker pipe. The
-#: key stays so older artefacts and archives compare; it goes with the
-#: next schema bump (ROADMAP 2(iii)).
-TRANSPORT = "pipe"
 
 
 class ArtefactError(ValueError):
@@ -128,9 +120,7 @@ def artefact_family(rows: List[Dict[str, object]]) -> Optional[str]:
     keys on: record traces stamp ``artefact="rectrace"`` explicitly,
     span headers carry the capture ``overhead``, telemetry headers the
     heartbeat ``interval``, health headers the detector ``thresholds``
-    (and nothing run-shaped). Returns ``None`` when nothing matches —
-    including a tuple trace from before both runtimes wrote rectrace
-    (its header describes a ``sampler``), which no reader accepts.
+    (and nothing run-shaped). Returns ``None`` when nothing matches.
     """
     if not rows:
         return None

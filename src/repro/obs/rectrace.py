@@ -187,7 +187,7 @@ def rectrace_header(
     shape) in place into per-record stamp order — the order the file
     is written in — and digests them. ``shape`` carries the run-shape
     fields (``wall_s``, ``executor``, ``workers``, ``shards`` and, on
-    the parallel runtime, ``transport`` / ``batch_size``); ``overhead``
+    the parallel runtime, ``batch_size``); ``overhead``
     is the event log's self-measured cost, absent on the simulator,
     whose clock the recorder does not advance."""
     rows.sort(key=lambda r: (r["rid"], r["start"], r["end"], r["worker"]))

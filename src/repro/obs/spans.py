@@ -52,16 +52,11 @@ Phases (the driver records the driver set with ``worker == -1``)::
     pipe_write  a worker shipping one batch's match rows — only batches
                 that produced rows have one
 
-Files from the removed in-process executor say ``"inline"`` in their
-header; they read like any other.
-
 Artefacts written while records still travelled driver → worker in
-batches also carry ``feed`` / ``encode`` / ``pipe_write`` /
-``shm_write`` (driver) and ``pipe_read`` / ``shm_read`` / ``decode``
-(worker) spans, and files from the removed shm results transport carry
-worker ``shm_write`` ships. No run records them any more, but their
-wire ids stay reserved and every reader here still totals them when a
-file has them, so committed artefacts keep loading.
+batches also carry ``feed`` / ``encode`` / ``pipe_write`` (driver) and
+``pipe_read`` / ``decode`` (worker) spans. No run records them any
+more, but every reader here still totals them when a file has them, so
+committed artefacts keep loading.
 """
 
 from __future__ import annotations
@@ -87,8 +82,6 @@ PHASES = (
     "probe",
     "insert",
     "meter_flush",
-    "shm_write",  # ids are frozen by committed artefacts,
-    "shm_read",   # so new phases only append
     "route",
 )
 PHASE_ID: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
@@ -96,19 +89,18 @@ PHASE_ID: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
 #: What each actor records in every run, in reporting order.
 DRIVER_PHASES = ("setup", "drain", "merge")
 WORKER_PHASES = ("route", "probe", "insert", "meter_flush")
-#: A worker's per-batch result ship (``shm_write`` only in files from
-#: the removed shm transport), and only in a run that produced rows, so
-#: reported when an actor has it (in a file from the record wire that
-#: actor is the driver, writing record batches under the same frozen
-#: ids).
-SHIP_PHASES = ("pipe_write", "shm_write")
+#: A worker's per-batch result ship, only in a run that produced rows,
+#: so reported when an actor has it (in a file from the record wire
+#: that actor is the driver, writing record batches under the same
+#: name).
+SHIP_PHASES = ("pipe_write",)
 #: Phases only artefacts from the per-batch record wire carry; reported
 #: when a file has them.
 LEGACY_DRIVER_PHASES = ("feed", "encode")
-LEGACY_WORKER_PHASES = ("pipe_read", "decode", "shm_read")
+LEGACY_WORKER_PHASES = ("pipe_read", "decode")
 #: Worker phases that were blocked waiting, not work — every other
 #: worker phase counts as executing.
-WORKER_WAIT_PHASES = ("pipe_read", "shm_read")
+WORKER_WAIT_PHASES = ("pipe_read",)
 
 #: Worker id of driver-recorded spans.
 DRIVER = -1
@@ -197,8 +189,8 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     pipeline accounts for (the bench gate wants it within 5% of 1).
     Each actor's dict holds today's phases plus whichever ship and
     legacy ones it recorded; a reported ``feed`` is *exclusive* of its nested
-    ``encode``, ``pipe_write`` and ``shm_write`` spans, so the driver
-    dict reads as a partition of driver time. Worker phase totals are
+    ``encode`` and ``pipe_write`` spans, so the driver dict reads as a
+    partition of driver time. Worker phase totals are
     reported as recorded (with ``sample > 1`` they undercount by design
     — the header says so).
     """
@@ -335,11 +327,9 @@ def waterfall(rows: Sequence[Dict[str, object]], width: int = 60) -> str:
 
 def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro spans --smoke`` gate: schema-valid, every expected
-    phase present for the run's executor, ship spans where a run
-    without a record wire can have them (on workers; ``shm_write`` only
-    in a file whose header names the removed shm transport), and no
-    actor's phase totals exceed the wall time. Returns failure strings
-    (empty = pass)."""
+    phase present, ship spans where a run without a record wire can have
+    them (on workers), and no actor's phase totals exceed the wall time.
+    Returns failure strings (empty = pass)."""
     failures = validate_span_lines(rows)
     if failures:
         return failures
@@ -349,11 +339,7 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
         failures.append(f"header wall_s is not positive: {wall}")
         return failures
     present = {row["phase"] for row in spans}
-    expected = {"setup", "merge"}
-    if header.get("executor") == "process" or "feed" not in present:
-        # The window the workers run in; an inline file from the record
-        # wire ran them inside ``feed`` and has no ``drain``.
-        expected.add("drain")
+    expected = {"setup", "drain", "merge"}
     if int(header.get("batches", 1)):
         expected |= {"probe", "insert", "meter_flush"}
     for phase in sorted(expected):
@@ -367,10 +353,6 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
         ):
             failures.append(
                 f"driver recorded {phase!r} but the file has no record wire"
-            )
-        if "shm_write" in present and header.get("transport") != "shm":
-            failures.append(
-                f"'shm_write' spans in a {header.get('transport')!r}-transport run"
             )
 
     budget = wall * 1.02 + 1e-6

@@ -21,11 +21,7 @@ The artefact mirrors the spans/health dumps: one header line, then
 :func:`validate_telemetry_lines` checks the schema and the per-worker
 invariants (strictly increasing ``seq``, monotonic counters);
 :func:`telemetry_smoke` is the CI gate behind ``python -m repro
-telemetry --smoke``. Schema-1 files, written while heartbeats had a
-pipe of their own, still validate and read: the counters they carry
-beyond :data:`SAMPLE_SCHEMA` (two that were always zero and a drop
-count) are ignored, and so are the ``driver`` rows of files from the
-per-batch record wire.
+telemetry --smoke``.
 
 Telemetry is monitoring-plane only: nothing here touches engines,
 meters or match rows, and the differential tests assert that every
@@ -40,7 +36,6 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.artefact import (
-    TRANSPORT,
     check_fields,
     load_jsonl_objects,
     split_document,
@@ -48,10 +43,6 @@ from repro.obs.artefact import (
 from repro.obs.health import HealthMonitor
 
 TELEMETRY_SCHEMA_VERSION = 2
-
-#: Schemas the readers accept: the one written, and schema 1 (decode
-#: only).
-_READABLE_SCHEMAS = (1, TELEMETRY_SCHEMA_VERSION)
 
 #: Default worker sampling interval in seconds (`--heartbeat-interval`).
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -112,7 +103,6 @@ class TelemetryRecorder:
             "shards": shards,
             # Only worker processes send heartbeats.
             "executor": "process",
-            "transport": TRANSPORT,
             "thresholds": self.monitor.thresholds.as_dict(),
         }
         #: Every non-header row in arrival order (samples, health
@@ -247,7 +237,7 @@ def validate_telemetry_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
     if header.get("kind") != "header":
         errors.append("first line is not a header")
     else:
-        if header.get("schema") not in _READABLE_SCHEMAS:
+        if header.get("schema") != TELEMETRY_SCHEMA_VERSION:
             errors.append(
                 f"unsupported telemetry schema {header.get('schema')!r}"
             )
@@ -266,7 +256,7 @@ def validate_telemetry_lines(rows: Iterable[Dict[str, object]]) -> List[str]:
             if index != len(rows) - 2:
                 errors.append(f"line {index + 2}: final row is not last")
             continue
-        if kind in ("driver", "health"):
+        if kind == "health":
             continue
         if kind != "sample":
             errors.append(f"line {index + 2}: unknown kind {kind!r}")
@@ -495,13 +485,10 @@ class TelemetryView:
         lines: List[str] = []
         if self.header is not None:
             interval = self.header.get("interval")
-            transport = self.header.get("transport")
-            transport_note = f", transport={transport}" if transport else ""
             lines.append(
                 f"repro top — {self.header.get('workers')} workers, "
                 f"{self.header.get('shards')} shards, "
-                f"executor={self.header.get('executor')}"
-                f"{transport_note}, "
+                f"executor={self.header.get('executor')}, "
                 f"interval {interval}s"
             )
         else:

@@ -64,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import JoinConfig
 from repro.core.metering import WorkMeter
-from repro.obs.artefact import TRANSPORT, write_jsonl
+from repro.obs.artefact import write_jsonl
 from repro.obs.eventlog import EventLog, log_rows
 from repro.obs.rectrace import latency_digest, latency_metrics, rectrace_header
 from repro.obs.spans import DRIVER, PHASE_ID, SPANS_SCHEMA_VERSION
@@ -105,6 +105,10 @@ _MERGE = PHASE_ID["merge"]
 #: ran them (``run_serial`` says ``"serial"``, the simulator
 #: ``"simulated"``).
 EXECUTOR = "process"
+
+#: The one value ``ParallelJoinRunner(transport=)`` accepts: results
+#: come back over one pipe per worker.
+TRANSPORT = "pipe"
 
 
 class ParallelWorkerError(RuntimeError):
@@ -615,7 +619,6 @@ class ParallelJoinRunner:
         shape = {
             "wall_s": round(wall_s, 9),
             "executor": EXECUTOR,
-            "transport": TRANSPORT,
             "workers": workers,
             "shards": plan.num_shards,
             "batch_size": self.config.batch_size,

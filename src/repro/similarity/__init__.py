@@ -19,13 +19,6 @@ from repro.similarity.functions import (
     SimilarityFunction,
     get_similarity,
 )
-from repro.similarity.filters import (
-    index_prefix_length,
-    length_bounds,
-    min_overlap,
-    position_upper_bound,
-    probe_prefix_length,
-)
 from repro.similarity.ordering import TokenDictionary
 from repro.similarity.tokenizers import QGramTokenizer, WordTokenizer
 from repro.similarity.verification import overlap_count, verify_pair
@@ -40,11 +33,6 @@ __all__ = [
     "TokenDictionary",
     "WordTokenizer",
     "get_similarity",
-    "index_prefix_length",
-    "length_bounds",
-    "min_overlap",
     "overlap_count",
-    "position_upper_bound",
-    "probe_prefix_length",
     "verify_pair",
 ]

@@ -316,12 +316,18 @@ class SketchStreamingSetJoin:
                 if bounded and start < n:
                     # Front-advance lazy expiry: in-variant timestamps
                     # are nondecreasing (arrival order), so everything
-                    # dead sits at the front.
+                    # dead sits at the front. One lag observation per
+                    # sweep, its oldest posting's (the meter keeps the
+                    # peak): the first dead one, unless a late arrival
+                    # behind it is older still.
+                    oldest = now
                     while start < n and now - timestamps[start] > seconds:
-                        meter.signal(
-                            "window_expiration_lag_fraction",
-                            (now - timestamps[start] - seconds) / seconds,
-                        )
+                        if timestamps[start] < oldest:
+                            oldest = timestamps[start]
+                            meter.signal(
+                                "window_expiration_lag_fraction",
+                                (now - oldest - seconds) / seconds,
+                            )
                         start += 1
                     expired = start - variant.start
                     if expired:
@@ -429,14 +435,3 @@ class SketchStreamingSetJoin:
                 real.event_many(dict(buffer.events))
             for name, value in buffer.signals.items():
                 real.signal(name, value)
-
-    def insert_batch(self, records: List[Record]) -> None:
-        """Index every record, flushing the meter once for the batch."""
-        with self.batched():
-            for record in records:
-                self.insert(record)
-
-    def probe_batch(self, records: List[Record]) -> List[List[MatchResult]]:
-        """Probe every record (one meter flush); per-record match lists."""
-        with self.batched():
-            return [self.probe(record) for record in records]

@@ -6,7 +6,7 @@ each component running as parallel *tasks*, connected by stream
 deterministic discrete-event simulator:
 
 * :mod:`repro.storm.topology` — declare components, parallelism and
-  groupings (shuffle / fields / all / direct / global), Storm-style.
+  groupings (shuffle / all / direct / global), Storm-style.
 * :mod:`repro.storm.components` — ``Spout`` / ``Bolt`` base classes and
   the ``OutputCollector``.
 * :mod:`repro.storm.cluster` — ``LocalCluster``: the event loop. Each

@@ -15,7 +15,6 @@ The builder mirrors Storm's ``TopologyBuilder``::
 Groupings decide which task(s) of a subscribing bolt receive each tuple:
 
 * ``shuffle`` — deterministic round-robin per producing task;
-* ``fields(i, …)`` — hash of the selected value positions;
 * ``all`` — every task (broadcast);
 * ``global`` — task 0;
 * ``direct`` — the task index chosen by the producer at emit time.
@@ -57,26 +56,6 @@ class ShuffleGrouping(Grouping):
 
     def targets(self, values, source_task, num_tasks, direct_task, sequence):
         return (sequence % num_tasks,)
-
-
-class FieldsGrouping(Grouping):
-    """Hash-partition by the values at the given tuple positions."""
-
-    kind = "fields"
-
-    def __init__(self, *positions: int):
-        if not positions:
-            raise ValueError("fields grouping needs at least one position")
-        self.positions = positions
-
-    def targets(self, values, source_task, num_tasks, direct_task, sequence):
-        key = tuple(values[p] for p in self.positions)
-        # hash() is salted for str; use a stable FNV-1a over repr for
-        # run-to-run determinism.
-        h = 2166136261
-        for ch in repr(key).encode():
-            h = ((h ^ ch) * 16777619) & 0xFFFFFFFF
-        return (h % num_tasks,)
 
 
 class AllGrouping(Grouping):
@@ -137,11 +116,6 @@ class BoltDeclarer:
 
     def shuffle_grouping(self, source: str, stream: str = "default") -> "BoltDeclarer":
         return self._subscribe(source, stream, ShuffleGrouping())
-
-    def fields_grouping(
-        self, source: str, positions: Sequence[int], stream: str = "default"
-    ) -> "BoltDeclarer":
-        return self._subscribe(source, stream, FieldsGrouping(*positions))
 
     def all_grouping(self, source: str, stream: str = "default") -> "BoltDeclarer":
         return self._subscribe(source, stream, AllGrouping())

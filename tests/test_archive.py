@@ -13,7 +13,6 @@ from repro.cli import main
 from repro.core.config import JoinConfig
 from repro.datasets.corpora import synthetic_aol
 from repro.obs.archive import (
-    _MIGRATIONS,
     ARCHIVE_SCHEMA_VERSION,
     ArchiveError,
     FutureSchemaError,
@@ -22,7 +21,7 @@ from repro.obs.archive import (
     default_archive_path,
     linear_slope,
 )
-from repro.obs.baseline import metric_policy
+from repro.obs.baseline import FINGERPRINT_SCHEMA_VERSION, metric_policy
 from repro.obs.rectrace import DEFAULT_TRACE_SAMPLE
 from repro.parallel.runtime import ParallelJoinRunner, run_serial
 
@@ -64,93 +63,78 @@ class TestMigrations:
         # one numeric table: every number is an observables row
         assert tables == {"runs", "observables", "health_events"}
 
-    def test_v0_database_forward_migrates(self, db, config, records):
-        # A pre-versioning database: the tables already exist but
-        # user_version was never stamped. Opening it must upgrade in
-        # place without clobbering existing rows.
-        with RunArchive(db) as archive:
-            run_id = _record_serial(archive, config, records)
-            archive.conn.execute("PRAGMA user_version = 0")
-            archive.conn.commit()
-        with RunArchive(db) as archive:
-            version = archive.conn.execute("PRAGMA user_version").fetchone()[0]
-            assert version == ARCHIVE_SCHEMA_VERSION
-            assert archive.run_row(run_id)["records"] == 200
-            assert archive.metric_value(run_id, "run_results") is not None
-            # the v1/v2 tables were recreated and folded away again
-            assert archive.conn.execute(
-                "SELECT COUNT(*) FROM sqlite_master WHERE name IN "
-                "('stage_latency', 'span_totals', 'bench_sections')"
-            ).fetchone()[0] == 0
-
-    def test_v2_database_folds_into_observables(self, db):
-        # A v2 archive as the previous schema wrote it: one row in each
-        # of the three tables that v3 folds into observables.
+    @staticmethod
+    def _assert_refused(tmp_path, capsys, version):
+        db = str(tmp_path / f"v{version}.db")
         conn = sqlite3.connect(db)
-        for version in (1, 2):
-            _MIGRATIONS[version](conn)
-        conn.execute("PRAGMA user_version = 2")
-        conn.execute(
-            "INSERT INTO runs (id, created_utc, command, source, records) "
-            "VALUES (1, 0.0, 'join', 'live', 50)"
-        )
-        conn.execute(
-            "INSERT INTO observables VALUES (1, 'exact', 'op:probe', 50.0, 2)"
-        )
-        conn.execute(
-            "INSERT INTO stage_latency VALUES (1, 'e2e', 7, 0.5, 0.25, 0.75, 1.5)"
-        )
-        conn.execute(
-            "INSERT INTO span_totals VALUES (1, 'worker:0', 'probe', 0.125)"
-        )
-        conn.executemany("INSERT INTO bench_sections VALUES (1, ?, ?)", [
-            ("corpora.AOL.posting_scans", 812.0),
-            ("headline.probe_speedup", 3.5),
-            ("corpora.AOL.matches_equal", 1.0),
-        ])
+        conn.execute("CREATE TABLE runs (id INTEGER PRIMARY KEY)")
+        conn.execute(f"PRAGMA user_version = {version}")
         conn.commit()
         conn.close()
-        with RunArchive(db) as archive:
+        with pytest.raises(
+            ArchiveError, match=f"schema v{version} predates v3"
+        ):
+            RunArchive(db)
+        assert main(["history", "list", "--db", db]) == 2
+        assert "move the file aside" in capsys.readouterr().err
+
+    def test_v0_database_is_refused(self, tmp_path, capsys):
+        # A pre-versioning file has tables but no stamp: there is no
+        # upgrade path, so a pointed refusal instead of a guess.
+        self._assert_refused(tmp_path, capsys, 0)
+
+    def test_v2_database_is_refused(self, tmp_path, capsys):
+        # v1 and v2 are refused alike; only v3 takes an upgrade step.
+        for version in (1, 2):
+            self._assert_refused(tmp_path, capsys, version)
+
+    def test_committed_v3_seed_upgrades(self, tmp_path):
+        # The committed seed stays at v3, so every CI run that copies
+        # it takes the v3 -> v4 step; its numbers must survive it.
+        copy = str(tmp_path / "seed.db")
+        shutil.copyfile(
+            os.path.join(REPO_ROOT, "benchmarks", "baselines", "archive.db"),
+            copy,
+        )
+        conn = sqlite3.connect(copy)
+        conn.row_factory = sqlite3.Row
+        try:
+            assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
+            run = conn.execute(
+                "SELECT id, labels_json FROM runs WHERE method = 'WALLCLOCK' "
+                "ORDER BY id DESC LIMIT 1"
+            ).fetchone()
+            rows = conn.execute(
+                "SELECT kind, name, value, series FROM observables "
+                "WHERE run_id = ?", (run["id"],)
+            ).fetchall()
+        finally:
+            conn.close()
+        before = {
+            "schema": FINGERPRINT_SCHEMA_VERSION,
+            "labels": json.loads(run["labels_json"] or "{}"),
+            "exact": {
+                row["name"]: {"total": row["value"], "series": row["series"]}
+                for row in rows if row["kind"] == "exact"
+            },
+            "banded": {
+                row["name"]: row["value"]
+                for row in rows if row["kind"] == "banded"
+            },
+        }
+        speedup = next(
+            row["value"] for row in rows
+            if row["name"] == "headline.probe_speedup"
+        )
+        with RunArchive(copy, create=False) as archive:
             assert archive.conn.execute(
                 "PRAGMA user_version"
-            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION
-            tables = {
-                row[0] for row in archive.conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
-                )
-            }
-            assert tables == {"runs", "observables", "health_events"}
-            assert archive.run_row(1)["input_digest"] is None
-            expected = {
-                "stage:e2e:count": 7, "stage:e2e:mean_s": 0.5,
-                "stage:e2e:p50_s": 0.25, "stage:e2e:p95_s": 0.75,
-                "stage:e2e:p99_s": 1.5, "span:worker:0:probe": 0.125,
-                "corpora.AOL.posting_scans": 812.0,
-                "headline.probe_speedup": 3.5, "probe_speedup": 3.5,
-                "corpora.AOL.matches_equal": 1.0, "op:probe": 50.0,
-            }
-            for metric, value in expected.items():
-                assert archive.metric_value(1, metric) == value, metric
-            summary = archive.run_summary(1)
-            fingerprint = archive.fingerprint(1)
-        assert summary["stages"] == {"e2e": {
-            "count": 7, "mean_s": 0.5, "p50_s": 0.25, "p95_s": 0.75,
-            "p99_s": 1.5,
-        }}
-        assert isinstance(summary["stages"]["e2e"]["count"], int)
-        assert summary["span_totals"] == {"worker:0": {"probe": 0.125}}
-        assert summary["observables"] == {
-            "exact": {
-                "op:probe": 50.0, "corpora.AOL.posting_scans": 812.0,
-                "corpora.AOL.matches_equal": 1.0,
-            },
-            "banded": {"headline.probe_speedup": 3.5},
-        }
-        # deterministic leaves became exact counters, the rest banded
-        assert fingerprint["exact"]["corpora.AOL.posting_scans"] == {
-            "total": 812.0, "series": 1,
-        }
-        assert fingerprint["banded"] == {"headline.probe_speedup": 3.5}
+            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION == 4
+            assert "transport" not in archive.run_row(run["id"])
+            assert archive.fingerprint(run["id"]) == before
+            assert archive.metric_value(
+                run["id"], "headline.probe_speedup"
+            ) == speedup
 
     def test_future_schema_is_refused(self, db, capsys):
         conn = sqlite3.connect(db)
@@ -274,17 +258,6 @@ class TestRoundTrip:
     def test_committed_seed_matches_reports(self, tmp_path):
         seed_db = os.path.join(
             REPO_ROOT, "benchmarks", "baselines", "archive.db"
-        )
-        # read-only: a schema bump without a regenerated seed fails
-        # here instead of silently migrating the tracked file
-        conn = sqlite3.connect(f"file:{seed_db}?mode=ro", uri=True)
-        try:
-            version = conn.execute("PRAGMA user_version").fetchone()[0]
-        finally:
-            conn.close()
-        assert version == ARCHIVE_SCHEMA_VERSION, (
-            "regenerate the seed: "
-            "PYTHONPATH=src python benchmarks/baselines/seed_archive.py"
         )
         with open(
             os.path.join(REPO_ROOT, "BENCH_wallclock.json"), encoding="utf-8"
@@ -560,7 +533,7 @@ class TestHistoryCli:
         assert "threshold=0.7" in shown
         assert main(["history", "list", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert len(rows) == 1 and rows[0]["transport"] is not None
+        assert len(rows) == 1 and "transport" not in rows[0]
 
     def test_no_archive_flag_suppresses_capture(
         self, corpus_file, env_db, capsys

@@ -594,8 +594,9 @@ class TestTrace:
         assert "e2e" in payload["stages"] and payload["slowest"]
         assert "timeline" in captured.err
 
-    # Every other artefact family, and a tuple trace from before the
-    # simulator wrote record traces: exit 2, naming what reads it,
+    # Every other artefact family, and a JSONL header no reader knows
+    # (a tuple trace from before the simulator wrote record traces):
+    # exit 2, naming what reads it or saying it is no record trace,
     # instead of a simulated join over the JSON text.
     OTHER_ARTEFACTS = {
         "telemetry": ({"kind": "header", "schema": 2, "interval": 0.25,
@@ -603,7 +604,7 @@ class TestTrace:
         "health": ({"kind": "header", "schema": 1,
                     "thresholds": {"queue_warning": 64}}, "--health-out"),
         "tuple_trace": ({"kind": "header", "schema": 1, "sampler": "stride",
-                         "stride": 1}, "re-run with --trace-out"),
+                         "stride": 1}, "not a record trace"),
     }
 
     @pytest.mark.parametrize("family", sorted(OTHER_ARTEFACTS))

@@ -31,6 +31,7 @@ from repro.core.reference import (
     min_common_prefix_token,
 )
 from repro.core.two_stream import cross_source_filter
+from repro.obs.health import HealthMonitor
 from repro.records import Record
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import get_similarity
@@ -302,6 +303,53 @@ def test_reversed_stream_differential(expiry):
     _, columnar, _ = assert_identical(records, "jaccard", 0.5, 3.0, expiry)
     assert columnar[-1]["operations"]["posting_expire"] > 20
     assert any(step["matches"] for step in columnar)
+
+
+class _HealthContext:
+    """What a meter forwards to a bolt context, reduced to its signals:
+    each goes to a :class:`HealthMonitor` stamped with the current
+    record's time."""
+
+    def __init__(self):
+        self.monitor = HealthMonitor()
+        self.now = 0.0
+
+    def charge(self, operation, count):
+        pass
+
+    def add_counter(self, name, amount):
+        pass
+
+    def signal(self, name, value):
+        self.monitor.on_signal("join", 0, self.now, name, value)
+
+
+@pytest.mark.parametrize("expiry", ["lazy", "eager"])
+def test_expiration_lag_peaks_and_health_events(expiry):
+    """The reference engine signals every dead posting's lag, the
+    columnar engine one lag per expiry sweep (its oldest posting's).
+    On a windowed stream of late arrivals both give the same signal
+    peak after every record and the same health events."""
+    records = fuzz_stream(seed=7, n=300, universe=40)
+    observed = []
+    for engine_cls in ENGINES:
+        context = _HealthContext()
+        meter = WorkMeter(context)
+        engine = engine_cls(
+            get_similarity("jaccard", 0.5), window=SlidingWindow(1.0),
+            meter=meter, expiry=expiry,
+        )
+        peaks = []
+        for record in records:
+            context.now = record.timestamp
+            engine.probe_and_insert(record)
+            peaks.append(meter.signals.get("window_expiration_lag_fraction"))
+        observed.append(
+            (peaks, [event.as_dict() for event in context.monitor.events])
+        )
+    assert observed[0] == observed[1]
+    events = observed[0][1]
+    assert [event["severity"] for event in events] == ["warning", "critical"]
 
 
 @pytest.mark.parametrize("seed", [200, 201])

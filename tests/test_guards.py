@@ -92,6 +92,10 @@ def occurs_once(pattern, *specs):
     return check
 
 
+#: Everything a command, example, benchmark or CI step can reach.
+REACHABLE = ("src", "tests", "examples", "benchmarks", ".github")
+
+
 def only_target_is_probe_speedup():
     names = {
         name for _, _, line in _lines("src/repro/bench/wallclock.py")
@@ -206,6 +210,41 @@ GUARDS = {
             r"|imbalance_series|telemetry_document",
             "src", "tests",
         ),
+    ],
+    # Nothing without a caller: what only tests reached is gone. The
+    # join is streaming; `naive_join` is the test oracle.
+    "No batch join": [
+        absent(r"repro\.offline", *REACHABLE),
+    ],
+    # Filter bounds are SimilarityFunction methods; the engines inline
+    # the position filter.
+    "Filter bounds on the function": [
+        absent(r"similarity\.filters", *REACHABLE),
+    ],
+    # A batch is a loop inside `engine.batched()`: no engine helper is
+    # defined or called (the tests of that loop keep their names).
+    "No insert batch helper": [
+        absent(r"(def |\.)insert_batch\b", *REACHABLE),
+    ],
+    "No probe batch helper": [
+        absent(r"(def |\.)probe_batch\b", *REACHABLE),
+    ],
+    # The simulator's groupings are the ones a topology declares.
+    "No fields grouping": [
+        absent(r"FieldsGrouping|fields_grouping", *REACHABLE),
+    ],
+    # Artefact headers and archive rows carry no constant transport;
+    # only the runner's one-value keyword is left.
+    "No transport key": [
+        absent(
+            r"\bTRANSPORT\b", "src/repro/obs", "src/repro/cli.py", "tests",
+            "examples", "benchmarks", ".github",
+        ),
+        absent(r'"transport"', "src"),
+    ],
+    # Telemetry readers accept the schema the recorder writes.
+    "One telemetry schema": [
+        absent(r"_READABLE_SCHEMAS", *REACHABLE),
     ],
 }
 

@@ -474,7 +474,7 @@ class TestOneEngineBuilder:
 
 
 class TestBatchEngineAPIs:
-    """insert_batch / probe_batch: one meter flush, identical totals."""
+    """A loop inside ``batched()``: one meter flush, identical totals."""
 
     def records(self):
         return make_records(30)
@@ -486,10 +486,16 @@ class TestBatchEngineAPIs:
             StreamingSetJoin(func, meter=WorkMeter()),
         )
 
+    @staticmethod
+    def insert_all(engine, records):
+        with engine.batched():
+            for record in records:
+                engine.insert(record)
+
     def test_insert_batch_equals_loop(self):
         batched, looped = self.engines()
         records = self.records()
-        batched.insert_batch(records)
+        self.insert_all(batched, records)
         for record in records:
             looped.insert(record)
         assert batched.meter.operations == looped.meter.operations
@@ -499,9 +505,10 @@ class TestBatchEngineAPIs:
     def test_probe_batch_equals_loop(self):
         batched, looped = self.engines()
         records = self.records()
-        batched.insert_batch(records)
-        looped.insert_batch(records)
-        batch_results = batched.probe_batch(records)
+        self.insert_all(batched, records)
+        self.insert_all(looped, records)
+        with batched.batched():
+            batch_results = [batched.probe(record) for record in records]
         loop_results = [looped.probe(record) for record in records]
         assert batch_results == loop_results
         assert batched.meter.operations == looped.meter.operations

@@ -1,14 +1,9 @@
-"""Tests for ordering, tokenizers, filters and verification."""
+"""Tests for ordering, tokenizers and verification."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.similarity.filters import (
-    passes_position_filter,
-    position_upper_bound,
-)
-from repro.similarity.functions import Jaccard
 from repro.similarity.ordering import TokenDictionary
 from repro.similarity.tokenizers import QGramTokenizer, WordTokenizer, multiset
 from repro.similarity.verification import overlap_count, verify_pair
@@ -151,41 +146,3 @@ class TestVerification:
             assert overlap == truth
         else:
             assert overlap == -1
-
-
-class TestPositionFilter:
-    def test_upper_bound_formula(self):
-        # match at last positions: nothing can follow
-        assert position_upper_bound(5, 5, 4, 4) == 1
-        # match at first positions: everything can follow
-        assert position_upper_bound(5, 7, 0, 0) == 5
-
-    def test_passes_position_filter(self):
-        func = Jaccard(0.8)
-        # identical length-10 sets need overlap 9; a first match at
-        # positions (2, 0) caps the total at 1 + min(7, 9) = 8 < 9.
-        assert not passes_position_filter(func, 10, 10, 2, 0)
-        assert passes_position_filter(func, 10, 10, 0, 0)
-
-    @given(
-        st.lists(st.integers(0, 30), min_size=1, max_size=20).map(
-            lambda v: tuple(sorted(set(v)))
-        ),
-        st.lists(st.integers(0, 30), min_size=1, max_size=20).map(
-            lambda v: tuple(sorted(set(v)))
-        ),
-        st.sampled_from([0.6, 0.7, 0.8, 0.9]),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_position_filter_safe_at_first_common_token(self, r, s, threshold):
-        """Pruning at the pair's first common token never loses a
-        qualifying pair."""
-        func = Jaccard(threshold)
-        if func.similarity(r, s) < threshold:
-            return
-        common = sorted(set(r) & set(s))
-        if not common:
-            return
-        first = common[0]
-        i, j = r.index(first), s.index(first)
-        assert passes_position_filter(func, len(r), len(s), i, j)

@@ -276,8 +276,10 @@ class TestSketchEngine:
     def test_batch_helpers(self):
         records = fuzz_records(seed=11, n=60)
         engine = SketchStreamingSetJoin(get_similarity("jaccard", 0.6))
-        engine.insert_batch(records)
-        per_record = engine.probe_batch(records)
+        with engine.batched():
+            for r in records:
+                engine.insert(r)
+            per_record = [engine.probe(r) for r in records]
         assert len(per_record) == len(records)
         # Every record was indexed, so each probe at least self-matches.
         assert all(

@@ -281,8 +281,8 @@ class TestAnalyzerOnFixture:
         assert totals["wall_s"] == 0.1
         assert totals["driver_covered_s"] == 0.1
         assert totals["driver_coverage"] == 1.0
-        # Today's phases, plus the record wire's that this (pipe-run)
-        # fixture carries — and none it does not (no shm pair).
+        # Today's phases, plus the record wire's that this fixture
+        # carries — and none it does not.
         assert totals["driver"] == {
             "setup": 0.02, "drain": 0.045, "merge": 0.005,
             "feed": 0.023, "encode": 0.003, "pipe_write": 0.004,
@@ -400,7 +400,7 @@ class TestLiveSpans:
         result = self.run(records, workers=2)
         document = result.spans_document()
         assert document[0]["executor"] == "process"
-        assert document[0]["transport"] == "pipe"
+        assert "transport" not in document[0]
         assert smoke_check(document) == []
         # No record wire: the driver goes from setup straight to drain,
         # and a worker's time is its own walk, the batches and shipping
@@ -466,8 +466,7 @@ class TestLiveSpans:
         wrong_id = [dict(row) for row in document]
         wrong_id[ship]["phase"] = "shm_write"
         assert any(
-            "'shm_write' spans in a 'pipe'-transport run" in f
-            for f in smoke_check(wrong_id)
+            "unknown phase 'shm_write'" in f for f in smoke_check(wrong_id)
         )
 
     def test_inline_ship_spans_are_structural(self, records):

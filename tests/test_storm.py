@@ -10,7 +10,6 @@ from repro.storm.costmodel import CostModel, NetworkModel
 from repro.storm.topology import (
     AllGrouping,
     DirectGrouping,
-    FieldsGrouping,
     GlobalGrouping,
     ShuffleGrouping,
     TopologyBuilder,
@@ -84,16 +83,6 @@ class TestGroupings:
     def test_global_grouping_hits_task_zero(self):
         LocalCluster().run(simple_topology("global_grouping"), "sink")
         assert {task for task, _ in all_seen()} == {0}
-
-    def test_fields_grouping_is_consistent(self):
-        builder = TopologyBuilder()
-        items = [(i * 0.001, i % 4) for i in range(40)]
-        builder.set_spout("src", ListSpout(items))
-        builder.set_bolt("sink", lambda i: Recorder(), 3).fields_grouping("src", [0])
-        LocalCluster().run(builder.build(), "sink")
-        owner = {}
-        for task, value in all_seen():
-            assert owner.setdefault(value, task) == task
 
     def test_direct_grouping_targets_named_task(self):
         class Director(Bolt):

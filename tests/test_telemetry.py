@@ -361,62 +361,6 @@ class TestValidation:
         assert validate_telemetry_lines(self._document()) == []
         assert telemetry_smoke(self._document()) == []
 
-    def test_record_wire_driver_rows_still_validate(self):
-        """A file from the per-batch record wire interleaves ``driver``
-        rows (feed-side counters) nobody writes any more; the validator
-        and the live view skip them."""
-        document = self._document()
-        document.insert(2, {
-            "kind": "driver", "t": 0.5, "records_routed": 100,
-            "batches_sent": 2, "bytes_out": 4096, "feed_s": 0.4,
-            "encode_s": 0.1, "pipe_write_s": 0.2,
-        })
-        assert validate_telemetry_lines(document) == []
-        assert telemetry_smoke(document) == []
-        view = TelemetryView()
-        for row in document:
-            view.feed(row)
-        assert "worker 0" in view.render()
-
-    def test_schema_1_file_still_reads(self, tmp_path, capsys):
-        """A file from the separate heartbeat pipe: schema 1, samples
-        carrying the always-zero ``blocked_s`` / ``bytes_in`` and a
-        ``dropped`` count, a final row with the drop total. It passes
-        both gates, summarises and renders."""
-        from repro.cli import main
-
-        sample = dict(
-            TestRecorder()._sample(), kind="sample", t=0.3,
-            blocked_s=0.0, bytes_in=0, dropped=0,
-        )
-        document = [
-            {
-                "kind": "header", "schema": 1, "interval": 0.25,
-                "workers": 1, "shards": 8, "executor": "process",
-                "transport": "pipe",
-                "thresholds": {
-                    "skew_warning": 1.5, "starvation_warning": 0.6,
-                },
-            },
-            sample,
-            dict(sample, t=0.6, seq=2, uptime_s=2.0, records=200, final=True),
-            {
-                "kind": "final", "t": 0.7, "wall_s": 0.7, "records": 200,
-                "results": 3, "samples": 2, "dropped": 0,
-            },
-        ]
-        assert validate_telemetry_lines(document) == []
-        assert telemetry_smoke(document) == []
-        path = tmp_path / "schema1.telemetry.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in document))
-        assert main(["telemetry", str(path), "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["workers"]["0"]["records"] == 200
-        assert summary["final"]["samples"] == 2
-        assert main(["top", str(path), "--once"]) == 0
-        frame = capsys.readouterr().out
-        assert "worker 0" in frame and "samples 2" in frame
-
     def test_empty_and_headerless_rejected(self):
         assert validate_telemetry_lines([]) == ["empty telemetry file"]
         errors = validate_telemetry_lines([{"kind": "sample"}])
@@ -429,6 +373,22 @@ class TestValidation:
             "unsupported telemetry schema" in e
             for e in validate_telemetry_lines(doc)
         )
+
+    def test_schema_1_file_is_refused(self, tmp_path, capsys):
+        """Schema 1 (the separate heartbeat pipe) is no longer read:
+        both gates and ``repro telemetry`` name the schema."""
+        from repro.cli import main
+
+        document = self._document()
+        document[0] = dict(document[0], schema=1)
+        assert "unsupported telemetry schema 1" in validate_telemetry_lines(
+            document
+        )
+        assert telemetry_smoke(document)
+        path = tmp_path / "schema1.telemetry.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in document))
+        assert main(["telemetry", str(path)]) == 2
+        assert "unsupported telemetry schema 1" in capsys.readouterr().err
 
     def test_seq_regression_flagged(self):
         doc = self._document()
