@@ -655,11 +655,6 @@ def _cmd_join(args) -> int:
                   f"number of seconds, got {args.heartbeat_interval}",
                   file=sys.stderr)
             return 2
-    # Only the stream: the dictionary is never read, and dropping it
-    # here keeps it out of the forked workers.
-    stream = load_token_file(
-        args.input, rate=args.rate, max_records=args.max_records
-    )[0]
     try:
         config = JoinConfig(
             similarity=args.similarity,
@@ -685,10 +680,16 @@ def _cmd_join(args) -> int:
             **({"perms": args.perms} if args.perms is not None else {}),
             **({"bands": args.bands} if args.bands is not None else {}),
         )
+        # Only the stream: the dictionary is never read, and dropping
+        # it here keeps it out of the forked workers.
+        stream = load_token_file(
+            args.input, rate=args.rate, max_records=args.max_records
+        )[0]
     except ValueError as error:
-        # JoinConfig's pointed validation errors (bad --batch-size,
-        # --shards, --window, --perms/--bands combinations) become
-        # clean exit-code-2 diagnostics instead of tracebacks.
+        # JoinConfig's and the loader's pointed validation errors (bad
+        # --threshold, --batch-size, --shards, --window, --perms/--bands
+        # combinations, --rate, --max-records) become clean
+        # exit-code-2 diagnostics instead of tracebacks.
         print(f"join: {error}", file=sys.stderr)
         return 2
     if args.parallel:
@@ -857,14 +858,13 @@ def _cmd_bench(args) -> int:
     kwargs = {"seed": args.seed}
     if args.vocabulary is not None:
         kwargs["vocabulary_size"] = args.vocabulary
-    stream = builder(args.records, **kwargs)
-    configs = standard_configs(
-        num_workers=args.workers,
-        threshold=args.threshold,
-        dispatcher_parallelism=args.dispatchers,
-    )
-    if args.mode == "approx":
-        try:
+    try:
+        configs = standard_configs(
+            num_workers=args.workers,
+            threshold=args.threshold,
+            dispatcher_parallelism=args.dispatchers,
+        )
+        if args.mode == "approx":
             configs["SKT"] = JoinConfig(
                 mode="approx",
                 threshold=args.threshold,
@@ -873,9 +873,10 @@ def _cmd_bench(args) -> int:
                 **({"perms": args.perms} if args.perms is not None else {}),
                 **({"bands": args.bands} if args.bands is not None else {}),
             )
-        except ValueError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
+    except ValueError as error:
+        print(f"bench: {error}", file=sys.stderr)
+        return 2
+    stream = builder(args.records, **kwargs)
     observers = {label: _make_observer(args) for label in configs}
     reports = run_methods(
         stream, configs, observer_factory=lambda label: observers[label]
@@ -1106,18 +1107,22 @@ def _cmd_trace(args) -> int:
             return 2
     if args.smoke:
         return _trace_smoke(args)
-    if args.input is not None:
-        stream, _ = load_token_file(args.input, rate=args.rate)
-    else:
-        stream = CORPUS_BUILDERS[args.corpus](args.records, seed=args.seed)
-    config = JoinConfig(
-        similarity=args.similarity,
-        threshold=args.threshold,
-        num_workers=args.workers,
-        distribution=args.distribution,
-        expiry=args.expiry,
-        dispatcher_parallelism=args.dispatchers,
-    )
+    try:
+        config = JoinConfig(
+            similarity=args.similarity,
+            threshold=args.threshold,
+            num_workers=args.workers,
+            distribution=args.distribution,
+            expiry=args.expiry,
+            dispatcher_parallelism=args.dispatchers,
+        )
+        if args.input is not None:
+            stream, _ = load_token_file(args.input, rate=args.rate)
+        else:
+            stream = CORPUS_BUILDERS[args.corpus](args.records, seed=args.seed)
+    except ValueError as error:
+        print(f"trace: {error}", file=sys.stderr)
+        return 2
     observer = _make_observer(args)
     report = DistributedStreamJoin(config).run(stream, observer=observer)
     # --json keeps stdout one JSON document; the human output moves to
@@ -1143,12 +1148,16 @@ def _trace_smoke(args) -> int:
     empty, corrupt, schema-invalid, or inconsistent with the cluster
     report. CI runs this.
     """
+    try:
+        config = JoinConfig(
+            threshold=args.threshold,
+            num_workers=min(args.workers, 2),
+            distribution=args.distribution,
+        )
+    except ValueError as error:
+        print(f"trace: {error}", file=sys.stderr)
+        return 2
     stream = CORPUS_BUILDERS[args.corpus](min(args.records, 150), seed=args.seed)
-    config = JoinConfig(
-        threshold=args.threshold,
-        num_workers=min(args.workers, 2),
-        distribution=args.distribution,
-    )
     observer = RunObserver.create(trace_sample=1, timeline=True, health=True)
     report = DistributedStreamJoin(config).run(stream, observer=observer)
 
@@ -1238,7 +1247,6 @@ def _overhead_line(header) -> str:
 def _cmd_spans(args) -> int:
     """``repro spans``: analyze (or smoke-gate) a wall-clock spans file."""
     from repro.obs.spans import (
-        WORKER_WAIT_PHASES,
         critical_path,
         load_spans_jsonl,
         phase_totals,
@@ -1319,12 +1327,7 @@ def _cmd_spans(args) -> int:
         worker_rows = []
         for worker, entry in totals["workers"].items():
             row = {"worker": worker, **entry}
-            row["exec_s"] = round(
-                sum(
-                    seconds for phase, seconds in entry.items()
-                    if phase not in WORKER_WAIT_PHASES
-                ), 6
-            )
+            row["exec_s"] = round(sum(entry.values()), 6)
             worker_rows.append(row)
         print(format_table(
             worker_rows,
@@ -1556,7 +1559,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stream = load_token_file(args.input, max_records=args.max_records)[0]
+    try:
+        stream = load_token_file(args.input, max_records=args.max_records)[0]
+    except ValueError as error:
+        print(f"stats: {error}", file=sys.stderr)
+        return 2
     print(format_table([stream.statistics().as_row()]))
     return 0
 

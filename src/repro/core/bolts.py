@@ -136,7 +136,6 @@ class JoinBolt(Bolt):
                 window=SlidingWindow(config.window_seconds),
                 meter=self.meter,
                 bundle_threshold=config.bundle_threshold,
-                max_members=config.bundle_max_members,
                 batch_verification=config.batch_verification,
             )
         else:

@@ -7,11 +7,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.local_join import EXPIRY_MODES
+from repro.similarity.functions import get_similarity
 
 DISTRIBUTIONS = ("length", "prefix", "broadcast")
 PARTITIONINGS = ("load_aware", "uniform", "quantile")
 SIMILARITIES = ("jaccard", "cosine", "dice", "overlap")
 MODES = ("exact", "approx")
+
+#: Records sampled from the head of the stream to plan the length
+#: partition and estimate vocabulary size.
+PLAN_SAMPLE_SIZE = 5000
 
 #: Upper bound on :attr:`JoinConfig.batch_size` — beyond this a batch
 #: stops amortizing anything and only buffers memory.
@@ -35,7 +40,7 @@ class JoinConfig:
         Length-partition planner for the length scheme:
         ``"load_aware"`` (the paper), ``"uniform"`` or ``"quantile"``.
         Ignored by the other schemes.
-    use_bundles / bundle_threshold / bundle_max_members:
+    use_bundles / bundle_threshold:
         Bundle-based join (length scheme only). ``bundle_threshold`` is
         the minimum record↔representative Jaccard (β ≥ θ).
     batch_verification:
@@ -50,9 +55,6 @@ class JoinConfig:
         the start of each probe/insert, so long-lived windows never
         re-scan dead entries). Ignored for unbounded windows; the
         bundle engine supports lazy expiry only.
-    sample_size:
-        Records sampled from the head of the stream to plan the length
-        partition and estimate vocabulary size.
     collect_pairs:
         Ship result pairs to the sink (tests, small runs) instead of
         per-probe counts (benchmarks).
@@ -76,11 +78,9 @@ class JoinConfig:
     partitioning: str = "load_aware"
     use_bundles: bool = False
     bundle_threshold: float = 0.9
-    bundle_max_members: int = 64
     batch_verification: bool = True
     window_seconds: float = math.inf
     expiry: str = "lazy"
-    sample_size: int = 5000
     collect_pairs: bool = False
     #: Parallel input dispatchers. Above 1, join bolts reorder work via
     #: dispatcher watermarks (exactly-once is preserved; see
@@ -111,6 +111,9 @@ class JoinConfig:
             raise ValueError(
                 f"similarity must be one of {SIMILARITIES}, got {self.similarity!r}"
             )
+        # The function's own threshold check: (0, 1] for the normalized
+        # functions, a positive integer count for overlap.
+        get_similarity(self.similarity, self.threshold)
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, "
@@ -143,8 +146,6 @@ class JoinConfig:
                 "expires whole bundles lazily (a bundle's lifetime is its "
                 "latest member's, unknowable at insert time)"
             )
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.dispatcher_parallelism < 1:
             raise ValueError(
                 f"dispatcher_parallelism must be >= 1, "

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.bolts import DispatcherBolt, JoinBolt, RecordSpout, ResultSink
-from repro.core.config import JoinConfig
+from repro.core.config import PLAN_SAMPLE_SIZE, JoinConfig
 from repro.obs.observer import RunObserver
 from repro.partition.length_partition import LengthPartition
 from repro.routing.base import Router
@@ -103,7 +103,7 @@ class DistributedStreamJoin:
         multi-core runtime)."""
         config = self.config
         return plan_routing(
-            config, self.func, stream.corpus[: config.sample_size]
+            config, self.func, stream.corpus[:PLAN_SAMPLE_SIZE]
         )
 
     # -- execution -----------------------------------------------------------

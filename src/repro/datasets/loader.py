@@ -37,8 +37,13 @@ def load_token_file(
     """Read a token file into a canonical stream plus its dictionary.
 
     Blank lines are skipped. Records appear in file order; arrival
-    timestamps are assigned at ``rate`` records/second.
+    timestamps are assigned at ``rate`` records/second. A non-positive
+    ``rate`` or a ``max_records`` below 1 raises ``ValueError`` before
+    the file is read.
     """
+    arrivals = ConstantRate(rate)
+    if max_records is not None and max_records < 1:
+        raise ValueError(f"max_records must be >= 1, got {max_records}")
     path = Path(path)
     ids: Dict[str, int] = {}  # token -> provisional id, first encounter
     id_of = ids.__getitem__
@@ -64,7 +69,7 @@ def load_token_file(
     for i, row in enumerate(rows):  # each id list is freed as it goes
         rows[i] = tuple(sorted(map(rank.__getitem__, row)))
     stream = RecordStream(
-        rows, arrivals=ConstantRate(rate), name=name or path.stem
+        rows, arrivals=arrivals, name=name or path.stem
     )
     return stream, dictionary
 

@@ -36,21 +36,13 @@ Design constraints, mirroring the span pipeline:
 The artefact (``--trace-out``, built by :func:`rectrace_header`
 whichever runtime ran) is JSONL: one header line (``artefact:
 "rectrace"`` — what ``repro trace FILE`` sniffs for), then one event
-object per line. The derived stage ``e2e``
-(first-stamp to last-stamp per record) joins the recorded events in
-the latency digest. The header digest (:func:`latency_digest`) and the
-metrics export (:func:`latency_metrics`) reduce the same per-stage
-durations through the one latency reservoir,
-:class:`~repro.obs.registry.Histogram`, so they report identical
-quantiles.
-
-Artefacts written while records still travelled driver → worker in
-batches also carry driver-stamped ``feed`` / ``encode`` /
-``pipe_write`` events and a worker-stamped ``decode``, and get a second
-derived stage, ``pipe`` (a batch's ``pipe_write`` end → its ``decode``
-start). No run records them any more; their wire ids stay reserved and
-every reader here still accepts them, so committed artefacts keep
-loading.
+object per line; a file naming an event outside :data:`TRACE_EVENTS`
+is refused. The derived stage ``e2e`` (first stamp to last stamp per
+record) joins the recorded events in the latency digest. The header
+digest (:func:`latency_digest`) and the metrics export
+(:func:`latency_metrics`) reduce the same per-stage durations through
+the one latency reservoir, :class:`~repro.obs.registry.Histogram`, so
+they report identical quantiles.
 """
 
 from __future__ import annotations
@@ -67,20 +59,15 @@ RECTRACE_SCHEMA_VERSION = 1
 #: file.
 RECTRACE_ARTEFACT = "rectrace"
 
-#: Event names in wire-id order (the low bits of the stage byte of a
-#: record-scoped row of the event frame and the ``event`` field of
-#: every JSONL event line), names only ever appended. Workers stamp
-#: ``probe`` / ``insert`` / ``match_emit``; the first four only appear
-#: in artefacts from the per-batch record wire. The simulated cluster
-#: stamps the last five plus ``probe`` / ``insert``: a zero-width
-#: ``emit`` at the source, a ``queue`` wait (delivery → service start)
-#: when a hop waited, and one service window per hop named after its
-#: component.
+#: Event names in stage-byte order (the low bits of the stage byte of
+#: a record-scoped row of the event frame; an id never leaves its run —
+#: the ``event`` field of every JSONL event line carries the name).
+#: Workers stamp ``probe`` / ``insert`` / ``match_emit``. The simulated
+#: cluster stamps the last five plus ``probe`` / ``insert``: a
+#: zero-width ``emit`` at the source, a ``queue`` wait (delivery →
+#: service start) when a hop waited, and one service window per hop
+#: named after its component.
 TRACE_EVENTS = (
-    "feed",
-    "encode",
-    "pipe_write",
-    "decode",
     "probe",
     "insert",
     "match_emit",
@@ -92,10 +79,9 @@ TRACE_EVENTS = (
 )
 EVENT_ID: Dict[str, int] = {name: i for i, name in enumerate(TRACE_EVENTS)}
 
-#: Stages of the latency digest: every event plus the two derived
-#: stages (``pipe`` = pipe_write→decode gap per shard-batch hop, legacy
-#: files only; ``e2e`` = first stamp → last stamp per record).
-TRACE_STAGES = TRACE_EVENTS + ("pipe", "e2e")
+#: Stages of the latency digest: every event plus the derived ``e2e``
+#: (first stamp → last stamp per record).
+TRACE_STAGES = TRACE_EVENTS + ("e2e",)
 
 #: Default deterministic sampling stride: trace every record whose rid
 #: is a multiple of 16 (~6% of a dense rid space) — cheap enough to
@@ -222,7 +208,7 @@ def record_trees(
     """Per-record event trees: rid → its events in stamp order.
 
     Accepts either the full document or just event rows; ties on
-    ``start`` break by wire event order, so a record's tree reads in
+    ``start`` break by event id, so a record's tree reads in
     pipeline order (probe, insert, match_emit)."""
     trees: Dict[int, List[Dict[str, object]]] = {}
     for row in rows:
@@ -238,38 +224,18 @@ def stage_durations(
     rows: Sequence[Dict[str, object]],
 ) -> Dict[str, List[float]]:
     """Per-stage duration samples: every recorded event contributes
-    its own width, plus the derived stages — ``e2e`` (per record,
-    first stamp to last stamp) and, in a file from the record wire,
-    ``pipe`` (each shard-hop's pipe_write→decode gap, clamped at zero:
-    the stamps come from two processes whose work can overlap by a
-    scheduling quantum)."""
+    its own width, and each record its ``e2e`` (first stamp to last
+    stamp)."""
     durations: Dict[str, List[float]] = {stage: [] for stage in TRACE_STAGES}
-    #: (rid, shard) → pipe_write end / decode start, for the gap.
-    writes: Dict[Tuple[int, int], List[float]] = {}
-    reads: Dict[Tuple[int, int], List[float]] = {}
     bounds: Dict[int, Tuple[float, float]] = {}
     for row in rows:
         if row.get("kind") != "event":
             continue
-        event = row["event"]
         start, end = row["start"], row["end"]
-        durations[event].append(end - start)
+        durations[row["event"]].append(end - start)
         rid = row["rid"]
         lo, hi = bounds.get(rid, (start, end))
         bounds[rid] = (min(lo, start), max(hi, end))
-        key = (rid, row["shard"])
-        if event == "pipe_write":
-            writes.setdefault(key, []).append(end)
-        elif event == "decode":
-            reads.setdefault(key, []).append(start)
-    for key, ends in writes.items():
-        starts = reads.get(key)
-        if not starts:
-            continue
-        # Pair the k-th write of this (rid, shard) with its k-th
-        # decode — both sides see the shard's batches in FIFO order.
-        for sent, received in zip(sorted(ends), sorted(starts)):
-            durations["pipe"].append(max(0.0, received - sent))
     for lo, hi in bounds.values():
         durations["e2e"].append(hi - lo)
     return durations

@@ -2,8 +2,8 @@
 
 The obs stack so far explains *logical* cost — metered operations over
 the simulated clock. The multiprocessing runtime (``repro.parallel``)
-spends real seconds in places the meters cannot see: encoding batches,
-blocking on pipes, decoding, probing, flushing meters, merging. This
+spends real seconds in places the meters cannot see: walking the
+records, probing, flushing meters, shipping result rows, merging. This
 module is the wall-clock counterpart of the simulated busy/idle
 timeline (:mod:`repro.obs.timeline`): the span vocabulary (the
 batch-scoped rows of the per-actor
@@ -52,11 +52,7 @@ Phases (the driver records the driver set with ``worker == -1``)::
     pipe_write  a worker shipping one batch's match rows — only batches
                 that produced rows have one
 
-Artefacts written while records still travelled driver → worker in
-batches also carry ``feed`` / ``encode`` / ``pipe_write`` (driver) and
-``pipe_read`` / ``decode`` (worker) spans. No run records them any
-more, but every reader here still totals them when a file has them, so
-committed artefacts keep loading.
+A file naming any other phase is refused.
 """
 
 from __future__ import annotations
@@ -68,17 +64,14 @@ from repro.obs.timeline import TimelineRecorder
 
 SPANS_SCHEMA_VERSION = 1
 
-#: Phase names in wire-id order (the stage byte of a batch-scoped row of
-#: the event frame and the ``phase`` field of every JSONL span line).
+#: Phase names in stage-byte order (the stage byte of a batch-scoped
+#: row of the event frame; an id never leaves its run — the ``phase``
+#: field of every JSONL span line carries the name).
 PHASES = (
     "setup",
-    "feed",
-    "encode",
     "pipe_write",
     "drain",
     "merge",
-    "pipe_read",
-    "decode",
     "probe",
     "insert",
     "meter_flush",
@@ -90,17 +83,8 @@ PHASE_ID: Dict[str, int] = {name: i for i, name in enumerate(PHASES)}
 DRIVER_PHASES = ("setup", "drain", "merge")
 WORKER_PHASES = ("route", "probe", "insert", "meter_flush")
 #: A worker's per-batch result ship, only in a run that produced rows,
-#: so reported when an actor has it (in a file from the record wire
-#: that actor is the driver, writing record batches under the same
-#: name).
+#: so reported when a worker has it.
 SHIP_PHASES = ("pipe_write",)
-#: Phases only artefacts from the per-batch record wire carry; reported
-#: when a file has them.
-LEGACY_DRIVER_PHASES = ("feed", "encode")
-LEGACY_WORKER_PHASES = ("pipe_read", "decode")
-#: Worker phases that were blocked waiting, not work — every other
-#: worker phase counts as executing.
-WORKER_WAIT_PHASES = ("pipe_read",)
 
 #: Worker id of driver-recorded spans.
 DRIVER = -1
@@ -182,41 +166,23 @@ def _sum_phase(spans, phase: str, worker: Optional[int] = None) -> float:
 def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Per-actor seconds by phase, plus the driver's wall coverage.
 
-    The driver's top-level windows (``setup``/``drain``/``merge``, and
-    ``feed`` between the first two in a file from the record wire) tile
-    the run, so their inclusive sum over the wall time —
-    ``driver_coverage`` — measures how much of the run the span
-    pipeline accounts for (the bench gate wants it within 5% of 1).
-    Each actor's dict holds today's phases plus whichever ship and
-    legacy ones it recorded; a reported ``feed`` is *exclusive* of its nested
-    ``encode`` and ``pipe_write`` spans, so the driver dict reads as a
-    partition of driver time. Worker phase totals are
-    reported as recorded (with ``sample > 1`` they undercount by design
-    — the header says so).
+    The driver's windows (``setup``/``drain``/``merge``) tile the run,
+    so their sum over the wall time — ``driver_coverage`` — measures
+    how much of the run the span pipeline accounts for (the bench gate
+    wants it within 5% of 1). Each worker's dict holds its phases plus
+    ``pipe_write`` when some worker shipped rows. Worker phase totals
+    are reported as recorded (with ``sample > 1`` they undercount by
+    design — the header says so).
     """
     header, spans = split_rows(rows)
     wall = float(header.get("wall_s", 0.0)) or 0.0
-    by_driver = {row["phase"] for row in spans if row["worker"] == DRIVER}
     by_workers = {row["phase"] for row in spans if row["worker"] != DRIVER}
-    driver_phases = DRIVER_PHASES + tuple(
-        phase for phase in LEGACY_DRIVER_PHASES + SHIP_PHASES
-        if phase in by_driver
-    )
     worker_phases = WORKER_PHASES + tuple(
-        phase for phase in SHIP_PHASES + LEGACY_WORKER_PHASES
-        if phase in by_workers
+        phase for phase in SHIP_PHASES if phase in by_workers
     )
 
-    driver: Dict[str, float] = {
-        phase: _sum_phase(spans, phase, DRIVER) for phase in driver_phases
-    }
-    feed = driver.get("feed", 0.0)
-    covered = driver["setup"] + feed + driver["drain"] + driver["merge"]
-    if "feed" in driver:
-        nested = sum(
-            driver.get(phase, 0.0) for phase in ("encode",) + SHIP_PHASES
-        )
-        driver["feed"] = max(0.0, feed - nested)
+    driver = {phase: _sum_phase(spans, phase, DRIVER) for phase in DRIVER_PHASES}
+    covered = sum(driver.values())
 
     workers: Dict[str, Dict[str, float]] = {}
     for row in spans:
@@ -230,7 +196,7 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
     return {
         "wall_s": wall,
-        "driver": {phase: round(driver[phase], 6) for phase in driver_phases},
+        "driver": {phase: round(seconds, 6) for phase, seconds in driver.items()},
         "driver_covered_s": round(covered, 6),
         "driver_coverage": round(covered / wall, 4) if wall > 0 else 0.0,
         "workers": {
@@ -241,10 +207,10 @@ def phase_totals(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
 
 def _clip(spans, worker, lo: float, hi: float) -> float:
-    """Summed overlap of a worker's executing spans with [lo, hi]."""
+    """Summed overlap of a worker's spans with [lo, hi]."""
     total = 0.0
     for row in spans:
-        if row["worker"] != worker or row["phase"] in WORKER_WAIT_PHASES:
+        if row["worker"] != worker:
             continue
         overlap = min(row["end"], hi) - max(row["start"], lo)
         if overlap > 0:
@@ -256,26 +222,22 @@ def critical_path(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     """The run as a chain of driver windows, each attributed to the
     actor that bounds it.
 
-    Algorithm: the driver's ``setup → drain → merge`` spans (with
-    ``feed`` after ``setup`` in a file from the record wire) partition
+    Algorithm: the driver's ``setup → drain → merge`` spans partition
     the run into serial windows (they cannot overlap — the driver is
-    one thread). For each window, every worker's *executing* time
-    (anything but :data:`WORKER_WAIT_PHASES`) is clipped to the window;
-    the window's critical actor is the driver during ``setup``/``merge``
-    (no concurrent work exists), otherwise whoever is busiest — during
-    ``drain`` that is the straggler worker the driver is blocked on,
-    during a legacy ``feed`` it is the driver itself unless some worker
-    computes for more of the window than the driver spends feeding it.
-    Summing the window durations reproduces the
-    covered wall time, so the chain *is* a critical path: shortening a
-    window's critical actor shortens the run.
+    one thread). The critical actor of ``setup`` and ``merge`` is the
+    driver (no concurrent work exists); that of ``drain`` is the
+    straggler worker the driver is blocked on — whichever worker's
+    spans, clipped to the window, cover most of it. Summing the window
+    durations reproduces the covered wall time, so the chain *is* a
+    critical path: shortening a window's critical actor shortens the
+    run.
     """
     header, spans = split_rows(rows)
     workers = sorted(
         {row["worker"] for row in spans if row["worker"] != DRIVER}
     )
     out: List[Dict[str, object]] = []
-    for stage in ("setup", "feed", "drain", "merge"):
+    for stage in DRIVER_PHASES:
         stage_spans = [
             row for row in spans if row["worker"] == DRIVER and row["phase"] == stage
         ]
@@ -285,14 +247,13 @@ def critical_path(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
         hi = max(row["end"] for row in stage_spans)
         duration = sum(row["end"] - row["start"] for row in stage_spans)
         critical, busy = "driver", duration
-        if stage in ("feed", "drain") and workers:
+        if stage == "drain" and workers:
             clipped = {
                 worker: _clip(spans, worker, lo, hi)
                 for worker in workers
             }
             straggler = max(clipped, key=lambda w: (clipped[w], -w))
-            if stage == "drain" or clipped[straggler] > duration:
-                critical, busy = f"worker {straggler}", clipped[straggler]
+            critical, busy = f"worker {straggler}", clipped[straggler]
         out.append(
             {
                 "stage": stage,
@@ -327,9 +288,9 @@ def waterfall(rows: Sequence[Dict[str, object]], width: int = 60) -> str:
 
 def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro spans --smoke`` gate: schema-valid, every expected
-    phase present, ship spans where a run without a record wire can have
-    them (on workers), and no actor's phase totals exceed the wall time.
-    Returns failure strings (empty = pass)."""
+    phase present, the driver recording driver phases only, and no
+    actor's phase totals exceeding the wall time. Returns failure
+    strings (empty = pass)."""
     failures = validate_span_lines(rows)
     if failures:
         return failures
@@ -339,21 +300,17 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
         failures.append(f"header wall_s is not positive: {wall}")
         return failures
     present = {row["phase"] for row in spans}
-    expected = {"setup", "drain", "merge"}
+    expected = set(DRIVER_PHASES)
     if int(header.get("batches", 1)):
         expected |= {"probe", "insert", "meter_flush"}
     for phase in sorted(expected):
         if phase not in present:
             failures.append(f"no span covers phase {phase!r}")
-    if "feed" not in present:
-        # No record wire: the only writes are workers shipping rows.
-        for phase in sorted(
-            {row["phase"] for row in spans if row["worker"] == DRIVER}
-            & set(SHIP_PHASES)
-        ):
-            failures.append(
-                f"driver recorded {phase!r} but the file has no record wire"
-            )
+    for phase in sorted(
+        {row["phase"] for row in spans if row["worker"] == DRIVER}
+        - set(DRIVER_PHASES)
+    ):
+        failures.append(f"driver recorded {phase!r}, a worker phase")
 
     budget = wall * 1.02 + 1e-6
     totals = phase_totals(rows)
@@ -363,10 +320,7 @@ def smoke_check(rows: Sequence[Dict[str, object]]) -> List[str]:
             f"driver phase totals ({covered:.6f}s) exceed wall time ({wall:.6f}s)"
         )
     for worker, entry in totals["workers"].items():
-        exec_total = sum(
-            value for phase, value in entry.items()
-            if phase not in WORKER_WAIT_PHASES
-        )
+        exec_total = sum(entry.values())
         if exec_total > budget:
             failures.append(
                 f"worker {worker} phase totals ({exec_total:.6f}s) exceed "

@@ -26,10 +26,7 @@ _GLYPHS = " .:-=*#"
 class TimelineRecorder:
     """Busy intervals per (component, task), merged on the fly."""
 
-    def __init__(self, merge_gap: float = 0.0):
-        #: Adjacent intervals closer than this merge into one (0 keeps
-        #: exact boundaries; back-to-back tuples still merge).
-        self.merge_gap = merge_gap
+    def __init__(self):
         self._intervals: Dict[TaskKey, List[List[float]]] = {}
         self.horizon = 0.0
 
@@ -39,7 +36,9 @@ class TimelineRecorder:
             raise ValueError(f"interval ends before it starts: {start} > {end}")
         key = (component, task)
         intervals = self._intervals.setdefault(key, [])
-        if intervals and start <= intervals[-1][1] + self.merge_gap:
+        # Touching or overlapping intervals merge: back-to-back tuples
+        # become one busy run.
+        if intervals and start <= intervals[-1][1]:
             if end > intervals[-1][1]:
                 intervals[-1][1] = end
         else:

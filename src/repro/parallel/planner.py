@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import JoinConfig
+from repro.core.config import PLAN_SAMPLE_SIZE, JoinConfig
 from repro.parallel.codec import INDEX, PROBE
 from repro.partition.length_partition import LengthPartition
 from repro.records import Record
@@ -111,7 +111,7 @@ def plan_shards(
     """Plan the shard routing for ``config`` over a corpus sample.
 
     ``corpus`` is the stream's token tuples (only the first
-    ``config.sample_size`` are consulted, mirroring
+    :data:`~repro.core.config.PLAN_SAMPLE_SIZE` are consulted, mirroring
     :meth:`DistributedStreamJoin.plan`). The requested shard count is
     ``config.num_workers`` and nothing else, which keeps parallel
     observables comparable with the simulated cluster.
@@ -123,5 +123,5 @@ def plan_shards(
             "process-sharded driver does not observe"
         )
     func = get_similarity(config.similarity, config.threshold)
-    router, partition = plan_routing(config, func, corpus[: config.sample_size])
+    router, partition = plan_routing(config, func, corpus[:PLAN_SAMPLE_SIZE])
     return ShardPlan(config=config, router=router, partition=partition, func=func)

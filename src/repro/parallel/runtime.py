@@ -62,7 +62,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.config import JoinConfig
+from repro.core.config import PLAN_SAMPLE_SIZE, JoinConfig
 from repro.core.metering import WorkMeter
 from repro.obs.artefact import write_jsonl
 from repro.obs.eventlog import EventLog, log_rows
@@ -310,9 +310,9 @@ def _fold_fanout(signals: Dict[str, float], fanout: Dict[str, float]) -> None:
 
 
 def _plan(config: JoinConfig, records: Sequence[Record]) -> ShardPlan:
-    """The shard plan over the first ``config.sample_size`` records —
+    """The shard plan over the first ``PLAN_SAMPLE_SIZE`` records —
     only the sample is copied, never the whole corpus."""
-    sample = [record.tokens for record in records[: config.sample_size]]
+    sample = [record.tokens for record in records[:PLAN_SAMPLE_SIZE]]
     return plan_shards(config, sample)
 
 

@@ -110,7 +110,6 @@ class AdaptiveLengthPartitioner:
         half_life: int = 2000,
         check_interval: int = 1000,
         imbalance_trigger: float = 1.5,
-        initial: Optional[LengthPartition] = None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -126,7 +125,7 @@ class AdaptiveLengthPartitioner:
         self.check_interval = check_interval
         self.imbalance_trigger = imbalance_trigger
         self.rolling = RollingLengthHistogram(half_life)
-        self.partition = initial
+        self.partition: Optional[LengthPartition] = None
         self.replans = 0
 
     def observe(self, length: int) -> Optional[ReplanDecision]:

@@ -36,6 +36,14 @@ from typing import Dict, List, Tuple
 from repro.partition.stats import LengthHistogram
 from repro.similarity.functions import SimilarityFunction
 
+#: Relative prices of the three cost components, following the
+#: simulator's cost model: a posting insert ≈ 8 units, probe tuple
+#: handling ≈ 300 units, admitting + part-verifying one candidate ≈ 30
+#: units.
+INSERT_WEIGHT = 8.0
+PROBE_WEIGHT = 300.0
+CANDIDATE_WEIGHT = 30.0
+
 
 class JoinCostEstimator:
     """Estimates per-worker join cost of owning a length range.
@@ -48,11 +56,6 @@ class JoinCostEstimator:
         Similarity function; supplies length bounds and prefix lengths.
     vocabulary_size:
         Approximate number of distinct tokens (selectivity scale).
-    insert_weight / probe_weight / candidate_weight:
-        Relative prices of the three cost components. Defaults follow
-        the simulator's cost model: a posting insert ≈ 8 units, probe
-        tuple handling ≈ 300 units, admitting + part-verifying one
-        candidate ≈ 30 units.
     """
 
     def __init__(
@@ -60,9 +63,6 @@ class JoinCostEstimator:
         histogram: LengthHistogram,
         func: SimilarityFunction,
         vocabulary_size: int = 10_000,
-        insert_weight: float = 8.0,
-        probe_weight: float = 300.0,
-        candidate_weight: float = 30.0,
     ):
         if histogram.total == 0:
             raise ValueError("cannot estimate costs from an empty histogram")
@@ -71,9 +71,6 @@ class JoinCostEstimator:
         self.histogram = histogram
         self.func = func
         self.vocabulary_size = vocabulary_size
-        self.insert_weight = insert_weight
-        self.probe_weight = probe_weight
-        self.candidate_weight = candidate_weight
 
         top = histogram.max_length
         self._top = top
@@ -124,7 +121,7 @@ class JoinCostEstimator:
 
     # -- components ----------------------------------------------------------
     def _index_cost(self, a: int, b: int) -> float:
-        return self.insert_weight * (self._G[b] - self._G[a - 1])
+        return INSERT_WEIGHT * (self._G[b] - self._G[a - 1])
 
     def _probe_sources(self, a: int, b: int) -> Tuple[int, int]:
         """Length range of records whose probes reach partition [a, b].
@@ -141,8 +138,8 @@ class JoinCostEstimator:
         low, high = self._probe_sources(a, b)
         if low > high:
             return 0.0
-        fixed = self.probe_weight * (self._F[high] - self._F[low - 1])
-        scale = self.candidate_weight / self.vocabulary_size
+        fixed = PROBE_WEIGHT * (self._F[high] - self._F[low - 1])
+        scale = CANDIDATE_WEIGHT / self.vocabulary_size
         candidates = 0.0
         for length in range(low, high + 1):
             weight = self._f[length] * self._g[length]

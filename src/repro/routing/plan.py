@@ -46,8 +46,8 @@ def plan_routing(
     """Build the router (and, for the length scheme, the partition).
 
     ``sample`` is a sequence of token tuples from the stream's head
-    (already truncated to ``config.sample_size`` by the caller, or not
-    — the planner takes what it is given). The router spans
+    (already truncated to :data:`~repro.core.config.PLAN_SAMPLE_SIZE`
+    by the caller, or not — the planner takes what it is given). The router spans
     ``config.num_workers`` join tasks.
     """
     workers = config.num_workers

@@ -38,6 +38,10 @@ from repro.storm.tuples import StormTuple, payload_bytes
 
 TaskKey = Tuple[str, int]
 
+#: Safety valve against runaway topologies: processing more events
+#: than this raises ``RuntimeError``.
+MAX_EVENTS = 200_000_000
+
 _EMIT = RECORD_SCOPE | EVENT_ID["emit"]
 _QUEUE = RECORD_SCOPE | EVENT_ID["queue"]
 
@@ -95,9 +99,6 @@ class LocalCluster:
         Work-unit prices; see :class:`~repro.storm.costmodel.CostModel`.
     network:
         Message latency/bandwidth model.
-    max_events:
-        Safety valve against runaway topologies (events processed beyond
-        this raise ``RuntimeError``).
     observer:
         Optional :class:`~repro.obs.observer.RunObserver` switching on
         record tracing and/or the busy/idle timeline for this cluster's
@@ -110,12 +111,10 @@ class LocalCluster:
         self,
         cost: Optional[CostModel] = None,
         network: Optional[NetworkModel] = None,
-        max_events: int = 200_000_000,
         observer: Optional[RunObserver] = None,
     ):
         self.cost = cost if cost is not None else CostModel()
         self.network = network if network is not None else NetworkModel()
-        self.max_events = max_events
         self.observer = observer
         self._timeline = observer.timeline if observer is not None else None
         self._source_log = None
@@ -163,9 +162,9 @@ class LocalCluster:
         events = 0
         while heap:
             events += 1
-            if events > self.max_events:
+            if events > MAX_EVENTS:
                 raise RuntimeError(
-                    f"simulation exceeded max_events={self.max_events}; "
+                    f"simulation exceeded {MAX_EVENTS} events; "
                     "topology is likely emitting in a cycle"
                 )
             when, _, kind, payload = heapq.heappop(heap)

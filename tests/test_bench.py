@@ -32,8 +32,8 @@ class TestStandardConfigs:
             standard_configs(include=["LEN", "XXX"])
 
     def test_overrides_propagate(self):
-        suite = standard_configs(collect_pairs=True, sample_size=42)
-        assert all(c.collect_pairs and c.sample_size == 42 for c in suite.values())
+        suite = standard_configs(collect_pairs=True, batch_size=42)
+        assert all(c.collect_pairs and c.batch_size == 42 for c in suite.values())
 
     def test_bundle_threshold_tracks_join_threshold(self):
         suite = standard_configs(threshold=0.95)

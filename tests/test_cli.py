@@ -394,7 +394,7 @@ class TestSpansCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["phase_totals"]["driver_coverage"] == 1.0
         stages = [s["stage"] for s in payload["critical_path"]]
-        assert stages == ["setup", "feed", "drain", "merge"]
+        assert stages == ["setup", "drain", "merge"]
 
     def test_smoke_on_fixture(self, capsys):
         assert main(["spans", self.FIXTURE, "--smoke"]) == 0
@@ -424,6 +424,15 @@ class TestSpansCommand:
         bad.write_text('{"kind": "header"\n')
         assert main(["spans", str(bad)]) == 2
         assert "corrupt span line" in capsys.readouterr().err
+
+    def test_record_wire_phase_is_refused(self, tmp_path, capsys):
+        lines = open(self.FIXTURE).read().splitlines()
+        feed = json.loads(lines[1])
+        feed.update(phase="feed", start=0.02, end=0.05)
+        bad = tmp_path / "wire.jsonl"
+        bad.write_text("\n".join(lines + [json.dumps(feed)]) + "\n")
+        assert main(["spans", str(bad)]) == 2
+        assert "unknown phase 'feed'" in capsys.readouterr().err
 
     def test_rejects_narrow_width(self, capsys):
         assert main(["spans", self.FIXTURE, "--width", "5"]) == 2
@@ -658,6 +667,19 @@ class TestTraceRectraceCommand:
         assert main(["trace", fixture]) == 0
         assert "recorder overhead: n/a" in capsys.readouterr().out
 
+    def test_record_wire_event_is_refused(self, tmp_path, capsys):
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "rectrace_fixture.jsonl"
+        )
+        lines = open(fixture).read().splitlines()
+        decode = dict(json.loads(lines[1]), event="decode")
+        bad = tmp_path / "wire.rectrace.jsonl"
+        bad.write_text("\n".join(lines + [json.dumps(decode)]) + "\n")
+        assert main(["trace", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown event 'decode'" in captured.err
+        assert "per-stage latency" not in captured.out
+
     def test_smoke(self, rectrace_file, capsys):
         assert main(["trace", str(rectrace_file), "--smoke"]) == 0
         assert "trace smoke ok" in capsys.readouterr().out
@@ -706,6 +728,38 @@ class TestTraceRectraceCommand:
                      "--trace-sample", "1", "--chrome", str(out_path)]) == 0
         assert "chrome:" in capsys.readouterr().out
         assert validate_chrome(json.loads(out_path.read_text())) == []
+
+
+class TestBadFlagValues:
+    """A bad flag value is one pointed stderr line and exit 2 — never a
+    traceback, and never a silently clamped run."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["join", "F", "--threshold", "1.5"], "threshold"),
+        (["join", "F", "--threshold", "0"], "threshold"),
+        (["join", "F", "--threshold", "1.5", "--parallel"], "threshold"),
+        (["join", "F", "--threshold", "0", "--parallel"], "threshold"),
+        (["trace", "F", "--threshold", "2"], "threshold"),
+        (["trace", "--smoke", "--threshold", "2"], "threshold"),
+        (["bench", "--threshold", "0"], "threshold"),
+        (["join", "F", "--rate", "0"], "rate"),
+        (["join", "F", "--rate", "-5"], "rate"),
+        (["join", "F", "--rate", "0", "--parallel"], "rate"),
+        (["trace", "F", "--rate", "0"], "rate"),
+        (["join", "F", "--max-records", "0"], "max_records"),
+        (["join", "F", "--max-records", "-3"], "max_records"),
+        (["stats", "F", "--max-records", "-1"], "max_records"),
+    ])
+    def test_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("alpha beta gamma\nalpha beta gamma delta\n")
+        argv = [str(corpus) if arg == "F" else arg for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and named in lines[0], captured.err
+        assert lines[0].startswith(f"{argv[0]}: ")
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestParser:

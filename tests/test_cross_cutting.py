@@ -11,10 +11,13 @@ from repro.core.join import DistributedStreamJoin
 from repro.core.local_join import StreamingSetJoin
 from repro.core.reference import naive_join
 from repro.datasets import synthetic_tweet
+from repro.parallel import run_serial
 from repro.records import Record
 from repro.similarity.functions import Jaccard, get_similarity
+from repro.sketch.recall import match_pairs
 from repro.streams.arrival import ConstantRate
 from repro.streams.stream import RecordStream
+from repro.streams.window import SlidingWindow
 
 
 def canonical(values):
@@ -148,3 +151,46 @@ class TestThresholdMonotonicity:
             if previous is not None:
                 assert previous <= current
             previous = current
+
+
+class TestLateArrivals:
+    """ROADMAP 6(i): a late arrival can be silently lost. ``s`` opens
+    a 10 s window, ``q`` (t=20) expires it, then ``r`` arrives late at
+    t=5 — inside ``s``'s window, Jaccard 9/11 with it — and only
+    ``naive_join`` reports (0, 2): the single engine misses it under
+    both expiry modes, and the sharded runs' answer depends on scheme ×
+    shards (prefix at 2 shards with lazy expiry reports it)."""
+
+    RECORDS = [
+        Record(0, tuple(range(1, 11)), 0.0),
+        Record(1, (1,) + tuple(range(100, 109)), 20.0),
+        Record(2, tuple(range(1, 10)) + (11,), 5.0),
+    ]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 6(i)")
+    def test_every_cell_equals_naive_join(self):
+        func = Jaccard(0.8)
+        expected = set(naive_join(self.RECORDS, func, SlidingWindow(10.0)))
+        assert expected == {(0, 2)}
+        got = {}
+        for expiry in ("lazy", "eager"):
+            engine = StreamingSetJoin(
+                func, window=SlidingWindow(10.0), expiry=expiry
+            )
+            got[("single", 1, expiry)] = {
+                tuple(sorted((record.rid, match.partner.rid)))
+                for record in self.RECORDS
+                for match in engine.probe_and_insert(record)
+            }
+            for scheme in ("length", "prefix", "broadcast"):
+                for shards in (1, 2, 4):
+                    config = JoinConfig(
+                        threshold=0.8, window_seconds=10.0, expiry=expiry,
+                        distribution=scheme, num_workers=shards,
+                        collect_pairs=True,
+                    )
+                    got[(scheme, shards, expiry)] = set(
+                        match_pairs(run_serial(config, self.RECORDS))
+                    )
+        wrong = {cell: pairs for cell, pairs in got.items() if pairs != expected}
+        assert wrong == {}

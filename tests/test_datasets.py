@@ -163,6 +163,15 @@ class TestLoader:
         stream, _ = load_token_file(path, max_records=2)
         assert len(stream) == 2
 
+    def test_bad_bounds_rejected_before_reading(self, tmp_path):
+        missing = tmp_path / "never-read.txt"
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_records must be >= 1"):
+                load_token_file(missing, max_records=cap)
+        for rate in (0, -5):
+            with pytest.raises(ValueError, match="rate must be positive"):
+                load_token_file(missing, rate=rate)
+
     def test_save_then_load_preserves_sets(self, tmp_path):
         original, dictionary = load_token_file(
             self._write(tmp_path, "x y z\nz y\n"), name="orig"

@@ -160,8 +160,11 @@ class TestConfigValidation:
             JoinConfig(num_workers=0)
         with pytest.raises(ValueError, match="window_seconds"):
             JoinConfig(window_seconds=0)
-        with pytest.raises(ValueError, match="sample_size"):
-            JoinConfig(sample_size=0)
+        for threshold in (0, 1.5):
+            with pytest.raises(ValueError, match="threshold must be in"):
+                JoinConfig(threshold=threshold)
+        with pytest.raises(ValueError, match="positive integer"):
+            JoinConfig(similarity="overlap", threshold=0.8)
 
     def test_bundles_require_length_scheme(self):
         with pytest.raises(ValueError, match="bundles require"):

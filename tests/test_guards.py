@@ -7,6 +7,7 @@ every file under it (byte-code caches excluded, and never this module,
 which has to spell every pattern out), a glob its matching files.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -94,6 +95,14 @@ def occurs_once(pattern, *specs):
 
 #: Everything a command, example, benchmark or CI step can reach.
 REACHABLE = ("src", "tests", "examples", "benchmarks", ".github")
+
+
+def lacks(module, constant, name):
+    """``name`` is not a member of ``module.constant``."""
+    def check():
+        values = getattr(importlib.import_module(module), constant)
+        return [f"{module}.{constant} has {name!r}"] if name in values else []
+    return check
 
 
 def only_target_is_probe_speedup():
@@ -247,6 +256,27 @@ GUARDS = {
         absent(r"_READABLE_SCHEMAS", *REACHABLE),
     ],
 }
+
+
+# The event log speaks today's runtime: records are published once, so
+# no phase, event, derived stage or reader branch of the per-batch
+# record wire is left.
+for _name in ("LEGACY_DRIVER_PHASES", "LEGACY_WORKER_PHASES", "WORKER_WAIT_PHASES"):
+    GUARDS[f"No record-wire {_name}"] = [absent(rf"\b{_name}\b", *REACHABLE)]
+for _name in ("feed", "encode", "pipe_read", "decode"):
+    GUARDS[f"No record-wire phase {_name}"] = [
+        lacks("repro.obs.spans", "PHASES", _name),
+    ]
+for _name in ("feed", "encode", "pipe_write", "decode"):
+    GUARDS[f"No record-wire event {_name}"] = [
+        lacks("repro.obs.rectrace", "TRACE_EVENTS", _name),
+    ]
+GUARDS["No record-wire stage pipe"] = [
+    lacks("repro.obs.rectrace", "TRACE_STAGES", "pipe"),
+]
+# Settings nobody varied are module constants, not JoinConfig fields.
+for _name in ("sample_size", "bundle_max_members"):
+    GUARDS[f"No JoinConfig.{_name}"] = [absent(rf"\b{_name}\b", *REACHABLE)]
 
 
 @pytest.mark.parametrize("step", list(GUARDS))

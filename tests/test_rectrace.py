@@ -86,9 +86,9 @@ class TestTraceFrameCodec:
     ``test_spans.TestSpanFrameCodec``)."""
 
     ROWS = [
-        (_event("feed"), -1, 0, 0.25, 0.5),
-        (PHASE_ID["decode"], 3, 1, 1.0, 1.125),
-        (_event("decode"), 3, 16, 1.0, 1.125),
+        (_event("emit"), -1, 0, 0.25, 0.5),
+        (PHASE_ID["probe"], 3, 1, 1.0, 1.125),
+        (_event("insert"), 3, 16, 1.0, 1.125),
         (_event("probe"), 3, 16, 1.25, 1.5),
         (_event("match_emit"), 7, 2 ** 40, 2.0, 2.0625),
     ]
@@ -100,9 +100,9 @@ class TestTraceFrameCodec:
         # The scope bit survives the wire: one span, four events, and a
         # rid past 32 bits comes back whole.
         spans, events = log_rows(decoded)
-        assert [row["phase"] for row in spans] == ["decode"]
+        assert [row["phase"] for row in spans] == ["probe"]
         assert [row["event"] for row in events] == [
-            "feed", "decode", "probe", "match_emit",
+            "emit", "insert", "probe", "match_emit",
         ]
         assert events[-1]["rid"] == 2 ** 40
 
@@ -195,11 +195,11 @@ class TestTraceRecorder:
 
     def test_rows_rebase_and_label(self):
         log = EventLog(trace_sample=1, measure=False)
-        log.record(_event("decode"), 10.0, 10.5, 2, 3)
+        log.record(_event("match_emit"), 10.0, 10.5, 2, 3)
         spans, events = log_rows(log.columns(), base=10.0, worker=1)
         assert spans == []
         assert events == [{
-            "kind": "event", "event": "decode", "rid": 3, "worker": 1,
+            "kind": "event", "event": "match_emit", "rid": 3, "worker": 1,
             "shard": 2, "start": 0.0, "end": 0.5,
         }]
 
@@ -264,8 +264,7 @@ class TestSamplingDeterminism:
         for rid, tree in record_trees(doc).items():
             events = {row["event"] for row in tree}
             assert "probe" in events or "insert" in events, rid
-            # Stamped where the work happens, never by the driver; the
-            # record wire's stages are gone.
+            # Stamped where the work happens, never by the driver.
             assert all(row["worker"] >= 0 for row in tree), rid
             assert events <= {"probe", "insert", "match_emit"}, rid
 
@@ -450,17 +449,12 @@ class TestRectraceArtefact:
 
 class TestCommittedFixtures:
     """The two JSONL artefacts are the compatibility surface of the
-    one event log. ``spans_fixture.jsonl`` dates from the first span
-    release; ``rectrace_fixture.jsonl`` was written by the last commit
-    that still had a ``TraceRecorder`` (process executor, 2 workers,
+    one event log: hand-written files in today's vocabulary, each
+    reading like a 2-worker process run (``rectrace_fixture.jsonl``:
     40 records, ``batch_size=8``, ``trace_sample=8``). Both must keep
     loading, validating, smoke-passing, Chrome-exporting and ingesting,
     and what the one log writes for the same run shape must validate
-    under the same schema constants — names only ever appended.
-    Both fixtures date from the per-batch record wire, so they are also
-    what pins the readers' handling of its phases and events (``feed``,
-    ``encode``, ``decode``, the write/read pairs), which no run records
-    any more."""
+    under the same schema constants."""
 
     FAMILIES = {
         "spans": (
@@ -487,15 +481,17 @@ class TestCommittedFixtures:
     def test_schema_constants_unchanged(self):
         assert SPANS_SCHEMA_VERSION == RECTRACE_SCHEMA_VERSION == 1
         assert PHASES == (
-            "setup", "feed", "encode", "pipe_write", "drain", "merge",
-            "pipe_read", "decode", "probe", "insert", "meter_flush", "route",
+            "setup", "pipe_write", "drain", "merge",
+            "probe", "insert", "meter_flush", "route",
         )
-        # Wire ids 0-6 are frozen; the simulator's hop names were
-        # appended after them.
+        # Ids never leave a run (files carry names), so only the order
+        # matters: a record's tree breaks ties probe → insert →
+        # match_emit.
         assert TRACE_EVENTS == (
-            "feed", "encode", "pipe_write", "decode", "probe", "insert",
-            "match_emit", "emit", "queue", "dispatch", "join", "sink",
+            "probe", "insert", "match_emit",
+            "emit", "queue", "dispatch", "join", "sink",
         )
+        assert TRACE_STAGES == TRACE_EVENTS + ("e2e",)
 
     def test_new_artefacts_match_the_fixtures_shape(self):
         result = try_process_run(
@@ -513,20 +509,13 @@ class TestCommittedFixtures:
             assert validate(document) == []
             assert smoke(document) == []
             old = load(path)
-            # Header keys only grow, bar the constant ``transport`` that
-            # left every header (readers never required it); row keys
-            # are frozen.
-            assert set(old[0]) - {"transport"} <= set(document[0]), family
+            # Header keys only grow; row keys are frozen.
+            assert set(old[0]) <= set(document[0]), family
             assert set(old[1]) == set(document[1]), family
-        # Same corpus, same plan: the fixture's worker-side event
-        # structure exactly; its driver-side and decode events are the
-        # record wire's and have no counterpart.
-        old = _trace_signature(load_rectrace_jsonl(RECTRACE_FIXTURE))
-        kept = ("probe", "insert", "match_emit")
-        assert _trace_signature(result.rectrace_document()) == {
-            rid: [e for e in events if e[0] in kept]
-            for rid, events in old.items()
-        }
+        # Same corpus, same plan: the fixture's event structure exactly.
+        assert _trace_signature(result.rectrace_document()) == (
+            _trace_signature(load_rectrace_jsonl(RECTRACE_FIXTURE))
+        )
 
 
 class TestLatencyAnalysis:
@@ -545,16 +534,20 @@ class TestLatencyAnalysis:
             assert entry["count"] >= 1
             assert 0 <= entry["p50_s"] <= entry["p95_s"] <= entry["p99_s"]
 
-    def test_pipe_stage_only_with_processes(self):
-        """The derived ``pipe`` hop exists only where records crossed a
-        pipe: the committed process-run fixture from the record wire.
-        No run has that hop now."""
+    def test_record_wire_events_are_refused(self):
+        """Records no longer travel driver → worker in batches, so no
+        digest has a ``pipe`` stage, and a file carrying one of that
+        wire's events is refused, naming it."""
         digest = latency_digest(self._doc())
-        assert "pipe" not in digest and "pipe_write" not in digest
-        old = load_rectrace_jsonl(RECTRACE_FIXTURE)
-        digest = latency_digest(old)
-        assert "pipe" in digest and "pipe_write" in digest
-        assert all(sample >= 0 for sample in stage_durations(old)["pipe"])
+        assert set(digest) <= set(TRACE_STAGES) and "pipe" not in digest
+        fixture = load_rectrace_jsonl(RECTRACE_FIXTURE)
+        for event in ("feed", "encode", "pipe_write", "decode"):
+            rows = fixture + [dict(fixture[1], event=event)]
+            for check in (validate_rectrace_lines, rectrace_smoke):
+                assert any(
+                    f"unknown event {event!r}" in error
+                    for error in check(rows)
+                ), (event, check)
 
     def test_e2e_bounds_every_stage_mean(self):
         _, events = split_rectrace(self._doc())

@@ -188,7 +188,7 @@ class TestSpanFrameCodec:
         log = EventLog(spans_sample=1, capacity=max(n, 1), measure=False)
         for i in range(n):
             log.record(
-                PHASE_ID["decode"], 0.25 * i, 0.25 * i + 0.1, shard=i, key=i * 2
+                PHASE_ID["probe"], 0.25 * i, 0.25 * i + 0.1, shard=i, key=i * 2
             )
         return encode_event_frame(*log.columns()), log
 
@@ -269,8 +269,8 @@ class TestSpansArtefact:
 
 class TestAnalyzerOnFixture:
     """The committed fixture's numbers are small enough to hand-check:
-    driver windows 0.02 + 0.03 + 0.045 + 0.005 tile the 0.1s wall
-    exactly, and worker 1 dominates the drain window (0.041s busy)."""
+    driver windows 0.02 + 0.075 + 0.005 tile the 0.1s wall exactly, and
+    worker 1 dominates the drain window (0.056s busy)."""
 
     @pytest.fixture
     def rows(self):
@@ -281,38 +281,35 @@ class TestAnalyzerOnFixture:
         assert totals["wall_s"] == 0.1
         assert totals["driver_covered_s"] == 0.1
         assert totals["driver_coverage"] == 1.0
-        # Today's phases, plus the record wire's that this fixture
-        # carries — and none it does not.
+        # Every actor's phases, recorded or not; no worker shipped
+        # rows, so no worker reports ``pipe_write``.
         assert totals["driver"] == {
-            "setup": 0.02, "drain": 0.045, "merge": 0.005,
-            "feed": 0.023, "encode": 0.003, "pipe_write": 0.004,
+            "setup": 0.02, "drain": 0.075, "merge": 0.005,
         }
         assert totals["workers"] == {
             "0": {"route": 0.0, "probe": 0.034, "insert": 0.01,
-                  "meter_flush": 0.001, "pipe_read": 0.011, "decode": 0.001},
+                  "meter_flush": 0.001},
             "1": {"route": 0.0, "probe": 0.045, "insert": 0.01,
-                  "meter_flush": 0.001, "pipe_read": 0.024, "decode": 0.001},
+                  "meter_flush": 0.001},
         }
 
     def test_critical_path(self, rows):
         path = critical_path(rows)
-        assert [stage["stage"] for stage in path] == [
-            "setup", "feed", "drain", "merge",
-        ]
+        assert [stage["stage"] for stage in path] == ["setup", "drain", "merge"]
         assert [stage["critical"] for stage in path] == [
-            "driver", "driver", "worker 1", "driver",
+            "driver", "worker 1", "driver",
         ]
-        drain = path[2]
-        assert drain["seconds"] == 0.045
-        assert drain["busy_s"] == 0.041
-        assert drain["utilisation"] == 0.9111
+        drain = path[1]
+        assert drain["seconds"] == 0.075
+        assert drain["busy_s"] == 0.056
+        assert drain["utilisation"] == 0.7467
         # Window durations reproduce the covered wall time.
         assert sum(stage["seconds"] for stage in path) == pytest.approx(0.1)
 
     def test_waterfall_renders_wall_axis(self, rows):
         art = waterfall(rows, width=40)
         assert "wall time" in art
-        for phase in ("setup", "feed", "drain", "merge", "probe[1]"):
+        for phase in ("setup", "drain", "merge", "probe[1]"):
             assert phase in art
 
     def test_smoke_check_passes(self, rows):
