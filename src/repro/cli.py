@@ -1525,13 +1525,20 @@ def _cmd_explain(args) -> int:
     if args.method_a == args.method_b:
         print("explain: the two methods must differ", file=sys.stderr)
         return 2
-    stream = CORPUS_BUILDERS[args.corpus](args.records, seed=args.seed)
-    configs = standard_configs(
-        num_workers=args.workers,
-        threshold=args.threshold,
-        dispatcher_parallelism=args.dispatchers,
-        include=[args.method_a, args.method_b],
-    )
+    try:
+        if args.records < 1:
+            # No record, no busy time: the gap has nothing to attribute.
+            raise ValueError(f"records must be >= 1, got {args.records}")
+        stream = CORPUS_BUILDERS[args.corpus](args.records, seed=args.seed)
+        configs = standard_configs(
+            num_workers=args.workers,
+            threshold=args.threshold,
+            dispatcher_parallelism=args.dispatchers,
+            include=[args.method_a, args.method_b],
+        )
+    except ValueError as error:
+        print(f"explain: {error}", file=sys.stderr)
+        return 2
     reports = run_methods(stream, configs)
     result = attribute_gap(
         metrics_to_json(reports[args.method_a].obs),
@@ -1552,7 +1559,11 @@ def _cmd_generate(args) -> int:
     kwargs = {"seed": args.seed}
     if args.duplicate_rate is not None:
         kwargs["duplicate_rate"] = args.duplicate_rate
-    stream = builder(args.records, **kwargs)
+    try:
+        stream = builder(args.records, **kwargs)
+    except ValueError as error:  # bad --records or --duplicate-rate
+        print(f"generate: {error}", file=sys.stderr)
+        return 2
     count = save_token_file(args.output, stream)
     print(f"wrote {count} records to {args.output}")
     return 0

@@ -132,7 +132,7 @@ class JoinConfig:
                 "reuses the single home worker's probe results, which the "
                 f"{self.distribution!r} scheme does not have"
             )
-        if self.window_seconds <= 0:
+        if not self.window_seconds > 0:  # NaN too
             raise ValueError(
                 f"window_seconds must be positive, got {self.window_seconds}"
             )

@@ -132,6 +132,10 @@ def generate_corpus(
     """Canonical token arrays for ``n_records`` records of a spec."""
     if n_records < 0:
         raise ValueError(f"n_records must be >= 0, got {n_records}")
+    if not 0 <= spec.duplicate_rate <= 1:  # a probability; NaN too
+        raise ValueError(
+            f"duplicate_rate must be in [0, 1], got {spec.duplicate_rate}"
+        )
     rng = random.Random(seed)
     vocabulary = ZipfVocabulary(spec.vocabulary_size, spec.skew)
     corpus: List[Tuple[int, ...]] = []

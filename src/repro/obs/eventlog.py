@@ -23,9 +23,9 @@ traces every rid that is a multiple of it (:meth:`EventLog.selected`);
 of the rid, every worker agrees on the traced set without being told
 it.
 
-A worker's log ships back after its loop as one ``TAG_EVENTS`` frame (the
-columns as they are, :func:`repro.parallel.codec.encode_event_frame`);
-the driver turns every actor's columns into the two JSONL artefacts
+A worker's log ships back after its loop inside its pickled run-end
+summary (the ``TAG_DONE`` frame: the columns as they are, each
+``array`` pickled as its raw bytes); the driver turns every actor's columns into the two JSONL artefacts
 with :func:`log_rows`. The log measures its own per-stamp cost at
 construction (the fastest of a few short bursts,
 :func:`measure_record_cost`), so
@@ -145,7 +145,7 @@ class EventLog:
         return self._n
 
     def columns(self) -> Columns:
-        """The populated column slices (what the wire frame carries)."""
+        """The populated column slices (what the run-end summary carries)."""
         n = self._n
         return (
             self._stages[:n],

@@ -245,34 +245,51 @@ class HealthMonitor:
         leveling so a persistent straggler is reported the moment the
         ratio first crosses each level — mid-run, not post-hoc.
         """
+        self._skew_level[component] = self._load_skew_event(
+            time, component, busy, self._skew_level.get(component, 0), True
+        )
+
+    def _load_skew_event(
+        self, time: float, component: str, busy: List[float], level: int,
+        online: bool,
+    ) -> int:
+        """The one warning/critical ladder of the load-skew detector:
+        emit the event ``busy`` earns if its level (1 warning, 2
+        critical) is above ``level``, and return the level reached. An
+        online warning is the short message; every other event says
+        what the skew bounds."""
         skew = _load_skew(busy)
         if skew is None:
-            return
+            return level
         ratio, straggler = skew
-        level = self._skew_level.get(component, 0)
-        if ratio >= self.thresholds.skew_critical and level < 2:
-            self._skew_level[component] = 2
-            self._emit(
-                time, "critical", "load_skew", component, straggler,
-                ratio, self.thresholds.skew_critical,
-                f"{component}[{straggler}] carries {ratio:.2f}x the "
-                f"average busy time of its component: straggler / "
-                f"load skew bounds throughput",
-            )
-        elif ratio >= self.thresholds.skew_warning and level < 1:
-            self._skew_level[component] = 1
-            self._emit(
-                time, "warning", "load_skew", component, straggler,
-                ratio, self.thresholds.skew_warning,
-                f"{component}[{straggler}] carries {ratio:.2f}x the "
-                f"average busy time of its component",
-            )
+        critical = self.thresholds.skew_critical
+        warning = self.thresholds.skew_warning
+        if ratio >= critical:
+            reached, severity, threshold = 2, "critical", critical
+        elif ratio >= warning:
+            reached, severity, threshold = 1, "warning", warning
+        else:
+            return level
+        if reached <= level:
+            return level
+        message = (
+            f"{component}[{straggler}] carries {ratio:.2f}x the "
+            f"average busy time of its component"
+        )
+        if reached == 2 or not online:
+            message += ": straggler / load skew bounds throughput"
+        self._emit(
+            time, severity, "load_skew", component, straggler,
+            ratio, threshold, message,
+        )
+        return reached
 
-    def finalize(self, registry, time: float) -> None:
-        """Run-end detectors over the populated metrics registry.
-
-        ``registry`` is a :class:`repro.storm.metrics.MetricsRegistry`
-        (duck-typed: needs ``busy_by_component()`` and ``obs``).
+    def finalize(
+        self, busy_by_component: Dict[str, List[float]], obs, time: float
+    ) -> None:
+        """Run-end detectors over per-task busy seconds grouped by
+        component; the event counts become ``health_events`` gauges of
+        the :class:`~repro.obs.registry.ObsRegistry` ``obs``.
         Idempotent — a second call is a no-op, mirroring
         ``sync_obs``.
         """
@@ -291,28 +308,11 @@ class HealthMonitor:
                     f"{average:.0%} of the join tasks: replication "
                     f"dominates communication cost",
                 )
-        for component, busy in sorted(registry.busy_by_component().items()):
-            skew = _load_skew(busy)
-            if skew is None:
-                continue
-            ratio, straggler = skew
-            severity = None
-            threshold = self.thresholds.skew_warning
-            if ratio >= self.thresholds.skew_critical:
-                severity, threshold = "critical", self.thresholds.skew_critical
-            elif ratio >= self.thresholds.skew_warning:
-                severity = "warning"
-            if severity is not None:
-                self._emit(
-                    time, severity, "load_skew", component, straggler,
-                    ratio, threshold,
-                    f"{component}[{straggler}] carries {ratio:.2f}x the "
-                    f"average busy time of its component: straggler / "
-                    f"load skew bounds throughput",
-                )
+        for component, busy in sorted(busy_by_component.items()):
+            self._load_skew_event(time, component, busy, 0, False)
         counts = self.counts()
         for severity in SEVERITIES:
-            registry.obs.gauge(
+            obs.gauge(
                 "health_events",
                 help="health events emitted by the run's online detectors",
                 severity=severity,

@@ -24,7 +24,7 @@ Design constraints, mirroring the span pipeline:
   actor's :class:`~repro.obs.eventlog.EventLog` — the same five
   preallocated typed-array columns the spans use (stage u8, shard i32,
   key i64 = rid, start/end f64): no allocation, no dict, no object per
-  event — shipped inside the one ``TAG_EVENTS`` frame.
+  event — shipped inside the worker's run-end summary frame.
 * **One clock.** All stamps are ``time.monotonic()`` (CLOCK_MONOTONIC
   system-wide on POSIX, comparable across processes of one host); the
   driver rebases everything to the run start, exactly like spans.
@@ -60,7 +60,7 @@ RECTRACE_SCHEMA_VERSION = 1
 RECTRACE_ARTEFACT = "rectrace"
 
 #: Event names in stage-byte order (the low bits of the stage byte of
-#: a record-scoped row of the event frame; an id never leaves its run —
+#: a record-scoped row of the event log; an id never leaves its run —
 #: the ``event`` field of every JSONL event line carries the name).
 #: Workers stamp ``probe`` / ``insert`` / ``match_emit``. The simulated
 #: cluster stamps the last five plus ``probe`` / ``insert``: a

@@ -65,7 +65,7 @@ from repro.obs.timeline import TimelineRecorder
 SPANS_SCHEMA_VERSION = 1
 
 #: Phase names in stage-byte order (the stage byte of a batch-scoped
-#: row of the event frame; an id never leaves its run — the ``phase``
+#: row of the event log; an id never leaves its run — the ``phase``
 #: field of every JSONL span line carries the name).
 PHASES = (
     "setup",

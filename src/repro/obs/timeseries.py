@@ -3,11 +3,15 @@
 Spans (:mod:`repro.obs.spans`) explain a parallel run *after* it ends;
 this module makes one observable *while* it runs. Workers write
 ``TAG_HEARTBEAT`` frames — a pickled counter dict — on their result
-pipe at batch boundaries (:mod:`repro.parallel.worker`); the driver
-hands each sample to a :class:`TelemetryRecorder`, which
+pipe at batch boundaries (:mod:`repro.parallel.worker`), and their
+run-end summary opens with the same counters; the driver hands each
+to a :class:`TelemetryRecorder` (the summary as the worker's final
+sample), which
 
-* timestamps the sample on arrival (seconds since run start — one
+* stamps the sample: arrival time (seconds since run start — one
   driver clock, so samples from different workers are comparable),
+  the worker whose pipe it came on, its sequence number on that pipe
+  and whether it is final,
 * keeps the rolling per-worker and cluster-wide time series,
 * feeds the :class:`~repro.obs.health.HealthMonitor`'s load-skew
   detector *online* from the cross-worker busy snapshot, so a
@@ -53,8 +57,10 @@ SAMPLE_SCHEMA: Dict[str, type] = {
     "t": float,           # seconds since run start (driver arrival clock)
     "worker": int,
     "seq": int,           # per-worker, strictly increasing, gap-free
-    "final": bool,        # the flagged EOF sample
-    "uptime_s": float,    # worker-side seconds since fork
+    "final": bool,        # from the worker's run-end summary
+    # The fields above are the driver's stamps; those below are the
+    # worker's counters.
+    "uptime_s": float,    # worker-side seconds since its start
     "batches": int,       # rolling counters: monotone non-decreasing
     "records": int,
     "matches": int,
@@ -65,6 +71,9 @@ SAMPLE_SCHEMA: Dict[str, type] = {
     "phase_s": dict,      # per worker phase busy seconds (spans on only)
 }
 
+#: What a worker sends: every sample field after the driver's stamps.
+COUNTERS = tuple(SAMPLE_SCHEMA)[5:]
+
 #: Rolling counters that must never decrease across a worker's samples.
 _MONOTONE_COUNTERS = ("batches", "records", "matches", "busy_s", "bytes_out")
 
@@ -74,10 +83,10 @@ class TelemetryRecorder:
 
     The runtime constructs one per telemetry-enabled run and calls
     :meth:`on_heartbeat` for every sample (unpickled from a worker's
-    pipe) and :meth:`finalize` once after the merge, or when the run
-    fails. All hooks are O(1) dict work plus one JSON line when a sink
-    path is configured — nothing here may slow the data plane
-    measurably.
+    pipe: each heartbeat, then the summary) and :meth:`finalize` once
+    after the merge, or when the run fails. All hooks are O(1) dict
+    work plus one JSON line when a sink path is configured — nothing
+    here may slow the data plane measurably.
     """
 
     def __init__(
@@ -119,36 +128,33 @@ class TelemetryRecorder:
             self._write_line(self.header)
 
     # -- ingestion -----------------------------------------------------------
-    def on_heartbeat(self, sample: Dict[str, object]) -> Dict[str, object]:
-        """One heartbeat sample → one timestamped sample row.
+    def on_heartbeat(
+        self, worker: int, counters: Dict[str, object], final: bool
+    ) -> Dict[str, object]:
+        """Worker ``worker``'s :data:`COUNTERS` → one stamped sample row.
 
-        ``sample`` is the dict a
-        :class:`~repro.parallel.worker.HeartbeatEmitter` writes.
-        Arrival is stamped against the driver's monotonic clock rebased
-        to the run start.
+        ``counters`` is a dict the worker built
+        (:meth:`~repro.parallel.worker.ShardWorker.counters`): a
+        heartbeat's whole body, or its run-end summary, which is the
+        ``final`` sample. ``seq`` is the samples already read from that
+        worker; arrival is stamped against the driver's monotonic clock
+        rebased to the run start.
         """
         t = max(0.0, time.monotonic() - self.base)
+        series = self.by_worker.setdefault(worker, [])
         row = {
-            "kind": "sample",
-            "t": round(t, 6),
-            "worker": sample["worker"],
-            "seq": sample["seq"],
-            "final": bool(sample.get("final", False)),
-            "uptime_s": round(float(sample["uptime_s"]), 6),
-            "batches": int(sample["batches"]),
-            "records": int(sample["records"]),
-            "matches": int(sample["matches"]),
-            "live_postings": int(sample["live_postings"]),
-            "busy_s": round(float(sample["busy_s"]), 6),
-            "bytes_out": int(sample["bytes_out"]),
-            "rss_bytes": int(sample["rss_bytes"]),
-            "phase_s": {
-                name: round(float(value), 6)
-                for name, value in sample.get("phase_s", {}).items()
-            },
+            "kind": "sample", "t": round(t, 6), "worker": worker,
+            "seq": len(series), "final": final,
+            **{key: counters[key] for key in COUNTERS},
         }
+        # Seconds to the microsecond, like ``t``.
+        row["uptime_s"] = round(row["uptime_s"], 6)
+        row["busy_s"] = round(row["busy_s"], 6)
+        row["phase_s"] = {
+            name: round(value, 6) for name, value in row["phase_s"].items()
+        }
+        series.append(row)
         self.rows.append(row)
-        self.by_worker.setdefault(row["worker"], []).append(row)
         self._write_line(row)
         self._feed_health(t)
         return row
@@ -296,9 +302,10 @@ def split_telemetry(rows: Sequence[Dict[str, object]]):
 
 def telemetry_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
     """The ``repro telemetry --smoke`` gate: schema-valid, properly
-    closed by a run that did not fail, and at least one sample from
-    every worker (the flagged final heartbeat guarantees this at any
-    interval). Returns failure strings (empty = pass)."""
+    closed by a run that did not fail, at least one sample from every
+    worker, and exactly one ``final`` sample — its last — from every
+    worker that finished (its run-end summary, so the coverage holds
+    at any interval). Returns failure strings (empty = pass)."""
     failures = validate_telemetry_lines(rows)
     if failures:
         return failures
@@ -307,14 +314,23 @@ def telemetry_smoke(rows: Sequence[Dict[str, object]]) -> List[str]:
     if final is None:
         failures.append("no final row: the run did not close its telemetry")
         return failures
-    if final.get("error"):
+    failed = bool(final.get("error"))
+    if failed:
         failures.append(f"the run failed: {final['error']}")
     if final.get("wall_s", 0) <= 0:
         failures.append(f"final wall_s is not positive: {final.get('wall_s')}")
-    seen = {row["worker"] for row in body if row.get("kind") == "sample"}
+    series = worker_series(body)
     for worker in range(int(header.get("workers", 0))):
-        if worker not in seen:
+        if worker not in series:
             failures.append(f"no heartbeat sample from worker {worker}")
+    for worker, worker_rows in sorted(series.items()):
+        finals = sum(1 for row in worker_rows if row["final"])
+        if finals > 1 or not (finals or failed):
+            failures.append(
+                f"worker {worker} has {finals} final samples (expected 1)"
+            )
+        elif finals and not worker_rows[-1]["final"]:
+            failures.append(f"worker {worker}'s final sample is not its last")
     samples = final.get("samples", 0)
     actual = sum(1 for row in body if row.get("kind") == "sample")
     if samples != actual:

@@ -19,10 +19,8 @@ from repro.parallel.codec import (
     BatchEncoder,
     MatchRow,
     MatchTable,
-    decode_event_frame,
     decode_match_batch,
     decode_record_batch,
-    encode_event_frame,
     encode_match_batch,
     encode_record_batch,
 )
@@ -56,10 +54,8 @@ __all__ = [
     "ShardPlan",
     "ShardWorker",
     "build_shard_engine",
-    "decode_event_frame",
     "decode_match_batch",
     "decode_record_batch",
-    "encode_event_frame",
     "encode_match_batch",
     "encode_record_batch",
     "merge_matches",

@@ -35,22 +35,13 @@ Match batches travel the other way with the same idea: the five
 columns of a :class:`MatchTable` ``(timestamps, rid_a, rid_b, overlap,
 similarity)``, one row per reported pair, in canonical result order.
 
-The event frame (``TAG_EVENTS``) — the one instrument frame — ships a
-worker's event log back after its loop ends with the identical
-columnar trick: a ``<HBBI`` header (magic ``0x4556`` "EV", version,
-flags = 0, n_rows) followed by five flat columns — stage ``u8``, shard
-``i32``, key ``i64``, start ``f64``, end ``f64``, 29 bytes per row —
-exactly the :class:`~repro.obs.eventlog.EventLog` storage layout, so
-encoding is five ``tobytes()`` calls on the live log arrays and
-decoding never materialises per-row objects. Spans and record-trace
-events travel in the same columns: the top bit of the stage byte says
-whether ``key`` is a batch sequence or a rid, and the driver splits
-them into the two JSONL artefacts.
-
-Heartbeat frames (``TAG_HEARTBEAT``) need no codec here: like
-``TAG_DONE`` they are the tag byte and a pickled dict (one row of
-rolling counters), written on the result pipe at a batch boundary, so
-they arrive in order with the match frames around them.
+Heartbeat and summary frames (``TAG_HEARTBEAT``, ``TAG_DONE``) need
+no codec here: each is the tag byte and a pickled dict, written on the
+result pipe, so they arrive in order with the match frames around them.
+A heartbeat is one snapshot of a worker's rolling counters; the summary
+is the worker's one run-end report — its last counters (the final
+telemetry sample), its meters, and its event-log columns, whose
+``array`` objects pickle as their raw bytes.
 
 This module is the single source of truth for the ``TAG_*`` frame
 tags; :mod:`repro.parallel.worker` and the runtime import them from
@@ -78,8 +69,7 @@ PROBE, INDEX, BOTH = 1, 2, 3
 #: here (and only here): driver and workers must agree on these or the
 #: wire protocol silently corrupts.
 TAG_MATCHES = 0x11      # worker → driver: match batch, repeated
-TAG_DONE = 0x12         # worker → driver: pickled summary dict
-TAG_EVENTS = 0x13       # worker → driver: event-log frame, iff spans or tracing
+TAG_DONE = 0x12         # worker → driver: pickled run-end summary dict
 TAG_HEARTBEAT = 0x14    # worker → driver: pickled live-counter dict
 TAG_ERROR = 0x7F        # worker → driver: pickled traceback string
 
@@ -453,60 +443,3 @@ def decode_match_batch(data) -> MatchTable:
         column.frombytes(view[_U32.size + 8 * n * k : _U32.size + 8 * n * (k + 1)])
     return table
 
-
-EVENT_MAGIC = 0x4556  # "EV"
-EVENT_VERSION = 1
-
-_EVENT_HEADER = struct.Struct("<HBBI")
-
-#: Bytes per row across the five columns (u8 + i32 + i64 + f64 + f64).
-_EVENT_ROW_BYTES = 1 + 4 + 8 + 8 + 8
-
-EventColumns = Tuple[array, array, array, array, array]
-
-
-def encode_event_frame(
-    stages: array, shards: array, keys: array, starts: array, ends: array
-) -> bytes:
-    """Pack event-log columns (``EventLog.columns()``) into one
-    contiguous buffer."""
-    return b"".join(
-        (
-            _EVENT_HEADER.pack(EVENT_MAGIC, EVENT_VERSION, 0, len(stages)),
-            stages.tobytes(),
-            shards.tobytes(),
-            keys.tobytes(),
-            starts.tobytes(),
-            ends.tobytes(),
-        )
-    )
-
-
-def decode_event_frame(data: bytes) -> EventColumns:
-    """Inverse of :func:`encode_event_frame` (pointed errors)."""
-    if len(data) < _EVENT_HEADER.size:
-        raise CodecError(f"event frame truncated: {len(data)} bytes")
-    magic, version, flags, n = _EVENT_HEADER.unpack_from(data)
-    if magic != EVENT_MAGIC:
-        raise CodecError(f"bad event-frame magic 0x{magic:04x}")
-    if version != EVENT_VERSION:
-        raise CodecError(f"unsupported event-frame version {version}")
-    if flags:
-        raise CodecError(f"unsupported event-frame flags 0x{flags:02x}")
-    expected = _EVENT_HEADER.size + n * _EVENT_ROW_BYTES
-    if len(data) != expected:
-        raise CodecError(
-            f"event frame inconsistent: {n} rows need {expected} bytes, "
-            f"have {len(data)}"
-        )
-    offset = _EVENT_HEADER.size
-
-    def column(typecode: str) -> array:
-        nonlocal offset
-        col = array(typecode)
-        end = offset + col.itemsize * n
-        col.frombytes(data[offset:end])
-        offset = end
-        return col
-
-    return column("B"), column("i"), column("q"), column("d"), column("d")

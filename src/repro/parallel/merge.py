@@ -24,7 +24,7 @@ Three merges, each with an exactness argument:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.obs.health import HealthMonitor
 from repro.obs.registry import ObsRegistry
@@ -172,7 +172,7 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
         ("worker_busy_seconds", "seconds spent processing batches", "busy_s"),
         ("worker_batches", "batches processed", "batches"),
         ("worker_records", "records processed", "records"),
-        ("worker_bytes_out", "match/span frame bytes sent", "bytes_out"),
+        ("worker_bytes_out", "match frame bytes sent", "bytes_out"),
         ("worker_lifetime_seconds", "seconds from start to loop end", "lifetime_s"),
         (
             "worker_peak_rss_bytes",
@@ -193,19 +193,6 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
             "worker_idle_seconds", help="lifetime not spent busy", **labels,
         ).set(max(0.0, lifetime - stats["busy_s"]))
     return registry
-
-
-class _WorkerBusyRegistry:
-    """Duck-typed stand-in for ``MetricsRegistry`` in
-    :meth:`HealthMonitor.finalize`: per-worker busy seconds plus an
-    :class:`ObsRegistry` for the health-event gauges."""
-
-    def __init__(self, busy: List[float]):
-        self._busy = busy
-        self.obs = ObsRegistry()
-
-    def busy_by_component(self) -> Dict[str, List[float]]:
-        return {WORKER_COMPONENT: list(self._busy)}
 
 
 def worker_health(result) -> HealthMonitor:
@@ -236,5 +223,5 @@ def worker_health(result) -> HealthMonitor:
         stats.total = fanout["total"]
         stats.count = fanout["count"]
     busy = [stats["busy_s"] for stats in result.worker_stats]
-    monitor.finalize(_WorkerBusyRegistry(busy), result.wall_s)
+    monitor.finalize({WORKER_COMPONENT: busy}, ObsRegistry(), result.wall_s)
     return monitor

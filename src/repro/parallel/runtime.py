@@ -10,7 +10,7 @@ Execution model::
                                     walk the records, keep its shards'
                                     tasks, probe/insert per batch
     drain every worker at once <──  ship each batch's matches as it
-    (frame → sink, or collect)      finishes; event log + summary last
+    (frame → sink, or collect)      finishes; one run-end summary last
     merge (sort, sum meters)
 
 Determinism: the stream is routed over ``config.num_workers`` logical
@@ -48,10 +48,11 @@ shard's frames in arrival order; no order across shards or workers (no
 consumer needs one — canonical order is the collecting path's). Every
 stamp — spans and record-trace events alike — lands in one
 :class:`~repro.obs.eventlog.EventLog` per actor (the driver's on the
-per-run :class:`_Run`, each worker's shipped back as one ``TAG_EVENTS``
-frame), and one merge helper (:meth:`ParallelJoinRunner._artefacts`)
-splits them into the two JSONL artefacts. Placement and the run's log
-live on :class:`_Run`; the runner holds configuration only.
+per-run :class:`_Run`, each worker's shipped back inside its
+``TAG_DONE`` summary), and one merge helper
+(:meth:`ParallelJoinRunner._artefacts`) splits them into the two JSONL
+artefacts. Placement and the run's log live on :class:`_Run`; the
+runner holds configuration only.
 """
 
 from __future__ import annotations
@@ -77,11 +78,9 @@ from repro.parallel.codec import (
     PROBE,
     TAG_DONE,
     TAG_ERROR,
-    TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
     MatchTable,
-    decode_event_frame,
     decode_match_batch,
 )
 from repro.parallel.merge import (
@@ -109,6 +108,12 @@ EXECUTOR = "process"
 #: The one value ``ParallelJoinRunner(transport=)`` accepts: results
 #: come back over one pipe per worker.
 TRANSPORT = "pipe"
+
+#: What a worker's ``worker_stats`` entry keeps of its summary.
+WORKER_STATS = (
+    "records", "batches", "busy_s", "intervals", "bytes_out", "lifetime_s",
+    "peak_rss_bytes", "span_count",
+)
 
 
 class ParallelWorkerError(RuntimeError):
@@ -139,8 +144,8 @@ class ParallelJoinResult:
     #: Raw per-shard meter snapshots (summary format of
     #: :meth:`ShardWorker.finish`), for per-shard inspection.
     shard_meters: Dict[int, dict] = field(repr=False)
-    #: Per physical worker: ``{"worker", "shards", "records",
-    #: "batches", "busy_s", "intervals"}``.
+    #: Per physical worker: ``{"worker", "shards", "heartbeats"}`` and
+    #: the :data:`WORKER_STATS` keys of its summary.
     worker_stats: List[dict] = field(repr=False)
     #: Driver-observed routing fanout: ``{"total", "count", "peak"}``
     #: of the per-record reached-shards fraction.
@@ -268,8 +273,9 @@ class _Run:
     #: The planner's placement, decided once per run: ``assignment[w]``
     #: lists worker ``w``'s shards.
     assignment: List[List[int]] = field(default_factory=list)
-    #: worker id → its decoded event-log columns, filled while draining.
-    columns: Dict[int, tuple] = field(default_factory=dict)
+    #: worker id → its event-log columns (``None`` without a log), taken
+    #: from its summary while draining.
+    columns: Dict[int, Optional[tuple]] = field(default_factory=dict)
     #: Where match frames go (``None``: into ``chunks``, one table per
     #: worker, for the merge) and how many rows have gone there.
     sink: Optional[Callable[[MatchTable], None]] = None
@@ -500,11 +506,12 @@ class ParallelJoinRunner:
                     if tag == TAG_MATCHES:
                         run.consume(w, decode_match_batch(body))
                     elif tag == TAG_HEARTBEAT:
-                        telemetry.on_heartbeat(pickle.loads(body))
-                    elif tag == TAG_EVENTS:
-                        run.columns[w] = decode_event_frame(body)
+                        telemetry.on_heartbeat(w, pickle.loads(body), final=False)
                     elif tag == TAG_DONE:
-                        summaries[w] = pickle.loads(body)
+                        summary = summaries[w] = pickle.loads(body)
+                        run.columns[w] = summary.pop("columns")
+                        if telemetry is not None:
+                            telemetry.on_heartbeat(w, summary, final=True)
                         del pending[conn]
                     elif tag == TAG_ERROR:
                         raise ParallelWorkerError(pickle.loads(body))
@@ -556,9 +563,7 @@ class ParallelJoinRunner:
             return {
                 "driver": entry(driver_counts[view], log.record_cost_s),
                 "workers": {
-                    str(w): entry(
-                        summary.get(count_key, 0), summary.get("record_cost_s", 0.0)
-                    )
+                    str(w): entry(summary[count_key], summary["record_cost_s"])
                     for w, summary in enumerate(summaries)
                 },
             }
@@ -590,23 +595,15 @@ class ParallelJoinRunner:
         t_merge = time.monotonic()
         shard_meters: Dict[int, dict] = {}
         worker_stats = []
+        samples = run.telemetry.by_worker if run.telemetry is not None else {}
         for w, summary in enumerate(summaries):
             shard_meters.update(summary["meters"])
-            worker_stats.append(
-                {
-                    "worker": w,
-                    "shards": run.assignment[w],
-                    "records": summary["records"],
-                    "batches": summary["batches"],
-                    "busy_s": summary["busy_s"],
-                    "intervals": summary["intervals"],
-                    "bytes_out": summary.get("bytes_out", 0),
-                    "lifetime_s": summary.get("lifetime_s", 0.0),
-                    "peak_rss_bytes": summary.get("peak_rss_bytes", 0),
-                    "span_count": summary.get("span_count", 0),
-                    "heartbeats": summary.get("heartbeats", 0),
-                }
-            )
+            worker_stats.append({
+                "worker": w,
+                "shards": run.assignment[w],
+                **{key: summary[key] for key in WORKER_STATS},
+                "heartbeats": len(samples.get(w, ())),
+            })
         operations, events, signals = merge_meters(shard_meters)
         matches = merge_matches(run.chunks) if run.sink is None else None
         # Every worker tallies the same walk over the same records.

@@ -23,31 +23,33 @@ per worker, message = one ``send_bytes`` frame, first byte = tag, tags
 defined in :mod:`repro.parallel.codec`):
 
     worker → driver   TAG_MATCHES   match batch (codec), repeated
-                      TAG_HEARTBEAT pickled live-counter dict, iff
+                      TAG_HEARTBEAT pickled counter snapshot, iff
                                     telemetry is on, repeated
-                      TAG_EVENTS    event-log frame (codec), iff spans or
-                                    tracing are on
-                      TAG_DONE      pickled summary dict
+                      TAG_DONE      pickled run-end summary: the last
+                                    counters, the meters and the
+                                    event-log columns
                       TAG_ERROR     pickled traceback string
 
 Results stream: a worker ships its emit buffer at every batch boundary
 that has rows (:meth:`ShardWorker.flush_matches`) and starts a fresh
-one, so it never holds more than one batch's rows; its event log and
-summary follow when the loop ends.
+one, so it never holds more than one batch's rows; its one run-end
+summary follows when the loop ends.
 
 Deadlock freedom: the driver never writes after start-up and reads
 every worker's pipe at once, so no wait cycle exists. A worker blocked
-writing a frame — matches or heartbeat — waits only for the driver,
-and the driver waits for no worker in particular.
+writing a frame — matches, heartbeat or summary — waits only for the
+driver, and the driver waits for no worker in particular.
 
 Live telemetry rides the same pipe: :class:`HeartbeatEmitter` is polled
 at every batch boundary, after the batch's match ship, and when a
 sample is due writes one ``TAG_HEARTBEAT`` frame — a blocking write
 like every other. Frames of one pipe arrive in order, so a sample's
 ``matches`` is exactly the rows the driver has already taken from that
-worker. A final flagged heartbeat is always written when the loop ends,
-before ``TAG_DONE``, so every finished run carries at least one sample
-per worker at any interval.
+worker. A sample is :meth:`ShardWorker.counters` and nothing else: the
+driver stamps which worker sent it, its sequence number and whether it
+is final. The ``TAG_DONE`` summary carries the same counters, which the
+driver files as the worker's final sample, so every finished run
+carries at least one sample per worker at any interval.
 
 One batch path: :meth:`ShardWorker.run` hands every batch to
 :meth:`ShardWorker.process_batch`, and every record runs through one
@@ -62,11 +64,10 @@ calls in the same order either way, so instrumentation can never change
 an observable. Spans (the loop's own routing time between batches,
 probe, insert, meter flush, the per-batch result ship) and trace events
 (probe/insert/match-emit) are rows of the worker's one
-:class:`~repro.obs.eventlog.EventLog` and ship back as one
-``TAG_EVENTS`` frame; independent of it, every worker tracks cheap
+:class:`~repro.obs.eventlog.EventLog`, whose columns ship back inside
+the ``TAG_DONE`` summary; independent of it, every worker tracks cheap
 per-run telemetry (busy seconds, rows and bytes shipped so far, peak
-RSS) carried live by the heartbeats and reported in the ``TAG_DONE``
-summary.
+RSS) carried live by the heartbeats and at the end by the summary.
 """
 
 from __future__ import annotations
@@ -90,18 +91,16 @@ from repro.parallel.codec import (
     PROBE,
     TAG_DONE,
     TAG_ERROR,
-    TAG_EVENTS,
     TAG_HEARTBEAT,
     TAG_MATCHES,
     MatchTable,
-    encode_event_frame,
 )
 from repro.records import Record
 from repro.routing.base import fanout_fraction
 from repro.similarity.functions import get_similarity
 
 __all__ = [
-    "TAG_MATCHES", "TAG_DONE", "TAG_EVENTS", "TAG_HEARTBEAT", "TAG_ERROR",
+    "TAG_MATCHES", "TAG_DONE", "TAG_HEARTBEAT", "TAG_ERROR",
     "MATCH_CHUNK", "peak_rss_bytes", "build_shard_engine",
     "ShardWorker", "HeartbeatEmitter", "worker_main",
 ]
@@ -160,8 +159,8 @@ class ShardWorker:
     ``spans_sample >= 1`` switches on wall-clock span recording with
     that downsampling stride (0 = off); ``trace_sample >= 1`` switches
     on per-record tracing with that rid stride (0 = off); ``worker``
-    is the physical worker id stamped onto telemetry, spans and trace
-    events.
+    is the physical worker id. Nothing the worker sends carries it:
+    the driver knows which worker each pipe belongs to.
     """
 
     def __init__(
@@ -173,6 +172,9 @@ class ShardWorker:
         worker: int = 0,
         trace_sample: int = 0,
     ):
+        #: The worker's start: ``uptime_s`` counts from here, engine
+        #: construction included.
+        self.born = time.monotonic()
         self.config = config
         self.num_shards = num_shards
         self.worker = worker
@@ -197,11 +199,10 @@ class ShardWorker:
         #: ``(start, end)`` monotonic spans of batch processing, for the
         #: driver's busy/idle timeline.
         self.intervals: List[Tuple[float, float]] = []
-        #: Telemetry: result-frame bytes sent so far (what the ``ship``
-        #: hook returned, plus the event frame) and, filled by
-        #: ``worker_main``, the worker's total lifetime.
+        #: Telemetry: match-frame bytes sent so far (what the ``ship``
+        #: hook returned). The run-end summary is not counted: it
+        #: carries this count and cannot include itself.
         self.bytes_out = 0
-        self.lifetime_s = 0.0
         #: The worker's one event log — spans and trace events both —
         #: or ``None`` when neither is on: an uninstrumented worker
         #: calibrates nothing and allocates no columns.
@@ -215,17 +216,19 @@ class ShardWorker:
         #: of the wall clock or the worker count).
         self._batch_seq: Dict[int, int] = {}
 
-    def telemetry_snapshot(self) -> dict:
-        """Rolling counters for one heartbeat — O(shards) plus, when
-        spans are on, a pass over the rows logged since the last
-        snapshot for the per-phase split. Pure read: touches no engine
-        or meter state, so sampling can never perturb an observable."""
+    def counters(self) -> dict:
+        """The rolling counters: one heartbeat's whole body, and the
+        head of :meth:`finish`'s summary — O(shards) plus, when spans
+        are on, a pass over the rows logged since the last call for the
+        per-phase split. Pure read: touches no engine or meter state,
+        so sampling can never perturb an observable."""
         if self.log is not None:
             by_id = self.log.phase_seconds()
             phase_s = {name: by_id[PHASE_ID[name]] for name in WORKER_PHASES}
         else:
             phase_s = {name: 0.0 for name in WORKER_PHASES}
         return {
+            "uptime_s": time.monotonic() - self.born,
             "batches": self.batches,
             "records": self.records,
             "matches": self.shipped + len(self.matches),
@@ -405,7 +408,12 @@ class ShardWorker:
 
     def finish(self) -> dict:
         """Final-postings events, canonical match order of whatever the
-        emit buffer still holds, summary dict."""
+        emit buffer still holds, and the run-end summary: the last
+        :meth:`counters` (the driver's final sample), the meters, the
+        busy intervals and the event log — its columns (``None``
+        without a log), row counts and per-stamp cost. ``lifetime_s``
+        and ``peak_rss_bytes`` are the final ``uptime_s`` and
+        ``rss_bytes`` under their ``worker_stats`` names."""
         for shard in sorted(self.engines):
             self.meters[shard].event(
                 "final_postings", self.engines[shard].live_postings
@@ -413,8 +421,9 @@ class ShardWorker:
         self.matches.sort()
         log = self.log
         span_count, trace_count = log.counts() if log is not None else (0, 0)
-        return {
-            "meters": {
+        summary = self.counters()
+        summary.update(
+            meters={
                 shard: {
                     "operations": dict(meter.operations),
                     "events": dict(meter.events),
@@ -422,53 +431,37 @@ class ShardWorker:
                 }
                 for shard, meter in self.meters.items()
             },
-            "records": self.records,
-            "batches": self.batches,
-            "busy_s": self.busy_s,
-            "intervals": list(self.intervals),
-            "bytes_out": self.bytes_out,
-            "lifetime_s": self.lifetime_s,
-            "peak_rss_bytes": peak_rss_bytes(),
-            "span_count": span_count,
-            "trace_count": trace_count,
-            "record_cost_s": log.record_cost_s if log is not None else 0.0,
-        }
+            intervals=list(self.intervals),
+            lifetime_s=summary["uptime_s"],
+            peak_rss_bytes=summary["rss_bytes"],
+            columns=log.columns() if log is not None else None,
+            span_count=span_count,
+            trace_count=trace_count,
+            record_cost_s=log.record_cost_s if log is not None else 0.0,
+        )
+        return summary
 
 
 class HeartbeatEmitter:
-    """One worker's ``TAG_HEARTBEAT`` schedule: due times and sequence
-    numbers, each sample written to the result pipe ``conn`` as a tagged
-    pickle. ``born`` is the worker's start on the clock its summary's
-    ``lifetime_s`` is measured from, so ``uptime_s`` counts from there
-    too. Every sample is delivered, so ``seq`` is strictly increasing
-    and gap-free per worker.
+    """One worker's ``TAG_HEARTBEAT`` schedule: at a batch boundary
+    where a sample is due, the worker's :meth:`ShardWorker.counters`
+    go to the result pipe ``conn`` as a tagged pickle. The first sample
+    is due ``interval`` (> 0) after the worker's start ``born``.
     """
 
-    def __init__(self, conn, worker: int, interval: float, born: float):
-        if interval <= 0:
-            raise ValueError(f"heartbeat interval must be > 0, got {interval}")
+    __slots__ = ("conn", "interval", "_next_due")
+
+    def __init__(self, conn, interval: float, born: float):
         self.conn = conn
-        self.worker = worker
         self.interval = interval
-        self.seq = 0
-        self._born = born
         self._next_due = born + interval
 
-    def emit(self, counters: dict, final: bool = False) -> None:
-        """Stamp ``counters`` (a :meth:`ShardWorker.telemetry_snapshot`)
-        and write the sample."""
-        now = time.monotonic()
-        self._next_due = now + self.interval
-        self.conn.send_bytes(_HEARTBEAT_TAG + pickle.dumps({
-            "worker": self.worker, "seq": self.seq, "final": final,
-            "uptime_s": now - self._born, **counters,
-        }))
-        self.seq += 1
-
     def maybe_emit(self, worker: "ShardWorker") -> None:
-        """Emit one sample iff the interval has elapsed."""
-        if time.monotonic() >= self._next_due:
-            self.emit(worker.telemetry_snapshot())
+        """Write one sample iff the interval has elapsed."""
+        now = time.monotonic()
+        if now >= self._next_due:
+            self._next_due = now + self.interval
+            self.conn.send_bytes(_HEARTBEAT_TAG + pickle.dumps(worker.counters()))
 
 
 def ship_matches(table: MatchTable, conn) -> int:
@@ -503,12 +496,11 @@ def worker_main(
     hosted ``shard_ids``; nothing is read from ``conn``.
 
     With ``heartbeat_interval > 0`` a rolling-counter ``TAG_HEARTBEAT``
-    frame follows any batch that finds a sample due, and a final one
-    precedes ``TAG_DONE``.
+    frame follows any batch that finds a sample due. The one
+    ``TAG_DONE`` summary ends every run.
     ``spans_sample`` / ``trace_sample`` are the :class:`ShardWorker`
     strides (0 = off).
     """
-    born = time.monotonic()
     try:
         worker = ShardWorker(
             config, shard_ids, plan.num_shards,
@@ -517,26 +509,11 @@ def worker_main(
         )
         emitter = None
         if heartbeat_interval > 0:
-            emitter = HeartbeatEmitter(conn, worker_id, heartbeat_interval, born)
+            emitter = HeartbeatEmitter(conn, heartbeat_interval, worker.born)
         ship = partial(ship_matches, conn=conn)
         fanout = worker.run(records, plan, emitter, ship)
-        worker.lifetime_s = time.monotonic() - born
-        # bytes_out counts the data plane (match + event frames); the
-        # pickled summary frame itself is excluded — it has to carry
-        # the final byte count.
-        if worker.log is not None:
-            frame = bytes([TAG_EVENTS]) + encode_event_frame(*worker.log.columns())
-            conn.send_bytes(frame)
-            worker.bytes_out += len(frame)
-        if emitter is not None:
-            # The unconditional flagged sample: every finished run
-            # carries >= 1 heartbeat per worker, whatever the interval,
-            # and its counters are the run's totals.
-            emitter.emit(worker.telemetry_snapshot(), final=True)
         summary = worker.finish()
         summary["fanout"] = fanout
-        if emitter is not None:
-            summary["heartbeats"] = emitter.seq
         conn.send_bytes(bytes([TAG_DONE]) + pickle.dumps(summary))
     except Exception:
         try:

@@ -222,7 +222,9 @@ class LocalCluster:
             last_time = max(last_time, end)
 
         if self._health is not None:
-            self._health.finalize(registry, last_time)
+            self._health.finalize(
+                registry.busy_by_component(), registry.obs, last_time
+            )
         if self._source_log is not None:
             self.observer.close_trace(
                 source_records, last_time,

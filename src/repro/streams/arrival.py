@@ -16,7 +16,7 @@ class ConstantRate:
     """Evenly spaced arrivals at ``rate`` records per second."""
 
     def __init__(self, rate: float):
-        if rate <= 0:
+        if not rate > 0:  # NaN too
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
 
@@ -38,7 +38,7 @@ class PoissonArrivals:
     """Memoryless arrivals with exponential inter-arrival gaps."""
 
     def __init__(self, rate: float, seed: int = 0):
-        if rate <= 0:
+        if not rate > 0:  # NaN too
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
         self.seed = seed
@@ -64,7 +64,7 @@ class BurstyArrivals:
     """
 
     def __init__(self, burst_rate: float, burst_len: int, gap: float, seed: int = 0):
-        if burst_rate <= 0 or burst_len <= 0 or gap < 0:
+        if not (burst_rate > 0 and burst_len > 0 and gap >= 0):  # NaN too
             raise ValueError(
                 f"invalid bursty parameters: rate={burst_rate}, "
                 f"len={burst_len}, gap={gap}"

@@ -22,7 +22,7 @@ class SlidingWindow:
     """
 
     def __init__(self, seconds: float = math.inf):
-        if seconds <= 0:
+        if not seconds > 0:  # NaN too; inf is the unbounded window
             raise ValueError(f"window must be positive, got {seconds}")
         self.seconds = float(seconds)
 

@@ -749,6 +749,16 @@ class TestBadFlagValues:
         (["join", "F", "--max-records", "0"], "max_records"),
         (["join", "F", "--max-records", "-3"], "max_records"),
         (["stats", "F", "--max-records", "-1"], "max_records"),
+        # NaN passes a ``<= 0`` test; it is refused like 0.
+        (["join", "F", "--rate", "nan"], "rate"),
+        (["join", "F", "--rate", "nan", "--parallel"], "rate"),
+        (["trace", "F", "--rate", "nan"], "rate"),
+        (["join", "F", "--window", "nan"], "window"),
+        (["join", "F", "--window", "nan", "--parallel"], "window"),
+        (["generate", "F", "--records", "-5"], "records"),
+        (["generate", "F", "--duplicate-rate", "2"], "duplicate_rate"),
+        (["generate", "F", "--duplicate-rate", "-1"], "duplicate_rate"),
+        (["explain", "LEN", "PRE", "--records", "0"], "records"),
     ])
     def test_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

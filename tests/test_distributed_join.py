@@ -160,6 +160,8 @@ class TestConfigValidation:
             JoinConfig(num_workers=0)
         with pytest.raises(ValueError, match="window_seconds"):
             JoinConfig(window_seconds=0)
+        with pytest.raises(ValueError, match="window_seconds"):
+            JoinConfig(window_seconds=float("nan"))
         for threshold in (0, 1.5):
             with pytest.raises(ValueError, match="threshold must be in"):
                 JoinConfig(threshold=threshold)

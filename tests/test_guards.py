@@ -98,9 +98,12 @@ REACHABLE = ("src", "tests", "examples", "benchmarks", ".github")
 
 
 def lacks(module, constant, name):
-    """``name`` is not a member of ``module.constant``."""
+    """``name`` is not a member of ``module.constant`` (a dotted path
+    below the module, e.g. ``"Class.__slots__"``)."""
     def check():
-        values = getattr(importlib.import_module(module), constant)
+        values = importlib.import_module(module)
+        for attribute in constant.split("."):
+            values = getattr(values, attribute)
         return [f"{module}.{constant} has {name!r}"] if name in values else []
     return check
 
@@ -164,11 +167,12 @@ GUARDS = {
             "src",
         ),
     ],
-    # One recorder class owns a _grow; one encoder for instrument
-    # columns.
+    # One recorder class owns a _grow. The heartbeat is the one
+    # instrument frame, a pickled dict like the summary that carries
+    # the event log: no instrument codec.
     "One event log, one instrument frame": [
         occurs_once(r"def _grow", "src/repro/obs/*.py"),
-        occurs_once(r"^def encode_[a-z_]*_frame", "src/repro/parallel/codec.py"),
+        absent(r"^def (en|de)code_[a-z_]*_frame", "src/repro/parallel/codec.py"),
     ],
     # A token-filtered engine applies the prefix scheme's reporting
     # rule itself; the two-pass filter is the test oracle only.
@@ -273,6 +277,17 @@ for _name in ("feed", "encode", "pipe_write", "decode"):
     ]
 GUARDS["No record-wire stage pipe"] = [
     lacks("repro.obs.rectrace", "TRACE_STAGES", "pipe"),
+]
+# One run-end report per worker: the summary carries the event log and
+# is the final heartbeat, so no event frame, its codec or magic is
+# left, and the driver stamps a sample's sequence number.
+for _name in ("TAG_EVENTS", "encode_event_frame", "decode_event_frame", "EVENT_MAGIC"):
+    GUARDS[f"No event frame {_name}"] = [
+        lacks("repro.parallel.codec", "__dict__", _name),
+        absent(rf"\b{_name}\b", *REACHABLE),
+    ]
+GUARDS["No worker-side heartbeat seq"] = [
+    lacks("repro.parallel.worker", "HeartbeatEmitter.__slots__", "seq"),
 ]
 # Settings nobody varied are module constants, not JoinConfig fields.
 for _name in ("sample_size", "bundle_max_members"):

@@ -13,34 +13,7 @@ from repro.obs import (
     validate_health_lines,
 )
 from repro.obs.health import HEALTH_SCHEMA_VERSION
-
-
-class _FakeGauge:
-    def __init__(self):
-        self.value = None
-
-    def set(self, value):
-        self.value = value
-
-
-class _FakeObs:
-    def __init__(self):
-        self.gauges = {}
-
-    def gauge(self, name, help="", **labels):
-        key = (name, tuple(sorted(labels.items())))
-        return self.gauges.setdefault(key, _FakeGauge())
-
-
-class _FakeRegistry:
-    """Duck-typed stand-in for MetricsRegistry in finalize()."""
-
-    def __init__(self, busy=None):
-        self._busy = busy or {}
-        self.obs = _FakeObs()
-
-    def busy_by_component(self):
-        return self._busy
+from repro.obs.registry import ObsRegistry
 
 
 class TestQueueGrowth:
@@ -90,14 +63,14 @@ class TestRoutingFanout:
         for _ in range(10):
             monitor.on_signal("dispatch", 0, 0.1, "routing_fanout_fraction", 0.6)
         assert monitor.events == []  # per-record fractions below critical
-        monitor.finalize(_FakeRegistry(), 1.0)
+        monitor.finalize({}, ObsRegistry(), 1.0)
         assert [e.severity for e in monitor.events] == ["warning"]
         assert monitor.events[0].value == pytest.approx(0.6)
 
     def test_low_average_stays_silent(self):
         monitor = HealthMonitor()
         monitor.on_signal("dispatch", 0, 0.1, "routing_fanout_fraction", 0.25)
-        monitor.finalize(_FakeRegistry(), 1.0)
+        monitor.finalize({}, ObsRegistry(), 1.0)
         assert monitor.events == []
 
 
@@ -164,40 +137,55 @@ class TestOnlineLoadSkew:
         # finalize (post-hoc, over final busy totals).
         monitor = HealthMonitor()
         monitor.on_busy_snapshot("pworker", 0.5, [1.0, 5.0])
-        monitor.finalize(_FakeRegistry({"pworker": [1.0, 5.0]}), 1.0)
+        monitor.finalize({"pworker": [1.0, 5.0]}, ObsRegistry(), 1.0)
         assert [e.detector for e in monitor.events] == [
             "load_skew", "load_skew"]
+
+    def test_one_ladder_keeps_both_message_texts(self):
+        """Online and run-end skew share one warning/critical ladder;
+        only an online warning says less."""
+        monitor = HealthMonitor()
+        monitor.on_busy_snapshot("pworker", 0.5, [1.0, 1.0, 1.0, 3.0])
+        monitor.on_busy_snapshot("pworker", 0.6, [0.1, 0.1, 0.1, 10.0])
+        monitor.finalize({"pworker": [1.0, 1.0, 1.0, 3.0]}, ObsRegistry(), 1.0)
+        warning = "pworker[3] carries 2.00x the average busy time of its component"
+        bound = ": straggler / load skew bounds throughput"
+        assert [(e.severity, e.message) for e in monitor.events] == [
+            ("warning", warning),
+            ("critical", "pworker[3] carries 3.88x the average busy time "
+                         "of its component" + bound),
+            ("warning", warning + bound),
+        ]
 
 
 class TestLoadSkew:
     def test_warning_and_critical_with_straggler_index(self):
         monitor = HealthMonitor()
-        monitor.finalize(_FakeRegistry({"join": [1.0, 1.0, 1.0, 5.0]}), 2.0)
+        monitor.finalize({"join": [1.0, 1.0, 1.0, 5.0]}, ObsRegistry(), 2.0)
         (event,) = monitor.events
         assert (event.severity, event.detector) == ("warning", "load_skew")
         assert event.task == 3
         assert event.value == pytest.approx(2.5)
 
         monitor = HealthMonitor()
-        monitor.finalize(_FakeRegistry({"join": [0.1, 0.1, 0.1, 10.0]}), 2.0)
+        monitor.finalize({"join": [0.1, 0.1, 0.1, 10.0]}, ObsRegistry(), 2.0)
         (event,) = monitor.events
         assert event.severity == "critical"
 
     def test_single_task_components_skipped(self):
         monitor = HealthMonitor()
-        monitor.finalize(_FakeRegistry({"sink": [9.0], "join": [1.0, 1.1]}), 2.0)
+        monitor.finalize({"sink": [9.0], "join": [1.0, 1.1]}, ObsRegistry(), 2.0)
         assert monitor.events == []
 
     def test_finalize_idempotent_and_publishes_gauges(self):
         monitor = HealthMonitor()
-        registry = _FakeRegistry({"join": [1.0, 4.0]})
-        monitor.finalize(registry, 2.0)
-        monitor.finalize(registry, 3.0)
+        obs = ObsRegistry()
+        monitor.finalize({"join": [1.0, 4.0]}, obs, 2.0)
+        monitor.finalize({"join": [1.0, 4.0]}, obs, 3.0)
         assert len(monitor.events) == 1
         values = {
-            dict(key[1])["severity"]: gauge.value
-            for key, gauge in registry.obs.gauges.items()
-            if key[0] == "health_events"
+            labels["severity"]: gauge.value
+            for labels, gauge in obs.series("health_events")
         }
         assert values == {"info": 0, "warning": 1, "critical": 0}
 

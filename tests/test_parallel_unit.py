@@ -37,8 +37,6 @@ from repro.parallel import (
 from repro.parallel.codec import (
     BatchEncoder,
     CodecError,
-    decode_event_frame,
-    encode_event_frame,
     record_batch_parts,
 )
 from repro.parallel.runtime import ParallelWorkerError
@@ -189,23 +187,6 @@ class TestTruncationContract:
                 (0.25 * k, 100 + k, 2 ** 33 + k, 3 + k % 4, 1.0 - k / 64)
                 for k in range(1, 10)
             ]),
-        ),
-        # The one event frame, once per row scope: batch-scoped rows
-        # (spans) and record-scoped rows (stage bit 0x80, rid keys).
-        "span": (
-            decode_event_frame,
-            encode_event_frame(
-                array("B", [1, 2]), array("i", [0, 3]), array("q", [7, 8]),
-                array("d", [0.1, 0.2]), array("d", [0.3, 0.4]),
-            ),
-        ),
-        "trace": (
-            decode_event_frame,
-            encode_event_frame(
-                array("B", [0x81, 0x82]), array("i", [0, 3]),
-                array("q", [5, 2 ** 40]),
-                array("d", [0.1, 0.2]), array("d", [0.3, 0.4]),
-            ),
         ),
     }
 

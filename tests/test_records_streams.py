@@ -90,6 +90,10 @@ class TestArrivals:
             lambda: BurstyArrivals(0, 5, 1),
             lambda: BurstyArrivals(10, 0, 1),
             lambda: BurstyArrivals(10, 5, -1),
+            # NaN passes a ``<= 0`` test: it must not pass the check.
+            lambda: ConstantRate(float("nan")),
+            lambda: PoissonArrivals(float("nan")),
+            lambda: BurstyArrivals(float("nan"), 5, 1),
         ],
     )
     def test_validation(self, factory):
@@ -167,6 +171,9 @@ class TestSlidingWindow:
             SlidingWindow(0)
         with pytest.raises(ValueError):
             SlidingWindow(-1)
+        with pytest.raises(ValueError):
+            SlidingWindow(float("nan"))
+        assert not SlidingWindow(math.inf).bounded  # inf stays accepted
 
     def test_equality(self):
         assert SlidingWindow(5) == SlidingWindow(5)

@@ -1,4 +1,5 @@
-"""Distributed record tracing: codec, recorder, determinism, differential.
+"""Distributed record tracing: recorder, worker log trip, determinism,
+differential.
 
 The tentpole contract of the record-tracing PR: tracing is
 monitoring-plane only. Every observable — match rows, operation and
@@ -11,10 +12,9 @@ batch sizes.
 
 import json
 import os
-from array import array
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.config import JoinConfig
 from repro.obs.archive import RunArchive
@@ -46,13 +46,6 @@ from repro.obs.spans import (
     validate_span_lines,
 )
 from repro.parallel import ParallelJoinRunner, run_serial
-from repro.parallel.codec import (
-    EVENT_MAGIC,
-    EVENT_VERSION,
-    CodecError,
-    decode_event_frame,
-    encode_event_frame,
-)
 
 from tests.test_parallel_differential import (
     assert_equal_observables,
@@ -66,101 +59,38 @@ RECTRACE_FIXTURE = os.path.join(
 )
 
 
-def _columns(rows):
-    """(stage, shard, key, start, end) rows → event-frame columns."""
-    stages = array("B", (r[0] for r in rows))
-    shards = array("i", (r[1] for r in rows))
-    keys = array("q", (r[2] for r in rows))
-    starts = array("d", (r[3] for r in rows))
-    ends = array("d", (r[4] for r in rows))
-    return stages, shards, keys, starts, ends
-
-
 def _event(name):
     return RECORD_SCOPE | EVENT_ID[name]
 
 
-class TestTraceFrameCodec:
-    """The one ``TAG_EVENTS`` wire frame, carrying record-scoped rows
-    next to batch-scoped ones (batch-scoped alone:
-    ``test_spans.TestSpanFrameCodec``)."""
+class TestWorkerLogReachesTheDriver:
+    """A worker's event log rides its run-end summary as pickled
+    columns — no frame of its own — and reaches the driver whole."""
 
-    ROWS = [
-        (_event("emit"), -1, 0, 0.25, 0.5),
-        (PHASE_ID["probe"], 3, 1, 1.0, 1.125),
-        (_event("insert"), 3, 16, 1.0, 1.125),
-        (_event("probe"), 3, 16, 1.25, 1.5),
-        (_event("match_emit"), 7, 2 ** 40, 2.0, 2.0625),
-    ]
-
-    def test_round_trip_every_column(self):
-        cols = _columns(self.ROWS)
-        decoded = decode_event_frame(encode_event_frame(*cols))
-        assert [tuple(c) for c in decoded] == [tuple(c) for c in cols]
-        # The scope bit survives the wire: one span, four events, and a
-        # rid past 32 bits comes back whole.
-        spans, events = log_rows(decoded)
-        assert [row["phase"] for row in spans] == ["probe"]
-        assert [row["event"] for row in events] == [
-            "emit", "insert", "probe", "match_emit",
+    def test_both_scopes_and_wide_rids_survive_the_trip(self):
+        records = [
+            replace(record, rid=2 ** 40 + record.rid)
+            for record in fuzz_records(seed=4311, n=200)
         ]
-        assert events[-1]["rid"] == 2 ** 40
-
-    def test_empty_frame_round_trips(self):
-        cols = _columns([])
-        decoded = decode_event_frame(encode_event_frame(*cols))
-        assert all(len(c) == 0 for c in decoded)
-        assert log_rows(decoded) == ([], [])
-
-    def test_truncated_frame_rejected(self):
-        frame = encode_event_frame(*_columns(self.ROWS))
-        with pytest.raises(CodecError, match="truncated"):
-            decode_event_frame(frame[:3])
-        with pytest.raises(CodecError, match="inconsistent"):
-            decode_event_frame(frame[:-1])
-
-    def test_bad_magic_rejected(self):
-        frame = bytearray(encode_event_frame(*_columns(self.ROWS)))
-        frame[0] ^= 0xFF
-        with pytest.raises(CodecError, match="magic"):
-            decode_event_frame(bytes(frame))
-
-    def test_unknown_version_rejected(self):
-        frame = bytearray(encode_event_frame(*_columns(self.ROWS)))
-        frame[2] = EVENT_VERSION + 1
-        with pytest.raises(CodecError, match="version"):
-            decode_event_frame(bytes(frame))
-
-    def test_magic_constant_spells_ev(self):
-        assert EVENT_MAGIC == 0x4556  # "EV"
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(
-        st.integers(0, 255),
-        st.integers(-(2 ** 31), 2 ** 31 - 1),
-        st.integers(-(2 ** 63), 2 ** 63 - 1),
-        st.floats(allow_nan=False),
-        st.floats(allow_nan=False),
-    ), max_size=12), st.data())
-    def test_frame_contract_round_trip_prefixes_and_header_bytes(self, rows, data):
-        """The record codec's contract (PR 15), on the instrument
-        frame: arbitrary column contents round-trip exactly; every
-        strict prefix, and every single-byte corruption of the 8-byte
-        header (magic, version, flags, row count), is a ``CodecError``
-        — never a ``struct.error`` and never a silently short decode."""
-        cols = _columns(rows)
-        frame = encode_event_frame(*cols)
-        assert [tuple(c) for c in decode_event_frame(frame)] == [
-            tuple(c) for c in cols
-        ]
-        for cut in range(len(frame)):
-            with pytest.raises(CodecError):
-                decode_event_frame(frame[:cut])
-        for position in range(8):
-            corrupt = bytearray(frame)
-            corrupt[position] ^= data.draw(st.integers(1, 255))
-            with pytest.raises(CodecError):
-                decode_event_frame(bytes(corrupt))
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6, batch_size=32), workers=2,
+                spans_sample=1, trace_sample=4,
+            ),
+            records,
+        )
+        for header, rows in (
+            (result.span_header, result.span_rows),
+            (result.trace_header, result.trace_rows),
+        ):
+            # Every worker's rows arrived, as many as its summary counted.
+            for w, entry in header["overhead"]["workers"].items():
+                count = sum(1 for row in rows if row["worker"] == int(w))
+                assert count == entry["count"] > 0
+        traced = {row["rid"] for row in result.trace_rows}
+        assert traced == {r.rid for r in records if r.rid % 4 == 0}
+        assert min(traced) >= 2 ** 32
+        assert rectrace_smoke(result.rectrace_document()) == []
 
 
 class TestTraceRecorder:

@@ -1,10 +1,10 @@
-"""Wall-clock span pipeline: recorder, wire frame, artefact, analyzer.
+"""Wall-clock span pipeline: recorder, artefact, analyzer.
 
 Three layers under test, mirroring the pipeline's structure:
 
 * the building blocks — the batch-scoped rows of the one
-  :class:`EventLog`, the ``TAG_EVENTS`` wire frame codec, and the JSONL
-  artefact round-trip with pointed errors;
+  :class:`EventLog` and the JSONL artefact round-trip with pointed
+  errors;
 * the analyzer on a committed fixture whose numbers are small enough
   to check by hand (``tests/data/spans_fixture.jsonl``);
 * live runs — span *structure* (phase/shard/batch multisets) must be a
@@ -39,7 +39,6 @@ from repro.obs.spans import (
     waterfall,
 )
 from repro.parallel import ParallelJoinRunner, run_serial
-from repro.parallel.codec import CodecError, decode_event_frame, encode_event_frame
 from repro.parallel.merge import worker_health, worker_metrics
 from repro.parallel.planner import plan_shards
 from repro.parallel.worker import ShardWorker
@@ -177,57 +176,6 @@ class TestSpanRecorder:
                 if stage < RECORD_SCOPE:
                     expected[stage] += end - start
             assert log.phase_seconds() == expected
-
-
-class TestSpanFrameCodec:
-    """The one ``TAG_EVENTS`` frame, carrying batch-scoped rows (the
-    record-scoped and mixed cases, and the corruption property, are
-    ``test_rectrace.TestTraceFrameCodec``)."""
-
-    def frame(self, n=3):
-        log = EventLog(spans_sample=1, capacity=max(n, 1), measure=False)
-        for i in range(n):
-            log.record(
-                PHASE_ID["probe"], 0.25 * i, 0.25 * i + 0.1, shard=i, key=i * 2
-            )
-        return encode_event_frame(*log.columns()), log
-
-    def test_round_trip(self):
-        frame, log = self.frame()
-        phases, shards, batches, starts, ends = decode_event_frame(frame)
-        ophases, oshards, obatches, ostarts, oends = log.columns()
-        assert list(phases) == list(ophases)
-        assert list(shards) == list(oshards)
-        assert list(batches) == list(obatches)
-        assert list(starts) == list(ostarts)
-        assert list(ends) == list(oends)
-        # The drain loop decodes a view past the tag byte, not a copy.
-        tagged = memoryview(b"\x13" + frame)[1:]
-        assert decode_event_frame(tagged) == decode_event_frame(frame)
-
-    def test_empty_frame_round_trips(self):
-        frame, _ = self.frame(n=0)
-        columns = decode_event_frame(frame)
-        assert all(len(column) == 0 for column in columns)
-
-    def test_truncated_header_is_pointed(self):
-        with pytest.raises(CodecError, match="event frame truncated"):
-            decode_event_frame(b"\x50")
-
-    def test_truncated_body_is_pointed(self):
-        frame, _ = self.frame()
-        with pytest.raises(CodecError, match="inconsistent"):
-            decode_event_frame(frame[:-4])
-
-    def test_bad_magic(self):
-        frame, _ = self.frame()
-        with pytest.raises(CodecError, match="magic"):
-            decode_event_frame(b"\x00\x00" + frame[2:])
-
-    def test_bad_version(self):
-        frame, _ = self.frame()
-        with pytest.raises(CodecError, match="version"):
-            decode_event_frame(frame[:2] + b"\x63" + frame[3:])
 
 
 class TestSpansArtefact:

@@ -58,7 +58,8 @@ class TestDifferentialWithTelemetry:
             if interval is None:
                 assert result.telemetry is None
                 continue
-            # The flagged EOF sample guarantees coverage at any interval.
+            # Each worker's summary, its final sample, guarantees
+            # coverage at any interval.
             assert result.telemetry_samples() >= workers
 
     def test_process_on_off_differential(self):
@@ -81,7 +82,7 @@ class TestDifferentialWithTelemetry:
         boundary, so ``matches`` is rows emitted so far — never the
         buffer's length — and ``bytes_out`` grows as frames leave: both
         non-decreasing per worker, both mid-run non-zero, and the
-        flagged sample equal to the worker's share of the run."""
+        final sample equal to the worker's share of the run."""
         import time
 
         from repro.parallel.worker import ShardWorker
@@ -145,11 +146,9 @@ class TestDifferentialWithTelemetry:
             real_consume(self, w, frame)
             consumed[w] = consumed.get(w, 0) + len(frame)
 
-        def on_heartbeat(self, sample):
-            arrivals.append(
-                (sample["matches"], consumed.get(sample["worker"], 0))
-            )
-            return real_beat(self, sample)
+        def on_heartbeat(self, worker, counters, final):
+            arrivals.append((counters["matches"], consumed.get(worker, 0)))
+            return real_beat(self, worker, counters, final)
 
         monkeypatch.setattr(ShardWorker, "process_batch", slow)
         monkeypatch.setattr(runtime._Run, "consume", consume)
@@ -255,10 +254,10 @@ class TestRunnerSurface:
             assert stats["heartbeats"] >= 1
 
     def test_uptime_counts_from_the_worker_start(self, monkeypatch):
-        """``uptime_s`` and the summary's ``lifetime_s`` share one
-        starting point, the worker's start — engine construction
-        included, here slowed by 50 ms — so the final sample, taken
-        after the lifetime is stamped, is never the younger."""
+        """``uptime_s`` counts from the worker's start — engine
+        construction included, here slowed by 50 ms — and the summary's
+        ``lifetime_s`` is its final sample's ``uptime_s`` (which the
+        artefact keeps to the microsecond)."""
         import time
 
         from repro.parallel import worker as worker_mod
@@ -284,13 +283,15 @@ class TestRunnerSurface:
         }
         for stats in result.worker_stats:
             assert stats["lifetime_s"] >= 0.05
-            assert finals[stats["worker"]]["uptime_s"] >= stats["lifetime_s"]
+            assert finals[stats["worker"]]["uptime_s"] == round(
+                stats["lifetime_s"], 6
+            )
 
 
 class TestRecorder:
-    def _sample(self, worker=0, seq=1, **overrides):
+    def _sample(self, **overrides):
+        """One worker's counters, as a heartbeat frame carries them."""
         sample = {
-            "final": False, "worker": worker, "seq": seq,
             "uptime_s": 1.0, "batches": 2, "records": 100,
             "matches": 3, "live_postings": 500, "busy_s": 0.5,
             "bytes_out": 256, "rss_bytes": 1 << 20,
@@ -313,8 +314,9 @@ class TestRecorder:
 
     def test_sample_rows_timestamped_and_ordered(self):
         recorder = self._recorder()
-        row = recorder.on_heartbeat(self._sample())
+        row = recorder.on_heartbeat(1, self._sample(), final=False)
         assert row["kind"] == "sample"
+        assert (row["worker"], row["seq"], row["final"]) == (1, 0, False)
         assert row["t"] >= 0.0
         assert recorder.sample_count() == 1
         recorder.finalize(wall_s=1.0, records=100, results=3)
@@ -332,15 +334,15 @@ class TestRecorder:
     def test_skew_snapshot_needs_two_samples_per_worker(self):
         recorder = self._recorder(workers=2)
         recorder.on_heartbeat(
-            self._sample(worker=0, seq=1, busy_s=0.1, uptime_s=10.0))
+            0, self._sample(busy_s=0.1, uptime_s=10.0), final=False)
         recorder.on_heartbeat(
-            self._sample(worker=1, seq=1, busy_s=9.0, uptime_s=10.0))
+            1, self._sample(busy_s=9.0, uptime_s=10.0), final=False)
         # One sample each: the snapshot detector must stay quiet.
         assert not [r for r in recorder.rows if r["kind"] == "health"]
         recorder.on_heartbeat(
-            self._sample(worker=0, seq=2, busy_s=0.2, uptime_s=10.0))
+            0, self._sample(busy_s=0.2, uptime_s=10.0), final=False)
         recorder.on_heartbeat(
-            self._sample(worker=1, seq=2, busy_s=18.0, uptime_s=10.0))
+            1, self._sample(busy_s=18.0, uptime_s=10.0), final=False)
         events = [r for r in recorder.rows if r["kind"] == "health"]
         assert any(e["detector"] == "load_skew" for e in events)
 
@@ -352,8 +354,8 @@ class TestValidation:
             workers=1, shards=8, interval=0.25, base=time.monotonic(),
         )
         sample = TestRecorder()._sample()
-        recorder.on_heartbeat(sample)
-        recorder.on_heartbeat(dict(sample, seq=2, records=200))
+        recorder.on_heartbeat(0, sample, final=False)
+        recorder.on_heartbeat(0, dict(sample, records=200), final=True)
         recorder.finalize(1.0, 200, 3)
         return recorder.document()
 
@@ -392,7 +394,7 @@ class TestValidation:
 
     def test_seq_regression_flagged(self):
         doc = self._document()
-        doc[2] = dict(doc[2], seq=1)  # second sample repeats seq 1
+        doc[2] = dict(doc[2], seq=0)  # second sample repeats seq 0
         assert any("seq" in e for e in validate_telemetry_lines(doc))
 
     def test_decreasing_counter_flagged(self):
@@ -422,6 +424,27 @@ class TestValidation:
             for f in telemetry_smoke(doc)
         )
 
+    def test_smoke_requires_one_final_sample_last_per_worker(self):
+        """A finished worker's run-end summary is its one ``final``
+        sample, and nothing of that worker's follows it."""
+        doc = self._document()
+        unflagged = doc[:2] + [dict(doc[2], final=False)] + doc[3:]
+        assert "worker 0 has 0 final samples (expected 1)" in telemetry_smoke(
+            unflagged
+        )
+        doubled = doc[:1] + [dict(doc[1], final=True)] + doc[2:]
+        assert "worker 0 has 2 final samples (expected 1)" in telemetry_smoke(
+            doubled
+        )
+        early = doc[:1] + [dict(doc[1], final=True), dict(doc[2], final=False)]
+        early += doc[3:]
+        assert "worker 0's final sample is not its last" in telemetry_smoke(
+            early
+        )
+        # A failed run: a worker that never finished sends no summary.
+        failed = unflagged[:-1] + [dict(doc[-1], error="boom")]
+        assert telemetry_smoke(failed) == ["the run failed: boom"]
+
     def test_smoke_checks_final_sample_count(self):
         doc = self._document()
         doc[-1] = dict(doc[-1], samples=7)
@@ -436,7 +459,7 @@ class TestValidation:
 
 class TestAnalysis:
     def _rows(self):
-        base = TestRecorder()._sample()
+        base = dict(TestRecorder()._sample(), worker=0, final=False)
         return [
             dict(base, kind="sample", t=0.1, uptime_s=0.1, seq=1, records=100),
             dict(base, kind="sample", t=0.2, uptime_s=0.2, seq=2, records=300),
@@ -457,9 +480,9 @@ class TestAnalysis:
             workers=1, shards=8, interval=0.25, base=time.monotonic() - 1.0,
         )
         sample = TestRecorder()._sample()
-        recorder.on_heartbeat(sample)
+        recorder.on_heartbeat(0, sample, final=False)
         recorder.on_heartbeat(
-            dict(sample, seq=2, uptime_s=1.25, records=400, matches=9)
+            0, dict(sample, uptime_s=1.25, records=400, matches=9), final=True
         )
         recorder.finalize(2.0, 400, 9)
         summary = telemetry_summary(recorder.document())
@@ -508,7 +531,7 @@ class TestAnalysis:
             "kind": "header", "workers": 1, "shards": 8,
             "executor": "inline", "interval": 0.25,
         })
-        base = TestRecorder()._sample()
+        base = dict(TestRecorder()._sample(), worker=0, final=False)
         for seq in range(1, 20):
             view.feed(dict(
                 base, kind="sample", t=seq * 0.1, uptime_s=seq * 0.1,
