@@ -781,10 +781,9 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         heartbeat_interval=args.heartbeat_interval,
     )
     # Nothing reads the rows unless --pairs / --recall-floor asked for
-    # them: hand each frame to a discarding sink and hold no result.
-    result = runner.run(
-        stream, sink=None if config.collect_pairs else lambda frame: None
-    )
+    # them: otherwise the run is count-only, and no row is emitted,
+    # shipped or held.
+    result = runner.run(stream, collect=config.collect_pairs)
     print(format_table([{
         "method": config.method_label,
         "workers": result.workers,
@@ -1836,7 +1835,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # The raw argv is archived with each run as provenance.
     args.argv_raw = list(argv) if argv is not None else sys.argv[1:]
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro join --pairs | head``):
+        # stop quietly, like a filter killed by SIGPIPE. Point stdout at
+        # the null device so the exit-time flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE: what a shell reports for that kill
 
 
 if __name__ == "__main__":  # pragma: no cover

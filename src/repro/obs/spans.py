@@ -50,9 +50,12 @@ Phases (the driver records the driver set with ``worker == -1``)::
     insert      insert calls of one batch (tiled after probe)
     meter_flush the one charge_many/event_many flush per batch
     pipe_write  a worker shipping one batch's match rows — only batches
-                that produced rows have one
+                that produced rows have one (none in a count-only run)
 
-A file naming any other phase is refused.
+No worker phase contains the emit: a collecting worker appends a
+probe's rows to its emit buffer after the probe's end stamp, so that
+time is the part of a batch no span covers (a count-only run has no
+emit). A file naming any other phase is refused.
 """
 
 from __future__ import annotations

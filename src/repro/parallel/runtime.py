@@ -10,8 +10,8 @@ Execution model::
                                     walk the records, keep its shards'
                                     tasks, probe/insert per batch
     drain every worker at once <──  ship each batch's matches as it
-    (frame → sink, or collect)      finishes; one run-end summary last
-    merge (sort, sum meters)
+    (collect frames, or count)      finishes (only if collecting); one
+    merge (sort, sum meters)        run-end summary last
 
 Determinism: the stream is routed over ``config.num_workers`` logical
 shards — the config is the one place a run's shard count and batch size
@@ -33,20 +33,23 @@ worker ``(config, hosted shards, records, plan)`` once — inherited
 under ``fork``, pickled once under ``spawn``, one code path either way
 — and :meth:`ShardWorker.run` self-selects its shards' tasks from them.
 The driver writes nothing after start-up: it goes from spawn straight
-to draining results, which return as match frames over one pipe per
-worker — the only results wire, and the only pipe a worker has: live
-heartbeats are frames on it too.
+to draining results, which return over one pipe per worker — the only
+results wire, and the only pipe a worker has: live heartbeats are
+frames on it too.
 
-Results stream: workers ship at every batch boundary that has rows, and
-one loop over :func:`multiprocessing.connection.wait` consumes a frame
-when it arrives, whoever sent it. With a ``sink`` each decoded frame is
-handed over and dropped — nobody holds the result; without one, frames
-extend per-worker tables that :func:`~repro.parallel.merge.merge_matches`
-puts in canonical order. The sink contract is deliberately weak: every
-row exactly once; a probe's rows contiguous, in partner-rid order; one
-shard's frames in arrival order; no order across shards or workers (no
-consumer needs one — canonical order is the collecting path's). Every
-stamp — spans and record-trace events alike — lands in one
+Results stream: rows cross the pipe only when someone reads them.
+A collecting run (``run(stream)``, the default) has its workers ship at
+every batch boundary that has rows, and one loop over
+:func:`multiprocessing.connection.wait` consumes a frame when it
+arrives, whoever sent it: frames extend per-worker tables that
+:func:`~repro.parallel.merge.merge_matches` puts in canonical order. A
+count-only run (``run(stream, collect=False)``: only the result's size
+is wanted) starts count-only workers, which emit and ship no rows; the
+drain then reads heartbeats and summaries only. Either way the run's
+``results`` is the sum of the workers' found-row counts, read from
+their summaries.
+
+Every stamp — spans and record-trace events alike — lands in one
 :class:`~repro.obs.eventlog.EventLog` per actor (the driver's on the
 per-run :class:`_Run`, each worker's shipped back inside its
 ``TAG_DONE`` summary), and one merge helper
@@ -61,7 +64,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import PLAN_SAMPLE_SIZE, JoinConfig
 from repro.core.metering import WorkMeter
@@ -133,10 +136,12 @@ class ParallelJoinResult:
     #: Canonically ordered ``(timestamp, rid_a, rid_b, overlap,
     #: similarity)`` rows — ``rid_a`` is the later (probing) record —
     #: as columns; a sequence of ``MatchRow`` tuples to its readers.
-    #: ``None`` when the run handed its frames to a ``sink`` instead.
+    #: ``None`` for a count-only run (``collect=False``), which holds
+    #: no rows.
     matches: Optional[MatchTable]
-    #: Match rows the run produced, counted as frames were consumed —
-    #: collected or not.
+    #: Match rows the run found: the sum of the workers' found-row
+    #: counts, collected or not — always ``events["results"]``, and
+    #: ``len(matches)`` when collected.
     results: int
     operations: Dict[str, float]
     events: Dict[str, float]
@@ -276,10 +281,11 @@ class _Run:
     #: worker id → its event-log columns (``None`` without a log), taken
     #: from its summary while draining.
     columns: Dict[int, Optional[tuple]] = field(default_factory=dict)
-    #: Where match frames go (``None``: into ``chunks``, one table per
-    #: worker, for the merge) and how many rows have gone there.
-    sink: Optional[Callable[[MatchTable], None]] = None
+    #: Whether the workers ship their rows: into ``chunks``, one table
+    #: per worker, for the merge (``False``: count-only, no frames).
+    collect: bool = True
     chunks: List[MatchTable] = field(default_factory=list)
+    #: Rows found by the workers whose summaries have arrived.
     results: int = 0
     #: The driver's event log, built from the strides (``None``: neither
     #: spans nor tracing — nothing is calibrated or allocated).
@@ -290,13 +296,9 @@ class _Run:
             self.log = EventLog(self.spans_sample, self.trace_sample)
 
     def consume(self, w: int, frame: MatchTable) -> None:
-        """The one consumer of a decoded match frame: count it,
-        then hand it to the sink or append it to worker ``w``'s table."""
-        self.results += len(frame)
-        if self.sink is not None:
-            self.sink(frame)
-        else:
-            self.chunks[w].extend(frame)
+        """The one consumer of a decoded match frame: append it to
+        worker ``w``'s table."""
+        self.chunks[w].extend(frame)
 
     def window(self, phase: int, start: float) -> None:
         """Close one of the driver's top-level windows (setup, drain,
@@ -408,23 +410,22 @@ class ParallelJoinRunner:
         )
 
     # -- execution -----------------------------------------------------------
-    def run(
-        self, stream, sink: Optional[Callable[[MatchTable], None]] = None
-    ) -> ParallelJoinResult:
+    def run(self, stream, collect: bool = True) -> ParallelJoinResult:
         """Publish ``stream`` (a RecordStream or record iterable) to the
         workers; block until merged.
 
-        With a ``sink``, every match frame is passed to it as it
-        arrives and dropped (``result.matches`` is ``None``; see the
-        module docstring for what a sink may rely on); without one the
-        frames are collected into the canonical ``result.matches``.
-        ``result.results`` counts the rows either way."""
+        With ``collect`` (the default) the workers' rows are collected
+        into the canonical ``result.matches``. With ``collect=False``
+        the run is count-only: no worker emits or ships a row,
+        ``result.matches`` is ``None`` and every ``bytes_out`` is 0.
+        ``result.results`` counts the rows either way, and every other
+        observable is the same."""
         started = time.monotonic()
         run = _Run(
             started=started,
             spans_sample=self.spans_sample,
             trace_sample=self.trace_sample,
-            sink=sink,
+            collect=collect,
         )
         records = list(stream)
         plan = _plan(self.config, records)
@@ -475,7 +476,7 @@ class ParallelJoinRunner:
                         child, w, self.config, run.assignment[w],
                         records, plan, run.spans_sample,
                         self.heartbeat_interval if telemetry is not None else 0.0,
-                        run.trace_sample,
+                        run.trace_sample, run.collect,
                     ),
                     daemon=True,
                 )
@@ -510,6 +511,7 @@ class ParallelJoinRunner:
                     elif tag == TAG_DONE:
                         summary = summaries[w] = pickle.loads(body)
                         run.columns[w] = summary.pop("columns")
+                        run.results += summary["matches"]
                         if telemetry is not None:
                             telemetry.on_heartbeat(w, summary, final=True)
                         del pending[conn]
@@ -605,7 +607,7 @@ class ParallelJoinRunner:
                 "heartbeats": len(samples.get(w, ())),
             })
         operations, events, signals = merge_meters(shard_meters)
-        matches = merge_matches(run.chunks) if run.sink is None else None
+        matches = merge_matches(run.chunks) if run.collect else None
         # Every worker tallies the same walk over the same records.
         fanout = summaries[0]["fanout"]
         _fold_fanout(signals, fanout)

@@ -22,7 +22,8 @@ Wire protocol, results direction only (one :func:`multiprocessing.Pipe`
 per worker, message = one ``send_bytes`` frame, first byte = tag, tags
 defined in :mod:`repro.parallel.codec`):
 
-    worker → driver   TAG_MATCHES   match batch (codec), repeated
+    worker → driver   TAG_MATCHES   match batch (codec), repeated,
+                                    iff the driver collects rows
                       TAG_HEARTBEAT pickled counter snapshot, iff
                                     telemetry is on, repeated
                       TAG_DONE      pickled run-end summary: the last
@@ -30,10 +31,15 @@ defined in :mod:`repro.parallel.codec`):
                                     event-log columns
                       TAG_ERROR     pickled traceback string
 
-Results stream: a worker ships its emit buffer at every batch boundary
-that has rows (:meth:`ShardWorker.flush_matches`) and starts a fresh
-one, so it never holds more than one batch's rows; its one run-end
-summary follows when the loop ends.
+Results stream: a collecting worker ships its emit buffer at every
+batch boundary that has rows (:meth:`ShardWorker.flush_matches`) and
+starts a fresh one, so it never holds more than one batch's rows; its
+one run-end summary follows when the loop ends. Rows cross the pipe
+only when someone reads them: a count-only worker (``collect=False``,
+when the caller wants the result's size and not its rows) skips the
+emit, so its buffer stays empty and it never ships. Its shard meters'
+``results`` events count the rows either way, and the summary's
+``matches`` carries that count.
 
 Deadlock freedom: the driver never writes after start-up and reads
 every worker's pipe at once, so no wait cycle exists. A worker blocked
@@ -43,10 +49,11 @@ driver, and the driver waits for no worker in particular.
 Live telemetry rides the same pipe: :class:`HeartbeatEmitter` is polled
 at every batch boundary, after the batch's match ship, and when a
 sample is due writes one ``TAG_HEARTBEAT`` frame — a blocking write
-like every other. Frames of one pipe arrive in order, so a sample's
-``matches`` is exactly the rows the driver has already taken from that
-worker. A sample is :meth:`ShardWorker.counters` and nothing else: the
-driver stamps which worker sent it, its sequence number and whether it
+like every other. A sample's ``matches`` is the rows the worker has
+found so far; when collecting, frames of one pipe arrive in order, so
+that is exactly the rows the driver has already taken from it. A
+sample is :meth:`ShardWorker.counters` and nothing else: the driver
+stamps which worker sent it, its sequence number and whether it
 is final. The ``TAG_DONE`` summary carries the same counters, which the
 driver files as the worker's final sample, so every finished run
 carries at least one sample per worker at any interval.
@@ -63,11 +70,13 @@ through the one un-timed loop. Engine and meter calls are the same
 calls in the same order either way, so instrumentation can never change
 an observable. Spans (the loop's own routing time between batches,
 probe, insert, meter flush, the per-batch result ship) and trace events
-(probe/insert/match-emit) are rows of the worker's one
+(probe/insert/match-emit; a count-only worker still stamps match-emit
+for a traced probe that found rows, so a record's event structure does
+not depend on ``collect``) are rows of the worker's one
 :class:`~repro.obs.eventlog.EventLog`, whose columns ship back inside
 the ``TAG_DONE`` summary; independent of it, every worker tracks cheap
-per-run telemetry (busy seconds, rows and bytes shipped so far, peak
-RSS) carried live by the heartbeats and at the end by the summary.
+per-run telemetry (busy seconds, rows found and bytes shipped so far,
+peak RSS) carried live by the heartbeats and at the end by the summary.
 """
 
 from __future__ import annotations
@@ -140,14 +149,15 @@ def peak_rss_bytes() -> int:
 def _run_untimed(engine, event, emit, items) -> None:
     """The un-instrumented record body: one tight loop, no timing and
     no instrument test per record. ``event`` is the shard meter's
-    bound ``event`` method, ``emit`` the match table's."""
+    bound ``event`` method, ``emit`` the match table's (``None``: a
+    count-only worker, whose probes' rows are counted and dropped)."""
     probe = engine.probe
     insert = engine.insert
     for op, record in items:
         if op & PROBE:
             matches = probe(record)
             event("results", len(matches))
-            if matches:
+            if matches and emit is not None:
                 emit(record.timestamp, record.rid, matches)
         if op & INDEX:
             insert(record)
@@ -161,6 +171,10 @@ class ShardWorker:
     on per-record tracing with that rid stride (0 = off); ``worker``
     is the physical worker id. Nothing the worker sends carries it:
     the driver knows which worker each pipe belongs to.
+
+    ``collect=False`` makes a count-only worker: its probes' rows are
+    counted by the shard meters' ``results`` events and never emitted,
+    so its emit buffer stays empty and it ships no match frame.
     """
 
     def __init__(
@@ -171,6 +185,7 @@ class ShardWorker:
         spans_sample: int = 0,
         worker: int = 0,
         trace_sample: int = 0,
+        collect: bool = True,
     ):
         #: The worker's start: ``uptime_s`` counts from here, engine
         #: construction included.
@@ -178,6 +193,7 @@ class ShardWorker:
         self.config = config
         self.num_shards = num_shards
         self.worker = worker
+        self.collect = collect
         self.func = get_similarity(config.similarity, config.threshold)
         self.meters: Dict[int, WorkMeter] = {}
         self.engines: Dict[int, StreamingSetJoin] = {}
@@ -189,10 +205,9 @@ class ShardWorker:
             )
         #: The emit buffer: one batch's rows under a ``ship`` hook
         #: (:meth:`flush_matches` replaces it), the whole result when
-        #: nobody ships (``process_batch`` + ``finish()`` callers).
+        #: nobody ships (``process_batch`` + ``finish()`` callers),
+        #: always empty when the worker does not ``collect``.
         self.matches = MatchTable()
-        #: Rows already handed to the ``ship`` hook.
-        self.shipped = 0
         self.records = 0
         self.batches = 0
         self.busy_s = 0.0
@@ -200,7 +215,8 @@ class ShardWorker:
         #: driver's busy/idle timeline.
         self.intervals: List[Tuple[float, float]] = []
         #: Telemetry: match-frame bytes sent so far (what the ``ship``
-        #: hook returned). The run-end summary is not counted: it
+        #: hook returned) — 0 throughout a count-only run, which ships
+        #: no match frame. The run-end summary is not counted: it
         #: carries this count and cannot include itself.
         self.bytes_out = 0
         #: The worker's one event log — spans and trace events both —
@@ -231,7 +247,11 @@ class ShardWorker:
             "uptime_s": time.monotonic() - self.born,
             "batches": self.batches,
             "records": self.records,
-            "matches": self.shipped + len(self.matches),
+            # Rows the probes have found so far, emitted or not: the
+            # shard meters' ``results`` events count whole rows.
+            "matches": int(sum(
+                meter.events.get("results", 0) for meter in self.meters.values()
+            )),
             "live_postings": sum(
                 engine.live_postings for engine in self.engines.values()
             ),
@@ -314,15 +334,18 @@ class ShardWorker:
     ) -> None:
         """Probe → emit → insert every record of one batch, under one
         meter flush (charge_many/event_many exactness contract: totals
-        stay bit-identical to per-record metering).
+        stay bit-identical to per-record metering). A count-only worker
+        (``collect=False``) skips the emit.
 
         ``timed`` is the batch's instrument selection (see the module
         docstring): selected records take the timed step, the stretches
         between them — the whole batch when nothing is selected — take
-        :func:`_run_untimed`. Emitted spans tile the batch window in
-        canonical phase order (probe, insert, flush) — per-phase totals
-        are exact, positions within the batch approximate (the phases
-        interleave per record)."""
+        :func:`_run_untimed`. Emitted spans are laid out from the batch
+        start in canonical phase order (probe, insert, flush) —
+        per-phase totals are exact, positions within the batch
+        approximate (the phases interleave per record). No phase times
+        the emit: it runs after the probe's end stamp, so its cost is
+        the gap before the flush span."""
         seq = self._batch_seq.get(shard, 0)
         self._batch_seq[shard] = seq + 1
         log = self.log
@@ -337,7 +360,7 @@ class ShardWorker:
         monotonic = time.monotonic
         engine = self.engines[shard]
         event = self.meters[shard].event
-        emit = self.matches.emit
+        emit = self.matches.emit if self.collect else None
         probe_s = insert_s = 0.0
         had_probe = had_insert = False
         cursor = 0
@@ -361,7 +384,8 @@ class ShardWorker:
                     if matches:
                         if traced:
                             t0 = monotonic()
-                        emit(record.timestamp, record.rid, matches)
+                        if emit is not None:
+                            emit(record.timestamp, record.rid, matches)
                         if traced:
                             log.record(
                                 _EV_MATCH_EMIT, t0, monotonic(), shard, record.rid
@@ -399,7 +423,6 @@ class ShardWorker:
         table = self.matches
         self.matches = MatchTable()
         table.sort()
-        self.shipped += len(table)
         start = time.monotonic()
         self.bytes_out += ship(table)
         seq = self._batch_seq[shard] - 1
@@ -487,6 +510,7 @@ def worker_main(
     spans_sample: int = 0,
     heartbeat_interval: float = 0.0,
     trace_sample: int = 0,
+    collect: bool = True,
 ) -> None:
     """Child-process entry point (module-level: spawn-context picklable).
 
@@ -497,7 +521,10 @@ def worker_main(
 
     With ``heartbeat_interval > 0`` a rolling-counter ``TAG_HEARTBEAT``
     frame follows any batch that finds a sample due. The one
-    ``TAG_DONE`` summary ends every run.
+    ``TAG_DONE`` summary ends every run: its ``matches`` is the
+    worker's found-row count, which the driver sums into the run's
+    ``results``. With ``collect`` off the worker is count-only and
+    sends no ``TAG_MATCHES`` frame.
     ``spans_sample`` / ``trace_sample`` are the :class:`ShardWorker`
     strides (0 = off).
     """
@@ -505,7 +532,7 @@ def worker_main(
         worker = ShardWorker(
             config, shard_ids, plan.num_shards,
             spans_sample=spans_sample, worker=worker_id,
-            trace_sample=trace_sample,
+            trace_sample=trace_sample, collect=collect,
         )
         emitter = None
         if heartbeat_interval > 0:

@@ -122,6 +122,34 @@ class TestJoinParallel:
         assert discard == collect and no_lines == 0
         assert lines == collect["exact"]["run_results"]["total"] > 0
 
+    @pytest.mark.parametrize("extra", [[], ["--parallel"]],
+                             ids=["simulated", "parallel"])
+    def test_pairs_into_a_closed_pipe_exit_141_quietly(self, tmp_path, extra):
+        """``repro join --pairs | head -1``: the reader closes after the
+        first line, and the join stops like a filter killed by SIGPIPE
+        (exit 141) with no traceback. 300 copies of one record make
+        44 850 pairs, far more than a pipe buffer holds."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        corpus = tmp_path / "dup.txt"
+        corpus.write_text("alpha beta gamma\n" * 300)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "join", str(corpus), "--pairs",
+             "--no-archive", *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141, stderr
+        assert "Traceback" not in stderr and stderr == "", stderr
+
     def test_parallel_fingerprint_stable_across_workers(
         self, corpus_file, tmp_path, capsys
     ):

@@ -289,6 +289,15 @@ for _name in ("TAG_EVENTS", "encode_event_frame", "decode_event_frame", "EVENT_M
 GUARDS["No worker-side heartbeat seq"] = [
     lacks("repro.parallel.worker", "HeartbeatEmitter.__slots__", "seq"),
 ]
+# Rows cross the pipe only when someone reads them: a run collects or
+# counts, and no callable sink can stand in for "nobody reads".
+GUARDS["No ParallelJoinRunner.run sink"] = [
+    lacks(
+        "repro.parallel.runtime",
+        "ParallelJoinRunner.run.__code__.co_varnames",
+        "sink",
+    ),
+]
 # Settings nobody varied are module constants, not JoinConfig fields.
 for _name in ("sample_size", "bundle_max_members"):
     GUARDS[f"No JoinConfig.{_name}"] = [absent(rf"\b{_name}\b", *REACHABLE)]

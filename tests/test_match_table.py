@@ -233,12 +233,12 @@ class TestMergeMatches:
         assert peak <= 2.5 * wire, f"peak {peak} vs wire {wire}"
 
 
-    def test_a_discarding_sink_keeps_the_driver_at_frame_size(self):
+    def test_a_count_only_run_keeps_the_driver_at_the_no_rows_floor(self):
         """A dense result (one match class: ~20 k rows, 0.8 MB of
-        columns) through real workers. Collecting holds it; with a
-        discarding sink the driver's traced peak is what a run with no
-        rows at all costs plus a small multiple of the largest frame —
-        a bound in the frame, not in the result."""
+        columns) through real workers. Collecting holds it; count-only,
+        no worker ships a byte and the driver's traced peak is what a
+        run with no rows at all costs, plus a small constant — a bound
+        independent of the result."""
         dense = [
             Record(rid=rid, tokens=(3, 7, 9), timestamp=rid * 0.001)
             for rid in range(200)
@@ -249,30 +249,27 @@ class TestMergeMatches:
         ]
         config = JoinConfig(threshold=0.9, num_workers=2, batch_size=8)
 
-        def driver_peak(records, sink):
+        def driver_peak(records, collect):
             runner = ParallelJoinRunner(config, workers=2)
             tracemalloc.start()
             try:
-                result = try_process_run(runner, records, sink)
+                result = try_process_run(runner, records, collect)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             return result, peak
 
-        frames = []
-        driver_peak(disjoint, None)  # first-run imports are not the run's
-        empty, floor = driver_peak(disjoint, lambda frame: None)
-        collected, held = driver_peak(dense, None)
-        streamed, peak = driver_peak(
-            dense, lambda frame: frames.append(40 * len(frame))
-        )
+        driver_peak(disjoint, True)  # first-run imports are not the run's
+        empty, floor = driver_peak(disjoint, False)
+        collected, held = driver_peak(dense, True)
+        counted, peak = driver_peak(dense, False)
         wire = 40 * collected.results
         assert empty.results == 0
-        assert collected.results == streamed.results == sum(frames) // 40 > 15_000
-        assert len(frames) > 20 and max(frames) < wire / 10
+        assert counted.matches is None
+        assert collected.results == counted.results > 15_000
         assert held >= wire
-        assert peak <= floor + 4 * max(frames), (peak, floor, max(frames), wire)
-        assert peak < wire / 2
+        assert [stats["bytes_out"] for stats in counted.worker_stats] == [0, 0]
+        assert peak <= floor + 32 * 1024, (peak, floor, wire)
 
 
 class _Pipe:

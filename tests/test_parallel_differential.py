@@ -96,34 +96,32 @@ def assert_equal_observables(serial, result, context):
     assert verdict["status"] == "ok", f"{context}: {verdict['failures']}"
 
 
-def try_process_run(runner, records, sink=None):
+def try_process_run(runner, records, collect=True):
     """Run on real processes, or skip when the host forbids them."""
     try:
-        return runner.run(records, sink=sink)
+        return runner.run(records, collect=collect)
     except (ImportError, OSError, PermissionError) as error:
         pytest.skip(f"multiprocessing unavailable on this host: {error}")
 
 
-def assert_sink_equals_collect(serial, runner, records, context):
-    """One grid cell of the results stream: the same runner with and
-    without a sink. The collecting run is the serial run bit for bit;
-    the sink sees every row exactly once (sorted, they are the canonical
-    table), holds nothing afterwards, and changes no meter."""
+def assert_count_only_equals_collect(serial, runner, records, context):
+    """One grid cell of the results stream: the same runner collecting
+    and count-only. The collecting run is the serial run bit for bit;
+    the count-only run holds no rows, ships no bytes, counts the same
+    rows and changes no meter."""
     collected = try_process_run(runner, records)
     assert_equal_observables(serial, collected, f"{context}: collect")
-    frames = []
-    streamed = try_process_run(runner, records, sink=frames.append)
-    assert streamed.matches is None, f"{context}: a sink run held the result"
-    rows = sorted(row for frame in frames for row in frame)
-    assert rows == collected.matches == serial.matches, f"{context}: sink rows"
-    for frame in frames:
-        assert len(frame) and frame.ordered, f"{context}: unsorted frame"
-    for result in (collected, streamed):
-        assert result.results == len(rows) == result.events["results"], context
-    assert streamed.operations == serial.operations, context
-    assert streamed.events == serial.events, context
-    assert streamed.signals == serial.signals, context
-    assert streamed.fingerprint() == collected.fingerprint(), context
+    counted = try_process_run(runner, records, collect=False)
+    assert counted.matches is None, f"{context}: a count-only run held rows"
+    for result in (collected, counted):
+        assert result.results == result.events["results"] == len(
+            collected.matches
+        ), context
+    assert all(s["bytes_out"] == 0 for s in counted.worker_stats), context
+    assert counted.operations == collected.operations, context
+    assert counted.events == collected.events, context
+    assert counted.signals == collected.signals, context
+    assert counted.fingerprint() == collected.fingerprint(), context
 
 
 class TestInlineGrid:
@@ -354,13 +352,15 @@ def _fork_or_skip():
 
 
 class TestResultsStream:
-    """Workers ship at every batch boundary that has rows, the driver
-    drains every worker at once and hands each frame to the sink:
-    equal to collecting, and observably early."""
+    """Collecting workers ship at every batch boundary that has rows,
+    and the driver drains every worker at once: observably early.
+    Count-only workers ship nothing and report the same run."""
 
     @pytest.mark.parametrize("batch_size", [1, 64, 512])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sink_equals_collect(self, workers, batch_size):
+        """Collecting vs count-only on every grid cell. (The id keeps
+        its old name: a count-only run replaced the discarding sink.)"""
         records = fuzz_records(seed=191, n=200)
         for num_shards in (workers, 4):
             config = JoinConfig(
@@ -370,7 +370,7 @@ class TestResultsStream:
             serial = run_serial(config, records)
             assert serial.results > 0
             runner = ParallelJoinRunner(config, workers=workers)
-            assert_sink_equals_collect(
+            assert_count_only_equals_collect(
                 serial, runner, records,
                 f"w={workers} shards={num_shards} batch={batch_size}",
             )
@@ -434,25 +434,31 @@ class TestResultsStream:
         assert sorted(shipped) == serial.matches
 
     def test_process_first_frame_long_before_run_end(self, monkeypatch):
-        """Every batch slowed by 10 ms: the first frame reaches the
-        sink while at least half the injected sleep is still ahead."""
+        """Every batch slowed by 10 ms: the driver consumes the first
+        frame while at least half the injected sleep is still ahead."""
         _fork_or_skip()
+        import repro.parallel.runtime as runtime_mod
+
         real = ShardWorker.process_batch
+        real_consume = runtime_mod._Run.consume
 
         def slow(self, shard, items):
             time.sleep(0.010)
             real(self, shard, items)
 
-        monkeypatch.setattr(ShardWorker, "process_batch", slow)
         arrivals = []
+
+        def consume(self, w, frame):
+            arrivals.append(time.monotonic())
+            real_consume(self, w, frame)
+
+        monkeypatch.setattr(ShardWorker, "process_batch", slow)
+        monkeypatch.setattr(runtime_mod._Run, "consume", consume)
         runner = ParallelJoinRunner(
             JoinConfig(threshold=0.6, batch_size=16), workers=2,
             start_method="fork",
         )
-        result = try_process_run(
-            runner, fuzz_records(seed=193),
-            sink=lambda frame: arrivals.append(time.monotonic()),
-        )
+        result = try_process_run(runner, fuzz_records(seed=193))
         ended = time.monotonic()
         injected = 0.010 * max(s["batches"] for s in result.worker_stats)
         assert injected > 0.2
@@ -460,8 +466,9 @@ class TestResultsStream:
 
     def test_frames_interleave_across_workers(self, monkeypatch):
         """Worker 0 slowed: the other workers' frames are consumed
-        while it is still working — the first frame to reach the sink
-        is not worker 0's, and nobody's frames wait for its summary."""
+        while it is still working — the first frame the driver consumes
+        is not worker 0's, and nobody's frames wait for its summary.
+        Every frame is non-empty and sorted."""
         _fork_or_skip()
         import repro.parallel.runtime as runtime_mod
 
@@ -475,6 +482,7 @@ class TestResultsStream:
             real_batch(self, shard, items)
 
         def consume(self, w, frame):
+            assert len(frame) and frame.ordered, "empty or unsorted frame"
             order.append(w)
             real_consume(self, w, frame)
 
@@ -484,7 +492,7 @@ class TestResultsStream:
             JoinConfig(threshold=0.6, batch_size=16), workers=3,
             start_method="fork",
         )
-        try_process_run(runner, fuzz_records(seed=194), sink=lambda frame: None)
+        try_process_run(runner, fuzz_records(seed=194))
         assert set(order) == {0, 1, 2}
         assert order[0] != 0
         assert order[-1] == 0

@@ -724,8 +724,7 @@ class TestRunFailure:
         config = JoinConfig(threshold=0.6, batch_size=64)
         records = fuzz_records(seed=23, n=4000)
         batches = try_process_run(
-            ParallelJoinRunner(config, workers=2), records,
-            sink=lambda frame: None,
+            ParallelJoinRunner(config, workers=2), records, collect=False,
         ).worker_stats[0]["batches"]
         assert 0.1 * batches > 4.0, "worker 0 would not outlive the check"
         monkeypatch.setattr(ShardWorker, "process_batch", dying)

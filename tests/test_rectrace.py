@@ -160,12 +160,12 @@ class TestSamplingDeterminism:
 
     CONFIG = JoinConfig(threshold=0.6)
 
-    def _doc(self, records, workers, batch_size, sample=8):
+    def _doc(self, records, workers, batch_size, sample=8, collect=True):
         runner = ParallelJoinRunner(
             self.CONFIG.replace(batch_size=batch_size), workers=workers,
             trace_sample=sample,
         )
-        return try_process_run(runner, records).rectrace_document()
+        return try_process_run(runner, records, collect).rectrace_document()
 
     def test_traced_rids_identical_across_workers(self):
         records = fuzz_records(seed=11, n=240)
@@ -180,6 +180,9 @@ class TestSamplingDeterminism:
         for workers in (2, 4):
             signature = _trace_signature(self._doc(records, workers, 32))
             assert signature == reference, f"workers={workers}"
+        # A count-only run stamps the same events, match_emit included.
+        counted = self._doc(records, 2, 32, collect=False)
+        assert _trace_signature(counted) == reference, "count-only"
 
     def test_event_structure_identical_across_batch_sizes(self):
         records = fuzz_records(seed=13, n=240)

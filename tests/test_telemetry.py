@@ -164,6 +164,39 @@ class TestDifferentialWithTelemetry:
         assert all(matches == seen for matches, seen in arrivals), arrivals
         assert any(0 < matches < result.results for matches, _ in arrivals)
 
+    def test_a_count_only_run_samples_the_rows_found(self, monkeypatch):
+        """``collect=False``: no row crosses the pipe, yet each sample's
+        ``matches`` is the rows found so far — live mid-run — and the
+        final sample's is ``result.results``; ``bytes_out`` stays 0."""
+        import time
+
+        from repro.parallel.worker import ShardWorker
+
+        real = ShardWorker.process_batch
+
+        def slow(self, shard, items):
+            time.sleep(0.001)
+            real(self, shard, items)
+
+        monkeypatch.setattr(ShardWorker, "process_batch", slow)
+        result = try_process_run(
+            ParallelJoinRunner(
+                JoinConfig(threshold=0.6, batch_size=16), workers=1,
+                heartbeat_interval=0.002,
+            ),
+            fuzz_records(seed=4209),
+            collect=False,
+        )
+        assert result.matches is None
+        assert telemetry_smoke(result.telemetry) == []
+        samples = [r for r in result.telemetry if r.get("kind") == "sample"]
+        assert len(samples) >= 4 and samples[-1]["final"]
+        assert samples[-1]["matches"] == result.results == (
+            result.events["results"]
+        ) == result.telemetry[-1]["results"] > 0
+        assert any(0 < r["matches"] < result.results for r in samples[:-1])
+        assert all(r["bytes_out"] == 0 for r in samples)
+
     def test_telemetry_composes_with_spans(self):
         config = JoinConfig(threshold=0.6)
         records = fuzz_records(seed=4203)
