@@ -700,7 +700,10 @@ def _cmd_join(args) -> int:
     wall_s = time.perf_counter() - started
     print(format_table([report.summary()]))
     if args.pairs and report.pairs is not None:
-        for later, earlier, similarity in sorted(report.pairs, key=lambda p: -p[2]):
+        # Ties in the parallel path's canonical order, not the
+        # engines' emission order.
+        ordered = sorted(report.pairs, key=lambda p: (-p[2], p[0], p[1]))
+        for later, earlier, similarity in ordered:
             print(f"{similarity:.4f}\t{earlier}\t{later}")
     _write_artifacts(observer, report, args)
     if args.fingerprint_out:

@@ -48,6 +48,25 @@ Both layouts feed the same ``zip`` loops (length filter per posting
 where the slice was not bisected): every column is dense — expiry
 only ever cuts its front — so nothing is walked by index.
 
+**Exact duplicates share a posting** (size-sorted layout only; DESIGN
+§9.2). Detection is free: a probe verifies every indexed record with
+its exact token set anyway (the closed-form branch of the merge;
+``overlap == lr == ls`` on the filtered path) and hands the first one
+to the ``insert`` of the *same* ``Record`` object. That insert adds
+the record to the representative's group instead of posting it, and
+counts a member posting under each column it would have posted to.
+The meters stay logical: ``live_postings``, ``posting_insert`` and
+``posting_scan`` count member postings as postings, and a probe that
+admits a representative charges admit, verify and compare once per
+member, emitting one row per member at the representative's slot (the
+representative, then its members in arrival order). The merge runs
+once; ``pair_filter`` runs per member, which may pair where its
+representative may not. Columns without members run the scan loop as
+before. A bounded window does not group: a member would outlive its
+representative's posting, and cutting a front must stay one ``del``.
+Nor does an insert that its own probe did not precede (bulk loads), so
+those post exactly as they always have.
+
 **Aggregate metering.** The scan accumulates plain local integers and
 flushes them once per probe through
 :meth:`~repro.core.metering.WorkMeter.charge_many` /
@@ -123,7 +142,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.dedup import verify_owned_pair
 from repro.core.metering import WorkMeter
@@ -149,6 +168,16 @@ class MatchResult(NamedTuple):
     partner: Record
     similarity: float
     overlap: int
+
+
+def _pairable(
+    record: Record, group: Sequence[Record], pair_filter: Optional[PairFilter],
+) -> Optional[Sequence[Record]]:
+    """The records of ``group`` that ``pair_filter`` lets pair with
+    ``record``, in order; None if none may."""
+    if pair_filter is not None:
+        group = [member for member in group if pair_filter(record, member)]
+    return group or None
 
 
 class _Postings:
@@ -232,6 +261,15 @@ class StreamingSetJoin:
         #: slot — the oldest posting of a token is its column's front.
         self._heap: List[Tuple[float, int]] = []
         self._live_postings = 0
+        #: Size-sorted layout only (see "exact duplicates share a
+        #: posting" in the module doc): representative rid -> its group
+        #: (the representative, then its members in arrival order);
+        #: token -> how many member postings its column stands for; and
+        #: the last probe's ``(record, representative)`` when it met an
+        #: exact duplicate, for the insert of that same record.
+        self._groups: Dict[int, Tuple[Record, ...]] = {}
+        self._member_postings: Dict[int, int] = {}
+        self._duplicate: Optional[Tuple[Record, Record]] = None
 
     # -- index maintenance ---------------------------------------------------
     @property
@@ -289,6 +327,22 @@ class StreamingSetJoin:
                 cols.positions.append(position)
                 timestamps.append(timestamp)
                 cols.recs.append(record)
+        elif self._duplicate is not None and self._duplicate[0] is record:
+            # This record's own probe met an indexed exact duplicate:
+            # it joins that representative's group, and each column it
+            # would post to counts one more member posting instead.
+            groups, representative = self._groups, self._duplicate[1]
+            groups[representative.rid] = (
+                groups.get(representative.rid, (representative,)) + (record,)
+            )
+            self._duplicate = None
+            member_postings = self._member_postings
+            for position in range(width):
+                token = tokens[position]
+                if owns is not None and not owns(token):
+                    continue
+                member_postings[token] = member_postings.get(token, 0) + 1
+                inserted += 1
         else:
             for position in range(width):
                 token = tokens[position]
@@ -338,6 +392,14 @@ class StreamingSetJoin:
         time_ordered = self._time_ordered
         seconds = self.window.seconds
         index = self._index
+        groups = self._groups
+        member_postings = self._member_postings
+        # The first indexed exact duplicate verified, if any.
+        duplicate = None
+        # The candidate being verified when it is a representative: it
+        # and its members, less those ``pair_filter`` rejects. None
+        # otherwise (every candidate in a column without members).
+        group = None
         # A single-token probe prefix cannot scan the same partner
         # twice, so duplicate-candidate tracking is skipped wholesale;
         # the ``seen`` set exists only when something can use it.
@@ -373,6 +435,7 @@ class StreamingSetJoin:
             n_scan += n
             lenfilter = True
             if time_ordered:
+                grouped = 0
                 # Time-ordered column: ``now - ts`` never grows
                 # with ``ts`` (IEEE subtraction is monotone), so
                 # the postings dead at ``now`` are a prefix; walk
@@ -404,7 +467,10 @@ class StreamingSetJoin:
                 # Size-sorted column (unbounded window): the length
                 # filter is two bisects bounding the qualifying
                 # slice; the pruned slots still count as scanned
-                # (see module doc).
+                # (see module doc), and so do the member postings
+                # the column's representatives stand for.
+                grouped = member_postings.get(token, 0)
+                n_scan += grouped
                 klo = bisect_left(sizes, lo)
                 khi = bisect_right(sizes, hi, klo)
                 if klo >= khi:
@@ -440,8 +506,16 @@ class StreamingSetJoin:
                     ):
                         continue
                     n_admit += 1
-                    if pair_filter is not None and not pair_filter(
-                        record, partner
+                    if grouped:
+                        group = groups.get(rid)
+                        if group is not None:
+                            n_admit += len(group) - 1
+                            group = _pairable(record, group, pair_filter)
+                            if group is None:
+                                continue
+                    if (
+                        pair_filter is not None and group is None
+                        and not pair_filter(record, partner)
                     ):
                         continue
                     overlap, comparisons, verified = verify_owned_pair(
@@ -449,6 +523,20 @@ class StreamingSetJoin:
                     )
                     n_compare += comparisons
                     n_verify += verified
+                    if overlap == lr == ls and duplicate is None:
+                        duplicate = partner
+                    if group is not None:
+                        # One walk for the group, charged per pair.
+                        k = len(group) - 1
+                        n_compare += k * comparisons
+                        n_verify += k * verified
+                        if overlap >= required:
+                            n_emit += k + 1
+                            similarity = similarity_from_overlap(lr, ls, overlap)
+                            for member in group:
+                                emit(new_mr(MR, (member, similarity, overlap)))
+                        group = None
+                        continue
                     if overlap >= required:
                         n_emit += 1
                         emit(new_mr(MR, (
@@ -477,8 +565,16 @@ class StreamingSetJoin:
                     if j > jmax:
                         continue
                     n_admit += 1
-                    if pair_filter is not None and not pair_filter(
-                        record, partner
+                    if grouped:
+                        group = groups.get(rid)
+                        if group is not None:
+                            n_admit += len(group) - 1
+                            group = _pairable(record, group, pair_filter)
+                            if group is None:
+                                continue
+                    if (
+                        pair_filter is not None and group is None
+                        and not pair_filter(record, partner)
                     ):
                         continue
                     # verify_pair(tokens, partner.tokens, required,
@@ -495,35 +591,40 @@ class StreamingSetJoin:
                         # outcome is closed-form.
                         comparisons = lr - i1
                         o = 1 + comparisons
-                        n_compare += comparisons
-                        n_verify += 1
-                        n_emit += 1
-                        emit(new_mr(MR, (
-                            partner,
-                            similarity_from_overlap(lr, ls, o),
-                            o,
-                        )))
-                        continue
-                    a, o = i1, 1
-                    comparisons = 0
-                    while a < lr and b < ls:
-                        ra = lr - a
-                        rb = ls - b
-                        if o + (ra if ra < rb else rb) < required:
-                            break  # bound failed => o < required
-                        comparisons += 1
-                        ta = tokens[a]
-                        tb = ptokens[b]
-                        if ta == tb:
-                            o += 1
-                            a += 1
-                            b += 1
-                        elif ta < tb:
-                            a += 1
-                        else:
-                            b += 1
+                        if duplicate is None:
+                            duplicate = partner
+                    else:
+                        a, o = i1, 1
+                        comparisons = 0
+                        while a < lr and b < ls:
+                            ra = lr - a
+                            rb = ls - b
+                            if o + (ra if ra < rb else rb) < required:
+                                break  # bound failed => o < required
+                            comparisons += 1
+                            ta = tokens[a]
+                            tb = ptokens[b]
+                            if ta == tb:
+                                o += 1
+                                a += 1
+                                b += 1
+                            elif ta < tb:
+                                a += 1
+                            else:
+                                b += 1
                     n_compare += comparisons
                     n_verify += 1
+                    if group is not None:
+                        k = len(group) - 1
+                        n_compare += k * comparisons
+                        n_verify += k
+                        if o >= required:
+                            n_emit += k + 1
+                            similarity = similarity_from_overlap(lr, ls, o)
+                            for member in group:
+                                emit(new_mr(MR, (member, similarity, o)))
+                        group = None
+                        continue
                     if o >= required:
                         n_emit += 1
                         emit(new_mr(MR, (
@@ -545,8 +646,16 @@ class StreamingSetJoin:
                     if j > jmax:
                         continue
                     n_admit += 1
-                    if pair_filter is not None and not pair_filter(
-                        record, partner
+                    if grouped:
+                        group = groups.get(partner.rid)
+                        if group is not None:
+                            n_admit += len(group) - 1
+                            group = _pairable(record, group, pair_filter)
+                            if group is None:
+                                continue
+                    if (
+                        pair_filter is not None and group is None
+                        and not pair_filter(record, partner)
                     ):
                         continue
                     # Same inlined first-match merge as above.
@@ -560,35 +669,40 @@ class StreamingSetJoin:
                         # outcome is closed-form.
                         comparisons = lr - i1
                         o = 1 + comparisons
-                        n_compare += comparisons
-                        n_verify += 1
-                        n_emit += 1
-                        emit(new_mr(MR, (
-                            partner,
-                            similarity_from_overlap(lr, ls, o),
-                            o,
-                        )))
-                        continue
-                    a, o = i1, 1
-                    comparisons = 0
-                    while a < lr and b < ls:
-                        ra = lr - a
-                        rb = ls - b
-                        if o + (ra if ra < rb else rb) < required:
-                            break  # bound failed => o < required
-                        comparisons += 1
-                        ta = tokens[a]
-                        tb = ptokens[b]
-                        if ta == tb:
-                            o += 1
-                            a += 1
-                            b += 1
-                        elif ta < tb:
-                            a += 1
-                        else:
-                            b += 1
+                        if duplicate is None:
+                            duplicate = partner
+                    else:
+                        a, o = i1, 1
+                        comparisons = 0
+                        while a < lr and b < ls:
+                            ra = lr - a
+                            rb = ls - b
+                            if o + (ra if ra < rb else rb) < required:
+                                break  # bound failed => o < required
+                            comparisons += 1
+                            ta = tokens[a]
+                            tb = ptokens[b]
+                            if ta == tb:
+                                o += 1
+                                a += 1
+                                b += 1
+                            elif ta < tb:
+                                a += 1
+                            else:
+                                b += 1
                     n_compare += comparisons
                     n_verify += 1
+                    if group is not None:
+                        k = len(group) - 1
+                        n_compare += k * comparisons
+                        n_verify += k
+                        if o >= required:
+                            n_emit += k + 1
+                            similarity = similarity_from_overlap(lr, ls, o)
+                            for member in group:
+                                emit(new_mr(MR, (member, similarity, o)))
+                        group = None
+                        continue
                     if o >= required:
                         n_emit += 1
                         emit(new_mr(MR, (
@@ -616,6 +730,8 @@ class StreamingSetJoin:
             charges["result_emit"] = n_emit
         if charges:
             meter.charge_many(charges)
+        if duplicate is not None and not time_ordered:
+            self._duplicate = (record, duplicate)
         if n_admit or n_verify:
             events: Dict[str, float] = {}
             if n_admit:

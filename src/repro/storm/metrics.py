@@ -229,7 +229,10 @@ def build_report(
     all_tasks = registry.all_tasks()
     busiest = max(all_tasks, key=lambda t: t.busy_seconds, default=None)
     max_busy = busiest.busy_seconds if busiest else 0.0
-    capacity = records / max_busy if max_busy > 0 else float("inf")
+    # A run that timed nothing (no records) reports 0 records/s, as the
+    # parallel runtime does: a fingerprint must stay JSON.
+    capacity = records / max_busy if max_busy > 0 else 0.0
+    achieved = records / makespan if makespan > 0 else 0.0
 
     per_task_busy = registry.busy_by_component()
     join_busy = per_task_busy.get(join_component, [])
@@ -254,7 +257,7 @@ def build_report(
             "records per second at the bottleneck (records / max task busy)",
         ),
         "run_achieved_throughput": (
-            records / makespan if makespan > 0 else float("inf"),
+            achieved,
             "records per second at the offered rate",
         ),
         "run_messages_total": (messages, "inter-task messages shipped"),
@@ -278,7 +281,7 @@ def build_report(
         results=int(counters.get("results", 0)),
         makespan=makespan,
         capacity_throughput=capacity,
-        achieved_throughput=records / makespan if makespan > 0 else float("inf"),
+        achieved_throughput=achieved,
         messages=messages,
         bytes=total_bytes,
         load_balance=balance,

@@ -103,6 +103,27 @@ class TestJoinParallel:
                           if l and l[0].isdigit())
         assert pair_lines(["--parallel", "--workers", "2"]) == pair_lines([])
 
+    def test_pair_lines_identical_on_duplicate_heavy_corpus(
+        self, tmp_path, capsys
+    ):
+        """Byte for byte, unsorted: the simulated run prints ties in the
+        parallel path's canonical order, whatever order its engines emit
+        exact duplicates in."""
+        corpus = tmp_path / "dups.txt"
+        assert main(["generate", str(corpus), "--corpus", "AOL",
+                     "--duplicate-rate", "0.3", "--records", "400",
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+
+        def pair_lines(extra):
+            assert main(["join", str(corpus), "--pairs"] + extra) == 0
+            out = capsys.readouterr().out
+            return [l for l in out.splitlines() if l and l[0].isdigit()]
+        simulated = pair_lines([])
+        assert sum(l.startswith("1.0000") for l in simulated) > 50
+        for workers in ("1", "2"):
+            assert pair_lines(["--parallel", "--workers", workers]) == simulated
+
     def test_parallel_holds_no_result_unless_pairs_ask(
         self, corpus_file, tmp_path, capsys
     ):
@@ -854,6 +875,27 @@ class TestDiffCli:
         assert verdict["status"] == "regression"
         assert any(f["metric"] == "run_results" and f["policy"] == "exact"
                    for f in verdict["failures"])
+
+    @pytest.mark.parametrize("records", [0, 5])
+    @pytest.mark.parametrize("extra", [[], ["--parallel"]],
+                             ids=["simulated", "parallel"])
+    def test_fingerprints_are_strict_json(self, tmp_path, capsys, records,
+                                          extra):
+        """No ``Infinity``/``NaN`` in a written fingerprint — not even
+        for a run with no records, which reports 0 records/s."""
+        lines = ["alpha beta gamma", "alpha beta gamma delta",
+                 "omega psi chi", "alpha beta gamma", "omega psi chi rho"]
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("".join(f"{line}\n" for line in lines[:records]))
+        out = tmp_path / "fp.json"
+        assert main(["join", str(corpus), "--threshold", "0.7",
+                     "--fingerprint-out", str(out)] + extra) == 0
+        capsys.readouterr()
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+        fingerprint = json.loads(out.read_text(), parse_constant=reject)
+        assert fingerprint["exact"]["run_records"]["total"] == records
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

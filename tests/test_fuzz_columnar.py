@@ -14,7 +14,8 @@ token-filtered columnar engine applies the prefix scheme's reporting
 rule inside its verification walk; the reference engine gets the same
 rule bolted on as a separate pass (``bolted_on_dedup``). For the
 size-sorted layout the same holds under three insert/probe schedules,
-and the order matches are emitted in is pinned as well.
+on duplicate-heavy streams too (exact duplicates share one posting
+there), and the order matches are emitted in is pinned as well.
 """
 
 import math
@@ -215,6 +216,67 @@ SIZE_SORTED_MODES = {
 }
 
 
+def representatives(ops, owned, pair_filter):
+    """Every grouped record's representative (rid -> rid), by the rule
+    the size-sorted layout follows: a probe that verifies an indexed
+    exact duplicate — the first one posted, met under the record's
+    first token, which the engine must own, through a group with a
+    pair ``pair_filter`` admits — hands it to the insert of that same
+    record, which joins its group instead of posting."""
+    posted, members, rep_of = [], {}, {}
+    pending = None
+    for op, record in ops:
+        tokens = record.tokens
+        if op == "probe":
+            for rep in posted:
+                if (rep.tokens == tokens and tokens and owned(tokens[0])
+                        and any(pair_filter(record, member)
+                                for member in [rep] + members[rep.rid])):
+                    pending = record, rep
+                    break
+        elif pending is not None and pending[0] is record:
+            rep = pending[1]
+            members[rep.rid].append(record)
+            rep_of[record.rid] = rep.rid
+            pending = None
+        else:
+            posted.append(record)
+            members[record.rid] = []
+    return rep_of
+
+
+def assert_scan_order(ops, columnar, reference, owned, pair_filter):
+    """Matches are emitted in scan order: by probe-prefix token, then
+    partner size, then the arrival of the partner's representative (a
+    posted record is its own), then arrival — a representative's
+    members follow it. Returns the grouping and the rows checked."""
+    rep_of = representatives(ops, owned, pair_filter)
+
+    def scan_key(record, partner):
+        # A pair is verified where it is first met: at its smallest
+        # shared (owned) token, which lies in both prefixes if any does.
+        first = min(t for t in set(record.tokens) & set(partner.tokens)
+                    if owned(t))
+        return (record.tokens.index(first), len(partner.tokens),
+                rep_of.get(partner.rid, partner.rid))
+
+    emitted = 0
+    for (op, record), got, want in zip(ops, columnar, reference):
+        # The reference scans each list in arrival order, so a stable
+        # sort of its emissions by (token, size, representative) is the
+        # columnar order.
+        expected = sorted(
+            want["emitted"], key=lambda partner: scan_key(record, partner)
+        )
+        assert got["emitted"] == expected, f"{op} rid {record.rid}"
+        emitted += len(expected)
+    return rep_of, emitted
+
+
+def always(*_):
+    return True
+
+
 @pytest.mark.parametrize("seed", [400, 401])
 @pytest.mark.parametrize("mode", SIZE_SORTED_MODES)
 @pytest.mark.parametrize(
@@ -223,33 +285,92 @@ SIZE_SORTED_MODES = {
 )
 def test_size_sorted_schedules(schedule, mode, seed):
     """However inserts and probes interleave, every observable equals the
-    reference's after every step, and matches are emitted in scan order:
-    by probe-prefix token, then partner size, then arrival."""
+    reference's after every step, and matches are emitted in scan order
+    (``assert_scan_order``)."""
     options = dict(SIZE_SORTED_MODES[mode])
     expiry = options.pop("expiry", "lazy")
-    owned = options.get("token_filter", lambda token: True)
     records = fuzz_stream(seed, n=300, universe=25, max_len=10)
     ops, columnar, reference = assert_identical(
         records, "jaccard", 0.5, math.inf, expiry, schedule=schedule, **options
     )
-
-    def scan_key(record, partner):
-        # A pair is verified where it is first met: at its smallest
-        # shared (owned) token, which lies in both prefixes if any does.
-        first = min(t for t in set(record.tokens) & set(partner.tokens)
-                    if owned(t))
-        return record.tokens.index(first), len(partner.tokens)
-
-    emitted = 0
-    for (op, record), got, want in zip(ops, columnar, reference):
-        # The reference scans each list in arrival order, so a stable
-        # sort of its emissions by (token, size) is the columnar order.
-        expected = sorted(
-            want["emitted"], key=lambda partner: scan_key(record, partner)
-        )
-        assert got["emitted"] == expected, f"{op} rid {record.rid}"
-        emitted += len(expected)
+    _, emitted = assert_scan_order(
+        ops, columnar, reference,
+        options.get("token_filter", always), options.get("pair_filter", always),
+    )
     assert emitted > 50  # the order check saw real match lists
+
+
+def duplicate_heavy_stream(seed, n=300):
+    """Half the records repeat one of a few dozen token sets exactly;
+    sources alternate at random for the cross-source filter."""
+    rng = random.Random(seed)
+    base = [tuple(sorted(rng.sample(range(30), rng.randint(1, 7))))
+            for _ in range(30)]
+    records = []
+    for rid in range(n):
+        if rng.random() < 0.5:
+            tokens = rng.choice(base)
+        else:
+            tokens = tuple(sorted(rng.sample(range(30), rng.randint(1, 7))))
+        records.append(Record(rid, tokens, float(rid), source=rng.choice("LR")))
+    return records
+
+
+DUPLICATE_MODES = {
+    "unfiltered": {},
+    "token-filtered": {
+        "token_filter": lambda token: token_owner(token, 3) != 1,
+    },
+    "pair-filtered": {
+        "token_filter": lambda token: token_owner(token, 3) != 1,
+        "pair_filter": cross_source_filter,
+    },
+    "cross-source": {"pair_filter": cross_source_filter},
+}
+
+
+@pytest.mark.parametrize("seed", [500, 501])
+@pytest.mark.parametrize("mode", DUPLICATE_MODES)
+@pytest.mark.parametrize(
+    "schedule",
+    [probe_then_insert, insert_all_then_probe_all, alternating_streaks],
+)
+def test_size_sorted_exact_duplicates(schedule, mode, seed):
+    """A stream of exact repeats: grouped records leave every observable
+    equal to the reference's, and a member pairs with a record its
+    representative may not (the cross-source rule)."""
+    options = DUPLICATE_MODES[mode]
+    records = duplicate_heavy_stream(seed)
+    seen = set()
+    repeats = 0
+    for record in records:
+        repeats += record.tokens in seen
+        seen.add(record.tokens)
+    assert repeats >= 0.3 * len(records)
+    ops, columnar, reference = assert_identical(
+        records, "jaccard", 0.5, math.inf, "lazy", schedule=schedule, **options
+    )
+    pair_filter = options.get("pair_filter", always)
+    rep_of, emitted = assert_scan_order(
+        ops, columnar, reference,
+        options.get("token_filter", always), pair_filter,
+    )
+    assert emitted > 100
+    if schedule is not probe_then_insert:
+        assert not rep_of  # no insert followed its own probe
+        return
+    assert len(rep_of) >= 0.1 * len(records)
+    if pair_filter is always:
+        return
+    by_rid = {record.rid: record for record in records}
+    member_only = [
+        (record.rid, partner.rid)
+        for (op, record), got in zip(ops, columnar)
+        for partner in got["emitted"]
+        if partner.rid in rep_of
+        and not pair_filter(record, by_rid[rep_of[partner.rid]])
+    ]
+    assert member_only  # a member emitted where its representative is not
 
 
 # -- a bounded window: the time-ordered columns ----------------------------

@@ -221,6 +221,78 @@ class TestSizeSortedColumns:
         self.drive(StreamingSetJoin(Jaccard(0.7)), records)
 
 
+class TestExactDuplicates:
+    """Size-sorted layout: a record whose own probe met an indexed exact
+    duplicate joins that record's group instead of posting; every meter
+    stays what posting it would have charged."""
+
+    FIRST = (1, 2, 3, 4)
+
+    @staticmethod
+    def columns(engine):
+        return {
+            token: (list(cols.rids), list(cols.sizes), list(cols.positions),
+                    [rec.rid for rec in cols.recs], list(cols.timestamps))
+            for token, cols in engine._index.items()
+        }
+
+    def loaded(self, window=None):
+        meter = WorkMeter()
+        engine = StreamingSetJoin(Jaccard(0.5), window=window, meter=meter)
+        engine.probe_and_insert(Record(0, self.FIRST, 0.0))
+        engine.probe_and_insert(Record(1, (1, 2, 5, 6), 1.0))
+        return engine, meter
+
+    def test_probed_duplicate_shares_the_posting(self):
+        engine, meter = self.loaded()
+        width = engine.func.index_prefix_length(len(self.FIRST))
+        before, live = self.columns(engine), engine.live_postings
+        duplicate = Record(2, self.FIRST, 2.0)
+        assert [m.partner.rid for m in engine.probe(duplicate)] == [0]
+        engine.insert(duplicate)
+        assert self.columns(engine) == before
+        assert engine.live_postings == live + width
+        assert meter.operation("posting_insert") == live + width
+        # A later probe meets both through the one posting, charged as
+        # two scanned postings per column and two verifications.
+        scans = meter.operation("posting_scan")
+        found = engine.probe(Record(3, self.FIRST, 3.0))
+        assert [(m.partner.rid, m.overlap) for m in found] == [(0, 4), (2, 4)]
+        assert meter.operation("posting_scan") - scans == sum(
+            len(cols.rids) + engine._member_postings.get(token, 0)
+            for token, cols in engine._index.items()
+            if token in self.FIRST[:engine.func.probe_prefix_length(4)]
+        )
+        assert {rid: [r.rid for r in group]
+                for rid, group in engine._groups.items()} == {0: [0, 2]}
+
+    def test_insert_without_its_probe_posts(self):
+        engine, _ = self.loaded()
+        before, live = self.columns(engine), engine.live_postings
+        width = engine.func.index_prefix_length(len(self.FIRST))
+        engine.probe(Record(2, self.FIRST, 2.0))  # a different object
+        engine.insert(Record(2, self.FIRST, 2.0))
+        engine.insert(Record(3, self.FIRST, 3.0))
+        after = self.columns(engine)
+        for token in self.FIRST[:width]:
+            assert after[token][0] == before[token][0] + [2, 3]
+        assert engine.live_postings == live + 2 * width
+        assert not engine._groups and not engine._member_postings
+
+    def test_bounded_window_posts_every_duplicate(self):
+        engine, _ = self.loaded(window=SlidingWindow(100.0))
+        before, live = self.columns(engine), engine.live_postings
+        width = engine.func.index_prefix_length(len(self.FIRST))
+        for rid in (2, 3):
+            engine.probe_and_insert(Record(rid, self.FIRST, float(rid)))
+        after = self.columns(engine)
+        for token in self.FIRST[:width]:
+            assert after[token][0] == before[token][0] + [2, 3]
+            assert after[token][4] == before[token][4] + [2.0, 3.0]
+        assert engine.live_postings == live + 2 * width
+        assert not engine._groups and not engine._member_postings
+
+
 class TestTimeOrderedColumns:
     """A bounded window: columns sorted by timestamp, dead postings
     dropped as a prefix — by the probe that meets them (lazy) or by the
