@@ -36,13 +36,6 @@ def standard_configs(
 
     ``include`` restricts the suite; extra keyword arguments override
     every config (e.g. ``collect_pairs=True`` in tests).
-
-    One label is opt-in rather than part of the default suite: ``SKT``,
-    the approximate sketch tier (``mode="approx"``, MinHash/LSH
-    candidate generation). It only joins the suite when ``include``
-    names it, because its match set is a *subset* of the exact ones —
-    mixing it into exactness-gated comparisons (baseline fingerprints,
-    bit-identical differentials) by default would poison them.
     """
     base = dict(
         threshold=threshold,
@@ -65,8 +58,6 @@ def standard_configs(
         ),
     }
     if include is not None:
-        if "SKT" in include:
-            suite["SKT"] = JoinConfig(mode="approx", **base)
         unknown = set(include) - set(suite)
         if unknown:
             raise ValueError(f"unknown method labels: {sorted(unknown)}")

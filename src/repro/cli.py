@@ -88,7 +88,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.bench.harness import (
@@ -128,10 +127,9 @@ from repro.obs.rectrace import (
     split_rectrace,
     validate_rectrace_lines,
 )
-from repro.sketch.recall import observables_recall
 from repro.storm.costmodel import CostModel
 
-METHOD_LABELS = ("BRD", "PRE", "LEN-U", "LEN", "LEN+BUN", "SKT")
+METHOD_LABELS = ("BRD", "PRE", "LEN-U", "LEN", "LEN+BUN")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,23 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "postings as probes touch them, eager evicts "
                            "on arrival via an expiration heap "
                            "(default: lazy)")
-    join.add_argument("--mode", default="exact", choices=["exact", "approx"],
-                      help="'approx' swaps exact prefix-filter candidate "
-                           "generation for MinHash/LSH band collisions: "
-                           "emitted pairs are still exactly verified "
-                           "(precision 1.0) but recall drops below 1.0 "
-                           "(default: exact)")
-    join.add_argument("--perms", type=int, default=None, metavar="K",
-                      help="MinHash permutations per signature in --mode "
-                           "approx (default 64)")
-    join.add_argument("--bands", type=int, default=None, metavar="B",
-                      help="LSH bands per signature in --mode approx; "
-                           "must divide --perms evenly (default 8)")
-    join.add_argument("--recall-floor", type=float, default=None,
-                      metavar="R",
-                      help="after an approx join, rerun the exact engine "
-                           "over the same stream and exit 1 if measured "
-                           "recall falls below R; requires --mode approx")
     join.add_argument("--rate", type=float, default=1000.0,
                       help="arrival rate, records/second")
     join.add_argument("--dispatchers", type=int, default=1)
@@ -230,16 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dispatchers", type=int, default=4)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--vocabulary", type=int, default=None)
-    bench.add_argument("--mode", default="exact", choices=["exact", "approx"],
-                       help="'approx' adds the sketch tier (SKT, "
-                            "MinHash/LSH candidate generation) to the "
-                            "method comparison")
-    bench.add_argument("--perms", type=int, default=None, metavar="K",
-                       help="MinHash permutations for the SKT method in "
-                            "--mode approx (default 64)")
-    bench.add_argument("--bands", type=int, default=None, metavar="B",
-                       help="LSH bands for the SKT method in --mode "
-                            "approx; must divide --perms (default 8)")
     bench.add_argument("--summary-out", default="BENCH_summary.json",
                        metavar="PATH",
                        help="machine-readable summary destination "
@@ -411,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--method", default=None,
                          help="filter by method label (LEN, PRE, ..., "
                               "WALLCLOCK)")
-        sub.add_argument("--mode", default=None, choices=["exact", "approx"])
         sub.add_argument("--workers", type=int, default=None)
 
     hlist = hsub.add_parser("list", help="newest archived runs, one per line")
@@ -616,20 +586,6 @@ def _cmd_join(args) -> int:
         print(f"join: --spans-sample must be >= 1, got {args.spans_sample}",
               file=sys.stderr)
         return 2
-    if args.mode != "approx":
-        for flag, value in (("--perms", args.perms), ("--bands", args.bands)):
-            if value is not None:
-                print(f"join: {flag} requires --mode approx (the exact "
-                      f"tier has no sketch parameters)", file=sys.stderr)
-                return 2
-        if args.recall_floor is not None:
-            print("join: --recall-floor requires --mode approx (an exact "
-                  "join has recall 1.0 by construction)", file=sys.stderr)
-            return 2
-    if args.recall_floor is not None and not (0.0 < args.recall_floor <= 1.0):
-        print(f"join: --recall-floor must be in (0, 1], got "
-              f"{args.recall_floor}", file=sys.stderr)
-        return 2
     if args.spans_out and not args.parallel:
         print("join: --spans-out requires --parallel (wall-clock spans "
               "come from the multi-core runtime; the simulated cluster "
@@ -670,25 +626,22 @@ def _cmd_join(args) -> int:
             window_seconds=args.window,
             expiry=args.expiry,
             dispatcher_parallelism=args.dispatchers,
-            collect_pairs=args.pairs or args.recall_floor is not None,
-            mode=args.mode,
+            collect_pairs=args.pairs,
             **(
                 {"batch_size": args.batch_size}
                 if args.batch_size is not None
                 else {}
             ),
-            **({"perms": args.perms} if args.perms is not None else {}),
-            **({"bands": args.bands} if args.bands is not None else {}),
         )
         # Only the stream: the dictionary is never read, and dropping
         # it here keeps it out of the forked workers.
         stream = load_token_file(
             args.input, rate=args.rate, max_records=args.max_records
         )[0]
-    except ValueError as error:
+    except (ValueError, OSError) as error:
         # JoinConfig's and the loader's pointed validation errors (bad
-        # --threshold, --batch-size, --shards, --window, --perms/--bands
-        # combinations, --rate, --max-records) become clean
+        # --threshold, --batch-size, --shards, --window, --rate,
+        # --max-records) and a missing or unreadable input become clean
         # exit-code-2 diagnostics instead of tracebacks.
         print(f"join: {error}", file=sys.stderr)
         return 2
@@ -717,35 +670,6 @@ def _cmd_join(args) -> int:
         report, config, wall_s=wall_s, argv=getattr(args, "argv_raw", None),
         input_digest=digest,
     ), stream)
-    if args.recall_floor is not None:
-        exact_config = replace(config, mode="exact", collect_pairs=True)
-        exact_report = DistributedStreamJoin(exact_config).run(stream)
-        return _recall_gate(
-            _pair_set(exact_report.pairs), _pair_set(report.pairs),
-            args.recall_floor, "join",
-        )
-    return 0
-
-
-def _pair_set(pairs) -> frozenset:
-    """Order-independent pair set of a ``collect_pairs`` report."""
-    return frozenset(
-        (a, b) if a < b else (b, a) for a, b, _similarity in pairs
-    )
-
-
-def _recall_gate(exact, approx, floor: float, command: str) -> int:
-    """Measure an approx run against its exact rerun; gate on recall."""
-    measured = observables_recall(exact, approx)
-    print(f"recall: {measured['recall']:.4f} (floor {floor}) "
-          f"precision: {measured['precision']:.4f} "
-          f"exact={measured['exact_pairs']} "
-          f"approx={measured['approx_pairs']} "
-          f"missed={measured['missed']} spurious={measured['spurious']}")
-    if measured["recall"] < floor:
-        print(f"{command}: measured recall {measured['recall']:.4f} is "
-              f"below the floor {floor}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -783,9 +707,8 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         telemetry_out=args.telemetry_out,
         heartbeat_interval=args.heartbeat_interval,
     )
-    # Nothing reads the rows unless --pairs / --recall-floor asked for
-    # them: otherwise the run is count-only, and no row is emitted,
-    # shipped or held.
+    # Nothing reads the rows unless --pairs asked for them: otherwise
+    # the run is count-only, and no row is emitted, shipped or held.
     result = runner.run(stream, collect=config.collect_pairs)
     print(format_table([{
         "method": config.method_label,
@@ -837,21 +760,10 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
     _archive_capture(args, lambda archive, digest: archive.record_parallel_run(
         result, argv=getattr(args, "argv_raw", None), input_digest=digest,
     ), stream)
-    if args.recall_floor is not None:
-        from repro.parallel.runtime import run_serial
-
-        exact = run_serial(replace(config, mode="exact"), stream)
-        return _recall_gate(exact, result, args.recall_floor, "join")
     return 0
 
 
 def _cmd_bench(args) -> int:
-    if args.mode != "approx":
-        for flag, value in (("--perms", args.perms), ("--bands", args.bands)):
-            if value is not None:
-                print(f"bench: {flag} requires --mode approx (the exact "
-                      f"methods have no sketch parameters)", file=sys.stderr)
-                return 2
     if args.wallclock:
         return _bench_wallclock(args)
     if _bad_trace_sample(args):
@@ -866,15 +778,6 @@ def _cmd_bench(args) -> int:
             threshold=args.threshold,
             dispatcher_parallelism=args.dispatchers,
         )
-        if args.mode == "approx":
-            configs["SKT"] = JoinConfig(
-                mode="approx",
-                threshold=args.threshold,
-                num_workers=args.workers,
-                dispatcher_parallelism=args.dispatchers,
-                **({"perms": args.perms} if args.perms is not None else {}),
-                **({"bands": args.bands} if args.bands is not None else {}),
-            )
     except ValueError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2
@@ -1122,7 +1025,7 @@ def _cmd_trace(args) -> int:
             stream, _ = load_token_file(args.input, rate=args.rate)
         else:
             stream = CORPUS_BUILDERS[args.corpus](args.records, seed=args.seed)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(f"trace: {error}", file=sys.stderr)
         return 2
     observer = _make_observer(args)
@@ -1566,7 +1469,11 @@ def _cmd_generate(args) -> int:
     except ValueError as error:  # bad --records or --duplicate-rate
         print(f"generate: {error}", file=sys.stderr)
         return 2
-    count = save_token_file(args.output, stream)
+    try:
+        count = save_token_file(args.output, stream)
+    except OSError as error:
+        print(f"generate: {error}", file=sys.stderr)
+        return 2
     print(f"wrote {count} records to {args.output}")
     return 0
 
@@ -1574,7 +1481,7 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     try:
         stream = load_token_file(args.input, max_records=args.max_records)[0]
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(f"stats: {error}", file=sys.stderr)
         return 2
     print(format_table([stream.statistics().as_row()]))
@@ -1623,7 +1530,7 @@ def _resolve_run(archive, token: str) -> int:
 def _history_list(args, archive) -> int:
     runs = archive.list_runs(
         command=args.filter_command, method=args.method,
-        mode=args.mode, workers=args.workers, limit=args.limit,
+        workers=args.workers, limit=args.limit,
     )
     if args.json:
         print(json.dumps(runs, indent=1, sort_keys=True))
@@ -1664,7 +1571,7 @@ def _history_show(args, archive) -> int:
         return 0
     run = summary["run"]
     print(f"run {run['id']}: {run['command']} ({run['source']}) "
-          f"method={run['method'] or '-'} mode={run['mode'] or '-'} "
+          f"method={run['method'] or '-'} "
           f"workers={run['workers']} shards={run['shards']}")
     when = time.strftime(
         "%Y-%m-%d %H:%M:%S", time.localtime(run["created_utc"])
@@ -1684,7 +1591,7 @@ def _history_show(args, archive) -> int:
     if run["config_json"]:
         config = json.loads(run["config_json"])
         keys = ("similarity", "threshold", "distribution", "partitioning",
-                "mode", "window_seconds", "expiry", "batch_size")
+                "window_seconds", "expiry", "batch_size")
         print("  config " + " ".join(
             f"{key}={config[key]}" for key in keys if key in config
         ))
@@ -1744,7 +1651,7 @@ def _history_trend(args, archive) -> int:
         return 2
     points = archive.metric_series(
         args.metric, command=args.filter_command, method=args.method,
-        mode=args.mode, workers=args.workers, last=args.last,
+        workers=args.workers, last=args.last,
     )
     values = [value for _run_id, value in points]
     slope = linear_slope(values)

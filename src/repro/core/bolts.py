@@ -203,21 +203,6 @@ class JoinBolt(Bolt):
         self.meter.event("final_postings", self.engine.live_postings)
         if isinstance(self.engine, BundleIndex):
             self.meter.event("final_bundles", self.engine.num_bundles)
-        if self.config.mode == "approx":
-            # Candidate precision — verified matches per admitted
-            # candidate — is the gap `repro explain` attributes between
-            # the exact and sketch tiers: exact prefix filtering admits
-            # a superset of the sketch tier's band collisions, so the
-            # two gauges quantify how much verification work banding
-            # saved (and at what recall).
-            admitted = self.meter.count("sketch_candidates_admitted")
-            results = self.meter.count("results")
-            self.ctx.obs.gauge(
-                "sketch_candidate_precision",
-                help="verified matches per admitted sketch candidate",
-                component="join",
-                task=self.ctx.task_index,
-            ).set(results / admitted if admitted else 1.0)
 
 
 class ResultSink(Bolt):

@@ -12,7 +12,6 @@ from repro.similarity.functions import get_similarity
 DISTRIBUTIONS = ("length", "prefix", "broadcast")
 PARTITIONINGS = ("load_aware", "uniform", "quantile")
 SIMILARITIES = ("jaccard", "cosine", "dice", "overlap")
-MODES = ("exact", "approx")
 
 #: Records sampled from the head of the stream to plan the length
 #: partition and estimate vocabulary size.
@@ -58,17 +57,6 @@ class JoinConfig:
     collect_pairs:
         Ship result pairs to the sink (tests, small runs) instead of
         per-probe counts (benchmarks).
-    mode / perms / bands:
-        ``"exact"`` (default) runs the prefix-filter engines and
-        reports every qualifying pair. ``"approx"`` swaps in the
-        MinHash/LSH sketch tier (:mod:`repro.sketch`): candidates come
-        from band-bucket collisions under a ``perms``-permutation,
-        ``bands``-band scheme and still pass exact verification —
-        precision stays 1.0, recall trades against speed along the
-        ``1 - (1 - s^rows)^bands`` S-curve. Approx mode shards by band
-        (its own distribution scheme), so it is incompatible with a
-        non-default ``distribution``, with bundles, and with eager
-        expiry (the sketch index expires lazily by design).
     """
 
     similarity: str = "jaccard"
@@ -99,12 +87,6 @@ class JoinConfig:
     #: to the driver. Larger batches amortize more per-batch cost but
     #: delay the first results.
     batch_size: int = 512
-    #: Candidate generation tier: ``"exact"`` or ``"approx"`` (sketch).
-    mode: str = "exact"
-    #: MinHash permutations of the approx tier (ignored when exact).
-    perms: int = 64
-    #: LSH bands folding those permutations (must divide ``perms``).
-    bands: int = 8
 
     def __post_init__(self) -> None:
         if self.similarity not in SIMILARITIES:
@@ -173,49 +155,10 @@ class JoinConfig:
                 "index verifies whole member batches and cannot apply a "
                 "per-pair source filter"
             )
-        if self.mode not in MODES:
-            raise ValueError(
-                f"mode must be one of {MODES}, got {self.mode!r}"
-            )
-        if self.perms < 1:
-            raise ValueError(f"perms must be >= 1, got {self.perms}")
-        if self.bands < 1:
-            raise ValueError(f"bands must be >= 1, got {self.bands}")
-        if self.perms % self.bands:
-            raise ValueError(
-                f"bands must divide perms evenly: {self.bands} bands over "
-                f"{self.perms} permutations leaves a ragged band"
-            )
-        if self.mode == "approx":
-            if self.distribution != "length":
-                raise ValueError(
-                    "approx mode replaces the distribution scheme with band "
-                    f"routing; leave distribution at its default instead of "
-                    f"{self.distribution!r}"
-                )
-            if self.use_bundles:
-                raise ValueError(
-                    "approx mode is incompatible with bundles: the sketch "
-                    "engine already groups identical token sets and "
-                    "verifies them in one walk"
-                )
-            if self.expiry == "eager":
-                raise ValueError(
-                    "approx mode supports lazy expiry only: sketch bucket "
-                    "entries are collected by the colliding probes that "
-                    "touch them"
-                )
-            if self.cross_source_only:
-                raise ValueError(
-                    "approx mode does not implement the two-stream source "
-                    "filter; run cross-source joins in exact mode"
-                )
 
     @property
     def method_label(self) -> str:
         """Short label used throughout the experiment tables."""
-        if self.mode == "approx":
-            return "SKT"
         if self.distribution == "prefix":
             return "PRE"
         if self.distribution == "broadcast":

@@ -6,17 +6,12 @@ runtime (DESIGN §10.3).
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.core.config import JoinConfig
 from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
 from repro.core.two_stream import cross_source_filter
-from repro.routing.band_router import band_owner
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import SimilarityFunction
-from repro.sketch.engine import SketchStreamingSetJoin
-from repro.sketch.minhash import MinHashScheme
 from repro.streams.window import SlidingWindow
 
 
@@ -26,27 +21,16 @@ def build_shard_engine(
     shard: int,
     num_shards: int,
     meter: WorkMeter,
-) -> Union[StreamingSetJoin, SketchStreamingSetJoin]:
+) -> StreamingSetJoin:
     """The engine for logical shard (join task) ``shard`` of
     ``num_shards``. The bundle engine is not built here: only the
     simulator runs it (``plan_shards`` rejects ``use_bundles``)."""
     window = SlidingWindow(config.window_seconds)
-    if config.mode == "approx":
-        return SketchStreamingSetJoin(
-            func,
-            scheme=MinHashScheme(perms=config.perms, bands=config.bands),
-            window=window,
-            meter=meter,
-            band_filter=(
-                None if num_shards == 1
-                else lambda j, key: band_owner(j, key, num_shards) == shard
-            ),
-        )
     # Under the prefix scheme each of two or more shards owns a share
     # of the token space and reports only the pairs whose minimal
-    # common token it owns. A lone shard owns every token, so, like the
-    # lone band shard above, it gets the unfiltered engine and meters
-    # what a one-shard length or broadcast run meters (DESIGN §9.7).
+    # common token it owns. A lone shard owns every token, so it gets
+    # the unfiltered engine and meters what a one-shard length or
+    # broadcast run meters (DESIGN §9.7).
     return StreamingSetJoin(
         func,
         window=window,

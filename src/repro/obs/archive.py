@@ -13,7 +13,7 @@ Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
 ``runs``
     One row per invocation: when, which command, the join config
     snapshot (JSON), a sha256 digest of the input records, the run
-    shape (method/mode/workers/shards/batch/executor),
+    shape (method/workers/shards/batch/executor),
     outcome (records/results/wall/peak RSS) and provenance (git sha +
     dirty flag, host, platform, python, cpu count).
 ``observables``
@@ -33,16 +33,19 @@ Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
 ``health_events``
     Detector firings (severity, time, component, message).
 
-A new database is created at the current version. A v3 database is
-upgraded in place (v4 dropped the constant ``transport`` run column);
-an older one is refused with an :class:`ArchiveError`, and a *newer*
-one with :class:`FutureSchemaError` (the CLI maps both to exit 2)
-instead of guessing.
+A new database is created at the current version. A v3 or v4 database
+is upgraded in place: v4 dropped the constant ``transport`` run column,
+and v5 drops the constant ``mode`` column and strips the ``mode``,
+``perms`` and ``bands`` keys from every stored ``config_json``, so
+upgraded runs stay comparable with new ones. An older file is refused
+with an :class:`ArchiveError`, and a *newer* one with
+:class:`FutureSchemaError` (the CLI maps both to exit 2) instead of
+guessing.
 
 ``check`` (see :meth:`RunArchive.check`) is the longitudinal
 regression gate: the newest run is compared against the rolling
 median of its last K *comparable* predecessors (same command, method,
-mode, workers, shards, batch, records, threshold, seed,
+workers, shards, batch, records, threshold, seed,
 config snapshot and input digest), with :mod:`repro.obs.baseline`
 semantics — exact policy on deterministic counters, direction-aware
 tolerance bands on float metrics (a change exactly at the tolerance
@@ -73,7 +76,7 @@ from repro.obs.baseline import (
     verdict_lines,
 )
 
-ARCHIVE_SCHEMA_VERSION = 4
+ARCHIVE_SCHEMA_VERSION = 5
 
 #: Default location, relative to the working directory (gitignored).
 DEFAULT_ARCHIVE_PATH = os.path.join(".repro", "archive.db")
@@ -86,7 +89,7 @@ ARCHIVE_ENV = "REPRO_ARCHIVE"
 #: Run columns that define comparability for ``check``/``trend``:
 #: two runs are comparable iff all of these match (NULL-safe).
 COMPARABLE_COLUMNS = (
-    "command", "method", "mode", "workers", "shards", "batch_size",
+    "command", "method", "workers", "shards", "batch_size",
     "records", "threshold", "seed", "config_json", "input_digest",
 )
 
@@ -94,7 +97,7 @@ COMPARABLE_COLUMNS = (
 STAGE_FIELDS = ("count", "mean_s", "p50_s", "p95_s", "p99_s")
 
 _RUN_COLUMNS = (
-    "id", "created_utc", "command", "source", "argv", "method", "mode",
+    "id", "created_utc", "command", "source", "argv", "method",
     "workers", "shards", "batch_size", "executor", "records", "results",
     "threshold", "seed", "wall_s", "peak_rss_bytes", "config_json",
     "labels_json", "git_sha", "git_dirty", "host", "platform", "python",
@@ -184,7 +187,6 @@ _CREATE = """
         source TEXT NOT NULL,
         argv TEXT,
         method TEXT,
-        mode TEXT,
         workers INTEGER,
         shards INTEGER,
         batch_size INTEGER,
@@ -225,12 +227,35 @@ _CREATE = """
         message TEXT
     );
     CREATE INDEX idx_runs_shape
-        ON runs (command, method, mode, workers, shards, records);
+        ON runs (command, method, workers, shards, records);
 """
 
-#: The one upgrade this build performs: v3 -> v4 drops the ``transport``
-#: column, which only ever held ``"pipe"`` (needs SQLite >= 3.35).
-_UPGRADE_V3 = "ALTER TABLE runs DROP COLUMN transport;"
+#: The upgrade step from each older version to the next (needs SQLite
+#: >= 3.35). v3 -> v4 drops ``transport``, which only ever held
+#: ``"pipe"``. v4 -> v5 drops ``mode``, which only the removed
+#: approximate tier set to anything but ``"exact"``; its runs keep
+#: their own method label, so they never compare with an exact run. The
+#: config rewrite matches what the writers now store, or no upgraded
+#: run would be comparable with a new one.
+_UPGRADES = {
+    3: "ALTER TABLE runs DROP COLUMN transport;",
+    4: """
+        DROP INDEX idx_runs_shape;
+        ALTER TABLE runs DROP COLUMN mode;
+        CREATE INDEX idx_runs_shape
+            ON runs (command, method, workers, shards, records);
+        UPDATE runs SET config_json = _without_tier(config_json)
+            WHERE config_json IS NOT NULL;
+    """,
+}
+
+def _without_tier(config_json: str) -> str:
+    """A stored config snapshot without the removed approximate tier's
+    ``JoinConfig`` keys, serialised as the writers serialise one."""
+    config = json.loads(config_json)
+    for key in ("mode", "perms", "bands"):
+        config.pop(key, None)
+    return json.dumps(config, sort_keys=True)
 
 
 def _flatten_numeric(
@@ -334,8 +359,14 @@ class RunArchive:
             )
         if version == ARCHIVE_SCHEMA_VERSION:
             return
-        if version == 3:
-            script = _UPGRADE_V3
+        if version in _UPGRADES:
+            script = "".join(
+                _UPGRADES[step]
+                for step in range(version, ARCHIVE_SCHEMA_VERSION)
+            )
+            self.conn.create_function(
+                "_without_tier", 1, _without_tier, deterministic=True
+            )
         elif self.conn.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()[0]:
             raise ArchiveError(
                 f"{self.path}: archive schema v{version} predates v3, the "
@@ -438,7 +469,6 @@ class RunArchive:
             "command": command,
             "source": source,
             "method": result.config.method_label,
-            "mode": result.config.mode,
             "workers": result.workers,
             "shards": result.num_shards,
             "batch_size": result.batch_size,
@@ -505,7 +535,6 @@ class RunArchive:
             "command": command,
             "source": source,
             "method": config.method_label,
-            "mode": config.mode,
             "workers": config.num_workers,
             "executor": "simulated",
             "records": cluster.records,
@@ -628,14 +657,12 @@ class RunArchive:
     # -- readers -------------------------------------------------------------
     def list_runs(
         self, command: Optional[str] = None, method: Optional[str] = None,
-        mode: Optional[str] = None, workers: Optional[int] = None,
-        limit: Optional[int] = 20,
+        workers: Optional[int] = None, limit: Optional[int] = 20,
     ) -> List[Dict[str, object]]:
         """Newest-first run rows, optionally filtered."""
         clauses, params = [], []  # type: List[str], List[object]
         for column, value in (
-            ("command", command), ("method", method),
-            ("mode", mode), ("workers", workers),
+            ("command", command), ("method", method), ("workers", workers),
         ):
             if value is not None:
                 clauses.append(f"{column} = ?")
@@ -789,14 +816,13 @@ class RunArchive:
 
     def metric_series(
         self, metric: str, command: Optional[str] = None,
-        method: Optional[str] = None, mode: Optional[str] = None,
-        workers: Optional[int] = None, last: Optional[int] = None,
+        method: Optional[str] = None, workers: Optional[int] = None,
+        last: Optional[int] = None,
     ) -> List[Tuple[int, float]]:
         """``(run_id, value)`` pairs in run order (oldest first) for
         every filtered run where the metric resolves."""
         runs = self.list_runs(
-            command=command, method=method, mode=mode, workers=workers,
-            limit=None,
+            command=command, method=method, workers=workers, limit=None,
         )
         points: List[Tuple[int, float]] = []
         for run in reversed(runs):  # oldest first

@@ -150,24 +150,6 @@ def worker_metrics(result, registry: Optional[ObsRegistry] = None) -> ObsRegistr
     registry.gauge("run_results", help="match pairs reported").set(
         result.results
     )
-    if result.config.mode == "approx":
-        # Sketch-tier attribution gauges: how many band collisions the
-        # LSH index saw, how many distinct candidates it admitted to
-        # exact verification, and the precision of that admission
-        # (verified matches per admitted candidate).
-        admitted = result.count("sketch_candidates_admitted")
-        registry.gauge(
-            "sketch_band_collisions",
-            help="LSH band-bucket collisions scanned",
-        ).set(result.count("sketch_band_collisions"))
-        registry.gauge(
-            "sketch_candidates_admitted",
-            help="distinct candidates admitted to exact verification",
-        ).set(admitted)
-        registry.gauge(
-            "sketch_candidate_precision",
-            help="verified matches per admitted sketch candidate",
-        ).set(result.results / admitted if admitted else 1.0)
     gauges = (
         ("worker_busy_seconds", "seconds spent processing batches", "busy_s"),
         ("worker_batches", "batches processed", "batches"),

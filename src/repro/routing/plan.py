@@ -29,13 +29,11 @@ from repro.partition.length_partition import (
     uniform_partition,
 )
 from repro.partition.stats import LengthHistogram
-from repro.routing.band_router import BandRouter
 from repro.routing.base import Router
 from repro.routing.broadcast_router import BroadcastRouter
 from repro.routing.length_router import LengthRouter
 from repro.routing.prefix_router import PrefixRouter
 from repro.similarity.functions import SimilarityFunction
-from repro.sketch.minhash import MinHashScheme
 
 
 def plan_routing(
@@ -51,12 +49,6 @@ def plan_routing(
     ``config.num_workers`` join tasks.
     """
     workers = config.num_workers
-    if config.mode == "approx":
-        # The sketch tier shards by band bucket regardless of the
-        # configured distribution (the config layer rejects non-default
-        # distributions in approx mode).
-        scheme = MinHashScheme(perms=config.perms, bands=config.bands)
-        return BandRouter(workers, scheme), None
     if config.distribution == "prefix":
         return PrefixRouter(workers, func), None
     if config.distribution == "broadcast":

@@ -1,35 +1,11 @@
-"""``repro.sketch`` — the approximate tier (DESIGN §15).
+"""``repro.sketch`` — what is left of the removed approximate tier.
 
-MinHash signatures (:mod:`repro.sketch.minhash`), LSH banding math
-(:mod:`repro.sketch.analysis`), the band-bucket join engine
-(:mod:`repro.sketch.engine`) and the exact-vs-approx recall harness
-(:mod:`repro.sketch.recall`). Routing by band lives with the other
-routers in :mod:`repro.routing.band_router`.
+No command, config or runtime path reaches an approximate join any
+more (DESIGN §15; the measured verdict is in EXPERIMENTS.md). Two
+modules stay, cut down to what the end-to-end benchmark's ``sketch``
+layer calls: :class:`repro.sketch.minhash.MinHashScheme` and the
+unbanded :class:`repro.sketch.engine.SketchStreamingSetJoin`, which
+keep recording the negative result as ``sketch.speedup_vs_core``. The
+benchmark change that drops that layer deletes this package. No
+``repro`` module outside it imports it.
 """
-
-from repro.sketch.analysis import (
-    collision_probability,
-    expected_recall,
-    recall_lower_bound,
-)
-from repro.sketch.engine import SketchStreamingSetJoin
-from repro.sketch.minhash import (
-    DEFAULT_SEED,
-    MinHashScheme,
-    estimate_jaccard,
-    merge_signatures,
-)
-from repro.sketch.recall import match_pairs, observables_recall
-
-__all__ = [
-    "DEFAULT_SEED",
-    "MinHashScheme",
-    "SketchStreamingSetJoin",
-    "collision_probability",
-    "estimate_jaccard",
-    "expected_recall",
-    "match_pairs",
-    "merge_signatures",
-    "observables_recall",
-    "recall_lower_bound",
-]

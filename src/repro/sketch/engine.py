@@ -1,45 +1,33 @@
-"""The approximate join engine: LSH band buckets + exact verification.
+"""The MinHash/LSH join engine: band buckets + exact verification.
 
-:class:`SketchStreamingSetJoin` is API-compatible with the columnar
-:class:`~repro.core.local_join.StreamingSetJoin` where the parallel
-runtime and the simulated cluster touch an engine (``probe`` /
-``insert`` / ``probe_and_insert`` / ``*_batch`` / ``batched`` /
-``live_postings``), but candidate generation is entirely different:
+:class:`SketchStreamingSetJoin` has the columnar
+:class:`~repro.core.local_join.StreamingSetJoin`'s ``probe`` /
+``insert`` interface, but candidate generation is entirely different:
 instead of scanning per-token posting lists, a probe looks up its
 ``bands`` band keys in per-band bucket dictionaries and scans only the
 records that collide in at least one band. Every admitted candidate
 still goes through the exact verifier (:func:`verify_pair` plus the
 length bounds), so **every emitted match is a true positive — precision
 is exactly 1.0 and only recall is approximate** (a true pair is missed
-iff no band collides; see :mod:`repro.sketch.analysis`).
+iff no band collides).
+
+Only the end-to-end benchmark's ``sketch`` layer builds this engine
+(see :mod:`repro.sketch`).
 
 Index layout — signature groups of token variants
 -------------------------------------------------
 Streaming corpora are duplicate-heavy, so the index exploits identity
 twice:
 
-* records are grouped by **signature** (:class:`_SigGroup`): each of a
-  group's *owned* bands holds one bucket reference to the whole group,
-  so a group costs O(owned bands) index entries however many records it
-  holds;
+* records are grouped by **signature** (:class:`_SigGroup`): each
+  band holds one bucket reference to the whole group, so a group costs
+  O(bands) index entries however many records it holds;
 * within a group, records are sub-grouped by **token variant**
   (:class:`_Variant`): every member of a variant has the *same* token
   set, so a probe verifies each variant **once** (one merge walk — the
   same diff-based batch-verification idea the bundle engine uses) and
   bulk-emits a match per live member. Probe cost scales with distinct
   collided token sets, not with raw collided records.
-
-Minimal colliding band rule
----------------------------
-A probe colliding with a group in several bands must scan it once. With
-all bands owned (serial engine) a per-probe seen-set suffices; under a
-band filter the scan at band ``j`` proceeds only if no band ``j' < j``
-also collides — a pure function of the two band-key vectors, so in a
-sharded deployment the one shard owning the *globally* minimal
-colliding band reports the pair and every other shard skips it without
-communication. The two rules select the same (probe, group) scan set
-when one engine owns every band, and exactly-once output needs no
-cross-shard state either way.
 
 Windowed expiry
 ---------------
@@ -56,23 +44,20 @@ Metering
 --------
 The engine charges the standard operation vocabulary (``index_lookup``
 per band bucket consulted, ``posting_scan`` per live entry scanned,
-``posting_expire``/``posting_insert`` per (entry × owned band),
+``posting_expire``/``posting_insert`` per (entry × band),
 ``candidate_admit``/``token_compare``/``result_emit`` as in the exact
 engine; ``verifications`` counts merge walks, i.e. one per admitted
 *variant*) plus two sketch-specific events — ``sketch_band_collisions``
 (band-bucket group collisions, pre-dedup) and
-``sketch_candidates_admitted`` — that ``repro explain`` and the
-frontier bench use to attribute exact-vs-approx throughput gaps. All
-counts are pure functions of the per-shard delivery order, so sharded
-totals are bit-identical across worker counts for a fixed shard plan.
+``sketch_candidates_admitted``. All counts are pure functions of the
+delivery order.
 """
 
 from __future__ import annotations
 
 from array import array
-from contextlib import contextmanager
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.local_join import MatchResult
 from repro.core.metering import WorkMeter
@@ -82,11 +67,7 @@ from repro.similarity.verification import verify_pair
 from repro.sketch.minhash import MinHashScheme
 from repro.streams.window import SlidingWindow
 
-__all__ = ["SketchStreamingSetJoin", "BandFilter"]
-
-#: ``(band index, band key) -> owned here?`` — the sketch analogue of
-#: the prefix scheme's token filter; ``None`` owns every band.
-BandFilter = Callable[[int, int], bool]
+__all__ = ["SketchStreamingSetJoin"]
 
 
 class _Variant:
@@ -117,22 +98,18 @@ class _Variant:
 class _SigGroup:
     """All indexed records sharing one signature, split by token variant.
 
-    ``owned`` is the tuple of band indices whose buckets reference this
-    group at this engine — every member has the same signature, hence
-    the same keys and ownership. ``variants`` iterates in first-arrival
-    order (dict insertion order), keeping scans deterministic.
+    ``variants`` iterates in first-arrival order (dict insertion order),
+    keeping scans deterministic.
     """
 
-    __slots__ = ("keys", "owned", "variants")
+    __slots__ = ("variants",)
 
-    def __init__(self, keys: Tuple[int, ...], owned: Tuple[int, ...]):
-        self.keys = keys
-        self.owned = owned
+    def __init__(self):
         self.variants: Dict[Tuple[int, ...], _Variant] = {}
 
 
 class SketchStreamingSetJoin:
-    """Streaming MinHash/LSH join over one worker's band buckets.
+    """Streaming MinHash/LSH join over every band's buckets.
 
     Parameters
     ----------
@@ -145,10 +122,6 @@ class SketchStreamingSetJoin:
         Sliding window; defaults to unbounded.
     meter:
         Work meter; a fresh unattached one is created if omitted.
-    band_filter:
-        Restrict the index (and probes) to owned ``(band, key)`` pairs
-        — used by the band distribution scheme so each shard hosts its
-        share of the band space. ``None`` (serial) owns everything.
     """
 
     def __init__(
@@ -157,13 +130,11 @@ class SketchStreamingSetJoin:
         scheme: Optional[MinHashScheme] = None,
         window: Optional[SlidingWindow] = None,
         meter: Optional[WorkMeter] = None,
-        band_filter: Optional[BandFilter] = None,
     ):
         self.func = func
         self.scheme = scheme if scheme is not None else MinHashScheme()
         self.window = window if window is not None else SlidingWindow()
         self.meter = meter if meter is not None else WorkMeter()
-        self.band_filter = band_filter
         self._bounded = self.window.bounded
         #: Groups are keyed by the *band-key vector*, not the full
         #: signature: two records can only ever collide through their
@@ -172,27 +143,15 @@ class SketchStreamingSetJoin:
         #: ``bands``-wide tuple hashes much faster than a ``perms``-wide
         #: one on the insert/probe hot path.
         self._groups: Dict[Tuple[int, ...], _SigGroup] = {}
-        #: One bucket dict per band: band key → groups. Unowned bands'
-        #: dicts simply stay empty under a band filter.
+        #: One bucket dict per band: band key → groups.
         self._buckets: List[Dict[int, List[_SigGroup]]] = [
             {} for _ in range(self.scheme.bands)
         ]
         self._bucket_gets = tuple(bucket.get for bucket in self._buckets)
-        self._live_postings = 0
-
-    # -- sketch helpers ------------------------------------------------------
-    def signature(self, record: Union[Record, Tuple[int, ...]]):
-        """Public signature accessor (see :meth:`MinHashScheme.signature`)."""
-        return self.scheme.signature(record)
 
     # -- index maintenance ---------------------------------------------------
-    @property
-    def live_postings(self) -> int:
-        """Live (entry × owned band) references in the bucket index."""
-        return self._live_postings
-
     def insert(self, record: Record) -> None:
-        """Index a record under its owned band buckets."""
+        """Index a record under its band buckets."""
         meter = self.meter
         tokens = record.tokens
         if not tokens:
@@ -204,20 +163,11 @@ class SketchStreamingSetJoin:
         _sig, keys = self.scheme.sketch(tokens)
         group = self._groups.get(keys)
         if group is None:
-            band_filter = self.band_filter
-            if band_filter is None:
-                owned = tuple(range(self.scheme.bands))
-            else:
-                owned = tuple(
-                    j for j, key in enumerate(keys) if band_filter(j, key)
-                )
-            group = self._groups[keys] = _SigGroup(keys, owned)
-            buckets = self._buckets
-            for j in owned:
-                bucket = buckets[j]
-                groups = bucket.get(keys[j])
+            group = self._groups[keys] = _SigGroup()
+            for bucket, key in zip(self._buckets, keys):
+                groups = bucket.get(key)
                 if groups is None:
-                    bucket[keys[j]] = [group]
+                    bucket[key] = [group]
                 else:
                     groups.append(group)
         variant = group.variants.get(tokens)
@@ -226,8 +176,7 @@ class SketchStreamingSetJoin:
         variant.timestamps.append(record.timestamp)
         variant.recs.append(record)
         variant.selfmatches.append(MatchResult(record, 1.0, variant.size))
-        inserted = len(group.owned)
-        self._live_postings += inserted
+        inserted = self.scheme.bands
         meter.charge("posting_insert", inserted)
         meter.event("postings_inserted", inserted)
 
@@ -244,7 +193,7 @@ class SketchStreamingSetJoin:
         bounded = self._bounded
         seconds = self.window.seconds
         _sig, keys = self.scheme.sketch(tokens)
-        band_filter = self.band_filter
+        bands = len(keys)
         results: List[MatchResult] = []
         MR = MatchResult
         new_mr = tuple.__new__
@@ -254,59 +203,33 @@ class SketchStreamingSetJoin:
         have_bounds = False
         lo = hi = 0
         min_overlap = similarity_from_overlap = None
-        n_lookup = n_scan = n_expire = n_admit = 0
+        n_scan = n_expire = n_admit = 0
         n_compare = n_verify = n_emit = n_collide = 0
-        #: (probe, group) pairs to scan, selected exactly once each —
-        #: see "Minimal colliding band rule" in the module docstring.
-        if band_filter is None:
-            n_lookup = len(keys)
-            # The probe's own group (identical band keys) collides in
-            # every band; pulling it out up front keeps the per-band
-            # loop to a single identity test in the common case where
-            # each bucket holds exactly that group. Only when a bucket
-            # holds anything else is a dedup set built (identity hash,
-            # so membership stays O(1) however many aliens collide at
-            # low-rows settings).
-            own = self._groups.get(keys)
-            scans = [own] if own is not None else []
-            scans_append = scans.append
-            seen = None
-            for key, bucket_get in zip(keys, self._bucket_gets):
-                groups = bucket_get(key)
-                if groups is None:
-                    continue
-                n_collide += len(groups)
-                if len(groups) == 1 and groups[0] is own:
-                    continue
-                if seen is None:
-                    seen = set(scans)
-                    seen_add = seen.add
-                for group in groups:
-                    if group not in seen:
-                        seen_add(group)
-                        scans_append(group)
-        else:
-            scans = []
-            scans_append = scans.append
-            buckets = self._buckets
-            for j in range(len(buckets)):
-                key = keys[j]
-                if not band_filter(j, key):
-                    continue
-                n_lookup += 1
-                groups = buckets[j].get(key)
-                if not groups:
-                    continue
-                for group in groups:
-                    n_collide += 1
-                    gkeys = group.keys
-                    minimal = True
-                    for jp in range(j):
-                        if keys[jp] == gkeys[jp]:
-                            minimal = False
-                            break
-                    if minimal:
-                        scans_append(group)
+        #: Groups to scan, each once. The probe's own group (identical
+        #: band keys) collides in every band; pulling it out up front
+        #: keeps the per-band loop to a single identity test in the
+        #: common case where each bucket holds exactly that group. Only
+        #: when a bucket holds anything else is a dedup set built
+        #: (identity hash, so membership stays O(1) however many aliens
+        #: collide at low-rows settings).
+        own = self._groups.get(keys)
+        scans = [own] if own is not None else []
+        scans_append = scans.append
+        seen = None
+        for key, bucket_get in zip(keys, self._bucket_gets):
+            groups = bucket_get(key)
+            if groups is None:
+                continue
+            n_collide += len(groups)
+            if len(groups) == 1 and groups[0] is own:
+                continue
+            if seen is None:
+                seen = set(scans)
+                seen_add = seen.add
+            for group in groups:
+                if group not in seen:
+                    seen_add(group)
+                    scans_append(group)
 
         for group in scans:
             for variant in group.variants.values():
@@ -331,9 +254,7 @@ class SketchStreamingSetJoin:
                         start += 1
                     expired = start - variant.start
                     if expired:
-                        owned_width = len(group.owned)
-                        n_expire += expired * owned_width
-                        self._live_postings -= expired * owned_width
+                        n_expire += expired * bands
                         if start >= 64 and start * 2 >= n:
                             del variant.timestamps[:start]
                             del variant.recs[:start]
@@ -382,9 +303,7 @@ class SketchStreamingSetJoin:
                         zip(seq, repeat(similarity), repeat(overlap)),
                     )
 
-        charges: Dict[str, float] = {}
-        if n_lookup:
-            charges["index_lookup"] = n_lookup
+        charges: Dict[str, float] = {"index_lookup": bands}
         if n_scan:
             charges["posting_scan"] = n_scan
         if n_expire:
@@ -395,8 +314,7 @@ class SketchStreamingSetJoin:
             charges["token_compare"] = n_compare
         if n_emit:
             charges["result_emit"] = n_emit
-        if charges:
-            meter.charge_many(charges)
+        meter.charge_many(charges)
         if n_collide or n_admit or n_verify:
             events: Dict[str, float] = {}
             if n_collide:
@@ -408,30 +326,3 @@ class SketchStreamingSetJoin:
                 events["verifications"] = n_verify
             meter.event_many(events)
         return results
-
-    # -- combined ------------------------------------------------------------
-    def probe_and_insert(self, record: Record) -> List[MatchResult]:
-        """Probe first (no self-pair), then index."""
-        results = self.probe(record)
-        self.insert(record)
-        return results
-
-    # -- batched delivery ----------------------------------------------------
-    @contextmanager
-    def batched(self):
-        """Buffer all metering inside the block; flush it once on exit
-        (same exactness contract as the columnar engine's ``batched``:
-        integer totals, preserved key sets, peak-kept signals)."""
-        buffer = WorkMeter()
-        real = self.meter
-        self.meter = buffer
-        try:
-            yield
-        finally:
-            self.meter = real
-            if buffer.operations:
-                real.charge_many(dict(buffer.operations))
-            if buffer.events:
-                real.event_many(dict(buffer.events))
-            for name, value in buffer.signals.items():
-                real.signal(name, value)

@@ -6,12 +6,9 @@ its token set: lane ``i`` applies the universal hash
     h_i(x) = (a_i * x + b_i) mod (2^61 - 1)
 
 with per-lane parameters drawn from a seeded :class:`random.Random`, so
-the whole scheme is a pure function of ``(perms, bands, seed)`` and two
-processes configured alike produce identical signatures — the property
-the band router and the sharded engines rely on.
+the whole scheme is a pure function of ``(perms, bands, seed)``.
 
-Two facts make this fast enough to beat the exact prefix filter in pure
-Python:
+Two facts keep it cheap in pure Python:
 
 * **per-token hash caching** — token vocabularies are small relative to
   stream length, so lane hashes for a token are computed once and the
@@ -21,29 +18,19 @@ Python:
   band keys)`` is memoised by the canonical token tuple and a repeated
   record costs one dict hit.
 
-Signatures are mergeable (the SetSketch motivation): the signature of a
-union is the elementwise minimum of the signatures, which
-:func:`merge_signatures` and the incremental :meth:`MinHashScheme.extend`
-expose for callers that grow a set one token at a time.
-
 Band keys are Python ``hash`` values of the per-band row slices. Hashing
 of ``int`` tuples is value-determined (``PYTHONHASHSEED`` only salts
-``str``/``bytes``), so keys agree across driver and worker processes.
+``str``/``bytes``), so keys agree across processes.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from repro.records import Record
 
-__all__ = [
-    "DEFAULT_SEED",
-    "MinHashScheme",
-    "estimate_jaccard",
-    "merge_signatures",
-]
+__all__ = ["DEFAULT_SEED", "MinHashScheme"]
 
 #: Seed shared by every default-configured scheme in the repo (the
 #: corpus seed of the committed benches, for artefact provenance).
@@ -70,8 +57,7 @@ class MinHashScheme:
     ``rows = perms // bands`` consecutive lanes. Two records collide in
     band ``j`` iff their signatures agree on all of that band's rows —
     probability ``s^rows`` per band under the permutation model, hence
-    ``1 - (1 - s^rows)^bands`` overall (see
-    :func:`repro.sketch.analysis.collision_probability`).
+    ``1 - (1 - s^rows)^bands`` overall.
     """
 
     __slots__ = (
@@ -131,7 +117,7 @@ class MinHashScheme:
 
     def sketch(self, tokens: Tuple[int, ...]) -> Tuple[Signature, BandKeys]:
         """``(signature, band_keys)`` for a canonical token tuple, memoised
-        — the engine/router hot path (one dict hit per repeated record)."""
+        — the engine's hot path (one dict hit per repeated record)."""
         if not tokens:
             raise ValueError("cannot sketch an empty token set")
         memo = self._sketch_memo
@@ -149,51 +135,9 @@ class MinHashScheme:
             cached = memo[tokens] = (signature, self.band_keys(signature))
         return cached
 
-    # -- incremental / mergeable updates ------------------------------------
-    def extend(self, signature: Signature, token: int) -> Signature:
-        """The signature of ``set ∪ {token}`` — O(perms), no re-scan."""
-        return tuple(map(min, signature, self.token_hashes(token)))
-
-    def estimate_jaccard(self, sig_a: Signature, sig_b: Signature) -> float:
-        """Instance sugar for :func:`estimate_jaccard`."""
-        return estimate_jaccard(sig_a, sig_b)
-
-    def describe(self) -> dict:
-        return {
-            "perms": self.perms,
-            "bands": self.bands,
-            "rows": self.rows,
-            "seed": self.seed,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MinHashScheme(perms={self.perms}, bands={self.bands}, "
             f"seed={self.seed})"
         )
 
-
-def estimate_jaccard(sig_a: Sequence[int], sig_b: Sequence[int]) -> float:
-    """Unbiased Jaccard estimate: the fraction of agreeing lanes.
-
-    Each lane agrees with probability equal to the true Jaccard
-    similarity (the minimum over the union lands in the intersection),
-    so the estimator's standard error is ``sqrt(J(1-J)/perms)``.
-    """
-    if len(sig_a) != len(sig_b):
-        raise ValueError(
-            f"signature widths differ: {len(sig_a)} vs {len(sig_b)}"
-        )
-    if not sig_a:
-        raise ValueError("cannot compare empty signatures")
-    agree = sum(1 for a, b in zip(sig_a, sig_b) if a == b)
-    return agree / len(sig_a)
-
-
-def merge_signatures(sig_a: Signature, sig_b: Signature) -> Signature:
-    """The signature of the *union* of the two underlying sets."""
-    if len(sig_a) != len(sig_b):
-        raise ValueError(
-            f"signature widths differ: {len(sig_a)} vs {len(sig_b)}"
-        )
-    return tuple(map(min, sig_a, sig_b))

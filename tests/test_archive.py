@@ -2,6 +2,7 @@
 ingestion adapters, the rolling-median regression gate and the
 ``repro history`` CLI."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -90,7 +91,7 @@ class TestMigrations:
 
     def test_committed_v3_seed_upgrades(self, tmp_path):
         # The committed seed stays at v3, so every CI run that copies
-        # it takes the v3 -> v4 step; its numbers must survive it.
+        # it takes the v3 -> v5 steps; its numbers must survive them.
         copy = str(tmp_path / "seed.db")
         shutil.copyfile(
             os.path.join(REPO_ROOT, "benchmarks", "baselines", "archive.db"),
@@ -129,12 +130,49 @@ class TestMigrations:
         with RunArchive(copy, create=False) as archive:
             assert archive.conn.execute(
                 "PRAGMA user_version"
-            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION == 4
-            assert "transport" not in archive.run_row(run["id"])
+            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION == 5
+            row = archive.run_row(run["id"])
+            assert "transport" not in row and "mode" not in row
             assert archive.fingerprint(run["id"]) == before
             assert archive.metric_value(
                 run["id"], "headline.probe_speedup"
             ) == speedup
+
+    def test_v4_exact_run_upgrades_and_stays_comparable(
+        self, db, config, records
+    ):
+        # A v4 file: the shape index covers a ``mode`` column, and each
+        # stored config carries the approximate tier's keys.
+        result = run_serial(config, records)
+        with RunArchive(db) as archive:
+            old = archive.record_parallel_run(result)
+        written = json.dumps(dataclasses.asdict(config), sort_keys=True)
+        legacy = json.dumps(
+            dict(dataclasses.asdict(config), mode="exact", perms=64, bands=8),
+            sort_keys=True,
+        )
+        conn = sqlite3.connect(db)
+        conn.executescript(f"""
+            DROP INDEX idx_runs_shape;
+            ALTER TABLE runs ADD COLUMN mode TEXT;
+            UPDATE runs SET mode = 'exact', config_json = '{legacy}';
+            CREATE INDEX idx_runs_shape
+                ON runs (command, method, mode, workers, shards, records);
+            PRAGMA user_version = 4;
+        """)
+        conn.close()
+        with RunArchive(db) as archive:
+            assert archive.conn.execute(
+                "PRAGMA user_version"
+            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION
+            columns = {
+                row["name"] for row in
+                archive.conn.execute("PRAGMA table_info(runs)")
+            }
+            assert "mode" not in columns
+            assert archive.run_row(old)["config_json"] == written
+            new = archive.record_parallel_run(result)
+            assert archive.comparable_ids(new) == [old]
 
     def test_future_schema_is_refused(self, db, capsys):
         conn = sqlite3.connect(db)
@@ -531,9 +569,13 @@ class TestHistoryCli:
         shown = capsys.readouterr().out
         assert "run 1: join (live)" in shown
         assert "threshold=0.7" in shown
+        assert "mode=" not in shown
+        assert main(["history", "list"]) == 0
+        assert "mode" not in capsys.readouterr().out
         assert main(["history", "list", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert len(rows) == 1 and "transport" not in rows[0]
+        assert len(rows) == 1
+        assert "transport" not in rows[0] and "mode" not in rows[0]
 
     def test_no_archive_flag_suppresses_capture(
         self, corpus_file, env_db, capsys

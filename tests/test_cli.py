@@ -820,6 +820,30 @@ class TestBadFlagValues:
         assert lines[0].startswith(f"{argv[0]}: ")
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["join", "MISSING"],
+        ["join", "MISSING", "--parallel", "--workers", "1"],
+        ["join", "DIR"],
+        ["stats", "MISSING"],
+        ["trace", "MISSING"],
+        ["generate", "NO_DIR"],
+    ], ids=["join", "join-parallel", "join-dir", "stats", "trace",
+            "generate"])
+    def test_unreadable_input_exits_2_with_one_line(
+        self, argv, tmp_path, capsys
+    ):
+        paths = {
+            "MISSING": str(tmp_path / "missing.txt"),
+            "DIR": str(tmp_path),
+            "NO_DIR": str(tmp_path / "no-such-dir" / "x.txt"),
+        }
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"{argv[0]}: ")
+
 
 class TestParser:
     def test_requires_command(self):

@@ -14,10 +14,14 @@ from repro.datasets import synthetic_tweet
 from repro.parallel import run_serial
 from repro.records import Record
 from repro.similarity.functions import Jaccard, get_similarity
-from repro.sketch.recall import match_pairs
 from repro.streams.arrival import ConstantRate
 from repro.streams.stream import RecordStream
 from repro.streams.window import SlidingWindow
+
+
+def match_pairs(result):
+    """The order-independent pair set of a run's match rows."""
+    return {(a, b) if a < b else (b, a) for _ts, a, b, *_ in result.matches}
 
 
 def canonical(values):
@@ -189,8 +193,8 @@ class TestLateArrivals:
                         distribution=scheme, num_workers=shards,
                         collect_pairs=True,
                     )
-                    got[(scheme, shards, expiry)] = set(
-                        match_pairs(run_serial(config, self.RECORDS))
+                    got[(scheme, shards, expiry)] = match_pairs(
+                        run_serial(config, self.RECORDS)
                     )
         wrong = {cell: pairs for cell, pairs in got.items() if pairs != expected}
         assert wrong == {}

@@ -8,7 +8,11 @@ which has to spell every pattern out), a glob its matching files.
 """
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,6 +302,20 @@ GUARDS["No ParallelJoinRunner.run sink"] = [
         "sink",
     ),
 ]
+# No approximate tier: no command, config or runtime path reaches a
+# sketch join. What the benchmark's sketch layer still calls stays in
+# repro.sketch until that layer goes.
+GUARDS["No approximate tier"] = [
+    absent(
+        r'band_router|BandRouter|recall_floor|observables_recall'
+        r'|recall_lower_bound|band_filter|mode="approx"|"SKT"',
+        "src", "tests",
+    ),
+]
+for _name in ("mode", "perms", "bands"):
+    GUARDS[f"No JoinConfig.{_name}"] = [
+        lacks("repro.core.config", "JoinConfig.__dataclass_fields__", _name),
+    ]
 # Settings nobody varied are module constants, not JoinConfig fields.
 for _name in ("sample_size", "bundle_max_members"):
     GUARDS[f"No JoinConfig.{_name}"] = [absent(rf"\b{_name}\b", *REACHABLE)]
@@ -307,3 +325,56 @@ for _name in ("sample_size", "bundle_max_members"):
 def test_guard(step):
     failures = [failure for check in GUARDS[step] for failure in check()]
     assert failures == [], f"{step}: deleted code grew back: {failures}"
+
+
+#: Run in a fresh interpreter: the sketch modules ``import repro`` and
+#: an exact ``repro join --parallel`` load, in the driver and in a
+#: worker, which records its own at the end of its run. The worker is
+#: forked so that it inherits the wrapped entry point; the runtime has
+#: no hook of its own for this.
+_TIER_PROBE = """
+import json, multiprocessing, sys
+
+def tier():
+    return sorted(
+        name for name in sys.modules
+        if name.startswith("repro.sketch")
+        or name == "repro.routing.band_router"
+    )
+
+corpus, worker_out = sys.argv[1:]
+import repro
+after_import = tier()
+import repro.parallel.runtime as runtime
+from repro.cli import main
+
+multiprocessing.set_start_method("fork", force=True)
+original = runtime.worker_main
+
+def worker_main(*args, **kwargs):
+    try:
+        original(*args, **kwargs)
+    finally:
+        with open(worker_out, "w") as handle:
+            json.dump(tier(), handle)
+
+runtime.worker_main = worker_main
+code = main(["join", corpus, "--parallel", "--workers", "1",
+             "--threshold", "0.7", "--no-archive"])
+print(json.dumps({"code": code, "import": after_import, "driver": tier()}))
+"""
+
+
+def test_exact_join_loads_no_approximate_tier(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("alpha beta gamma\nalpha beta gamma delta\n" * 10)
+    worker_out = tmp_path / "worker.json"
+    done = subprocess.run(
+        [sys.executable, "-c", _TIER_PROBE, str(corpus), str(worker_out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"code": 0, "import": [], "driver": []}
+    assert json.loads(worker_out.read_text()) == []

@@ -261,8 +261,7 @@ class TestShardPlanner:
         JoinConfig(num_workers=4),
         JoinConfig(distribution="broadcast", num_workers=3),
         JoinConfig(distribution="prefix", num_workers=5),
-        JoinConfig(mode="approx", num_workers=4),
-    ], ids=["length", "broadcast", "prefix", "band"])
+    ], ids=["length", "broadcast", "prefix"])
     def test_tasks_equal_the_per_record_routing(self, config):
         """Whatever ``tasks`` memoises, every record gets exactly the
         shard/op list its own routing decision spells out."""
@@ -307,7 +306,6 @@ class TestShardPlanner:
             JoinConfig(num_workers=1),
             JoinConfig(distribution="broadcast", num_workers=1),
             JoinConfig(distribution="prefix", num_workers=1),
-            JoinConfig(mode="approx", num_workers=1),
         ):
             plan = plan_shards(config, corpus)
             assert plan.num_shards == 1
@@ -330,7 +328,7 @@ class TestShardPlanner:
     def test_multi_shard_plan_memo_equals_per_record_routing(
         self, shards, stream
     ):
-        """Over 2-8 shards the prefix, broadcast and band plans answer
+        """Over 2-8 shards the prefix and broadcast plans answer
         ``tasks`` from the by-targets memo (and the prefix router from
         its token -> owner table); the answer must be the unmemoised
         one, and the table must hold ``token_owner``'s values."""
@@ -339,7 +337,6 @@ class TestShardPlanner:
         for config in (
             JoinConfig(distribution="prefix", num_workers=shards),
             JoinConfig(distribution="broadcast", num_workers=shards),
-            JoinConfig(mode="approx", num_workers=shards),
         ):
             plan = plan_shards(config, [r.tokens for r in records])
             for record in records + records:
@@ -417,8 +414,7 @@ class TestOneEngineBuilder:
         JoinConfig(threshold=0.7, num_workers=3, distribution="prefix",
                    window_seconds=0.2, expiry="eager"),
         JoinConfig(threshold=0.7, num_workers=3),
-        JoinConfig(threshold=0.7, num_workers=3, mode="approx"),
-    ], ids=["prefix", "prefix-eager-window", "length", "band"])
+    ], ids=["prefix", "prefix-eager-window", "length"])
     def test_simulated_cluster_meters_what_the_shards_meter(self, config):
         from repro.core.join import DistributedStreamJoin
         from repro.datasets import synthetic_dblp
@@ -432,25 +428,17 @@ class TestOneEngineBuilder:
         for name, total in serial.events.items():
             assert simulated.counter(name) == total, name
 
-    @pytest.mark.parametrize("mode, distribution, attribute", [
-        ("exact", "prefix", "token_filter"),
-        ("approx", "length", "band_filter"),
-    ])
-    def test_ownership_filter_iff_several_shards(
-        self, mode, distribution, attribute
-    ):
-        """A lone shard owns every token (every band), so it gets the
-        unfiltered engine; every shard of two or more is filtered."""
-        config = JoinConfig(
-            threshold=0.7, mode=mode, distribution=distribution
-        )
+    def test_ownership_filter_iff_several_shards(self):
+        """A lone shard owns every token, so it gets the unfiltered
+        engine; every shard of two or more is filtered."""
+        config = JoinConfig(threshold=0.7, distribution="prefix")
         func = get_similarity(config.similarity, config.threshold)
         for shards in (1, 2, 8):
             for shard in range(shards):
                 engine = build_shard_engine(
                     config, func, shard, shards, WorkMeter()
                 )
-                filtered = getattr(engine, attribute) is not None
+                filtered = engine.token_filter is not None
                 assert filtered == (shards > 1), (shards, shard)
 
 
