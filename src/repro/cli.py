@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("current", help="current run artefact, same formats")
     diff.add_argument("--rel-tol", type=float, default=1e-6,
                       help="relative tolerance for banded headline metrics "
-                           "(default 1e-6)")
+                           "(default 1e-6; inf gates exact metrics only)")
     diff.add_argument("--json", action="store_true",
                       help="print the machine-readable verdict only")
 
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     hcompare.add_argument("current", help="current run id, or 'last'")
     hcompare.add_argument("--rel-tol", type=float, default=1e-6,
                           help="relative tolerance for banded headline "
-                               "metrics (default 1e-6)")
+                               "metrics (default 1e-6; inf: exact only)")
     hcompare.add_argument("--json", action="store_true")
 
     htrend = hsub.add_parser(
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     hcheck.add_argument("--tolerance", type=float, default=0.1,
                         help="relative band for non-exact metrics; a "
                              "change exactly at the tolerance passes "
-                             "(default 0.1)")
+                             "(default 0.1; inf gates exact metrics only)")
     hcheck.add_argument("--json", action="store_true")
 
     hingest = hsub.add_parser(
@@ -841,12 +841,10 @@ def _bench_wallclock(args) -> int:
     try:
         scale = float(args.wallclock_scale)
     except ValueError:
-        print(f"bench: --wallclock-scale must be a number, "
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        print(f"bench: --wallclock-scale must be a finite number > 0, "
               f"got {args.wallclock_scale!r}", file=sys.stderr)
-        return 2
-    if scale <= 0:
-        print(f"bench: --wallclock-scale must be > 0, got {scale}",
-              file=sys.stderr)
         return 2
     payload = wallclock_suite(
         repeats=args.repeats,
@@ -895,25 +893,31 @@ def _artefact_header(path: str) -> Optional[dict]:
     return None
 
 
-#: What reads each non-trace artefact family, for ``repro trace``'s
-#: pointed error.
-_ARTEFACT_READERS = {
-    "spans": "a spans artefact (--spans-out); read it with `repro spans`",
-    "telemetry": ("a telemetry artefact (--telemetry-out); read it with "
-                  "`repro telemetry` or `repro top`"),
-    "health": ("a health-event artefact (--health-out); the run that "
-               "wrote it printed its events, and `repro trace --smoke` "
-               "validates the format"),
+#: Each artefact family: what it is, and what reads it.
+_ARTEFACT_FAMILIES = {
+    "rectrace": ("a record trace (--trace-out)", "read it with `repro trace`"),
+    "spans": ("a spans artefact (--spans-out)", "read it with `repro spans`"),
+    "telemetry": ("a telemetry artefact (--telemetry-out)",
+                  "read it with `repro telemetry` or `repro top`"),
+    "health": ("a health-event artefact (--health-out)", "the run that "
+               "wrote it printed its events; `repro trace --smoke` checks the format"),
 }
 
 
-def _not_a_trace(path: str, header: dict) -> str:
-    """Why ``repro trace`` refuses an artefact header that is not a
-    record trace, naming what reads it instead."""
-    family = artefact_family([header])
-    if family in _ARTEFACT_READERS:
-        return f"trace: {path} is {_ARTEFACT_READERS[family]}"
-    return f"trace: {path} is a JSONL artefact but not a record trace"
+def _other_family(command: str, path: str, family: str) -> bool:
+    """True, after one stderr line naming what it is and what reads
+    it, when ``path`` opens with an artefact header not of ``family``.
+    A headerless file is the reader's own loader's to judge."""
+    header = _artefact_header(path)
+    found = artefact_family([header]) if header else family
+    if found == family:
+        return False
+    if found is None:
+        why = f"a JSONL artefact but not {_ARTEFACT_FAMILIES[family][0]}"
+    else:
+        why = "{}; {}".format(*_ARTEFACT_FAMILIES[found])
+    print(f"{command}: {path} is {why}", file=sys.stderr)
+    return True
 
 
 def _trace_rectrace(args) -> int:
@@ -1004,12 +1008,10 @@ def _cmd_trace(args) -> int:
     if _bad_trace_sample(args):
         return 2
     if args.input is not None:
-        header = _artefact_header(args.input)
-        if header is not None and artefact_family([header]) == "rectrace":
-            return _trace_rectrace(args)
-        if header is not None:
-            print(_not_a_trace(args.input, header), file=sys.stderr)
+        if _other_family("trace", args.input, "rectrace"):
             return 2
+        if _artefact_header(args.input) is not None:
+            return _trace_rectrace(args)
     if args.smoke:
         return _trace_smoke(args)
     try:
@@ -1165,6 +1167,8 @@ def _cmd_spans(args) -> int:
         print(f"spans: --width must be >= 10, got {args.width}",
               file=sys.stderr)
         return 2
+    if _other_family("spans", args.input, "spans"):
+        return 2
     try:
         rows = load_spans_jsonl(args.input)
     except (OSError, ValueError) as error:
@@ -1272,13 +1276,13 @@ def _cmd_top(args) -> int:
 
     from repro.obs.timeseries import TelemetryView
 
-    if args.refresh <= 0:
-        print(f"top: --refresh must be > 0, got {args.refresh}",
-              file=sys.stderr)
-        return 2
-    if args.duration is not None and args.duration <= 0:
-        print(f"top: --duration must be > 0, got {args.duration}",
-              file=sys.stderr)
+    for flag, value in (("--refresh", args.refresh),
+                        ("--duration", args.duration)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            print(f"top: {flag} must be finite and > 0, got {value}",
+                  file=sys.stderr)
+            return 2
+    if _other_family("top", args.input, "telemetry"):
         return 2
     try:
         handle = open(args.input, "r", encoding="utf-8")
@@ -1344,6 +1348,8 @@ def _cmd_telemetry(args) -> int:
         validate_telemetry_lines,
     )
 
+    if _other_family("telemetry", args.input, "telemetry"):
+        return 2
     try:
         rows = load_telemetry_jsonl(args.input)
     except (OSError, ValueError) as error:
@@ -1492,7 +1498,6 @@ def _cmd_history(args) -> int:
     """``repro history``: the longitudinal view over the run archive."""
     from repro.obs.archive import (
         DEFAULT_ARCHIVE_PATH,
-        ArchiveError,
         RunArchive,
         default_archive_path,
     )
@@ -1505,7 +1510,7 @@ def _cmd_history(args) -> int:
     try:
         with RunArchive(path, create=args.history_command == "ingest") as archive:
             return handler(args, archive)
-    except ArchiveError as error:
+    except ValueError as error:  # ArchiveError, or a gate's bad tolerance
         print(f"history: {error}", file=sys.stderr)
         return 2
 
@@ -1683,10 +1688,6 @@ def _history_check(args, archive) -> int:
 
     if args.last < 1:
         print(f"history: --last must be >= 1, got {args.last}",
-              file=sys.stderr)
-        return 2
-    if args.tolerance < 0:
-        print(f"history: --tolerance must be >= 0, got {args.tolerance}",
               file=sys.stderr)
         return 2
     run_id = _resolve_run(archive, args.run) if args.run is not None else None

@@ -71,6 +71,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.artefact import artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
     FINGERPRINT_SCHEMA_VERSION,
+    check_tolerance,
     file_outcome,
     metric_policy,
     verdict_lines,
@@ -848,8 +849,9 @@ class RunArchive:
         ``last`` comparable runs exist — a cold archive must not fail
         CI. Exact metrics fail on any drift from the median; banded
         metrics are direction-aware and a relative change exactly at
-        ``tolerance`` passes.
+        ``tolerance`` passes; a negative or NaN one raises ``ValueError``.
         """
+        check_tolerance("tolerance", tolerance)
         if run_id is None:
             run_id = self.latest_run_id()
         baseline_ids = [] if run_id is None else self.comparable_ids(run_id, last)

@@ -132,6 +132,13 @@ def fingerprint_from_metrics(dump: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+def check_tolerance(name: str, tolerance: float) -> None:
+    """A gate's relative tolerance is >= 0 and not NaN, which would
+    pass everything; ``inf`` gates exact metrics only."""
+    if not tolerance >= 0:
+        raise ValueError(f"{name} must be >= 0, got {tolerance}")
+
+
 def judge(
     policy: str, baseline: object, current: object, tolerance: float
 ) -> Optional[Tuple[str, Optional[float]]]:
@@ -208,8 +215,9 @@ def compare_fingerprints(
     exceeds ``rel_tol`` in the direction :func:`metric_policy` calls
     bad. A suite is compared as one fingerprint (see
     :func:`_flatten_suite`); a suite against a single-run fingerprint
-    raises :class:`ValueError`.
+    raises :class:`ValueError`, as does a negative or NaN ``rel_tol``.
     """
+    check_tolerance("rel_tol", rel_tol)
     if ("methods" in baseline) != ("methods" in current):
         raise ValueError(
             "cannot compare a suite baseline against a single-run fingerprint"

@@ -9,12 +9,6 @@ contributes and chooses boundaries that minimize the maximum per-worker
 cost. See :mod:`repro.partition.length_partition`.
 """
 
-from repro.partition.adaptive import (
-    AdaptiveLengthPartitioner,
-    ReplanDecision,
-    RollingLengthHistogram,
-    migration_fraction,
-)
 from repro.partition.cost import JoinCostEstimator
 from repro.partition.length_partition import (
     LengthPartition,
@@ -25,14 +19,10 @@ from repro.partition.length_partition import (
 from repro.partition.stats import LengthHistogram
 
 __all__ = [
-    "AdaptiveLengthPartitioner",
     "JoinCostEstimator",
     "LengthHistogram",
     "LengthPartition",
-    "ReplanDecision",
-    "RollingLengthHistogram",
     "load_aware_partition",
-    "migration_fraction",
     "quantile_partition",
     "uniform_partition",
 ]

@@ -681,6 +681,27 @@ class TestHistoryCli:
         }
         assert failed and all(m.endswith(".posting_scans") for m in failed)
 
+    @pytest.mark.parametrize("argv,named", [
+        (["compare", "1", "2", "--rel-tol", "nan"], "rel_tol"),
+        (["compare", "1", "2", "--rel-tol", "-1"], "rel_tol"),
+        (["check", "--last", "1", "--tolerance", "nan"], "tolerance"),
+    ])
+    def test_bad_tolerance_exits_2_with_one_line(
+        self, argv, named, env_db, capsys
+    ):
+        """A tolerance must be >= 0 and not NaN, which would pass every
+        banded metric unremarked; ``inf`` stays legal."""
+        report = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
+        assert main(["history", "ingest", report, report]) == 0
+        capsys.readouterr()
+        assert main(["history", *argv]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("history: ")
+        assert named in lines[0], captured.err
+        flag = "--rel-tol" if argv[0] == "compare" else "--tolerance"
+        assert main(["history", *argv[:-2], flag, "inf"]) == 0
+
     def test_check_skips_other_configs_and_inputs(
         self, tmp_path, env_db, capsys
     ):

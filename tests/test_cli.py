@@ -686,6 +686,52 @@ class TestTrace:
             assert "throughput" not in captured.out
 
 
+#: Artefact family -> (a committed fixture of it, or the header of a
+#: file of it; the words naming its reader).
+ARTEFACT_FAMILIES = {
+    "spans": ("spans_fixture.jsonl", "`repro spans`"),
+    "rectrace": ("rectrace_fixture.jsonl", "`repro trace`"),
+    "telemetry": ({"kind": "header", "schema": 2, "interval": 0.25,
+                   "workers": 2, "shards": 2, "executor": "process",
+                   "thresholds": {}}, "`repro telemetry`"),
+    "health": ({"kind": "header", "schema": 1,
+                "thresholds": {"queue_warning": 64}}, "--health-out"),
+}
+#: Artefact reader -> (its argv, the one family it reads).
+ARTEFACT_READERS = {
+    "trace": (["trace"], "rectrace"),
+    "spans": (["spans"], "spans"),
+    "telemetry": (["telemetry"], "telemetry"),
+    "top": (["top", "--once"], "telemetry"),
+}
+
+
+class TestWrongArtefactFamily:
+    """Every artefact reader refuses another family's file in one line
+    naming what reads it — not a frame of no samples, nor one error per
+    row."""
+
+    @pytest.mark.parametrize("reader,family", [
+        (reader, family)
+        for reader, (_, reads) in sorted(ARTEFACT_READERS.items())
+        for family in sorted(ARTEFACT_FAMILIES) if family != reads
+    ])
+    def test_refused_in_one_line(self, reader, family, tmp_path, capsys):
+        source, names = ARTEFACT_FAMILIES[family]
+        if isinstance(source, dict):
+            path = tmp_path / f"{family}.jsonl"
+            path.write_text(json.dumps(source) + "\n")
+        else:
+            path = os.path.join(os.path.dirname(__file__), "data", source)
+        argv, _ = ARTEFACT_READERS[reader]
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"{reader}: ") and names in lines[0]
+        assert captured.out == ""
+
+
 class TestTraceRectraceCommand:
     @pytest.fixture
     def rectrace_file(self, tmp_path, capsys):
@@ -779,6 +825,13 @@ class TestTraceRectraceCommand:
         assert validate_chrome(json.loads(out_path.read_text())) == []
 
 
+#: A committed fingerprint: a real ``repro diff`` input.
+BASELINE_FINGERPRINT = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "baselines",
+    "aol-3000-v800-w4-d4-s20200420.json",
+)
+
+
 class TestBadFlagValues:
     """A bad flag value is one pointed stderr line and exit 2 — never a
     traceback, and never a silently clamped run."""
@@ -808,11 +861,26 @@ class TestBadFlagValues:
         (["generate", "F", "--duplicate-rate", "2"], "duplicate_rate"),
         (["generate", "F", "--duplicate-rate", "-1"], "duplicate_rate"),
         (["explain", "LEN", "PRE", "--records", "0"], "records"),
+        # Waits and scales must be finite: NaN and inf crashed
+        # ``time.sleep`` / the corpus sizing, or never stopped.
+        (["top", "F", "--refresh", "nan"], "--refresh"),
+        (["top", "F", "--refresh", "inf"], "--refresh"),
+        (["top", "F", "--duration", "nan", "--once"], "--duration"),
+        (["top", "F", "--duration", "inf", "--once"], "--duration"),
+        (["bench", "--wallclock", "--wallclock-scale", "nan"],
+         "--wallclock-scale"),
+        (["bench", "--wallclock", "--wallclock-scale", "inf"],
+         "--wallclock-scale"),
+        # A tolerance must be >= 0 and not NaN (inf is legal): a
+        # fingerprint diffed with itself is no "improvement".
+        (["diff", "FP", "FP", "--rel-tol", "nan"], "rel_tol"),
+        (["diff", "FP", "FP", "--rel-tol", "-1"], "rel_tol"),
     ])
     def test_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("alpha beta gamma\nalpha beta gamma delta\n")
-        argv = [str(corpus) if arg == "F" else arg for arg in argv]
+        paths = {"F": str(corpus), "FP": BASELINE_FINGERPRINT}
+        argv = [paths.get(arg, arg) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()

@@ -319,6 +319,15 @@ for _name in ("mode", "perms", "bands"):
 # Settings nobody varied are module constants, not JoinConfig fields.
 for _name in ("sample_size", "bundle_max_members"):
     GUARDS[f"No JoinConfig.{_name}"] = [absent(rf"\b{_name}\b", *REACHABLE)]
+# Shard plans are fixed at start, so nothing could carry out a re-plan;
+# the static load-aware cut is the one partitioner.
+GUARDS["No adaptive repartitioner"] = [
+    absent(
+        r"AdaptiveLengthPartitioner|RollingLengthHistogram|migration_fraction"
+        r"|ReplanDecision|partition\.adaptive",
+        *REACHABLE,
+    ),
+]
 
 
 @pytest.mark.parametrize("step", list(GUARDS))
