@@ -63,7 +63,10 @@ Eleven commands cover the workflows a downstream user needs:
     Write a synthetic corpus (AOL/TWEET/DBLP/ENRON-like) to a token
     file for use with ``join``.
 ``stats``
-    Print a token file's corpus statistics.
+    Print a token file's corpus statistics, with how many records
+    repeat an earlier record's exact token set (and, given ``--window``
+    and ``--rate``, the share of those whose earlier copy is still
+    inside the window).
 ``history``
     Query the persistent run archive (``.repro/archive.db``, a SQLite
     flight recorder every ``join``/``bench`` invocation appends to
@@ -362,6 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser("stats", help="describe a token file")
     stats.add_argument("input")
     stats.add_argument("--max-records", type=int, default=None)
+    stats.add_argument("--window", type=float, default=math.inf,
+                       help="with --rate, as for join: also report the "
+                            "share of repeats whose earlier copy is still "
+                            "inside this window (seconds)")
+    stats.add_argument("--rate", type=float, default=1000.0,
+                       help="arrival rate, records/second")
 
     history = commands.add_parser(
         "history",
@@ -1485,12 +1494,26 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.streams.stream import count_repeats
+    from repro.streams.window import SlidingWindow
+
     try:
-        stream = load_token_file(args.input, max_records=args.max_records)[0]
+        window = SlidingWindow(args.window)
+        stream = load_token_file(
+            args.input, rate=args.rate, max_records=args.max_records
+        )[0]
     except (OSError, ValueError) as error:
         print(f"stats: {error}", file=sys.stderr)
         return 2
-    print(format_table([stream.statistics().as_row()]))
+    row = stream.statistics().as_row()
+    # Records repeating an earlier record's exact token set (DESIGN §9.2).
+    repeats, in_window = count_repeats(stream, window)
+    row["repeats"] = repeats
+    if window.bounded:
+        row["in_window_pct"] = (
+            round(100.0 * in_window / repeats, 1) if repeats else 0.0
+        )
+    print(format_table([row]))
     return 0
 
 

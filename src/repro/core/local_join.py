@@ -44,9 +44,24 @@ construction (DESIGN §9.2):
   liveness check (measured by the ``tweet_window`` workload of
   ``benchmarks/e2e``).
 
-Both layouts feed the same ``zip`` loops (length filter per posting
-where the slice was not bisected): every column is dense — expiry
-only ever cuts its front — so nothing is walked by index.
+Both layouts feed the same ``zip`` loops: every column is dense —
+expiry only ever cuts its front — so nothing is walked by index.
+
+**Filter rows.** A probe of size ``lr`` reads each partner's overlap
+bound ``required`` from one tuple indexed by partner size,
+:meth:`~repro.similarity.functions.SimilarityFunction.required_row`,
+memoised per probe size on the similarity function — one subscript
+per posting, no call. An ``ls`` outside the length bounds reads
+``lr + 1``, which no overlap reaches, so the position filter applies
+the length filter too and no loop tests ``[lo, hi]`` per posting; a
+time-ordered column, whose partners may be longer than ``lmax``, reads
+the row padded with that bound to the longest record indexed. In the
+two unfiltered loops the strict position filter runs *before* the
+``seen`` test: if it rejects a partner's first hit ``(i, j)`` it
+rejects every later one ``(i' > i, j' > j)`` (both remainders only
+shrink), so a rejected posting never needs to enter ``seen``. The
+filtered loop keeps ``seen`` first: its relaxed filter is not monotone
+along a partner's hits.
 
 **Exact duplicates share a posting** (size-sorted layout only; DESIGN
 §9.2). Detection is free: a probe verifies every indexed record with
@@ -62,10 +77,13 @@ member, emitting one row per member at the representative's slot (the
 representative, then its members in arrival order). The merge runs
 once; ``pair_filter`` runs per member, which may pair where its
 representative may not. Columns without members run the scan loop as
-before. A bounded window does not group: a member would outlive its
-representative's posting, and cutting a front must stay one ``del``.
-Nor does an insert that its own probe did not precede (bulk loads), so
-those post exactly as they always have.
+before. A bounded window does not group: there the newest copy would
+have to carry the group and the older copies' postings move aside as
+ghosts that are still scanned and expired, and on ``tweet_window``
+that bookkeeping cost more than the sixth of posting visits it saved
+(EXPERIMENTS.md, "filter rows"). Nor does an insert that its own probe
+did not precede (bulk loads), so those post exactly as they always
+have.
 
 **Aggregate metering.** The scan accumulates plain local integers and
 flushes them once per probe through
@@ -76,7 +94,7 @@ counts are integers; float summation cannot diverge), hundreds of
 times fewer calls. The ``repro diff`` baseline gate pins this
 invariant float-for-float.
 
-**Memoized bounds.** ``length_bounds`` / ``min_overlap`` / prefix
+**Memoized bounds.** ``length_bounds`` / ``required_row`` / prefix
 lengths / ``similarity_from_overlap`` are per-instance memo tables on
 :class:`~repro.similarity.functions.SimilarityFunction`, so probes stop
 re-deriving threshold arithmetic for sizes they have seen before.
@@ -261,6 +279,11 @@ class StreamingSetJoin:
         #: slot — the oldest posting of a token is its column's front.
         self._heap: List[Tuple[float, int]] = []
         self._live_postings = 0
+        #: Time-ordered layout: the longest record indexed, and per
+        #: probe size the similarity function's overlap-bound row padded
+        #: to it (see ``probe``).
+        self._max_size = 0
+        self._padded_rows: Dict[int, Tuple[int, ...]] = {}
         #: Size-sorted layout only (see "exact duplicates share a
         #: posting" in the module doc): representative rid -> its group
         #: (the representative, then its members in arrival order);
@@ -299,6 +322,8 @@ class StreamingSetJoin:
         # reads it when postings cannot expire (hot path: this is the
         # engine's per-posting cost floor).
         if self._time_ordered:
+            if size > self._max_size:
+                self._max_size = size
             eager = self._eager
             for position in range(width):
                 token = tokens[position]
@@ -382,14 +407,24 @@ class StreamingSetJoin:
         now = record.timestamp
         if self._eager:
             self._expire_upto(now)
+        time_ordered = self._time_ordered
         lo, hi = func.length_bounds(lr)
         width = func.probe_prefix_length(lr)
-        min_overlap = func.min_overlap
+        # The row applies the length filter too: a partner outside
+        # ``[lo, hi]`` reads a bound no overlap reaches. A time-ordered
+        # column may hold partners longer than any row entry, so there
+        # the row is padded to the longest record indexed.
+        required_of = func.required_row(lr)
+        if time_ordered and hi < self._max_size:
+            required_of = self._padded_rows.get(lr)
+            if required_of is None or len(required_of) <= self._max_size:
+                required_of = self._padded_rows[lr] = (
+                    func.required_row(lr) + (lr + 1,) * (self._max_size - hi)
+                )
         similarity_from_overlap = func.similarity_from_overlap
         owns = self._owns
         filtered_mode = owns is not None
         pair_filter = self.pair_filter
-        time_ordered = self._time_ordered
         seconds = self.window.seconds
         index = self._index
         groups = self._groups
@@ -433,7 +468,6 @@ class StreamingSetJoin:
             # Every posting left in a column is scanned — no
             # per-posting liveness check, scan count in one add.
             n_scan += n
-            lenfilter = True
             if time_ordered:
                 grouped = 0
                 # Time-ordered column: ``now - ts`` never grows
@@ -481,23 +515,18 @@ class StreamingSetJoin:
                     recs = recs[klo:khi]
                     if dedup or filtered_mode:
                         rids = rids[klo:khi]
-                lenfilter = False
             i1 = i + 1
-            rem_r = lr - i1
             if filtered_mode:
-                # ``required`` is recomputed only when ``ls`` changes;
-                # the position filter is the relaxed one (module doc).
-                last_ls = -1
-                required = 0
+                # The relaxed position filter (module doc) is not
+                # monotone along a partner's hits, so a partner is
+                # marked seen at its first hit, admitted or not (one
+                # outside the length bounds fails every hit anyway).
+                rem_r = lr - i1
                 for ls, rid, j, partner in zip(sizes, rids, positions, recs):
-                    if lenfilter and (ls < lo or ls > hi):
-                        continue
                     if rid in seen:
                         continue
                     seen_add(rid)
-                    if ls != last_ls:
-                        last_ls = ls
-                        required = min_overlap(lr, ls)
+                    required = required_of[ls]
                     slack = i if i < j else j
                     rem_s = ls - j - 1
                     if (
@@ -545,25 +574,20 @@ class StreamingSetJoin:
                             overlap,
                         )))
             elif dedup:
-                # Sorted sizes arrive in runs: ``required`` and the
-                # position-filter bound (admit iff
-                # ``min(rem_r, ls - j - 1) >= required - 1``, i.e.
-                # ``j <= ls - required`` unless ``rem_r`` alone is
-                # too short) are recomputed only when ``ls`` changes.
-                last_ls = -1
-                required = jmax = 0
+                # The strict position filter — admit iff
+                # ``min(lr - i - 1, ls - j - 1) >= required - 1``, i.e.
+                # ``j <= ls - required`` and ``required <= lr - i`` —
+                # runs before the seen test: it rejects every later hit
+                # of a partner whose first hit it rejects (DESIGN §9.4),
+                # so only admitted partners need remembering.
+                rest = lr - i
                 for ls, rid, j, partner in zip(sizes, rids, positions, recs):
-                    if lenfilter and (ls < lo or ls > hi):
+                    required = required_of[ls]
+                    if j > ls - required or required > rest:
                         continue
                     if rid in seen:
                         continue
                     seen_add(rid)
-                    if ls != last_ls:
-                        last_ls = ls
-                        required = min_overlap(lr, ls)
-                        jmax = ls - required if rem_r >= required - 1 else -1
-                    if j > jmax:
-                        continue
                     n_admit += 1
                     if grouped:
                         group = groups.get(rid)
@@ -633,17 +657,11 @@ class StreamingSetJoin:
                             o,
                         )))
             else:
-                # Same run-level caching as the dedup loop above.
-                last_ls = -1
-                required = jmax = 0
+                # Same position filter as the dedup loop above.
+                rest = lr - i
                 for ls, j, partner in zip(sizes, positions, recs):
-                    if lenfilter and (ls < lo or ls > hi):
-                        continue
-                    if ls != last_ls:
-                        last_ls = ls
-                        required = min_overlap(lr, ls)
-                        jmax = ls - required if rem_r >= required - 1 else -1
-                    if j > jmax:
+                    required = required_of[ls]
+                    if j > ls - required or required > rest:
                         continue
                     n_admit += 1
                     if grouped:

@@ -1,6 +1,6 @@
 """Similarity functions over token sets and their exact pruning bounds.
 
-Each similarity function exposes the three pieces of derived math that
+Each similarity function exposes the pieces of derived math that
 set-similarity join algorithms need:
 
 ``min_overlap(lr, ls)``
@@ -11,6 +11,10 @@ set-similarity join algorithms need:
     The closed interval ``[lmin, lmax]`` of partner sizes that can
     possibly reach the threshold against a set of size ``lr`` (the
     *length filter*).
+
+``required_row(lr)``
+    ``min_overlap(lr, ls)`` for every partner size at once, indexed by
+    ``ls`` — what a join engine's scan reads per posting.
 
 ``probe_prefix_length(lr)`` / ``index_prefix_length(lr)``
     Prefix-filter lengths. If ``sim(r, s) >= θ`` then the first
@@ -87,6 +91,7 @@ class SimilarityFunction:
         self.similarity_from_overlap = lru_cache(maxsize=None)(
             self.similarity_from_overlap
         )
+        self.required_row = lru_cache(maxsize=None)(self.required_row)
 
     # -- to be provided by subclasses ------------------------------------
     def similarity(self, r: Sequence[int], s: Sequence[int]) -> float:
@@ -118,7 +123,7 @@ class SimilarityFunction:
             return 0
         lmin, _ = self.length_bounds(lr)
         lmin = max(lmin, 1)
-        t = self.min_overlap(lr, lmin)
+        t = self.required_row(lr)[lmin]
         return max(0, min(lr, lr - t + 1))
 
     def index_prefix_length(self, lr: int) -> int:
@@ -128,6 +133,25 @@ class SimilarityFunction:
         arrival order — see module docstring).
         """
         return self.probe_prefix_length(lr)
+
+    def required_row(self, lr: int) -> Sequence[int]:
+        """The overlap a partner of each size ``ls <= lmax`` needs, as one
+        tuple indexed by ``ls``: ``min_overlap(lr, ls)`` inside the
+        length bounds, ``lr + 1`` — which no overlap reaches — below.
+
+        A probe of size ``lr`` reads its partners' bounds from this row,
+        one subscript per posting, instead of calling ``min_overlap``
+        per posting; the unreachable entries make the position filter
+        apply the length filter as well. Memoised per probe size, so
+        each ``(lr, ls)`` is computed once (``min_overlap`` itself is
+        not consulted: its table would hold every row twice).
+        """
+        lo, hi = self.length_bounds(lr)
+        lo = max(lo, 0)
+        bound = type(self).min_overlap
+        return (lr + 1,) * lo + tuple(
+            bound(self, lr, ls) for ls in range(lo, hi + 1)
+        )
 
     def matches(self, r: Sequence[int], s: Sequence[int]) -> bool:
         """Whether ``sim(r, s) >= threshold`` (exact, no filtering)."""
@@ -274,6 +298,24 @@ class Overlap(SimilarityFunction):
     def length_bounds(self, lr: int) -> Tuple[int, int]:
         # A partner must contain at least θ tokens; no upper bound.
         return int(self.threshold), 2**31 - 1
+
+    def required_row(self, lr: int) -> Sequence[int]:
+        # ``lmax`` is no bound here, so no tuple can span the length
+        # range; the bound is θ whatever the sizes (below ``lmin = θ``
+        # the position filter still rejects: ``ls - θ < 0 <= j``).
+        return _ConstantRow(int(self.threshold))
+
+
+class _ConstantRow:
+    """A row whose every entry is one value: ``row[ls]`` for any ``ls``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __getitem__(self, ls: int) -> int:
+        return self.value
 
 
 _REGISTRY: Dict[str, Type[SimilarityFunction]] = {

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.records import Record
 from repro.streams.arrival import ConstantRate
+from repro.streams.window import SlidingWindow
 
 
 class RecordStream:
@@ -131,6 +132,26 @@ class StreamStatistics:
             f"StreamStatistics({self.name!r}, n={self.num_records}, "
             f"|V|={self.vocabulary_size}, avg_len={self.avg_size:.2f})"
         )
+
+
+def count_repeats(
+    records: Iterable[Record], window: SlidingWindow,
+) -> Tuple[int, int]:
+    """``(repeats, in_window)``: how many records have the exact token
+    set of an earlier record, and how many of those arrive while that
+    set's latest earlier copy is still inside ``window`` (all of them
+    when it is unbounded). Empty records are not counted."""
+    latest: Dict[Tuple[int, ...], Record] = {}
+    repeats = in_window = 0
+    for record in records:
+        if not record.tokens:
+            continue
+        earlier = latest.get(record.tokens)
+        if earlier is not None:
+            repeats += 1
+            in_window += window.alive(earlier, record.timestamp)
+        latest[record.tokens] = record
+    return repeats, in_window
 
 
 def materialize(records: Iterable[Record]) -> List[Record]:

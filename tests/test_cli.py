@@ -18,6 +18,30 @@ class TestGenerateAndStats:
         captured = capsys.readouterr().out
         assert "50" in captured and "dataset" in captured
 
+    @pytest.mark.parametrize("flags,repeats,in_window", [
+        ([], "3", None),
+        # --rate 1 puts records 1 s apart: the copies at lines 4 and 6
+        # repeat lines 1 and 4 at gaps of 3 s and 2 s, the line-5 copy
+        # repeats line 3 at 2 s.
+        (["--window", "2.5", "--rate", "1"], "3", "66.7"),
+        (["--window", "10", "--rate", "1"], "3", "100"),
+        (["--window", "1", "--rate", "1"], "3", "0"),
+    ], ids=["unbounded", "some-in-window", "all-in-window", "none-in-window"])
+    def test_stats_counts_repeats(self, tmp_path, capsys, flags, repeats,
+                                  in_window):
+        """A repeat is a record with an earlier record's exact token set
+        (token order and duplicates inside a line do not matter);
+        with a window, the share of repeats whose latest earlier copy
+        is still inside it."""
+        corpus = tmp_path / "repeats.txt"
+        corpus.write_text("a b c\nb c d\nx y\nc b a\nx y\na a b c\n")
+        assert main(["stats", str(corpus), *flags]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()
+        values = dict(zip(header.split(), row.split()))
+        assert values["records"] == "6"
+        assert values["repeats"] == repeats
+        assert values.get("in_window_pct") == in_window
+
     def test_duplicate_rate_flag(self, tmp_path, capsys):
         out = tmp_path / "dups.txt"
         assert main(["generate", str(out), "--records", "40",
@@ -875,6 +899,9 @@ class TestBadFlagValues:
         # fingerprint diffed with itself is no "improvement".
         (["diff", "FP", "FP", "--rel-tol", "nan"], "rel_tol"),
         (["diff", "FP", "FP", "--rel-tol", "-1"], "rel_tol"),
+        (["stats", "F", "--window", "0"], "window"),
+        (["stats", "F", "--window", "nan"], "window"),
+        (["stats", "F", "--rate", "0"], "rate"),
     ])
     def test_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -507,3 +507,118 @@ def test_property_lazy_window_matches_reference(
 ):
     records = fuzz_stream(seed, n=120, universe=30, jitter_rate=jitter_rate)
     assert_identical(records, "jaccard", threshold, window_seconds, "lazy")
+
+
+# -- a bounded window over exact repeats ---------------------------------------
+
+def windowed_duplicate_stream(seed, duplicate_rate, window_seconds, n=300,
+                              tie_rate=0.2, late_rate=0.1):
+    """Exact repeats at gaps on both sides of the window: half repeat one
+    of the last dozen records (mostly inside it), half any earlier one
+    (mostly outside). Some records share the previous timestamp, some
+    arrive up to one and a half windows late; sources alternate at
+    random for the cross-source filter."""
+    rng = random.Random(seed)
+    records = []
+    now = 0.0
+    for rid in range(n):
+        if rng.random() >= tie_rate:
+            now += rng.random() * window_seconds / 10
+        late = 0.0
+        if rng.random() < late_rate:
+            late = rng.random() * 1.5 * window_seconds
+        if records and rng.random() < duplicate_rate:
+            pool = records[-12:] if rng.random() < 0.5 else records
+            tokens = rng.choice(pool).tokens
+        else:
+            tokens = tuple(sorted(rng.sample(range(30), rng.randint(1, 7))))
+        records.append(Record(rid, tokens, now - late, source=rng.choice("LR")))
+    return records
+
+
+def repeat_gaps(records, window_seconds):
+    """How many records repeat an earlier token set within the window of
+    its latest copy, and how many beyond it."""
+    latest, inside, beyond = {}, 0, 0
+    for record in records:
+        earlier = latest.get(record.tokens)
+        if earlier is not None:
+            if abs(record.timestamp - earlier) <= window_seconds:
+                inside += 1
+            else:
+                beyond += 1
+        latest[record.tokens] = record.timestamp
+    return inside, beyond
+
+
+def probe_all_insert_most(records):
+    """Every record probes; one in five is never indexed (a probe-only
+    call, as a two-stream join makes into the other side's index)."""
+    for record in records:
+        yield "probe", record
+        if record.rid % 5 != 2:
+            yield "insert", record
+
+
+WINDOW_DUPLICATE_MODES = {
+    "unfiltered": {},
+    "cross-source": {"pair_filter": cross_source_filter},
+    "2-shards-0": {"token_filter": lambda token: token_owner(token, 2) == 0},
+    "2-shards-1": {"token_filter": lambda token: token_owner(token, 2) == 1},
+    "4-shards-1": {"token_filter": lambda token: token_owner(token, 4) == 1},
+    "4-shards-3-cross-source": {
+        "token_filter": lambda token: token_owner(token, 4) == 3,
+        "pair_filter": cross_source_filter,
+    },
+}
+
+
+@pytest.mark.parametrize("duplicate_rate", [0.3, 0.6])
+@pytest.mark.parametrize("mode", WINDOW_DUPLICATE_MODES)
+@pytest.mark.parametrize("expiry", ["lazy", "eager"])
+@pytest.mark.parametrize(
+    "schedule", [probe_then_insert, probe_all_insert_most]
+)
+def test_windowed_exact_duplicates(schedule, expiry, mode, duplicate_rate):
+    """Exact repeats under a sliding window — repeats whose earlier copy
+    is live and ones whose copy has expired, ties, late records,
+    probe-only calls, the prefix scheme's shards and the two-stream
+    filter: every observable equals the reference's after every step."""
+    window_seconds = 4.0
+    records = windowed_duplicate_stream(
+        int(duplicate_rate * 10), duplicate_rate, window_seconds
+    )
+    inside, beyond = repeat_gaps(records, window_seconds)
+    assert inside >= 0.1 * len(records) and beyond >= 0.05 * len(records)
+    _, columnar, _ = assert_identical(
+        records, "jaccard", 0.6, window_seconds, expiry, schedule=schedule,
+        **WINDOW_DUPLICATE_MODES[mode]
+    )
+    assert columnar[-1]["operations"]["posting_expire"] > 0
+    assert sum(len(step["matches"]) for step in columnar) > 5
+
+
+@pytest.mark.parametrize("expiry", ["lazy", "eager"])
+def test_late_probe_after_a_sweep_meets_a_repeat(expiry):
+    """Two copies of one token set; a probe sharing only its first token
+    sweeps at a later time; then a late copy probes. Lazy: only that
+    column lost the older copy, dead at the sweep but alive at the late
+    probe's time, which meets it through the columns the sweep did not
+    touch. Eager: the sweep cut it everywhere."""
+    seconds = 3.0
+    tokens = (1, 2, 3, 4, 5)
+    records = [
+        Record(0, tokens, 0.0),
+        Record(1, tokens, 1.0),
+        Record(2, (1, 20, 21, 22, 23), 3.5),
+        Record(3, tokens, 2.5),
+        Record(4, tokens, 4.2),
+    ]
+    _, columnar, _ = assert_identical(records, "jaccard", 0.6, seconds, expiry)
+    probes = columnar[::2]
+    late = [rid for rid, _, _ in probes[3]["matches"]]
+    if expiry == "lazy":
+        assert probes[2]["operations"]["posting_expire"] == 1
+        assert late == [0, 1]
+    else:
+        assert late == [1]

@@ -100,7 +100,8 @@ class TestMemoization:
     """The bound methods are wrapped per-instance in unbounded caches."""
 
     MEMOIZED = ("min_overlap", "length_bounds", "probe_prefix_length",
-                "index_prefix_length", "similarity_from_overlap")
+                "index_prefix_length", "similarity_from_overlap",
+                "required_row")
 
     @pytest.mark.parametrize("cls", FUNCS + [Overlap])
     def test_bound_methods_carry_caches(self, cls):
@@ -196,3 +197,102 @@ class TestBoundExactness:
         lo, hi = f.length_bounds(10)
         assert lo == 3
         assert hi >= 10**6  # effectively unbounded
+
+
+def bound(func, lr, ls):
+    """The overlap a probe of size ``lr`` requires of a partner of size
+    ``ls`` as the columnar engine reads it: its row, padded past
+    ``lmax`` with the unreachable ``lr + 1``."""
+    _, hi = func.length_bounds(lr)
+    return func.required_row(lr)[ls] if ls <= hi else lr + 1
+
+
+def strict_rejects(func, lr, ls, i, j):
+    """The unfiltered engine's position filter, in its loop's form."""
+    required = bound(func, lr, ls)
+    return j > ls - required or required > lr - i
+
+
+def relaxed_rejects(func, lr, ls, i, j):
+    """The token-filtered engine's position filter: ``min(i, j)``
+    common tokens may precede the hit."""
+    required = bound(func, lr, ls)
+    return min(i, j) + 1 + min(lr - i - 1, ls - j - 1) < required
+
+
+class TestRequiredRow:
+    """One tuple per probe size replaces per-posting ``min_overlap``."""
+
+    @pytest.mark.parametrize("cls", FUNCS)
+    @given(lr=st.integers(1, 120), threshold=thresholds)
+    @settings(max_examples=150, deadline=None)
+    def test_row_is_min_overlap_inside_the_length_bounds(self, cls, lr, threshold):
+        func = cls(threshold)
+        lo, hi = func.length_bounds(lr)
+        row = func.required_row(lr)
+        assert len(row) == hi + 1
+        for ls in range(hi + 1):
+            if ls < lo:
+                assert row[ls] == lr + 1  # no overlap reaches it
+            else:
+                assert row[ls] == cls.min_overlap(func, lr, ls)
+
+    def test_overlap_row_is_constant_and_unsized(self):
+        """Overlap's ``lmax`` is no bound, so no tuple could span it."""
+        func = Overlap(3)
+        row = func.required_row(7)
+        assert row[1] == row[7] == row[10**9] == 3
+
+    def test_each_pair_is_computed_once(self, monkeypatch):
+        calls = []
+        original = Jaccard.min_overlap
+
+        def counted(self, lr, ls):
+            calls.append((lr, ls))
+            return original(self, lr, ls)
+
+        monkeypatch.setattr(Jaccard, "min_overlap", counted)
+        func = Jaccard(0.8)
+        for lr in (5, 9, 5, 9, 12):
+            func.probe_prefix_length(lr)
+            func.required_row(lr)
+        assert len(calls) == len(set(calls)) > 0
+
+
+class TestFilterOrder:
+    """The unfiltered loops test the position filter before ``seen``:
+    sound because a rejected first hit means every later hit of the
+    same partner is rejected too. The token-filtered loop's relaxed
+    filter has no such property, so it keeps ``seen`` first."""
+
+    @pytest.mark.parametrize("cls", FUNCS + [Overlap])
+    @given(data=st.data(), lr=st.integers(1, 40), ls=st.integers(1, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_strict_rejection_holds_for_every_later_hit(self, cls, data, lr, ls):
+        func = cls(data.draw(st.integers(1, 6)) if cls is Overlap
+                   else data.draw(thresholds))
+        i = data.draw(st.integers(0, lr - 1))
+        j = data.draw(st.integers(0, ls - 1))
+        lo, hi = func.length_bounds(lr)
+        if lo <= ls <= hi:
+            # The reference engine's form of the same filter.
+            reference = 1 + min(lr - i - 1, ls - j - 1) < bound(func, lr, ls)
+            assert strict_rejects(func, lr, ls, i, j) == reference
+        else:
+            assert strict_rejects(func, lr, ls, i, j)  # the length filter
+        if strict_rejects(func, lr, ls, i, j) and i + 1 < lr and j + 1 < ls:
+            later_i = data.draw(st.integers(i + 1, lr - 1))
+            later_j = data.draw(st.integers(j + 1, ls - 1))
+            assert strict_rejects(func, lr, ls, later_i, later_j)
+
+    def test_relaxed_filter_can_admit_a_later_hit(self):
+        """Jaccard 0.5, two 10-token records (prefixes of 6): the first
+        hit (0, 4) fails the relaxed filter, the later (5, 5) passes —
+        had the loop skipped ``seen`` on rejection, it would admit the
+        pair where its first hit said no."""
+        func = Jaccard(0.5)
+        assert func.probe_prefix_length(10) == 6
+        assert bound(func, 10, 10) == 7
+        assert relaxed_rejects(func, 10, 10, 0, 4)
+        assert not relaxed_rejects(func, 10, 10, 5, 5)
+        assert strict_rejects(func, 10, 10, 5, 5)
