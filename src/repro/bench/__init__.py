@@ -8,14 +8,11 @@ EXPERIMENTS.md).
 
 from repro.bench.harness import ExperimentRunner, run_methods, standard_configs
 from repro.bench.report import format_series, format_table
-from repro.bench.wallclock import render_wallclock, wallclock_suite
 
 __all__ = [
     "ExperimentRunner",
     "format_series",
     "format_table",
-    "render_wallclock",
     "run_methods",
     "standard_configs",
-    "wallclock_suite",
 ]

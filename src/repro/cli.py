@@ -15,11 +15,7 @@ Eleven commands cover the workflows a downstream user needs:
     ``BENCH_summary.json``; the same dump flags write one artefact set
     per method. ``--write-baseline`` archives the suite's run
     fingerprints for ``repro diff`` to gate against a stored one.
-    ``--wallclock`` instead runs the engine A/B (columnar engine vs.
-    reference engine over two calibrated corpora, insert and probe
-    phases timed apart, DESIGN §9) and writes ``BENCH_wallclock.json``;
-    it exits non-zero only on a cross-engine correctness mismatch,
-    never on timings. Whole-join timings are ``benchmarks/e2e/run.py``.
+    Whole-join timings are ``benchmarks/e2e/run.py``.
 ``trace``
     Run one instrumented simulated join (synthetic corpus or token
     file) and show where records spend their time: the record trace's
@@ -76,9 +72,9 @@ Eleven commands cover the workflows a downstream user needs:
     ``trend`` a metric across runs as a sparkline with its fitted
     slope, ``check`` the newest run against the rolling median of its
     comparable predecessors (exit 1 on regression — the longitudinal
-    CI gate), and ``ingest`` to back-fill from existing artefact
-    files (spans/telemetry/record-trace JSONL, ``BENCH_wallclock.json``,
-    ``BENCH_summary.json``).
+    CI gate), and ``ingest`` to back-fill from existing ``join
+    --parallel`` artefact files (spans, telemetry or record-trace
+    JSONL).
 """
 
 from __future__ import annotations
@@ -99,12 +95,6 @@ from repro.bench.harness import (
     verify_instrumented_headlines,
 )
 from repro.bench.report import bench_summary, format_table, write_bench_summary
-from repro.bench.wallclock import (
-    SEED as WALLCLOCK_SEED,
-    correctness_ok,
-    render_wallclock,
-    wallclock_suite,
-)
 from repro.core.config import JoinConfig
 from repro.core.join import DistributedStreamJoin
 from repro.datasets.corpora import CORPUS_BUILDERS
@@ -222,24 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--write-baseline", default=None, metavar="PATH",
                        help="archive the suite's run fingerprints as a "
                             "baseline for `repro diff`")
-    bench.add_argument("--wallclock", action="store_true",
-                       help="run the wall-clock microbenchmark suite "
-                            "(columnar vs. reference engine) instead of "
-                            "the method comparison; exits non-zero only "
-                            "on a correctness mismatch")
-    bench.add_argument("--wallclock-out", default="BENCH_wallclock.json",
-                       metavar="PATH",
-                       help="wall-clock report destination (default: "
-                            "BENCH_wallclock.json; empty string disables)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="wall-clock repeats per engine and phase; "
-                            "the best time is kept (default 3)")
-    bench.add_argument("--wallclock-scale", default="1.0",
-                       metavar="FACTOR",
-                       help="multiplier on the calibrated wall-clock "
-                            "record counts; < 1 speeds up smoke runs "
-                            "(the x3 headline target is calibrated "
-                            "at 1.0)")
     bench.add_argument("--no-archive", action="store_true",
                        help="do not record this run in the persistent "
                             "archive (.repro/archive.db; see `repro "
@@ -386,11 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     def _history_filters(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--command", dest="filter_command", default=None,
                          metavar="CMD",
-                         help="filter by archiving command (join, bench, "
-                              "bench-wallclock)")
+                         help="filter by archiving command (join, bench)")
         sub.add_argument("--method", default=None,
-                         help="filter by method label (LEN, PRE, ..., "
-                              "WALLCLOCK)")
+                         help="filter by method label (LEN, PRE, ...)")
         sub.add_argument("--workers", type=int, default=None)
 
     hlist = hsub.add_parser("list", help="newest archived runs, one per line")
@@ -426,9 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     htrend.add_argument("--metric", required=True,
                         help="a run column (wall_s, throughput, "
                              "peak_rss_bytes), fingerprint counter "
-                             "(run_results, op:probe), stage digest "
-                             "(stage:e2e:p95_s) or bench leaf "
-                             "(probe_speedup)")
+                             "(run_results, op:probe) or stage digest "
+                             "(stage:e2e:p95_s)")
     htrend.add_argument("--last", type=int, default=20,
                         help="most recent matching runs to plot "
                              "(default 20)")
@@ -458,9 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     hingest = hsub.add_parser(
         "ingest",
-        help="back-fill the archive from existing artefact files "
-             "(spans/telemetry/rectrace JSONL, BENCH_wallclock.json, "
-             "BENCH_summary.json)",
+        help="back-fill the archive from `join --parallel` artefact "
+             "files (spans, telemetry or rectrace JSONL)",
     )
     _history_common(hingest)
     hingest.add_argument("paths", nargs="+", metavar="PATH")
@@ -773,24 +741,20 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.wallclock:
-        return _bench_wallclock(args)
     if _bad_trace_sample(args):
         return 2
-    builder = CORPUS_BUILDERS[args.corpus]
-    kwargs = {"seed": args.seed}
-    if args.vocabulary is not None:
-        kwargs["vocabulary_size"] = args.vocabulary
     try:
         configs = standard_configs(
             num_workers=args.workers,
             threshold=args.threshold,
             dispatcher_parallelism=args.dispatchers,
         )
+        stream = CORPUS_BUILDERS[args.corpus](
+            args.records, seed=args.seed, vocabulary_size=args.vocabulary
+        )
     except ValueError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2
-    stream = builder(args.records, **kwargs)
     observers = {label: _make_observer(args) for label in configs}
     reports = run_methods(
         stream, configs, observer_factory=lambda label: observers[label]
@@ -833,47 +797,6 @@ def _cmd_bench(args) -> int:
         )
         for label, report in reports.items()
     ], stream)
-    return 0
-
-
-def _bench_wallclock(args) -> int:
-    """Run the real-time suite (fixed calibrated corpora, DESIGN §9).
-
-    Exit status reflects *correctness only* — the cross-engine equality
-    checks — because wall-clock numbers vary with the host. ``--seed 0``
-    (the bench default) maps to the calibrated wall-clock seed.
-    """
-    if args.repeats < 1:
-        print(f"bench: --repeats must be >= 1, got {args.repeats}",
-              file=sys.stderr)
-        return 2
-    try:
-        scale = float(args.wallclock_scale)
-    except ValueError:
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
-        print(f"bench: --wallclock-scale must be a finite number > 0, "
-              f"got {args.wallclock_scale!r}", file=sys.stderr)
-        return 2
-    payload = wallclock_suite(
-        repeats=args.repeats,
-        threshold=args.threshold,
-        seed=args.seed if args.seed else WALLCLOCK_SEED,
-        scale=scale,
-    )
-    print(render_wallclock(payload))
-    if args.wallclock_out:
-        with open(args.wallclock_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"wallclock: -> {args.wallclock_out}")
-    _archive_capture(args, lambda archive, _digest: archive.record_wallclock_payload(
-        payload, argv=getattr(args, "argv_raw", None),
-    ))
-    if not correctness_ok(payload):
-        print("bench: wall-clock run FAILED cross-engine correctness checks",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1530,6 +1453,12 @@ def _cmd_history(args) -> int:
     # (reading an existing archive is always allowed).
     path = args.db or default_archive_path() or DEFAULT_ARCHIVE_PATH
     handler = _HISTORY_COMMANDS[args.history_command]
+    for flag in ("limit", "last"):  # run counts; SQLite reads LIMIT -1 as "all"
+        count = getattr(args, flag, None)
+        if count is not None and count < 1:
+            print(f"history: --{flag} must be >= 1, got {count}",
+                  file=sys.stderr)
+            return 2
     try:
         with RunArchive(path, create=args.history_command == "ingest") as archive:
             return handler(args, archive)
@@ -1673,10 +1602,6 @@ def _history_trend(args, archive) -> int:
     from repro.obs.archive import linear_slope
     from repro.obs.timeseries import sparkline
 
-    if args.last < 1:
-        print(f"history: --last must be >= 1, got {args.last}",
-              file=sys.stderr)
-        return 2
     points = archive.metric_series(
         args.metric, command=args.filter_command, method=args.method,
         workers=args.workers, last=args.last,
@@ -1709,10 +1634,6 @@ def _history_trend(args, archive) -> int:
 def _history_check(args, archive) -> int:
     from repro.obs.archive import render_check
 
-    if args.last < 1:
-        print(f"history: --last must be >= 1, got {args.last}",
-              file=sys.stderr)
-        return 2
     run_id = _resolve_run(archive, args.run) if args.run is not None else None
     verdict = archive.check(
         run_id, metrics=args.metric, last=args.last,

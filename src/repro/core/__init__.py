@@ -13,8 +13,8 @@ Public entry points:
 * :func:`~repro.core.reference.naive_join` — the brute-force oracle the
   tests compare everything against.
 * :class:`~repro.core.reference.ReferenceStreamingSetJoin` — the
-  retained pre-columnar engine, the metering/wall-clock comparison
-  baseline (see DESIGN §9).
+  retained pre-columnar engine, the oracle for the columnar engine's
+  metered work (see DESIGN §9).
 """
 
 from repro.core.bundle import Bundle, BundleIndex, BundleMember

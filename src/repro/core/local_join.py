@@ -7,9 +7,10 @@ length and position filters, and merge-verifies the surviving
 candidates with early termination.
 
 The engine is built for Python-level speed without changing metered
-semantics one bit. The structural choices, all benchmarked in
-``BENCH_wallclock.json`` against the retained pre-columnar engine
-(:class:`repro.core.reference.ReferenceStreamingSetJoin`):
+semantics one bit. The structural choices, each held to the matches,
+meters and ``live_postings`` of the retained pre-columnar engine
+(:class:`repro.core.reference.ReferenceStreamingSetJoin`) by the
+cross-engine tests and timed end to end by ``benchmarks/e2e``:
 
 **Columnar postings.** A token's posting list is not a list of
 ``(Record, position)`` tuples but parallel columns — ``array('q')``

@@ -16,10 +16,10 @@ scheme's reporting rule as the separate pass it used to be:
     ``(Record, position)`` tuple per posting) and the original
     per-posting ``meter.charge`` discipline, so it answers the stronger
     question "is the *metered work* right?": the differential fuzz
-    tests drive both engines over the same stream and require identical
-    match sets, identical ``WorkMeter`` totals and identical
-    ``live_postings``, and the wall-clock benchmark suite times the two
-    against each other (DESIGN §9).
+    tests, and a cross-engine test on the calibrated AOL and TWEET
+    generators, drive both engines over the same stream and require
+    identical match sets, identical ``WorkMeter`` totals and identical
+    ``live_postings`` (DESIGN §9).
 
 :class:`PrefixDedupFilter` / :func:`min_common_prefix_token`
     The minimal-common-prefix-token rule (:mod:`repro.core.dedup`) as a

@@ -45,7 +45,7 @@ def synthetic_aol(
     """Query-log-like corpus: very short records, large vocabulary."""
     spec = CorpusSpec(
         name="AOL",
-        vocabulary_size=vocabulary_size or 30_000,
+        vocabulary_size=30_000 if vocabulary_size is None else vocabulary_size,
         length_model=poisson_lengths(mean=2.2, lo=1, hi=12),
         skew=skew,
         duplicate_rate=duplicate_rate,
@@ -68,7 +68,7 @@ def synthetic_tweet(
     (retweets/quotes) — the bundle technique's home turf."""
     spec = CorpusSpec(
         name="TWEET",
-        vocabulary_size=vocabulary_size or 50_000,
+        vocabulary_size=50_000 if vocabulary_size is None else vocabulary_size,
         length_model=normal_lengths(mean=10.0, stddev=3.0, lo=3, hi=20),
         skew=skew,
         duplicate_rate=duplicate_rate,
@@ -90,7 +90,7 @@ def synthetic_dblp(
     """Bibliographic corpus: moderate lengths, low duplicate rate."""
     spec = CorpusSpec(
         name="DBLP",
-        vocabulary_size=vocabulary_size or 40_000,
+        vocabulary_size=40_000 if vocabulary_size is None else vocabulary_size,
         length_model=normal_lengths(mean=13.0, stddev=4.0, lo=4, hi=30),
         skew=skew,
         duplicate_rate=duplicate_rate,
@@ -113,7 +113,7 @@ def synthetic_enron(
     stress test for the length partitioner."""
     spec = CorpusSpec(
         name="ENRON",
-        vocabulary_size=vocabulary_size or 60_000,
+        vocabulary_size=60_000 if vocabulary_size is None else vocabulary_size,
         length_model=lognormal_lengths(mu=4.4, sigma=0.55, lo=10, hi=400),
         skew=skew,
         duplicate_rate=duplicate_rate,

@@ -25,11 +25,8 @@ Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
     ``banded`` gauges, engine ``signal`` peaks, per-run ``worker``
     telemetry aggregates, record-trace ``stage`` digests
     (``stage:<stage>:<count|mean_s|p50_s|p95_s|p99_s>``) and span
-    profiler ``span`` totals (``span:<actor>:<phase>``). A wall-clock
-    bench payload's numeric leaves (``headline.probe_speedup``,
-    ``corpora.AOL.posting_scans``, ...; booleans as 0/1) are its
-    fingerprint: deterministic leaves exact, the rest banded. Values
-    are SQLite ``REAL`` — IEEE doubles — so floats round-trip exactly.
+    profiler ``span`` totals (``span:<actor>:<phase>``). Values are
+    SQLite ``REAL`` — IEEE doubles — so floats round-trip exactly.
 ``health_events``
     Detector firings (severity, time, component, message).
 
@@ -68,7 +65,7 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.artefact import artefact_family, load_jsonl_objects
+from repro.obs.artefact import ArtefactError, artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
     FINGERPRINT_SCHEMA_VERSION,
     check_tolerance,
@@ -259,29 +256,6 @@ def _without_tier(config_json: str) -> str:
     return json.dumps(config, sort_keys=True)
 
 
-def _flatten_numeric(
-    value: object, prefix: str = "", out: Optional[Dict[str, float]] = None
-) -> Dict[str, float]:
-    """Numeric leaves of a nested JSON payload as a dotted-path map.
-
-    Booleans become 0/1 (correctness flags stay queryable); strings
-    and nulls are dropped; list elements are indexed by position.
-    """
-    if out is None:
-        out = {}
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten_numeric(value[key], f"{prefix}{key}.", out)
-    elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            _flatten_numeric(item, f"{prefix}{index}.", out)
-    elif isinstance(value, bool):
-        out[prefix[:-1]] = 1.0 if value else 0.0
-    elif isinstance(value, (int, float)):
-        out[prefix[:-1]] = float(value)
-    return out
-
-
 def linear_slope(values: Sequence[float]) -> float:
     """Least-squares slope of ``values`` against their index (per-run
     drift for ``trend``; 0 for fewer than two points)."""
@@ -311,17 +285,6 @@ def _span_observables(totals: Dict[str, object]) -> Dict[str, float]:
         for phase, seconds in phases.items():
             values[f"span:worker:{worker}:{phase}"] = float(seconds)
     return values
-
-
-def _leaf_fingerprint(payload: Dict[str, object]) -> Dict[str, object]:
-    """A bench payload's numeric leaves as a fingerprint: leaves whose
-    policy is exact become exact counters, the rest banded gauges."""
-    leaves = _flatten_numeric(payload)
-    exact = {path for path in leaves if metric_policy(path) == "exact"}
-    return {
-        "exact": {path: {"total": leaves[path], "series": 1} for path in exact},
-        "banded": {p: v for p, v in leaves.items() if p not in exact},
-    }
 
 
 class RunArchive:
@@ -554,59 +517,24 @@ class RunArchive:
         self.conn.commit()
         return run_id
 
-    def record_wallclock_payload(
-        self, payload: Dict[str, object],
-        command: str = "bench-wallclock",
-        argv: Optional[Sequence[str]] = None, source: str = "live",
-    ) -> int:
-        """Archive a wall-clock suite payload (live run or ingested
-        ``BENCH_wallclock.json``); its dotted leaves are the run's
-        fingerprint."""
-        corpora: Dict[str, Dict[str, object]] = payload.get("corpora", {})  # type: ignore[assignment]
-        headline: Dict[str, object] = payload.get("headline", {})  # type: ignore[assignment]
-        anchor = corpora.get(str(headline.get("corpus")), {})
-        run_id = self._insert_run({
-            "command": command,
-            "source": source,
-            "method": "WALLCLOCK",
-            "records": anchor.get("records"),
-            "results": anchor.get("results"),
-            "threshold": payload.get("threshold"),
-            "seed": payload.get("seed"),
-        }, argv)
-        self._insert_fingerprint(run_id, _leaf_fingerprint(payload))
-        self.conn.commit()
-        return run_id
-
     # -- ingestion from artefact files ---------------------------------------
     def ingest_path(
         self, path: str, argv: Optional[Sequence[str]] = None
     ) -> List[Tuple[int, str]]:
         """Back-fill from an existing artefact file: a spans /
-        telemetry / rectrace JSONL dump or a ``BENCH_wallclock.json``.
-        Returns ``(run_id, family)`` pairs; raises
-        :class:`ArchiveError` for unrecognized files."""
-        if path.endswith(".json"):
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ArchiveError(f"{path}: not an ingestable artefact")
-            if payload.get("schema") == "repro/wallclock/v1":
-                run_id = self.record_wallclock_payload(
-                    payload, argv=argv, source="ingest:wallclock"
-                )
-                return [(run_id, "wallclock")]
-            raise ArchiveError(
-                f"{path}: not an ingestable JSON artefact (expected a "
-                f"BENCH_wallclock.json payload)"
-            )
-        rows = load_jsonl_objects(path, "artefact")
+        telemetry / rectrace JSONL dump. Returns ``(run_id, family)``
+        pairs; raises :class:`ArchiveError` for any other file."""
+        refusal = (
+            f"{path}: not an ingestable artefact (expected a rectrace, "
+            f"spans or telemetry JSONL dump)"
+        )
+        try:
+            rows = load_jsonl_objects(path, "artefact")
+        except ArtefactError as error:
+            raise ArchiveError(f"{refusal}: {error}") from error
         family = artefact_family(rows)
         if family not in ("rectrace", "spans", "telemetry"):
-            raise ArchiveError(
-                f"{path}: unrecognized artefact family (expected a rectrace, "
-                f"spans or telemetry JSONL dump)"
-            )
+            raise ArchiveError(refusal)
         header: Dict[str, object] = rows[0]
         if family == "rectrace" and header.get("executor") == "simulated":
             raise ArchiveError(
@@ -760,9 +688,7 @@ class RunArchive:
 
         Resolution order: run columns (plus derived ``throughput``),
         then the run's observable of that name (``op:posting_scan``,
-        ``stage:e2e:p95_s``, ``headline.probe_speedup``, ...); a bare
-        leaf with no observable of its own matches ``headline.<leaf>``
-        first, then a unique ``*.<leaf>`` suffix.
+        ``stage:e2e:p95_s``, ...).
         """
         run = self.run_row(run_id)
         if metric == "throughput":
@@ -779,24 +705,7 @@ class RunArchive:
             "WHEN 'signal' THEN 2 ELSE 3 END LIMIT 1",
             (run_id, metric),
         ).fetchone()
-        if row is not None or "." in metric:
-            return row[0] if row is not None else None
-        matches = {
-            row["name"]: row["value"]
-            for row in self.conn.execute(
-                "SELECT name, value FROM observables "
-                "WHERE run_id = ? AND name LIKE ? ORDER BY name",
-                (run_id, f"%.{metric}"),
-            )
-        }
-        if f"headline.{metric}" in matches:
-            return matches[f"headline.{metric}"]
-        if len(matches) > 1:
-            raise ArchiveError(
-                f"metric {metric!r} is ambiguous in run {run_id}: "
-                f"matches {', '.join(list(matches)[:6])}"
-            )
-        return next(iter(matches.values()), None)
+        return row[0] if row is not None else None
 
     def comparable_ids(self, run_id: int, last: Optional[int] = None) -> List[int]:
         """Prior runs with the same shape key, newest first."""

@@ -43,16 +43,9 @@ BANDED_GAUGES = (
     "run_makespan_seconds", "run_load_balance", "max_task_busy_seconds",
 )
 
-#: Dotted-path leaves of wall-clock bench payloads that are
-#: deterministic given config + seed, and therefore exact. Timing
-#: leaves (``*_s``, speedups, overhead fractions) are deliberately
-#: absent — timings are reported, never gated exactly.
-EXACT_LEAVES = frozenset({
-    "records", "results", "posting_scans", "candidate_admits",
-    "result_emits", "traced", "pairs",
-    "matches_equal", "operations_equal", "events_equal",
-    "live_postings_equal",
-})
+#: Archived run columns that are deterministic given config + seed,
+#: and therefore exact when a gate names them.
+EXACT_COLUMNS = frozenset({"records", "results"})
 
 #: Metric-name suffixes where larger is better (everything else that
 #: is not exact defaults to lower-is-better: wall times, latencies,
@@ -67,14 +60,13 @@ def metric_policy(metric: str, exact_names: Iterable[str] = ()) -> str:
     """``"exact"``, ``"higher_better"`` or ``"lower_better"``.
 
     A metric held exact by its run (``exact_names``), an ``op:``
-    counter or a deterministic dotted leaf is exact; names that read
+    counter or a deterministic run column is exact; names that read
     like rates/speedups/throughputs are higher-better; everything else
     — wall times, latencies, RSS, makespans — is lower-better.
     """
-    leaf = metric.rsplit(".", 1)[-1]
-    if metric in exact_names or metric.startswith("op:") or leaf in EXACT_LEAVES:
+    if metric in exact_names or metric.startswith("op:") or metric in EXACT_COLUMNS:
         return "exact"
-    if any(leaf.endswith(suffix) for suffix in _HIGHER_BETTER_SUFFIXES):
+    if any(metric.endswith(suffix) for suffix in _HIGHER_BETTER_SUFFIXES):
         return "higher_better"
     return "lower_better"
 

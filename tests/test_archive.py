@@ -18,7 +18,6 @@ from repro.obs.archive import (
     ArchiveError,
     FutureSchemaError,
     RunArchive,
-    _flatten_numeric,
     default_archive_path,
     linear_slope,
 )
@@ -236,80 +235,6 @@ class TestRoundTrip:
         # the test suite runs inside the repo, so git identity resolves
         assert run["git_sha"] is None or len(run["git_sha"]) == 40
 
-    def test_wallclock_payload_round_trips_exactly(self, db):
-        path = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        with RunArchive(db) as archive:
-            (run_id, family), = archive.ingest_path(path)
-            assert family == "wallclock"
-            headline = payload["headline"]
-            assert archive.metric_value(run_id, "headline.probe_speedup") \
-                == headline["probe_speedup"]
-            # bare leaf resolves through the headline section
-            assert archive.metric_value(run_id, "probe_speedup") \
-                == headline["probe_speedup"]
-            corpus = headline["corpus"]
-            entry = payload["corpora"][corpus]
-            for leaf in ("records", "results", "posting_scans",
-                         "candidate_admits", "result_emits"):
-                assert archive.metric_value(
-                    run_id, f"corpora.{corpus}.{leaf}"
-                ) == entry[leaf]
-
-    def test_old_shape_wallclock_payload_still_ingests(self, db, tmp_path):
-        # reports uploaded before the suite went back to the engine A/B
-        # still carry `parallel` and `sketch` sections
-        new = {
-            "schema": "repro/wallclock/v1", "threshold": 0.8, "seed": 7,
-            "corpora": {"AOL": {"records": 300, "results": 41}},
-            "headline": {"corpus": "AOL", "probe_speedup": 3.25},
-        }
-        old = dict(
-            new,
-            parallel={"scaling": {"speedup_at_4": 0.926, "shards": 8}},
-            sketch={"frontier": {"headline": {"recall": 0.997}}},
-        )
-        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-        old_path.write_text(json.dumps(old))
-        new_path.write_text(json.dumps(new))
-        with RunArchive(db) as archive:
-            (old_id, family), = archive.ingest_path(str(old_path))
-            assert family == "wallclock"
-            assert archive.metric_value(old_id, "headline.probe_speedup") == 3.25
-            assert archive.metric_value(
-                old_id, "parallel.scaling.speedup_at_4"
-            ) == 0.926
-            (new_id, _), = archive.ingest_path(str(new_path))
-            verdict = archive.check(new_id, last=1, metrics=[
-                "corpora.AOL.results", "headline.probe_speedup",
-                "parallel.scaling.speedup_at_4", "parallel.scaling.shards",
-            ])
-        assert verdict["status"] == "ok" and verdict["checks"] == 2
-        assert verdict["baseline_runs"] == [old_id]
-        assert verdict["skipped"] == [
-            "metric 'parallel.scaling.speedup_at_4': "
-            "missing from the current run",
-            "metric 'parallel.scaling.shards': missing from the current run",
-        ]
-
-    def test_committed_seed_matches_reports(self, tmp_path):
-        seed_db = os.path.join(
-            REPO_ROOT, "benchmarks", "baselines", "archive.db"
-        )
-        with open(
-            os.path.join(REPO_ROOT, "BENCH_wallclock.json"), encoding="utf-8"
-        ) as handle:
-            wallclock = json.load(handle)
-        copy = str(tmp_path / "seed.db")
-        shutil.copyfile(seed_db, copy)
-        with RunArchive(copy, create=False) as archive:
-            runs = archive.list_runs(method="WALLCLOCK", limit=None)
-            assert runs, "seed archive has no wallclock run"
-            run_id = runs[0]["id"]
-            assert archive.metric_value(run_id, "headline.probe_speedup") \
-                == wallclock["headline"]["probe_speedup"]
-
 
 class TestIngestAdapters:
     @pytest.fixture
@@ -386,12 +311,15 @@ class TestIngestAdapters:
         token_file = tmp_path / "corpus.jsonl"
         token_file.write_text('{"kind": "mystery"}\n')
         other = tmp_path / "other.json"
-        other.write_text('{"whatever": 1}\n')
+        other.write_text('{\n "whatever": 1\n}\n')
         with RunArchive(db) as archive:
-            with pytest.raises(ArchiveError, match="unrecognized artefact"):
-                archive.ingest_path(str(token_file))
-            with pytest.raises(ArchiveError, match="not an ingestable"):
-                archive.ingest_path(str(other))
+            for path in (token_file, other):
+                with pytest.raises(
+                    ArchiveError, match="not an ingestable artefact "
+                    r"\(expected a rectrace, spans or telemetry JSONL dump\)"
+                ):
+                    archive.ingest_path(str(path))
+            assert archive.list_runs() == []
 
 
 class TestCheck:
@@ -497,7 +425,8 @@ class TestPolicyHelpers:
     def test_metric_policy(self):
         assert metric_policy("run_results", {"run_results"}) == "exact"
         assert metric_policy("op:posting_scan") == "exact"
-        assert metric_policy("corpora.AOL.posting_scans") == "exact"
+        assert metric_policy("records") == "exact"
+        assert metric_policy("results") == "exact"
         assert metric_policy("probe_speedup") == "higher_better"
         assert metric_policy("run_capacity_throughput") == "higher_better"
         assert metric_policy("run_makespan_seconds") == "lower_better"
@@ -509,15 +438,6 @@ class TestPolicyHelpers:
         assert linear_slope([5.0, 5.0, 5.0]) == 0.0
         assert linear_slope([3.0]) == 0.0
         assert linear_slope([4.0, 2.0]) == pytest.approx(-2.0)
-
-    def test_flatten_numeric(self):
-        flat = _flatten_numeric({
-            "a": {"b": 2, "ok": True, "skip": "text", "none": None},
-            "list": [1.5, {"c": 3}],
-        })
-        assert flat == {
-            "a.b": 2.0, "a.ok": 1.0, "list.0": 1.5, "list.1.c": 3.0,
-        }
 
     def test_default_archive_path_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ARCHIVE", raising=False)
@@ -649,21 +569,32 @@ class TestHistoryCli:
         values = {point["value"] for point in data["points"]}
         assert len(values) == 1  # deterministic replay
 
-    def test_ingest_command(self, env_db, tmp_path, capsys):
-        assert main(["history", "ingest",
-                     os.path.join(REPO_ROOT, "BENCH_wallclock.json")]) == 0
-        assert "(wallclock) -> run 1" in capsys.readouterr().out
-        assert main(["history", "trend", "--metric", "probe_speedup",
-                     "--method", "WALLCLOCK"]) == 0
-        assert "probe_speedup" in capsys.readouterr().out
+    def test_ingest_command(self, corpus_file, env_db, tmp_path, capsys):
+        spans = str(tmp_path / "spans.jsonl")
+        join = ["join", str(corpus_file), "--parallel", "--workers", "1",
+                "--threshold", "0.7"]
+        assert main(join + ["--spans-out", spans]) == 0
+        capsys.readouterr()
+        assert main(["history", "ingest", spans]) == 0
+        assert f"ingest: {spans} (spans) -> run 2" in capsys.readouterr().out
+        assert main(join) == 0
+        capsys.readouterr()
+        # a spans header carries no record count, so no throughput
+        assert main(["history", "trend", "--metric", "throughput",
+                     "--command", "join", "--json"]) == 0
+        trend = json.loads(capsys.readouterr().out)
+        assert [point["run"] for point in trend["points"]] == [1, 3]
         # bench summaries are not an archive input
         assert main(["history", "ingest",
                      os.path.join(REPO_ROOT, "BENCH_summary.json")]) == 2
-        assert "not an ingestable" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not an ingestable" in err
+        assert "rectrace, spans or telemetry JSONL" in err
 
-    def test_compare_two_wallclock_runs(self, env_db, capsys):
-        report = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
-        assert main(["history", "ingest", report, report]) == 0
+    def test_compare_two_join_runs(self, corpus_file, env_db, capsys):
+        argv = ["join", str(corpus_file), "--parallel", "--workers", "1",
+                "--threshold", "0.7"]
+        assert main(argv) == 0 and main(argv) == 0
         capsys.readouterr()
         assert main(["history", "compare", "1", "2", "--json"]) == 0
         verdict = json.loads(capsys.readouterr().out)
@@ -671,7 +602,7 @@ class TestHistoryCli:
         with RunArchive(env_db) as archive:
             archive.conn.execute(
                 "UPDATE observables SET value = value + 1 WHERE run_id = 2 "
-                "AND name LIKE 'corpora.%.posting_scans'"
+                "AND name = 'op:posting_scan'"
             )
             archive.conn.commit()
         assert main(["history", "compare", "1", "2", "--json"]) == 1
@@ -679,7 +610,7 @@ class TestHistoryCli:
             f["metric"]
             for f in json.loads(capsys.readouterr().out)["failures"]
         }
-        assert failed and all(m.endswith(".posting_scans") for m in failed)
+        assert failed == {"op:posting_scan"}
 
     @pytest.mark.parametrize("argv,named", [
         (["compare", "1", "2", "--rel-tol", "nan"], "rel_tol"),
@@ -687,12 +618,12 @@ class TestHistoryCli:
         (["check", "--last", "1", "--tolerance", "nan"], "tolerance"),
     ])
     def test_bad_tolerance_exits_2_with_one_line(
-        self, argv, named, env_db, capsys
+        self, argv, named, corpus_file, env_db, capsys
     ):
         """A tolerance must be >= 0 and not NaN, which would pass every
         banded metric unremarked; ``inf`` stays legal."""
-        report = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
-        assert main(["history", "ingest", report, report]) == 0
+        for _ in range(2):
+            assert main(["join", str(corpus_file), "--threshold", "0.7"]) == 0
         capsys.readouterr()
         assert main(["history", *argv]) == 2
         captured = capsys.readouterr()
@@ -701,6 +632,24 @@ class TestHistoryCli:
         assert named in lines[0], captured.err
         flag = "--rel-tol" if argv[0] == "compare" else "--tolerance"
         assert main(["history", *argv[:-2], flag, "inf"]) == 0
+
+    @pytest.mark.parametrize("argv,named", [
+        (["list", "--limit", "0"], "--limit"),
+        (["list", "--limit", "-1"], "--limit"),
+        (["trend", "--metric", "wall_s", "--last", "0"], "--last"),
+        (["check", "--last", "0"], "--last"),
+    ])
+    def test_bad_count_exits_2_with_one_line(
+        self, argv, named, corpus_file, env_db, capsys
+    ):
+        """A run count below 1 is refused, not read as "no runs" or, by
+        SQLite's ``LIMIT -1``, as "every run"."""
+        assert main(["join", str(corpus_file), "--threshold", "0.7"]) == 0
+        capsys.readouterr()
+        assert main(["history", *argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("history: ")
+        assert named in lines[0]
 
     def test_check_skips_other_configs_and_inputs(
         self, tmp_path, env_db, capsys

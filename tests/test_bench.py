@@ -132,9 +132,7 @@ class TestCommittedReports:
     """ROADMAP aim 3: no committed artefact contains a failing gate and
     no document quotes a bench path the committed JSON does not hold."""
 
-    @pytest.mark.parametrize(
-        "report", ["BENCH_wallclock.json", "BENCH_summary.json"]
-    )
+    @pytest.mark.parametrize("report", ["BENCH_summary.json"])
     def test_no_failing_gate(self, report):
         failing = [
             path for path, value in _walk(_load_report(report))
@@ -145,15 +143,11 @@ class TestCommittedReports:
     @pytest.mark.parametrize("document", ["README.md", "DESIGN.md"])
     def test_no_dangling_bench_path(self, document):
         present = {
-            path for path, _ in _walk(_load_report("BENCH_wallclock.json"))
+            path for path, _ in _walk(_load_report("BENCH_summary.json"))
         }
         with open(os.path.join(REPO_ROOT, document), encoding="utf-8") as handle:
-            quoted = set(re.findall(
-                r"`((?:corpora|headline|verify_micro|parallel)\.[\w.]+"
-                r"|sketch\.frontier[\w.]*)`",
-                handle.read(),
-            ))
+            quoted = set(re.findall(r"`(methods\.[\w.+-]+)`", handle.read()))
         dangling = sorted(quoted - present)
         assert not dangling, (
-            f"{document} quotes paths BENCH_wallclock.json lacks: {dangling}"
+            f"{document} quotes paths BENCH_summary.json lacks: {dangling}"
         )

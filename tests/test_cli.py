@@ -626,38 +626,6 @@ class TestBench:
                      "--vocabulary", "100",
                      "--summary-out", str(tmp_path / "s.json")]) == 0
 
-    def test_bench_wallclock_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_wallclock.json"
-        assert main(["bench", "--wallclock", "--repeats", "1",
-                     "--wallclock-scale", "0.03",
-                     "--wallclock-out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "headline" in printed and "correctness ok" in printed
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro/wallclock/v1"
-        # the engine A/B and nothing else: no `parallel`, no `sketch`
-        assert set(payload) == {
-            "schema", "similarity", "threshold", "seed", "repeats", "scale",
-            "corpora", "verify_micro", "headline",
-        }
-        assert set(payload["corpora"]) == {"AOL", "TWEET"}
-        for entry in payload["corpora"].values():
-            assert all(entry["correctness"].values())
-            assert entry["columnar"]["probe_s"] > 0
-        assert payload["headline"]["target"] == 3.0
-
-    def test_bench_wallclock_rejects_bad_repeats(self, capsys):
-        assert main(["bench", "--wallclock", "--repeats", "0"]) == 2
-        assert "--repeats" in capsys.readouterr().err
-
-    def test_bench_wallclock_rejects_bad_scale(self, capsys):
-        assert main(["bench", "--wallclock",
-                     "--wallclock-scale", "0"]) == 2
-        assert "--wallclock-scale" in capsys.readouterr().err
-        assert main(["bench", "--wallclock",
-                     "--wallclock-scale", "fast"]) == 2
-        assert "--wallclock-scale" in capsys.readouterr().err
-
 
 class TestTrace:
     def test_trace_expiry_eager_runs(self, capsys):
@@ -885,16 +853,15 @@ class TestBadFlagValues:
         (["generate", "F", "--duplicate-rate", "2"], "duplicate_rate"),
         (["generate", "F", "--duplicate-rate", "-1"], "duplicate_rate"),
         (["explain", "LEN", "PRE", "--records", "0"], "records"),
-        # Waits and scales must be finite: NaN and inf crashed
-        # ``time.sleep`` / the corpus sizing, or never stopped.
+        # Waits must be finite: NaN and inf crashed ``time.sleep`` or
+        # never stopped.
         (["top", "F", "--refresh", "nan"], "--refresh"),
         (["top", "F", "--refresh", "inf"], "--refresh"),
         (["top", "F", "--duration", "nan", "--once"], "--duration"),
         (["top", "F", "--duration", "inf", "--once"], "--duration"),
-        (["bench", "--wallclock", "--wallclock-scale", "nan"],
-         "--wallclock-scale"),
-        (["bench", "--wallclock", "--wallclock-scale", "inf"],
-         "--wallclock-scale"),
+        # A corpus size is refused by its builder, not a traceback.
+        (["bench", "--records", "-3"], "records"),
+        (["bench", "--vocabulary", "-5"], "vocabulary"),
         # A tolerance must be >= 0 and not NaN (inf is legal): a
         # fingerprint diffed with itself is no "improvement".
         (["diff", "FP", "FP", "--rel-tol", "nan"], "rel_tol"),
@@ -902,6 +869,8 @@ class TestBadFlagValues:
         (["stats", "F", "--window", "0"], "window"),
         (["stats", "F", "--window", "nan"], "window"),
         (["stats", "F", "--rate", "0"], "rate"),
+        # 0 is a vocabulary size to refuse, not the corpus default.
+        (["bench", "--vocabulary", "0"], "vocabulary"),
     ])
     def test_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -15,7 +15,9 @@ rule inside its verification walk; the reference engine gets the same
 rule bolted on as a separate pass (``bolted_on_dedup``). For the
 size-sorted layout the same holds under three insert/probe schedules,
 on duplicate-heavy streams too (exact duplicates share one posting
-there), and the order matches are emitted in is pinned as well.
+there), and the order matches are emitted in is pinned as well. On
+the bench-calibrated AOL and TWEET generators, 3 000 records each, the
+end-of-run match multiset, meter totals and live postings are compared.
 """
 
 import math
@@ -32,6 +34,7 @@ from repro.core.reference import (
     min_common_prefix_token,
 )
 from repro.core.two_stream import cross_source_filter
+from repro.datasets.corpora import synthetic_aol, synthetic_tweet
 from repro.obs.health import HealthMonitor
 from repro.records import Record
 from repro.routing.prefix_router import token_owner
@@ -371,6 +374,41 @@ def test_size_sorted_exact_duplicates(schedule, mode, seed):
         and not pair_filter(record, by_rid[rep_of[partner.rid]])
     ]
     assert member_only  # a member emitted where its representative is not
+
+
+#: The bench-calibrated generators: the paper's postings-per-token
+#: density at a few thousand records.
+CALIBRATED_CORPORA = {
+    "AOL": lambda n: synthetic_aol(
+        n, seed=20200420, vocabulary_size=800, duplicate_rate=0.15
+    ),
+    "TWEET": lambda n: synthetic_tweet(
+        n, seed=20200420, vocabulary_size=1_200, duplicate_rate=0.25
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", CALIBRATED_CORPORA)
+def test_calibrated_corpus_end_of_run(corpus):
+    """Index a calibrated stream, then probe every record against the
+    full index: both engines end with the same match multiset, meter
+    totals and live postings."""
+    records = list(CALIBRATED_CORPORA[corpus](3_000))
+    ends = []
+    for engine_cls in ENGINES:
+        meter = WorkMeter()
+        engine = engine_cls(get_similarity("jaccard", 0.8), meter=meter)
+        for record in records:
+            engine.insert(record)
+        matches = sorted(
+            (record.rid, m.partner.rid, round(m.similarity, 12), m.overlap)
+            for record in records for m in engine.probe(record)
+        )
+        ends.append((matches, dict(meter.operations), dict(meter.events),
+                     engine.live_postings))
+    (matches, *_), reference = ends
+    assert len(matches) > len(records)  # real match lists, not just self-pairs
+    assert ends[0] == reference
 
 
 # -- a bounded window: the time-ordered columns ----------------------------

@@ -112,14 +112,6 @@ def lacks(module, constant, name):
     return check
 
 
-def only_target_is_probe_speedup():
-    names = {
-        name for _, _, line in _lines("src/repro/bench/wallclock.py")
-        for name in re.findall(r"\w*_TARGET\b", line)
-    }
-    return [] if names == {"PROBE_SPEEDUP_TARGET"} else [sorted(names)]
-
-
 GUARDS = {
     # No tuple-trace code: one trace format, the record trace.
     "One trace format": [
@@ -209,14 +201,14 @@ GUARDS = {
             "src/repro/core/local_join.py",
         ),
     ],
-    # bench/wallclock.py is the reference-vs-columnar engine A/B and
-    # nothing else, against one target.
-    "One timing source": [
+    # benchmarks/e2e is the one timing source: no in-tree engine A/B,
+    # no command that runs it and no archive path for its payload.
+    "No wall-clock engine A/B": [
         absent(
-            r"repro\.parallel|repro\.sketch|repro\.obs|import subprocess",
-            "src/repro/bench/wallclock.py",
+            r"wallclock_suite|record_wallclock_payload|--wallclock"
+            r"|BENCH_wallclock",
+            "src", "tests", ".github",
         ),
-        only_target_is_probe_speedup,
     ],
     # Histogram is the one latency reservoir and TaskMetrics.counters
     # the one counter store; `repro diff` is the one baseline gate; no
