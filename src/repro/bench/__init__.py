@@ -6,11 +6,10 @@ experiment index in DESIGN.md and the paper-vs-measured record in
 EXPERIMENTS.md).
 """
 
-from repro.bench.harness import ExperimentRunner, run_methods, standard_configs
+from repro.bench.harness import run_methods, standard_configs
 from repro.bench.report import format_series, format_table
 
 __all__ = [
-    "ExperimentRunner",
     "format_series",
     "format_table",
     "run_methods",

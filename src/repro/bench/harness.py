@@ -1,9 +1,9 @@
-"""Method suites and the experiment runner."""
+"""Method suites and the loop that runs them over one stream."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.bench.report import headline_from_metrics
 from repro.core.config import JoinConfig
@@ -114,49 +114,3 @@ def verify_instrumented_headlines(report: JoinRunReport) -> Dict[str, float]:
         )
     return recomputed
 
-
-class ExperimentRunner:
-    """Convenience wrapper: one stream, many methods, tabular rows.
-
-    >>> from repro.datasets import synthetic_aol
-    >>> runner = ExperimentRunner(synthetic_aol(2000, seed=3))
-    >>> rows = runner.compare(standard_configs(num_workers=4))
-    >>> sorted(rows[0])[:2]
-    ['balance', 'bytes/rec']
-    """
-
-    def __init__(
-        self,
-        stream: RecordStream,
-        cost: Optional[CostModel] = None,
-        network: Optional[NetworkModel] = None,
-    ):
-        self.stream = stream
-        self.cost = cost
-        self.network = network
-        self.reports: Dict[str, JoinRunReport] = {}
-        self.observers: Dict[str, RunObserver] = {}
-
-    def run(
-        self,
-        label: str,
-        config: JoinConfig,
-        observer: Optional[RunObserver] = None,
-    ) -> JoinRunReport:
-        report = DistributedStreamJoin(
-            config, cost=self.cost, network=self.network
-        ).run(self.stream, observer=observer)
-        self.reports[label] = report
-        if observer is not None:
-            self.observers[label] = observer
-        return report
-
-    def compare(self, configs: Dict[str, JoinConfig]) -> List[dict]:
-        """Run a suite and return one summary row per method."""
-        rows = []
-        for label, config in configs.items():
-            report = self.run(label, config)
-            row = report.summary()
-            row["method"] = label
-            rows.append(row)
-        return rows

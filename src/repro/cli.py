@@ -72,9 +72,9 @@ Eleven commands cover the workflows a downstream user needs:
     ``trend`` a metric across runs as a sparkline with its fitted
     slope, ``check`` the newest run against the rolling median of its
     comparable predecessors (exit 1 on regression — the longitudinal
-    CI gate), and ``ingest`` to back-fill from existing ``join
-    --parallel`` artefact files (spans, telemetry or record-trace
-    JSONL).
+    CI gate). Only runs archived live are stored, so every run carries
+    the config, seed and input digest that comparability needs; an
+    archive at an older schema is refused (exit 2), never upgraded.
 """
 
 from __future__ import annotations
@@ -424,14 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "change exactly at the tolerance passes "
                              "(default 0.1; inf gates exact metrics only)")
     hcheck.add_argument("--json", action="store_true")
-
-    hingest = hsub.add_parser(
-        "ingest",
-        help="back-fill the archive from `join --parallel` artefact "
-             "files (spans, telemetry or rectrace JSONL)",
-    )
-    _history_common(hingest)
-    hingest.add_argument("paths", nargs="+", metavar="PATH")
     return parser
 
 
@@ -744,6 +736,10 @@ def _cmd_bench(args) -> int:
     if _bad_trace_sample(args):
         return 2
     try:
+        if args.records < 1:
+            # An empty stream would print a table of zeros and archive
+            # five empty runs.
+            raise ValueError(f"records must be >= 1, got {args.records}")
         configs = standard_configs(
             num_workers=args.workers,
             threshold=args.threshold,
@@ -1460,7 +1456,7 @@ def _cmd_history(args) -> int:
                   file=sys.stderr)
             return 2
     try:
-        with RunArchive(path, create=args.history_command == "ingest") as archive:
+        with RunArchive(path, create=False) as archive:
             return handler(args, archive)
     except ValueError as error:  # ArchiveError, or a gate's bad tolerance
         print(f"history: {error}", file=sys.stderr)
@@ -1646,28 +1642,12 @@ def _history_check(args, archive) -> int:
     return 1 if verdict["status"] == "regression" else 0
 
 
-def _history_ingest(args, archive) -> int:
-    for path in args.paths:
-        try:
-            ingested = archive.ingest_path(
-                path, argv=getattr(args, "argv_raw", None)
-            )
-        except (OSError, ValueError) as error:
-            # unreadable file, corrupt JSONL, unrecognized artefact
-            print(f"history: {error}", file=sys.stderr)
-            return 2
-        for run_id, family in ingested:
-            print(f"ingest: {path} ({family}) -> run {run_id}")
-    return 0
-
-
 _HISTORY_COMMANDS = {
     "list": _history_list,
     "show": _history_show,
     "compare": _history_compare,
     "trend": _history_trend,
     "check": _history_check,
-    "ingest": _history_ingest,
 }
 
 

@@ -25,7 +25,6 @@ from repro.core.metering import WorkMeter
 from repro.core.reference import ReferenceStreamingSetJoin, naive_join
 from repro.core.two_stream import (
     DistributedTwoStreamJoin,
-    TwoStreamSetJoin,
     cross_source_filter,
     merge_streams,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "MatchResult",
     "ReferenceStreamingSetJoin",
     "StreamingSetJoin",
-    "TwoStreamSetJoin",
     "WorkMeter",
     "batch_verify_members",
     "cross_source_filter",

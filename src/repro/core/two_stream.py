@@ -5,71 +5,24 @@ join of two streams — e.g. a stream of incoming news matched against a
 stream of fact-check claims. A record from either stream must join
 partners *from the other stream only*, within the window.
 
-:class:`TwoStreamSetJoin` is the efficient local engine: one index per
-stream, each arrival probes the *opposite* index and is inserted into
-its own — half the candidate surface of a tag-filtered self-join.
-
-For the distributed setting, :func:`merge_streams` interleaves two
-record streams into one (stable by timestamp, fresh contiguous rids,
-sources tagged on the records), which the existing distributed
-machinery joins under a cross-source pair filter — completeness and
-exactly-once follow directly from the self-join guarantees. The
-round-trip is tested against a brute-force cross oracle.
+:func:`merge_streams` interleaves two record streams into one (stable
+by timestamp, fresh contiguous rids, sources tagged on the records),
+which the existing distributed machinery joins under a cross-source
+pair filter — completeness and exactly-once follow directly from the
+self-join guarantees. Each engine is the ordinary
+:class:`~repro.core.local_join.StreamingSetJoin` with
+:func:`cross_source_filter` as its pair filter. The round-trip is
+tested against a brute-force cross oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.local_join import MatchResult, StreamingSetJoin
-from repro.core.metering import WorkMeter
 from repro.records import Record
-from repro.similarity.functions import SimilarityFunction
 from repro.streams.stream import RecordStream, from_records
-from repro.streams.window import SlidingWindow
 
 LEFT, RIGHT = "L", "R"
-
-
-class TwoStreamSetJoin:
-    """Per-worker cross join of two streams: two indexes, cross probes.
-
-    >>> from repro.similarity.functions import Jaccard
-    >>> join = TwoStreamSetJoin(Jaccard(0.5))
-    >>> join.process(LEFT, Record(0, (1, 2, 3), 0.0))
-    []
-    >>> [m.partner.rid for m in join.process(RIGHT, Record(1, (2, 3, 4), 1.0))]
-    [0]
-    >>> join.process(LEFT, Record(2, (1, 2, 3), 2.0))   # L–L pairs excluded
-    []
-    """
-
-    def __init__(
-        self,
-        func: SimilarityFunction,
-        window: Optional[SlidingWindow] = None,
-        meter: Optional[WorkMeter] = None,
-    ):
-        self.func = func
-        self.window = window if window is not None else SlidingWindow()
-        self.meter = meter if meter is not None else WorkMeter()
-        self._engines: Dict[str, StreamingSetJoin] = {
-            side: StreamingSetJoin(func, window=self.window, meter=self.meter)
-            for side in (LEFT, RIGHT)
-        }
-
-    def process(self, side: str, record: Record) -> List[MatchResult]:
-        """Probe the opposite stream's index, then index ``record``."""
-        if side not in self._engines:
-            raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {side!r}")
-        other = RIGHT if side == LEFT else LEFT
-        matches = self._engines[other].probe(record)
-        self._engines[side].insert(record)
-        return matches
-
-    @property
-    def live_postings(self) -> int:
-        return sum(engine.live_postings for engine in self._engines.values())
 
 
 def merge_streams(

@@ -30,14 +30,11 @@ Schema (``PRAGMA user_version`` = :data:`ARCHIVE_SCHEMA_VERSION`):
 ``health_events``
     Detector firings (severity, time, component, message).
 
-A new database is created at the current version. A v3 or v4 database
-is upgraded in place: v4 dropped the constant ``transport`` run column,
-and v5 drops the constant ``mode`` column and strips the ``mode``,
-``perms`` and ``bands`` keys from every stored ``config_json``, so
-upgraded runs stay comparable with new ones. An older file is refused
-with an :class:`ArchiveError`, and a *newer* one with
-:class:`FutureSchemaError` (the CLI maps both to exit 2) instead of
-guessing.
+A new database is created at the current version. A file at any other
+version is refused instead of guessed at: an older one with an
+:class:`ArchiveError`, and a *newer* one with
+:class:`FutureSchemaError` (the CLI maps both to exit 2). Nothing
+writes an older version any more, so there is no upgrade path to keep.
 
 ``check`` (see :meth:`RunArchive.check`) is the longitudinal
 regression gate: the newest run is compared against the rolling
@@ -65,7 +62,6 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.artefact import ArtefactError, artefact_family, load_jsonl_objects
 from repro.obs.baseline import (
     FINGERPRINT_SCHEMA_VERSION,
     check_tolerance,
@@ -93,14 +89,6 @@ COMPARABLE_COLUMNS = (
 
 #: The fields of one record-trace stage digest.
 STAGE_FIELDS = ("count", "mean_s", "p50_s", "p95_s", "p99_s")
-
-_RUN_COLUMNS = (
-    "id", "created_utc", "command", "source", "argv", "method",
-    "workers", "shards", "batch_size", "executor", "records", "results",
-    "threshold", "seed", "wall_s", "peak_rss_bytes", "config_json",
-    "labels_json", "git_sha", "git_dirty", "host", "platform", "python",
-    "cpus", "input_digest",
-)
 
 
 class ArchiveError(ValueError):
@@ -175,8 +163,9 @@ def stream_digest(records: Iterable) -> str:
 
 
 # -- schema ------------------------------------------------------------------
-#: A fresh database. ``input_digest`` comes last, where v3 appended it,
-#: so ``SELECT *`` rows read the same from a fresh and an upgraded file.
+#: The one schema: a new database is created with it, and a file at any
+#: other version is refused. ``runs.source`` only ever holds ``"live"``;
+#: dropping it would be a version bump that refuses every archive.
 _CREATE = """
     CREATE TABLE runs (
         id INTEGER PRIMARY KEY,
@@ -227,34 +216,6 @@ _CREATE = """
     CREATE INDEX idx_runs_shape
         ON runs (command, method, workers, shards, records);
 """
-
-#: The upgrade step from each older version to the next (needs SQLite
-#: >= 3.35). v3 -> v4 drops ``transport``, which only ever held
-#: ``"pipe"``. v4 -> v5 drops ``mode``, which only the removed
-#: approximate tier set to anything but ``"exact"``; its runs keep
-#: their own method label, so they never compare with an exact run. The
-#: config rewrite matches what the writers now store, or no upgraded
-#: run would be comparable with a new one.
-_UPGRADES = {
-    3: "ALTER TABLE runs DROP COLUMN transport;",
-    4: """
-        DROP INDEX idx_runs_shape;
-        ALTER TABLE runs DROP COLUMN mode;
-        CREATE INDEX idx_runs_shape
-            ON runs (command, method, workers, shards, records);
-        UPDATE runs SET config_json = _without_tier(config_json)
-            WHERE config_json IS NOT NULL;
-    """,
-}
-
-def _without_tier(config_json: str) -> str:
-    """A stored config snapshot without the removed approximate tier's
-    ``JoinConfig`` keys, serialised as the writers serialise one."""
-    config = json.loads(config_json)
-    for key in ("mode", "perms", "bands"):
-        config.pop(key, None)
-    return json.dumps(config, sort_keys=True)
-
 
 def linear_slope(values: Sequence[float]) -> float:
     """Least-squares slope of ``values`` against their index (per-run
@@ -308,12 +269,12 @@ class RunArchive:
         self.conn = sqlite3.connect(path)
         self.conn.row_factory = sqlite3.Row
         try:
-            self._migrate()
+            self._check_schema()
         except sqlite3.DatabaseError as error:
             self.conn.close()
             raise ArchiveError(f"{path}: not an archive database ({error})") from error
 
-    def _migrate(self) -> None:
+    def _check_schema(self) -> None:
         version = self.conn.execute("PRAGMA user_version").fetchone()[0]
         if version > ARCHIVE_SCHEMA_VERSION:
             raise FutureSchemaError(
@@ -323,24 +284,14 @@ class RunArchive:
             )
         if version == ARCHIVE_SCHEMA_VERSION:
             return
-        if version in _UPGRADES:
-            script = "".join(
-                _UPGRADES[step]
-                for step in range(version, ARCHIVE_SCHEMA_VERSION)
-            )
-            self.conn.create_function(
-                "_without_tier", 1, _without_tier, deterministic=True
-            )
-        elif self.conn.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()[0]:
+        if self.conn.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()[0]:
             raise ArchiveError(
-                f"{self.path}: archive schema v{version} predates v3, the "
-                f"oldest this build upgrades; move the file aside to start "
-                f"a fresh archive"
+                f"{self.path}: archive schema v{version} predates "
+                f"v{ARCHIVE_SCHEMA_VERSION}, the one this build reads; move "
+                f"the file aside to start a fresh archive"
             )
-        else:
-            script = _CREATE
         self.conn.executescript(
-            f"BEGIN;{script}"
+            f"BEGIN;{_CREATE}"
             f"PRAGMA user_version = {ARCHIVE_SCHEMA_VERSION};COMMIT;"
         )
 
@@ -354,22 +305,6 @@ class RunArchive:
         self.close()
 
     # -- writers -------------------------------------------------------------
-    def _insert_run(
-        self, row: Dict[str, object], argv: Optional[Sequence[str]]
-    ) -> int:
-        full = {column: None for column in _RUN_COLUMNS if column != "id"}
-        full.update(provenance())
-        full["created_utc"] = time.time()
-        full["argv"] = json.dumps(list(argv), ensure_ascii=False) if argv else None
-        full.update(row)
-        columns = sorted(full)
-        cursor = self.conn.execute(
-            f"INSERT INTO runs ({', '.join(columns)}) "
-            f"VALUES ({', '.join('?' * len(columns))})",
-            [full[column] for column in columns],
-        )
-        return int(cursor.lastrowid)
-
     def _insert_observables(
         self, run_id: int, kind: str,
         values: Dict[str, float], series: Optional[Dict[str, int]] = None,
@@ -384,7 +319,33 @@ class RunArchive:
             ],
         )
 
-    def _insert_fingerprint(self, run_id: int, fingerprint: Dict[str, object]) -> None:
+    def _write_run(
+        self, config, fingerprint: Dict[str, object],
+        run: Dict[str, object], argv: Optional[Sequence[str]],
+        observables: Optional[Dict[str, Dict[str, float]]] = None,
+        health: Iterable[Dict[str, object]] = (),
+    ) -> int:
+        """The one writer behind both runtimes. Stores one ``runs`` row
+        (``run``'s columns plus the config snapshot, argv and
+        provenance), the fingerprint's ``exact`` and ``banded``
+        observables, any further ``observables`` by kind, and the
+        health events, then commits. Returns the run id."""
+        row = dict(
+            provenance(), **run,
+            created_utc=time.time(),
+            source="live",
+            argv=json.dumps(list(argv), ensure_ascii=False) if argv else None,
+            method=config.method_label,
+            threshold=config.threshold,
+            config_json=json.dumps(dataclasses.asdict(config), sort_keys=True),
+            labels_json=json.dumps(fingerprint["labels"], sort_keys=True),
+        )
+        columns = sorted(row)
+        run_id = int(self.conn.execute(
+            f"INSERT INTO runs ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' * len(columns))})",
+            [row[column] for column in columns],
+        ).lastrowid)
         exact: Dict[str, Dict[str, float]] = fingerprint.get("exact", {})  # type: ignore[assignment]
         self._insert_observables(
             run_id, "exact",
@@ -394,10 +355,8 @@ class RunArchive:
         self._insert_observables(
             run_id, "banded", dict(fingerprint.get("banded", {})),  # type: ignore[arg-type]
         )
-
-    def _insert_health_events(
-        self, run_id: int, events: Iterable[Dict[str, object]]
-    ) -> None:
+        for kind, values in (observables or {}).items():
+            self._insert_observables(run_id, kind, values)
         self.conn.executemany(
             "INSERT INTO health_events "
             "(run_id, time_s, severity, detector, component, task, value, "
@@ -407,14 +366,16 @@ class RunArchive:
                  event.get("detector"), event.get("component"),
                  event.get("task"), event.get("value"),
                  event.get("threshold"), event.get("message"))
-                for event in events
+                for event in health
             ],
         )
+        self.conn.commit()
+        return run_id
 
     def record_parallel_run(
         self, result, command: str = "join",
         argv: Optional[Sequence[str]] = None,
-        source: str = "live", seed: Optional[int] = None,
+        seed: Optional[int] = None,
         input_digest: Optional[str] = None,
     ) -> int:
         """Archive one multi-core run: shape + config + fingerprint +
@@ -429,28 +390,6 @@ class RunArchive:
             int(stats.get("peak_rss_bytes", 0) or 0)
             for stats in result.worker_stats
         ]
-        run_id = self._insert_run({
-            "command": command,
-            "source": source,
-            "method": result.config.method_label,
-            "workers": result.workers,
-            "shards": result.num_shards,
-            "batch_size": result.batch_size,
-            "executor": result.executor,
-            "records": result.records,
-            "results": result.results,
-            "threshold": result.config.threshold,
-            "seed": seed,
-            "wall_s": result.wall_s,
-            "peak_rss_bytes": max(peaks + [peak_rss_bytes()]),
-            "config_json": json.dumps(
-                dataclasses.asdict(result.config), sort_keys=True
-            ),
-            "labels_json": json.dumps(fingerprint["labels"], sort_keys=True),
-            "input_digest": input_digest,
-        }, argv)
-        self._insert_fingerprint(run_id, fingerprint)
-        self._insert_observables(run_id, "signal", dict(result.signals))
         aggregates: Dict[str, float] = {
             "worker_busy_s": 0.0, "worker_batches": 0.0,
             "worker_bytes_out": 0.0, "worker_heartbeats": 0.0,
@@ -462,126 +401,54 @@ class RunArchive:
             aggregates["worker_heartbeats"] += stats.get("heartbeats", 0) or 0
         if result.telemetry is not None:
             aggregates["telemetry_samples"] = float(result.telemetry_samples())
-        self._insert_observables(run_id, "worker", aggregates)
+        observables = {"signal": dict(result.signals), "worker": aggregates}
         if result.trace_rows is not None:
-            self._insert_observables(
-                run_id, "stage", _stage_observables(result.latency_digest())
-            )
+            observables["stage"] = _stage_observables(result.latency_digest())
         if result.span_rows is not None:
-            self._insert_observables(
-                run_id, "span", _span_observables(result.phase_totals())
-            )
-        self._insert_health_events(
-            run_id, (event.as_dict() for event in result.health().events)
-        )
-        self.conn.commit()
-        return run_id
+            observables["span"] = _span_observables(result.phase_totals())
+        return self._write_run(result.config, fingerprint, {
+            "command": command,
+            "workers": result.workers,
+            "shards": result.num_shards,
+            "batch_size": result.batch_size,
+            "executor": result.executor,
+            "records": result.records,
+            "results": result.results,
+            "seed": seed,
+            "wall_s": result.wall_s,
+            "peak_rss_bytes": max(peaks + [peak_rss_bytes()]),
+            "input_digest": input_digest,
+        }, argv, observables,
+            (event.as_dict() for event in result.health().events))
 
     def record_cluster_run(
         self, report, config, wall_s: Optional[float] = None,
         command: str = "join", argv: Optional[Sequence[str]] = None,
-        source: str = "live", seed: Optional[int] = None,
-        input_digest: Optional[str] = None,
+        seed: Optional[int] = None, input_digest: Optional[str] = None,
     ) -> int:
         """Archive one simulated-cluster run (``repro join`` without
         ``--parallel``, or one method of a ``repro bench`` suite) via
-        its metrics-dump fingerprint."""
+        its metrics-dump fingerprint. ``report`` is the run's
+        :class:`~repro.core.join.JoinRunReport`."""
         from repro.obs.baseline import fingerprint_from_metrics
         from repro.obs.exporters import metrics_to_json
         from repro.parallel.worker import peak_rss_bytes
 
-        # ``report`` is a JoinRunReport (``.cluster`` holds the digest)
-        # or a bare ClusterReport — bench hands the former, harness
-        # internals the latter.
-        cluster = getattr(report, "cluster", report)
+        cluster = report.cluster
         fingerprint = fingerprint_from_metrics(metrics_to_json(report.obs))
-        run_id = self._insert_run({
+        return self._write_run(config, fingerprint, {
             "command": command,
-            "source": source,
-            "method": config.method_label,
             "workers": config.num_workers,
             "executor": "simulated",
             "records": cluster.records,
             "results": cluster.results,
-            "threshold": config.threshold,
             "seed": seed,
             "wall_s": (
                 wall_s if wall_s is not None else cluster.wall_clock_seconds
             ),
             "peak_rss_bytes": peak_rss_bytes(),
-            "config_json": json.dumps(dataclasses.asdict(config), sort_keys=True),
-            "labels_json": json.dumps(fingerprint["labels"], sort_keys=True),
             "input_digest": input_digest,
         }, argv)
-        self._insert_fingerprint(run_id, fingerprint)
-        self.conn.commit()
-        return run_id
-
-    # -- ingestion from artefact files ---------------------------------------
-    def ingest_path(
-        self, path: str, argv: Optional[Sequence[str]] = None
-    ) -> List[Tuple[int, str]]:
-        """Back-fill from an existing artefact file: a spans /
-        telemetry / rectrace JSONL dump. Returns ``(run_id, family)``
-        pairs; raises :class:`ArchiveError` for any other file."""
-        refusal = (
-            f"{path}: not an ingestable artefact (expected a rectrace, "
-            f"spans or telemetry JSONL dump)"
-        )
-        try:
-            rows = load_jsonl_objects(path, "artefact")
-        except ArtefactError as error:
-            raise ArchiveError(f"{refusal}: {error}") from error
-        family = artefact_family(rows)
-        if family not in ("rectrace", "spans", "telemetry"):
-            raise ArchiveError(refusal)
-        header: Dict[str, object] = rows[0]
-        if family == "rectrace" and header.get("executor") == "simulated":
-            raise ArchiveError(
-                f"{path}: a simulated-cluster record trace is not archived "
-                f"— its stage latencies are simulated seconds and must never "
-                f"become the median a wall-clock run is judged against (a "
-                f"simulated join is archived when it runs; ingest a `join "
-                f"--parallel --trace-out` artefact instead)"
-            )
-        shape = {
-            key: header.get(key)
-            for key in ("workers", "shards", "executor", "records", "wall_s")
-        }
-        observables: Dict[str, Dict[str, float]] = {}
-        if family == "rectrace":
-            observables["stage"] = _stage_observables(header.get("stages", {}))  # type: ignore[arg-type]
-            observables["worker"] = {
-                "traced_records": float(header.get("traced", 0) or 0),  # type: ignore[arg-type]
-                "trace_events": float(header.get("events", 0) or 0),  # type: ignore[arg-type]
-            }
-        elif family == "spans":
-            from repro.obs.spans import phase_totals
-
-            observables["span"] = _span_observables(phase_totals(rows))
-        else:
-            from repro.obs.timeseries import telemetry_summary
-
-            summary = telemetry_summary(rows)
-            final = summary.get("final") or {}
-            shape["wall_s"] = final.get("wall_s", shape["wall_s"])
-            workers = list(summary.get("workers", {}).values())
-            observables["worker"] = {
-                "worker_busy_s": sum(w.get("busy_s", 0.0) or 0.0 for w in workers),
-                "telemetry_samples": float(
-                    sum(w.get("samples", 0) or 0 for w in workers)
-                ),
-            }
-        run_id = self._insert_run(
-            {"command": "join", "source": f"ingest:{family}", **shape}, argv
-        )
-        for kind, values in observables.items():
-            self._insert_observables(run_id, kind, values)
-        self._insert_health_events(
-            run_id, (row for row in rows if row.get("kind") == "health")
-        )
-        self.conn.commit()
-        return [(run_id, family)]
 
     # -- readers -------------------------------------------------------------
     def list_runs(

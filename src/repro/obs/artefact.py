@@ -12,8 +12,8 @@ fails with one pointed, consistent ``file:line`` message),
 schema and analysis.
 
 :func:`artefact_family` sniffs which family a loaded dump belongs to
-from its header line, which is what lets ``repro history ingest``
-accept any artefact path without a ``--format`` flag.
+from its header line, which is what lets each analyzer command name
+the command that reads a file given to the wrong one.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The persistent run archive: schema migrations, round-trip fidelity,
-ingestion adapters, the rolling-median regression gate and the
-``repro history`` CLI."""
+"""The persistent run archive: the one schema and the refusal of every
+other, round-trip fidelity of live capture, the rolling-median
+regression gate and the ``repro history`` CLI."""
 
 import dataclasses
 import json
 import os
-import shutil
 import sqlite3
 
 import pytest
@@ -21,11 +20,9 @@ from repro.obs.archive import (
     default_archive_path,
     linear_slope,
 )
-from repro.obs.baseline import FINGERPRINT_SCHEMA_VERSION, metric_policy
+from repro.obs.baseline import metric_policy
 from repro.obs.rectrace import DEFAULT_TRACE_SAMPLE
 from repro.parallel.runtime import ParallelJoinRunner, run_serial
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -64,91 +61,46 @@ class TestMigrations:
         assert tables == {"runs", "observables", "health_events"}
 
     @staticmethod
-    def _assert_refused(tmp_path, capsys, version):
+    def _stamped(tmp_path, version):
+        """A file with a table and ``version`` stamped, nothing else."""
         db = str(tmp_path / f"v{version}.db")
         conn = sqlite3.connect(db)
         conn.execute("CREATE TABLE runs (id INTEGER PRIMARY KEY)")
         conn.execute(f"PRAGMA user_version = {version}")
         conn.commit()
         conn.close()
+        return db
+
+    @staticmethod
+    def _assert_refused(db, capsys, version):
+        with open(db, "rb") as handle:
+            before = handle.read()
         with pytest.raises(
-            ArchiveError, match=f"schema v{version} predates v3"
+            ArchiveError, match=f"schema v{version} predates v5"
         ):
             RunArchive(db)
         assert main(["history", "list", "--db", db]) == 2
-        assert "move the file aside" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("history: ")
+        assert f"v{version}" in lines[0] and "move the file aside" in lines[0]
+        with open(db, "rb") as handle:
+            assert handle.read() == before  # refused, never touched
 
-    def test_v0_database_is_refused(self, tmp_path, capsys):
-        # A pre-versioning file has tables but no stamp: there is no
-        # upgrade path, so a pointed refusal instead of a guess.
-        self._assert_refused(tmp_path, capsys, 0)
-
-    def test_v2_database_is_refused(self, tmp_path, capsys):
-        # v1 and v2 are refused alike; only v3 takes an upgrade step.
-        for version in (1, 2):
-            self._assert_refused(tmp_path, capsys, version)
-
-    def test_committed_v3_seed_upgrades(self, tmp_path):
-        # The committed seed stays at v3, so every CI run that copies
-        # it takes the v3 -> v5 steps; its numbers must survive them.
-        copy = str(tmp_path / "seed.db")
-        shutil.copyfile(
-            os.path.join(REPO_ROOT, "benchmarks", "baselines", "archive.db"),
-            copy,
-        )
-        conn = sqlite3.connect(copy)
-        conn.row_factory = sqlite3.Row
-        try:
-            assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
-            run = conn.execute(
-                "SELECT id, labels_json FROM runs WHERE method = 'WALLCLOCK' "
-                "ORDER BY id DESC LIMIT 1"
-            ).fetchone()
-            rows = conn.execute(
-                "SELECT kind, name, value, series FROM observables "
-                "WHERE run_id = ?", (run["id"],)
-            ).fetchall()
-        finally:
-            conn.close()
-        before = {
-            "schema": FINGERPRINT_SCHEMA_VERSION,
-            "labels": json.loads(run["labels_json"] or "{}"),
-            "exact": {
-                row["name"]: {"total": row["value"], "series": row["series"]}
-                for row in rows if row["kind"] == "exact"
-            },
-            "banded": {
-                row["name"]: row["value"]
-                for row in rows if row["kind"] == "banded"
-            },
-        }
-        speedup = next(
-            row["value"] for row in rows
-            if row["name"] == "headline.probe_speedup"
-        )
-        with RunArchive(copy, create=False) as archive:
-            assert archive.conn.execute(
-                "PRAGMA user_version"
-            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION == 5
-            row = archive.run_row(run["id"])
-            assert "transport" not in row and "mode" not in row
-            assert archive.fingerprint(run["id"]) == before
-            assert archive.metric_value(
-                run["id"], "headline.probe_speedup"
-            ) == speedup
-
-    def test_v4_exact_run_upgrades_and_stays_comparable(
-        self, db, config, records
-    ):
-        # A v4 file: the shape index covers a ``mode`` column, and each
-        # stored config carries the approximate tier's keys.
-        result = run_serial(config, records)
+    @staticmethod
+    def _legacy_archive(db, config, records, version):
+        """A v4 (or v3) archive holding one real run: the shape index
+        covers a ``mode`` column, each stored config carries the
+        approximate tier's keys, and v3 also has a ``transport``
+        column."""
         with RunArchive(db) as archive:
-            old = archive.record_parallel_run(result)
-        written = json.dumps(dataclasses.asdict(config), sort_keys=True)
+            archive.record_parallel_run(run_serial(config, records))
         legacy = json.dumps(
             dict(dataclasses.asdict(config), mode="exact", perms=64, bands=8),
             sort_keys=True,
+        )
+        transport = (
+            "ALTER TABLE runs ADD COLUMN transport TEXT;"
+            "UPDATE runs SET transport = 'pipe';" if version == 3 else ""
         )
         conn = sqlite3.connect(db)
         conn.executescript(f"""
@@ -157,21 +109,30 @@ class TestMigrations:
             UPDATE runs SET mode = 'exact', config_json = '{legacy}';
             CREATE INDEX idx_runs_shape
                 ON runs (command, method, mode, workers, shards, records);
-            PRAGMA user_version = 4;
+            {transport}
+            PRAGMA user_version = {version};
         """)
         conn.close()
-        with RunArchive(db) as archive:
-            assert archive.conn.execute(
-                "PRAGMA user_version"
-            ).fetchone()[0] == ARCHIVE_SCHEMA_VERSION
-            columns = {
-                row["name"] for row in
-                archive.conn.execute("PRAGMA table_info(runs)")
-            }
-            assert "mode" not in columns
-            assert archive.run_row(old)["config_json"] == written
-            new = archive.record_parallel_run(result)
-            assert archive.comparable_ids(new) == [old]
+
+    def test_v0_database_is_refused(self, tmp_path, capsys):
+        # A pre-versioning file has tables but no stamp: there is no
+        # upgrade path, so a pointed refusal instead of a guess.
+        self._assert_refused(self._stamped(tmp_path, 0), capsys, 0)
+
+    def test_v2_database_is_refused(self, tmp_path, capsys):
+        # v1 and v2 are refused alike; so is every version but v5.
+        for version in (1, 2):
+            self._assert_refused(self._stamped(tmp_path, version), capsys, version)
+
+    def test_v3_database_is_refused(self, db, config, records, capsys):
+        # Nothing writes v3 any more, and its runs are not comparable
+        # with a new one: refused, not upgraded.
+        self._legacy_archive(db, config, records, 3)
+        self._assert_refused(db, capsys, 3)
+
+    def test_v4_database_is_refused(self, db, config, records, capsys):
+        self._legacy_archive(db, config, records, 4)
+        self._assert_refused(db, capsys, 4)
 
     def test_future_schema_is_refused(self, db, capsys):
         conn = sqlite3.connect(db)
@@ -227,6 +188,48 @@ class TestRoundTrip:
             for field in ("count", "mean_s", "p50_s", "p95_s", "p99_s"):
                 assert stored[stage][field] == entry[field], (stage, field)
 
+    def test_live_capture_carries_spans_stages_and_telemetry(
+        self, db, config, records
+    ):
+        """A run with every instrument on stores its span totals, its
+        record-trace digest and its telemetry sample count as they are
+        in memory."""
+        result = ParallelJoinRunner(
+            config, workers=2, spans_sample=1,
+            trace_sample=DEFAULT_TRACE_SAMPLE, heartbeat_interval=0.25,
+        ).run(records)
+        totals = result.phase_totals()
+        spans = {
+            f"span:driver:{phase}": seconds
+            for phase, seconds in totals["driver"].items()
+        }
+        for worker, phases in totals["workers"].items():
+            for phase, seconds in phases.items():
+                spans[f"span:worker:{worker}:{phase}"] = seconds
+        stages = {
+            f"stage:{stage}:{field}": entry[field]
+            for stage, entry in result.latency_digest().items()
+            for field in ("count", "mean_s", "p50_s", "p95_s", "p99_s")
+        }
+        with RunArchive(db) as archive:
+            run_id = archive.record_parallel_run(result)
+            stored = {
+                kind: {
+                    row["name"]: row["value"] for row in archive.conn.execute(
+                        "SELECT name, value FROM observables "
+                        "WHERE run_id = ? AND kind = ?", (run_id, kind)
+                    )
+                }
+                for kind in ("span", "stage", "worker")
+            }
+            assert archive.run_row(run_id)["source"] == "live"
+        assert spans and any(":worker:" in name for name in spans)
+        assert stored["span"] == spans
+        assert "stage:e2e:p95_s" in stages
+        assert stored["stage"] == stages
+        assert result.telemetry_samples() > 0
+        assert stored["worker"]["telemetry_samples"] == result.telemetry_samples()
+
     def test_provenance_recorded(self, db, config, records):
         with RunArchive(db) as archive:
             run = archive.run_row(_record_serial(archive, config, records))
@@ -234,92 +237,6 @@ class TestRoundTrip:
         assert run["cpus"] >= 1
         # the test suite runs inside the repo, so git identity resolves
         assert run["git_sha"] is None or len(run["git_sha"]) == 40
-
-
-class TestIngestAdapters:
-    @pytest.fixture
-    def artefacts(self, tmp_path, config, records):
-        result = ParallelJoinRunner(
-            config, workers=2, spans_sample=1, trace_sample=DEFAULT_TRACE_SAMPLE,
-            heartbeat_interval=0.25,
-        ).run(records)
-        paths = {
-            "rectrace": str(tmp_path / "rect.jsonl"),
-            "spans": str(tmp_path / "spans.jsonl"),
-            "telemetry": str(tmp_path / "telemetry.jsonl"),
-        }
-        result.write_rectrace(paths["rectrace"])
-        result.write_spans(paths["spans"])
-        with open(paths["telemetry"], "w", encoding="utf-8") as handle:
-            for row in result.telemetry:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        return result, paths
-
-    def test_ingest_families(self, db, artefacts):
-        result, paths = artefacts
-        with RunArchive(db) as archive:
-            for family, path in paths.items():
-                (run_id, detected), = archive.ingest_path(path)
-                assert detected == family
-                run = archive.run_row(run_id)
-                assert run["source"] == f"ingest:{family}"
-                assert run["workers"] == 2
-
-    def test_rectrace_ingest_carries_latency_digest(self, db, artefacts):
-        result, paths = artefacts
-        digest = result.latency_digest()
-        with RunArchive(db) as archive:
-            (run_id, _), = archive.ingest_path(paths["rectrace"])
-            stored = archive.run_summary(run_id)["stages"]
-            assert archive.metric_value(run_id, "stage:e2e:p95_s") \
-                == digest["e2e"]["p95_s"]
-        assert set(stored) == set(digest)
-
-    def test_spans_ingest_carries_phase_totals(self, db, artefacts):
-        result, paths = artefacts
-        with RunArchive(db) as archive:
-            (run_id, _), = archive.ingest_path(paths["spans"])
-            stored = archive.run_summary(run_id)["span_totals"]
-        assert "driver" in stored
-        assert any(actor.startswith("worker:") for actor in stored)
-
-    def test_simulated_rectrace_is_refused(self, db, artefacts, tmp_path,
-                                           capsys):
-        """Simulated-clock stage latencies never join the rolling median
-        a wall-clock run is judged against; a parallel rectrace still
-        ingests."""
-        from repro.core.join import DistributedStreamJoin
-        from repro.obs import RunObserver
-
-        _, paths = artefacts
-        observer = RunObserver.create(trace_sample=4)
-        DistributedStreamJoin(JoinConfig(threshold=0.7)).run(
-            synthetic_aol(80, seed=3), observer=observer
-        )
-        simulated = str(tmp_path / "sim.rectrace.jsonl")
-        observer.write_trace(simulated)
-        with RunArchive(db) as archive:
-            with pytest.raises(ArchiveError, match="simulated"):
-                archive.ingest_path(simulated)
-            assert archive.list_runs() == []
-            (_, family), = archive.ingest_path(paths["rectrace"])
-            assert family == "rectrace"
-        assert main(["history", "ingest", "--db", db, simulated]) == 2
-        assert "simulated-cluster record trace" in capsys.readouterr().err
-
-    def test_unrecognized_files_are_pointed_errors(self, db, tmp_path):
-        token_file = tmp_path / "corpus.jsonl"
-        token_file.write_text('{"kind": "mystery"}\n')
-        other = tmp_path / "other.json"
-        other.write_text('{\n "whatever": 1\n}\n')
-        with RunArchive(db) as archive:
-            for path in (token_file, other):
-                with pytest.raises(
-                    ArchiveError, match="not an ingestable artefact "
-                    r"\(expected a rectrace, spans or telemetry JSONL dump\)"
-                ):
-                    archive.ingest_path(str(path))
-            assert archive.list_runs() == []
 
 
 class TestCheck:
@@ -569,27 +486,14 @@ class TestHistoryCli:
         values = {point["value"] for point in data["points"]}
         assert len(values) == 1  # deterministic replay
 
-    def test_ingest_command(self, corpus_file, env_db, tmp_path, capsys):
-        spans = str(tmp_path / "spans.jsonl")
-        join = ["join", str(corpus_file), "--parallel", "--workers", "1",
-                "--threshold", "0.7"]
-        assert main(join + ["--spans-out", spans]) == 0
+    def test_ingest_is_not_a_command(self, corpus_file, env_db, capsys):
+        # Only live runs are archived: no back-fill from artefact files.
+        assert main(["join", str(corpus_file), "--threshold", "0.7"]) == 0
         capsys.readouterr()
-        assert main(["history", "ingest", spans]) == 0
-        assert f"ingest: {spans} (spans) -> run 2" in capsys.readouterr().out
-        assert main(join) == 0
-        capsys.readouterr()
-        # a spans header carries no record count, so no throughput
-        assert main(["history", "trend", "--metric", "throughput",
-                     "--command", "join", "--json"]) == 0
-        trend = json.loads(capsys.readouterr().out)
-        assert [point["run"] for point in trend["points"]] == [1, 3]
-        # bench summaries are not an archive input
-        assert main(["history", "ingest",
-                     os.path.join(REPO_ROOT, "BENCH_summary.json")]) == 2
-        err = capsys.readouterr().err
-        assert "not an ingestable" in err
-        assert "rectrace, spans or telemetry JSONL" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["history", "ingest", str(corpus_file)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'ingest'" in capsys.readouterr().err
 
     def test_compare_two_join_runs(self, corpus_file, env_db, capsys):
         argv = ["join", str(corpus_file), "--parallel", "--workers", "1",

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from repro.bench.harness import ExperimentRunner, run_methods, standard_configs
+from repro.bench.harness import run_methods, standard_configs
 from repro.bench.report import format_series, format_table
 from repro.core.metering import WorkMeter
 from repro.datasets import synthetic_aol
@@ -46,13 +46,6 @@ class TestRunners:
         reports = run_methods(stream, standard_configs(num_workers=3))
         results = {label: r.results for label, r in reports.items()}
         assert len(set(results.values())) == 1, results
-
-    def test_experiment_runner_rows(self):
-        runner = ExperimentRunner(synthetic_aol(200, seed=5))
-        rows = runner.compare(standard_configs(num_workers=2, include=["LEN", "PRE"]))
-        assert [row["method"] for row in rows] == ["LEN", "PRE"]
-        assert all("throughput" in row for row in rows)
-        assert set(runner.reports) == {"LEN", "PRE"}
 
 
 class TestReporting:

@@ -871,6 +871,8 @@ class TestBadFlagValues:
         (["stats", "F", "--rate", "0"], "rate"),
         # 0 is a vocabulary size to refuse, not the corpus default.
         (["bench", "--vocabulary", "0"], "vocabulary"),
+        # An empty stream is refused, not benchmarked into zeros.
+        (["bench", "--records", "0"], "records"),
     ])
     def test_exits_2_with_one_line(self, argv, named, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

@@ -255,6 +255,21 @@ GUARDS = {
     "One telemetry schema": [
         absent(r"_READABLE_SCHEMAS", *REACHABLE),
     ],
+    # The archive keeps only runs it can compare: live runs through one
+    # writer, at the one schema. No back-fill from artefact files (its
+    # runs had no config, seed or input digest), no upgrade chain.
+    "Live runs only, one schema": [
+        absent(r"ingest_path|_UPGRADES|_without_tier|history ingest", *REACHABLE),
+        absent(r"_insert_run|_insert_fingerprint|_RUN_COLUMNS", "src"),
+    ],
+    # `repro bench` runs the suite itself; the R–S join is the
+    # distributed one. No library copy that only tests called.
+    "No experiment runner": [
+        absent(r"\bExperimentRunner\b", *REACHABLE),
+    ],
+    "No local two-stream engine": [
+        absent(r"\bTwoStreamSetJoin\b", *REACHABLE),
+    ],
 }
 
 

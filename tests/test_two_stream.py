@@ -1,15 +1,17 @@
-"""Two-stream (R–S) join: local engine and distributed round trip."""
+"""Two-stream (R–S) join: the per-worker engine under the cross-source
+filter, stream merging and the distributed round trip."""
 
 import random
 
 import pytest
 
 from repro.core.config import JoinConfig
+from repro.core.metering import WorkMeter
+from repro.core.shard_engine import build_shard_engine
 from repro.core.two_stream import (
     LEFT,
     RIGHT,
     DistributedTwoStreamJoin,
-    TwoStreamSetJoin,
     cross_source_filter,
     merge_streams,
 )
@@ -40,6 +42,13 @@ def brute_cross(left_records, right_records, func, window=None):
     return results
 
 
+def cross_engine(threshold):
+    """The engine an R–S join runs on one shard: the ordinary engine,
+    one index over both streams, with the cross-source pair filter."""
+    config = JoinConfig(threshold=threshold, cross_source_only=True)
+    return build_shard_engine(config, Jaccard(threshold), 0, 1, WorkMeter())
+
+
 class TestLocalEngine:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_cross_oracle(self, seed):
@@ -55,11 +64,10 @@ class TestLocalEngine:
         ]
         interleaved = sorted(left + right, key=lambda r: r.timestamp)
 
-        join = TwoStreamSetJoin(func)
+        engine = cross_engine(0.6)
         found = {}
         for record in interleaved:
-            side = LEFT if record.source == LEFT else RIGHT
-            for match in join.process(side, record):
+            for match in engine.probe_and_insert(record):
                 l, r = (
                     (record, match.partner)
                     if record.source == LEFT
@@ -72,22 +80,11 @@ class TestLocalEngine:
         assert set(found) == set(oracle)
 
     def test_same_stream_pairs_never_reported(self):
-        join = TwoStreamSetJoin(Jaccard(0.5))
-        assert join.process(LEFT, Record(0, (1, 2, 3), 0.0)) == []
-        assert join.process(LEFT, Record(1, (1, 2, 3), 1.0)) == []
-        matches = join.process(RIGHT, Record(2, (1, 2, 3), 2.0))
+        engine = cross_engine(0.5)
+        assert engine.probe_and_insert(Record(0, (1, 2, 3), 0.0, LEFT)) == []
+        assert engine.probe_and_insert(Record(1, (1, 2, 3), 1.0, LEFT)) == []
+        matches = engine.probe_and_insert(Record(2, (1, 2, 3), 2.0, RIGHT))
         assert sorted(m.partner.rid for m in matches) == [0, 1]
-
-    def test_rejects_unknown_side(self):
-        join = TwoStreamSetJoin(Jaccard(0.5))
-        with pytest.raises(ValueError, match="side"):
-            join.process("X", Record(0, (1,), 0.0))
-
-    def test_live_postings_counts_both_indexes(self):
-        join = TwoStreamSetJoin(Jaccard(0.5))
-        join.process(LEFT, Record(0, (1, 2, 3, 4), 0.0))
-        join.process(RIGHT, Record(1, (5, 6, 7, 8), 1.0))
-        assert join.live_postings > 0
 
 
 class TestMergeStreams:
