@@ -1502,7 +1502,6 @@ def _history_list(args, archive) -> int:
                 "%Y-%m-%d %H:%M", time.localtime(run["created_utc"])
             ),
             "command": run["command"],
-            "source": run["source"],
             "method": run["method"] or "-",
             "workers": run["workers"] if run["workers"] is not None else "-",
             "shards": run["shards"] if run["shards"] is not None else "-",
@@ -1523,7 +1522,7 @@ def _history_show(args, archive) -> int:
         print(json.dumps(summary, indent=1, sort_keys=True))
         return 0
     run = summary["run"]
-    print(f"run {run['id']}: {run['command']} ({run['source']}) "
+    print(f"run {run['id']}: {run['command']} "
           f"method={run['method'] or '-'} "
           f"workers={run['workers']} shards={run['shards']}")
     when = time.strftime(

@@ -13,11 +13,14 @@ meters and ``live_postings`` of the retained pre-columnar engine
 cross-engine tests and timed end to end by ``benchmarks/e2e``:
 
 **Columnar postings.** A token's posting list is not a list of
-``(Record, position)`` tuples but parallel columns — ``array('q')``
-rid/size/position, ``array('d')`` timestamp, and a Record-reference
-list that owns record lifetimes. The scan loop reads primitive slots;
-attribute access on a Record happens only once a candidate survives
-every filter.
+``(Record, position)`` tuples but parallel columns — ``array('i')``
+size and position, an ``array('d')`` timestamp in the time-ordered
+layout only, and a Record-reference list that owns record lifetimes.
+No column repeats what the Record holds: a partner's rid is read from
+it. The scan loop reads primitive slots; attribute access on a Record
+happens only once a posting passes the position filter, except the
+filtered loop's rid read (below). A posting's data is 16 B, 24 B with
+a timestamp (DESIGN §9.1).
 
 **Two column layouts, one scan loop.** What order a column is kept in
 follows from when its postings can die; the window fixes it at
@@ -60,9 +63,11 @@ the row padded with that bound to the longest record indexed. In the
 two unfiltered loops the strict position filter runs *before* the
 ``seen`` test: if it rejects a partner's first hit ``(i, j)`` it
 rejects every later one ``(i' > i, j' > j)`` (both remainders only
-shrink), so a rejected posting never needs to enter ``seen``. The
-filtered loop keeps ``seen`` first: its relaxed filter is not monotone
-along a partner's hits.
+shrink), so a rejected posting never needs to enter ``seen`` — nor
+have its ``partner.rid``, the ``seen`` key, read. The filtered loop
+keeps ``seen`` first: its relaxed filter is not monotone along a
+partner's hits, so it reads ``partner.rid`` for every posting it
+scans.
 
 **Exact duplicates share a posting** (size-sorted layout only; DESIGN
 §9.2). Detection is free: a probe verifies every indexed record with
@@ -202,23 +207,25 @@ def _pairable(
 class _Postings:
     """One token's posting list as parallel columns.
 
-    Four primitive columns (``array``) plus a Record-reference list,
-    index-aligned. The engine keeps them in one of two orders (see the
-    module docstring): sorted by ``sizes`` under an unbounded window,
-    sorted by ``timestamps`` under a bounded one — in both expiry
-    modes, which differ only in *when* the dead front is cut.
+    Two 32-bit integer columns (``sizes``, ``positions``), a
+    ``timestamps`` column in the time-ordered layout only, and a
+    Record-reference list, index-aligned. A partner's rid is read from
+    its Record (``recs``), never stored twice. The engine keeps the
+    columns in one of two orders (see the module docstring): sorted by
+    ``sizes`` under an unbounded window, sorted by ``timestamps`` under
+    a bounded one — in both expiry modes, which differ only in *when*
+    the dead front is cut.
 
-    The ``timestamps`` column is empty in the size-sorted layout —
-    nothing expires.
+    ``timestamps`` is None in the size-sorted layout: nothing expires,
+    so nothing reads it.
     """
 
-    __slots__ = ("rids", "sizes", "positions", "timestamps", "recs")
+    __slots__ = ("sizes", "positions", "timestamps", "recs")
 
-    def __init__(self) -> None:
-        self.rids = array("q")
-        self.sizes = array("q")
-        self.positions = array("q")
-        self.timestamps = array("d")
+    def __init__(self, time_ordered: bool) -> None:
+        self.sizes = array("i")
+        self.positions = array("i")
+        self.timestamps = array("d") if time_ordered else None
         self.recs: List[Record] = []
 
 
@@ -310,7 +317,6 @@ class StreamingSetJoin:
         size = len(tokens)
         width = self.func.index_prefix_length(size)
         owns = self._owns
-        rid = record.rid
         timestamp = record.timestamp
         index = self._index
         inserted = 0
@@ -319,7 +325,7 @@ class StreamingSetJoin:
         # which is an append unless the record arrives late; eager mode
         # also files the posting in the expiration heap. Unbounded
         # columns stay size-sorted — an append unless a larger record
-        # is already posted — and skip the timestamps column: nothing
+        # is already posted — and have no timestamps column: nothing
         # reads it when postings cannot expire (hot path: this is the
         # engine's per-posting cost floor).
         if self._time_ordered:
@@ -332,7 +338,7 @@ class StreamingSetJoin:
                     continue
                 cols = index.get(token)
                 if cols is None:
-                    cols = index[token] = _Postings()
+                    cols = index[token] = _Postings(True)
                 timestamps = cols.timestamps
                 inserted += 1
                 if eager:
@@ -342,13 +348,11 @@ class StreamingSetJoin:
                     # not newer than this one, so the column stays
                     # sorted by timestamp (ties in arrival order).
                     k = bisect_right(timestamps, timestamp)
-                    cols.rids.insert(k, rid)
                     cols.sizes.insert(k, size)
                     cols.positions.insert(k, position)
                     timestamps.insert(k, timestamp)
                     cols.recs.insert(k, record)
                     continue
-                cols.rids.append(rid)
                 cols.sizes.append(size)
                 cols.positions.append(position)
                 timestamps.append(timestamp)
@@ -376,19 +380,17 @@ class StreamingSetJoin:
                     continue
                 cols = index.get(token)
                 if cols is None:
-                    cols = index[token] = _Postings()
+                    cols = index[token] = _Postings(False)
                 sizes = cols.sizes
                 inserted += 1
                 if sizes and size < sizes[-1]:
                     # Take the slot after every posting not larger than
                     # this one (equal sizes stay in arrival order).
                     k = bisect_right(sizes, size)
-                    cols.rids.insert(k, rid)
                     sizes.insert(k, size)
                     cols.positions.insert(k, position)
                     cols.recs.insert(k, record)
                     continue
-                cols.rids.append(rid)
                 sizes.append(size)
                 cols.positions.append(position)
                 cols.recs.append(record)
@@ -461,11 +463,10 @@ class StreamingSetJoin:
             cols = index.get(token)
             if cols is None:
                 continue
-            rids = cols.rids
             sizes = cols.sizes
             positions = cols.positions
             recs = cols.recs
-            n = len(rids)
+            n = len(recs)
             # Every posting left in a column is scanned — no
             # per-posting liveness check, scan count in one add.
             n_scan += n
@@ -496,8 +497,7 @@ class StreamingSetJoin:
                     if kd == n:
                         del index[token]
                         continue
-                    del rids[:kd], sizes[:kd], positions[:kd]
-                    del timestamps[:kd], recs[:kd]
+                    del sizes[:kd], positions[:kd], timestamps[:kd], recs[:kd]
             else:
                 # Size-sorted column (unbounded window): the length
                 # filter is two bisects bounding the qualifying
@@ -514,8 +514,6 @@ class StreamingSetJoin:
                     sizes = sizes[klo:khi]
                     positions = positions[klo:khi]
                     recs = recs[klo:khi]
-                    if dedup or filtered_mode:
-                        rids = rids[klo:khi]
             i1 = i + 1
             if filtered_mode:
                 # The relaxed position filter (module doc) is not
@@ -523,7 +521,8 @@ class StreamingSetJoin:
                 # marked seen at its first hit, admitted or not (one
                 # outside the length bounds fails every hit anyway).
                 rem_r = lr - i1
-                for ls, rid, j, partner in zip(sizes, rids, positions, recs):
+                for ls, j, partner in zip(sizes, positions, recs):
+                    rid = partner.rid
                     if rid in seen:
                         continue
                     seen_add(rid)
@@ -582,10 +581,11 @@ class StreamingSetJoin:
                 # of a partner whose first hit it rejects (DESIGN §9.4),
                 # so only admitted partners need remembering.
                 rest = lr - i
-                for ls, rid, j, partner in zip(sizes, rids, positions, recs):
+                for ls, j, partner in zip(sizes, positions, recs):
                     required = required_of[ls]
                     if j > ls - required or required > rest:
                         continue
+                    rid = partner.rid
                     if rid in seen:
                         continue
                     seen_add(rid)
@@ -829,10 +829,10 @@ class StreamingSetJoin:
         for token, k in cuts.items():
             cols = index[token]
             n_expired += k
-            if k == len(cols.rids):
+            if k == len(cols.recs):
                 del index[token]
                 continue
-            del cols.rids[:k], cols.sizes[:k], cols.positions[:k]
+            del cols.sizes[:k], cols.positions[:k]
             del cols.timestamps[:k], cols.recs[:k]
         self._live_postings -= n_expired
         meter.charge_many({"posting_expire": n_expired})

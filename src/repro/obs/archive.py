@@ -429,7 +429,11 @@ class RunArchive:
         """Archive one simulated-cluster run (``repro join`` without
         ``--parallel``, or one method of a ``repro bench`` suite) via
         its metrics-dump fingerprint. ``report`` is the run's
-        :class:`~repro.core.join.JoinRunReport`."""
+        :class:`~repro.core.join.JoinRunReport`.
+
+        A bench suite runs all its methods in one process, whose peak
+        RSS belongs to none of them, so a ``command="bench"`` row stores
+        no ``peak_rss_bytes``."""
         from repro.obs.baseline import fingerprint_from_metrics
         from repro.obs.exporters import metrics_to_json
         from repro.parallel.worker import peak_rss_bytes
@@ -446,7 +450,7 @@ class RunArchive:
             "wall_s": (
                 wall_s if wall_s is not None else cluster.wall_clock_seconds
             ),
-            "peak_rss_bytes": peak_rss_bytes(),
+            "peak_rss_bytes": None if command == "bench" else peak_rss_bytes(),
             "input_digest": input_digest,
         }, argv)
 

@@ -404,11 +404,14 @@ class TestHistoryCli:
 
         assert main(["history", "show", "last"]) == 0
         shown = capsys.readouterr().out
-        assert "run 1: join (live)" in shown
+        assert "run 1: join method=" in shown
+        assert "(live)" not in shown
         assert "threshold=0.7" in shown
         assert "mode=" not in shown
         assert main(["history", "list"]) == 0
-        assert "mode" not in capsys.readouterr().out
+        listed = capsys.readouterr().out
+        assert "mode" not in listed
+        assert "source" not in listed and "live" not in listed
         assert main(["history", "list", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 1
@@ -485,6 +488,32 @@ class TestHistoryCli:
         assert data["slope"] == 0.0
         values = {point["value"] for point in data["points"]}
         assert len(values) == 1  # deterministic replay
+
+    def test_bench_rows_store_no_peak_rss(
+        self, corpus_file, env_db, tmp_path, capsys
+    ):
+        """A bench suite runs its five methods in one process, so no
+        method owns the process peak: its rows store NULL, and only the
+        simulated join (one method per process) carries a trend."""
+        assert main(["bench", "--corpus", "AOL", "--records", "150",
+                     "--workers", "2", "--dispatchers", "1",
+                     "--seed", "20200420",
+                     "--summary-out", str(tmp_path / "summary.json")]) == 0
+        assert main(["join", str(corpus_file), "--threshold", "0.7"]) == 0
+        capsys.readouterr()
+        with RunArchive(env_db, create=False) as archive:
+            rows = archive.list_runs(limit=None)
+        assert [row["command"] for row in rows] == ["join"] + ["bench"] * 5
+        assert rows[0]["peak_rss_bytes"] > 0
+        assert all(row["peak_rss_bytes"] is None for row in rows[1:])
+        assert main(["history", "trend", "--metric", "peak_rss_bytes",
+                     "--command", "bench"]) == 0
+        assert "no archived runs carry metric 'peak_rss_bytes'" in (
+            capsys.readouterr().out
+        )
+        assert main(["history", "trend", "--metric", "peak_rss_bytes",
+                     "--command", "join", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 1
 
     def test_ingest_is_not_a_command(self, corpus_file, env_db, capsys):
         # Only live runs are archived: no back-fill from artefact files.

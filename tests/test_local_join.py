@@ -2,14 +2,17 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.local_join as local_join
 from repro.core.local_join import StreamingSetJoin, _Postings
 from repro.core.metering import WorkMeter
 from repro.core.reference import naive_join
+from repro.datasets import synthetic_enron
 from repro.records import Record, pair_key
 from repro.similarity.functions import Cosine, Dice, Jaccard, Overlap
 from repro.streams.window import SlidingWindow
@@ -150,7 +153,7 @@ class TestEngineMechanics:
 
 class TestSizeSortedColumns:
     """Unbounded window: every column is in size order after every
-    insert, equal sizes in arrival order, all four columns aligned."""
+    insert, equal sizes in arrival order, all three columns aligned."""
 
     @staticmethod
     def check_columns(engine, arrivals):
@@ -161,14 +164,12 @@ class TestSizeSortedColumns:
         for token, cols in engine._index.items():
             sizes = list(cols.sizes)
             assert sizes == sorted(sizes), f"token {token}: {sizes}"
-            assert not cols.timestamps
-            for rid, size, position, rec in zip(
-                cols.rids, sizes, cols.positions, cols.recs
-            ):
-                assert rec.rid == rid and len(rec.tokens) == size
+            assert cols.timestamps is None
+            for size, position, rec in zip(sizes, cols.positions, cols.recs):
+                assert len(rec.tokens) == size
                 assert rec.tokens[position] == token
-                size_of[rid] = size
-            assert list(cols.rids) == sorted(
+                size_of[rec.rid] = size
+            assert [r.rid for r in cols.recs] == sorted(
                 arrivals[token], key=size_of.__getitem__
             ), f"token {token}"
 
@@ -192,8 +193,8 @@ class TestSizeSortedColumns:
         cols = engine._index[7]
         assert list(cols.sizes) == [1, 2, 3, 3, 5, 5, 5, 9]
         # equal sizes keep arrival order; every column moved together
-        assert list(cols.rids) == [7, 3, 0, 5, 1, 2, 4, 6]
-        assert [r.rid for r in cols.recs] == list(cols.rids)
+        assert [r.rid for r in cols.recs] == [7, 3, 0, 5, 1, 2, 4, 6]
+        assert [len(r.tokens) for r in cols.recs] == list(cols.sizes)
         assert list(cols.positions) == [0] * 8
 
     @pytest.mark.parametrize("probe_every", [0, 1, 7])
@@ -231,8 +232,8 @@ class TestExactDuplicates:
     @staticmethod
     def columns(engine):
         return {
-            token: (list(cols.rids), list(cols.sizes), list(cols.positions),
-                    [rec.rid for rec in cols.recs], list(cols.timestamps))
+            token: ([rec.rid for rec in cols.recs], list(cols.sizes),
+                    list(cols.positions), list(cols.timestamps or ()))
             for token, cols in engine._index.items()
         }
 
@@ -259,7 +260,7 @@ class TestExactDuplicates:
         found = engine.probe(Record(3, self.FIRST, 3.0))
         assert [(m.partner.rid, m.overlap) for m in found] == [(0, 4), (2, 4)]
         assert meter.operation("posting_scan") - scans == sum(
-            len(cols.rids) + engine._member_postings.get(token, 0)
+            len(cols.recs) + engine._member_postings.get(token, 0)
             for token, cols in engine._index.items()
             if token in self.FIRST[:engine.func.probe_prefix_length(4)]
         )
@@ -288,7 +289,7 @@ class TestExactDuplicates:
         after = self.columns(engine)
         for token in self.FIRST[:width]:
             assert after[token][0] == before[token][0] + [2, 3]
-            assert after[token][4] == before[token][4] + [2.0, 3.0]
+            assert after[token][3] == before[token][3] + [2.0, 3.0]
         assert engine.live_postings == live + 2 * width
         assert not engine._groups and not engine._member_postings
 
@@ -327,8 +328,8 @@ class TestTimeOrderedColumns:
         cols = engine._index[7]
         assert list(cols.timestamps) == [0.0, 0.5, 1.0, 2.0, 3.0, 3.0, 3.0]
         # equal timestamps keep arrival order; every column moved together
-        assert list(cols.rids) == [0, 6, 1, 4, 2, 3, 5]
-        assert [r.rid for r in cols.recs] == list(cols.rids)
+        assert [r.rid for r in cols.recs] == [0, 6, 1, 4, 2, 3, 5]
+        assert [r.timestamp for r in cols.recs] == list(cols.timestamps)
         assert list(cols.sizes) == [2] * 7
         assert list(cols.positions) == [0] * 7
 
@@ -341,7 +342,7 @@ class TestTimeOrderedColumns:
         # the list is charged whole, its three dead postings expire
         assert meter.operation("posting_scan") == 5
         assert meter.operation("posting_expire") == 3
-        assert list(engine._index[7].rids) == [4, 3]
+        assert [r.rid for r in engine._index[7].recs] == [4, 3]
         assert engine.live_postings == 2
         assert meter.signals["window_expiration_lag_fraction"] == (4.0 - 0.0 - 2.0) / 2.0
 
@@ -372,9 +373,6 @@ class TestTimeOrderedColumns:
         engine = StreamingSetJoin(
             Jaccard(0.6), window=SlidingWindow(seconds), expiry="eager"
         )
-        assert _Postings.__slots__ == (
-            "rids", "sizes", "positions", "timestamps", "recs"
-        )
         expired = False
         for record in fuzz_stream(seed):
             for op in (engine.probe, engine.insert):
@@ -386,12 +384,60 @@ class TestTimeOrderedColumns:
                 held = 0
                 for cols in engine._index.values():
                     timestamps = list(cols.timestamps)
-                    held += len(cols.rids)
+                    held += len(cols.recs)
                     assert timestamps == sorted(timestamps)
                     assert record.timestamp - timestamps[0] <= seconds
-                    assert [r.rid for r in cols.recs] == list(cols.rids)
+                    assert len(cols.sizes) == len(cols.positions) == len(
+                        timestamps
+                    ) == len(cols.recs)
+                    assert [r.timestamp for r in cols.recs] == timestamps
                 assert held == engine.live_postings
         assert expired  # the heap cut real postings along the way
+
+
+class TestPostingsLayout:
+    """What a posting costs: two 32-bit integer columns and a Record
+    reference (the rid is the Record's), plus a timestamp only where
+    postings can expire."""
+
+    @pytest.mark.parametrize("window", [None, SlidingWindow(5.0)])
+    def test_columns(self, window):
+        engine = StreamingSetJoin(Jaccard(0.6), window=window)
+        rng = random.Random(5)
+        for record in make_records(random_corpus(rng, 60, 20, 10)):
+            engine.probe_and_insert(record)
+        assert engine._index
+        assert _Postings.__slots__ == ("sizes", "positions", "timestamps", "recs")
+        for cols in engine._index.values():
+            assert cols.sizes.typecode == cols.positions.typecode == "i"
+            if window is None:
+                assert cols.timestamps is None
+            else:
+                assert cols.timestamps.typecode == "d"
+
+    def test_index_bytes_per_posting(self):
+        """What the engine's own allocations hold per posting after
+        indexing a seeded ENRON-like stream (~90-token records, the
+        Records themselves excluded): 33 B at this size on CPython
+        3.11, against ~60 B with a 64-bit rid column, 64-bit
+        size/position columns and an empty timestamps array per
+        token. The bound leaves ~25 % headroom."""
+        records = list(synthetic_enron(2000, seed=11, vocabulary_size=2000))
+        tracemalloc.start()
+        try:
+            engine = StreamingSetJoin(Jaccard(0.8))
+            for record in records:
+                engine.insert(record)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            stat.size for stat in snapshot.filter_traces(
+                [tracemalloc.Filter(True, local_join.__file__)]
+            ).statistics("filename")
+        )
+        assert engine.live_postings > 30_000
+        assert held / engine.live_postings <= 42
 
 
 class TestExpiryModes:
