@@ -665,7 +665,7 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         print("join: --parallel workers route for themselves; "
               "--dispatchers does not apply", file=sys.stderr)
         return 2
-    from repro.parallel import ParallelJoinRunner
+    from repro.parallel import ParallelJoinRunner, ParallelWorkerError
 
     trace = args.trace_out is not None or args.trace_sample is not None
     runner = ParallelJoinRunner(
@@ -678,7 +678,15 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
     )
     # Nothing reads the rows unless --pairs asked for them: otherwise
     # the run is count-only, and no row is emitted, shipped or held.
-    result = runner.run(stream, collect=config.collect_pairs)
+    try:
+        result = runner.run(stream, collect=config.collect_pairs)
+    except ParallelWorkerError as error:
+        # Workers build the records, so a bad stream fails there: one
+        # line names the worker (first line) and what it raised (last).
+        lines = str(error).strip().splitlines()
+        summary = lines[0] if len(lines) == 1 else f"{lines[0]} {lines[-1]}"
+        print(f"join: {summary}", file=sys.stderr)
+        return 1
     print(format_table([{
         "method": config.method_label,
         "workers": result.workers,
@@ -964,7 +972,7 @@ def _cmd_trace(args) -> int:
     # stderr.
     human = sys.stderr if args.json else sys.stdout
     print(format_table([report.summary()],
-                       title=f"{stream.name} n={len(stream.corpus)} "
+                       title=f"{stream.name} n={len(stream)} "
                              f"θ={args.threshold} k={args.workers}"),
           file=human)
     _render_rectrace(args, observer.trace, stream.name)

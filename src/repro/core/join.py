@@ -102,9 +102,7 @@ class DistributedStreamJoin:
         :func:`repro.routing.plan.plan_routing`, shared with the
         multi-core runtime)."""
         config = self.config
-        return plan_routing(
-            config, self.func, stream.corpus[:PLAN_SAMPLE_SIZE]
-        )
+        return plan_routing(config, self.func, stream.head(PLAN_SAMPLE_SIZE))
 
     # -- execution -----------------------------------------------------------
     def run(

@@ -8,18 +8,22 @@ real AOL/DBLP/ENRON/TWEET dumps.
 
 The file is read once, front to back, so a FIFO or ``/dev/stdin``
 works. Tokens become provisional ids as each line is read, and only
-the id lists are kept, so one ``str`` per *distinct* token is alive,
-not one per token in the file. At the end of the file the ids are
+the ids are kept — back to back in one flat list, with each row's end
+in an ``array('q')`` — so one ``str`` per *distinct* token is alive,
+not one per token in the file, and no per-row object exists until the
+row's canonical tuple is built. At the end of the file the ids are
 ranked by :meth:`TokenDictionary.from_frequency` and every row is
-remapped through the returned rank. The result is identical to
-``TokenDictionary.from_corpus`` followed by ``canonicalize`` over the
-held lines.
+sliced out of the flat list and remapped through the returned rank,
+last row first, each cut off the list once its tuple is built.
+The result is identical to ``TokenDictionary.from_corpus`` followed by
+``canonicalize`` over the held lines.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from itertools import chain, count, filterfalse
+from itertools import count, filterfalse
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -47,27 +51,40 @@ def load_token_file(
     path = Path(path)
     ids: Dict[str, int] = {}  # token -> provisional id, first encounter
     id_of = ids.__getitem__
-    rows: List = []  # id lists while reading, canonical tuples after
+    # Every row's ids back to back, and where each row ends: a list
+    # (ids read back as the dict's own ints, no new int per read) and
+    # an array (no int object per row).
+    flat: List[int] = []
+    ends = array("q")
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
             tokens = dict.fromkeys(line.split())
             if not tokens:
                 continue
+            start = len(flat)
             try:
-                row = list(map(id_of, tokens))
+                flat.extend(map(id_of, tokens))
             except KeyError:  # new tokens: number them in line order
+                del flat[start:]  # the known ids appended before the miss
                 new = filterfalse(ids.__contains__, tokens)
                 ids.update(zip(new, count(len(ids))))
-                row = list(map(id_of, tokens))
-            rows.append(row)
-            if max_records is not None and len(rows) >= max_records:
+                flat.extend(map(id_of, tokens))
+            ends.append(len(flat))
+            if max_records is not None and len(ends) >= max_records:
                 break
-    counts = Counter(chain.from_iterable(rows))  # document frequency per id
+    counts = Counter(flat)  # document frequency per id: rows hold no repeats
     frequency = Counter(dict(zip(ids, map(counts.__getitem__, ids.values()))))
     dictionary, rank = TokenDictionary.from_frequency(list(ids), frequency)
     del ids, id_of, counts, frequency
-    for i, row in enumerate(rows):  # each id list is freed as it goes
-        rows[i] = tuple(sorted(map(rank.__getitem__, row)))
+    ranked = rank.__getitem__
+    # Last row first, cutting each off the flat list once it is built:
+    # the list gives its memory back as the tuples take theirs.
+    rows: List[Tuple[int, ...]] = [()] * len(ends)
+    for i in reversed(range(len(ends))):
+        start = ends[i - 1] if i else 0
+        rows[i] = tuple(sorted(map(ranked, flat[start:])))
+        del flat[start:]
+    del flat, ends
     stream = RecordStream(
         rows, arrivals=arrivals, name=name or path.stem
     )

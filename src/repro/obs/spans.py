@@ -36,8 +36,8 @@ Design constraints, in order:
 
 Phases (the driver records the driver set with ``worker == -1``)::
 
-    setup       materialise the records, plan shards, spawn workers (each
-                is handed the records and the plan as start-up arguments)
+    setup       plan shards from the corpus head, spawn workers (each is
+                handed the stream and the plan as start-up arguments)
     drain       the driver waiting on every worker's pipe and consuming
                 its frames, until the last worker's summary
     merge       canonical match sort + meter summation

@@ -8,7 +8,7 @@ by its own :class:`~repro.core.local_join.StreamingSetJoin`; the
 ``--workers N`` process count only decides which OS process *hosts*
 each shard (``shard % N``). Every shard therefore sees exactly the same
 record subsequence — in arrival order, because every worker walks the same
-published record list through this same plan (a pure function of the
+published stream through this same plan (a pure function of the
 record) and keeps the tasks of the shards it hosts — regardless of how
 many processes run. Match sets, ``WorkMeter`` totals and fingerprints
 are a pure function of the shard plan, which is why the differential

@@ -4,11 +4,12 @@ Execution model::
 
     driver                          worker 0..W-1 (processes)
     ------                          -------------------------
-    materialise records, plan       (start-up arguments: config,
-    spawn workers ───────────────>   hosted shards, records, plan)
+    plan from the corpus head       (start-up arguments: config,
+    spawn workers ───────────────>   hosted shards, stream, plan)
                                     build engines for its shards
-                                    walk the records, keep its shards'
-                                    tasks, probe/insert per batch
+                                    walk the stream, building each
+                                    record; keep its shards' tasks,
+                                    probe/insert per batch
     drain every worker at once <──  ship each batch's matches as it
     (collect frames, or count)      finishes (only if collecting); one
     merge (sort, sum meters)        run-end summary last
@@ -16,7 +17,7 @@ Execution model::
 Determinism: the stream is routed over ``config.num_workers`` logical
 shards — the config is the one place a run's shard count and batch size
 are set — regardless of the physical worker count; every worker walks
-the same record list in arrival order through the same pure
+the same published stream in arrival order through the same pure
 :class:`~repro.parallel.planner.ShardPlan`, so each shard engine
 performs the identical operation sequence for any ``workers``,
 ``config.batch_size`` or start method. The merged observables —
@@ -29,9 +30,15 @@ One executor: every :class:`ParallelJoinRunner` run starts real
 per-record engine calls — is the ground truth it must reproduce.
 
 One publish, no record wire: :meth:`ParallelJoinRunner.run` hands every
-worker ``(config, hosted shards, records, plan)`` once — inherited
+worker ``(config, hosted shards, stream, plan)`` once — inherited
 under ``fork``, pickled once under ``spawn``, one code path either way
 — and :meth:`ShardWorker.run` self-selects its shards' tasks from them.
+A :class:`~repro.streams.stream.RecordStream` is published as it is:
+its corpus tuples plus its arrival process, which is replayable, so
+each worker builds every :class:`~repro.records.Record` itself as it
+walks and the driver never holds one. Any other record iterable is
+listed once and published as that list; the worker's walk is the same
+loop for both.
 The driver writes nothing after start-up: it goes from spawn straight
 to draining results, which return over one pipe per worker — the only
 results wire, and the only pipe a worker has: live heartbeats are
@@ -64,7 +71,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.config import PLAN_SAMPLE_SIZE, JoinConfig
 from repro.core.metering import WorkMeter
@@ -96,8 +103,8 @@ from repro.parallel.merge import (
 )
 from repro.parallel.planner import ShardPlan, plan_shards
 from repro.parallel.worker import build_shard_engine, peak_rss_bytes, worker_main
-from repro.records import Record
 from repro.routing.base import fanout_fraction
+from repro.streams.stream import RecordStream
 
 _SETUP = PHASE_ID["setup"]
 _DRAIN = PHASE_ID["drain"]
@@ -317,10 +324,14 @@ def _fold_fanout(signals: Dict[str, float], fanout: Dict[str, float]) -> None:
         signals["routing_fanout_fraction"] = fanout["peak"]
 
 
-def _plan(config: JoinConfig, records: Sequence[Record]) -> ShardPlan:
-    """The shard plan over the first ``PLAN_SAMPLE_SIZE`` records —
-    only the sample is copied, never the whole corpus."""
-    sample = [record.tokens for record in records[:PLAN_SAMPLE_SIZE]]
+def _plan(config: JoinConfig, records) -> ShardPlan:
+    """The shard plan over the first ``PLAN_SAMPLE_SIZE`` token tuples
+    of ``records`` (a stream or a record list) — only the sample is
+    copied, never the whole corpus, and a stream builds no record."""
+    if isinstance(records, RecordStream):
+        sample = records.head(PLAN_SAMPLE_SIZE)
+    else:
+        sample = [record.tokens for record in records[:PLAN_SAMPLE_SIZE]]
     return plan_shards(config, sample)
 
 
@@ -411,8 +422,13 @@ class ParallelJoinRunner:
 
     # -- execution -----------------------------------------------------------
     def run(self, stream, collect: bool = True) -> ParallelJoinResult:
-        """Publish ``stream`` (a RecordStream or record iterable) to the
-        workers; block until merged.
+        """Publish ``stream`` to the workers; block until merged.
+
+        A :class:`~repro.streams.stream.RecordStream` is published as it
+        is and only the workers iterate it; any other record iterable is
+        listed once here. A fault the walk raises — a record that is not
+        canonical, an arrival process that goes backwards — therefore
+        surfaces as :class:`ParallelWorkerError` carrying its text.
 
         With ``collect`` (the default) the workers' rows are collected
         into the canonical ``result.matches``. With ``collect=False``
@@ -427,7 +443,7 @@ class ParallelJoinRunner:
             trace_sample=self.trace_sample,
             collect=collect,
         )
-        records = list(stream)
+        records = stream if isinstance(stream, RecordStream) else list(stream)
         plan = _plan(self.config, records)
         shards = plan.num_shards
         workers = max(1, min(self.workers, shards))
@@ -468,8 +484,9 @@ class ParallelJoinRunner:
         try:
             for w in range(workers):
                 parent, child = ctx.Pipe(duplex=True)
-                # The one publish: records and plan ride the start-up
-                # arguments (inherited under fork, pickled under spawn).
+                # The one publish: the stream (or record list) and the
+                # plan ride the start-up arguments (inherited under
+                # fork, pickled under spawn).
                 proc = ctx.Process(
                     target=worker_main,
                     args=(

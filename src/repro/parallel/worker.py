@@ -9,11 +9,15 @@ behaves identically whether it runs inside the simulated cluster, in
 :func:`~repro.parallel.runtime.run_serial`, or in a worker process.
 
 Records never cross a wire. Every worker is handed the config, the
-whole record list and the shard plan once, as process start-up
-arguments (inherited under ``fork``, pickled once under ``spawn``), and
-:meth:`ShardWorker.run` self-selects: it walks the records in arrival
-order, asks the plan for each record's ``(shard, op)`` tasks, keeps the
-tasks of the shards it hosts and cuts them into per-shard batches of
+published input and the shard plan once, as process start-up arguments
+(inherited under ``fork``, pickled once under ``spawn``). The input is
+a :class:`~repro.streams.stream.RecordStream` — corpus tuples plus a
+replayable arrival process, so iterating it builds each
+:class:`~repro.records.Record` here, in the process that uses it — or
+a record list. :meth:`ShardWorker.run` self-selects with one loop for
+either: it walks the records in arrival order, asks the plan for each
+record's ``(shard, op)`` tasks, keeps the tasks of the shards it hosts
+and cuts them into per-shard batches of
 ``config.batch_size`` — the map-side partitioning of a candidate-free
 distributed join, with no per-record work left in the driver. A batch
 is one shard's unit of work: one meter flush and at most one match ship.
@@ -86,7 +90,7 @@ import sys
 import time
 import traceback
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.core.local_join import StreamingSetJoin
@@ -262,9 +266,10 @@ class ShardWorker:
         }
 
     def run(
-        self, records: Sequence[Record], plan, emitter=None, ship=None
+        self, records: Iterable[Record], plan, emitter=None, ship=None
     ) -> Dict[str, float]:
-        """Walk the published ``records`` in arrival order and process
+        """Walk the published ``records`` (a stream or a record list,
+        anything iterable with a ``len``) in arrival order and process
         what ``plan`` assigns the hosted shards; returns the
         routing-fanout totals ``{"total", "count", "peak"}`` of the
         per-record reached-shards fraction (over every record and every
@@ -505,7 +510,7 @@ def worker_main(
     worker_id: int,
     config: JoinConfig,
     shard_ids: Sequence[int],
-    records: Sequence[Record],
+    records: Iterable[Record],
     plan,
     spans_sample: int = 0,
     heartbeat_interval: float = 0.0,
@@ -514,10 +519,14 @@ def worker_main(
 ) -> None:
     """Child-process entry point (module-level: spawn-context picklable).
 
-    ``records`` and ``plan`` (a :class:`~repro.parallel.planner.ShardPlan`)
-    are the whole published input — inherited under ``fork``, pickled
-    once under ``spawn`` — which :meth:`ShardWorker.run` walks for the
-    hosted ``shard_ids``; nothing is read from ``conn``.
+    ``records`` (a :class:`~repro.streams.stream.RecordStream` or a
+    record list) and ``plan`` (a
+    :class:`~repro.parallel.planner.ShardPlan`) are the whole published
+    input — inherited under ``fork``, pickled once under ``spawn`` —
+    which :meth:`ShardWorker.run` walks for the hosted ``shard_ids``;
+    nothing is read from ``conn``. A fault the walk raises (a stream
+    whose arrival process goes backwards) is this worker's
+    ``TAG_ERROR``.
 
     With ``heartbeat_interval > 0`` a rolling-counter ``TAG_HEARTBEAT``
     frame follows any batch that finds a sample due. The one

@@ -15,7 +15,9 @@ class RecordStream:
     Combines a corpus of canonical token arrays with an arrival process.
     Iterating the stream yields records in timestamp order with ids
     assigned in arrival order — the contract every consumer in this
-    library relies on.
+    library relies on. Records are built as they are yielded, and every
+    iteration yields the same ones (arrival processes are replayable),
+    so the stream itself is what the parallel runtime hands its workers.
 
     Parameters
     ----------
@@ -67,8 +69,14 @@ class RecordStream:
 
     @property
     def corpus(self) -> List[Tuple[int, ...]]:
-        """The underlying canonical token arrays (arrival order)."""
+        """A copy of the underlying canonical token arrays (arrival
+        order). For a prefix use :meth:`head`, for the count ``len``."""
         return list(self._corpus)
+
+    def head(self, n: int) -> List[Tuple[int, ...]]:
+        """The first ``n`` token arrays: a sample that copies ``n``
+        references, not the whole corpus, and builds no record."""
+        return self._corpus[:n]
 
     def take(self, n: int) -> "RecordStream":
         """A stream over the first ``n`` records with the same arrivals."""
@@ -159,16 +167,19 @@ def materialize(records: Iterable[Record]) -> List[Record]:
     return list(records)
 
 
+class _FixedArrivals:
+    """A recorded timestamp list as an arrival process. Module-level, so
+    a stream built on it pickles (a ``spawn`` worker receives it)."""
+
+    def __init__(self, times: List[float]):
+        self._times = times
+
+    def timestamps(self) -> Iterator[float]:
+        return iter(self._times)
+
+
 def from_records(records: Sequence[Record], name: str = "stream") -> RecordStream:
     """Rebuild a stream from existing records, preserving timestamps."""
-
-    class _FixedArrivals:
-        def __init__(self, times: List[float]):
-            self._times = times
-
-        def timestamps(self) -> Iterator[float]:
-            return iter(self._times)
-
     ordered = sorted(records, key=lambda r: (r.timestamp, r.rid))
     sources = [r.source for r in ordered]
     return RecordStream(

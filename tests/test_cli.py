@@ -167,6 +167,28 @@ class TestJoinParallel:
         assert discard == collect and no_lines == 0
         assert lines == collect["exact"]["run_results"]["total"] > 0
 
+    def test_a_worker_fault_is_one_line(self, corpus_file, monkeypatch,
+                                        capsys):
+        """A stream the workers cannot walk (its arrival process goes
+        backwards) fails the parallel join with exit 1 and one
+        ``join:`` line naming the worker and the fault, no traceback."""
+        import repro.cli as cli
+        from repro.streams.stream import RecordStream
+        from tests.test_parallel_unit import BackwardsAt
+
+        load = cli.load_token_file
+
+        def backwards(path, **kwargs):
+            stream, dictionary = load(path, **kwargs)
+            return RecordStream(stream.corpus, BackwardsAt(3)), dictionary
+
+        monkeypatch.setattr(cli, "load_token_file", backwards)
+        assert main(["join", str(corpus_file), "--parallel", "--workers", "2",
+                     "--threshold", "0.7", "--no-archive"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("join: worker ") and "went backwards" in err, err
+
     @pytest.mark.parametrize("extra", [[], ["--parallel"]],
                              ids=["simulated", "parallel"])
     def test_pairs_into_a_closed_pipe_exit_141_quietly(self, tmp_path, extra):

@@ -287,6 +287,30 @@ class TestOnePassLoader:
         assert len(stream) == 1000 and len(dictionary) > 0
         assert peak <= 2.4 * held, f"peak {peak} vs result {held}"
 
+    def test_line_mixing_known_and_new_tokens(self, tmp_path):
+        """A line whose known tokens come before a new one: the ids
+        appended before the miss are cut back, so no id is doubled."""
+        path = tmp_path / "mixed.txt"
+        path.write_text("a b\nb c a\nc d b e\nd a f\ng\n")
+        stream, dictionary = self.assert_matches_oracle(path)
+        assert [len(tokens) for tokens in stream.corpus] == [2, 3, 4, 3, 1]
+
+    def test_peak_bytes_per_record_on_a_short_record_stream(self, tmp_path):
+        """On ~2-token AOL records the per-row overhead is the load:
+        one flat id list plus an array of row ends peaks near 183 B a
+        record (tracemalloc); a list per row peaked near 273 B."""
+        path = tmp_path / "aol.txt"
+        save_token_file(path, synthetic_aol(20_000, seed=7))
+        load_token_file(path)  # first-call allocations are not the load's
+        tracemalloc.start()
+        try:
+            stream, _ = load_token_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == 20_000
+        assert peak / len(stream) <= 225, f"{peak / len(stream):.1f} B/record"
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_reads_a_fifo_in_one_pass(self, tmp_path):
         text = "x y z\n\nz y\nw x x\n"

@@ -31,6 +31,7 @@ from repro.parallel.planner import plan_shards
 from repro.parallel.worker import ShardWorker
 from repro.records import Record
 from repro.similarity.functions import get_similarity
+from repro.streams.stream import from_records
 
 WORKER_COUNTS = (1, 2, 3, 7)
 
@@ -307,8 +308,9 @@ class TestProcessExecutor:
 
 class TestStartMethods:
     """One publish, two ways to receive it: a forked worker inherits
-    ``(records, plan)``, a spawned one unpickles them. Both must walk
-    them to the same result, batch for batch. The two-worker, four-shard
+    ``(records, plan)``, a spawned one unpickles them — a record list,
+    or a stream whose records the worker builds. Each must walk them to
+    the same result, batch for batch. The two-worker, four-shard
     cell also runs heartbeats, so ``spawn`` covers that path too."""
 
     @pytest.mark.parametrize("num_shards", [1, 4])
@@ -323,25 +325,29 @@ class TestStartMethods:
         assert serial.results > 0 and serial.operation("posting_expire") > 0
         heartbeat_interval = 0.01 if (workers, num_shards) == (2, 4) else None
         per_worker = {}
+        # A record list is published as it is; a stream as corpus +
+        # arrival process, from which each worker builds the records.
+        inputs = {"list": records, "stream": from_records(records)}
         for start_method in ("fork", "spawn"):
-            result = try_process_run(
-                ParallelJoinRunner(
-                    config, workers=workers, start_method=start_method,
-                    heartbeat_interval=heartbeat_interval,
-                ),
-                records,
-            )
-            assert_equal_observables(
-                serial, result,
-                f"{start_method} w={workers} shards={num_shards}",
-            )
-            if heartbeat_interval is not None:
-                assert telemetry_smoke(result.telemetry) == []
-            per_worker[start_method] = [
-                (stats["batches"], stats["records"])
-                for stats in result.worker_stats
-            ]
-        assert per_worker["fork"] == per_worker["spawn"]
+            for kind, published in inputs.items():
+                result = try_process_run(
+                    ParallelJoinRunner(
+                        config, workers=workers, start_method=start_method,
+                        heartbeat_interval=heartbeat_interval,
+                    ),
+                    published,
+                )
+                assert_equal_observables(
+                    serial, result,
+                    f"{start_method} {kind} w={workers} shards={num_shards}",
+                )
+                if heartbeat_interval is not None:
+                    assert telemetry_smoke(result.telemetry) == []
+                per_worker[start_method, kind] = [
+                    (stats["batches"], stats["records"])
+                    for stats in result.worker_stats
+                ]
+        assert len(set(map(tuple, per_worker.values()))) == 1
 
 
 def _fork_or_skip():

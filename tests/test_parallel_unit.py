@@ -1,8 +1,10 @@
 """Unit tests for the parallel runtime's pieces: codec, planner,
-merger, the engine batch APIs, the config/CLI validation, and how a run
-fails (a killed worker, Ctrl-C in the driver)."""
+merger, the engine batch APIs, the config/CLI validation, what the
+driver publishes, and how a run fails (a killed worker, a stream the
+workers cannot walk, Ctrl-C in the driver)."""
 
 import inspect
+import itertools
 import math
 import os
 import pickle
@@ -44,6 +46,7 @@ from repro.parallel.worker import ShardWorker
 from repro.records import Record
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import get_similarity
+from repro.streams.stream import RecordStream, from_records
 
 from tests.test_parallel_differential import fuzz_records, try_process_run
 
@@ -675,6 +678,51 @@ def test_runtime_calls_neither_the_record_codec_nor_the_ring():
     assert _no_runtime_caller(re.compile("shared_memory"), set()) == []
 
 
+class BackwardsAt:
+    """An arrival process that steps back once, at record ``at``
+    (module-level, so a stream built on it pickles)."""
+
+    def __init__(self, at: int):
+        self.at = at
+
+    def timestamps(self):
+        for i in itertools.count():
+            yield -1.0 if i == self.at else float(i)
+
+
+class TestPublishedStream:
+    """A ``RecordStream`` is published as corpus + arrival process: the
+    workers build every record, the driver builds none."""
+
+    def test_driver_never_iterates_a_stream(self, monkeypatch, tmp_path):
+        """Every process that iterates the stream writes its pid: the
+        workers do (each walks it whole), the driver does not."""
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable on this host")
+        config = JoinConfig(threshold=0.6, num_workers=4, batch_size=32)
+        stream = from_records(fuzz_records(seed=31, n=300))
+        serial = run_serial(config, stream)
+        iterated = tmp_path / "iterated"
+        real = RecordStream.__iter__
+
+        def logged(self):
+            with open(iterated, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real(self)
+
+        monkeypatch.setattr(RecordStream, "__iter__", logged)
+        result = try_process_run(
+            ParallelJoinRunner(config, workers=2, start_method="fork"), stream
+        )
+        pids = [int(line) for line in iterated.read_text().split()]
+        assert os.getpid() not in pids
+        assert len(set(pids)) == len(pids) == 2
+        assert list(result.matches) == list(serial.matches)
+        assert result.fingerprint() == serial.fingerprint()
+
+
 class TestRunFailure:
     """How a process run ends when it cannot finish: promptly, with the
     error propagated and every worker reaped."""
@@ -743,6 +791,30 @@ class TestRunFailure:
         started = time.monotonic()
         assert main(["top", telemetry_out, "--refresh", "0.05"]) == 0
         assert time.monotonic() - started < 2.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_backwards_arrivals_fail_in_the_workers(self, workers):
+        """The workers build the records, so an arrival process that
+        goes backwards raises in their walk: the driver surfaces it as
+        ``ParallelWorkerError`` with the walk's text, at once, and
+        leaves no worker alive."""
+        import multiprocessing
+
+        corpus = [r.tokens for r in fuzz_records(seed=37, n=2000)]
+        stream = RecordStream(corpus, arrivals=BackwardsAt(1500))
+        runner = ParallelJoinRunner(
+            JoinConfig(threshold=0.6, num_workers=4, batch_size=64),
+            workers=workers,
+        )
+        started = time.monotonic()
+        with pytest.raises(ParallelWorkerError, match="went backwards"):
+            try:
+                runner.run(stream)
+            except (ImportError, OSError, PermissionError) as error:
+                pytest.skip(f"multiprocessing unavailable: {error}")
+        assert time.monotonic() - started < 2.0
+        assert multiprocessing.active_children() == []
+        self.assert_no_zombie()
 
     def test_keyboard_interrupt_propagates_without_zombies(self, monkeypatch):
         """Ctrl-C mid-drain — raised where the driver decodes a match

@@ -1,6 +1,9 @@
 """Tests for records, arrival processes, streams and windows."""
 
+import dataclasses
 import math
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,23 @@ class TestRecord:
         assert hash(r) == hash(Record(rid=1, tokens=(1, 2)))
         with pytest.raises(Exception):
             r.rid = 2
+
+    def test_records_are_slotted_and_still_a_frozen_dataclass(self):
+        """Four slots and no ``__dict__`` — the memory a stream of short
+        records is held in — and every dataclass behaviour kept."""
+        r = Record(rid=3, tokens=(1, 4), timestamp=0.5, source="L")
+        if sys.version_info >= (3, 10):  # dataclass(slots=) is 3.10+
+            assert Record.__slots__ == ("rid", "tokens", "timestamp", "source")
+            assert not hasattr(r, "__dict__")
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy == r and type(copy) is Record and hash(copy) == hash(r)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.rid = 4
+        assert dataclasses.replace(r, rid=4) == Record(
+            rid=4, tokens=(1, 4), timestamp=0.5, source="L"
+        )
+        with pytest.raises(ValueError, match="ascending"):
+            dataclasses.replace(r, tokens=(4, 1))
 
 
 class TestArrivals:
@@ -125,6 +145,18 @@ class TestRecordStream:
         stream = RecordStream([(1,), (2,), (3,)], ConstantRate(10))
         assert len(stream.take(2)) == 2
         assert stream.take(2).records()[-1].tokens == (2,)
+
+    def test_head_is_a_prefix_of_the_corpus(self):
+        stream = RecordStream([(1,), (2,), (3,)])
+        assert stream.head(2) == [(1,), (2,)] == stream.corpus[:2]
+        assert stream.head(10) == stream.corpus
+
+    def test_rebuilt_stream_pickles(self):
+        """A ``spawn`` worker receives a published stream pickled, so
+        the arrival process ``from_records`` gives it must pickle."""
+        original = RecordStream([(1, 2), (3,)], PoissonArrivals(5, seed=1))
+        rebuilt = from_records(original.records())
+        assert pickle.loads(pickle.dumps(rebuilt)).records() == original.records()
 
     def test_statistics(self):
         stream = RecordStream([(1, 2, 3), (1,), (4, 5)], name="tiny")
