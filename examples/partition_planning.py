@@ -11,7 +11,7 @@ Run:  python examples/partition_planning.py
 """
 
 from repro import DistributedStreamJoin, JoinConfig
-from repro.bench import format_table
+from repro.bench.report import format_table
 from repro.datasets import synthetic_enron
 from repro.partition import (
     JoinCostEstimator,

@@ -9,7 +9,8 @@ prints the deployment trade-off table.
 Run:  python examples/query_log_join.py
 """
 
-from repro.bench import format_table, run_methods, standard_configs
+from repro.bench.harness import run_methods, standard_configs
+from repro.bench.report import format_table
 from repro.datasets import synthetic_aol
 
 

@@ -1,17 +1,9 @@
-"""Benchmark harness: method suites and table reporters.
+"""Benchmark harness: method suites (:mod:`repro.bench.harness`) and
+table reporters (:mod:`repro.bench.report`).
 
 The modules here are what the ``benchmarks/`` experiment files call to
 regenerate each table/figure of the paper's evaluation (see the
 experiment index in DESIGN.md and the paper-vs-measured record in
-EXPERIMENTS.md).
+EXPERIMENTS.md). The package re-exports nothing, so a caller that only
+formats a table (``repro join``) does not import the method suites.
 """
-
-from repro.bench.harness import run_methods, standard_configs
-from repro.bench.report import format_series, format_table
-
-__all__ = [
-    "format_series",
-    "format_table",
-    "run_methods",
-    "standard_configs",
-]

@@ -180,4 +180,5 @@ def stream_from_spec(
     corpus = generate_corpus(spec, n_records, seed)
     if arrivals is None:
         arrivals = ConstantRate(rate)
-    return RecordStream(corpus, arrivals=arrivals, name=spec.name)
+    # Sorted distinct ids: canonical by construction, so unchecked.
+    return RecordStream.canonical(corpus, arrivals=arrivals, name=spec.name)

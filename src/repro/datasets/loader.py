@@ -85,7 +85,8 @@ def load_token_file(
         rows[i] = tuple(sorted(map(ranked, flat[start:])))
         del flat[start:]
     del flat, ends
-    stream = RecordStream(
+    # Sorted distinct ranks: canonical by construction, so unchecked.
+    stream = RecordStream.canonical(
         rows, arrivals=arrivals, name=name or path.stem
     )
     return stream, dictionary

@@ -165,6 +165,9 @@ class ParallelJoinResult:
     #: Monotonic clock value at run start (base for worker intervals).
     started: float = 0.0
     wall_s: float = 0.0
+    #: The :mod:`multiprocessing` start method the workers ran under
+    #: (``None`` for :func:`run_serial`, which starts none).
+    start_method: Optional[str] = None
     #: Spans artefact header (``None`` unless the run recorded spans):
     #: schema, wall time, executor/worker/shard shape, sampling stride
     #: and the recorder's own overhead budget per actor.
@@ -342,8 +345,12 @@ class ParallelJoinRunner:
     count — an extra process would host zero shards). The shard count
     and batch size are ``config.num_workers`` and ``config.batch_size``
     — parallel runs shard the stream exactly like the simulated
-    cluster. ``start_method`` picks the :mod:`multiprocessing` context
-    (``None``: the platform default).
+    cluster. ``start_method`` picks the :mod:`multiprocessing` context.
+    ``None`` means ``fork`` where the platform has it, else ``spawn`` —
+    never the platform's default, which is ``forkserver`` on Linux
+    from Python 3.14: its workers are not this process's children, so
+    ``RUSAGE_CHILDREN`` (the benchmark's tree CPU and peak RSS) would
+    see the driver alone.
 
     Spans and record tracing are one stride each, 0 = off.
     ``spans_sample >= 1`` records wall-clock spans in the driver and
@@ -407,6 +414,12 @@ class ParallelJoinRunner:
             )
         self.config = config
         self.workers = workers
+        if start_method is None:
+            import multiprocessing as mp
+
+            start_method = (
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+            )
         self.start_method = start_method
         self.spans_sample = spans_sample
         self.trace_sample = trace_sample
@@ -426,9 +439,11 @@ class ParallelJoinRunner:
 
         A :class:`~repro.streams.stream.RecordStream` is published as it
         is and only the workers iterate it; any other record iterable is
-        listed once here. A fault the walk raises — a record that is not
-        canonical, an arrival process that goes backwards — therefore
-        surfaces as :class:`ParallelWorkerError` carrying its text.
+        listed once here. A fault the walk raises — an arrival process
+        that goes backwards — therefore surfaces as
+        :class:`ParallelWorkerError` carrying its text. (A corpus tuple
+        that is not canonical fails before that, where the stream is
+        built.)
 
         With ``collect`` (the default) the workers' rows are collected
         into the canonical ``result.matches``. With ``collect=False``
@@ -663,6 +678,7 @@ class ParallelJoinRunner:
             routing_fanout=fanout,
             started=started,
             wall_s=wall_s,
+            start_method=self.start_method,
             span_header=span_header,
             span_rows=span_rows,
             telemetry=telemetry_doc,

@@ -65,6 +65,10 @@ def plan_routing(
         )
     elif config.partitioning == "quantile":
         partition = quantile_partition(histogram, workers)
+    elif workers == 1:
+        # What load_aware_partition returns for one range, without
+        # building the cost model it would search.
+        partition = LengthPartition(((1, histogram.max_length),))
     else:
         vocabulary = set()
         for tokens in sample:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.records import Record
+from repro.records import Record, check_canonical, trusted_record
 from repro.streams.arrival import ConstantRate
 from repro.streams.window import SlidingWindow
 
@@ -19,10 +19,16 @@ class RecordStream:
     iteration yields the same ones (arrival processes are replayable),
     so the stream itself is what the parallel runtime hands its workers.
 
+    The corpus is checked canonical once, here, with the error
+    ``Record(...)`` raises for the first record out of order; the walk
+    then builds its records without checking again. :meth:`canonical`
+    takes a corpus its caller built canonical without the check.
+
     Parameters
     ----------
     corpus:
-        Canonical token arrays (sorted int tuples), one per record.
+        Canonical token arrays (strictly ascending ints), one per
+        record; each becomes a tuple.
     arrivals:
         Any object with a ``timestamps() -> Iterator[float]`` method;
         defaults to 1000 records/second constant rate.
@@ -37,7 +43,9 @@ class RecordStream:
         name: str = "stream",
         sources: Optional[Sequence[str]] = None,
     ):
-        self._corpus = list(corpus)
+        self._corpus = [tuple(tokens) for tokens in corpus]
+        for rid, tokens in enumerate(self._corpus):
+            check_canonical(rid, tokens)
         self._arrivals = arrivals if arrivals is not None else ConstantRate(1000.0)
         self.name = name
         if sources is not None and len(sources) != len(self._corpus):
@@ -45,6 +53,23 @@ class RecordStream:
                 f"sources length {len(sources)} != corpus length {len(self._corpus)}"
             )
         self._sources = list(sources) if sources is not None else None
+
+    @classmethod
+    def canonical(
+        cls,
+        corpus: List[Tuple[int, ...]],
+        arrivals=None,
+        name: str = "stream",
+        sources: Optional[List[str]] = None,
+    ) -> "RecordStream":
+        """A stream over token tuples its caller built canonical — the
+        loader's sorted rows of distinct ranks, a generator's sorted
+        sets, a slice of a checked corpus — taken as they are: neither
+        checked nor copied."""
+        stream = cls((), arrivals, name)
+        stream._corpus = corpus
+        stream._sources = sources
+        return stream
 
     def __len__(self) -> int:
         return len(self._corpus)
@@ -60,7 +85,7 @@ class RecordStream:
                 )
             last = t
             source = self._sources[rid] if self._sources is not None else ""
-            yield Record(rid=rid, tokens=tuple(tokens), timestamp=t, source=source)
+            yield trusted_record(rid, tokens, t, source)
 
     # -- convenience -------------------------------------------------------
     def records(self) -> List[Record]:
@@ -81,8 +106,8 @@ class RecordStream:
     def take(self, n: int) -> "RecordStream":
         """A stream over the first ``n`` records with the same arrivals."""
         sources = self._sources[:n] if self._sources is not None else None
-        return RecordStream(self._corpus[:n], self._arrivals, name=self.name,
-                            sources=sources)
+        return RecordStream.canonical(self._corpus[:n], self._arrivals,
+                                      name=self.name, sources=sources)
 
     def statistics(self) -> "StreamStatistics":
         """Length distribution and vocabulary statistics of the corpus."""

@@ -172,22 +172,47 @@ class TestJoinParallel:
         """A stream the workers cannot walk (its arrival process goes
         backwards) fails the parallel join with exit 1 and one
         ``join:`` line naming the worker and the fault, no traceback."""
-        import repro.cli as cli
+        import repro.cli.join as join
         from repro.streams.stream import RecordStream
         from tests.test_parallel_unit import BackwardsAt
 
-        load = cli.load_token_file
+        load = join.load_token_file
 
         def backwards(path, **kwargs):
             stream, dictionary = load(path, **kwargs)
             return RecordStream(stream.corpus, BackwardsAt(3)), dictionary
 
-        monkeypatch.setattr(cli, "load_token_file", backwards)
+        monkeypatch.setattr(join, "load_token_file", backwards)
         assert main(["join", str(corpus_file), "--parallel", "--workers", "2",
                      "--threshold", "0.7", "--no-archive"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert err.startswith("join: worker ") and "went backwards" in err, err
+
+    def test_a_non_canonical_corpus_is_one_line(self, corpus_file,
+                                                monkeypatch, capsys):
+        """A corpus tuple out of order is refused where the stream is
+        built, before any worker starts: one ``join:`` line with
+        ``Record(...)``'s own error, and the input-error exit 2."""
+        import repro.cli.join as join
+        from repro.streams.stream import RecordStream
+
+        load = join.load_token_file
+
+        def unordered(path, **kwargs):
+            stream, dictionary = load(path, **kwargs)
+            corpus = stream.corpus
+            corpus[3] = (5, 3)
+            return RecordStream(corpus), dictionary
+
+        monkeypatch.setattr(join, "load_token_file", unordered)
+        assert main(["join", str(corpus_file), "--parallel", "--workers", "2",
+                     "--threshold", "0.7", "--no-archive"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "join: Record 3: tokens must be strictly ascending (canonical "
+            "form), got (5, 3)\n"
+        ), err
 
     @pytest.mark.parametrize("extra", [[], ["--parallel"]],
                              ids=["simulated", "parallel"])
@@ -1037,3 +1062,91 @@ class TestExplainCli:
     def test_same_method_rejected(self, capsys):
         assert main(["explain", "LEN", "LEN"]) == 2
         assert "must differ" in capsys.readouterr().err
+
+
+def _command_modules():
+    """Every command the parser knows, from the parser itself."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sorted(commands.choices)
+
+
+def _python(code, *argv):
+    """Run ``code`` in a fresh interpreter on this checkout's source."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    env["REPRO_ARCHIVE"] = ""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+class TestOneModulePerCommand:
+    """``repro.cli`` holds the parser; each command is its own module,
+    imported only when that command runs."""
+
+    def test_parallel_join_loads_only_the_join(self, tmp_path):
+        """``repro join --parallel --no-archive`` imports the parser, the
+        shared helpers and the join: no other command's module, not the
+        method suites, not the archive's SQLite."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c\na b c d\nx y z\n" * 20)
+        done = _python(
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+            "sys.exit(code)\n",
+            "join", str(corpus), "--parallel", "--workers", "1",
+            "--no-archive",
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.splitlines()[-1].split())
+        cli = {name for name in loaded if name.startswith("repro.cli")}
+        assert cli == {"repro.cli", "repro.cli.common", "repro.cli.join"}
+        assert "repro.bench.harness" not in loaded
+        assert "sqlite3" not in loaded
+
+    def test_every_command_module_imports_on_its_own(self):
+        """Each module runs its command through ``run(args)``, and
+        imports in a fresh interpreter with nothing else loaded first."""
+        import importlib
+        import pkgutil
+
+        import repro.cli
+
+        commands = _command_modules()
+        modules = sorted(
+            info.name for info in pkgutil.iter_modules(repro.cli.__path__)
+        )
+        assert modules == sorted(commands + ["common", "readers"])
+        for name in modules:
+            done = _python(f"import repro.cli.{name}")
+            assert done.returncode == 0, (name, done.stderr)
+        for name in commands:
+            assert callable(importlib.import_module(f"repro.cli.{name}").run)
+
+    @pytest.mark.parametrize("argv", [
+        [command] for command in _command_modules()
+    ] + [
+        ["history", sub] for sub in ("list", "show", "compare", "trend",
+                                     "check")
+    ], ids=" ".join)
+    def test_every_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([*argv, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {argv[0]}")

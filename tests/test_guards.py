@@ -246,7 +246,7 @@ GUARDS = {
     # only the runner's one-value keyword is left.
     "No transport key": [
         absent(
-            r"\bTRANSPORT\b", "src/repro/obs", "src/repro/cli.py", "tests",
+            r"\bTRANSPORT\b", "src/repro/obs", "src/repro/cli", "tests",
             "examples", "benchmarks", ".github",
         ),
         absent(r'"transport"', "src"),

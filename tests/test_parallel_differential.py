@@ -307,11 +307,12 @@ class TestProcessExecutor:
 
 
 class TestStartMethods:
-    """One publish, two ways to receive it: a forked worker inherits
-    ``(records, plan)``, a spawned one unpickles them — a record list,
-    or a stream whose records the worker builds. Each must walk them to
-    the same result, batch for batch. The two-worker, four-shard
-    cell also runs heartbeats, so ``spawn`` covers that path too."""
+    """One publish, three ways to receive it: a forked worker inherits
+    ``(records, plan)``, a spawned or forkserver-started one unpickles
+    them — a record list, or a stream whose records the worker builds.
+    Each must walk them to the same result, batch for batch. The
+    two-worker, four-shard cell also runs heartbeats, so ``spawn`` and
+    ``forkserver`` cover that path too."""
 
     @pytest.mark.parametrize("num_shards", [1, 4])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -328,7 +329,7 @@ class TestStartMethods:
         # A record list is published as it is; a stream as corpus +
         # arrival process, from which each worker builds the records.
         inputs = {"list": records, "stream": from_records(records)}
-        for start_method in ("fork", "spawn"):
+        for start_method in ("fork", "spawn", "forkserver"):
             for kind, published in inputs.items():
                 result = try_process_run(
                     ParallelJoinRunner(
@@ -348,6 +349,25 @@ class TestStartMethods:
                     for stats in result.worker_stats
                 ]
         assert len(set(map(tuple, per_worker.values()))) == 1
+
+    def test_unset_start_method_is_fork_whatever_the_default(self):
+        """Left unset, the runner starts its workers with ``fork``, not
+        with the platform's default (``forkserver`` on Linux from
+        Python 3.14, under which ``RUSAGE_CHILDREN`` misses the
+        workers), and the result says which method ran."""
+        import multiprocessing as mp
+
+        _fork_or_skip()
+        previous = mp.get_start_method(allow_none=True)
+        mp.set_start_method("forkserver", force=True)
+        try:
+            runner = ParallelJoinRunner(JoinConfig(num_workers=2), workers=2)
+            result = try_process_run(runner, fuzz_records(seed=5, n=60))
+        finally:
+            mp.set_start_method(previous, force=True)
+        assert runner.start_method == result.start_method == "fork"
+        serial = run_serial(JoinConfig(), fuzz_records(seed=5, n=5))
+        assert serial.start_method is None
 
 
 def _fork_or_skip():

@@ -183,6 +183,39 @@ class TestLoadAwarePartition:
         p = load_aware_partition(est, 1)
         assert p.ranges == ((1, 9),)
 
+    @given(
+        sample=st.lists(
+            st.lists(st.integers(0, 60), max_size=30, unique=True).map(
+                lambda tokens: tuple(sorted(tokens))
+            ),
+            max_size=80,
+        ),
+        threshold=st.sampled_from([0.5, 0.8, 0.95]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_shard_plan_builds_no_cost_model(self, sample, threshold):
+        """At one shard the planner returns what load_aware_partition
+        would — one range from length 1 to the longest sampled record —
+        without building the estimator it would search."""
+        from unittest import mock
+
+        from repro.core.config import JoinConfig
+        from repro.routing import plan
+
+        func = Jaccard(threshold)
+        config = JoinConfig(threshold=threshold, num_workers=1)
+        with mock.patch.object(plan, "JoinCostEstimator",
+                               side_effect=AssertionError("built")):
+            router, partition = plan.plan_routing(config, func, sample)
+        lengths = [len(tokens) for tokens in sample if tokens] or [1]
+        vocabulary = {token for tokens in sample for token in tokens}
+        estimator = JoinCostEstimator(
+            LengthHistogram.from_lengths(lengths), func,
+            vocabulary_size=max(1, len(vocabulary)),
+        )
+        assert partition == load_aware_partition(estimator, 1)
+        assert router.num_workers == 1
+
     def test_k_larger_than_domain(self):
         est = make_estimator([1, 2, 3])
         p = load_aware_partition(est, 10)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.records import Record, pair_key
+from repro.records import Record, pair_key, trusted_record
 from repro.streams.arrival import BurstyArrivals, ConstantRate, PoissonArrivals
 from repro.streams.stream import RecordStream, from_records
 from repro.streams.window import SlidingWindow
@@ -173,6 +173,67 @@ class TestRecordStream:
         assert [(r.tokens, r.timestamp) for r in rebuilt] == [
             (r.tokens, r.timestamp) for r in original
         ]
+
+
+class TestValidateOnce:
+    """A stream checks its corpus once, where it enters, with the error
+    ``Record(...)`` raises; its walk builds records without checking
+    again."""
+
+    MESSAGE = (
+        "Record 1: tokens must be strictly ascending (canonical form), "
+        "got (3, 1)"
+    )
+
+    def test_every_entry_path_refuses_a_tuple_out_of_order(self):
+        escaped = trusted_record(1, (3, 1), 0.5, "")  # skipped its check
+        for build in (
+            lambda: Record(rid=1, tokens=(3, 1)),
+            lambda: RecordStream([(1, 2), (3, 1)]),
+            lambda: RecordStream([(1, 2), [3, 1]]),
+            lambda: from_records([Record(rid=0, tokens=(1, 2)), escaped]),
+        ):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == self.MESSAGE
+        with pytest.raises(ValueError, match="Record 0: .* got \\(2, 2\\)"):
+            RecordStream([(2, 2)])
+
+    def test_a_walk_checks_nothing(self, monkeypatch, tmp_path):
+        import repro.records
+        import repro.streams.stream
+        from repro.datasets.loader import load_token_file
+
+        expected = [Record(rid=0, tokens=(1, 2)), Record(rid=1, tokens=(3,),
+                                                         timestamp=0.001)]
+        path = tmp_path / "rows.txt"
+        path.write_text("b a b\nc\n")
+        loaded = [Record(rid=0, tokens=(0, 1)),
+                  Record(rid=1, tokens=(2,), timestamp=0.001)]
+        checked = []
+        for module in (repro.records, repro.streams.stream):
+            monkeypatch.setattr(
+                module, "check_canonical",
+                lambda rid, tokens: checked.append((rid, tokens)),
+            )
+        stream = RecordStream([[1, 2], (3,)])
+        assert checked == [(0, (1, 2)), (1, (3,))]
+        assert stream.records() == stream.records() == expected
+        assert stream.take(1).records() == expected[:1]
+        assert load_token_file(path)[0].records() == loaded
+        assert checked == [(0, (1, 2)), (1, (3,))]  # nothing since
+
+    def test_walked_records_equal_checked_ones(self):
+        stream = RecordStream([(1, 2), (3,)], PoissonArrivals(5, seed=2),
+                              sources=["L", "R"])
+        for record in stream:
+            twin = Record(record.rid, record.tokens, record.timestamp,
+                          record.source)
+            assert type(record) is Record
+            assert record == twin and hash(record) == hash(twin)
+            assert pickle.loads(pickle.dumps(record)) == twin
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.rid = 9
 
 
 class TestSlidingWindow:
