@@ -170,6 +170,7 @@ def _join_parallel(args, config: JoinConfig, stream) -> int:
         "method": config.method_label,
         "workers": result.workers,
         "shards": result.num_shards,
+        "start": result.start_method,
         "batch": result.batch_size,
         "records": result.records,
         "results": result.results,

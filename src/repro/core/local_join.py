@@ -112,6 +112,11 @@ with comparison counting identical to
 prefix holds a single token skip duplicate-candidate tracking entirely
 (a partner cannot be scanned twice through one token).
 
+**Count-only probes.** :meth:`StreamingSetJoin.count` is the probe
+walk with every filter, merge and meter charge, returning how many rows
+it found: it builds no :class:`MatchResult` and computes no similarity.
+One body serves both; an emit site tests the mode once per found row.
+
 Window expiration supports two modes over the one time-ordered layout.
 ``"lazy"`` (default, the original semantics): a probe walks the front
 of each column it touches to the first live posting, charges the dead
@@ -399,12 +404,17 @@ class StreamingSetJoin:
         meter.event("postings_inserted", inserted)
 
     # -- probing ------------------------------------------------------------
-    def probe(self, record: Record) -> List[MatchResult]:
-        """All indexed, in-window partners with ``sim >= θ``."""
+    def probe(
+        self, record: Record, rows: bool = True
+    ) -> List[MatchResult] | int:
+        """All indexed, in-window partners with ``sim >= θ``.
+
+        ``rows=False`` is :meth:`count`: the same walk, returning how
+        many rows it found and building none of them."""
         tokens = record.tokens
         lr = len(tokens)
         if lr == 0:
-            return []
+            return [] if rows else 0
         func = self.func
         meter = self.meter
         now = record.timestamp
@@ -561,18 +571,20 @@ class StreamingSetJoin:
                         n_verify += k * verified
                         if overlap >= required:
                             n_emit += k + 1
-                            similarity = similarity_from_overlap(lr, ls, overlap)
-                            for member in group:
-                                emit(new_mr(MR, (member, similarity, overlap)))
+                            if rows:
+                                similarity = similarity_from_overlap(lr, ls, overlap)
+                                for member in group:
+                                    emit(new_mr(MR, (member, similarity, overlap)))
                         group = None
                         continue
                     if overlap >= required:
                         n_emit += 1
-                        emit(new_mr(MR, (
-                            partner,
-                            similarity_from_overlap(lr, ls, overlap),
-                            overlap,
-                        )))
+                        if rows:
+                            emit(new_mr(MR, (
+                                partner,
+                                similarity_from_overlap(lr, ls, overlap),
+                                overlap,
+                            )))
             elif dedup:
                 # The strict position filter — admit iff
                 # ``min(lr - i - 1, ls - j - 1) >= required - 1``, i.e.
@@ -645,18 +657,20 @@ class StreamingSetJoin:
                         n_verify += k
                         if o >= required:
                             n_emit += k + 1
-                            similarity = similarity_from_overlap(lr, ls, o)
-                            for member in group:
-                                emit(new_mr(MR, (member, similarity, o)))
+                            if rows:
+                                similarity = similarity_from_overlap(lr, ls, o)
+                                for member in group:
+                                    emit(new_mr(MR, (member, similarity, o)))
                         group = None
                         continue
                     if o >= required:
                         n_emit += 1
-                        emit(new_mr(MR, (
-                            partner,
-                            similarity_from_overlap(lr, ls, o),
-                            o,
-                        )))
+                        if rows:
+                            emit(new_mr(MR, (
+                                partner,
+                                similarity_from_overlap(lr, ls, o),
+                                o,
+                            )))
             else:
                 # Same position filter as the dedup loop above.
                 rest = lr - i
@@ -717,18 +731,20 @@ class StreamingSetJoin:
                         n_verify += k
                         if o >= required:
                             n_emit += k + 1
-                            similarity = similarity_from_overlap(lr, ls, o)
-                            for member in group:
-                                emit(new_mr(MR, (member, similarity, o)))
+                            if rows:
+                                similarity = similarity_from_overlap(lr, ls, o)
+                                for member in group:
+                                    emit(new_mr(MR, (member, similarity, o)))
                         group = None
                         continue
                     if o >= required:
                         n_emit += 1
-                        emit(new_mr(MR, (
-                            partner,
-                            similarity_from_overlap(lr, ls, o),
-                            o,
-                        )))
+                        if rows:
+                            emit(new_mr(MR, (
+                                partner,
+                                similarity_from_overlap(lr, ls, o),
+                                o,
+                            )))
 
         charges: Dict[str, float] = {}
         if n_lookup:
@@ -758,7 +774,12 @@ class StreamingSetJoin:
             if n_verify:
                 events["verifications"] = n_verify
             meter.event_many(events)
-        return results
+        return results if rows else n_emit
+
+    def count(self, record: Record) -> int:
+        """How many rows :meth:`probe` would return, with the same
+        filtering, merges and meter charges, building no row."""
+        return self.probe(record, False)
 
     # -- combined -------------------------------------------------------------
     def probe_and_insert(self, record: Record) -> List[MatchResult]:

@@ -40,10 +40,11 @@ batch boundary that has rows (:meth:`ShardWorker.flush_matches`) and
 starts a fresh one, so it never holds more than one batch's rows; its
 one run-end summary follows when the loop ends. Rows cross the pipe
 only when someone reads them: a count-only worker (``collect=False``,
-when the caller wants the result's size and not its rows) skips the
-emit, so its buffer stays empty and it never ships. Its shard meters'
-``results`` events count the rows either way, and the summary's
-``matches`` carries that count.
+when the caller wants the result's size and not its rows) probes with
+:meth:`~repro.core.local_join.StreamingSetJoin.count`, so its engines
+build no row, its buffer stays empty and it never ships. Its shard
+meters' ``results`` events count the rows either way, and the
+summary's ``matches`` carries that count.
 
 Deadlock freedom: the driver never writes after start-up and reads
 every worker's pipe at once, so no wait cycle exists. A worker blocked
@@ -154,15 +155,18 @@ def _run_untimed(engine, event, emit, items) -> None:
     """The un-instrumented record body: one tight loop, no timing and
     no instrument test per record. ``event`` is the shard meter's
     bound ``event`` method, ``emit`` the match table's (``None``: a
-    count-only worker, whose probes' rows are counted and dropped)."""
-    probe = engine.probe
+    count-only worker, whose engine counts its rows and builds none)."""
+    probe = engine.probe if emit is not None else engine.count
     insert = engine.insert
     for op, record in items:
         if op & PROBE:
-            matches = probe(record)
-            event("results", len(matches))
-            if matches and emit is not None:
-                emit(record.timestamp, record.rid, matches)
+            found = probe(record)
+            if emit is None:
+                event("results", found)
+            else:
+                event("results", len(found))
+                if found:
+                    emit(record.timestamp, record.rid, found)
         if op & INDEX:
             insert(record)
 
@@ -176,9 +180,10 @@ class ShardWorker:
     is the physical worker id. Nothing the worker sends carries it:
     the driver knows which worker each pipe belongs to.
 
-    ``collect=False`` makes a count-only worker: its probes' rows are
-    counted by the shard meters' ``results`` events and never emitted,
-    so its emit buffer stays empty and it ships no match frame.
+    ``collect=False`` makes a count-only worker: its engines count
+    their matches (``StreamingSetJoin.count``) and build no row, the
+    shard meters' ``results`` events take the counts, and its emit
+    buffer stays empty, so it ships no match frame.
     """
 
     def __init__(
@@ -340,7 +345,8 @@ class ShardWorker:
         """Probe → emit → insert every record of one batch, under one
         meter flush (charge_many/event_many exactness contract: totals
         stay bit-identical to per-record metering). A count-only worker
-        (``collect=False``) skips the emit.
+        (``collect=False``) probes with ``engine.count`` and emits
+        nothing.
 
         ``timed`` is the batch's instrument selection (see the module
         docstring): selected records take the timed step, the stretches
@@ -366,6 +372,7 @@ class ShardWorker:
         engine = self.engines[shard]
         event = self.meters[shard].event
         emit = self.matches.emit if self.collect else None
+        probe = engine.probe if emit is not None else engine.count
         probe_s = insert_s = 0.0
         had_probe = had_insert = False
         cursor = 0
@@ -380,17 +387,17 @@ class ShardWorker:
                 if op & PROBE:
                     had_probe = True
                     t0 = monotonic()
-                    matches = engine.probe(record)
+                    found = probe(record)
                     t1 = monotonic()
                     probe_s += t1 - t0
                     if traced:
                         log.record(_EV_PROBE, t0, t1, shard, record.rid)
-                    event("results", len(matches))
-                    if matches:
+                    event("results", found if emit is None else len(found))
+                    if found:
                         if traced:
                             t0 = monotonic()
                         if emit is not None:
-                            emit(record.timestamp, record.rid, matches)
+                            emit(record.timestamp, record.rid, found)
                         if traced:
                             log.record(
                                 _EV_MATCH_EMIT, t0, monotonic(), shard, record.rid

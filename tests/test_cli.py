@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -117,6 +118,19 @@ class TestJoinParallel:
                      "--workers", "2", "--threshold", "0.7"]) == 0
         out = capsys.readouterr().out
         assert "workers" in out and "shards" in out
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="fork is Linux's method"
+    )
+    def test_parallel_join_summary_names_the_start_method(
+        self, corpus_file, capsys
+    ):
+        """The runner pins ``fork`` where the platform has it, whatever
+        the interpreter's default (forkserver on Linux from 3.14)."""
+        assert main(["join", str(corpus_file), "--parallel",
+                     "--workers", "2", "--threshold", "0.7"]) == 0
+        header, _rule, row = capsys.readouterr().out.splitlines()[:3]
+        assert dict(zip(header.split(), row.split()))["start"] == "fork"
 
     def test_parallel_pairs_match_simulated(self, corpus_file, capsys):
         def pair_lines(extra):

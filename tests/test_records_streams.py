@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import pickle
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -54,9 +53,8 @@ class TestRecord:
         """Four slots and no ``__dict__`` — the memory a stream of short
         records is held in — and every dataclass behaviour kept."""
         r = Record(rid=3, tokens=(1, 4), timestamp=0.5, source="L")
-        if sys.version_info >= (3, 10):  # dataclass(slots=) is 3.10+
-            assert Record.__slots__ == ("rid", "tokens", "timestamp", "source")
-            assert not hasattr(r, "__dict__")
+        assert Record.__slots__ == ("rid", "tokens", "timestamp", "source")
+        assert not hasattr(r, "__dict__")
         copy = pickle.loads(pickle.dumps(r))
         assert copy == r and type(copy) is Record and hash(copy) == hash(r)
         with pytest.raises(dataclasses.FrozenInstanceError):
